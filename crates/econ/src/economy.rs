@@ -48,8 +48,9 @@ pub struct EconomyManager {
     queries_seen: u64,
     first_arrival: Option<SimTime>,
     last_arrival: SimTime,
-    /// Memoized plan sets per template (interior mutability: quotes are
-    /// `&self` but warm the cache for the serving call).
+    /// Memoized plan sets per template (interior mutability: quotes and
+    /// a won bid's commit are `&self` but write the memo for the serving
+    /// call).
     plancache: RefCell<PlanCache>,
     /// Recycled enumeration storage (see [`PlanBuffer`]).
     planbuf: RefCell<PlanBuffer>,
@@ -122,6 +123,13 @@ impl EconomyManager {
     /// unamortized at the crash instant.
     pub fn freeze_investment(&mut self) {
         self.investment_frozen = true;
+    }
+
+    /// Lifts [`Self::freeze_investment`]. Crash recovery replays the
+    /// doomed node's freeze to reconcile its books, then thaws the
+    /// replacement, which is a healthy machine with no crash ahead.
+    pub fn thaw_investment(&mut self) {
+        self.investment_frozen = false;
     }
 
     /// Plan-cache hit/miss counters.
@@ -419,35 +427,31 @@ impl EconomyManager {
     /// shape at `budget_scale × backend price` with deadline
     /// `patience × backend time`.
     fn plan_query(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Planned {
-        self.plan_query_with(ctx, query, now, None, |plans, opts| {
+        self.plan_query_with(ctx, query, now, |plans, opts| {
             self.select_from(query, plans, opts)
         })
     }
 
-    /// The planning engine behind both [`Self::plan_query`] and the quote
-    /// paths, with an optional shared lazy skeleton (the fleet's quote
-    /// rounds create one per query and share it across every bidding
-    /// node; it is built only if some node actually needs it) and a
-    /// caller-chosen selection: the serving path runs the full case
-    /// analysis ([`Self::select_from`]), while quotes run the payment-only
-    /// variant ([`Self::select_payment_from`]) that skips the chosen-plan
-    /// and regret clones. Memo state transitions (lookups, refreshes,
+    /// The memoizing planning engine behind both [`Self::plan_query`] and
+    /// [`Self::quote_query`], with a caller-chosen selection: the serving
+    /// path runs the full case analysis ([`Self::select_from`]), while
+    /// the quote runs the payment-only variant
+    /// ([`Self::select_payment_from`]) that skips the chosen-plan and
+    /// regret clones. Memo state transitions (lookups, refreshes,
     /// installs, LRU stamps, counters) are identical either way — the
     /// `select` callback is pure.
     ///
     /// Planning factors into the cache-independent skeleton and the cheap
     /// per-node completion. A memo lookup whose fingerprint matches but
     /// whose cache epoch moved re-runs only the completion phase; a fresh
-    /// fingerprint adopts the shared skeleton (or builds one) and
-    /// memoizes it. With memoization disabled, planning runs the fused
-    /// enumerator — the reference the bit-identity suites compare the
-    /// split path against.
+    /// fingerprint enumerates fused and memoizes the result. With
+    /// memoization disabled, planning runs the fused enumerator — the
+    /// reference the bit-identity suites compare the split path against.
     fn plan_query_with<R>(
         &self,
         ctx: &PlannerContext<'_>,
         query: &Query,
         now: SimTime,
-        shared: Option<&LazySkeleton<'_>>,
         select: impl Fn(&[QueryPlan], EnumerationOptions) -> R,
     ) -> R {
         let opts = self.config.enumeration(self.arrival_rate());
@@ -455,17 +459,7 @@ impl EconomyManager {
 
         if !self.config.plan_cache {
             let mut buf = self.planbuf.borrow_mut();
-            match shared {
-                Some(lazy) => complete_plans_into(
-                    lazy.get(),
-                    &self.cache,
-                    now,
-                    opts,
-                    |s, span| estimator.maintenance(s, span),
-                    &mut buf,
-                ),
-                None => enumerate_plans_into(ctx, query, &self.cache, now, opts, &mut buf),
-            }
+            enumerate_plans_into(ctx, query, &self.cache, now, opts, &mut buf);
             let plans = buf.take();
             let planned = select(&plans, opts);
             buf.recycle(plans);
@@ -490,14 +484,12 @@ impl EconomyManager {
             }
             // The skeleton is cache-independent and still valid: re-run
             // only the completion phase against the moved cache state.
-            // Built lazily here when the miss installed none (drifting
-            // fingerprints never reach this arm and never pay for one);
-            // a quote round's shared skeleton is preferred so fleet
-            // nodes build at most one between them.
-            let skeleton = Arc::clone(slot.skeleton.get_or_insert_with(|| match shared {
-                Some(lazy) => Arc::clone(lazy.get()),
-                None => Arc::new(PlanSkeleton::build(ctx, query)),
-            }));
+            // Built lazily here when the slot holds none (drifting
+            // fingerprints never reach this arm and never pay for one).
+            let skeleton = Arc::clone(
+                slot.skeleton
+                    .get_or_insert_with(|| Arc::new(PlanSkeleton::build(ctx, query))),
+            );
             let mut buf = self.planbuf.borrow_mut();
             complete_plans_into(
                 &skeleton,
@@ -526,24 +518,12 @@ impl EconomyManager {
         }
         pc.count_miss();
 
-        // Fresh fingerprint: adopt the quote round's shared skeleton when
-        // one exists (a fleet's nodes amortize one build between them),
-        // else enumerate fused — a drifting workload that never repeats
-        // a fingerprint should not build skeletons it will never reuse;
-        // the first epoch-stale re-completion builds one on demand.
-        let skeleton = shared.map(|lazy| Arc::clone(lazy.get()));
+        // Fresh fingerprint: enumerate fused — a drifting workload that
+        // never repeats a fingerprint should not build skeletons it will
+        // never reuse; the first epoch-stale re-completion builds one on
+        // demand.
         let mut buf = self.planbuf.borrow_mut();
-        match &skeleton {
-            Some(skel) => complete_plans_into(
-                skel,
-                &self.cache,
-                now,
-                opts,
-                |s, span| estimator.maintenance(s, span),
-                &mut buf,
-            ),
-            None => enumerate_plans_into(ctx, query, &self.cache, now, opts, &mut buf),
-        }
+        enumerate_plans_into(ctx, query, &self.cache, now, opts, &mut buf);
         let plans = buf.take();
         // The per-plan missing-structure build quotes are epoch-stable;
         // memoizing them lets refreshes re-derive first installments under
@@ -554,7 +534,7 @@ impl EconomyManager {
         let settle_seq = self.cache.settle_seq();
         if let Some((old_plans, old_costs)) = pc.install_slot(
             query.template.0,
-            skeleton,
+            None,
             epoch,
             settle_seq,
             opts,
@@ -613,20 +593,28 @@ impl EconomyManager {
     /// per regret, per node, per query) keeps the quote round
     /// allocation-free after warmup.
     fn select_payment_from(&self, query: &Query, plans: &[QueryPlan]) -> Money {
-        let backend = &plans[0];
         debug_assert_eq!(
-            backend.shape,
+            plans[0].shape,
             planner::plan::PlanShape::Backend,
             "enumeration emits the backend plan first"
         );
+        let mut scratch = self.sky_scratch.borrow_mut();
+        scratch.hot.fill(plans);
+        self.payment_from_hot(query, &mut scratch)
+    }
+
+    /// The bid over hot rows already sitting in `scratch.hot` (backend
+    /// row first): the budget from the backend row, the two-tier skyline
+    /// and the payment-only case analysis. Shared by every quote path,
+    /// whether the rows were projected from a plan set or emitted
+    /// straight from a batched gather ([`BatchCompleter::emit_hot`]).
+    fn payment_from_hot(&self, query: &Query, scratch: &mut SkyScratch) -> Money {
+        let SkyScratch { hot, order, sky } = scratch;
         let budget = BudgetFunction::of_shape(
             self.config.budget_shape,
-            backend.price.scale(query.budget_scale),
-            backend.exec_time * self.config.patience,
+            hot.price[0].scale(query.budget_scale),
+            hot.time[0] * self.config.patience,
         );
-        let mut scratch = self.sky_scratch.borrow_mut();
-        let SkyScratch { hot, order, sky } = &mut *scratch;
-        hot.fill(plans);
         let _existing = skyline_partition_hot(hot, order, sky);
         select_payment_hot(hot, sky, &budget, self.config.objective)
     }
@@ -653,8 +641,7 @@ impl EconomyManager {
     }
 
     /// Quotes the price `B_Q(t)` this cloud would charge for `query` at
-    /// `now`, without mutating any economy state — the marketplace bid a
-    /// fleet router compares across competing clouds.
+    /// `now` without serving it — the bid of a cloud quoting on its own.
     ///
     /// The quote runs the same (memoized) planning → skyline → case
     /// analysis as [`process_query`](Self::process_query) but skips its
@@ -663,26 +650,31 @@ impl EconomyManager {
     /// maintenance failed, and it updates the observed arrival statistics
     /// that the enumeration options (amortisation horizon, maintenance
     /// window) derive from. Routers treat quotes as bids, not contracts.
-    /// A quote does warm the plan cache: the winning node's serving call
-    /// reuses the plan set its own bid enumerated.
+    /// This standalone quote memoizes its plan set, so a serve that
+    /// follows it reuses the set. Fleet quote rounds, where only the
+    /// cheapest bidder serves, quote through [`Self::quote_with_skeleton`]
+    /// instead and memoize the winner's set alone.
     #[must_use]
     pub fn quote_query(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Money {
-        self.plan_query_with(ctx, query, now, None, |plans, _| {
+        self.plan_query_with(ctx, query, now, |plans, _| {
             self.select_payment_from(query, plans)
         })
     }
 
-    /// [`Self::quote_query`] drawing the cache-independent
+    /// [`Self::quote_query`]'s bid, drawing the cache-independent
     /// [`PlanSkeleton`] from the quote round's shared lazy cell instead
     /// of enumerating from scratch — the fleet builds at most one
     /// skeleton per query, on first need, and every bidding node binds
     /// it against its own cache state.
     ///
-    /// Identical to [`Self::quote_query`] bit for bit: the skeleton is a
-    /// pure function of `(ctx, query)`, so adopting the shared one changes
-    /// nothing but the work done. The quote warms the plan cache exactly
-    /// as a fresh quote would, so the winning node's serving call reuses
-    /// the same completed plan set.
+    /// The bid equals [`Self::quote_query`]'s bit for bit, but the plan
+    /// memo is only read. A current slot serves the bid as usual (price
+    /// refresh and LRU stamp included). A miss or a stale completion
+    /// completes into scratch and writes no slot: most bidders lose the
+    /// round and would never read it. The router calls
+    /// [`Self::commit_quote`] on the round's winner alone, which
+    /// memoizes the set its serve then reuses. Lookup counters, LRU
+    /// stamps and victim promotions move exactly as for `quote_query`.
     #[must_use]
     pub fn quote_with_skeleton(
         &self,
@@ -691,34 +683,103 @@ impl EconomyManager {
         skeleton: &LazySkeleton<'_>,
         now: SimTime,
     ) -> Money {
-        self.plan_query_with(ctx, query, now, Some(skeleton), |plans, _| {
-            self.select_payment_from(query, plans)
-        })
+        let opts = match self.classify(ctx, query, None, now) {
+            Ok(bid) => return bid,
+            Err((_, opts, _)) => opts,
+        };
+        let mut buf = self.planbuf.borrow_mut();
+        complete_plans_into(
+            skeleton.get(),
+            &self.cache,
+            now,
+            opts,
+            |s, span| ctx.estimator.maintenance(s, span),
+            &mut buf,
+        );
+        let plans = buf.take();
+        let bid = self.select_payment_from(query, &plans);
+        buf.recycle(plans);
+        bid
     }
 
-    /// Phase 1 of a batched quote round ([`QuoteBatch`]): serves the bid
-    /// immediately when the memoized completion is current (exactly the
-    /// hit path of [`Self::plan_query_with`], including the LRU stamp
-    /// and the price refresh), or reports what completion work the node
-    /// needs from the batch.
-    ///
-    /// `fingerprint` is the round's shared planning fingerprint — a pure
-    /// function of the query, derived once per round instead of once per
-    /// node and adopted into this manager's memo scratch verbatim.
-    fn batch_classify(
+    /// Memoizes the plan set behind this manager's last
+    /// [`Self::quote_with_skeleton`] bid for `query` at `now`, exactly as
+    /// a memoizing quote would have: a fresh slot after a miss, a
+    /// replaced completion after a stale one. A no-op when the bid came
+    /// from a current slot or memoization is off. The fleet router calls
+    /// it on each round's winner; it must follow the bid with no state
+    /// change in between.
+    pub fn commit_quote(
         &self,
         ctx: &PlannerContext<'_>,
         query: &Query,
-        fingerprint: &[u64],
+        skeleton: &LazySkeleton<'_>,
         now: SimTime,
-    ) -> Result<Money, (BatchNeed, EnumerationOptions, u64)> {
+    ) {
+        let Some((need, opts, epoch)) = self.uncommitted(query, now) else {
+            return;
+        };
+        complete_plans_into(
+            skeleton.get(),
+            &self.cache,
+            now,
+            opts,
+            |s, span| ctx.estimator.maintenance(s, span),
+            &mut self.planbuf.borrow_mut(),
+        );
+        self.memoize_completion(need, opts, epoch, skeleton.get(), query.template.0, now);
+    }
+
+    /// What a commit of `query` at `now` still has to write: `None` when
+    /// memoization is off or the query's slot already holds a current
+    /// completion. Re-finds the slot without an LRU stamp — the bid's
+    /// lookup already took it.
+    fn uncommitted(
+        &self,
+        query: &Query,
+        now: SimTime,
+    ) -> Option<(QuoteNeed, EnumerationOptions, u64)> {
+        if !self.config.plan_cache {
+            return None;
+        }
+        let opts = self.config.enumeration(self.arrival_rate());
+        let epoch = self.cache.epoch(now);
+        let mut pc = self.plancache.borrow_mut();
+        pc.prepare_fingerprint(query);
+        match pc.rematch_slot(query.template.0) {
+            Some(slot) if slot.completion_current(epoch, &opts) => None,
+            Some(_) => Some((QuoteNeed::Completion, opts, epoch)),
+            None => Some((QuoteNeed::Miss, opts, epoch)),
+        }
+    }
+
+    /// The memo lookup of a fleet bid: serves the bid immediately when
+    /// the memoized completion is current (exactly the hit path of
+    /// [`Self::plan_query_with`], including the LRU stamp and the price
+    /// refresh), or counts the miss or stale completion and reports what
+    /// completion the bid needs.
+    ///
+    /// `fingerprint` is a batched round's shared planning fingerprint —
+    /// a pure function of the query, derived once per round instead of
+    /// once per node and adopted into this manager's memo scratch
+    /// verbatim. `None` derives it from the query.
+    fn classify(
+        &self,
+        ctx: &PlannerContext<'_>,
+        query: &Query,
+        fingerprint: Option<&[u64]>,
+        now: SimTime,
+    ) -> Result<Money, (QuoteNeed, EnumerationOptions, u64)> {
         let opts = self.config.enumeration(self.arrival_rate());
         if !self.config.plan_cache {
-            return Err((BatchNeed::Unmemoized, opts, 0));
+            return Err((QuoteNeed::Unmemoized, opts, 0));
         }
         let epoch = self.cache.epoch(now);
         let mut pc = self.plancache.borrow_mut();
-        pc.adopt_fingerprint(fingerprint);
+        match fingerprint {
+            Some(fp) => pc.adopt_fingerprint(fp),
+            None => pc.prepare_fingerprint(query),
+        }
         if let Some(slot) = pc.matching_slot(query.template.0) {
             if slot.completion_current(epoch, &opts) {
                 let refreshed = !slot.prices_current(&self.cache, now, &opts);
@@ -731,80 +792,59 @@ impl EconomyManager {
                 pc.count_hit(refreshed);
                 return Ok(payment);
             }
-            return Err((BatchNeed::Completion, opts, epoch));
+            pc.count_completion();
+            return Err((QuoteNeed::Completion, opts, epoch));
         }
         pc.count_miss();
-        Err((BatchNeed::Miss, opts, epoch))
+        Err((QuoteNeed::Miss, opts, epoch))
     }
 
-    /// Phase 3 of a batched quote round: adopts the batch-completed plan
-    /// set sitting in this manager's plan buffer — memoizing, selecting
-    /// and recycling exactly as the sequential
-    /// [`Self::plan_query_with`] would have after its own
-    /// `complete_plans_into` call — and returns the bid.
-    fn batch_adopt(
+    /// Moves the completed plan set sitting in this manager's plan
+    /// buffer into the memo under the prepared fingerprint, as the bid's
+    /// lookup classified it: a fresh slot for a miss, a replaced
+    /// completion for a stale slot (adopting `skel` if the slot had
+    /// none).
+    ///
+    /// # Panics
+    /// Panics on [`QuoteNeed::Unmemoized`], or if a stale slot vanished
+    /// since its lookup.
+    fn memoize_completion(
         &self,
-        need: BatchNeed,
+        need: QuoteNeed,
         opts: EnumerationOptions,
         epoch: u64,
         skel: &Arc<PlanSkeleton>,
-        query: &Query,
+        template: usize,
         now: SimTime,
-    ) -> Money {
-        match need {
-            BatchNeed::Unmemoized => {
-                let mut buf = self.planbuf.borrow_mut();
-                let plans = buf.take();
-                let payment = self.select_payment_from(query, &plans);
-                buf.recycle(plans);
-                payment
-            }
-            BatchNeed::Completion => {
-                let mut pc = self.plancache.borrow_mut();
+    ) {
+        let mut pc = self.plancache.borrow_mut();
+        let mut buf = self.planbuf.borrow_mut();
+        let plans = buf.take();
+        let missing_builds = buf.take_missing_costs();
+        let settle_seq = self.cache.settle_seq();
+        let displaced = match need {
+            QuoteNeed::Unmemoized => unreachable!("a memo-off bid has nothing to commit"),
+            QuoteNeed::Completion => {
                 let slot = pc
-                    .rematch_slot(query.template.0)
-                    .expect("classified slot vanished between batch phases");
+                    .rematch_slot(template)
+                    .expect("classified slot vanished before its commit");
                 slot.skeleton.get_or_insert_with(|| Arc::clone(skel));
-                let mut buf = self.planbuf.borrow_mut();
-                let plans = buf.take();
-                let missing_builds = buf.take_missing_costs();
-                let (old_plans, old_costs) = slot.replace_completion(
-                    epoch,
-                    self.cache.settle_seq(),
-                    opts,
-                    now,
-                    plans,
-                    missing_builds,
-                );
-                buf.recycle(old_plans);
-                buf.recycle_missing_costs(old_costs);
-                drop(buf);
-                let payment = self.select_payment_from(query, &slot.plans);
-                pc.count_completion();
-                payment
+                Some(slot.replace_completion(epoch, settle_seq, opts, now, plans, missing_builds))
             }
-            BatchNeed::Miss => {
-                let mut buf = self.planbuf.borrow_mut();
-                let plans = buf.take();
-                let missing_builds = buf.take_missing_costs();
-                let payment = self.select_payment_from(query, &plans);
-                let settle_seq = self.cache.settle_seq();
-                let mut pc = self.plancache.borrow_mut();
-                if let Some((old_plans, old_costs)) = pc.install_slot(
-                    query.template.0,
-                    Some(Arc::clone(skel)),
-                    epoch,
-                    settle_seq,
-                    opts,
-                    now,
-                    plans,
-                    missing_builds,
-                ) {
-                    buf.recycle(old_plans);
-                    buf.recycle_missing_costs(old_costs);
-                }
-                payment
-            }
+            QuoteNeed::Miss => pc.install_slot(
+                template,
+                Some(Arc::clone(skel)),
+                epoch,
+                settle_seq,
+                opts,
+                now,
+                plans,
+                missing_builds,
+            ),
+        };
+        if let Some((old_plans, old_costs)) = displaced {
+            buf.recycle(old_plans);
+            buf.recycle_missing_costs(old_costs);
         }
     }
 
@@ -877,15 +917,15 @@ impl EconomyManager {
     }
 }
 
-/// What a batched quote round still owes a node after classification.
+/// What a fleet bid still needs after its memo lookup.
 #[derive(Debug, Clone, Copy)]
-enum BatchNeed {
-    /// Plan memoization disabled: complete, select, recycle.
+enum QuoteNeed {
+    /// Plan memoization disabled: complete and select; nothing to commit.
     Unmemoized,
-    /// Memoized skeleton with a stale completion: re-complete into the
-    /// slot.
+    /// Memoized skeleton with a stale completion: re-complete; a commit
+    /// replaces the slot's completion.
     Completion,
-    /// Fresh fingerprint: complete and install a new slot.
+    /// Fresh fingerprint: complete; a commit installs a new slot.
     Miss,
 }
 
@@ -894,7 +934,7 @@ enum BatchNeed {
 struct BatchMember {
     /// Caller-side node index.
     node: usize,
-    need: BatchNeed,
+    need: QuoteNeed,
     opts: EnumerationOptions,
     epoch: u64,
 }
@@ -902,18 +942,21 @@ struct BatchMember {
 /// Reusable workspace for **batched quote rounds** — the structure-major
 /// inversion of the fleet's per-node quote fan-out.
 ///
-/// A round classifies every node first ([`EconomyManager::batch_classify`]
+/// A round classifies every node first ([`EconomyManager::classify`]
 /// serves memo hits immediately), then runs *one*
 /// [`BatchCompleter::gather`] pass over the caches of every node that
-/// still needs completion, and finally adopts each node's emitted plan
-/// set into its own plan memo. Every phase mirrors the sequential
-/// [`EconomyManager::quote_with_skeleton`] exactly — same bids, same memo
-/// state (including LRU stamps), same counters — so routing decisions are
-/// bit-identical whichever path a fleet uses; `tests/batch_completion.rs`
-/// pins it.
+/// still needs completion, and bids each of them from the hot rows
+/// [`BatchCompleter::emit_hot`] writes straight from the gathered lanes.
+/// No member's full plan set is built or memoized during the round:
+/// only the cheapest bid is served, so the router calls
+/// [`Self::commit`] on the winner alone, which emits and memoizes that
+/// one set from the same lanes. Bids, lookup counters and memo state
+/// match the per-node [`EconomyManager::quote_with_skeleton`] path
+/// followed by [`EconomyManager::commit_quote`] on the same winner, bit
+/// for bit; `tests/batch_completion.rs` pins it.
 ///
-/// The bulk scratch (completer lanes, member list, bid vector, shared
-/// fingerprint) is retained across rounds, so quote rounds are
+/// The bulk scratch (completer lanes, member list, bid vector, hot rows,
+/// shared fingerprint) is retained across rounds, so quote rounds are
 /// allocation-free after warmup.
 #[derive(Debug, Default)]
 pub struct QuoteBatch {
@@ -924,6 +967,20 @@ pub struct QuoteBatch {
     /// from the query and adopted by every classified node, instead of
     /// each node re-deriving the identical word vector.
     fingerprint: Vec<u64>,
+    /// Hot rows and skyline scratch the members' bids are computed over.
+    scratch: SkyScratch,
+    /// What the winner's commit needs of the last round; `None` when no
+    /// node needed completion.
+    gathered: Option<Gathered>,
+}
+
+/// The part of a batched round the winner's commit reads besides the
+/// completer's lanes.
+#[derive(Debug)]
+struct Gathered {
+    skeleton: Arc<PlanSkeleton>,
+    template: usize,
+    now: SimTime,
 }
 
 impl QuoteBatch {
@@ -943,10 +1000,11 @@ impl QuoteBatch {
     /// shared lazy skeleton — built at most once, only if some node
     /// actually needs completion.
     ///
-    /// Returns the bids, indexed by node.
+    /// Returns the bids, indexed by node. No member's memo is written;
+    /// see [`Self::commit`].
     ///
     /// # Panics
-    /// Panics if a classified node's memo slot disappears between phases
+    /// Panics if a classified node's manager disappears between phases
     /// (the closures were not stable).
     #[allow(clippy::too_many_arguments)] // one parameter per round input
     pub fn quote_round<'m, M, F>(
@@ -966,11 +1024,12 @@ impl QuoteBatch {
         self.bids.clear();
         self.bids.resize(count, Money::ZERO);
         self.members.clear();
+        self.gathered = None;
         planner::planning_fingerprint(query, &mut self.fingerprint);
         for i in 0..count {
             match manager_of(i) {
                 None => self.bids[i] = fallback(i),
-                Some(m) => match m.batch_classify(ctx, query, &self.fingerprint, now) {
+                Some(m) => match m.classify(ctx, query, Some(&self.fingerprint), now) {
                     Ok(bid) => self.bids[i] = bid,
                     Err((need, opts, epoch)) => self.members.push(BatchMember {
                         node: i,
@@ -990,11 +1049,10 @@ impl QuoteBatch {
             // materialising a resolved vector — quote rounds are
             // allocation-free after warmup.
             let members = &self.members;
-            let completer = &mut self.completer;
             let member_manager = |j: usize| {
                 manager_of(members[j].node).expect("batch member manager vanished between phases")
             };
-            completer.gather(
+            self.completer.gather(
                 &skel,
                 members.len(),
                 |j| CacheView {
@@ -1004,18 +1062,54 @@ impl QuoteBatch {
                 now,
                 |s, span| ctx.estimator.maintenance(s, span),
             );
-            for (j, member) in self.members.iter().enumerate() {
-                let m =
-                    manager_of(member.node).expect("batch member manager vanished between phases");
-                {
-                    let mut buf = m.planbuf.borrow_mut();
-                    self.completer.emit_into(&skel, j, &mut buf);
-                }
+            for (j, member) in members.iter().enumerate() {
+                self.completer.emit_hot(&skel, j, &mut self.scratch.hot);
                 self.bids[member.node] =
-                    m.batch_adopt(member.need, member.opts, member.epoch, &skel, query, now);
+                    member_manager(j).payment_from_hot(query, &mut self.scratch);
             }
+            self.gathered = Some(Gathered {
+                skeleton: skel,
+                template: query.template.0,
+                now,
+            });
         }
         &self.bids
+    }
+
+    /// Memoizes node `node`'s full plan set from the last round's
+    /// gathered lanes — the router calls it for the round's winner, so
+    /// the winner's serve hits its memo. A node whose bid came from a
+    /// current memo slot, a memo-off manager or the fallback has nothing
+    /// to commit.
+    ///
+    /// `manager` must be the manager `manager_of(node)` returned in the
+    /// last [`Self::quote_round`], with no state change since.
+    pub fn commit(&self, node: usize, manager: &EconomyManager) {
+        let Some(j) = self.members.iter().position(|m| m.node == node) else {
+            return;
+        };
+        let member = self.members[j];
+        if matches!(member.need, QuoteNeed::Unmemoized) {
+            return;
+        }
+        let round = self
+            .gathered
+            .as_ref()
+            .expect("a round with members keeps its gathered state");
+        manager
+            .plancache
+            .borrow_mut()
+            .adopt_fingerprint(&self.fingerprint);
+        self.completer
+            .emit_into(&round.skeleton, j, &mut manager.planbuf.borrow_mut());
+        manager.memoize_completion(
+            member.need,
+            member.opts,
+            member.epoch,
+            &round.skeleton,
+            round.template,
+            round.now,
+        );
     }
 }
 

@@ -99,11 +99,11 @@ pub(crate) struct Slot {
     /// Full planning fingerprint of the query instance (collision-proof:
     /// compared in full, not hashed).
     pub fingerprint: Vec<u64>,
-    /// The cache-independent skeleton: adopted from the quote round when
-    /// one supplied it (`Arc`-shared across every bidding node), and
-    /// otherwise built lazily by the first epoch-stale lookup that needs
-    /// to re-complete — a drifting workload whose fingerprints never
-    /// repeat should not pay for skeletons it will never reuse.
+    /// The cache-independent skeleton: adopted from the quote round's
+    /// shared skeleton when a won bid committed the slot, and otherwise
+    /// built lazily by the first epoch-stale lookup that needs to
+    /// re-complete — a drifting workload whose fingerprints never repeat
+    /// should not pay for skeletons it will never reuse.
     pub skeleton: Option<Arc<PlanSkeleton>>,
     /// Cache planning epoch the completion was produced under.
     pub epoch: u64,
@@ -257,11 +257,11 @@ impl PlanCache {
 
     /// Re-finds the slot a previous [`Self::matching_slot`] call already
     /// matched under the still-prepared fingerprint, *without* touching
-    /// the LRU tick. Batched quote rounds classify every node first and
-    /// adopt the batch-completed plan sets in a later phase; bumping the
-    /// stamp twice per lookup would diverge from the sequential path's
-    /// replacement order. No victim probe here: the classify-phase match
-    /// already promoted any victim hit into the set.
+    /// the LRU tick. A fleet bid looks its slot up during the quote round
+    /// and the round winner's commit writes it afterwards; bumping the
+    /// stamp twice per lookup would diverge from a memoizing quote's
+    /// replacement order. No victim probe here: the bid's lookup already
+    /// promoted any victim hit into the set.
     pub(crate) fn rematch_slot(&mut self, template: usize) -> Option<&mut Slot> {
         let fp = &self.fingerprint_scratch;
         let set = self.sets.get_mut(template)?;

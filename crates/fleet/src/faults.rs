@@ -756,15 +756,18 @@ struct CrashSnapshot {
     disk_bytes: u64,
 }
 
-/// One replayable entry in a doomed node's settlement journal. Serves
-/// and evacuation releases replay through the same deterministic policy
-/// methods, so a recovered node reproduces the crashed node's economics
-/// bit for bit even when evacuation moved structures out first.
+/// One replayable entry in a doomed node's settlement journal. Serves,
+/// evacuation releases and the warning window's investment freeze
+/// replay through the same deterministic policy methods, so a recovered
+/// node reproduces the crashed node's economics bit for bit even when a
+/// warned evacuation moved structures out and froze its investing first.
 enum JournalEntry {
     /// The node served `query` at the instant.
     Serve(SimTime, Query),
     /// Evacuation released this structure at the instant.
     Release(SimTime, StructureKey),
+    /// A warning-window evacuation froze the node's investment scan.
+    Freeze,
 }
 
 /// A compiled fault event awaiting its instant.
@@ -1061,6 +1064,9 @@ impl FaultInjector {
         if reason == "warning" {
             if let Some(m) = pop.live_mut()[vidx].economy_mut() {
                 m.freeze_investment();
+                if let Some(journal) = self.journals.get_mut(&node) {
+                    journal.push(JournalEntry::Freeze);
+                }
             }
         }
         let candidates = match pop.live()[vidx].economy() {
@@ -1343,6 +1349,13 @@ impl FaultInjector {
                         let _ = m.evacuate_release(*key, *t);
                     }
                 }
+                // The live node stopped investing here; so must the
+                // replay, or it builds what the crashed node never did.
+                JournalEntry::Freeze => {
+                    if let Some(m) = policy.economy_mut() {
+                        m.freeze_investment();
+                    }
+                }
             }
         }
         let (balance, regret) = policy
@@ -1361,6 +1374,11 @@ impl FaultInjector {
         // The replayed span's disk rent was settled when the crashed
         // node's books closed; the replacement pays rent from here on.
         policy.rebase_occupancy(at);
+        // The freeze guarded the doomed machine only: with reconciliation
+        // done, the replacement is a healthy node and invests again.
+        if let Some(m) = policy.economy_mut() {
+            m.thaw_investment();
+        }
 
         let (boot_cost, boot_time) = ctx.estimator.build_node();
         let replacement = pop.next_id();

@@ -20,13 +20,22 @@
 //! and a round where every node hits builds nothing. The binding itself
 //! is **batched**: the economic nodes of a chunk complete in one
 //! structure-major sweep ([`econ::QuoteBatch`]) instead of once per
-//! node. With `threads > 1` the chunks fan out over a **persistent**
-//! worker pool (spawned once, parked between rounds — see the private
-//! `pool` module); the merge folds per-chunk minima in ascending node
-//! order, so the winner is **bit-identical** to the sequential scan at
-//! any pool size and under either completion path
+//! node, and bid from the `(time, price, existing)` rows of that sweep
+//! without building their plan sets. With `threads > 1` the chunks fan
+//! out over a **persistent** worker pool (spawned once, parked between
+//! rounds — see the private `pool` module); the merge folds per-chunk
+//! minima in ascending node order, so the winner is **bit-identical** to
+//! the sequential scan at any pool size and under either completion path
 //! (`tests/fleet_determinism.rs` and `tests/batch_completion.rs` pin
 //! this).
+//!
+//! Quoting reads a node's plan memo but does not write it. Only the
+//! winner serves the query, so [`Router::route`] commits the **global**
+//! winner's plan set to its memo after the fold
+//! ([`econ::QuoteBatch::commit`], or
+//! [`econ::EconomyManager::commit_quote`] on the per-node path), and the
+//! serve that follows hits it. Losers write no slot. Both completion
+//! paths and every pool size leave the same memo state.
 //!
 //! All strategies break ties toward the lowest node index, so routing is
 //! a deterministic function of the (node states, query, time) tuple.
@@ -198,7 +207,8 @@ impl Default for QuoteOptions {
 /// Either way the chosen node is the lowest-indexed minimum bidder: each
 /// chunk reports its first minimal bid and the merge folds chunks in
 /// ascending node order keeping strict minima — bit-identical to the
-/// sequential scan at any pool size.
+/// sequential scan at any pool size. The winner alone then memoizes its
+/// plan set for the serve that follows.
 pub struct CheapestQuote {
     threads: usize,
     batching: bool,
@@ -309,9 +319,8 @@ impl CheapestQuote {
 
     /// One chunk's scan with bids drawn from a batched structure-major
     /// completion round — identical bids, hence identical winner.
-    /// Unroutable nodes are excluded from the batch entirely (no
-    /// classification, no completion, no memo warming), exactly as the
-    /// per-node path skips them.
+    /// Unroutable nodes are excluded from the batch entirely (no memo
+    /// lookup, no completion), exactly as the per-node path skips them.
     fn chunk_best_batched(
         batch: &mut QuoteBatch,
         nodes: &[CacheNode],
@@ -373,7 +382,38 @@ impl CheapestQuote {
         let (winner, bid) =
             best.expect("no routable node (the control plane must keep at least one active)");
         self.last_quote = Some(bid);
+        self.commit_winner(0, winner, &nodes[winner], ctx, query, skeleton, now);
         winner
+    }
+
+    /// Memoizes the round winner's plan set — the one bid whose set is
+    /// read again, by the winner's serve. Losers' sets are never
+    /// memoized. The batched path emits the set from the lanes of the
+    /// winner's chunk workspace (`chunk`, where the winner sits at
+    /// `offset`); the per-node path re-completes it from the shared
+    /// skeleton. Both leave the same memo state.
+    #[allow(clippy::too_many_arguments)] // one parameter per round input
+    fn commit_winner(
+        &mut self,
+        chunk: usize,
+        offset: usize,
+        node: &CacheNode,
+        ctx: &PlannerContext<'_>,
+        query: &Query,
+        skeleton: &LazySkeleton<'_>,
+        now: SimTime,
+    ) {
+        let Some(manager) = node.economy() else {
+            return;
+        };
+        if self.batching {
+            self.batches[chunk]
+                .get_mut()
+                .expect("batch workspace poisoned")
+                .commit(offset, manager);
+        } else {
+            manager.commit_quote(ctx, query, skeleton, now);
+        }
     }
 
     /// Persistent-pool scan: nodes split into contiguous chunks, every
@@ -448,6 +488,17 @@ impl CheapestQuote {
         let (winner, bid) =
             best.expect("no routable node (the control plane must keep at least one active)");
         self.last_quote = Some(bid);
+        // Commit after the fold: a chunk's local best is only a
+        // candidate, and only the global winner's set is memoized.
+        self.commit_winner(
+            winner / chunk_len,
+            winner % chunk_len,
+            &nodes[winner],
+            ctx,
+            query,
+            skeleton,
+            now,
+        );
         winner
     }
 }

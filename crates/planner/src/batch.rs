@@ -17,8 +17,14 @@
 //! `complete_plans_into(skel, views[i].cache, now, views[i].opts, …)` —
 //! same plans, same order, same prices, same missing-build quote table.
 //! `tests/batch_completion.rs` pins the property over random cache
-//! histories × node counts; the fleet's batched quote rounds
-//! (`econ::QuoteBatch`) ride on it.
+//! histories × node counts.
+//!
+//! A quote round needs far less than a plan set: its skyline and case
+//! analysis read only each plan's `(time, price, existing)` row.
+//! [`BatchCompleter::emit_hot`] writes exactly those rows from the
+//! gathered lanes, equal to [`PlanHot::fill`] over `emit_into`'s plans.
+//! The fleet's batched quote rounds (`econ::QuoteBatch`) bid from the
+//! rows and call `emit_into` for the round's winner alone.
 //!
 //! # Lane layout
 //!
@@ -66,6 +72,7 @@ use simcore::{SimDuration, SimTime};
 use crate::enumerate::{EnumerationOptions, PlanBuffer};
 use crate::plan::PlanShape;
 use crate::skeleton::{BuildShape, PlanSkeleton};
+use crate::soa::PlanHot;
 
 /// One node's view of a batched completion: its cache state plus the
 /// enumeration options its policy quotes under.
@@ -450,6 +457,64 @@ impl BatchCompleter {
                 shell.price = variant.cells.cost[cell] + amortized + maintenance;
                 buf.plans.push(shell);
                 buf.missing_costs.push(plan_costs);
+            }
+        }
+    }
+
+    /// Phase 2, bid rows only — writes node `node`'s `(time, price,
+    /// existing)` rows straight into `hot`, bit-identical to
+    /// `hot.fill(&plans)` over the plan set [`Self::emit_into`] emits:
+    /// same row order, and each price summed from the same exact-`Money`
+    /// terms in the same order. No plan shell, `uses`/`missing` list,
+    /// shape or quote table is built — a quote round needs only these
+    /// three columns for its skyline and case analysis, and only the
+    /// round's winner ever needs the full set.
+    ///
+    /// # Panics
+    /// Panics if `node` is outside the gathered round.
+    pub fn emit_hot(&self, skel: &PlanSkeleton, node: usize, hot: &mut PlanHot) {
+        assert!(
+            node < self.n,
+            "node {node} outside gathered round {}",
+            self.n
+        );
+        let opts = self.opts[node];
+        hot.clear();
+        hot.time.push(skel.backend_time);
+        hot.price.push(skel.backend_cost);
+        hot.existing.push(true);
+
+        for (vi, variant) in skel.variants.iter().enumerate() {
+            let slot = vi * self.n + node;
+            if !self.active[slot] {
+                continue;
+            }
+            let data_existing = self.missing[slot].is_empty();
+            let base_amortized = self.exist_amort[slot] + self.missing_amort[slot];
+            for cell in 0..variant.cells.len() {
+                let k = variant.cells.nodes[cell];
+                if k > 1 && !opts.allow_extra_nodes {
+                    continue;
+                }
+                let mut existing = data_existing;
+                let mut amortized = base_amortized;
+                let mut maintenance = self.maintenance[slot];
+                for ordinal in 0..k.saturating_sub(1) as usize {
+                    match self.node_ord[ordinal * self.n + node] {
+                        Some((amort, maint)) => {
+                            amortized += amort;
+                            maintenance += maint;
+                        }
+                        None => {
+                            existing = false;
+                            amortized += self.node_inst[node];
+                        }
+                    }
+                }
+                hot.time.push(variant.cells.time[cell]);
+                hot.price
+                    .push(variant.cells.cost[cell] + amortized + maintenance);
+                hot.existing.push(existing);
             }
         }
     }

@@ -87,7 +87,8 @@ pub trait CachePolicy {
     /// completion sweeps of every node that returns `Some`; nodes
     /// returning `None` (the default) are quoted individually through
     /// [`Self::quote_with_skeleton`]. Either path must produce identical
-    /// bids.
+    /// bids. The router also memoizes a winning economic node's plan
+    /// set through this manager, since fleet bids do not write the memo.
     fn economy(&self) -> Option<&econ::EconomyManager> {
         None
     }

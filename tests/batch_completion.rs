@@ -6,13 +6,18 @@
 //!    quote table of the per-node `planner::complete_plans_into` — over
 //!    random cache histories, node counts and heterogeneous per-node
 //!    options.
-//! 2. `econ::QuoteBatch::quote_round` (the fleet's batched bid path)
-//!    quotes, memoizes and counts exactly like the sequential
-//!    `quote_with_skeleton` loop — over evolving manager state, so memo
-//!    hits, stale completions and misses all cross the batch boundary.
+//! 2. `BatchCompleter::emit_hot` writes, per node, exactly the
+//!    `(time, price, existing)` rows `PlanHot::fill` projects from
+//!    `emit_into`'s plan set — the rows batched bids are computed from.
+//! 3. `econ::QuoteBatch::quote_round` plus `QuoteBatch::commit` on the
+//!    winner (the fleet's batched bid path) quotes, memoizes and counts
+//!    exactly like the sequential `quote_with_skeleton` loop plus
+//!    `commit_quote` on the same winner — over evolving manager state,
+//!    so memo hits, stale completions and misses all cross the batch
+//!    boundary, and losers memoize nothing on either path.
 //!
 //! The fleet's routing determinism across {sequential, pooled} ×
-//! {batched, per-node} paths rests on these two properties
+//! {batched, per-node} paths rests on these properties
 //! (`tests/fleet_determinism.rs` pins the router layer).
 
 use std::sync::{Arc, OnceLock};
@@ -23,7 +28,7 @@ use cloudcache::catalog::{ColumnId, Schema};
 use cloudcache::econ::{EconConfig, EconomyManager, InvestmentRule, QuoteBatch};
 use cloudcache::planner::{
     complete_plans_batch, complete_plans_into, generate_candidates, BatchCompleter, CacheView,
-    CandidateIndex, CostParams, EnumerationOptions, Estimator, LazySkeleton, PlanBuffer,
+    CandidateIndex, CostParams, EnumerationOptions, Estimator, LazySkeleton, PlanBuffer, PlanHot,
     PlanSkeleton, PlannerContext,
 };
 use cloudcache::pricing::{Money, PriceCatalog};
@@ -80,6 +85,49 @@ fn query_pool(seed: u64, n: usize) -> Vec<Query> {
     .collect()
 }
 
+/// Every column the pool's queries read, in first-seen order.
+fn pool_columns(pool: &[Query]) -> Vec<ColumnId> {
+    let mut columns: Vec<ColumnId> = Vec::new();
+    for q in pool {
+        for c in q.all_columns() {
+            if !columns.contains(&c) {
+                columns.push(c);
+            }
+        }
+    }
+    columns
+}
+
+/// Applies one random cache-history op at `t`: installs (with builds in
+/// flight), evictions and idle advances over the pool's columns, the
+/// candidate indexes and extra CPU nodes.
+fn apply_op(cache: &mut CacheState, columns: &[ColumnId], op: u8, sel: u8, t: SimTime, build: f64) {
+    let h = harness();
+    let key = match sel % 3 {
+        0 => StructureKey::Column(columns[sel as usize % columns.len()]),
+        1 => StructureKey::Index(h.candidates[sel as usize % h.candidates.len()].id),
+        _ => StructureKey::Node(u32::from(sel) % 3),
+    };
+    match op {
+        0 | 1 => {
+            if !cache.contains(key) {
+                cache.install(
+                    key,
+                    64 + u64::from(sel) * 1_000,
+                    t,
+                    SimDuration::from_secs(build),
+                    Money::from_dollars(0.01 + f64::from(sel) * 1e-3),
+                    10 + u64::from(sel),
+                );
+            }
+        }
+        2 => {
+            let _ = cache.evict(key, t);
+        }
+        _ => cache.advance(t),
+    }
+}
+
 /// Per-node options: structural switches and rate-derived halves both
 /// vary across the batch.
 fn node_opts(i: usize, salt: u64) -> EnumerationOptions {
@@ -105,14 +153,7 @@ proptest! {
         let h = harness();
         let ctx = h.ctx();
         let pool = query_pool(seed, 4);
-        let mut columns: Vec<ColumnId> = Vec::new();
-        for q in &pool {
-            for c in q.all_columns() {
-                if !columns.contains(&c) {
-                    columns.push(c);
-                }
-            }
-        }
+        let columns = pool_columns(&pool);
 
         // Each node evolves its own cache from the shared op stream
         // (every node takes the ops whose `node_pick` lands on it, so
@@ -123,30 +164,7 @@ proptest! {
         for (step, &(op, sel, node_pick, gap, build)) in ops.iter().enumerate() {
             now += gap;
             let t = SimTime::from_secs(now);
-            let cache = &mut caches[node_pick as usize % n_nodes];
-            let key = match sel % 3 {
-                0 => StructureKey::Column(columns[sel as usize % columns.len()]),
-                1 => StructureKey::Index(h.candidates[sel as usize % h.candidates.len()].id),
-                _ => StructureKey::Node(u32::from(sel) % 3),
-            };
-            match op {
-                0 | 1 => {
-                    if !cache.contains(key) {
-                        cache.install(
-                            key,
-                            64 + u64::from(sel) * 1_000,
-                            t,
-                            SimDuration::from_secs(build),
-                            Money::from_dollars(0.01 + f64::from(sel) * 1e-3),
-                            10 + u64::from(sel),
-                        );
-                    }
-                }
-                2 => {
-                    let _ = cache.evict(key, t);
-                }
-                _ => cache.advance(t),
-            }
+            apply_op(&mut caches[node_pick as usize % n_nodes], &columns, op, sel, t, build);
 
             let q = &pool[sel as usize % pool.len()];
             let skel = PlanSkeleton::build(&ctx, q);
@@ -195,16 +213,101 @@ proptest! {
         }
     }
 
+    /// Bid rows straight from the gathered lanes: for every node of a
+    /// round, `emit_hot` writes exactly the rows `PlanHot::fill`
+    /// projects from `emit_into`'s plan set — same order, same time,
+    /// price and existing bits — over random cache histories,
+    /// heterogeneous per-node options (index plans off, extra nodes off,
+    /// varied horizons and windows) and rounds that leave a random
+    /// subset of nodes out of the gather, as the router leaves out
+    /// unroutable ones.
+    #[test]
+    fn hot_rows_match_full_emission(
+        seed in 0u64..1_000,
+        n_nodes in 1usize..9,
+        ops in prop::collection::vec((0u8..4, 0u8..32, 0u8..8, 0.0f64..90.0, 0.0f64..40.0), 8..30),
+        masks in prop::collection::vec(0u8..255, 30..31),
+    ) {
+        let h = harness();
+        let ctx = h.ctx();
+        let pool = query_pool(seed.wrapping_add(7), 4);
+        let columns = pool_columns(&pool);
+        // Even nodes start with every column the pool reads, so column
+        // plans exist there and extra-CPU-node cells decide whether a
+        // row is existing; odd nodes start cold.
+        let mut caches: Vec<CacheState> = (0..n_nodes)
+            .map(|i| {
+                let mut cache = CacheState::new();
+                if i % 2 == 0 {
+                    for &c in &columns {
+                        cache.install(
+                            StructureKey::Column(c),
+                            1_000,
+                            SimTime::ZERO,
+                            SimDuration::ZERO,
+                            Money::from_dollars(0.01),
+                            10,
+                        );
+                    }
+                }
+                cache
+            })
+            .collect();
+        let mut now = 0.0f64;
+        let mut completer = BatchCompleter::new();
+        let mut hot = PlanHot::new();
+        for (step, (&(op, sel, node_pick, gap, build), &mask)) in ops.iter().zip(&masks).enumerate() {
+            now += gap;
+            let t = SimTime::from_secs(now);
+            apply_op(&mut caches[node_pick as usize % n_nodes], &columns, op, sel, t, build);
+
+            // Nodes whose mask bit is clear sit this round out.
+            let routable: Vec<usize> = (0..n_nodes).filter(|&i| mask & (1 << i) != 0).collect();
+            if routable.is_empty() {
+                continue;
+            }
+            let q = &pool[sel as usize % pool.len()];
+            let skel = PlanSkeleton::build(&ctx, q);
+            let views: Vec<CacheView<'_>> = routable
+                .iter()
+                .map(|&i| CacheView {
+                    cache: &caches[i],
+                    opts: node_opts(i, seed + step as u64),
+                })
+                .collect();
+            completer.gather(
+                &skel,
+                views.len(),
+                |j| views[j],
+                t,
+                |s, span| h.estimator.maintenance(s, span),
+            );
+            for (j, &node) in routable.iter().enumerate() {
+                let mut buf = PlanBuffer::new();
+                completer.emit_into(&skel, j, &mut buf);
+                let full = PlanHot::of(&buf.take());
+                completer.emit_hot(&skel, j, &mut hot);
+                prop_assert_eq!(&hot.time, &full.time, "times at step {} node {}", step, node);
+                prop_assert_eq!(&hot.price, &full.price, "prices at step {} node {}", step, node);
+                prop_assert_eq!(
+                    &hot.existing, &full.existing, "existing at step {} node {}", step, node
+                );
+            }
+        }
+    }
+
     /// The fleet bid path: a group of managers quoted through
     /// `QuoteBatch` must bid, memoize and serve exactly like a twin
     /// group quoted per node — across random arrival interleavings that
     /// exercise memo hits, price refreshes, stale completions and
-    /// misses, with the winner of each round actually serving (so state
-    /// keeps evolving through the batch boundary).
+    /// misses, and random nodes sitting rounds out as unroutable. Each
+    /// world commits only its round winner (`QuoteBatch::commit`, and
+    /// `commit_quote` for the twin), the winner actually serves, and
+    /// every node's memo counters must agree after every round.
     #[test]
     fn batched_quote_rounds_match_sequential_quotes(
         seed in 0u64..1_000,
-        picks in prop::collection::vec((0usize..10, 0u8..6), 15..50),
+        picks in prop::collection::vec((0usize..10, 0u8..6, 0u8..32), 15..50),
     ) {
         let h = harness();
         let ctx = h.ctx();
@@ -230,7 +333,7 @@ proptest! {
         let mut workspace = QuoteBatch::new();
 
         let mut now = SimTime::ZERO;
-        for &(pick, gap_code) in &picks {
+        for &(pick, gap_code, mask) in &picks {
             let gap = match gap_code {
                 0 => 0.0,
                 1 => 0.25,
@@ -241,33 +344,46 @@ proptest! {
             };
             now += SimDuration::from_secs(gap);
             let query = &pool[pick];
+            // Nodes whose mask bit is clear are unroutable this round;
+            // node 0 always bids, so every round has a winner.
+            let routable = |i: usize| i == 0 || mask & (1 << i) != 0;
 
             let skel_a = LazySkeleton::new(&ctx, query);
-            let bids_a: Vec<Money> = workspace
+            let bids_a: Vec<Option<Money>> = workspace
                 .quote_round(
                     n_nodes,
-                    |i| Some(&batched[i]),
-                    |_| unreachable!("every node is economic"),
+                    |i| routable(i).then_some(&batched[i]),
+                    |_| Money::ZERO, // unroutable: never read
                     &ctx,
                     query,
                     &skel_a,
                     now,
                 )
-                .to_vec();
+                .iter()
+                .enumerate()
+                .map(|(i, &bid)| routable(i).then_some(bid))
+                .collect();
 
             let skel_b = LazySkeleton::new(&ctx, query);
-            let bids_b: Vec<Money> = sequential
+            let bids_b: Vec<Option<Money>> = sequential
                 .iter()
-                .map(|m| m.quote_with_skeleton(&ctx, query, &skel_b, now))
+                .enumerate()
+                .map(|(i, m)| routable(i).then(|| m.quote_with_skeleton(&ctx, query, &skel_b, now)))
                 .collect();
             prop_assert_eq!(&bids_a, &bids_b, "bids diverged at {}", now);
 
-            // Lowest-indexed minimum bidder serves, in both worlds.
+            // Lowest-indexed minimum bidder commits and serves, in both
+            // worlds.
             let mut winner = 0;
-            for (i, &bid) in bids_a.iter().enumerate().skip(1) {
-                if bid < bids_a[winner] {
+            for (i, bid) in bids_a.iter().enumerate() {
+                if bid.is_some_and(|b| Some(b) < bids_a[winner]) {
                     winner = i;
                 }
+            }
+            workspace.commit(winner, &batched[winner]);
+            sequential[winner].commit_quote(&ctx, query, &skel_b, now);
+            for (a, b) in batched.iter().zip(&sequential) {
+                prop_assert_eq!(a.plan_cache_stats(), b.plan_cache_stats(), "memo stats diverged at {}", now);
             }
             let out_a = batched[winner].process_query(&ctx, query, now);
             let out_b = sequential[winner].process_query(&ctx, query, now);
@@ -307,9 +423,10 @@ fn quote_round_fallback_covers_non_economic_nodes() {
     assert_eq!(bids[1], manager.quote_query(&ctx, query, now));
 }
 
-/// The batch path warms each manager's plan memo exactly like a
-/// sequential quote: the winning node's serve reuses its bid's plan set
-/// (a hit, not a second miss).
+/// Only the round winner's memo is warmed: the winning node's serve
+/// reuses the plan set its bid completed (a hit, not a second miss),
+/// while the losers, which will never serve this query, hold no slot —
+/// a second round for the same query misses on them again.
 #[test]
 fn batched_quotes_warm_the_plan_memo() {
     let h = harness();
@@ -332,10 +449,30 @@ fn batched_quotes_warm_the_plan_memo() {
         now,
     );
     for m in &managers {
-        assert_eq!(m.plan_cache_stats().misses, 1, "the bid enumerated once");
+        assert_eq!(m.plan_cache_stats().misses, 1, "the bid looked up once");
     }
+    workspace.commit(0, &managers[0]);
     let _ = managers[0].process_query(&ctx, query, now);
     let stats = managers[0].plan_cache_stats();
     assert_eq!(stats.misses, 1, "the serve reused the bid's plan set");
     assert_eq!(stats.hits, 1);
+
+    // Node 0 has served and moved on; a fresh round for the same
+    // instance finds no slot on the losers.
+    let later = SimTime::from_secs(2.0);
+    let skel = LazySkeleton::new(&ctx, query);
+    let _ = workspace.quote_round(
+        3,
+        |i| (i > 0).then_some(&managers[i]),
+        |_| Money::ZERO,
+        &ctx,
+        query,
+        &skel,
+        later,
+    );
+    for m in &managers[1..] {
+        let stats = m.plan_cache_stats();
+        assert_eq!(stats.misses, 2, "losers memoized nothing: {stats:?}");
+        assert_eq!(stats.hits, 0);
+    }
 }

@@ -8,7 +8,9 @@
 //! 3. cheapest-quote aggregates are invariant under the quote fan-out
 //!    worker-pool size: gathering per-node bids from 1, 2, 4 or 8
 //!    threads picks bit-identical winners (the deterministic merge of
-//!    `fleet::router::CheapestQuote`).
+//!    `fleet::router::CheapestQuote`);
+//! 4. only the global round winner memoizes its plan set, so every pool
+//!    size and both completion paths leave identical plan-cache state.
 
 use cloudcache::fleet::{
     run_fleet, CacheNode, CheapestQuote, FleetConfig, FleetResult, NodeSpec, QuoteOptions, Router,
@@ -260,4 +262,117 @@ fn persistent_pool_winner_matches_sequential_across_rounds() {
             let _ = nodes[winner].serve(&ctx, &query, now);
         }
     }
+}
+
+/// Only the global round winner memoizes its plan set, whatever the
+/// pool size: pooled cheapest-quote rounds at 2, 4 and 8 threads (and
+/// the per-node completion path, sequential and pooled) must leave every
+/// node's plan-cache counters equal to the sequential batched round's
+/// after every round. A pooled round that committed a chunk's local
+/// best would leave that node a slot the sequential round never wrote,
+/// and the node's next quote for a repeated query would hit where the
+/// reference misses.
+#[test]
+fn pooled_rounds_commit_only_the_global_winner() {
+    use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
+    use cloudcache::planner::{
+        generate_candidates, CandidateIndex, CostParams, Estimator, PlannerContext,
+    };
+    use cloudcache::pricing::PriceCatalog;
+    use cloudcache::simcore::{NetworkModel, SimRng, SimTime};
+    use cloudcache::simulator::Scheme;
+    use cloudcache::workload::{paper_templates, Query, WorkloadConfig, WorkloadGenerator};
+    use std::sync::Arc;
+
+    let schema = Arc::new(tpch_schema(ScaleFactor(10.0)));
+    let templates = paper_templates(&schema);
+    let candidates = generate_candidates(&schema, &templates, 65);
+    let cand_index = CandidateIndex::build(&schema, &candidates);
+    let estimator = Estimator::new(
+        CostParams::default(),
+        PriceCatalog::ec2_2009(),
+        NetworkModel::paper_sdss(),
+    );
+    let ctx = PlannerContext {
+        schema: &schema,
+        candidates: &candidates,
+        cand_index: &cand_index,
+        estimator: &estimator,
+    };
+    let econ = cloudcache::econ::EconConfig {
+        initial_credit: cloudcache::pricing::Money::from_dollars(0.02),
+        investment: cloudcache::econ::InvestmentRule {
+            min_regret: cloudcache::pricing::Money::from_dollars(1e-5),
+            ..cloudcache::econ::InvestmentRule::default()
+        },
+        ..cloudcache::econ::EconConfig::default()
+    };
+    let build_fleet = || -> Vec<CacheNode> {
+        (0..8)
+            .map(|i| CacheNode::new(i, &NodeSpec::new(Scheme::EconCheap), &schema, &econ))
+            .collect()
+    };
+
+    // (threads, batching): the sequential batched round is the reference.
+    let configs = [
+        (1usize, true),
+        (2, true),
+        (4, true),
+        (8, true),
+        (1, false),
+        (4, false),
+    ];
+    let mut routers: Vec<CheapestQuote> = configs
+        .iter()
+        .map(|&(threads, batching)| {
+            CheapestQuote::with_options(QuoteOptions {
+                threads,
+                batching,
+                skeletons: None,
+                pinning: false,
+            })
+        })
+        .collect();
+    let mut fleets: Vec<Vec<CacheNode>> = configs.iter().map(|_| build_fleet()).collect();
+
+    // A handful of instances drawn with repeats, so losers re-quote
+    // queries they bid on before and their memo state shows.
+    let pool: Vec<Query> =
+        WorkloadGenerator::new(Arc::clone(&schema), WorkloadConfig::default(), 31)
+            .take(6)
+            .collect();
+    let mut rng = SimRng::new(5);
+    let stats =
+        |nodes: &[CacheNode]| -> Vec<_> { nodes.iter().map(CacheNode::plan_cache_stats).collect() };
+    let mut hits = 0;
+    for round in 0..120 {
+        let query = &pool[rng.gen_range(0, pool.len() as u64) as usize];
+        let now = SimTime::from_secs((round / 2 + 1) as f64);
+        let mut winners = Vec::with_capacity(configs.len());
+        for (router, nodes) in routers.iter_mut().zip(&mut fleets) {
+            for node in nodes.iter_mut() {
+                node.accrue(now);
+            }
+            winners.push(router.route(nodes, &ctx, query, now));
+        }
+        let reference = stats(&fleets[0]);
+        for (i, nodes) in fleets.iter().enumerate() {
+            assert_eq!(
+                winners[i], winners[0],
+                "round {round}: config {:?} winner",
+                configs[i]
+            );
+            assert_eq!(
+                stats(nodes),
+                reference,
+                "round {round}: config {:?} left different memo state",
+                configs[i]
+            );
+        }
+        for (nodes, &winner) in fleets.iter_mut().zip(&winners) {
+            let _ = nodes[winner].serve(&ctx, query, now);
+        }
+        hits = reference.iter().flatten().map(|s| s.hits).sum::<u64>();
+    }
+    assert!(hits > 0, "the repeated queries must exercise memo hits");
 }

@@ -224,6 +224,36 @@ proptest! {
     }
 }
 
+/// A warned crash-and-recover: the warning window evacuates the victim
+/// and freezes its investment scan, then the crash and the journal
+/// replay follow. The replay must freeze at the same instant the live
+/// node did, or it invests where the crashed node did not and the books
+/// drift; once reconciled, the replacement invests again.
+#[test]
+fn warned_crash_and_recover_reconciles_with_zero_drift() {
+    for (seed, victim) in [(17u64, 0usize), (5, 1), (29, 2)] {
+        let config = faulted_base(seed).with_faults(
+            FaultPlan::new(HORIZON)
+                .with_crash_recover(victim, 25.0, 5.0)
+                .with_evacuation(10.0, false),
+        );
+        let result = run_fleet(config);
+        let faults = result.faults.as_ref().expect("fault summary present");
+        assert_eq!(faults.crashes, 4, "seed {seed}");
+        assert_eq!(faults.recoveries, 4, "seed {seed}");
+        let drifts: Vec<_> = faults
+            .records
+            .iter()
+            .filter_map(|r| match &r.event {
+                FaultOutcome::Recover(rec) if !rec.drift.is_zero() => Some(rec.drift.clone()),
+                _ => None,
+            })
+            .collect();
+        assert!(drifts.is_empty(), "seed {seed}: replay drifted: {drifts:?}");
+        assert_eq!(faults.reconciled, faults.recoveries, "seed {seed}");
+    }
+}
+
 /// A crashed node leaves `routable_count` (and the live set) at the
 /// instant of the crash — not after a drain grace it can no longer
 /// serve.
