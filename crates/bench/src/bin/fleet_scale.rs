@@ -1,27 +1,36 @@
 //! **Fleet scaling grid** — throughput of the sharded fleet executor and
 //! the batched, pooled cheapest-quote fan-out.
 //!
-//! Three sweeps over a 100-tenant fleet with cheapest-quote routing:
+//! Sweeps over a 100-tenant fleet with cheapest-quote routing, under two
+//! user budget shapes (the `budget` column). The default step budget
+//! decides every quote round from the budget alone (no memo lookup,
+//! skeleton, gather or commit — see `fleet::router`), so only the
+//! shard and health rows run on it; every sweep that exercises the
+//! quote round itself runs under convex budgets, where every round is
+//! planned in full:
 //!
-//! * **shards** {1, 2, 4, 8} at one quote thread — cells execute on
-//!   worker threads (the PR 1 lever);
-//! * **quote threads** {1, 2, 4, 8} at one shard — each quote round
+//! * **shards** {1, 2, 4, 8} at one quote thread, step budget — cells
+//!   execute on worker threads (the PR 1 lever);
+//! * **quote threads** {1, 2, 4, 8} at one shard, convex budget — each
+//!   quote round
 //!   resolves the query's plan skeleton through the fleet-wide cache and
 //!   fans batched per-chunk completions out over a **persistent** worker
 //!   pool (this PR's lever; the executor clamps the pool to the
 //!   machine's spare parallelism, so the `pool` column records what
 //!   actually ran);
 //! * **completion cross-check** — the per-node completion reference path
-//!   (`quote_batching = false`) at 1 and 8 quote threads;
-//! * **pinning cross-check** — 8 quote threads with core pinning forced
+//!   (`quote_batching = false`) at 1 and 8 quote threads, convex budget;
+//! * **pinning cross-check** — convex budget, 8 quote threads with core
+//!   pinning forced
 //!   on and forced off, regardless of the base setting, so every run
 //!   gates on affinity being a pure placement hint and the committed
 //!   record shows the pinning win (or documents its absence on hosts
 //!   where the executor clamps the pool to one thread);
-//! * **health cross-check** — the reference settings with the vitals
-//!   scraper (30 s cadence) and per-tenant SLO ledger attached: the
-//!   same bitwise gate becomes the snapshot-on/off identity contract,
-//!   and the row's q/s against the baseline bounds snapshot overhead.
+//! * **health cross-check** — the step reference settings with the
+//!   vitals scraper (30 s cadence) and per-tenant SLO ledger attached:
+//!   the same bitwise gate becomes the snapshot-on/off identity
+//!   contract, and the row's q/s against the baseline bounds snapshot
+//!   overhead.
 //!
 //! `FLEET_SCALE_PIN=off` (or `on`) overrides the default-on
 //! `pin_quote_workers` for every *other* cell — CI runs the grid both
@@ -29,8 +38,10 @@
 //! compares every aggregate bitwise.
 //!
 //! Every lever is wall-clock-only by construction: every economic
-//! aggregate must be *identical* down the whole table, and the run exits
-//! non-zero if any cell deviates — the fleet determinism contract across
+//! aggregate must be *identical* down each budget's rows (step rows to
+//! the step baseline, convex rows to the convex 1-thread row), and the
+//! run exits non-zero if any cell deviates — the fleet determinism
+//! contract across
 //! {sequential, pooled} × {batched, per-node} quoting. A traced replay
 //! of the reference cell (telemetry flight recorder attached) must
 //! match bit-for-bit too: observability is a pure observer.
@@ -39,7 +50,7 @@
 //! recording measured queries/second (best of several interleaved runs
 //! per cell) next to the committed PR 2 baseline; `bench --bin trend
 //! --check` then holds the committed quote-thread sweep to its own
-//! 1-thread baseline.
+//! 1-thread baseline of the same budget.
 //!
 //! Usage: `cargo run --release -p bench --bin fleet_scale \
 //!         [scale_factor] [queries_per_tenant] [tenants] [nodes]`
@@ -76,6 +87,9 @@ const MEASURE_REPS: usize = 12;
 
 struct Cell {
     sweep: &'static str,
+    /// The users' budget shape (`step` or `convex`): rows gate against
+    /// the reference of their own budget.
+    budget: &'static str,
     shards: usize,
     quote_threads: usize,
     pool_threads: usize,
@@ -110,9 +124,15 @@ fn prepare_cell(
     config.quote_threads = quote_threads;
     config.quote_batching = batching;
     config.pin_quote_workers = pinning;
+    let budget = match config.econ.budget_shape {
+        econ::BudgetShape::Step => "step",
+        econ::BudgetShape::Convex => "convex",
+        econ::BudgetShape::Concave => "concave",
+    };
     let sim = FleetSim::new(config);
     Cell {
         sweep,
+        budget,
         shards,
         quote_threads,
         // The executor's own clamp, so the reported column cannot drift
@@ -165,7 +185,7 @@ fn main() {
         .unwrap_or(1);
     println!("================================================================");
     println!(
-        "fleet_scale: {tenants} tenants x {nodes} nodes, shard sweep {SHARD_GRID:?} + quote-thread sweep {QUOTE_THREAD_GRID:?} + completion cross-check"
+        "fleet_scale: {tenants} tenants x {nodes} nodes, shard sweep {SHARD_GRID:?} (step budget) + quote-thread sweep {QUOTE_THREAD_GRID:?} + completion and pinning cross-checks (convex budget)"
     );
     println!(
         "(TPC-H SF {sf}, {queries_per_tenant} queries/tenant = {} total, cheapest-quote routing, {parallelism} core(s) available)",
@@ -173,8 +193,9 @@ fn main() {
     );
     println!("================================================================");
     println!(
-        "{:>20} {:>7} {:>9} {:>5} {:>9} {:>8} {:>12} {:>12} {:>12} {:>14} {:>12} {:>8} {:>8}",
+        "{:>20} {:>7} {:>7} {:>9} {:>5} {:>9} {:>8} {:>12} {:>12} {:>12} {:>14} {:>12} {:>8} {:>8}",
         "sweep",
+        "budget",
         "shards",
         "qthreads",
         "pool",
@@ -189,37 +210,15 @@ fn main() {
         "builds"
     );
 
+    // The step budget decides every quote round from the budget alone,
+    // so its rows measure the fleet around a decided round; the convex
+    // base plans every round in full and carries every quote-round axis.
+    let mut convex = base.clone();
+    convex.econ.budget_shape = econ::BudgetShape::Convex;
+
     let mut cells: Vec<Cell> = Vec::new();
     for shards in SHARD_GRID {
         cells.push(prepare_cell(&base, "shard-sweep", shards, 1, true, pinning));
-    }
-    // Thread 1 of the quote sweep is the (shards 1, threads 1) cell above.
-    for threads in &QUOTE_THREAD_GRID[1..] {
-        cells.push(prepare_cell(
-            &base,
-            "quote-thread-sweep",
-            1,
-            *threads,
-            true,
-            pinning,
-        ));
-    }
-    // The per-node completion reference path, sequential and pooled.
-    for threads in [1, 8] {
-        cells.push(prepare_cell(
-            &base,
-            "per-node-completion",
-            1,
-            threads,
-            false,
-            pinning,
-        ));
-    }
-    // Affinity both ways at the widest pool, whatever the base setting:
-    // these two rows put pinning itself under the bitwise invariance
-    // gate and record its throughput effect side by side.
-    for pin in [true, false] {
-        cells.push(prepare_cell(&base, "pinning-sweep", 1, 8, true, pin));
     }
     // Health-sweep: the vitals scraper and SLO ledger attached at the
     // reference settings. The row flows through the same bitwise
@@ -241,6 +240,34 @@ fn main() {
             pinning,
         ));
     }
+    // The quote-thread sweep's 1-thread row is the convex reference.
+    for threads in QUOTE_THREAD_GRID {
+        cells.push(prepare_cell(
+            &convex,
+            "quote-thread-sweep",
+            1,
+            threads,
+            true,
+            pinning,
+        ));
+    }
+    // The per-node completion reference path, sequential and pooled.
+    for threads in [1, 8] {
+        cells.push(prepare_cell(
+            &convex,
+            "per-node-completion",
+            1,
+            threads,
+            false,
+            pinning,
+        ));
+    }
+    // Affinity both ways at the widest pool, whatever the base setting:
+    // these two rows put pinning itself under the bitwise invariance
+    // gate and record its throughput effect side by side.
+    for pin in [true, false] {
+        cells.push(prepare_cell(&convex, "pinning-sweep", 1, 8, true, pin));
+    }
     // `FLEET_SCALE_REPS` forces the rep count at any cell — local A/B
     // profiling needs best-of-N at reduced cells too. The record still
     // only refreshes at the default cell.
@@ -261,15 +288,26 @@ fn main() {
 
     let mut set = RowSet::new();
     let mut invariant = true;
+    // Each budget's reference is its first row: the step shard-sweep
+    // baseline and the convex 1-thread quote-thread row.
+    let reference_of = |budget: &str| -> &Cell {
+        cells
+            .iter()
+            .find(|c| c.budget == budget)
+            .expect("every budget has a reference row")
+    };
     let reference = cells[0].result.clone().expect("reference cell ran");
-    let ref_cost = reference.total_operating_cost();
-    let ref_mean = reference.mean_response_secs();
     for cell in &cells {
         let r = cell.result.as_ref().expect("cell ran");
         let cost = r.total_operating_cost();
         let mean = r.mean_response_secs();
+        let reference = reference_of(cell.budget)
+            .result
+            .as_ref()
+            .expect("reference cell ran");
         let row = Row::new()
             .str_cell("sweep", cell.sweep, 20, false)
+            .str_cell("budget", cell.budget, 7, false)
             .num_cell("shards", cell.shards, 7, false)
             .num_cell("quote_threads", cell.quote_threads, 9, false)
             .num_cell("pool_threads", cell.pool_threads, 5, false)
@@ -283,14 +321,14 @@ fn main() {
             .pct_cell("hit_rate", r.hit_rate(), 7, 4)
             .num_cell("builds", r.investments, 8, false);
         println!("{}", set.push(row));
-        if cost != ref_cost
+        if cost != reference.total_operating_cost()
             || r.queries != reference.queries
-            || mean.to_bits() != ref_mean.to_bits()
+            || mean.to_bits() != reference.mean_response_secs().to_bits()
         {
             invariant = false;
             eprintln!(
-                "error: aggregates drifted at sweep={} shards={} quote_threads={} batching={} pinning={}",
-                cell.sweep, cell.shards, cell.quote_threads, cell.batching, cell.pinning
+                "error: aggregates drifted at sweep={} budget={} shards={} quote_threads={} batching={} pinning={}",
+                cell.sweep, cell.budget, cell.shards, cell.quote_threads, cell.batching, cell.pinning
             );
         }
     }
@@ -315,17 +353,18 @@ fn main() {
     };
 
     // The regression this PR fixes must stay fixed: pooled q/s at 2+
-    // threads may not fall below the 1-thread baseline. Reported here
-    // (reduced-scale CI runs are too noisy to gate on), enforced on the
-    // committed record by `trend --check`.
+    // threads may not fall below the 1-thread baseline of the same
+    // budget. Reported here (reduced-scale CI runs are too noisy to gate
+    // on), enforced on the committed record by `trend --check`.
     let baseline_qps = cells[0].spread().best;
+    let convex_qps = reference_of("convex").spread().best;
     for cell in cells.iter().filter(|c| c.sweep == "quote-thread-sweep") {
         let qps = cell.spread().best;
-        if qps < baseline_qps {
+        if qps < convex_qps {
             println!(
-                "note: quote_threads={} measured {qps:.0} q/s below the 1-thread baseline {baseline_qps:.0} ({:+.1}%)",
+                "note: quote_threads={} measured {qps:.0} q/s below the 1-thread convex baseline {convex_qps:.0} ({:+.1}%)",
                 cell.quote_threads,
-                (qps - baseline_qps) / baseline_qps * 100.0
+                (qps - convex_qps) / convex_qps * 100.0
             );
         }
     }
@@ -365,6 +404,7 @@ fn main() {
              \"parallelism\": {parallelism}, \
              \"qps_note\": \"best of {reps} interleaved runs per cell; qps_min/qps_median record the rep spread\", \
              \"registry_note\": \"traced-replay registry of the reference cell + fleet-global skeleton_cache.* counters (wall-clock-dependent, excluded from the invariance contract)\", \
+             \"budget_note\": \"shard-sweep and health-sweep rows run the default step budget, which decides every quote round from the budget alone; quote-thread-sweep, per-node-completion and pinning-sweep rows run convex budgets, where every round is planned in full; each row gates against the first row of its budget\", \
              \"pinning_note\": \"pinning-sweep rows measure affinity on vs off at 8 quote threads; pool.pinned_workers in the registry records how many pins actually took — 0 on hosts where the executor clamps the pool to one thread (no spare parallelism), in which case the rows document the absence of a pinning effect rather than a win\", \
              \"health_note\": \"the health-sweep row runs the reference settings with a 30s vitals cadence and per-tenant SLO ledger attached; its cost/queries/mean must be bit-identical to the baseline row (the snapshot-on/off identity gate) and its q/s bounds the snapshot overhead\", \
              \"registry\": {registry_json}, \
@@ -380,7 +420,7 @@ fn main() {
 
     if invariant {
         println!(
-            "aggregates identical across shard counts, quote-thread counts, completion paths and pinning: OK"
+            "aggregates identical across shard counts (step budget) and quote-thread counts, completion paths and pinning (convex budget): OK"
         );
     } else {
         eprintln!("error: fleet aggregates varied with a wall-clock-only knob");

@@ -64,9 +64,25 @@ pub fn headline_spread(doc: &Value) -> Option<f64> {
     doc.get("cells")?.as_seq()?.iter().find_map(cell_spread)
 }
 
+/// The user budget shape a `fleet_scale` row ran under (its `budget`
+/// column). Rows of different budgets run different quote paths (a step
+/// budget decides every round from the budget alone, a convex one plans
+/// every round), so the record checks below only ever compare rows of
+/// one budget. `None` for records that predate the column, whose rows
+/// all ran the default step budget and so form one group.
+fn cell_budget(cell: &Value) -> Option<&str> {
+    cell.get("budget").and_then(Value::as_str)
+}
+
+/// Whether two record rows ran under the same budget shape.
+fn same_budget(a: &Value, b: &Value) -> bool {
+    cell_budget(a) == cell_budget(b)
+}
+
 /// Quote-thread-sweep regression rows of a `fleet_scale` record: every
 /// `quote-thread-sweep` cell whose q/s falls below the record's own
-/// sequential baseline (the `shards 1, quote_threads 1` cell) by more
+/// sequential baseline of the same budget (the first `shards 1,
+/// quote_threads 1` cell under that budget) by more
 /// than the noise band — [`REGRESSION_TOLERANCE`] widened to the rep
 /// spread of both cells when the record carries `qps_min`. Dips inside
 /// the band are measurement noise between cells running identical code
@@ -80,22 +96,25 @@ pub fn quote_sweep_regressions(doc: &Value) -> Vec<String> {
         return Vec::new();
     };
     let rel_spread = |cell: &Value| -> f64 { cell_spread(cell).unwrap_or(0.0) };
-    let baseline = cells.iter().find_map(|cell| {
-        let shards = cell.get("shards")?.as_f64()?;
-        let threads = cell.get("quote_threads")?.as_f64()?;
-        if shards == 1.0 && threads == 1.0 {
-            Some((cell.get("qps")?.as_f64()?, rel_spread(cell)))
-        } else {
-            None
-        }
-    });
-    let Some((baseline, baseline_spread)) = baseline else {
-        return Vec::new();
+    let baseline_of = |row: &Value| {
+        cells
+            .iter()
+            .filter(|c| same_budget(c, row))
+            .find_map(|cell| {
+                let shards = cell.get("shards")?.as_f64()?;
+                let threads = cell.get("quote_threads")?.as_f64()?;
+                if shards == 1.0 && threads == 1.0 {
+                    Some((cell.get("qps")?.as_f64()?, rel_spread(cell)))
+                } else {
+                    None
+                }
+            })
     };
     cells
         .iter()
         .filter(|cell| cell.get("sweep").and_then(Value::as_str) == Some("quote-thread-sweep"))
         .filter_map(|cell| {
+            let (baseline, baseline_spread) = baseline_of(cell)?;
             let threads = cell.get("quote_threads")?.as_f64()?;
             let qps = cell.get("qps")?.as_f64()?;
             let tolerance = REGRESSION_TOLERANCE
@@ -115,7 +134,8 @@ pub fn quote_sweep_regressions(doc: &Value) -> Vec<String> {
 /// Completion-path regression of a `fleet_scale` record: the recorded
 /// default completion path (batched, `batching: true`) must also be the
 /// fastest one. Any `batching: false` reference row beating the *best*
-/// batched row beyond the spread-widened noise band means the default
+/// batched row of its own budget beyond the spread-widened noise band
+/// means the default
 /// ships the slower path — exactly the inversion the committed PR 7
 /// record carried (per-node 51.2k q/s over batched 50.4k). Records
 /// without a `batching` column (other benches) produce no flags.
@@ -125,21 +145,19 @@ pub fn completion_path_regressions(doc: &Value) -> Vec<String> {
         return Vec::new();
     };
     let rel_spread = |cell: &Value| -> f64 { cell_spread(cell).unwrap_or(0.0) };
-    let batched: Vec<&Value> = cells
-        .iter()
-        .filter(|c| c.get("batching").and_then(Value::as_bool) == Some(true))
-        .collect();
-    let Some((best_batched, batched_spread)) = batched
-        .iter()
-        .filter_map(|c| Some((c.get("qps")?.as_f64()?, rel_spread(c))))
-        .max_by(|a, b| a.0.total_cmp(&b.0))
-    else {
-        return Vec::new();
+    let best_batched_of = |row: &Value| {
+        cells
+            .iter()
+            .filter(|c| c.get("batching").and_then(Value::as_bool) == Some(true))
+            .filter(|c| same_budget(c, row))
+            .filter_map(|c| Some((c.get("qps")?.as_f64()?, rel_spread(c))))
+            .max_by(|a, b| a.0.total_cmp(&b.0))
     };
     cells
         .iter()
         .filter(|c| c.get("batching").and_then(Value::as_bool) == Some(false))
         .filter_map(|cell| {
+            let (best_batched, batched_spread) = best_batched_of(cell)?;
             let qps = cell.get("qps")?.as_f64()?;
             let threads = cell.get("quote_threads")?.as_f64()?;
             let tolerance = REGRESSION_TOLERANCE
@@ -160,7 +178,8 @@ pub fn completion_path_regressions(doc: &Value) -> Vec<String> {
 /// Pinning-invariance regression of a `fleet_scale` record: core
 /// affinity is a placement hint, so a record carrying a `pinning` column
 /// must show bit-identical economic aggregates (`total_cost_usd`,
-/// `mean_response_s`, `builds`) between its pinned and unpinned rows.
+/// `mean_response_s`, `builds`) between its first unpinned row and the
+/// first pinned row of the same budget.
 /// The live run gates this bitwise before writing; this check keeps the
 /// *committed* record honest between re-measurements. Historical records
 /// without the column (pre-pinning) produce no flags.
@@ -169,12 +188,14 @@ pub fn pinning_invariance_regressions(doc: &Value) -> Vec<String> {
     let Some(cells) = doc.get("cells").and_then(Value::as_seq) else {
         return Vec::new();
     };
-    let row = |pin: bool| -> Option<&Value> {
-        cells
-            .iter()
-            .find(|c| c.get("pinning").and_then(Value::as_bool) == Some(pin))
+    let pinned = |c: &&Value, pin: bool| c.get("pinning").and_then(Value::as_bool) == Some(pin);
+    let Some(off) = cells.iter().find(|c| pinned(c, false)) else {
+        return Vec::new();
     };
-    let (Some(on), Some(off)) = (row(true), row(false)) else {
+    let Some(on) = cells
+        .iter()
+        .find(|c| pinned(c, true) && same_budget(c, off))
+    else {
         return Vec::new();
     };
     ["total_cost_usd", "mean_response_s", "builds"]
@@ -192,8 +213,8 @@ pub fn pinning_invariance_regressions(doc: &Value) -> Vec<String> {
 /// Health-plane regression rows of a `fleet_scale` record: the vitals
 /// scraper and SLO ledger are pure observers, so a record carrying a
 /// `health-sweep` row must show bit-identical economic aggregates
-/// between that row (snapshots on) and the sequential baseline
-/// (snapshots off), and the row's throughput must stay inside the
+/// between that row (snapshots on) and the sequential baseline of its
+/// budget (snapshots off), and the row's throughput must stay inside the
 /// noise band of the baseline — the snapshot path stays off the hot
 /// path or it is a regression. The live run gates the bit-identity
 /// before writing; this check keeps the *committed* record honest
@@ -214,7 +235,10 @@ pub fn health_sweep_regressions(doc: &Value) -> Vec<String> {
         let shards = cell.get("shards").and_then(Value::as_f64);
         let threads = cell.get("quote_threads").and_then(Value::as_f64);
         let sweep = cell.get("sweep").and_then(Value::as_str);
-        shards == Some(1.0) && threads == Some(1.0) && sweep != Some("health-sweep")
+        shards == Some(1.0)
+            && threads == Some(1.0)
+            && sweep != Some("health-sweep")
+            && same_budget(cell, health)
     });
     let Some(baseline) = baseline else {
         return Vec::new();
@@ -686,6 +710,55 @@ mod tests {
         let flags = completion_path_regressions(&inverted);
         assert_eq!(flags.len(), 1, "{flags:?}");
         assert!(flags[0].contains("not the fastest path"), "{flags:?}");
+    }
+
+    /// A `fleet_scale` record with step rows (every quote round decided
+    /// from the budget, fast) beside convex rows (every round planned):
+    /// `{pooled}` is the 8-thread convex row's q/s, `{per_node}` the
+    /// convex per-node row's.
+    fn two_budget_record(pooled: u32, per_node: u32) -> Value {
+        let step =
+            r#""budget": "step", "total_cost_usd": 1.5, "mean_response_s": 0.02, "builds": 300"#;
+        let convex =
+            r#""budget": "convex", "total_cost_usd": 1.2, "mean_response_s": 0.03, "builds": 280"#;
+        parse(&format!(
+            r#"{{"cells": [
+                {{"sweep": "shard-sweep", "shards": 1, "quote_threads": 1, "batching": true,
+                  "pinning": true, "qps": 150000, "qps_min": 148000, {step}}},
+                {{"sweep": "health-sweep", "shards": 1, "quote_threads": 1, "batching": true,
+                  "pinning": true, "qps": 149000, "qps_min": 147000, {step}}},
+                {{"sweep": "quote-thread-sweep", "shards": 1, "quote_threads": 1, "batching": true,
+                  "pinning": true, "qps": 40000, "qps_min": 39600, {convex}}},
+                {{"sweep": "quote-thread-sweep", "shards": 1, "quote_threads": 8, "batching": true,
+                  "pinning": true, "qps": {pooled}, "qps_min": {pooled}, {convex}}},
+                {{"sweep": "per-node-completion", "shards": 1, "quote_threads": 1, "batching": false,
+                  "pinning": true, "qps": {per_node}, "qps_min": {per_node}, {convex}}},
+                {{"sweep": "pinning-sweep", "shards": 1, "quote_threads": 8, "batching": true,
+                  "pinning": false, "qps": 40500, "qps_min": 40000, {convex}}}
+            ]}}"#
+        ))
+    }
+
+    #[test]
+    fn record_checks_compare_rows_within_one_budget() {
+        // Convex rows sit far below the step baseline, yet each is held
+        // only to rows of its own budget: nothing to flag.
+        let healthy = two_budget_record(41000, 38000);
+        assert!(quote_sweep_regressions(&healthy).is_empty());
+        assert!(completion_path_regressions(&healthy).is_empty());
+        assert!(pinning_invariance_regressions(&healthy).is_empty());
+        assert!(health_sweep_regressions(&healthy).is_empty());
+        // A convex per-node row beating every convex batched row is the
+        // inversion, even though the step batched rows are faster still.
+        let inverted = two_budget_record(41000, 50000);
+        let flags = completion_path_regressions(&inverted);
+        assert_eq!(flags.len(), 1, "{flags:?}");
+        assert!(flags[0].contains("quote_threads=1"), "{flags:?}");
+        // A pooled convex row below the convex 1-thread row is flagged.
+        let collapsed = two_budget_record(20000, 38000);
+        let flags = quote_sweep_regressions(&collapsed);
+        assert_eq!(flags.len(), 1, "{flags:?}");
+        assert!(flags[0].contains("(40000 q/s)"), "{flags:?}");
     }
 
     #[test]

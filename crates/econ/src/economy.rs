@@ -23,14 +23,15 @@ use cache::{CacheState, CachedStructure, StructureKey};
 use planner::enumerate::EnumerationOptions;
 use planner::{
     complete_plans_into, enumerate_plans_into, skyline_partition_hot, BatchCompleter, CacheView,
-    Estimator, LazySkeleton, PlanBuffer, PlanHot, PlanSkeleton, PlannerContext, QueryPlan,
+    Estimator, ExecRows, LazySkeleton, PlanBuffer, PlanHot, PlanSkeleton, PlannerContext,
+    QueryPlan,
 };
 use pricing::Money;
 use simcore::{SimDuration, SimTime};
 use workload::Query;
 
 use crate::account::CloudAccount;
-use crate::budget::BudgetFunction;
+use crate::budget::{BudgetFunction, BudgetShape};
 use crate::config::EconConfig;
 use crate::outcome::{QueryOutcome, SelectionCase};
 use crate::plancache::{PlanCache, PlanCacheStats};
@@ -560,11 +561,7 @@ impl EconomyManager {
             planner::plan::PlanShape::Backend,
             "enumeration emits the backend plan first"
         );
-        let budget = BudgetFunction::of_shape(
-            self.config.budget_shape,
-            backend.price.scale(query.budget_scale),
-            backend.exec_time * self.config.patience,
-        );
+        let budget = self.budget(query, backend.exec_time, backend.price);
         let mut scratch = self.sky_scratch.borrow_mut();
         let SkyScratch { hot, order, sky } = &mut *scratch;
         hot.fill(plans);
@@ -610,13 +607,73 @@ impl EconomyManager {
     /// straight from a batched gather ([`BatchCompleter::emit_hot`]).
     fn payment_from_hot(&self, query: &Query, scratch: &mut SkyScratch) -> Money {
         let SkyScratch { hot, order, sky } = scratch;
-        let budget = BudgetFunction::of_shape(
-            self.config.budget_shape,
-            hot.price[0].scale(query.budget_scale),
-            hot.time[0] * self.config.patience,
-        );
+        let budget = self.budget(query, hot.time[0], hot.price[0]);
         let _existing = skyline_partition_hot(hot, order, sky);
         select_payment_hot(hot, sky, &budget, self.config.objective)
+    }
+
+    /// The user's budget for `query`, formed from its backend plan: the
+    /// configured shape at `budget_scale × backend price` with deadline
+    /// `patience × backend time`.
+    fn budget(
+        &self,
+        query: &Query,
+        backend_time: SimDuration,
+        backend_price: Money,
+    ) -> BudgetFunction {
+        BudgetFunction::of_shape(
+            self.config.budget_shape,
+            backend_price.scale(query.budget_scale),
+            backend_time * self.config.patience,
+        )
+    }
+
+    /// The bid this manager's budget alone fixes for `query`, whatever
+    /// its cache holds: `Some(B_Q)` exactly when
+    ///
+    /// * the budget shape is [`BudgetShape::Step`],
+    /// * the backend row is affordable, and
+    /// * no execution row (backend or cache) past the deadline has a
+    ///   non-positive execution cost.
+    ///
+    /// Then [`Self::quote_query`] and [`Self::quote_with_skeleton`] bid
+    /// exactly this amount at any cache state, clock and objective. A
+    /// plan's price is its row's execution cost plus installments and
+    /// maintenance, neither negative, so every affordable plan runs
+    /// within the deadline, where the step pays its full amount. The
+    /// existing-tier skyline holds a plan at least as fast and as cheap
+    /// as the backend, hence affordable too, so the case analysis lands
+    /// in case B or C and charges that full amount. The third condition
+    /// is not idle: under zero CPU and I/O rates
+    /// ([`pricing::PriceCatalog::network_only`]) cache rows cost nothing,
+    /// and a free cached plan past the deadline would be affordable at a
+    /// budget of zero.
+    ///
+    /// `rows` supplies the query's [`ExecRows`] and is only called once
+    /// the shape check passes, so callers can build them lazily. `None`
+    /// says nothing about the bid: the quote must run.
+    #[must_use]
+    pub fn budget_decided_bid<'r>(
+        &self,
+        query: &Query,
+        rows: impl FnOnce() -> &'r ExecRows,
+    ) -> Option<Money> {
+        if self.config.budget_shape != BudgetShape::Step {
+            return None;
+        }
+        let rows = rows();
+        let budget = self.budget(query, rows.backend_time, rows.backend_cost);
+        if !budget.affords(rows.backend_time, rows.backend_cost) {
+            return None;
+        }
+        let t_max = budget.t_max();
+        if rows
+            .rows()
+            .any(|(time, cost)| time > t_max && !cost.is_positive())
+        {
+            return None;
+        }
+        Some(budget.value_at(rows.backend_time))
     }
 
     /// Recomputes the lower bound on the earliest instant any cached
@@ -1229,6 +1286,34 @@ mod tests {
                 manager.process_query(&ctx, &q, now)
             })
             .collect()
+    }
+
+    #[test]
+    fn step_budgets_decide_the_bid_before_planning() {
+        let f = Fixture::new(10.0);
+        let ctx = f.ctx();
+        let mut m = EconomyManager::new(fast_config());
+        let _ = drive(&f, &mut m, 4, 300, 1.0);
+        assert!(!m.cache().is_empty(), "the economy invested");
+        let mut gen = f.generator(5);
+        for i in 0..20 {
+            let q = gen.next_query();
+            let rows = ExecRows::build(&ctx, &q);
+            let now = SimTime::from_secs(400.0 + f64::from(i));
+            let decided = m.budget_decided_bid(&q, || &rows);
+            assert_eq!(decided, Some(m.quote_query(&ctx, &q, now)), "query {i}");
+            // Below the backend price nothing fixes the bid.
+            let mut poor = q.clone();
+            poor.budget_scale = 0.5;
+            assert_eq!(m.budget_decided_bid(&poor, || &rows), None);
+        }
+        let convex = EconomyManager::new(EconConfig {
+            budget_shape: BudgetShape::Convex,
+            ..fast_config()
+        });
+        let q = gen.next_query();
+        let unread = || -> &ExecRows { unreachable!("only step budgets read the rows") };
+        assert_eq!(convex.budget_decided_bid(&q, unread), None);
     }
 
     #[test]

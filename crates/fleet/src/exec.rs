@@ -705,6 +705,12 @@ impl FleetSim {
             // the skeleton-cache counters): how many quote workers this
             // cell's router actually pinned to a core.
             registry.counter_add("pool.pinned_workers", router.pinned_workers());
+            // How this cell's quote rounds were settled: decided from
+            // the budgets alone, or through planning. Unlike the pins,
+            // a pure function of the simulation, hence shard-invariant.
+            let rounds = router.quote_rounds();
+            registry.counter_add("router.decided_rounds", rounds.decided);
+            registry.counter_add("router.full_rounds", rounds.full);
         }
 
         let finish = population.finish(rates, horizon);

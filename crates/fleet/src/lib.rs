@@ -78,7 +78,9 @@ pub use faults::{
 };
 pub use node::{CacheNode, NodeSpec};
 pub use result::{FleetResult, NodeStats, TenantStats};
-pub use router::{CheapestQuote, LeastOutstanding, QuoteOptions, RoundRobin, Router, RouterKind};
+pub use router::{
+    CheapestQuote, LeastOutstanding, QuoteOptions, QuoteRounds, RoundRobin, Router, RouterKind,
+};
 pub use slo::{
     narrate_breaches, spend_cap_breaches, worst_burn_rate, worst_p99, SloLedger, TenantSloRecord,
     TenantSloSpec, P99_MISS_BUDGET,

@@ -37,13 +37,45 @@
 //! serve that follows hits it. Losers write no slot. Both completion
 //! paths and every pool size leave the same memo state.
 //!
+//! **Budget-decided rounds.** Before quoting, the round asks every
+//! routable node whether its budget alone fixes its bid
+//! ([`econ::EconomyManager::budget_decided_bid`]). Under a step budget
+//! (Fig. 1(a), the paper's experiments and `EconConfig`'s default) the
+//! case analysis charges the full amount `B_Q` whenever the backend plan
+//! is affordable, whatever the node's cache holds, so the bid needs no
+//! plan set. The check reads only the query's cache-independent
+//! [`ExecRows`], built at most once per round. When every routable node
+//! is economic and decided, the round picks the first minimal bid with
+//! no memo lookup, skeleton, completion, commit or pool wake-up, and the
+//! winner's serve plans its own query. Otherwise the round above runs
+//! unchanged for every node: a fleet's nodes share one `EconConfig`, so
+//! in practice a round is decided for all of its economic nodes or for
+//! none, and only a non-economic node (or nodes built with differing
+//! budgets) makes it otherwise. One exception keeps the check honest:
+//! if an execution row past the deadline costs nothing (zero CPU and
+//! I/O rates make every cache row free), a free cached plan there is
+//! affordable at a budget of zero and can undercut `B_Q`, so the round
+//! runs in full. An undecided round that built the rows then builds the
+//! skeleton, which recomputes them; no measured workload has such
+//! rounds under a step budget, so that cost is unmeasured.
+//! `tests/budget_decided_bids.rs` pins the equivalence.
+//!
+//! A finding the decided path makes plain: with every economic node
+//! under a step budget, every bid for a query is the same `B_Q`, so
+//! cheapest-quote routing sends every query to the lowest-indexed
+//! routable node, however well the others invested. Bidding price
+//! instead, or breaking ties by load, would change which node serves
+//! and so every economic result; that is a change to the bidding rule,
+//! not to this router's speed.
+//!
 //! All strategies break ties toward the lowest node index, so routing is
 //! a deterministic function of the (node states, query, time) tuple.
 
+use std::cell::OnceCell;
 use std::sync::{Arc, Mutex};
 
 use econ::QuoteBatch;
-use planner::{LazySkeleton, PlannerContext, SkeletonCache};
+use planner::{ExecRows, LazySkeleton, PlannerContext, SkeletonCache};
 use pricing::Money;
 use serde::{Deserialize, Serialize};
 use simcore::SimTime;
@@ -88,6 +120,22 @@ pub trait Router {
     fn pinned_workers(&self) -> u64 {
         0
     }
+
+    /// Quote rounds run so far, by how they were settled (zero for
+    /// strategies that do not price queries). Telemetry only.
+    fn quote_rounds(&self) -> QuoteRounds {
+        QuoteRounds::default()
+    }
+}
+
+/// Cumulative quote-round counts of a pricing router.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QuoteRounds {
+    /// Rounds every routable node's budget decided: no memo lookup, no
+    /// skeleton, no completion.
+    pub decided: u64,
+    /// Rounds that quoted through planning.
+    pub full: u64,
 }
 
 /// Oblivious rotation over the nodes.
@@ -208,7 +256,8 @@ impl Default for QuoteOptions {
 /// chunk reports its first minimal bid and the merge folds chunks in
 /// ascending node order keeping strict minima — bit-identical to the
 /// sequential scan at any pool size. The winner alone then memoizes its
-/// plan set for the serve that follows.
+/// plan set for the serve that follows. A round whose every bid the
+/// budgets decide skips all of this (see the module doc).
 pub struct CheapestQuote {
     threads: usize,
     batching: bool,
@@ -224,6 +273,7 @@ pub struct CheapestQuote {
     /// The winning bid of the most recent round (flight-recorder data;
     /// never consulted by routing itself).
     last_quote: Option<Money>,
+    rounds: QuoteRounds,
 }
 
 /// One chunk's contribution to a pooled quote round.
@@ -279,6 +329,7 @@ impl CheapestQuote {
             batches: Vec::new(),
             results: Vec::new(),
             last_quote: None,
+            rounds: QuoteRounds::default(),
         }
     }
 
@@ -501,6 +552,32 @@ impl CheapestQuote {
         );
         winner
     }
+
+    /// The round's winner and bid when every routable node's budget
+    /// decides its bid: the first minimal decided bid. `None` when some
+    /// routable node is not economic or must quote through planning.
+    /// Builds the query's [`ExecRows`] only if a step budget needs them.
+    fn decided_round(
+        nodes: &[CacheNode],
+        ctx: &PlannerContext<'_>,
+        query: &Query,
+        now: SimTime,
+    ) -> Option<(usize, Money)> {
+        let rows = OnceCell::new();
+        let mut best: Option<(usize, Money)> = None;
+        for (i, node) in nodes.iter().enumerate() {
+            if !node.routable(now) {
+                continue;
+            }
+            let bid = node
+                .economy()?
+                .budget_decided_bid(query, || rows.get_or_init(|| ExecRows::build(ctx, query)))?;
+            if best.is_none_or(|(_, b)| bid < b) {
+                best = Some((i, bid));
+            }
+        }
+        best
+    }
 }
 
 impl Router for CheapestQuote {
@@ -515,6 +592,12 @@ impl Router for CheapestQuote {
         query: &Query,
         now: SimTime,
     ) -> usize {
+        if let Some((winner, bid)) = Self::decided_round(nodes, ctx, query, now) {
+            self.rounds.decided += 1;
+            self.last_quote = Some(bid);
+            return winner;
+        }
+        self.rounds.full += 1;
         // The cache-independent half of every node's planning: built at
         // most once per round, by the first node whose memo misses —
         // resolved through the fleet-wide cache when one is attached.
@@ -539,6 +622,10 @@ impl Router for CheapestQuote {
 
     fn pinned_workers(&self) -> u64 {
         self.pool.as_ref().map_or(0, QuotePool::pinned_workers)
+    }
+
+    fn quote_rounds(&self) -> QuoteRounds {
+        self.rounds
     }
 }
 
@@ -619,42 +706,83 @@ mod tests {
         assert!(r.batching, "batched completion is the default");
     }
 
+    /// A small planning context plus economic nodes, for driving
+    /// routers directly.
+    struct Fixture {
+        schema: std::sync::Arc<catalog::Schema>,
+        candidates: Vec<cache::IndexDef>,
+        cand_index: planner::CandidateIndex,
+        estimator: planner::Estimator,
+    }
+
+    impl Fixture {
+        fn new() -> Self {
+            use catalog::tpch::{tpch_schema, ScaleFactor};
+            use planner::{generate_candidates, CostParams, Estimator};
+            use pricing::PriceCatalog;
+            use workload::paper_templates;
+
+            let schema = std::sync::Arc::new(tpch_schema(ScaleFactor(1.0)));
+            let templates = paper_templates(&schema);
+            let candidates = generate_candidates(&schema, &templates, 65);
+            let cand_index = planner::CandidateIndex::build(&schema, &candidates);
+            let estimator = Estimator::new(
+                CostParams::default(),
+                PriceCatalog::ec2_2009(),
+                simcore::NetworkModel::paper_sdss(),
+            );
+            Fixture {
+                schema,
+                candidates,
+                cand_index,
+                estimator,
+            }
+        }
+
+        fn ctx(&self) -> PlannerContext<'_> {
+            PlannerContext {
+                schema: &self.schema,
+                candidates: &self.candidates,
+                cand_index: &self.cand_index,
+                estimator: &self.estimator,
+            }
+        }
+
+        fn generator(&self, seed: u64) -> workload::WorkloadGenerator {
+            workload::WorkloadGenerator::new(
+                std::sync::Arc::clone(&self.schema),
+                workload::WorkloadConfig::default(),
+                seed,
+            )
+        }
+
+        /// `n` econ-cheap nodes under `shape` budgets.
+        fn nodes(&self, n: usize, shape: econ::BudgetShape) -> Vec<CacheNode> {
+            let econ = econ::EconConfig {
+                budget_shape: shape,
+                ..econ::EconConfig::default()
+            };
+            (0..n)
+                .map(|i| {
+                    CacheNode::new(
+                        i,
+                        &crate::node::NodeSpec::new(simulator::Scheme::EconCheap),
+                        &self.schema,
+                        &econ,
+                    )
+                })
+                .collect()
+        }
+    }
+
     #[test]
     fn pool_reclamps_when_the_node_population_changes() {
-        use catalog::tpch::{tpch_schema, ScaleFactor};
-        use planner::{generate_candidates, CostParams, Estimator};
-        use pricing::PriceCatalog;
-        use simulator::Scheme;
-        use std::sync::Arc;
-        use workload::{paper_templates, WorkloadConfig, WorkloadGenerator};
-
-        let schema = Arc::new(tpch_schema(ScaleFactor(1.0)));
-        let templates = paper_templates(&schema);
-        let candidates = generate_candidates(&schema, &templates, 65);
-        let cand_index = planner::CandidateIndex::build(&schema, &candidates);
-        let estimator = Estimator::new(
-            CostParams::default(),
-            PriceCatalog::ec2_2009(),
-            simcore::NetworkModel::paper_sdss(),
-        );
-        let ctx = PlannerContext {
-            schema: &schema,
-            candidates: &candidates,
-            cand_index: &cand_index,
-            estimator: &estimator,
-        };
-        let econ = econ::EconConfig::default();
-        let mut gen = WorkloadGenerator::new(Arc::clone(&schema), WorkloadConfig::default(), 5);
-        let mut nodes: Vec<CacheNode> = (0..4)
-            .map(|i| {
-                crate::node::CacheNode::new(
-                    i,
-                    &crate::node::NodeSpec::new(Scheme::EconCheap),
-                    &schema,
-                    &econ,
-                )
-            })
-            .collect();
+        // Convex budgets leave every bid to the round, so every round
+        // runs the pool.
+        let f = Fixture::new();
+        let ctx = f.ctx();
+        let mut gen = f.generator(5);
+        let mut nodes = f.nodes(4, econ::BudgetShape::Convex);
 
         let mut r = CheapestQuote::new(8);
         let now = SimTime::from_secs(1.0);
@@ -672,44 +800,57 @@ mod tests {
         let q = gen.next_query();
         let _ = r.route(&mut nodes, &ctx, &q, SimTime::from_secs(3.0));
         assert_eq!(r.pool.as_ref().expect("pool live").workers(), 3);
+        assert_eq!(
+            r.quote_rounds(),
+            QuoteRounds {
+                decided: 0,
+                full: 3
+            }
+        );
+    }
+
+    #[test]
+    fn step_budgets_decide_rounds_without_quoting() {
+        let f = Fixture::new();
+        let ctx = f.ctx();
+        let mut gen = f.generator(3);
+        let mut nodes = f.nodes(4, econ::BudgetShape::Step);
+        nodes[0].begin_drain(SimTime::from_secs(0.5));
+
+        let mut r = CheapestQuote::new(4);
+        for i in 0..6 {
+            let q = gen.next_query();
+            let now = SimTime::from_secs(1.0 + f64::from(i));
+            let winner = r.route(&mut nodes, &ctx, &q, now);
+            assert_eq!(winner, 1, "the lowest-indexed routable node wins the tie");
+            let amount = nodes[winner]
+                .economy()
+                .expect("economic node")
+                .quote_query(&ctx, &q, now);
+            assert_eq!(r.last_winning_quote(), Some(amount));
+            let _ = nodes[winner].serve(&ctx, &q, now);
+        }
+        assert!(r.pool.is_none(), "decided rounds never wake the pool");
+        assert_eq!(
+            r.quote_rounds(),
+            QuoteRounds {
+                decided: 6,
+                full: 0
+            }
+        );
+        for node in &nodes[2..] {
+            let stats = node.plan_cache_stats().expect("economic node");
+            assert_eq!(stats.hits + stats.misses, 0, "losers looked nothing up");
+        }
     }
 
     #[test]
     fn draining_nodes_are_never_routed() {
-        use catalog::tpch::{tpch_schema, ScaleFactor};
-        use planner::{generate_candidates, CostParams, Estimator};
-        use pricing::PriceCatalog;
-        use simulator::Scheme;
-        use std::sync::Arc;
-        use workload::{paper_templates, WorkloadConfig, WorkloadGenerator};
-
-        let schema = Arc::new(tpch_schema(ScaleFactor(1.0)));
-        let templates = paper_templates(&schema);
-        let candidates = generate_candidates(&schema, &templates, 65);
-        let cand_index = planner::CandidateIndex::build(&schema, &candidates);
-        let estimator = Estimator::new(
-            CostParams::default(),
-            PriceCatalog::ec2_2009(),
-            simcore::NetworkModel::paper_sdss(),
-        );
-        let ctx = PlannerContext {
-            schema: &schema,
-            candidates: &candidates,
-            cand_index: &cand_index,
-            estimator: &estimator,
-        };
-        let econ = econ::EconConfig::default();
-        let mut gen = WorkloadGenerator::new(Arc::clone(&schema), WorkloadConfig::default(), 9);
-        let mut nodes: Vec<CacheNode> = (0..3)
-            .map(|i| {
-                crate::node::CacheNode::new(
-                    i,
-                    &crate::node::NodeSpec::new(Scheme::EconCheap),
-                    &schema,
-                    &econ,
-                )
-            })
-            .collect();
+        let f = Fixture::new();
+        let ctx = f.ctx();
+        let mut gen = f.generator(9);
+        // Convex budgets, so the cheapest-quote rounds run in full.
+        let mut nodes = f.nodes(3, econ::BudgetShape::Convex);
         nodes[0].begin_drain(SimTime::from_secs(0.5));
 
         let mut rr = RoundRobin::default();
@@ -731,5 +872,7 @@ mod tests {
                 "cq per-node"
             );
         }
+        assert_eq!(cq_batched.quote_rounds().full, 12);
+        assert_eq!(cq_per_node.quote_rounds().full, 12);
     }
 }

@@ -19,7 +19,9 @@
 //!   ([`PlanSkeleton`]) plus the cheap per-node completion phase, so a
 //!   fleet quote round plans each query once instead of once per node;
 //!   [`SkeletonCache`] shares built skeletons fleet-wide under the
-//!   query's planning fingerprint.
+//!   query's planning fingerprint; [`ExecRows`] is the skeleton's
+//!   execution-row half alone, for callers that only need every plan's
+//!   `(time, cost)`.
 //! * [`batch`] — structure-major batched completion: one
 //!   [`BatchCompleter`] pass binds a skeleton against N nodes' cache
 //!   states at once, turning N independent cache probes per structure
@@ -51,7 +53,7 @@ pub use estimator::{CacheExecBase, CostParams, Estimator};
 pub use plan::{PlanShape, QueryPlan};
 pub use scaling::ParallelModel;
 pub use skeleton::{
-    complete_plans_into, planning_fingerprint, LazySkeleton, PlanSkeleton, SkeletonCache,
+    complete_plans_into, planning_fingerprint, ExecRows, LazySkeleton, PlanSkeleton, SkeletonCache,
     SkeletonCacheCounters,
 };
 pub use skyline::{skyline_filter, skyline_partition, skyline_partition_hot};

@@ -23,7 +23,9 @@
 //! heterogeneous nodes (econ-cheap, econ-fast, econ-col) in the same
 //! quote round. Hot per-(variant, node-count) execution fields are stored
 //! in struct-of-arrays form ([`ExecCells`]), matching the SoA selection
-//! scans in [`crate::soa`].
+//! scans in [`crate::soa`]. [`ExecRows`] is the execution-row half of
+//! the skeleton on its own — every row a plan's `(exec_time, exec_cost)`
+//! can come from — for callers that never bind a cache.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -493,33 +495,107 @@ impl SkeletonCache {
     }
 }
 
-impl PlanSkeleton {
-    /// Builds the skeleton for `query`: every plan family enabled, no
-    /// cache state consulted. Deterministic — two builds from the same
-    /// context and query are identical.
+/// The cache-independent execution rows of a query's plan set: the
+/// backend estimate (eq. 9) and, per index variant, the execution cells
+/// at every node count (eq. 8 under the scaling law). Every plan any
+/// node's completion emits takes its `(exec_time, exec_cost)` from one of
+/// these rows — only the installments and maintenance a plan adds to its
+/// price depend on the cache — so a caller can reason about every plan's
+/// timing without binding a cache or building the full [`PlanSkeleton`].
+///
+/// [`PlanSkeleton::build`] computes its backend fields and variant cells
+/// through [`Self::build`], so the two can never disagree.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExecRows {
+    /// Backend execution time.
+    pub backend_time: SimDuration,
+    /// Backend execution cost.
+    pub backend_cost: Money,
+    /// Backend per-resource cost split.
+    pub backend_breakdown: CostBreakdown,
+    /// Per index variant, scan-only first, then the best-index variant
+    /// when any access has a serving candidate: the per-access index
+    /// assignment (positions into the context's candidates) and the
+    /// variant's cells.
+    pub variants: Vec<(Vec<Option<usize>>, ExecCells)>,
+}
+
+impl ExecRows {
+    /// Estimates and prices every execution row of `query`, with every
+    /// plan family enabled and no cache state consulted.
     #[must_use]
-    pub fn build(ctx: &PlannerContext<'_>, query: &Query) -> PlanSkeleton {
+    pub fn build(ctx: &PlannerContext<'_>, query: &Query) -> ExecRows {
         let backend_est = ctx.estimator.backend_execution(ctx.schema, query);
         let (backend_cost, backend_breakdown) = ctx.estimator.price_execution(&backend_est);
-        let (node_build_cost, node_build_time) = ctx.estimator.build_node();
 
         let mut variants = Vec::with_capacity(2);
         let scan: Vec<Option<usize>> = vec![None; query.accesses.len()];
-        variants.push(build_variant(ctx, query, &scan));
+        let cells = variant_cells(ctx, query, &scan);
+        variants.push((scan, cells));
         let picks: Vec<Option<usize>> = query
             .accesses
             .iter()
             .map(|a| best_index_for(ctx, a))
             .collect();
         if picks.iter().any(Option::is_some) {
-            variants.push(build_variant(ctx, query, &picks));
+            let cells = variant_cells(ctx, query, &picks);
+            variants.push((picks, cells));
         }
-
-        let probe = ProbeTable::build(&variants);
-        PlanSkeleton {
+        ExecRows {
             backend_time: backend_est.time,
             backend_cost,
             backend_breakdown,
+            variants,
+        }
+    }
+
+    /// Every row's `(time, cost)`: the backend first, then each
+    /// variant's cells in order.
+    pub fn rows(&self) -> impl Iterator<Item = (SimDuration, Money)> + '_ {
+        std::iter::once((self.backend_time, self.backend_cost)).chain(
+            self.variants
+                .iter()
+                .flat_map(|(_, cells)| cells.time.iter().copied().zip(cells.cost.iter().copied())),
+        )
+    }
+}
+
+/// One index variant's execution cells at every configured node count.
+fn variant_cells(ctx: &PlannerContext<'_>, query: &Query, indexes: &[Option<usize>]) -> ExecCells {
+    let idx_refs: Vec<Option<&IndexDef>> = indexes
+        .iter()
+        .map(|o| o.map(|pos| &ctx.candidates[pos]))
+        .collect();
+    let base = ctx
+        .estimator
+        .cache_execution_base(ctx.schema, query, &idx_refs);
+    let mut cells = ExecCells::default();
+    for &k in &ctx.estimator.params().node_options {
+        let est = ctx.estimator.scale_cache_execution(&base, k);
+        let (cost, breakdown) = ctx.estimator.price_execution(&est);
+        cells.push(k, est.time, cost, breakdown);
+    }
+    cells
+}
+
+impl PlanSkeleton {
+    /// Builds the skeleton for `query`: every plan family enabled, no
+    /// cache state consulted. Deterministic — two builds from the same
+    /// context and query are identical.
+    #[must_use]
+    pub fn build(ctx: &PlannerContext<'_>, query: &Query) -> PlanSkeleton {
+        let rows = ExecRows::build(ctx, query);
+        let (node_build_cost, node_build_time) = ctx.estimator.build_node();
+        let variants: Vec<VariantSkeleton> = rows
+            .variants
+            .into_iter()
+            .map(|(indexes, cells)| build_variant(ctx, query, &indexes, cells))
+            .collect();
+        let probe = ProbeTable::build(&variants);
+        PlanSkeleton {
+            backend_time: rows.backend_time,
+            backend_cost: rows.backend_cost,
+            backend_breakdown: rows.backend_breakdown,
             node_build_cost,
             node_build_time,
             variants,
@@ -529,19 +605,17 @@ impl PlanSkeleton {
 }
 
 /// Builds one variant's skeleton from its per-access index assignment
-/// (positions into `ctx.candidates`).
+/// (positions into `ctx.candidates`) and its execution cells.
 fn build_variant(
     ctx: &PlannerContext<'_>,
     query: &Query,
     indexes: &[Option<usize>],
+    cells: ExecCells,
 ) -> VariantSkeleton {
     let idx_refs: Vec<Option<&IndexDef>> = indexes
         .iter()
         .map(|o| o.map(|pos| &ctx.candidates[pos]))
         .collect();
-    let base = ctx
-        .estimator
-        .cache_execution_base(ctx.schema, query, &idx_refs);
 
     // Same uses order as the fused enumerator: accessed columns
     // deduplicated in first-seen order, then each assigned index.
@@ -592,13 +666,6 @@ fn build_variant(
             StructureKey::Node(_) => unreachable!("nodes are appended per node count"),
         })
         .collect();
-
-    let mut cells = ExecCells::default();
-    for &k in &ctx.estimator.params().node_options {
-        let est = ctx.estimator.scale_cache_execution(&base, k);
-        let (cost, breakdown) = ctx.estimator.price_execution(&est);
-        cells.push(k, est.time, cost, breakdown);
-    }
 
     VariantSkeleton {
         indexes: idx_refs.iter().map(|o| o.map(|i| i.id)).collect(),
@@ -1035,6 +1102,30 @@ mod tests {
             assert_eq!(v.cells.len(), v.cells.time.len());
             assert_eq!(v.cells.len(), v.cells.cost.len());
             assert_eq!(v.uses.len(), v.builds.len());
+        }
+    }
+
+    #[test]
+    fn exec_rows_are_the_skeletons_rows() {
+        let f = Fixture::new();
+        let ctx = f.ctx();
+        for i in 0..8 {
+            let q = f.query(i);
+            let rows = ExecRows::build(&ctx, &q);
+            let skel = PlanSkeleton::build(&ctx, &q);
+            let mut expected = vec![(skel.backend_time, skel.backend_cost)];
+            for v in &skel.variants {
+                expected.extend(
+                    v.cells
+                        .time
+                        .iter()
+                        .copied()
+                        .zip(v.cells.cost.iter().copied()),
+                );
+            }
+            assert_eq!(rows.rows().collect::<Vec<_>>(), expected, "query {i}");
+            assert_eq!(rows.backend_breakdown, skel.backend_breakdown);
+            assert_eq!(rows.variants.len(), skel.variants.len());
         }
     }
 }

@@ -8,10 +8,13 @@
 //! 3. cheapest-quote aggregates are invariant under the quote fan-out
 //!    worker-pool size: gathering per-node bids from 1, 2, 4 or 8
 //!    threads picks bit-identical winners (the deterministic merge of
-//!    `fleet::router::CheapestQuote`);
+//!    `fleet::router::CheapestQuote`), under step budgets, which decide
+//!    rounds from the budget alone, and convex ones, which run them in
+//!    full;
 //! 4. only the global round winner memoizes its plan set, so every pool
 //!    size and both completion paths leave identical plan-cache state.
 
+use cloudcache::econ::BudgetShape;
 use cloudcache::fleet::{
     run_fleet, CacheNode, CheapestQuote, FleetConfig, FleetResult, NodeSpec, QuoteOptions, Router,
     RouterKind,
@@ -129,25 +132,29 @@ fn aggregates_invariant_under_shard_count() {
 #[test]
 fn aggregates_invariant_under_quote_thread_count() {
     // 8 nodes so the pool actually splits work; shards stay at 1 so only
-    // the quote fan-out knob moves.
-    let run = |threads: usize| {
-        let mut c = FleetConfig::mixed(10, 8, 60);
-        c.scale_factor = 10.0;
-        c.cells = 5;
-        c.shards = 1;
-        c.router = RouterKind::CheapestQuote;
-        c.seed = 23;
-        c.quote_threads = threads;
-        run_fleet(c)
-    };
-    let sequential = run(1);
-    for threads in [2, 4, 8] {
-        let pooled = run(threads);
-        assert_eq!(
-            fingerprint(&sequential),
-            fingerprint(&pooled),
-            "aggregates varied at quote_threads={threads}"
-        );
+    // the quote fan-out knob moves. Step budgets decide every round from
+    // the budget alone; convex budgets run every round in full.
+    for shape in [BudgetShape::Step, BudgetShape::Convex] {
+        let run = |threads: usize| {
+            let mut c = FleetConfig::mixed(10, 8, 60);
+            c.scale_factor = 10.0;
+            c.cells = 5;
+            c.shards = 1;
+            c.router = RouterKind::CheapestQuote;
+            c.seed = 23;
+            c.quote_threads = threads;
+            c.econ.budget_shape = shape;
+            run_fleet(c)
+        };
+        let sequential = run(1);
+        for threads in [2, 4, 8] {
+            let pooled = run(threads);
+            assert_eq!(
+                fingerprint(&sequential),
+                fingerprint(&pooled),
+                "{shape:?} aggregates varied at quote_threads={threads}"
+            );
+        }
     }
 }
 
@@ -198,12 +205,15 @@ fn persistent_pool_winner_matches_sequential_across_rounds() {
         cand_index: &cand_index,
         estimator: &estimator,
     };
+    // Convex budgets: a step budget would decide every bid before the
+    // round, and no round would reach the pool.
     let econ = cloudcache::econ::EconConfig {
         initial_credit: cloudcache::pricing::Money::from_dollars(0.02),
         investment: cloudcache::econ::InvestmentRule {
             min_regret: cloudcache::pricing::Money::from_dollars(1e-5),
             ..cloudcache::econ::InvestmentRule::default()
         },
+        budget_shape: cloudcache::econ::BudgetShape::Convex,
         ..cloudcache::econ::EconConfig::default()
     };
     let build_fleet = || -> Vec<CacheNode> {
@@ -262,6 +272,9 @@ fn persistent_pool_winner_matches_sequential_across_rounds() {
             let _ = nodes[winner].serve(&ctx, &query, now);
         }
     }
+    for router in &routers {
+        assert_eq!(router.quote_rounds().full, 60, "every round ran in full");
+    }
 }
 
 /// Only the global round winner memoizes its plan set, whatever the
@@ -299,12 +312,15 @@ fn pooled_rounds_commit_only_the_global_winner() {
         cand_index: &cand_index,
         estimator: &estimator,
     };
+    // Convex budgets: a step budget would decide every bid before the
+    // round, and no round would reach the pool.
     let econ = cloudcache::econ::EconConfig {
         initial_credit: cloudcache::pricing::Money::from_dollars(0.02),
         investment: cloudcache::econ::InvestmentRule {
             min_regret: cloudcache::pricing::Money::from_dollars(1e-5),
             ..cloudcache::econ::InvestmentRule::default()
         },
+        budget_shape: cloudcache::econ::BudgetShape::Convex,
         ..cloudcache::econ::EconConfig::default()
     };
     let build_fleet = || -> Vec<CacheNode> {
@@ -375,4 +391,7 @@ fn pooled_rounds_commit_only_the_global_winner() {
         hits = reference.iter().flatten().map(|s| s.hits).sum::<u64>();
     }
     assert!(hits > 0, "the repeated queries must exercise memo hits");
+    for router in &routers {
+        assert_eq!(router.quote_rounds().full, 120, "every round ran in full");
+    }
 }
