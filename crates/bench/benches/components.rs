@@ -1,10 +1,10 @@
 //! Criterion micro-benches for the hot components of the simulator:
 //! budget evaluation, skyline filtering, regret bookkeeping, money
-//! arithmetic, the LRU set and workload generation.
+//! arithmetic and workload generation.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use cache::{LruSet, StructureKey};
+use cache::StructureKey;
 use catalog::tpch::{tpch_schema, ScaleFactor};
 use catalog::ColumnId;
 use econ::budget::{BudgetFunction, BudgetShape};
@@ -79,20 +79,6 @@ fn bench_money(c: &mut Criterion) {
     });
 }
 
-fn bench_lru(c: &mut Criterion) {
-    c.bench_function("lru_touch_at_capacity_256", |b| {
-        let mut lru = LruSet::new(256);
-        for i in 0..256u32 {
-            lru.touch(i);
-        }
-        let mut i = 0u32;
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            lru.touch(black_box(i % 400))
-        })
-    });
-}
-
 fn bench_zipf(c: &mut Criterion) {
     let zipf = Zipf::new(10_000, 1.1);
     let mut rng = SimRng::new(42);
@@ -115,7 +101,6 @@ criterion_group!(
     bench_skyline,
     bench_regret,
     bench_money,
-    bench_lru,
     bench_zipf,
     bench_workload
 );

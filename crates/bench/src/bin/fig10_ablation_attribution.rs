@@ -1,4 +1,5 @@
-//! **Ablation 5** — regret attribution (the DESIGN.md deviation).
+//! **Ablation 5** — regret attribution (see "Deviations from the paper"
+//! in PAPER.md).
 //!
 //! The paper's "distributed uniformly to every physical structure" admits
 //! two readings: an equal *split* of the plan's regret, or *full* credit

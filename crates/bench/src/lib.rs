@@ -1,6 +1,8 @@
 //! # bench — the experiment harness
 //!
-//! One binary per figure of the paper (see DESIGN.md's experiment index):
+//! One binary per figure of the paper (PAPER.md maps each figure to its
+//! binary; its "Deviations from the paper" lists where the reproduction
+//! departs from the text):
 //!
 //! | target | regenerates |
 //! |--------|-------------|

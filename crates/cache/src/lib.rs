@@ -15,18 +15,14 @@
 //!   amortisation debt and maintenance checkpoints, and the exact
 //!   byte-seconds disk-occupancy integral that the Fig. 4 operating cost
 //!   charges (via [`occupancy::Occupancy`]).
-//! * [`lru::LruSet`] — the LRU bookkeeping the paper prescribes for the
-//!   structure pool ("garbage collected using LRU policy", Section IV-B).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod lru;
 pub mod occupancy;
 pub mod state;
 pub mod structure;
 
-pub use lru::LruSet;
 pub use occupancy::Occupancy;
 pub use state::{CacheState, CachedStructure};
 pub use structure::{IndexDef, IndexId, StructureKey, ROW_LOCATOR_BYTES};

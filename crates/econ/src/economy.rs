@@ -23,8 +23,7 @@ use cache::{CacheState, CachedStructure, StructureKey};
 use planner::enumerate::EnumerationOptions;
 use planner::{
     complete_plans_into, enumerate_plans_into, skyline_partition_hot, BatchCompleter, CacheView,
-    Estimator, ExecRows, LazySkeleton, PlanBuffer, PlanHot, PlanSkeleton, PlannerContext,
-    QueryPlan,
+    Estimator, ExecRows, LazySkeleton, PlanHot, PlanRows, PlanSkeleton, PlannerContext, QueryPlan,
 };
 use pricing::Money;
 use simcore::{SimDuration, SimTime};
@@ -45,7 +44,10 @@ pub struct EconomyManager {
     config: EconConfig,
     account: CloudAccount,
     cache: CacheState,
-    regret: RegretLedger,
+    /// The regret ledger (interior mutability: the serving selection
+    /// distributes regret straight from the plan rows it reads, while
+    /// the memo holding those rows is borrowed).
+    regret: RefCell<RegretLedger>,
     queries_seen: u64,
     first_arrival: Option<SimTime>,
     last_arrival: SimTime,
@@ -53,8 +55,10 @@ pub struct EconomyManager {
     /// a won bid's commit are `&self` but write the memo for the serving
     /// call).
     plancache: RefCell<PlanCache>,
-    /// Recycled enumeration storage (see [`PlanBuffer`]).
-    planbuf: RefCell<PlanBuffer>,
+    /// Scratch rows that enumeration and completion write into; an
+    /// install swaps them into the memo and takes back the displaced
+    /// slot's rows.
+    rows: RefCell<PlanRows>,
     /// Scratch for the skyline index partition.
     sky_scratch: RefCell<SkyScratch>,
     /// Lower bound (seconds) on the earliest instant any structure can
@@ -72,22 +76,18 @@ pub struct EconomyManager {
 
 #[derive(Debug, Default)]
 struct SkyScratch {
-    hot: PlanHot,
     order: Vec<usize>,
     sky: Vec<usize>,
 }
 
-/// The outcome of planning one query: the case analysis plus the data the
-/// control loop needs to settle it, extracted so the memoized plan set is
-/// never cloned wholesale.
+/// The outcome of planning one query: the case analysis plus the one
+/// plan the control loop runs, materialized from the rows alone.
 struct Planned {
     opts: EnumerationOptions,
     case: SelectionCase,
     payment: Money,
     profit: Money,
     chosen: QueryPlan,
-    /// `(regret amount, missing structures)` per rejected possible plan.
-    regrets: Vec<(Money, Vec<StructureKey>)>,
 }
 
 impl EconomyManager {
@@ -106,12 +106,12 @@ impl EconomyManager {
             config,
             account,
             cache: CacheState::new(),
-            regret: RegretLedger::new(pool),
+            regret: RefCell::new(RegretLedger::new(pool)),
             queries_seen: 0,
             first_arrival: None,
             last_arrival: SimTime::ZERO,
             plancache: RefCell::new(PlanCache::new()),
-            planbuf: RefCell::new(PlanBuffer::new()),
+            rows: RefCell::new(PlanRows::new()),
             sky_scratch: RefCell::new(SkyScratch::default()),
             next_failure_check: f64::NEG_INFINITY,
             investment_frozen: false,
@@ -165,8 +165,8 @@ impl EconomyManager {
 
     /// The regret ledger (diagnostics).
     #[must_use]
-    pub fn regret(&self) -> &RegretLedger {
-        &self.regret
+    pub fn regret(&self) -> std::cell::Ref<'_, RegretLedger> {
+        self.regret.borrow()
     }
 
     /// The configuration.
@@ -247,7 +247,7 @@ impl EconomyManager {
     pub fn evacuate_release(&mut self, key: StructureKey, now: SimTime) -> Option<CachedStructure> {
         let removed = self.cache.evict(key, now);
         if removed.is_some() {
-            self.regret.reset(key);
+            self.regret.get_mut().reset(key);
         }
         removed
     }
@@ -283,7 +283,7 @@ impl EconomyManager {
             transfer_cost,
             amortize_n,
         );
-        self.regret.reset(key);
+        self.regret.get_mut().reset(key);
         // The received structure can be the next to fail; fold its
         // crossing time into the failure bound without a full rescan.
         if let Some(s) = self.cache.get(key) {
@@ -328,7 +328,7 @@ impl EconomyManager {
                     });
             for &key in &failed {
                 self.cache.evict(key, now);
-                self.regret.reset(key);
+                self.regret.get_mut().reset(key);
             }
             self.refresh_failure_bound(estimator);
             failed
@@ -344,8 +344,9 @@ impl EconomyManager {
             Vec::new()
         };
 
-        // (2)+(3)+(4a) Enumerate (or reuse the memoized plan set), skyline,
-        // form the user budget and run the case analysis.
+        // (2)+(3)+(4a)+(5) Enumerate (or reuse the memoized plan set),
+        // skyline, form the user budget, run the case analysis and
+        // distribute the rejected-plan regret (eqs. 1–2).
         let planned = self.plan_query(ctx, query, now);
         debug_assert!(planned.chosen.is_existing(), "only existing plans execute");
 
@@ -366,30 +367,6 @@ impl EconomyManager {
             "quoted maintenance must match collected"
         );
         self.account.deposit_payment(planned.payment);
-
-        // (5) Regret distribution (eqs. 1–2). The paper distributes over
-        // "every physical structure used by the plan"; we concentrate the
-        // share on the plan's *missing* structures — the only ones an
-        // investment can act on (already-built structures would have their
-        // regret immediately discarded by the investment scan anyway).
-        // Among the missing, extra CPU nodes only receive regret once the
-        // plan's data (columns/indexes) is all present: booting a node
-        // cannot help a plan that still lacks its columns, and letting it
-        // accumulate regret would churn capital on idle nodes. Both
-        // refinements are recorded as deviations in DESIGN.md.
-        for (amount, missing) in &planned.regrets {
-            let data_missing: Vec<StructureKey> = missing
-                .iter()
-                .copied()
-                .filter(|k| !matches!(k, StructureKey::Node(_)))
-                .collect();
-            let attribution = self.config.regret_attribution;
-            if data_missing.is_empty() {
-                self.regret.distribute(missing, *amount, attribution);
-            } else {
-                self.regret.distribute(&data_missing, *amount, attribution);
-            }
-        }
 
         // (6) Investment (eq. 3 + conservative gate) — skipped entirely
         // once the fault plane froze investment (imminent planned crash).
@@ -416,10 +393,11 @@ impl EconomyManager {
         }
     }
 
-    /// Steps (2)–(4a) of the control loop: obtain the costed plan set
+    /// Steps (2)–(5) of the control loop: obtain the costed plan rows
     /// (memoized per template when the query fingerprint allows — see
-    /// [`crate::plancache`]), reduce it to the two-tier skyline, form the
-    /// user's budget and run the case analysis.
+    /// [`crate::plancache`]), reduce them to the two-tier skyline, form
+    /// the user's budget, run the case analysis and distribute the
+    /// regret of the rejected possible plans.
     ///
     /// Existing plans are skylined among themselves (they are the
     /// executable menu — a *possible* plan may dominate them on paper but
@@ -428,19 +406,18 @@ impl EconomyManager {
     /// shape at `budget_scale × backend price` with deadline
     /// `patience × backend time`.
     fn plan_query(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Planned {
-        self.plan_query_with(ctx, query, now, |plans, opts| {
-            self.select_from(query, plans, opts)
+        self.plan_query_with(ctx, query, now, |rows, opts| {
+            self.serve_from(query, rows, opts)
         })
     }
 
     /// The memoizing planning engine behind both [`Self::plan_query`] and
-    /// [`Self::quote_query`], with a caller-chosen selection: the serving
-    /// path runs the full case analysis ([`Self::select_from`]), while
-    /// the quote runs the payment-only variant
-    /// ([`Self::select_payment_from`]) that skips the chosen-plan and
-    /// regret clones. Memo state transitions (lookups, refreshes,
-    /// installs, LRU stamps, counters) are identical either way — the
-    /// `select` callback is pure.
+    /// [`Self::quote_query`], with a caller-chosen selection over the
+    /// plan rows: the serving path runs the full case analysis
+    /// ([`Self::serve_from`]), while the quote runs the payment-only
+    /// variant ([`Self::select_payment_from`]). Memo state transitions
+    /// (lookups, refreshes, installs, LRU stamps, counters) are identical
+    /// either way — `select` never touches the memo.
     ///
     /// Planning factors into the cache-independent skeleton and the cheap
     /// per-node completion. A memo lookup whose fingerprint matches but
@@ -453,18 +430,15 @@ impl EconomyManager {
         ctx: &PlannerContext<'_>,
         query: &Query,
         now: SimTime,
-        select: impl Fn(&[QueryPlan], EnumerationOptions) -> R,
+        select: impl FnOnce(&PlanRows, EnumerationOptions) -> R,
     ) -> R {
         let opts = self.config.enumeration(self.arrival_rate());
         let estimator = ctx.estimator;
+        let mut rows = self.rows.borrow_mut();
 
         if !self.config.plan_cache {
-            let mut buf = self.planbuf.borrow_mut();
-            enumerate_plans_into(ctx, query, &self.cache, now, opts, &mut buf);
-            let plans = buf.take();
-            let planned = select(&plans, opts);
-            buf.recycle(plans);
-            return planned;
+            enumerate_plans_into(ctx, query, &self.cache, now, opts, &mut rows);
+            return select(&rows, opts);
         }
 
         let epoch = self.cache.epoch(now);
@@ -479,7 +453,7 @@ impl EconomyManager {
                         estimator.maintenance(s, span)
                     });
                 }
-                let planned = select(&slot.plans, opts);
+                let planned = select(&slot.rows, opts);
                 pc.count_hit(refreshed);
                 return planned;
             }
@@ -491,29 +465,16 @@ impl EconomyManager {
                 slot.skeleton
                     .get_or_insert_with(|| Arc::new(PlanSkeleton::build(ctx, query))),
             );
-            let mut buf = self.planbuf.borrow_mut();
             complete_plans_into(
                 &skeleton,
                 &self.cache,
                 now,
                 opts,
                 |s, span| estimator.maintenance(s, span),
-                &mut buf,
+                &mut rows,
             );
-            let plans = buf.take();
-            let missing_builds = buf.take_missing_costs();
-            let (old_plans, old_costs) = slot.replace_completion(
-                epoch,
-                self.cache.settle_seq(),
-                opts,
-                now,
-                plans,
-                missing_builds,
-            );
-            buf.recycle(old_plans);
-            buf.recycle_missing_costs(old_costs);
-            drop(buf);
-            let planned = select(&slot.plans, opts);
+            slot.replace_completion(epoch, self.cache.settle_seq(), opts, now, &mut rows);
+            let planned = select(&slot.rows, opts);
             pc.count_completion();
             return planned;
         }
@@ -522,91 +483,80 @@ impl EconomyManager {
         // Fresh fingerprint: enumerate fused — a drifting workload that
         // never repeats a fingerprint should not build skeletons it will
         // never reuse; the first epoch-stale re-completion builds one on
-        // demand.
-        let mut buf = self.planbuf.borrow_mut();
-        enumerate_plans_into(ctx, query, &self.cache, now, opts, &mut buf);
-        let plans = buf.take();
-        // The per-plan missing-structure build quotes are epoch-stable;
-        // memoizing them lets refreshes re-derive first installments under
-        // whatever amortisation horizon the arrival rate implies later.
-        let missing_builds = buf.take_missing_costs();
-        let planned = select(&plans, opts);
-
-        let settle_seq = self.cache.settle_seq();
-        if let Some((old_plans, old_costs)) = pc.install_slot(
+        // demand. The rows carry their epoch-stable missing-build quotes,
+        // so refreshes re-derive first installments under whatever
+        // amortisation horizon the arrival rate implies later.
+        enumerate_plans_into(ctx, query, &self.cache, now, opts, &mut rows);
+        let planned = select(&rows, opts);
+        pc.install_slot(
             query.template.0,
             None,
             epoch,
-            settle_seq,
+            self.cache.settle_seq(),
             opts,
             now,
-            plans,
-            missing_builds,
-        ) {
-            buf.recycle(old_plans);
-            buf.recycle_missing_costs(old_costs);
-        }
+            &mut rows,
+        );
         planned
     }
 
-    /// Skyline partition + budget + case analysis over an enumerated plan
-    /// set (backend plan first), extracting what the control loop needs
-    /// without cloning the set. Both the skyline and the case analysis
-    /// scan the struct-of-arrays projection of the plans' hot fields
-    /// ([`PlanHot`]) instead of the plan structs themselves.
-    fn select_from(&self, query: &Query, plans: &[QueryPlan], opts: EnumerationOptions) -> Planned {
-        let backend = &plans[0];
-        debug_assert_eq!(
-            backend.shape,
-            planner::plan::PlanShape::Backend,
-            "enumeration emits the backend plan first"
-        );
-        let budget = self.budget(query, backend.exec_time, backend.price);
+    /// Skyline partition + budget + case analysis straight over the plan
+    /// rows (backend row first), materializing only the chosen plan, and
+    /// distributing each rejected possible plan's regret from its row's
+    /// missing list.
+    ///
+    /// The paper distributes regret over "every physical structure used
+    /// by the plan"; we concentrate the share on the plan's *missing*
+    /// structures — the only ones an investment can act on
+    /// (already-built structures would have their regret immediately
+    /// discarded by the investment scan anyway). Among the missing, extra
+    /// CPU nodes only receive regret once the plan's data (columns and
+    /// indexes) is all present: booting a node cannot help a plan that
+    /// still lacks its columns, and letting it accumulate regret would
+    /// churn capital on idle nodes. Both refinements are recorded in
+    /// PAPER.md's "Deviations from the paper".
+    fn serve_from(&self, query: &Query, rows: &PlanRows, opts: EnumerationOptions) -> Planned {
+        let hot = rows.hot();
+        let budget = self.budget(query, hot.time[0], hot.price[0]);
         let mut scratch = self.sky_scratch.borrow_mut();
-        let SkyScratch { hot, order, sky } = &mut *scratch;
-        hot.fill(plans);
+        let SkyScratch { order, sky } = &mut *scratch;
         let _existing = skyline_partition_hot(hot, order, sky);
         let selection = select_plan_hot(hot, sky, &budget, self.config.objective);
-        let chosen = plans[sky[selection.selected]].clone();
-        let regrets = selection
-            .regrets
-            .iter()
-            .map(|&(i, amount)| (amount, plans[sky[i]].missing.clone()))
-            .collect();
+        let attribution = self.config.regret_attribution;
+        let mut regret = self.regret.borrow_mut();
+        for &(i, amount) in &selection.regrets {
+            let row = sky[i];
+            let data = rows.missing_data(row);
+            if data.is_empty() {
+                regret.distribute(rows.missing_nodes(row), amount, attribution);
+            } else {
+                regret.distribute(data, amount, attribution);
+            }
+        }
         Planned {
             opts,
             case: selection.case,
             payment: selection.payment,
             profit: selection.profit,
-            chosen,
-            regrets,
+            chosen: rows.plan(sky[selection.selected]),
         }
     }
 
-    /// Payment-only [`Self::select_from`]: the same budget formation,
+    /// Payment-only [`Self::serve_from`]: the same budget formation,
     /// skyline partition and case analysis, but returning just the bid.
     /// Quote paths never act on the chosen plan or the regret list, so
-    /// skipping their clones (a `QueryPlan` plus one missing-list `Vec`
-    /// per regret, per node, per query) keeps the quote round
-    /// allocation-free after warmup.
-    fn select_payment_from(&self, query: &Query, plans: &[QueryPlan]) -> Money {
-        debug_assert_eq!(
-            plans[0].shape,
-            planner::plan::PlanShape::Backend,
-            "enumeration emits the backend plan first"
-        );
-        let mut scratch = self.sky_scratch.borrow_mut();
-        scratch.hot.fill(plans);
-        self.payment_from_hot(query, &mut scratch)
+    /// they materialize no plan and touch no ledger.
+    fn select_payment_from(&self, query: &Query, rows: &PlanRows) -> Money {
+        self.payment_from_hot(query, rows.hot(), &mut self.sky_scratch.borrow_mut())
     }
 
-    /// The bid over hot rows already sitting in `scratch.hot` (backend
-    /// row first): the budget from the backend row, the two-tier skyline
-    /// and the payment-only case analysis. Shared by every quote path,
-    /// whether the rows were projected from a plan set or emitted
-    /// straight from a batched gather ([`BatchCompleter::emit_hot`]).
-    fn payment_from_hot(&self, query: &Query, scratch: &mut SkyScratch) -> Money {
-        let SkyScratch { hot, order, sky } = scratch;
+    /// The bid over hot rows (backend row first): the budget from the
+    /// backend row, the two-tier skyline and the payment-only case
+    /// analysis. Shared by every quote path, whether the rows belong to a
+    /// plan set or were emitted straight from a batched gather
+    /// ([`BatchCompleter::emit_hot`]).
+    fn payment_from_hot(&self, query: &Query, hot: &PlanHot, scratch: &mut SkyScratch) -> Money {
+        let SkyScratch { order, sky } = scratch;
         let budget = self.budget(query, hot.time[0], hot.price[0]);
         let _existing = skyline_partition_hot(hot, order, sky);
         select_payment_hot(hot, sky, &budget, self.config.objective)
@@ -713,8 +663,8 @@ impl EconomyManager {
     /// instead and memoize the winner's set alone.
     #[must_use]
     pub fn quote_query(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Money {
-        self.plan_query_with(ctx, query, now, |plans, _| {
-            self.select_payment_from(query, plans)
+        self.plan_query_with(ctx, query, now, |rows, _| {
+            self.select_payment_from(query, rows)
         })
     }
 
@@ -744,19 +694,16 @@ impl EconomyManager {
             Ok(bid) => return bid,
             Err((_, opts, _)) => opts,
         };
-        let mut buf = self.planbuf.borrow_mut();
+        let mut rows = self.rows.borrow_mut();
         complete_plans_into(
             skeleton.get(),
             &self.cache,
             now,
             opts,
             |s, span| ctx.estimator.maintenance(s, span),
-            &mut buf,
+            &mut rows,
         );
-        let plans = buf.take();
-        let bid = self.select_payment_from(query, &plans);
-        buf.recycle(plans);
-        bid
+        self.select_payment_from(query, &rows)
     }
 
     /// Memoizes the plan set behind this manager's last
@@ -782,7 +729,7 @@ impl EconomyManager {
             now,
             opts,
             |s, span| ctx.estimator.maintenance(s, span),
-            &mut self.planbuf.borrow_mut(),
+            &mut self.rows.borrow_mut(),
         );
         self.memoize_completion(need, opts, epoch, skeleton.get(), query.template.0, now);
     }
@@ -845,7 +792,7 @@ impl EconomyManager {
                         ctx.estimator.maintenance(s, span)
                     });
                 }
-                let payment = self.select_payment_from(query, &slot.plans);
+                let payment = self.select_payment_from(query, &slot.rows);
                 pc.count_hit(refreshed);
                 return Ok(payment);
             }
@@ -856,8 +803,8 @@ impl EconomyManager {
         Err((QuoteNeed::Miss, opts, epoch))
     }
 
-    /// Moves the completed plan set sitting in this manager's plan
-    /// buffer into the memo under the prepared fingerprint, as the bid's
+    /// Moves the completed plan rows sitting in this manager's scratch
+    /// into the memo under the prepared fingerprint, as the bid's
     /// lookup classified it: a fresh slot for a miss, a replaced
     /// completion for a stale slot (adopting `skel` if the slot had
     /// none).
@@ -875,18 +822,16 @@ impl EconomyManager {
         now: SimTime,
     ) {
         let mut pc = self.plancache.borrow_mut();
-        let mut buf = self.planbuf.borrow_mut();
-        let plans = buf.take();
-        let missing_builds = buf.take_missing_costs();
+        let mut rows = self.rows.borrow_mut();
         let settle_seq = self.cache.settle_seq();
-        let displaced = match need {
+        match need {
             QuoteNeed::Unmemoized => unreachable!("a memo-off bid has nothing to commit"),
             QuoteNeed::Completion => {
                 let slot = pc
                     .rematch_slot(template)
                     .expect("classified slot vanished before its commit");
                 slot.skeleton.get_or_insert_with(|| Arc::clone(skel));
-                Some(slot.replace_completion(epoch, settle_seq, opts, now, plans, missing_builds))
+                slot.replace_completion(epoch, settle_seq, opts, now, &mut rows);
             }
             QuoteNeed::Miss => pc.install_slot(
                 template,
@@ -895,13 +840,8 @@ impl EconomyManager {
                 settle_seq,
                 opts,
                 now,
-                plans,
-                missing_builds,
+                &mut rows,
             ),
-        };
-        if let Some((old_plans, old_costs)) = displaced {
-            buf.recycle(old_plans);
-            buf.recycle_missing_costs(old_costs);
         }
     }
 
@@ -915,12 +855,12 @@ impl EconomyManager {
     ) -> Vec<(StructureKey, Money)> {
         let mut built = Vec::new();
         let threshold = self.config.investment.threshold(self.account.balance());
-        let candidates = self.regret.over_threshold(threshold);
+        let candidates = self.regret.get_mut().over_threshold(threshold);
         for (key, regret_value) in candidates {
             if self.cache.contains(key) {
                 // Already built (regret accrued on an existing structure —
                 // the "commonly used" signal); clear it.
-                self.regret.reset(key);
+                self.regret.get_mut().reset(key);
                 continue;
             }
             let (cost, time, size) = self.quote_build(ctx, key);
@@ -935,7 +875,7 @@ impl EconomyManager {
                 continue;
             }
             self.cache.install(key, size, now, time, cost, amortize_n);
-            self.regret.reset(key);
+            self.regret.get_mut().reset(key);
             // The new structure can be the next to fail; fold its crossing
             // time into the failure bound without a full rescan.
             if let Some(s) = self.cache.get(key) {
@@ -999,7 +939,7 @@ struct BatchMember {
 /// Reusable workspace for **batched quote rounds** — the structure-major
 /// inversion of the fleet's per-node quote fan-out.
 ///
-/// A round classifies every node first ([`EconomyManager::classify`]
+/// A round classifies every node first (the manager's memo lookup
 /// serves memo hits immediately), then runs *one*
 /// [`BatchCompleter::gather`] pass over the caches of every node that
 /// still needs completion, and bids each of them from the hot rows
@@ -1024,7 +964,9 @@ pub struct QuoteBatch {
     /// from the query and adopted by every classified node, instead of
     /// each node re-deriving the identical word vector.
     fingerprint: Vec<u64>,
-    /// Hot rows and skyline scratch the members' bids are computed over.
+    /// Hot rows the members' bids are computed over.
+    hot: PlanHot,
+    /// Skyline scratch of the members' bids.
     scratch: SkyScratch,
     /// What the winner's commit needs of the last round; `None` when no
     /// node needed completion.
@@ -1120,9 +1062,9 @@ impl QuoteBatch {
                 |s, span| ctx.estimator.maintenance(s, span),
             );
             for (j, member) in members.iter().enumerate() {
-                self.completer.emit_hot(&skel, j, &mut self.scratch.hot);
+                self.completer.emit_hot(&skel, j, &mut self.hot);
                 self.bids[member.node] =
-                    member_manager(j).payment_from_hot(query, &mut self.scratch);
+                    member_manager(j).payment_from_hot(query, &self.hot, &mut self.scratch);
             }
             self.gathered = Some(Gathered {
                 skeleton: skel,
@@ -1158,7 +1100,7 @@ impl QuoteBatch {
             .borrow_mut()
             .adopt_fingerprint(&self.fingerprint);
         self.completer
-            .emit_into(&round.skeleton, j, &mut manager.planbuf.borrow_mut());
+            .emit_into(&round.skeleton, j, &mut manager.rows.borrow_mut());
         manager.memoize_completion(
             member.need,
             member.opts,

@@ -15,7 +15,13 @@
 //!   the live cache state, valid while the cache planning epoch
 //!   ([`cache::CacheState::epoch`]) stands still.
 //!
-//! A [`Slot`] memoizes both halves under the fingerprint. A lookup whose
+//! A slot memoizes both halves under the fingerprint. The completion is
+//! stored as [`planner::PlanRows`] — the compact row form every planner
+//! emits, with hot `(time, price, existing)` rows, per-row scalars and
+//! per-variant shared lists — exactly as enumeration or completion wrote
+//! it: installing a slot swaps the manager's scratch rows in and hands
+//! the displaced slot's rows back for reuse, so the memo never copies a
+//! plan set and selection runs straight on the stored rows. A lookup whose
 //! fingerprint matches but whose epoch moved no longer re-enumerates: it
 //! re-runs only the completion phase from the memoized skeleton (counted
 //! in [`PlanCacheStats::completions`]). Components that drift with state
@@ -23,9 +29,9 @@
 //! trusted:
 //!
 //! * **maintenance** accrues continuously with the clock and is capped
-//!   at the arrival-rate-derived window, so a hit recomputes each plan's
-//!   maintenance quote (O(uses) map lookups — far cheaper than
-//!   enumeration);
+//!   at the arrival-rate-derived window, so a hit re-quotes maintenance
+//!   once per variant and once per extra-node ordinal (dense slot
+//!   lookups — far cheaper than enumeration);
 //! * **amortisation dues** of existing structures shrink as installments
 //!   are collected; the settlement counter
 //!   ([`cache::CacheState::settle_seq`]) tells the cache when dues moved;
@@ -52,7 +58,8 @@
 //! LRU way into the victim cache) and counts in
 //! [`PlanCacheStats::victim_hits`]. The associativity a template
 //! *effectively* gets therefore grows with its observed live-instance
-//! count, bounded by [`VICTIM_CACHE_SLOTS`] shared across all templates.
+//! count, bounded by the victim cache's eight slots shared across all
+//! templates.
 //!
 //! The contract — enforced by `tests/memoization.rs`,
 //! `tests/skeleton_split.rs` and the fleet routing tests — is that
@@ -65,7 +72,7 @@ use std::sync::Arc;
 
 use cache::CacheState;
 use planner::enumerate::EnumerationOptions;
-use planner::{PlanSkeleton, QueryPlan};
+use planner::{PlanRows, PlanSkeleton};
 use pricing::Money;
 use simcore::SimTime;
 use workload::Query;
@@ -115,13 +122,11 @@ pub(crate) struct Slot {
     pub opts: EnumerationOptions,
     /// Instant of the last price refresh.
     pub now: SimTime,
-    /// The completed plan set, in enumeration order (backend first).
-    pub plans: Vec<QueryPlan>,
-    /// Per-plan build quotes of the *missing* structures, parallel to
-    /// each plan's `missing` list. Epoch-stable; refreshes re-derive the
-    /// first-installment amortisation from them under the current
-    /// horizon.
-    pub missing_builds: Vec<Vec<Money>>,
+    /// The completed plan set in row form, in enumeration order
+    /// (backend first). Its missing-build quotes are epoch-stable;
+    /// refreshes re-derive the first-installment amortisation from them
+    /// under the current horizon.
+    pub rows: PlanRows,
     /// LRU stamp for way replacement within the template set.
     pub stamp: u64,
 }
@@ -143,8 +148,8 @@ pub struct PlanCacheStats {
     pub completions: u64,
     /// Installs that displaced a *live* way — both ways of the template's
     /// set were occupied, so a memoized instance was evicted to make
-    /// room. A workload with persistent conflicts has more than
-    /// [`PLAN_CACHE_WAYS`] live instances per template; once a template's
+    /// room. A workload with persistent conflicts has more live
+    /// instances per template than a set has ways (two); once a template's
     /// conflict count exceeds the set's way count, its displaced slots
     /// are admitted to the victim cache ([`PlanCache::way_conflicts`]
     /// breaks the signal down per template).
@@ -270,13 +275,13 @@ impl PlanCache {
 
     /// Memoizes a fresh skeleton + completion for `template` under the
     /// prepared fingerprint, evicting the set's LRU way if both ways are
-    /// live. A displaced slot whose template has shown *persistent*
-    /// thrash — more way-conflict evictions than the set has ways — is
-    /// admitted whole into the victim cache (evicting the victim LRU if
-    /// full) instead of being dismantled; the admission bar keeps one-off
-    /// collisions from churning the victims. Returns the displaced
-    /// slot's plans (if any, and not admitted) so the caller can recycle
-    /// their allocations.
+    /// live. The slot takes `rows` by swap; `rows` receives the displaced
+    /// slot's storage for reuse (empty rows if nothing was displaced).
+    /// A displaced slot whose template has shown *persistent* thrash —
+    /// more way-conflict evictions than the set has ways — is admitted
+    /// whole into the victim cache (evicting the victim LRU if full)
+    /// instead of being dismantled; the admission bar keeps one-off
+    /// collisions from churning the victims.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn install_slot(
         &mut self,
@@ -286,9 +291,8 @@ impl PlanCache {
         settle_seq: u64,
         opts: EnumerationOptions,
         now: SimTime,
-        plans: Vec<QueryPlan>,
-        missing_builds: Vec<Vec<Money>>,
-    ) -> Option<(Vec<QueryPlan>, Vec<Vec<Money>>)> {
+        rows: &mut PlanRows,
+    ) {
         if template >= self.sets.len() {
             self.sets.resize_with(template + 1, Default::default);
         }
@@ -301,7 +305,7 @@ impl PlanCache {
                     .min_by_key(|&w| set[w].as_ref().map_or(0, |s| s.stamp))
                     .expect("set has at least one way")
             });
-        let (mut fingerprint, displaced) = match set[way].take() {
+        let recycled = match set[way].take() {
             Some(old) => {
                 self.stats.conflicts += 1;
                 if template >= self.template_conflicts.len() {
@@ -313,9 +317,9 @@ impl PlanCache {
                     // When that overflows the victim pool, the evicted
                     // LRU victim is dismantled for parts — so the
                     // steady-state install still recycles one slot's
-                    // allocations instead of churning the allocator on
+                    // storage instead of churning the allocator on
                     // every displacement.
-                    let recycled = if self.victims.len() >= VICTIM_CACHE_SLOTS {
+                    let evicted = (self.victims.len() >= VICTIM_CACHE_SLOTS).then(|| {
                         let lru = self
                             .victims
                             .iter()
@@ -323,21 +327,19 @@ impl PlanCache {
                             .min_by_key(|(_, (_, s))| s.stamp)
                             .map(|(i, _)| i)
                             .expect("victim cache is non-empty when full");
-                        let (_, evicted) = self.victims.swap_remove(lru);
-                        (
-                            evicted.fingerprint,
-                            Some((evicted.plans, evicted.missing_builds)),
-                        )
-                    } else {
-                        (Vec::new(), None)
-                    };
+                        self.victims.swap_remove(lru).1
+                    });
                     self.victims.push((template, old));
-                    recycled
+                    evicted
                 } else {
-                    (old.fingerprint, Some((old.plans, old.missing_builds)))
+                    Some(old)
                 }
             }
-            None => (Vec::new(), None),
+            None => None,
+        };
+        let (mut fingerprint, displaced_rows) = match recycled {
+            Some(slot) => (slot.fingerprint, slot.rows),
+            None => (Vec::new(), PlanRows::new()),
         };
         fingerprint.clear();
         fingerprint.extend_from_slice(&self.fingerprint_scratch);
@@ -349,11 +351,9 @@ impl PlanCache {
             settle_seq,
             opts,
             now,
-            plans,
-            missing_builds,
+            rows: std::mem::replace(rows, displaced_rows),
             stamp: self.tick,
         });
-        displaced
     }
 
     /// Records a hit (optionally after a refresh).
@@ -402,33 +402,30 @@ impl Slot {
             && self.opts.maint_window == opts.maint_window
     }
 
-    /// Replaces the slot's completion after a re-run from the skeleton,
-    /// returning the displaced plan set for recycling.
+    /// Replaces the slot's completion after a re-run from the skeleton:
+    /// the slot takes `rows` by swap, and `rows` receives the displaced
+    /// completion's storage for reuse.
     pub fn replace_completion(
         &mut self,
         epoch: u64,
         settle_seq: u64,
         opts: EnumerationOptions,
         now: SimTime,
-        plans: Vec<QueryPlan>,
-        missing_builds: Vec<Vec<Money>>,
-    ) -> (Vec<QueryPlan>, Vec<Vec<Money>>) {
+        rows: &mut PlanRows,
+    ) {
         self.epoch = epoch;
         self.settle_seq = settle_seq;
         self.opts = opts;
         self.now = now;
-        (
-            std::mem::replace(&mut self.plans, plans),
-            std::mem::replace(&mut self.missing_builds, missing_builds),
-        )
+        std::mem::swap(&mut self.rows, rows);
     }
 
     /// Re-quotes every plan's amortisation (first installments of missing
     /// structures under the current horizon, live dues of existing ones)
     /// and maintenance (live checkpoints capped at the current window)
-    /// at `now`, mirroring the enumerator's quoting loops exactly (same
-    /// structures, same order of rounding) so refreshed prices are
-    /// bit-identical to fresh enumeration under the same epoch.
+    /// at `now`, once per variant and once per extra-node ordinal
+    /// ([`PlanRows::requote`]). Exact `Money` sums make the refreshed
+    /// prices bit-identical to fresh enumeration under the same epoch.
     pub fn refresh_prices<F>(
         &mut self,
         cache: &CacheState,
@@ -439,27 +436,7 @@ impl Slot {
         F: Fn(&cache::CachedStructure, simcore::SimDuration) -> Money,
     {
         debug_assert!(opts.amortize_n > 0, "amortization horizon must be positive");
-        for (plan, builds) in self.plans.iter_mut().zip(&self.missing_builds) {
-            let mut amortized = Money::ZERO;
-            for &build in builds {
-                amortized += build.amortize_over(opts.amortize_n);
-            }
-            let mut maintenance = Money::ZERO;
-            for &key in &plan.uses {
-                if let Some(s) = cache.get(key) {
-                    if s.is_available(now) {
-                        amortized += s.amortization_due();
-                        let span = now
-                            .saturating_since(s.maint_paid_until)
-                            .min(opts.maint_window);
-                        maintenance += price(s, span);
-                    }
-                }
-            }
-            plan.amortized_cost = amortized;
-            plan.maintenance_cost = maintenance;
-            plan.price = plan.exec_cost + plan.amortized_cost + plan.maintenance_cost;
-        }
+        self.rows.requote(cache, now, opts, price);
         self.now = now;
         self.settle_seq = cache.settle_seq();
         self.opts = opts;

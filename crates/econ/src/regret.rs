@@ -10,7 +10,10 @@
 //! and Section IV-B: the pool of tracked structures is *"garbage collected
 //! using LRU policy"*.
 
-use cache::{LruSet, StructureKey};
+use std::cell::Cell;
+
+use cache::{IndexId, StructureKey};
+use catalog::ColumnId;
 use pricing::Money;
 use serde::{Deserialize, Serialize};
 
@@ -33,11 +36,53 @@ pub enum RegretAttribution {
     FullValue,
 }
 
+/// One tracked structure's regret and LRU stamp.
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    regret: Money,
+    /// Logical touch stamp; 0 = untracked.
+    stamp: u64,
+}
+
 /// Accumulated regret per candidate structure, LRU-bounded.
+///
+/// Storage is dense per structure kind — columns, indexes and extra
+/// nodes each index a vector by their id, as [`cache::CacheState`] does —
+/// with a logical LRU stamp per entry, so neither a lookup nor a touch
+/// hashes. When the pool overflows, the entry with the oldest stamp
+/// (stamps are unique) is forgotten along with its regret.
+///
+/// `max_bound` is an upper bound on every tracked regret: raised on
+/// [`Self::distribute`], recomputed exactly on every full
+/// [`Self::over_threshold`] scan, and left alone by resets and evictions
+/// (which can only lower the true maximum). A threshold above it answers
+/// without a scan.
 #[derive(Debug, Clone)]
 pub struct RegretLedger {
-    regrets: std::collections::HashMap<StructureKey, Money>,
-    lru: LruSet<StructureKey>,
+    /// Per kind (columns, indexes, extra nodes), entries indexed by id.
+    slots: [Vec<Entry>; 3],
+    live: usize,
+    capacity: usize,
+    clock: u64,
+    max_bound: Cell<Money>,
+}
+
+/// Where `key` lives: its kind's slot vector and its index there.
+fn slot_of(key: StructureKey) -> (usize, usize) {
+    match key {
+        StructureKey::Column(c) => (0, c.0 as usize),
+        StructureKey::Index(i) => (1, i.0 as usize),
+        StructureKey::Node(n) => (2, n as usize),
+    }
+}
+
+/// The key at index `id` of kind `kind`'s slot vector.
+fn key_at(kind: usize, id: u32) -> StructureKey {
+    match kind {
+        0 => StructureKey::Column(ColumnId(id)),
+        1 => StructureKey::Index(IndexId(id)),
+        _ => StructureKey::Node(id),
+    }
 }
 
 impl RegretLedger {
@@ -47,10 +92,40 @@ impl RegretLedger {
     /// Panics if `pool_capacity == 0`.
     #[must_use]
     pub fn new(pool_capacity: usize) -> Self {
+        assert!(pool_capacity > 0, "regret pool capacity must be positive");
         RegretLedger {
-            regrets: std::collections::HashMap::with_capacity(pool_capacity),
-            lru: LruSet::new(pool_capacity),
+            slots: Default::default(),
+            live: 0,
+            capacity: pool_capacity,
+            clock: 0,
+            max_bound: Cell::new(Money::ZERO),
         }
+    }
+
+    fn entry(&self, key: StructureKey) -> Option<&Entry> {
+        let (kind, at) = slot_of(key);
+        self.slots[kind].get(at).filter(|e| e.stamp != 0)
+    }
+
+    /// The slot for `key`, grown into existence if needed.
+    fn slot_mut(&mut self, key: StructureKey) -> &mut Entry {
+        let (kind, at) = slot_of(key);
+        let slots = &mut self.slots[kind];
+        if at >= slots.len() {
+            slots.resize(at + 1, Entry::default());
+        }
+        &mut slots[at]
+    }
+
+    /// Every tracked entry with its key, in no particular order.
+    fn tracked(&self) -> impl Iterator<Item = (StructureKey, &Entry)> {
+        self.slots.iter().enumerate().flat_map(|(kind, slots)| {
+            slots
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.stamp != 0)
+                .map(move |(id, e)| (key_at(kind, id as u32), e))
+        })
     }
 
     /// Distributes a rejected plan's regret over the structures it uses,
@@ -73,61 +148,91 @@ impl RegretLedger {
             RegretAttribution::FullValue => regret,
         };
         for &key in uses {
-            *self.regrets.entry(key).or_insert(Money::ZERO) += share;
-            if let Some(evicted) = self.lru.touch(key) {
-                self.regrets.remove(&evicted);
+            self.clock += 1;
+            let clock = self.clock;
+            let e = self.slot_mut(key);
+            let fresh = e.stamp == 0;
+            e.regret += share;
+            e.stamp = clock;
+            let value = e.regret;
+            self.max_bound.set(self.max_bound.get().max(value));
+            if fresh {
+                self.live += 1;
+                if self.live > self.capacity {
+                    self.evict_lru();
+                }
             }
         }
+    }
+
+    /// Forgets the tracked entry with the oldest stamp.
+    fn evict_lru(&mut self) {
+        let victim = self
+            .tracked()
+            .min_by_key(|(_, e)| e.stamp)
+            .map(|(key, _)| key)
+            .expect("an overflowing pool is non-empty");
+        self.reset(victim);
     }
 
     /// Current regret for a structure (zero if untracked).
     #[must_use]
     pub fn regret_of(&self, key: StructureKey) -> Money {
-        self.regrets.get(&key).copied().unwrap_or(Money::ZERO)
+        self.entry(key).map_or(Money::ZERO, |e| e.regret)
     }
 
-    /// Structures whose regret is at least `threshold`, highest first.
+    /// Structures whose regret is at least `threshold`, highest first
+    /// (ties by key).
     #[must_use]
     pub fn over_threshold(&self, threshold: Money) -> Vec<(StructureKey, Money)> {
-        let mut hits: Vec<(StructureKey, Money)> = self
-            .regrets
-            .iter()
-            .filter(|&(_, &r)| r >= threshold && r.is_positive())
-            .map(|(&k, &r)| (k, r))
-            .collect();
+        let bound = self.max_bound.get();
+        if bound < threshold || !bound.is_positive() {
+            return Vec::new();
+        }
+        let mut max = Money::ZERO;
+        let mut hits: Vec<(StructureKey, Money)> = Vec::new();
+        for (key, e) in self.tracked() {
+            max = max.max(e.regret);
+            if e.regret >= threshold && e.regret.is_positive() {
+                hits.push((key, e.regret));
+            }
+        }
+        self.max_bound.set(max);
         hits.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         hits
     }
 
     /// Clears a structure's regret (after investing in it).
     pub fn reset(&mut self, key: StructureKey) {
-        self.regrets.remove(&key);
-        self.lru.remove(&key);
+        let (kind, at) = slot_of(key);
+        if let Some(e) = self.slots[kind].get_mut(at).filter(|e| e.stamp != 0) {
+            *e = Entry::default();
+            self.live -= 1;
+        }
     }
 
     /// Number of structures tracked.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.regrets.len()
+        self.live
     }
 
     /// True if nothing is tracked.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.regrets.is_empty()
+        self.live == 0
     }
 
     /// Total regret across the pool (diagnostic).
     #[must_use]
     pub fn total(&self) -> Money {
-        self.regrets.values().copied().sum()
+        self.tracked().map(|(_, e)| e.regret).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use catalog::ColumnId;
 
     fn col(i: u32) -> StructureKey {
         StructureKey::Column(ColumnId(i))

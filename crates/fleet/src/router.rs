@@ -246,7 +246,7 @@ impl Default for QuoteOptions {
 /// fleet-wide [`SkeletonCache`] when one is attached) and gathers
 /// per-node completions. With `threads > 1` the nodes split into
 /// contiguous chunks fanned out over a **persistent** worker pool
-/// ([`QuotePool`]): workers are spawned once and parked between rounds,
+/// (`QuotePool`): workers are spawned once and parked between rounds,
 /// so the per-round parallelism cost is a wake/park pair instead of
 /// thread spawns. Within each chunk the economic nodes' bids come from
 /// one batched structure-major completion sweep ([`QuoteBatch`]) unless

@@ -9,20 +9,21 @@
 //! epoch/presence state in one dense sweep ([`BatchCompleter::gather`]),
 //! accumulating each node's build/amortisation/maintenance aggregates
 //! side by side. Emission ([`BatchCompleter::emit_into`]) then
-//! vector-sweeps the skeleton's SoA execution cells per node, copying the
-//! gathered aggregates into plan shells without touching any cache again.
+//! vector-sweeps the skeleton's SoA execution cells per node, writing the
+//! gathered aggregates into [`PlanRows`] without touching any cache
+//! again.
 //!
 //! The contract is exact: for every node `i`, `gather` + `emit_into(i)`
 //! fills the buffer **bit-identically** to
 //! `complete_plans_into(skel, views[i].cache, now, views[i].opts, …)` —
-//! same plans, same order, same prices, same missing-build quote table.
+//! same plans, same order, same prices, same missing-build quotes.
 //! `tests/batch_completion.rs` pins the property over random cache
 //! histories × node counts.
 //!
 //! A quote round needs far less than a plan set: its skyline and case
 //! analysis read only each plan's `(time, price, existing)` row.
 //! [`BatchCompleter::emit_hot`] writes exactly those rows from the
-//! gathered lanes, equal to [`PlanHot::fill`] over `emit_into`'s plans.
+//! gathered lanes, equal to the hot rows of `emit_into`'s plan set.
 //! The fleet's batched quote rounds (`econ::QuoteBatch`) bid from the
 //! rows and call `emit_into` for the round's winner alone.
 //!
@@ -63,14 +64,14 @@
 //! The gather/emit split (rather than one monolithic call) exists so the
 //! economy can interleave its per-manager `RefCell` borrows: gather needs
 //! only shared cache references, while each emission borrows that one
-//! node's [`PlanBuffer`].
+//! node's [`PlanRows`].
 
 use cache::{CacheState, CachedStructure, StructureKey};
 use pricing::Money;
 use simcore::{SimDuration, SimTime};
 
-use crate::enumerate::{EnumerationOptions, PlanBuffer};
-use crate::plan::PlanShape;
+use crate::enumerate::EnumerationOptions;
+use crate::rows::{DataTerms, PlanRows};
 use crate::skeleton::{BuildShape, PlanSkeleton};
 use crate::soa::PlanHot;
 
@@ -182,14 +183,7 @@ impl BatchCompleter {
 
         // Extra-CPU-node states are variant- and cell-independent: gather
         // each (ordinal, node) pair once, reuse for every cell.
-        let max_extra = skel
-            .variants
-            .iter()
-            .flat_map(|v| v.cells.nodes.iter())
-            .max()
-            .copied()
-            .unwrap_or(1)
-            .saturating_sub(1) as usize;
+        let max_extra = skel.max_extra_nodes() as usize;
         self.node_ord.clear();
         self.node_ord.resize(max_extra * count, None);
         for ordinal in 0..max_extra {
@@ -353,117 +347,62 @@ impl BatchCompleter {
         }
     }
 
-    /// Phase 2 — emits node `node`'s completed plan set into `buf`,
+    /// Phase 2 — writes node `node`'s completed plan set into `rows`,
     /// bit-identical to [`crate::skeleton::complete_plans_into`] run
     /// against that node's view: same plans, same order, same prices, and
-    /// the same missing-build quote table left in the buffer.
+    /// the same missing-build quotes.
     ///
     /// # Panics
     /// Panics if `node` is outside the gathered round.
-    pub fn emit_into(&self, skel: &PlanSkeleton, node: usize, buf: &mut PlanBuffer) {
+    pub fn emit_into(&self, skel: &PlanSkeleton, node: usize, rows: &mut PlanRows) {
         assert!(
             node < self.n,
             "node {node} outside gathered round {}",
             self.n
         );
         let opts = self.opts[node];
-        buf.reclaim_in_place();
-
-        // --- Backend plan (always P_exist). ---
-        let mut shell = buf.shell();
-        let recovered_shape = PlanBuffer::shape_vec(&mut shell);
-        if recovered_shape.capacity() > 0 {
-            buf.free_shapes.push(recovered_shape);
+        rows.begin(
+            (skel.backend_time, skel.backend_cost, skel.backend_breakdown),
+            (skel.node_build_cost, skel.node_build_time),
+            opts.amortize_n,
+        );
+        if opts.allow_extra_nodes {
+            for ordinal in 0..skel.max_extra_nodes() as usize {
+                rows.push_node(self.node_ord[ordinal * self.n + node]);
+            }
         }
-        shell.shape = PlanShape::Backend;
-        shell.exec_time = skel.backend_time;
-        shell.exec_cost = skel.backend_cost;
-        shell.exec_breakdown = skel.backend_breakdown;
-        shell.uses.clear();
-        shell.missing.clear();
-        shell.build_cost = Money::ZERO;
-        shell.build_time = SimDuration::ZERO;
-        shell.amortized_cost = Money::ZERO;
-        shell.maintenance_cost = Money::ZERO;
-        shell.price = skel.backend_cost;
-        buf.plans.push(shell);
-        let backend_costs = buf.cost_vec();
-        buf.missing_costs.push(backend_costs);
 
         for (vi, variant) in skel.variants.iter().enumerate() {
             let slot = vi * self.n + node;
             if !self.active[slot] {
                 continue;
             }
+            let tag = rows.open_variant();
+            let lists = rows.lists(tag);
+            lists.indexes.extend_from_slice(&variant.indexes);
+            lists.uses.extend_from_slice(&variant.uses);
+            for &(pos, cost) in &self.missing[slot] {
+                lists.missing.push(variant.uses[pos as usize]);
+                lists.missing_builds.push(cost);
+            }
+            let terms = DataTerms {
+                build_cost: self.build_cost[slot],
+                build_time: self.build_time[slot],
+                amortized: self.exist_amort[slot] + self.missing_amort[slot],
+                maintenance: self.maintenance[slot],
+            };
             for cell in 0..variant.cells.len() {
-                let k = variant.cells.nodes[cell];
-                if k > 1 && !opts.allow_extra_nodes {
+                if variant.cells.nodes[cell] > 1 && !opts.allow_extra_nodes {
                     continue;
                 }
-
-                let mut shell = buf.shell();
-                let mut shape_indexes = PlanBuffer::shape_vec(&mut shell);
-                if shape_indexes.capacity() == 0 {
-                    if let Some(pooled) = buf.free_shapes.pop() {
-                        shape_indexes = pooled;
-                    }
-                }
-                shape_indexes.extend_from_slice(&variant.indexes);
-
-                shell.uses.clear();
-                shell.uses.extend_from_slice(&variant.uses);
-                shell.missing.clear();
-                let mut plan_costs = buf.cost_vec();
-                for &(pos, cost) in &self.missing[slot] {
-                    shell.missing.push(variant.uses[pos as usize]);
-                    plan_costs.push(cost);
-                }
-
-                let mut build_cost = self.build_cost[slot];
-                let mut build_time = self.build_time[slot];
-                let mut amortized = self.exist_amort[slot] + self.missing_amort[slot];
-                let mut maintenance = self.maintenance[slot];
-                for ordinal in 0..k.saturating_sub(1) {
-                    let key = StructureKey::Node(ordinal);
-                    shell.uses.push(key);
-                    match self.node_ord[ordinal as usize * self.n + node] {
-                        Some((amort, maint)) => {
-                            amortized += amort;
-                            maintenance += maint;
-                        }
-                        None => {
-                            shell.missing.push(key);
-                            build_cost += skel.node_build_cost;
-                            if skel.node_build_time > build_time {
-                                build_time = skel.node_build_time;
-                            }
-                            amortized += self.node_inst[node];
-                            plan_costs.push(skel.node_build_cost);
-                        }
-                    }
-                }
-
-                shell.shape = PlanShape::Cache {
-                    indexes: shape_indexes,
-                    nodes: k,
-                };
-                shell.exec_time = variant.cells.time[cell];
-                shell.exec_cost = variant.cells.cost[cell];
-                shell.exec_breakdown = variant.cells.breakdown[cell];
-                shell.build_cost = build_cost;
-                shell.build_time = build_time;
-                shell.amortized_cost = amortized;
-                shell.maintenance_cost = maintenance;
-                shell.price = variant.cells.cost[cell] + amortized + maintenance;
-                buf.plans.push(shell);
-                buf.missing_costs.push(plan_costs);
+                rows.push_cache_row(tag, &variant.cells, cell, terms);
             }
         }
     }
 
     /// Phase 2, bid rows only — writes node `node`'s `(time, price,
-    /// existing)` rows straight into `hot`, bit-identical to
-    /// `hot.fill(&plans)` over the plan set [`Self::emit_into`] emits:
+    /// existing)` rows straight into `hot`, bit-identical to the hot rows
+    /// of the plan set [`Self::emit_into`] writes:
     /// same row order, and each price summed from the same exact-`Money`
     /// terms in the same order. No plan shell, `uses`/`missing` list,
     /// shape or quote table is built — a quote round needs only these
@@ -521,11 +460,11 @@ impl BatchCompleter {
 }
 
 /// Completes one skeleton against N nodes' cache views in a single
-/// structure-major pass, leaving node `i`'s plan set in `bufs[i]` exactly
+/// structure-major pass, leaving node `i`'s plan set in `rows[i]` exactly
 /// as [`crate::skeleton::complete_plans_into`] would.
 ///
 /// # Panics
-/// Panics if `views` and `bufs` differ in length or any view's
+/// Panics if `views` and `rows` differ in length or any view's
 /// `opts.amortize_n` is zero.
 pub fn complete_plans_batch<P>(
     completer: &mut BatchCompleter,
@@ -533,14 +472,14 @@ pub fn complete_plans_batch<P>(
     views: &[CacheView<'_>],
     now: SimTime,
     price: P,
-    bufs: &mut [&mut PlanBuffer],
+    rows: &mut [&mut PlanRows],
 ) where
     P: Fn(&CachedStructure, SimDuration) -> Money,
 {
-    assert_eq!(views.len(), bufs.len(), "one buffer per view");
+    assert_eq!(views.len(), rows.len(), "one row set per view");
     completer.gather(skel, views.len(), |i| views[i], now, &price);
-    for (i, buf) in bufs.iter_mut().enumerate() {
-        completer.emit_into(skel, i, buf);
+    for (i, out) in rows.iter_mut().enumerate() {
+        completer.emit_into(skel, i, out);
     }
 }
 
@@ -598,6 +537,12 @@ mod tests {
             WorkloadGenerator::new(Arc::clone(&self.schema), WorkloadConfig::default(), seed)
                 .next_query()
         }
+    }
+
+    fn missing_builds(rows: &PlanRows) -> Vec<Vec<Money>> {
+        (0..rows.len())
+            .map(|i| rows.missing_builds(i).collect())
+            .collect()
     }
 
     /// Heterogeneous per-node options: every structural combination plus
@@ -668,10 +613,9 @@ mod tests {
                 })
                 .collect();
 
-            let mut batch_bufs: Vec<PlanBuffer> =
-                (0..views.len()).map(|_| PlanBuffer::new()).collect();
+            let mut batch_rows: Vec<PlanRows> = (0..views.len()).map(|_| PlanRows::new()).collect();
             {
-                let mut buf_refs: Vec<&mut PlanBuffer> = batch_bufs.iter_mut().collect();
+                let mut buf_refs: Vec<&mut PlanRows> = batch_rows.iter_mut().collect();
                 complete_plans_batch(
                     &mut completer,
                     &skel,
@@ -682,7 +626,7 @@ mod tests {
                 );
             }
             for (i, view) in views.iter().enumerate() {
-                let mut reference = PlanBuffer::new();
+                let mut reference = PlanRows::new();
                 complete_plans_into(
                     &skel,
                     view.cache,
@@ -692,13 +636,13 @@ mod tests {
                     &mut reference,
                 );
                 assert_eq!(
-                    batch_bufs[i].take(),
-                    reference.take(),
+                    batch_rows[i].to_plans(),
+                    reference.to_plans(),
                     "seed {seed}, node {i}"
                 );
                 assert_eq!(
-                    batch_bufs[i].take_missing_costs(),
-                    reference.take_missing_costs(),
+                    missing_builds(&batch_rows[i]),
+                    missing_builds(&reference),
                     "seed {seed}, node {i} missing-build quotes"
                 );
             }
@@ -732,9 +676,9 @@ mod tests {
                 |s, span| f.estimator.maintenance(s, span),
             );
             for (i, view) in views.iter().enumerate() {
-                let mut batch_buf = PlanBuffer::new();
-                completer.emit_into(&skel, i, &mut batch_buf);
-                let mut reference = PlanBuffer::new();
+                let mut batch_rows = PlanRows::new();
+                completer.emit_into(&skel, i, &mut batch_rows);
+                let mut reference = PlanRows::new();
                 complete_plans_into(
                     &skel,
                     view.cache,
@@ -743,7 +687,11 @@ mod tests {
                     |s, span| f.estimator.maintenance(s, span),
                     &mut reference,
                 );
-                assert_eq!(batch_buf.take(), reference.take(), "round {round} node {i}");
+                assert_eq!(
+                    batch_rows.to_plans(),
+                    reference.to_plans(),
+                    "round {round} node {i}"
+                );
             }
         }
     }
@@ -756,7 +704,7 @@ mod tests {
         let q = f.query(1);
         let skel = PlanSkeleton::build(&ctx, &q);
         let completer = BatchCompleter::new();
-        let mut buf = PlanBuffer::new();
-        completer.emit_into(&skel, 0, &mut buf);
+        let mut rows = PlanRows::new();
+        completer.emit_into(&skel, 0, &mut rows);
     }
 }

@@ -18,15 +18,16 @@
 //! `missing` with their build cost/time — those plans are `P_pos` and feed
 //! the regret ledger.
 
-use cache::{CacheState, IndexDef, StructureKey};
-use catalog::{ColumnId, Schema};
-use pricing::Money;
+use cache::{CacheState, CachedStructure, IndexDef, StructureKey};
+use catalog::Schema;
 use simcore::{SimDuration, SimTime};
 use workload::{Query, TableAccess};
 
 use crate::candidates::CandidateIndex;
 use crate::estimator::Estimator;
-use crate::plan::{PlanShape, QueryPlan};
+use crate::plan::QueryPlan;
+use crate::rows::{DataTerms, PlanRows};
+use crate::skeleton::fill_cells;
 
 /// What the active caching policy lets the enumerator consider.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,131 +106,13 @@ pub(crate) fn best_index_for(ctx: &PlannerContext<'_>, access: &TableAccess) -> 
     best.map(|(pos, _)| pos)
 }
 
-/// Caller-owned storage for plan enumeration.
-///
-/// Enumeration is the per-query hot path; allocating a fresh
-/// `Vec<QueryPlan>` (plus one `uses`, `missing` and shape vector per plan)
-/// for every arriving query dominated the allocator profile at
-/// million-query scale. A `PlanBuffer` recycles those allocations: plans
-/// returned to the buffer (via [`PlanBuffer::recycle`]) become shells
-/// whose vectors are cleared and refilled by the next enumeration.
-#[derive(Debug, Default)]
-pub struct PlanBuffer {
-    pub(crate) plans: Vec<QueryPlan>,
-    free: Vec<QueryPlan>,
-    spare: Option<Vec<QueryPlan>>,
-    pub(crate) missing_costs: Vec<Vec<Money>>,
-    free_costs: Vec<Vec<Money>>,
-    spare_costs: Option<Vec<Vec<Money>>>,
-    pub(crate) free_shapes: Vec<Vec<Option<cache::IndexId>>>,
-    seen_cols: Vec<ColumnId>,
-    indexed: Vec<Option<usize>>,
-    scan_slots: Vec<Option<usize>>,
-    data_uses: Vec<StructureKey>,
-    pub(crate) data_missing: Vec<StructureKey>,
-    pub(crate) data_missing_costs: Vec<Money>,
-    pub(crate) missing_cols: Vec<ColumnId>,
-    /// Positions (into a skeleton variant's `uses`) of the missing
-    /// structures — completion scratch (`crate::skeleton`).
-    pub(crate) missing_pos: Vec<usize>,
-}
-
-impl PlanBuffer {
-    /// Empty buffer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes the enumerated plans, leaving the buffer ready for reuse.
-    #[must_use]
-    pub fn take(&mut self) -> Vec<QueryPlan> {
-        std::mem::replace(&mut self.plans, self.spare.take().unwrap_or_default())
-    }
-
-    /// Returns a previously taken plan vector so its allocations (the
-    /// vector itself and each plan's inner vectors) feed future
-    /// enumerations instead of the allocator.
-    pub fn recycle(&mut self, mut plans: Vec<QueryPlan>) {
-        self.free.append(&mut plans);
-        if self.spare.is_none() || self.spare.as_ref().is_some_and(|s| s.capacity() == 0) {
-            self.spare = Some(plans);
-        }
-    }
-
-    /// Reclaims any plans still held by the buffer as shells, in place —
-    /// preserving `plans`' backing capacity for the pushes that follow
-    /// (swapping the vector out would leak its capacity to the spare
-    /// slot and force this enumeration to regrow from zero).
-    pub(crate) fn reclaim_in_place(&mut self) {
-        self.free.append(&mut self.plans);
-        self.free_costs.append(&mut self.missing_costs);
-    }
-
-    /// Takes the per-plan missing-structure build quotes recorded by the
-    /// last [`enumerate_plans_into`] call, parallel to the plan vector
-    /// (entry `i` aligns with plan `i`'s `missing` list). Plan
-    /// memoization stores these so amortisation installments can be
-    /// re-derived under a different horizon without re-quoting builds.
-    #[must_use]
-    pub fn take_missing_costs(&mut self) -> Vec<Vec<Money>> {
-        std::mem::replace(
-            &mut self.missing_costs,
-            self.spare_costs.take().unwrap_or_default(),
-        )
-    }
-
-    /// Returns a previously taken missing-cost table for reuse.
-    pub fn recycle_missing_costs(&mut self, mut costs: Vec<Vec<Money>>) {
-        self.free_costs.append(&mut costs);
-        if self.spare_costs.is_none() {
-            self.spare_costs = Some(costs);
-        }
-    }
-
-    /// A pooled per-plan cost vector.
-    pub(crate) fn cost_vec(&mut self) -> Vec<Money> {
-        let mut v = self.free_costs.pop().unwrap_or_default();
-        v.clear();
-        v
-    }
-
-    /// A plan shell to overwrite: recycled if available, fresh otherwise.
-    pub(crate) fn shell(&mut self) -> QueryPlan {
-        self.free.pop().unwrap_or_else(|| QueryPlan {
-            shape: PlanShape::Backend,
-            exec_time: SimDuration::ZERO,
-            exec_cost: Money::ZERO,
-            exec_breakdown: metrics::CostBreakdown::ZERO,
-            uses: Vec::new(),
-            missing: Vec::new(),
-            build_cost: Money::ZERO,
-            build_time: SimDuration::ZERO,
-            amortized_cost: Money::ZERO,
-            maintenance_cost: Money::ZERO,
-            price: Money::ZERO,
-        })
-    }
-
-    /// Recovers the index-slot vector from a shell's shape for reuse.
-    pub(crate) fn shape_vec(shell: &mut QueryPlan) -> Vec<Option<cache::IndexId>> {
-        match std::mem::replace(&mut shell.shape, PlanShape::Backend) {
-            PlanShape::Cache { mut indexes, .. } => {
-                indexes.clear();
-                indexes
-            }
-            PlanShape::Backend => Vec::new(),
-        }
-    }
-}
-
 /// Enumerates all plans for `query` against the current cache state.
 ///
 /// Returned plans are *not* yet skyline-filtered; the economy applies
 /// [`crate::skyline_filter`] after the policy's own filtering.
 ///
-/// Convenience wrapper over [`enumerate_plans_into`] that allocates a
-/// fresh buffer; hot paths should own a [`PlanBuffer`] instead.
+/// Convenience wrapper over [`enumerate_plans_into`] that materializes
+/// every plan; hot paths should own a [`PlanRows`] instead.
 #[must_use]
 pub fn enumerate_plans(
     ctx: &PlannerContext<'_>,
@@ -238,20 +121,20 @@ pub fn enumerate_plans(
     now: SimTime,
     opts: EnumerationOptions,
 ) -> Vec<QueryPlan> {
-    let mut buf = PlanBuffer::new();
-    enumerate_plans_into(ctx, query, cache, now, opts, &mut buf);
-    buf.take()
+    let mut rows = PlanRows::new();
+    enumerate_plans_into(ctx, query, cache, now, opts, &mut rows);
+    rows.to_plans()
 }
 
-/// Enumerates all plans for `query` into caller-owned storage.
+/// Enumerates all plans for `query` into caller-owned rows.
 ///
-/// Identical results to [`enumerate_plans`] (same plans, same order, same
-/// bits), but every vector involved is recycled through `buf`. Per index
-/// variant the enumerator computes the data volumes, the structure set and
-/// the build quotes once, then derives each node count from them — the
-/// seed implementation re-estimated the volumes per node count and quoted
-/// every missing structure's build twice (once for the plan's build cost,
-/// once for its amortisation installment).
+/// The plan set equals [`enumerate_plans`]'s (same plans, same order,
+/// same bits), written in row form. One column pass serves both index
+/// variants: the best-index variant uses the scan variant's columns plus
+/// its indexes, so each accessed column is probed, quoted and priced
+/// once, and the index variant adds only its indexes' terms. Per variant
+/// the execution volumes are estimated once and scaled per node count;
+/// each extra CPU node's state is probed once for every row.
 ///
 /// # Panics
 /// Panics if `opts.amortize_n == 0`.
@@ -261,214 +144,125 @@ pub fn enumerate_plans_into(
     cache: &CacheState,
     now: SimTime,
     opts: EnumerationOptions,
-    buf: &mut PlanBuffer,
+    rows: &mut PlanRows,
 ) {
-    assert!(opts.amortize_n > 0, "amortization horizon must be positive");
-    buf.reclaim_in_place();
+    let est = ctx.estimator;
+    let price = |s: &CachedStructure, span: SimDuration| est.maintenance(s, span);
+    let exist = |s: &CachedStructure| {
+        let span = now
+            .saturating_since(s.maint_paid_until)
+            .min(opts.maint_window);
+        (s.amortization_due(), price(s, span))
+    };
 
     // --- Backend plan (always P_exist). ---
-    let backend_est = ctx.estimator.backend_execution(ctx.schema, query);
-    let (backend_cost, backend_breakdown) = ctx.estimator.price_execution(&backend_est);
-    let mut shell = buf.shell();
-    let recovered_shape = PlanBuffer::shape_vec(&mut shell);
-    if recovered_shape.capacity() > 0 {
-        buf.free_shapes.push(recovered_shape);
-    }
-    shell.shape = PlanShape::Backend;
-    shell.exec_time = backend_est.time;
-    shell.exec_cost = backend_cost;
-    shell.exec_breakdown = backend_breakdown;
-    shell.uses.clear();
-    shell.missing.clear();
-    shell.build_cost = Money::ZERO;
-    shell.build_time = SimDuration::ZERO;
-    shell.amortized_cost = Money::ZERO;
-    shell.maintenance_cost = Money::ZERO;
-    shell.price = backend_cost;
-    buf.plans.push(shell);
-    let backend_costs = buf.cost_vec();
-    buf.missing_costs.push(backend_costs);
-
-    // --- Cache plans: the scan-only variant, plus the best-index variant
-    // when the policy allows indexes and any access has a serving
-    // candidate. ---
-    buf.scan_slots.clear();
-    buf.scan_slots.resize(query.accesses.len(), None);
-    let scan_only = std::mem::take(&mut buf.scan_slots);
-    cache_variant_plans(ctx, query, cache, now, opts, &scan_only, buf);
-    buf.scan_slots = scan_only;
-    if opts.allow_indexes {
-        buf.indexed.clear();
-        for a in &query.accesses {
-            let pick = best_index_for(ctx, a);
-            buf.indexed.push(pick);
-        }
-        if buf.indexed.iter().any(Option::is_some) {
-            let indexed = std::mem::take(&mut buf.indexed);
-            cache_variant_plans(ctx, query, cache, now, opts, &indexed, buf);
-            buf.indexed = indexed;
+    let backend = est.backend_execution(ctx.schema, query);
+    let (backend_cost, backend_breakdown) = est.price_execution(&backend);
+    rows.begin(
+        (backend.time, backend_cost, backend_breakdown),
+        est.build_node(),
+        opts.amortize_n,
+    );
+    let node_options = &est.params().node_options;
+    if opts.allow_extra_nodes {
+        let extra = node_options.iter().max().map_or(0, |k| k.saturating_sub(1));
+        for ordinal in 0..extra {
+            rows.probe_node(cache, ordinal, now, opts.maint_window, &price);
         }
     }
-}
+    let mut sc = std::mem::take(&mut rows.scratch);
 
-/// Emits the cache plans of one index variant at every allowed node count.
-fn cache_variant_plans(
-    ctx: &PlannerContext<'_>,
-    query: &Query,
-    cache: &CacheState,
-    now: SimTime,
-    opts: EnumerationOptions,
-    indexes: &[Option<usize>],
-    buf: &mut PlanBuffer,
-) {
-    // Node-count-independent execution volumes (eq. 8's q_tot / io_tot).
-    let idx_refs: Vec<Option<&IndexDef>> = indexes
-        .iter()
-        .map(|o| o.map(|pos| &ctx.candidates[pos]))
-        .collect();
-    let base = ctx
-        .estimator
-        .cache_execution_base(ctx.schema, query, &idx_refs);
-
-    // Data structures employed: every accessed column (deduplicated in
-    // first-seen order), then each assigned index. Extra nodes are
-    // appended per node count below.
-    buf.data_uses.clear();
-    buf.seen_cols.clear();
-    for access in &query.accesses {
-        for &c in &access.columns {
-            if !buf.seen_cols.contains(&c) {
-                buf.seen_cols.push(c);
-                buf.data_uses.push(StructureKey::Column(c));
-            }
-        }
-    }
-    for idx in idx_refs.iter().flatten() {
-        buf.data_uses.push(StructureKey::Index(idx.id));
-    }
-
-    // Partition into existing (available now) vs missing, and quote each
-    // missing structure's build exactly once — the quote feeds both the
-    // plan's build cost and its first amortisation installment.
-    buf.data_missing.clear();
-    buf.missing_cols.clear();
-    for &key in &buf.data_uses {
-        if !cache.is_available(key, now) {
-            buf.data_missing.push(key);
-            if let StructureKey::Column(c) = key {
-                buf.missing_cols.push(c);
-            }
-        }
-    }
-    buf.data_missing_costs.clear();
-    let mut data_build_cost = Money::ZERO;
-    let mut data_build_time = SimDuration::ZERO;
-    let mut data_missing_amort = Money::ZERO;
-    for &key in &buf.data_missing {
-        let (cost, time) = match key {
-            StructureKey::Column(c) => ctx.estimator.build_column(ctx.schema, c),
-            StructureKey::Index(id) => {
-                let def = &ctx.candidates[id.index()];
-                let missing_cols = &buf.missing_cols;
-                ctx.estimator.build_index(ctx.schema, def, |c| {
-                    cache.contains(StructureKey::Column(c)) || missing_cols.contains(&c)
-                })
-            }
-            StructureKey::Node(_) => unreachable!("nodes are appended per node count"),
-        };
-        data_build_cost += cost;
-        if time > data_build_time {
-            data_build_time = time;
-        }
-        data_missing_amort += cost.amortize_over(opts.amortize_n);
-        buf.data_missing_costs.push(cost);
-    }
-
-    // Existing data structures: pending installments and capped
-    // maintenance backlog (footnote 3) — must quote exactly what
-    // `CacheState::settle_usage` will charge.
-    let mut data_exist_amort = Money::ZERO;
-    let mut data_maintenance = Money::ZERO;
-    for &key in &buf.data_uses {
-        if let Some(s) = cache.get(key) {
-            if s.is_available(now) {
-                data_exist_amort += s.amortization_due();
-                let span = now
-                    .saturating_since(s.maint_paid_until)
-                    .min(opts.maint_window);
-                data_maintenance += ctx.estimator.maintenance(s, span);
-            }
-        }
-    }
-
-    let node_quote = ctx.estimator.build_node();
-    let node_installment = node_quote.0.amortize_over(opts.amortize_n);
-
-    for &k in &ctx.estimator.params().node_options {
-        if k > 1 && !opts.allow_extra_nodes {
-            continue;
-        }
-        let est = ctx.estimator.scale_cache_execution(&base, k);
-        let (exec_cost, exec_breakdown) = ctx.estimator.price_execution(&est);
-
-        let mut shell = buf.shell();
-        let mut shape_indexes = PlanBuffer::shape_vec(&mut shell);
-        if shape_indexes.capacity() == 0 {
-            if let Some(pooled) = buf.free_shapes.pop() {
-                shape_indexes = pooled;
-            }
-        }
-        shape_indexes.extend(idx_refs.iter().map(|o| o.map(|i| i.id)));
-
-        shell.uses.clear();
-        shell.uses.extend_from_slice(&buf.data_uses);
-        shell.missing.clear();
-        shell.missing.extend_from_slice(&buf.data_missing);
-        let mut plan_costs = buf.cost_vec();
-        plan_costs.extend_from_slice(&buf.data_missing_costs);
-
-        let mut build_cost = data_build_cost;
-        let mut build_time = data_build_time;
-        let mut amortized = data_exist_amort + data_missing_amort;
-        let mut maintenance = data_maintenance;
-        for ordinal in 0..k.saturating_sub(1) {
-            let key = StructureKey::Node(ordinal);
-            shell.uses.push(key);
-            match cache.get(key) {
-                Some(s) if s.is_available(now) => {
-                    amortized += s.amortization_due();
-                    let span = now
-                        .saturating_since(s.maint_paid_until)
-                        .min(opts.maint_window);
-                    maintenance += ctx.estimator.maintenance(s, span);
+    // --- The shared column pass: accessed columns deduplicated in
+    // first-seen order, each partitioned into usable (installment due +
+    // capped maintenance, exactly what `CacheState::settle_usage` will
+    // charge) or missing (one build quote feeding both the build cost and
+    // the first installment). ---
+    let scan = rows.open_variant();
+    let mut col_terms = DataTerms::ZERO;
+    sc.columns.clear();
+    sc.missing_cols.clear();
+    {
+        let lists = rows.lists(scan);
+        lists.indexes.resize(query.accesses.len(), None);
+        for access in &query.accesses {
+            for &c in &access.columns {
+                if sc.columns.contains(&c) {
+                    continue;
                 }
-                _ => {
-                    shell.missing.push(key);
-                    build_cost += node_quote.0;
-                    if node_quote.1 > build_time {
-                        build_time = node_quote.1;
+                sc.columns.push(c);
+                let key = StructureKey::Column(c);
+                lists.uses.push(key);
+                match cache.get(key).filter(|s| s.is_available(now)) {
+                    Some(s) => {
+                        let (due, maint) = exist(s);
+                        col_terms.amortized += due;
+                        col_terms.maintenance += maint;
                     }
-                    amortized += node_installment;
-                    plan_costs.push(node_quote.0);
+                    None => {
+                        let (cost, time) = est.build_column(ctx.schema, c);
+                        col_terms.add_missing(cost, time, opts.amortize_n);
+                        lists.missing.push(key);
+                        lists.missing_builds.push(cost);
+                        sc.missing_cols.push(c);
+                    }
                 }
             }
         }
-
-        shell.shape = PlanShape::Cache {
-            indexes: shape_indexes,
-            nodes: k,
-        };
-        shell.exec_time = est.time;
-        shell.exec_cost = exec_cost;
-        shell.exec_breakdown = exec_breakdown;
-        shell.build_cost = build_cost;
-        shell.build_time = build_time;
-        shell.amortized_cost = amortized;
-        shell.maintenance_cost = maintenance;
-        shell.price = exec_cost + amortized + maintenance;
-        buf.plans.push(shell);
-        buf.missing_costs.push(plan_costs);
     }
+    sc.picks.clear();
+    sc.picks.resize(query.accesses.len(), None);
+    fill_cells(ctx, query, &sc.picks, opts.allow_extra_nodes, &mut sc.cells);
+    for cell in 0..sc.cells.len() {
+        rows.push_cache_row(scan, &sc.cells, cell, col_terms);
+    }
+
+    // --- The best-index variant, when the policy allows indexes and any
+    // access has a serving candidate: the scan variant's columns, then
+    // each assigned index. ---
+    if opts.allow_indexes {
+        sc.picks.clear();
+        sc.picks
+            .extend(query.accesses.iter().map(|a| best_index_for(ctx, a)));
+        if sc.picks.iter().any(Option::is_some) {
+            let indexed = rows.open_variant();
+            let mut terms = col_terms;
+            let (scan_lists, lists) = rows.two_lists(scan, indexed);
+            lists
+                .indexes
+                .extend(sc.picks.iter().map(|p| p.map(|pos| ctx.candidates[pos].id)));
+            lists.uses.extend_from_slice(&scan_lists.uses);
+            lists.missing.extend_from_slice(&scan_lists.missing);
+            lists
+                .missing_builds
+                .extend_from_slice(&scan_lists.missing_builds);
+            for &pos in sc.picks.iter().flatten() {
+                let def = &ctx.candidates[pos];
+                let key = StructureKey::Index(def.id);
+                lists.uses.push(key);
+                match cache.get(key).filter(|s| s.is_available(now)) {
+                    Some(s) => {
+                        let (due, maint) = exist(s);
+                        terms.amortized += due;
+                        terms.maintenance += maint;
+                    }
+                    None => {
+                        let missing_cols = &sc.missing_cols;
+                        let (cost, time) = est.build_index(ctx.schema, def, |c| {
+                            cache.contains(StructureKey::Column(c)) || missing_cols.contains(&c)
+                        });
+                        terms.add_missing(cost, time, opts.amortize_n);
+                        lists.missing.push(key);
+                        lists.missing_builds.push(cost);
+                    }
+                }
+            }
+            fill_cells(ctx, query, &sc.picks, opts.allow_extra_nodes, &mut sc.cells);
+            for cell in 0..sc.cells.len() {
+                rows.push_cache_row(indexed, &sc.cells, cell, terms);
+            }
+        }
+    }
+    rows.scratch = sc;
 }
 
 #[cfg(test)]
@@ -476,7 +270,9 @@ mod tests {
     use super::*;
     use crate::candidates::generate_candidates;
     use crate::estimator::CostParams;
+    use crate::plan::PlanShape;
     use catalog::tpch::{tpch_schema, ScaleFactor};
+    use pricing::Money;
     use pricing::PriceCatalog;
     use simcore::NetworkModel;
     use std::sync::Arc;

@@ -14,7 +14,16 @@
 //! * [`candidates`] — the candidate-index generator standing in for DB2's
 //!   "recommend indexes" mode (the paper uses its top 65 candidates).
 //! * [`enumerate`] — produces the plan set `P_Q = P_exist ∪ P_pos` for a
-//!   query against the current cache state.
+//!   query against the current cache state, in one column pass shared
+//!   by the scan and index variants (the index variant uses the scan
+//!   variant's columns plus its indexes, so each column is probed,
+//!   quoted and priced once).
+//! * [`rows`] — [`PlanRows`], the one compact form every producer writes
+//!   (fresh enumeration, skeleton completion, batched emission): hot
+//!   `(time, price, existing)` rows, per-row scalars and per-variant
+//!   shared lists. Selection runs on the rows, the economy's plan memo
+//!   stores them, and only the plan a query runs is materialized
+//!   ([`PlanRows::plan`]).
 //! * [`skeleton`] — the cache-independent half of enumeration
 //!   ([`PlanSkeleton`]) plus the cheap per-node completion phase, so a
 //!   fleet quote round plans each query once instead of once per node;
@@ -26,8 +35,9 @@
 //!   [`BatchCompleter`] pass binds a skeleton against N nodes' cache
 //!   states at once, turning N independent cache probes per structure
 //!   into dense sweeps (bit-identical to N per-node completions).
-//! * [`soa`] — struct-of-arrays projection of the selection-hot plan
-//!   fields (time, price, existing flag).
+//! * [`soa`] — the struct-of-arrays selection-hot plan fields (time,
+//!   price, existing flag): the hot half of [`PlanRows`], and a
+//!   projection of any `QueryPlan` slice.
 //! * [`skyline`] — keeps only the (time, price)-Pareto plans, as the
 //!   paper's footnote 2 prescribes.
 
@@ -39,6 +49,7 @@ pub mod candidates;
 pub mod enumerate;
 pub mod estimator;
 pub mod plan;
+pub mod rows;
 pub mod scaling;
 pub mod skeleton;
 pub mod skyline;
@@ -46,11 +57,10 @@ pub mod soa;
 
 pub use batch::{complete_plans_batch, BatchCompleter, CacheView};
 pub use candidates::{generate_candidates, CandidateIndex, TableCandidate};
-pub use enumerate::{
-    enumerate_plans, enumerate_plans_into, EnumerationOptions, PlanBuffer, PlannerContext,
-};
+pub use enumerate::{enumerate_plans, enumerate_plans_into, EnumerationOptions, PlannerContext};
 pub use estimator::{CacheExecBase, CostParams, Estimator};
 pub use plan::{PlanShape, QueryPlan};
+pub use rows::PlanRows;
 pub use scaling::ParallelModel;
 pub use skeleton::{
     complete_plans_into, planning_fingerprint, ExecRows, LazySkeleton, PlanSkeleton, SkeletonCache,

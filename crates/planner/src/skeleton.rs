@@ -12,7 +12,7 @@
 //!
 //! The split is exact: for any cache state, clock and enumeration
 //! options, `PlanSkeleton::build` + `complete_plans_into` emits plans
-//! **bit-identical** to the fused [`enumerate_plans_into`] — same plans,
+//! **bit-identical** to the fused [`crate::enumerate_plans_into`] — same plans,
 //! same order, same prices. `tests/skeleton_split.rs` pins the property
 //! over random cache histories; the economy's memoization and the fleet's
 //! routing determinism both rest on it.
@@ -39,8 +39,8 @@ use pricing::Money;
 use simcore::{SimDuration, SimTime};
 use workload::Query;
 
-use crate::enumerate::{best_index_for, EnumerationOptions, PlanBuffer, PlannerContext};
-use crate::plan::PlanShape;
+use crate::enumerate::{best_index_for, EnumerationOptions, PlannerContext};
+use crate::rows::{DataTerms, EnumScratch, PlanRows};
 
 /// Writes the planning fingerprint of `query` into `out` (cleared first).
 ///
@@ -135,6 +135,13 @@ impl ExecCells {
         self.nodes.is_empty()
     }
 
+    pub(crate) fn clear(&mut self) {
+        self.nodes.clear();
+        self.time.clear();
+        self.cost.clear();
+        self.breakdown.clear();
+    }
+
     fn push(&mut self, nodes: u32, time: SimDuration, cost: Money, breakdown: CostBreakdown) {
         self.nodes.push(nodes);
         self.time.push(time);
@@ -148,7 +155,7 @@ impl ExecCells {
 #[derive(Debug, Clone, PartialEq)]
 pub struct VariantSkeleton {
     /// Index assigned per table access (`None` = column scan), for the
-    /// emitted [`PlanShape`].
+    /// emitted [`crate::PlanShape`].
     pub indexes: Vec<Option<IndexId>>,
     /// True for the indexed variant — skipped at completion when the
     /// policy forbids index plans.
@@ -562,23 +569,51 @@ impl ExecRows {
 
 /// One index variant's execution cells at every configured node count.
 fn variant_cells(ctx: &PlannerContext<'_>, query: &Query, indexes: &[Option<usize>]) -> ExecCells {
+    let mut cells = ExecCells::default();
+    fill_cells(ctx, query, indexes, true, &mut cells);
+    cells
+}
+
+/// Refills `cells` with one index variant's execution cells (eq. 8
+/// under the scaling law): every configured node count when
+/// `extra_nodes`, the single-node cell alone otherwise. `indexes` is the
+/// per-access assignment (positions into the context's candidates).
+pub(crate) fn fill_cells(
+    ctx: &PlannerContext<'_>,
+    query: &Query,
+    indexes: &[Option<usize>],
+    extra_nodes: bool,
+    cells: &mut ExecCells,
+) {
     let idx_refs: Vec<Option<&IndexDef>> = indexes
         .iter()
         .map(|o| o.map(|pos| &ctx.candidates[pos]))
         .collect();
+    // Node-count-independent execution volumes (eq. 8's q_tot / io_tot).
     let base = ctx
         .estimator
         .cache_execution_base(ctx.schema, query, &idx_refs);
-    let mut cells = ExecCells::default();
+    cells.clear();
     for &k in &ctx.estimator.params().node_options {
+        if k > 1 && !extra_nodes {
+            continue;
+        }
         let est = ctx.estimator.scale_cache_execution(&base, k);
         let (cost, breakdown) = ctx.estimator.price_execution(&est);
         cells.push(k, est.time, cost, breakdown);
     }
-    cells
 }
 
 impl PlanSkeleton {
+    /// The most extra CPU nodes any cell employs (its node count − 1).
+    pub(crate) fn max_extra_nodes(&self) -> u32 {
+        self.variants
+            .iter()
+            .flat_map(|v| v.cells.nodes.iter())
+            .max()
+            .map_or(0, |k| k.saturating_sub(1))
+    }
+
     /// Builds the skeleton for `query`: every plan family enabled, no
     /// cache state consulted. Deterministic — two builds from the same
     /// context and query are identical.
@@ -677,16 +712,15 @@ fn build_variant(
 }
 
 /// The per-node completion phase: binds a shared [`PlanSkeleton`] against
-/// one node's cache state, emitting the full costed plan set into
-/// caller-owned storage.
+/// one node's cache state, writing the full costed plan set into
+/// caller-owned rows.
 ///
 /// `price` quotes a structure's maintenance over a span (the estimator's
 /// eq. 11/13/15) — the only cost-model access completion needs.
 ///
 /// Bit-identical to [`enumerate_plans_into`] with the same cache, clock
 /// and options: same plans, same order, same prices, and the same
-/// per-plan missing-build quotes left in the buffer
-/// ([`PlanBuffer::take_missing_costs`]).
+/// per-plan missing-build quotes ([`PlanRows::missing_builds`]).
 ///
 /// [`enumerate_plans_into`]: crate::enumerate::enumerate_plans_into
 ///
@@ -698,75 +732,76 @@ pub fn complete_plans_into<F>(
     now: SimTime,
     opts: EnumerationOptions,
     price: F,
-    buf: &mut PlanBuffer,
+    rows: &mut PlanRows,
 ) where
     F: Fn(&CachedStructure, SimDuration) -> Money,
 {
-    assert!(opts.amortize_n > 0, "amortization horizon must be positive");
-    buf.reclaim_in_place();
-
-    // --- Backend plan (always P_exist). ---
-    let mut shell = buf.shell();
-    let recovered_shape = PlanBuffer::shape_vec(&mut shell);
-    if recovered_shape.capacity() > 0 {
-        buf.free_shapes.push(recovered_shape);
+    rows.begin(
+        (skel.backend_time, skel.backend_cost, skel.backend_breakdown),
+        (skel.node_build_cost, skel.node_build_time),
+        opts.amortize_n,
+    );
+    if opts.allow_extra_nodes {
+        for ordinal in 0..skel.max_extra_nodes() {
+            rows.probe_node(cache, ordinal, now, opts.maint_window, &price);
+        }
     }
-    shell.shape = PlanShape::Backend;
-    shell.exec_time = skel.backend_time;
-    shell.exec_cost = skel.backend_cost;
-    shell.exec_breakdown = skel.backend_breakdown;
-    shell.uses.clear();
-    shell.missing.clear();
-    shell.build_cost = Money::ZERO;
-    shell.build_time = SimDuration::ZERO;
-    shell.amortized_cost = Money::ZERO;
-    shell.maintenance_cost = Money::ZERO;
-    shell.price = skel.backend_cost;
-    buf.plans.push(shell);
-    let backend_costs = buf.cost_vec();
-    buf.missing_costs.push(backend_costs);
-
+    let mut sc = std::mem::take(&mut rows.scratch);
     for variant in &skel.variants {
         if variant.uses_indexes && !opts.allow_indexes {
             continue;
         }
-        complete_variant(skel, variant, cache, now, opts, &price, buf);
+        complete_variant(variant, cache, now, opts, &price, &mut sc, rows);
     }
+    rows.scratch = sc;
 }
 
-/// Emits one variant's cache plans at every allowed node count.
+/// Writes one variant's cache rows at every allowed node count.
 fn complete_variant<F>(
-    skel: &PlanSkeleton,
     variant: &VariantSkeleton,
     cache: &CacheState,
     now: SimTime,
     opts: EnumerationOptions,
     price: &F,
-    buf: &mut PlanBuffer,
+    sc: &mut EnumScratch,
+    rows: &mut PlanRows,
 ) where
     F: Fn(&CachedStructure, SimDuration) -> Money,
 {
-    // Partition uses into existing vs missing against *this* cache.
-    buf.data_missing.clear();
-    buf.missing_pos.clear();
-    buf.missing_cols.clear();
+    let vi = rows.open_variant();
+    let lists = rows.lists(vi);
+    lists.indexes.extend_from_slice(&variant.indexes);
+    lists.uses.extend_from_slice(&variant.uses);
+
+    // Partition uses into existing vs missing against *this* cache;
+    // existing data structures quote their pending installments and
+    // capped maintenance backlog — exactly what
+    // `CacheState::settle_usage` will charge.
+    let mut terms = DataTerms::ZERO;
+    sc.missing_pos.clear();
+    sc.missing_cols.clear();
     for (pos, &key) in variant.uses.iter().enumerate() {
-        if !cache.is_available(key, now) {
-            buf.data_missing.push(key);
-            buf.missing_pos.push(pos);
-            if let StructureKey::Column(c) = key {
-                buf.missing_cols.push(c);
+        match cache.get(key).filter(|s| s.is_available(now)) {
+            Some(s) => {
+                terms.amortized += s.amortization_due();
+                let span = now
+                    .saturating_since(s.maint_paid_until)
+                    .min(opts.maint_window);
+                terms.maintenance += price(s, span);
+            }
+            None => {
+                lists.missing.push(key);
+                sc.missing_pos.push(pos);
+                if let StructureKey::Column(c) = key {
+                    sc.missing_cols.push(c);
+                }
             }
         }
     }
 
     // Quote each missing structure's build from its skeleton shape —
     // exactly what the fused enumerator's estimator calls would return.
-    buf.data_missing_costs.clear();
-    let mut data_build_cost = Money::ZERO;
-    let mut data_build_time = SimDuration::ZERO;
-    let mut data_missing_amort = Money::ZERO;
-    for &pos in &buf.missing_pos {
+    for &pos in &sc.missing_pos {
         let (cost, time) = match &variant.builds[pos] {
             BuildShape::Column { cost, time } => (*cost, *time),
             BuildShape::Index {
@@ -778,7 +813,7 @@ fn complete_variant<F>(
                 let mut fetch_time = SimDuration::ZERO;
                 for kf in keys {
                     let covered = cache.contains(StructureKey::Column(kf.column))
-                        || buf.missing_cols.contains(&kf.column);
+                        || sc.missing_cols.contains(&kf.column);
                     if !covered {
                         cost += kf.cost;
                         if kf.time > fetch_time {
@@ -789,96 +824,15 @@ fn complete_variant<F>(
                 (cost, fetch_time + *sort_time)
             }
         };
-        data_build_cost += cost;
-        if time > data_build_time {
-            data_build_time = time;
-        }
-        data_missing_amort += cost.amortize_over(opts.amortize_n);
-        buf.data_missing_costs.push(cost);
+        terms.add_missing(cost, time, opts.amortize_n);
+        lists.missing_builds.push(cost);
     }
-
-    // Existing data structures: pending installments and capped
-    // maintenance backlog — must quote exactly what
-    // `CacheState::settle_usage` will charge.
-    let mut data_exist_amort = Money::ZERO;
-    let mut data_maintenance = Money::ZERO;
-    for &key in &variant.uses {
-        if let Some(s) = cache.get(key) {
-            if s.is_available(now) {
-                data_exist_amort += s.amortization_due();
-                let span = now
-                    .saturating_since(s.maint_paid_until)
-                    .min(opts.maint_window);
-                data_maintenance += price(s, span);
-            }
-        }
-    }
-
-    let node_installment = skel.node_build_cost.amortize_over(opts.amortize_n);
 
     for cell in 0..variant.cells.len() {
-        let k = variant.cells.nodes[cell];
-        if k > 1 && !opts.allow_extra_nodes {
+        if variant.cells.nodes[cell] > 1 && !opts.allow_extra_nodes {
             continue;
         }
-
-        let mut shell = buf.shell();
-        let mut shape_indexes = PlanBuffer::shape_vec(&mut shell);
-        if shape_indexes.capacity() == 0 {
-            if let Some(pooled) = buf.free_shapes.pop() {
-                shape_indexes = pooled;
-            }
-        }
-        shape_indexes.extend_from_slice(&variant.indexes);
-
-        shell.uses.clear();
-        shell.uses.extend_from_slice(&variant.uses);
-        shell.missing.clear();
-        shell.missing.extend_from_slice(&buf.data_missing);
-        let mut plan_costs = buf.cost_vec();
-        plan_costs.extend_from_slice(&buf.data_missing_costs);
-
-        let mut build_cost = data_build_cost;
-        let mut build_time = data_build_time;
-        let mut amortized = data_exist_amort + data_missing_amort;
-        let mut maintenance = data_maintenance;
-        for ordinal in 0..k.saturating_sub(1) {
-            let key = StructureKey::Node(ordinal);
-            shell.uses.push(key);
-            match cache.get(key) {
-                Some(s) if s.is_available(now) => {
-                    amortized += s.amortization_due();
-                    let span = now
-                        .saturating_since(s.maint_paid_until)
-                        .min(opts.maint_window);
-                    maintenance += price(s, span);
-                }
-                _ => {
-                    shell.missing.push(key);
-                    build_cost += skel.node_build_cost;
-                    if skel.node_build_time > build_time {
-                        build_time = skel.node_build_time;
-                    }
-                    amortized += node_installment;
-                    plan_costs.push(skel.node_build_cost);
-                }
-            }
-        }
-
-        shell.shape = PlanShape::Cache {
-            indexes: shape_indexes,
-            nodes: k,
-        };
-        shell.exec_time = variant.cells.time[cell];
-        shell.exec_cost = variant.cells.cost[cell];
-        shell.exec_breakdown = variant.cells.breakdown[cell];
-        shell.build_cost = build_cost;
-        shell.build_time = build_time;
-        shell.amortized_cost = amortized;
-        shell.maintenance_cost = maintenance;
-        shell.price = variant.cells.cost[cell] + amortized + maintenance;
-        buf.plans.push(shell);
-        buf.missing_costs.push(plan_costs);
+        rows.push_cache_row(vi, &variant.cells, cell, terms);
     }
 }
 
@@ -936,6 +890,12 @@ mod tests {
         }
     }
 
+    fn missing_builds(rows: &PlanRows) -> Vec<Vec<Money>> {
+        (0..rows.len())
+            .map(|i| rows.missing_builds(i).collect())
+            .collect()
+    }
+
     fn opts_grid() -> [EnumerationOptions; 4] {
         let base = EnumerationOptions::default();
         [
@@ -965,9 +925,9 @@ mod tests {
             let skel = PlanSkeleton::build(&ctx, &q);
             for opts in opts_grid() {
                 let cache = CacheState::new();
-                let mut fused = PlanBuffer::new();
+                let mut fused = PlanRows::new();
                 enumerate_plans_into(&ctx, &q, &cache, SimTime::ZERO, opts, &mut fused);
-                let mut split = PlanBuffer::new();
+                let mut split = PlanRows::new();
                 complete_plans_into(
                     &skel,
                     &cache,
@@ -976,8 +936,12 @@ mod tests {
                     |s, span| f.estimator.maintenance(s, span),
                     &mut split,
                 );
-                assert_eq!(split.take(), fused.take(), "seed {seed}, opts {opts:?}");
-                assert_eq!(split.take_missing_costs(), fused.take_missing_costs());
+                assert_eq!(
+                    split.to_plans(),
+                    fused.to_plans(),
+                    "seed {seed}, opts {opts:?}"
+                );
+                assert_eq!(missing_builds(&split), missing_builds(&fused));
             }
         }
     }
@@ -1022,9 +986,9 @@ mod tests {
         let now = SimTime::from_secs(100.0);
         let skel = PlanSkeleton::build(&ctx, &q);
         for opts in opts_grid() {
-            let mut fused = PlanBuffer::new();
+            let mut fused = PlanRows::new();
             enumerate_plans_into(&ctx, &q, &cache, now, opts, &mut fused);
-            let mut split = PlanBuffer::new();
+            let mut split = PlanRows::new();
             complete_plans_into(
                 &skel,
                 &cache,
@@ -1033,8 +997,8 @@ mod tests {
                 |s, span| f.estimator.maintenance(s, span),
                 &mut split,
             );
-            assert_eq!(split.take(), fused.take(), "opts {opts:?}");
-            assert_eq!(split.take_missing_costs(), fused.take_missing_costs());
+            assert_eq!(split.to_plans(), fused.to_plans(), "opts {opts:?}");
+            assert_eq!(missing_builds(&split), missing_builds(&fused));
         }
     }
 

@@ -10,7 +10,9 @@
 //!
 //! The view is a *projection*: filling it never clones a plan, and every
 //! value is bit-identical to the source field, so selections computed
-//! over the view equal selections computed over the plans.
+//! over the view equal selections computed over the plans. The planners
+//! write these rows directly as the hot half of [`crate::PlanRows`];
+//! [`PlanHot::fill`] projects them from a materialized plan slice.
 
 use pricing::Money;
 use simcore::SimDuration;

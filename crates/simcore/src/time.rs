@@ -15,7 +15,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 pub struct SimTime(f64);
 
 /// A span of simulated time, in seconds. Always finite and non-negative.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimDuration(f64);
 
 impl SimTime {

@@ -3,12 +3,17 @@
 //!
 //! 1. `planner::complete_plans_batch` (one gather pass over N cache
 //!    views) emits, per node, exactly the plan set and missing-build
-//!    quote table of the per-node `planner::complete_plans_into` — over
+//!    quotes of the per-node `planner::complete_plans_into` — over
 //!    random cache histories, node counts and heterogeneous per-node
 //!    options.
 //! 2. `BatchCompleter::emit_hot` writes, per node, exactly the
 //!    `(time, price, existing)` rows `PlanHot::fill` projects from
 //!    `emit_into`'s plan set — the rows batched bids are computed from.
+//! 4. Every producer's `PlanRows` (fresh enumeration, skeleton
+//!    completion, batched emission) materializes row by row exactly the
+//!    plans of `to_plans`, and selection straight on the rows — the
+//!    economy's serve path — picks, charges and regrets exactly what the
+//!    plan-vector path did.
 //! 3. `econ::QuoteBatch::quote_round` plus `QuoteBatch::commit` on the
 //!    winner (the fleet's batched bid path) quotes, memoizes and counts
 //!    exactly like the sequential `quote_with_skeleton` loop plus
@@ -25,11 +30,15 @@ use std::sync::{Arc, OnceLock};
 use cloudcache::cache::{CacheState, StructureKey};
 use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
 use cloudcache::catalog::{ColumnId, Schema};
-use cloudcache::econ::{EconConfig, EconomyManager, InvestmentRule, QuoteBatch};
+use cloudcache::econ::{
+    select_plan_hot, BudgetFunction, BudgetShape, EconConfig, EconomyManager, InvestmentRule,
+    QuoteBatch, SelectionCase, SelectionObjective,
+};
+use cloudcache::planner::plan::QueryPlan;
 use cloudcache::planner::{
-    complete_plans_batch, complete_plans_into, generate_candidates, BatchCompleter, CacheView,
-    CandidateIndex, CostParams, EnumerationOptions, Estimator, LazySkeleton, PlanBuffer, PlanHot,
-    PlanSkeleton, PlannerContext,
+    complete_plans_batch, complete_plans_into, enumerate_plans_into, generate_candidates,
+    skyline_partition_hot, BatchCompleter, CacheView, CandidateIndex, CostParams,
+    EnumerationOptions, Estimator, LazySkeleton, PlanHot, PlanRows, PlanSkeleton, PlannerContext,
 };
 use cloudcache::pricing::{Money, PriceCatalog};
 use cloudcache::simcore::{NetworkModel, SimDuration, SimTime};
@@ -128,6 +137,13 @@ fn apply_op(cache: &mut CacheState, columns: &[ColumnId], op: u8, sel: u8, t: Si
     }
 }
 
+/// Per-plan missing-build quotes of a row set, in row order.
+fn missing_builds(rows: &PlanRows) -> Vec<Vec<Money>> {
+    (0..rows.len())
+        .map(|i| rows.missing_builds(i).collect())
+        .collect()
+}
+
 /// Per-node options: structural switches and rate-derived halves both
 /// vary across the batch.
 fn node_opts(i: usize, salt: u64) -> EnumerationOptions {
@@ -139,7 +155,230 @@ fn node_opts(i: usize, salt: u64) -> EnumerationOptions {
     }
 }
 
+/// What the economy's serve path takes from a plan set: the case,
+/// payment and profit, the chosen plan, and `(regret, structures
+/// regretted)` per rejected possible plan.
+type Served = (
+    SelectionCase,
+    Money,
+    Money,
+    QueryPlan,
+    Vec<(Money, Vec<StructureKey>)>,
+);
+
+/// Serve selection straight on the rows: their hot rows, the two-tier
+/// skyline and the case analysis, the chosen row materialized alone, and
+/// each regret list read from its row — the missing data structures, or
+/// the missing extra nodes when no data structure is missing.
+fn serve_rows(rows: &PlanRows, budget: &BudgetFunction, objective: SelectionObjective) -> Served {
+    let (mut order, mut sky) = (Vec::new(), Vec::new());
+    skyline_partition_hot(rows.hot(), &mut order, &mut sky);
+    let sel = select_plan_hot(rows.hot(), &sky, budget, objective);
+    let regrets = sel
+        .regrets
+        .iter()
+        .map(|&(i, amount)| {
+            let row = sky[i];
+            let data = rows.missing_data(row);
+            let keys = if data.is_empty() {
+                rows.missing_nodes(row)
+            } else {
+                data
+            };
+            (amount, keys.to_vec())
+        })
+        .collect();
+    (
+        sel.case,
+        sel.payment,
+        sel.profit,
+        rows.plan(sky[sel.selected]),
+        regrets,
+    )
+}
+
+/// The reference serve selection over a plan vector: `PlanHot::fill`,
+/// the same skyline and case analysis, a clone of the chosen plan, and a
+/// clone of each regretted plan's `missing` list with extra CPU nodes
+/// filtered out unless nothing else is missing.
+fn serve_plans(
+    plans: &[QueryPlan],
+    budget: &BudgetFunction,
+    objective: SelectionObjective,
+) -> Served {
+    let mut hot = PlanHot::new();
+    hot.fill(plans);
+    let (mut order, mut sky) = (Vec::new(), Vec::new());
+    skyline_partition_hot(&hot, &mut order, &mut sky);
+    let sel = select_plan_hot(&hot, &sky, budget, objective);
+    let regrets = sel
+        .regrets
+        .iter()
+        .map(|&(i, amount)| {
+            let missing = &plans[sky[i]].missing;
+            let data: Vec<StructureKey> = missing
+                .iter()
+                .copied()
+                .filter(|k| !matches!(k, StructureKey::Node(_)))
+                .collect();
+            (
+                amount,
+                if data.is_empty() {
+                    missing.clone()
+                } else {
+                    data
+                },
+            )
+        })
+        .collect();
+    (
+        sel.case,
+        sel.payment,
+        sel.profit,
+        plans[sky[sel.selected]].clone(),
+        regrets,
+    )
+}
+
+/// One producer's rows against their own materialization and against
+/// `expected` (another producer's plans for the same cache): row by row
+/// plan and missing-list equality, and the same serve selection under
+/// `budget` on the rows as on the plans.
+fn check_rows(
+    rows: &PlanRows,
+    expected: &[QueryPlan],
+    budget: &BudgetFunction,
+    objective: SelectionObjective,
+    what: &str,
+) {
+    let plans = rows.to_plans();
+    assert_eq!(plans, expected, "{what}: plan set");
+    assert_eq!(rows.len(), plans.len(), "{what}: row count");
+    for (i, plan) in plans.iter().enumerate() {
+        assert_eq!(rows.plan(i), *plan, "{what}: row {i}");
+        let missing: Vec<StructureKey> = rows
+            .missing_data(i)
+            .iter()
+            .chain(rows.missing_nodes(i))
+            .copied()
+            .collect();
+        assert_eq!(missing, plan.missing, "{what}: row {i} missing list");
+        assert_eq!(
+            rows.missing_builds(i).count(),
+            plan.missing.len(),
+            "{what}: row {i} missing-build quotes"
+        );
+    }
+    let full = PlanHot::of(&plans);
+    assert_eq!(rows.hot().time, full.time, "{what}: hot times");
+    assert_eq!(rows.hot().price, full.price, "{what}: hot prices");
+    assert_eq!(rows.hot().existing, full.existing, "{what}: hot existing");
+    assert_eq!(
+        serve_rows(rows, budget, objective),
+        serve_plans(&plans, budget, objective),
+        "{what}: serve selection"
+    );
+}
+
 proptest! {
+    /// Every producer writes rows that materialize to the plan set and
+    /// select like it: over random per-node cache histories, fresh
+    /// enumeration, skeleton completion and batched emission for every
+    /// node of the round agree plan for plan, each row's materialized
+    /// plan and missing list match `to_plans`, and the serve selection
+    /// straight on the rows (case, payment, profit, chosen plan, regret
+    /// lists) equals the plan-vector path — under step, convex and
+    /// concave budgets, every objective, and budgets scaled from half to
+    /// four times the backend price.
+    #[test]
+    fn rows_materialize_the_plans_and_select_like_them(
+        seed in 0u64..1_000,
+        n_nodes in 1usize..6,
+        ops in prop::collection::vec((0u8..4, 0u8..32, 0u8..8, 0.0f64..90.0, 0.0f64..40.0), 8..24),
+        budgets in prop::collection::vec((0u8..3, 0u8..3, 0.5f64..4.0, 0.5f64..3.0), 24..25),
+    ) {
+        let h = harness();
+        let ctx = h.ctx();
+        let pool = query_pool(seed.wrapping_add(23), 4);
+        let columns = pool_columns(&pool);
+        // Even nodes start with every column the pool reads, so cache
+        // rows can win the selection and node-only regret lists occur.
+        let mut caches: Vec<CacheState> = (0..n_nodes)
+            .map(|i| {
+                let mut cache = CacheState::new();
+                if i % 2 == 0 {
+                    for &c in &columns {
+                        cache.install(
+                            StructureKey::Column(c),
+                            1_000,
+                            SimTime::ZERO,
+                            SimDuration::ZERO,
+                            Money::from_dollars(0.01),
+                            10,
+                        );
+                    }
+                }
+                cache
+            })
+            .collect();
+        let mut now = 0.0f64;
+        let mut completer = BatchCompleter::new();
+        let (mut fresh, mut split, mut batched) = (PlanRows::new(), PlanRows::new(), PlanRows::new());
+        for (step, (&(op, sel, node_pick, gap, build), &(shape, objective, scale, patience))) in
+            ops.iter().zip(&budgets).enumerate()
+        {
+            now += gap;
+            let t = SimTime::from_secs(now);
+            apply_op(&mut caches[node_pick as usize % n_nodes], &columns, op, sel, t, build);
+
+            let q = &pool[sel as usize % pool.len()];
+            let skel = PlanSkeleton::build(&ctx, q);
+            let views: Vec<CacheView<'_>> = caches
+                .iter()
+                .enumerate()
+                .map(|(i, cache)| CacheView {
+                    cache,
+                    opts: node_opts(i, seed + step as u64),
+                })
+                .collect();
+            completer.gather(
+                &skel,
+                views.len(),
+                |i| views[i],
+                t,
+                |s, span| h.estimator.maintenance(s, span),
+            );
+            let shape = [BudgetShape::Step, BudgetShape::Convex, BudgetShape::Concave][shape as usize];
+            let objective = [
+                SelectionObjective::MinProfit,
+                SelectionObjective::Cheapest,
+                SelectionObjective::Fastest,
+            ][objective as usize];
+            for (i, view) in views.iter().enumerate() {
+                enumerate_plans_into(&ctx, q, view.cache, t, view.opts, &mut fresh);
+                let budget = BudgetFunction::of_shape(
+                    shape,
+                    fresh.hot().price[0].scale(scale),
+                    fresh.hot().time[0] * patience,
+                );
+                let reference = fresh.to_plans();
+                let what = format!("step {step} node {i}");
+                check_rows(&fresh, &reference, &budget, objective, &format!("fresh, {what}"));
+                complete_plans_into(
+                    &skel,
+                    view.cache,
+                    t,
+                    view.opts,
+                    |s, span| h.estimator.maintenance(s, span),
+                    &mut split,
+                );
+                check_rows(&split, &reference, &budget, objective, &format!("skeleton, {what}"));
+                completer.emit_into(&skel, i, &mut batched);
+                check_rows(&batched, &reference, &budget, objective, &format!("batched, {what}"));
+            }
+        }
+    }
+
     /// Random per-node cache histories (installs with in-flight builds,
     /// evictions, idle gaps) at random node counts: one batched gather +
     /// per-node emits equals N independent per-node completions, bit for
@@ -176,10 +415,9 @@ proptest! {
                     opts: node_opts(i, seed + step as u64),
                 })
                 .collect();
-            let mut batch_bufs: Vec<PlanBuffer> =
-                (0..n_nodes).map(|_| PlanBuffer::new()).collect();
+            let mut batch_rows: Vec<PlanRows> = (0..n_nodes).map(|_| PlanRows::new()).collect();
             {
-                let mut refs: Vec<&mut PlanBuffer> = batch_bufs.iter_mut().collect();
+                let mut refs: Vec<&mut PlanRows> = batch_rows.iter_mut().collect();
                 complete_plans_batch(
                     &mut completer,
                     &skel,
@@ -190,7 +428,7 @@ proptest! {
                 );
             }
             for (i, view) in views.iter().enumerate() {
-                let mut reference = PlanBuffer::new();
+                let mut reference = PlanRows::new();
                 complete_plans_into(
                     &skel,
                     view.cache,
@@ -200,13 +438,13 @@ proptest! {
                     &mut reference,
                 );
                 prop_assert_eq!(
-                    batch_bufs[i].take(),
-                    reference.take(),
+                    batch_rows[i].to_plans(),
+                    reference.to_plans(),
                     "plans diverged at step {} node {} (t={})", step, i, now
                 );
                 prop_assert_eq!(
-                    batch_bufs[i].take_missing_costs(),
-                    reference.take_missing_costs(),
+                    missing_builds(&batch_rows[i]),
+                    missing_builds(&reference),
                     "missing-build quotes diverged at step {} node {}", step, i
                 );
             }
@@ -283,9 +521,9 @@ proptest! {
                 |s, span| h.estimator.maintenance(s, span),
             );
             for (j, &node) in routable.iter().enumerate() {
-                let mut buf = PlanBuffer::new();
-                completer.emit_into(&skel, j, &mut buf);
-                let full = PlanHot::of(&buf.take());
+                let mut rows = PlanRows::new();
+                completer.emit_into(&skel, j, &mut rows);
+                let full = PlanHot::of(&rows.to_plans());
                 completer.emit_hot(&skel, j, &mut hot);
                 prop_assert_eq!(&hot.time, &full.time, "times at step {} node {}", step, node);
                 prop_assert_eq!(&hot.price, &full.price, "prices at step {} node {}", step, node);

@@ -1,6 +1,7 @@
 //! The paper-claim tests: the qualitative *shape* of Figures 4 and 5 must
-//! reproduce (see DESIGN.md §3 for what "reproduced" means — absolute
-//! dollars and seconds depend on the authors' unpublished trace).
+//! reproduce (see "Deviations from the paper" in PAPER.md for what
+//! "reproduced" means — absolute dollars and seconds depend on the
+//! authors' unpublished trace).
 //!
 //! All assertions run against one shared grid (SF 2500 ≈ the paper's
 //! 2.5 TB backend, 400 k queries per cell) computed once.

@@ -1,9 +1,13 @@
 //! Property-based tests over the core data structures and the economy's
 //! algebraic invariants.
 
-use cloudcache::cache::{CacheState, LruSet, Occupancy, StructureKey};
+use std::collections::HashMap;
+
+use cloudcache::cache::{CacheState, IndexId, Occupancy, StructureKey};
 use cloudcache::catalog::ColumnId;
-use cloudcache::econ::{select_plan, BudgetFunction, BudgetShape, SelectionObjective};
+use cloudcache::econ::{
+    select_plan, BudgetFunction, BudgetShape, RegretAttribution, RegretLedger, SelectionObjective,
+};
 use cloudcache::metrics::{CostBreakdown, StreamingStats};
 use cloudcache::planner::plan::{PlanShape, QueryPlan};
 use cloudcache::planner::skyline_filter;
@@ -28,6 +32,76 @@ fn plan(time: f64, price: f64, existing: bool) -> QueryPlan {
         amortized_cost: Money::ZERO,
         maintenance_cost: Money::ZERO,
         price: Money::from_dollars(price),
+    }
+}
+
+/// Structure `k` of a 24-key universe spread over all three kinds.
+fn structure(k: u32) -> StructureKey {
+    match k % 3 {
+        0 => StructureKey::Column(ColumnId(k / 3)),
+        1 => StructureKey::Index(IndexId(k / 3)),
+        _ => StructureKey::Node(k / 3),
+    }
+}
+
+/// The reference regret ledger: the hash-map form the dense ledger
+/// replaced, an LRU pool of logical touch stamps beside a regret map.
+struct ReferenceLedger {
+    regrets: HashMap<StructureKey, Money>,
+    stamps: HashMap<StructureKey, u64>,
+    clock: u64,
+    capacity: usize,
+}
+
+impl ReferenceLedger {
+    fn new(capacity: usize) -> Self {
+        ReferenceLedger {
+            regrets: HashMap::new(),
+            stamps: HashMap::new(),
+            clock: 0,
+            capacity,
+        }
+    }
+
+    fn distribute(&mut self, uses: &[StructureKey], regret: Money, attribution: RegretAttribution) {
+        if uses.is_empty() || !regret.is_positive() {
+            return;
+        }
+        let share = match attribution {
+            RegretAttribution::UniformShare => regret.amortize_over(uses.len() as u64),
+            RegretAttribution::FullValue => regret,
+        };
+        for &key in uses {
+            *self.regrets.entry(key).or_insert(Money::ZERO) += share;
+            self.clock += 1;
+            self.stamps.insert(key, self.clock);
+            if self.stamps.len() > self.capacity {
+                let victim = *self
+                    .stamps
+                    .iter()
+                    .min_by_key(|(_, &stamp)| stamp)
+                    .expect("non-empty")
+                    .0;
+                self.stamps.remove(&victim);
+                self.regrets.remove(&victim);
+            }
+        }
+    }
+
+    fn reset(&mut self, key: StructureKey) {
+        self.regrets.remove(&key);
+        self.stamps.remove(&key);
+    }
+
+    fn over_threshold(&self, threshold: Money) -> Vec<(StructureKey, Money)> {
+        let mut hits: Vec<(StructureKey, Money)> = self
+            .regrets
+            .iter()
+            .filter(|&(_, &r)| r >= threshold && r.is_positive())
+            .map(|(&k, &r)| (k, r))
+            .collect();
+        hits.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        hits
     }
 }
 
@@ -187,16 +261,17 @@ proptest! {
         prop_assert_eq!(occ.bytes(), level);
     }
 
-    /// LRU set: never exceeds capacity; most recently touched keys survive.
+    /// Regret pool LRU: never exceeds capacity; the most recently
+    /// regretted structures survive.
     #[test]
     fn lru_respects_capacity_and_recency(
         cap in 1usize..20,
         touches in prop::collection::vec(0u32..50, 1..200)
     ) {
-        let mut lru = LruSet::new(cap);
+        let mut ledger = RegretLedger::new(cap);
         for &k in &touches {
-            lru.touch(k);
-            prop_assert!(lru.len() <= cap);
+            ledger.distribute(&[structure(k)], Money::from_nanos(1), RegretAttribution::FullValue);
+            prop_assert!(ledger.len() <= cap);
         }
         // The last min(cap, distinct-tail) touched keys must be present.
         let mut tail: Vec<u32> = Vec::new();
@@ -209,7 +284,62 @@ proptest! {
             }
         }
         for k in tail {
-            prop_assert!(lru.contains(&k), "recently touched {k} evicted");
+            prop_assert!(
+                ledger.regret_of(structure(k)).is_positive(),
+                "recently regretted {k} evicted"
+            );
+        }
+    }
+
+    /// The dense regret ledger is observably the hash-map reference:
+    /// random distribute/reset sequences (duplicate keys, zero regret,
+    /// every structure kind) at capacities 1–8, so evictions happen
+    /// constantly, under both attributions. After every op the two agree
+    /// on every key's regret, the threshold scan (order included), the
+    /// pool size and the total.
+    #[test]
+    fn regret_ledger_matches_the_hashmap_reference(
+        cap in 1usize..9,
+        uniform in prop::bool::ANY,
+        ops in prop::collection::vec((0u8..4, 0u32..24, 1usize..5, 0i64..5_000, 0i64..6_000), 1..120),
+    ) {
+        let attribution = if uniform {
+            RegretAttribution::UniformShare
+        } else {
+            RegretAttribution::FullValue
+        };
+        let mut dense = RegretLedger::new(cap);
+        let mut reference = ReferenceLedger::new(cap);
+        for (step, &(op, sel, width, amount, threshold)) in ops.iter().enumerate() {
+            if op == 3 {
+                dense.reset(structure(sel));
+                reference.reset(structure(sel));
+            } else {
+                let uses: Vec<StructureKey> =
+                    (0..width as u32).map(|j| structure((sel + 7 * j) % 24)).collect();
+                let regret = Money::from_nanos(i128::from(amount));
+                dense.distribute(&uses, regret, attribution);
+                reference.distribute(&uses, regret, attribution);
+            }
+            for k in 0..24 {
+                prop_assert_eq!(
+                    dense.regret_of(structure(k)),
+                    reference.regrets.get(&structure(k)).copied().unwrap_or(Money::ZERO),
+                    "regret of {} at step {}", structure(k), step
+                );
+            }
+            let threshold = Money::from_nanos(i128::from(threshold));
+            prop_assert_eq!(
+                dense.over_threshold(threshold),
+                reference.over_threshold(threshold),
+                "threshold scan at step {}", step
+            );
+            prop_assert_eq!(dense.len(), reference.regrets.len(), "len at step {}", step);
+            prop_assert_eq!(
+                dense.total(),
+                reference.regrets.values().copied().sum::<Money>(),
+                "total at step {}", step
+            );
         }
     }
 

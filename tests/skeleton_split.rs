@@ -4,8 +4,8 @@
 //! `planner::PlanSkeleton::build` + `planner::complete_plans_into` must
 //! be *observably absent*: for any cache history (installs, evicts,
 //! in-flight builds, idle gaps), clock instant and enumeration options,
-//! the split path emits exactly the plan set (and missing-build quote
-//! table) of the fused `enumerate_plans_into`. The economy's memoization
+//! the split path emits exactly the plan set (and missing-build quotes)
+//! of the fused `enumerate_plans_into`. The economy's memoization
 //! and the fleet's quote rounds both ride on this equivalence, and so do
 //! their own bit-identity suites (`tests/memoization.rs`,
 //! `tests/fleet_determinism.rs`).
@@ -22,7 +22,7 @@ use cloudcache::catalog::{ColumnId, Schema};
 use cloudcache::econ::{EconConfig, EconomyManager, InvestmentRule};
 use cloudcache::planner::{
     complete_plans_into, enumerate_plans_into, generate_candidates, CandidateIndex, CostParams,
-    EnumerationOptions, Estimator, LazySkeleton, PlanBuffer, PlanSkeleton, PlannerContext,
+    EnumerationOptions, Estimator, LazySkeleton, PlanRows, PlanSkeleton, PlannerContext,
 };
 use cloudcache::pricing::{Money, PriceCatalog};
 use cloudcache::simcore::{NetworkModel, SimDuration, SimTime};
@@ -78,6 +78,13 @@ fn query_pool(seed: u64, n: usize) -> Vec<Query> {
     )
     .take(n)
     .collect()
+}
+
+/// Per-plan missing-build quotes of a row set, in row order.
+fn missing_builds(rows: &PlanRows) -> Vec<Vec<Money>> {
+    (0..rows.len())
+        .map(|i| rows.missing_builds(i).collect())
+        .collect()
 }
 
 /// The four structural option combinations, with the arrival-rate-derived
@@ -136,8 +143,8 @@ proptest! {
 
         let mut cache = CacheState::new();
         let mut now = 0.0f64;
-        let mut fused_buf = PlanBuffer::new();
-        let mut split_buf = PlanBuffer::new();
+        let mut fused_rows = PlanRows::new();
+        let mut split_rows = PlanRows::new();
         for (step, &(op, sel, gap, build)) in ops.iter().enumerate() {
             now += gap;
             let t = SimTime::from_secs(now);
@@ -168,28 +175,23 @@ proptest! {
             let q = &pool[sel as usize % pool.len()];
             let skel = &skeletons[sel as usize % pool.len()];
             for opts in opts_grid(seed + step as u64) {
-                enumerate_plans_into(&ctx, q, &cache, t, opts, &mut fused_buf);
-                let fused_plans = fused_buf.take();
-                let fused_costs = fused_buf.take_missing_costs();
+                enumerate_plans_into(&ctx, q, &cache, t, opts, &mut fused_rows);
                 complete_plans_into(
                     skel,
                     &cache,
                     t,
                     opts,
                     |s, span| h.estimator.maintenance(s, span),
-                    &mut split_buf,
+                    &mut split_rows,
                 );
-                let split_plans = split_buf.take();
-                let split_costs = split_buf.take_missing_costs();
                 prop_assert_eq!(
-                    &split_plans, &fused_plans,
+                    split_rows.to_plans(), fused_rows.to_plans(),
                     "plans diverged at step {} (t={}, opts {:?})", step, now, opts
                 );
-                prop_assert_eq!(&split_costs, &fused_costs, "missing-build quotes diverged");
-                fused_buf.recycle(fused_plans);
-                fused_buf.recycle_missing_costs(fused_costs);
-                split_buf.recycle(split_plans);
-                split_buf.recycle_missing_costs(split_costs);
+                prop_assert_eq!(
+                    missing_builds(&split_rows), missing_builds(&fused_rows),
+                    "missing-build quotes diverged"
+                );
             }
         }
     }
