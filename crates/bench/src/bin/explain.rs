@@ -71,9 +71,9 @@ const USAGE: &str = "usage: explain <subcommand>\n\
 
 const DEFAULT_TRACE: &str = "results/fleet_trace.json";
 
-/// The recording config: the `fleet_elastic` bursty MMPP scenario,
-/// re-proportioned so every question the tool answers has material in
-/// the trace. Few cells and many queries per tenant let nodes actually
+/// The recording config: bursty MMPP arrivals (25 s calm / 1 s storm
+/// gaps, 400 s / 60 s sojourns), proportioned so every question the tool
+/// answers has material in the trace. Few cells and many queries per tenant let nodes actually
 /// warm (≈19 % cache-hit rate, so settlements carry `used_structures`
 /// for the structure/blame queries), while the elastic controller still
 /// drains and retires idle capacity through the calms (so `retire` has

@@ -1,57 +1,31 @@
 //! **Perf trend** — diffs the committed `BENCH_*.json` records across
-//! PRs so the repo's throughput trajectory is reviewable at a glance.
+//! PRs so the figure harnesses' and `hotpath`'s throughput trajectory is
+//! reviewable at a glance.
 //!
 //! For every `BENCH_*.json` in the working directory the tool walks the
 //! record's git history, extracts the headline queries/second at each
-//! commit, and prints one line per bench: the q/s trajectory (oldest →
+//! commit, and prints one line per record: the q/s trajectory (oldest →
 //! newest, the working tree appended when dirty), the last step's
-//! delta, and regression flags. `fleet_scale` records additionally get
-//! their quote-thread sweep checked against the record's own 1-thread
-//! baseline — the threaded-quote regression staying fixed — plus the
-//! completion-path gate (the recorded batched default must be the
-//! fastest sweep row), the pinning-invariance gate (pinned and
-//! unpinned rows must agree on every economic aggregate), and the
-//! health-plane gate (the vitals-snapshots-on row must agree bitwise
-//! with the snapshots-off baseline and keep its throughput — the
-//! health plane is a pure observer off the hot path); `fleet_faults`
-//! records get their fault-plane claims re-checked (every ledger replay
-//! reconciled, elastic-with-respawn still cheaper than
-//! static-with-crash, drift alarms silent on fault-free cells and
-//! firing on the degraded one). The `pool.pinned_workers` /
-//! `plan_cache.victim_hits` registry counters are surfaced per record
-//! when present — historical records without them are simply silent.
+//! delta, and a flag when that step drops by more than the tolerance.
 //!
-//! `--check` (CI mode) exits non-zero when any record is unreadable,
-//! the last step regresses beyond the tolerance, or sweep/fault-plane
-//! regression rows are committed.
+//! `--check` (CI mode) exits non-zero when any record is unreadable or
+//! regressed, and when the working directory holds no record at all.
 //!
 //! Usage: `cargo run --release -p bench --bin trend [-- --check]`
 
-use bench::trend::{bench_trend, record_files, registry_counter, REGRESSION_TOLERANCE};
-
-/// New-in-PR-8 registry counters worth surfacing per record. Reads the
-/// working-tree record directly; keys absent from historical records
-/// simply print nothing.
-fn registry_notes(file: &str) -> Option<String> {
-    let doc: serde::Value = serde_json::from_str(&std::fs::read_to_string(file).ok()?).ok()?;
-    let notes: Vec<String> = ["pool.pinned_workers", "plan_cache.victim_hits"]
-        .iter()
-        .filter_map(|key| Some(format!("{key}={:.0}", registry_counter(&doc, key)?)))
-        .collect();
-    (!notes.is_empty()).then(|| notes.join(", "))
-}
+use bench::trend::{bench_trend, exit_status, record_files, REGRESSION_TOLERANCE};
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let files = record_files();
     if files.is_empty() {
-        println!("no BENCH_*.json records in the working directory");
-        return;
+        eprintln!("no BENCH_*.json records in the working directory");
+        std::process::exit(exit_status(check, 0, 0));
     }
 
     println!("================================================================");
     println!(
-        "bench trend: {} committed records (regression tolerance {:.0}%, widened to a record's own rep spread)",
+        "bench trend: {} committed records (regression tolerance {:.0}%)",
         files.len(),
         REGRESSION_TOLERANCE * 100.0
     );
@@ -61,7 +35,7 @@ fn main() {
         "record", "headline q/s trajectory", "last"
     );
 
-    let mut failures = 0u32;
+    let mut flagged = 0usize;
     for file in &files {
         let trend = bench_trend(file);
         let trajectory = if trend.points.is_empty() {
@@ -86,35 +60,8 @@ fn main() {
         if let Some(message) = trend.regression_message() {
             flags.push(format!("REGRESSED: {message}"));
         }
-        if !trend.sweep_regressions.is_empty() {
-            flags.push(format!(
-                "QUOTE-SWEEP: {}",
-                trend.sweep_regressions.join("; ")
-            ));
-        }
-        if !trend.completion_regressions.is_empty() {
-            flags.push(format!(
-                "COMPLETION-PATH: {}",
-                trend.completion_regressions.join("; ")
-            ));
-        }
-        if !trend.pinning_regressions.is_empty() {
-            flags.push(format!("PINNING: {}", trend.pinning_regressions.join("; ")));
-        }
-        if !trend.health_regressions.is_empty() {
-            flags.push(format!(
-                "HEALTH-PLANE: {}",
-                trend.health_regressions.join("; ")
-            ));
-        }
-        if !trend.fault_regressions.is_empty() {
-            flags.push(format!(
-                "FAULT-PLANE: {}",
-                trend.fault_regressions.join("; ")
-            ));
-        }
-        if !flags.is_empty() {
-            failures += 1;
+        if trend.flagged() {
+            flagged += 1;
         }
         println!(
             "{:<36} {:>28} {:>8}  {}",
@@ -127,17 +74,12 @@ fn main() {
                 flags.join(" | ")
             }
         );
-        if let Some(notes) = registry_notes(file) {
-            println!("{:<36} {:>28}", "", format!("({notes})"));
-        }
     }
 
-    if failures > 0 {
-        eprintln!("{failures} record(s) flagged");
-        if check {
-            std::process::exit(1);
-        }
+    if flagged > 0 {
+        eprintln!("{flagged} record(s) flagged");
     } else {
         println!("all records healthy");
     }
+    std::process::exit(exit_status(check, files.len(), flagged));
 }

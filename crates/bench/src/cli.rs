@@ -1,8 +1,8 @@
 //! Shared bench-binary CLI handling.
 //!
 //! Every bench binary takes positional `[scale_factor] [num_queries]`
-//! arguments (some with extra trailing positions), validates the same
-//! domains, and fails the same way on typos: an argument that is present
+//! arguments, validates the same domains, and fails the same way on
+//! typos: an argument that is present
 //! but unparseable is fatal, because defaulting silently on a typo
 //! (`fig4 2500x`) used to run the wrong experiment for a minute and
 //! label it with the default scale. This module is that boilerplate,
@@ -33,7 +33,7 @@ pub fn cli_arg<T: std::str::FromStr>(position: usize, what: &str, default: T, us
 /// bin-specific defaults, enforcing the shared domain rules (finite
 /// positive scale, non-zero query count).
 #[must_use]
-pub fn scale_args(default_sf: f64, default_n: u64, usage: &str) -> (f64, u64) {
+fn scale_args(default_sf: f64, default_n: u64, usage: &str) -> (f64, u64) {
     let sf: f64 = cli_arg(1, "scale factor", default_sf, usage);
     let n: u64 = cli_arg(2, "query count", default_n, usage);
     if !sf.is_finite() || sf <= 0.0 {

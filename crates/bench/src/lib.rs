@@ -30,43 +30,8 @@ pub mod cli;
 pub mod row;
 pub mod trend;
 
-pub use cli::{cli_arg, cli_scale, cli_usage_error, scale_args};
+pub use cli::{cli_arg, cli_scale, cli_usage_error};
 pub use row::{Row, RowSet};
-
-/// Best / min / median of one cell's per-rep throughput measurements.
-/// Grid benches record all three (`qps` / `qps_min` / `qps_median`) so
-/// `trend` can hold regressions to the record's own measured noise band
-/// instead of a blanket tolerance.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RepSpread {
-    /// Best (highest) rep — the headline `qps`.
-    pub best: f64,
-    /// Worst rep.
-    pub min: f64,
-    /// Median rep (mean of the middle two for even counts).
-    pub median: f64,
-}
-
-/// Summarizes a cell's rep measurements.
-///
-/// # Panics
-/// Panics if `reps` is empty.
-#[must_use]
-pub fn rep_spread(reps: &[f64]) -> RepSpread {
-    assert!(!reps.is_empty(), "rep_spread needs at least one rep");
-    let mut sorted = reps.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let n = sorted.len();
-    RepSpread {
-        best: sorted[n - 1],
-        min: sorted[0],
-        median: if n % 2 == 1 {
-            sorted[n / 2]
-        } else {
-            (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-        },
-    }
-}
 
 /// The paper's inter-arrival grid (seconds), Figures 4 and 5.
 pub const PAPER_INTERVALS: [f64; 4] = [1.0, 10.0, 30.0, 60.0];
@@ -232,10 +197,9 @@ pub fn bench_config_json(sf: f64, n: u64, total_queries: u64, wall_secs: f64) ->
 /// bit-for-bit: every economic aggregate plus the serialized elastic
 /// decision ledger (empty for fixed-population fleets) and the
 /// serialized fault record stream (empty for fault-free fleets).
-/// Shared by `fleet_elastic`'s shard/pool replay check, its
-/// traced-vs-noop bit-identity check, `fleet_faults`' fault-replay
-/// check and `explain selfcheck` — one definition, so the gates cannot
-/// quietly diverge on what "identical" means.
+/// Shared by `explain selfcheck`, `explain health` and the repository
+/// benchmark's run-to-run and traced-replay checks — one definition, so
+/// the gates cannot quietly diverge on what "identical" means.
 ///
 /// # Panics
 /// Panics if the elastic ledger or fault summary fails to serialize

@@ -53,15 +53,16 @@ pub struct FleetConfig {
     /// Quote rounds complete the economic nodes' plans in one batched
     /// structure-major sweep instead of once per node (bit-identical
     /// results either way; `false` selects the per-node reference path
-    /// the `fleet_scale` self-check compares against).
+    /// `tests/fleet_determinism.rs` compares against).
     pub quote_batching: bool,
     /// Pin quote-pool workers to cores (`sched_setaffinity`): each
     /// worker is sticky on the same node chunk every round, so pinning
     /// keeps those node states resident in one core's private cache. A
     /// placement hint only — results are bit-identical with pinning on,
-    /// off, or unavailable (non-Linux, restrictive cpuset); the
-    /// `fleet_scale` sweep runs both settings through its invariance
-    /// check. Defaults on (including for older serialized configs).
+    /// off, or unavailable (non-Linux, restrictive cpuset);
+    /// `tests/fleet_determinism.rs` holds pinned and unpinned pools to
+    /// the sequential winner. Defaults on (including for older
+    /// serialized configs).
     #[serde(default = "default_true")]
     pub pin_quote_workers: bool,
     /// Cost-model calibration.

@@ -32,8 +32,7 @@
 //! → rule fired → action). A run therefore remains a pure function of
 //! its config: replaying the same seed at 1 vs N executor shards, any
 //! quote-pool size, and either completion path must produce bit-identical
-//! decision ledgers and aggregates — the `fleet_elastic` bench and
-//! `tests/fleet_elastic.rs` pin this.
+//! decision ledgers and aggregates — `tests/fleet_elastic.rs` pins this.
 
 use std::sync::Arc;
 

@@ -149,9 +149,8 @@ impl FleetSim {
     }
 
     /// Full counter snapshot of the fleet-wide skeleton cache —
-    /// hits, misses and admission-filter stores. The `fleet_scale`
-    /// bench records these in its JSON so admission-filter tuning has
-    /// committed data to work from.
+    /// hits, misses and admission-filter stores. The repository
+    /// benchmark reports these beside its per-layer timings.
     #[must_use]
     pub fn skeleton_cache_counters(&self) -> planner::SkeletonCacheCounters {
         self.skeletons.counters()
@@ -160,7 +159,7 @@ impl FleetSim {
     /// The quote-pool size this sim's cells will actually use — the
     /// configured `quote_threads` after the executor's oversubscription
     /// clamp ([`effective_quote_threads`]), on the current machine. The
-    /// single source the `fleet_scale` bench reports from.
+    /// single source the repository benchmark reports from.
     #[must_use]
     pub fn quote_pool_threads(&self) -> usize {
         let parallelism = std::thread::available_parallelism()
@@ -195,8 +194,8 @@ impl FleetSim {
     ///
     /// The headline telemetry invariant — instrumentation only observes —
     /// makes the returned [`FleetResult`] bit-identical to [`Self::run`]'s
-    /// (the `fleet_elastic` bench and `bench --bin explain selfcheck`
-    /// verify this on every run, and CI gates on it).
+    /// (`tests/telemetry_invariants.rs`, `tests/fleet_elastic.rs` and
+    /// `bench --bin explain selfcheck` verify this, and CI gates on it).
     #[must_use]
     pub fn run_traced(&self) -> (FleetResult, FleetTrace) {
         let partials = self.run_cells(|_| Recorder::new());

@@ -47,7 +47,7 @@
 //! function of simulated state, and each cell applies the same plan to
 //! its private fleet replica — so fault-injected runs remain bit-identical
 //! across shard counts, quote-pool sizes, and completion paths
-//! (`tests/fleet_faults.rs` and `bench --bin fleet_faults` pin this).
+//! (`tests/fleet_faults.rs` pins this).
 //!
 //! Injection instants are processed when the first arrival at or after
 //! them is served; instants past the run's last arrival never fire.

@@ -82,7 +82,6 @@ pub use router::{
     CheapestQuote, LeastOutstanding, QuoteOptions, QuoteRounds, RoundRobin, Router, RouterKind,
 };
 pub use slo::{
-    narrate_breaches, spend_cap_breaches, worst_burn_rate, worst_p99, SloLedger, TenantSloRecord,
-    TenantSloSpec, P99_MISS_BUDGET,
+    narrate_breaches, worst_burn_rate, SloLedger, TenantSloRecord, TenantSloSpec, P99_MISS_BUDGET,
 };
 pub use tenant::{MergedStream, TenantId, TenantSpec, TenantStream};

@@ -2,8 +2,8 @@
 //!
 //! The previous parallel quote path spawned scoped threads on **every**
 //! round; at fleet scale that spawn/join cost swamped the per-node
-//! completion work it was parallelising (the PR 3 `fleet_scale` sweep
-//! measured a 45.5k → 5.9k q/s collapse at 8 quote threads). A
+//! completion work it was parallelising (a 45.5k → 5.9k q/s collapse
+//! at 8 quote threads on the 100-tenant, 8-node grid). A
 //! [`QuotePool`] spawns its workers once, parks them on a condvar
 //! between rounds, and hands each round's borrowed closure to them
 //! through a type-erased pointer — the per-round cost drops from thread

@@ -210,8 +210,8 @@ pub struct QuoteOptions {
     pub threads: usize,
     /// Quote with batched structure-major completion
     /// ([`econ::QuoteBatch`]) instead of one completion pass per node.
-    /// Bit-identical either way (the `fleet_scale` self-check and
-    /// `tests/batch_completion.rs` enforce it); batching is the fast
+    /// Bit-identical either way (`tests/batch_completion.rs` and
+    /// `tests/fleet_determinism.rs` enforce it); batching is the fast
     /// path and the default — the switch exists for that cross-check.
     pub batching: bool,
     /// Fleet-wide skeleton cache: rounds that must build the query's

@@ -3,8 +3,8 @@
 //! The ledger types themselves live in [`telemetry::health`] (the trace
 //! format carries them, and `telemetry` must not depend on `fleet`); this
 //! module re-exports them alongside the fleet and adds the rollup helpers
-//! the `explain` tooling and benches narrate with: worst-tenant pickers
-//! and one-line breach narration.
+//! the `explain` tooling narrates with: the worst-burning tenant and
+//! one-line breach narration.
 //!
 //! Everything here is read-only reporting over an already-merged
 //! [`SloLedger`] — the ledger is populated query-by-query inside
@@ -12,17 +12,6 @@
 //! [`crate::FleetResult`].
 
 pub use telemetry::{SloLedger, TenantSloRecord, TenantSloSpec, P99_MISS_BUDGET};
-
-/// The tenant with the highest measured p99 response time, as
-/// `(tenant id, p99 seconds)`. `None` when no tenant served a query.
-#[must_use]
-pub fn worst_p99(ledger: &SloLedger) -> Option<(u32, f64)> {
-    ledger
-        .tenants
-        .iter()
-        .filter_map(|r| r.p99_secs().map(|p| (r.tenant, p)))
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-}
 
 /// The spec'd tenant with the highest SLO burn rate, as
 /// `(tenant id, burn rate)`. Burn rate 1.0 means the tenant is consuming
@@ -36,16 +25,6 @@ pub fn worst_burn_rate(ledger: &SloLedger) -> Option<(u32, f64)> {
         .filter(|r| r.slo.is_some())
         .map(|r| (r.tenant, r.burn_rate()))
         .max_by(|a, b| a.1.total_cmp(&b.1))
-}
-
-/// Tenants whose exact spend exceeded their spend cap.
-#[must_use]
-pub fn spend_cap_breaches(ledger: &SloLedger) -> u64 {
-    ledger
-        .tenants
-        .iter()
-        .filter(|r| r.spend_cap_breached())
-        .count() as u64
 }
 
 /// One human-readable line per breaching tenant, in tenant-id order:
@@ -105,7 +84,7 @@ mod tests {
     }
 
     #[test]
-    fn worst_pickers_scan_the_ledger() {
+    fn worst_burn_rate_scans_the_ledger() {
         let mut fast = record(0, Some(spec(10.0, None)));
         let mut slow = record(1, Some(spec(0.001, None)));
         for _ in 0..100 {
@@ -113,9 +92,6 @@ mod tests {
             slow.record_served(0.5, Money::ZERO, false);
         }
         let ledger = SloLedger::from_records(vec![fast, slow]);
-        let (worst, p99) = worst_p99(&ledger).unwrap();
-        assert_eq!(worst, 1);
-        assert!(p99 > 0.1);
         let (burning, rate) = worst_burn_rate(&ledger).unwrap();
         assert_eq!(burning, 1);
         // Every one of tenant 1's queries missed its 1ms target: miss
@@ -131,7 +107,6 @@ mod tests {
         }
         let ledger = SloLedger::from_records(vec![free]);
         assert!(worst_burn_rate(&ledger).is_none());
-        assert!(worst_p99(&ledger).is_some());
     }
 
     #[test]
@@ -143,7 +118,6 @@ mod tests {
         let mut clean = record(4, Some(spec(100.0, None)));
         clean.record_served(0.01, Money::ZERO, true);
         let ledger = SloLedger::from_records(vec![both, clean]);
-        assert_eq!(spend_cap_breaches(&ledger), 1);
         let lines = narrate_breaches(&ledger);
         assert_eq!(lines.len(), 1);
         assert!(lines[0].starts_with("tenant 3:"));
@@ -159,6 +133,5 @@ mod tests {
         }
         let ledger = SloLedger::from_records(vec![ok]);
         assert!(narrate_breaches(&ledger).is_empty());
-        assert_eq!(spend_cap_breaches(&ledger), 0);
     }
 }

@@ -10,9 +10,11 @@
 //!    delaying retirement by Δ charges precisely
 //!    `disk_used × Δ × c_d` more (and Δ seconds more base uptime).
 //! 3. **Determinism** — an elastic run's decision ledger and aggregates
-//!    are bit-identical across executor shard counts, quote-pool sizes
-//!    and completion paths; a controller that can never act leaves the
-//!    economy bit-identical to the static fleet.
+//!    are bit-identical across executor shard counts, quote-pool sizes,
+//!    completion paths and tracing; a controller that can never act
+//!    leaves the economy bit-identical to the static fleet.
+//! 4. **Economy** — on bursty and diurnal arrivals the elastic fleet
+//!    costs less than the static one at equal-or-better mean response.
 
 use std::sync::{Arc, OnceLock};
 
@@ -20,8 +22,8 @@ use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
 use cloudcache::catalog::Schema;
 use cloudcache::econ::{EconConfig, InvestmentRule};
 use cloudcache::fleet::{
-    run_fleet, CacheNode, CheapestQuote, ElasticConfig, FleetConfig, FleetResult, LeastOutstanding,
-    NodePopulation, NodeSpec, QuoteOptions, RoundRobin, Router, RouterKind,
+    run_fleet, CacheNode, CheapestQuote, ElasticConfig, FleetConfig, FleetResult, FleetSim,
+    LeastOutstanding, NodePopulation, NodeSpec, QuoteOptions, RoundRobin, Router, RouterKind,
 };
 use cloudcache::planner::{
     generate_candidates, CandidateIndex, CostParams, Estimator, PlannerContext,
@@ -273,6 +275,74 @@ fn elastic_ledger_and_aggregates_invariant_under_shards_and_pools() {
             let replay = elastic_fingerprint(&run_fleet(config));
             assert_eq!(replay, reference, "drift under {label} (seed {seed})");
         }
+        // The flight recorder observes every lifecycle decision without
+        // moving one.
+        let (traced, _) = FleetSim::new(elastic_base(seed)).run_traced();
+        assert_eq!(
+            elastic_fingerprint(&traced),
+            reference,
+            "drift under tracing (seed {seed})"
+        );
+    }
+}
+
+/// Elasticity pays where arrivals give it something to react to: on
+/// bursty (MMPP storm/calm) and diurnal arrivals the elastic fleet
+/// drains idle replicas through the calms and troughs, so it costs less
+/// than the static fleet at equal-or-better mean response. Growth is
+/// capped at the seed population, so the win comes from draining, not
+/// from refusing to grow. SF 10, 60 tenants × 40 queries, 8 seed nodes.
+#[test]
+fn elastic_fleet_beats_static_on_bursty_and_diurnal_arrivals() {
+    let scenarios = [
+        (
+            "bursty",
+            ArrivalKind::Mmpp {
+                calm_gap_secs: 25.0,
+                storm_gap_secs: 1.0,
+                calm_sojourn_secs: 400.0,
+                storm_sojourn_secs: 60.0,
+            },
+        ),
+        (
+            "diurnal",
+            ArrivalKind::Diurnal {
+                mean_gap_secs: 20.0,
+                amplitude: 0.9,
+                period_secs: 400.0,
+                phase: -std::f64::consts::FRAC_PI_2,
+            },
+        ),
+    ];
+    for (name, arrival) in scenarios {
+        let mut static_config = FleetConfig::uniform(60, 8, 40, 1.0).with_arrivals(arrival);
+        static_config.scale_factor = 10.0;
+        static_config.cells = 16;
+        let elastic_config = static_config.clone().with_elastic(ElasticConfig {
+            review_interval_secs: 5.0,
+            ewma_alpha: 0.3,
+            scale_up_backlog: 4.0,
+            scale_down_backlog: 0.25,
+            max_response_secs: 0.0,
+            min_nodes: 1,
+            max_nodes: 8,
+            cooldown_reviews: 4,
+            drain_grace_secs: 60.0,
+        });
+        let fixed = run_fleet(static_config);
+        let elastic = run_fleet(elastic_config);
+        assert!(
+            elastic.total_operating_cost() < fixed.total_operating_cost(),
+            "{name}: elastic {} is not cheaper than static {}",
+            elastic.total_operating_cost(),
+            fixed.total_operating_cost()
+        );
+        assert!(
+            elastic.mean_response_secs() <= fixed.mean_response_secs() * (1.0 + 1e-9),
+            "{name}: elastic mean response {} is worse than static {}",
+            elastic.mean_response_secs(),
+            fixed.mean_response_secs()
+        );
     }
 }
 

@@ -13,6 +13,11 @@
 //! 4. **Population floor** — a crashed node is gone *immediately*: the
 //!    elastic control plane's population-floor rule respawns at the next
 //!    review, never waiting out a drain grace the dead node can't serve.
+//! 5. **Economy** — through a crash the elastic fleet costs less than
+//!    the static one, and warned evacuation beats the pure write-off on
+//!    ledgered and loss-adjusted cost.
+//! 6. **Drift alarms** — the e-process detector stays silent on healthy
+//!    fleets and fires on a degraded node.
 
 use cloudcache::fleet::{
     run_fleet, CacheNode, ElasticAction, ElasticConfig, FaultOutcome, FaultPlan, FleetConfig,
@@ -21,7 +26,7 @@ use cloudcache::fleet::{
 use cloudcache::pricing::{Money, PriceCatalog};
 use cloudcache::simcore::SimTime;
 use cloudcache::simulator::{ArrivalKind, Scheme};
-use cloudcache::telemetry::TraceEvent;
+use cloudcache::telemetry::{detect_alarms, Baselines, TenantSloSpec, TraceEvent};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -636,4 +641,205 @@ fn traced_cascade_evacuate_retry_run_matches_untraced_and_crossfoots() {
         .filter(|e| matches!(e, TraceEvent::NodeEvacuate(_)))
         .count() as u64;
     assert_eq!(evacuate_events, faults.evacuations);
+}
+
+/// The drain-and-respawn control plane the cost-ordering and alarm
+/// fixtures run: drains idle capacity down to a floor of 2 nodes and
+/// respawns toward that floor at the first review after a crash drops a
+/// cell below it. Growth is capped at the 8 seed nodes.
+fn floor_two_elastic() -> ElasticConfig {
+    ElasticConfig {
+        review_interval_secs: 5.0,
+        ewma_alpha: 0.3,
+        scale_up_backlog: 4.0,
+        scale_down_backlog: 0.25,
+        max_response_secs: 0.0,
+        min_nodes: 2,
+        max_nodes: 8,
+        cooldown_reviews: 4,
+        drain_grace_secs: 60.0,
+    }
+}
+
+/// An underloaded steady fleet (60 s arrivals, 8 seed nodes, 8 cells)
+/// with `tenants × queries` arrivals, so the elastic control plane has
+/// idle capacity to drain and the fault plane has survivors to re-route
+/// onto. Returns the config and its horizon (last scheduled arrival).
+fn steady_grid(sf: f64, tenants: u32, queries: u64) -> (FleetConfig, f64) {
+    const INTERVAL_SECS: f64 = 60.0;
+    let mut config = FleetConfig::uniform(tenants, 8, queries, INTERVAL_SECS);
+    config.scale_factor = sf;
+    config.cells = 8;
+    (config, queries as f64 * INTERVAL_SECS)
+}
+
+/// The correlated-failure plan: a rack-style group fells nodes {0, 3}
+/// just after an arrival batch at 40 % of the horizon, each crash rolls
+/// a decaying follow-on probability over the survivors, and a mid-run
+/// degradation of node 1 trips the deadline-budgeted retry policy.
+fn cascade_plan(horizon: f64) -> FaultPlan {
+    FaultPlan::new(horizon)
+        .with_group(vec![0, 3], 0.4 * horizon + 0.05)
+        .with_cascade(0.35, 0.5, 0.005 * horizon, 2)
+        .with_degrade(1, 0.2 * horizon, 0.6 * horizon, 6.0)
+        .with_timeout(2.0)
+        .with_retry(3, 0.5, 2.0, 0.5)
+}
+
+/// Surviving a crash does not cost extra: node 0 crashes at 40 % of the
+/// horizon with no recovery, and the elastic fleet, which drains idle
+/// capacity and still respawns toward its floor, costs less than the
+/// static fleet running its full surviving population. SF 10, 32
+/// tenants × 40 queries, 8 seed nodes.
+#[test]
+fn elastic_respawn_is_cheaper_than_static_through_a_crash() {
+    let (base, horizon) = steady_grid(10.0, 32, 40);
+    let base = base.with_faults(FaultPlan::new(horizon).with_crash(0, 0.4 * horizon + 0.05));
+    let fixed = run_fleet(base.clone());
+    let elastic = run_fleet(base.with_elastic(floor_two_elastic()));
+    assert!(
+        elastic.total_operating_cost() < fixed.total_operating_cost(),
+        "elastic-with-respawn {} is not cheaper than static-with-crash {}",
+        elastic.total_operating_cost(),
+        fixed.total_operating_cost()
+    );
+}
+
+/// Capital preservation pays for itself: against the identical cascade,
+/// a short warning window evacuates the doomed nodes' ranked structures,
+/// so the elastic fleet's ledgered loss (write-off plus the full eq. 12
+/// transfer bill) stays below the pure write-off, and so does its
+/// loss-adjusted cost (operating cost plus capital destroyed). SF 10,
+/// 32 tenants × 40 queries, 8 seed nodes.
+#[test]
+fn evacuation_beats_write_off_on_ledgered_and_loss_adjusted_cost() {
+    let (base, horizon) = steady_grid(10.0, 32, 40);
+    let base = base.with_elastic(floor_two_elastic());
+    let written_off = run_fleet(base.clone().with_faults(cascade_plan(horizon)));
+    let evacuated =
+        run_fleet(base.with_faults(cascade_plan(horizon).with_evacuation(0.01 * horizon, false)));
+    let wf = written_off.faults.as_ref().expect("fault summary");
+    let ef = evacuated.faults.as_ref().expect("fault summary");
+    assert!(
+        ef.write_off + ef.transfer_spend < wf.write_off,
+        "evacuation loss {} + {} transfers does not beat the pure write-off {}",
+        ef.write_off,
+        ef.transfer_spend,
+        wf.write_off
+    );
+    let loss_adjusted_evacuated = evacuated.total_operating_cost() + ef.write_off;
+    let loss_adjusted_written_off = written_off.total_operating_cost() + wf.write_off;
+    assert!(
+        loss_adjusted_evacuated < loss_adjusted_written_off,
+        "evacuation loss-adjusted cost {loss_adjusted_evacuated} does not beat the write-off's \
+         {loss_adjusted_written_off}"
+    );
+}
+
+/// The e-process drift detector discriminates: the fault-free static
+/// and elastic fleets raise no alarm, while node 0 slowed 6× from 20 %
+/// to 60 % of the horizon burns enough p99 budget to cross the e-value
+/// threshold. Runs at SF 50, 64 tenants × 100 queries, 8 seed nodes: at
+/// smaller scales the degraded node's responses stay inside the 6 s p99
+/// target and the detector has nothing to see.
+#[test]
+fn drift_alarms_are_silent_when_healthy_and_fire_on_a_degraded_node() {
+    let (base, horizon) = steady_grid(50.0, 64, 100);
+    let base = base.with_health(60.0).with_slo(TenantSloSpec {
+        p99_target_secs: 6.0,
+        spend_cap: Some(Money::from_dollars(1.0)),
+    });
+    let alarms = |config: FleetConfig| {
+        let r = run_fleet(config);
+        detect_alarms(
+            r.health.as_ref(),
+            &r.slo,
+            r.horizon_secs,
+            &Baselines::default(),
+        )
+        .len()
+    };
+    assert_eq!(
+        alarms(base.clone()),
+        0,
+        "healthy static fleet raised alarms"
+    );
+    let elastic = base.with_elastic(floor_two_elastic());
+    assert_eq!(
+        alarms(elastic.clone()),
+        0,
+        "healthy elastic fleet raised alarms"
+    );
+    let degraded = elastic.with_faults(
+        FaultPlan::new(horizon)
+            .with_degrade(0, 0.2 * horizon, 0.6 * horizon, 6.0)
+            .with_timeout(2.0),
+    );
+    assert!(alarms(degraded) >= 1, "6x degradation raised no alarm");
+}
+
+/// Faults under an elastic population stay a pure function of the
+/// config: a warned crash-and-recover with a cascade roll and retries, ridden
+/// by the drain-and-respawn control plane, reproduces its aggregates,
+/// decision ledger and fault records bit for bit across executor shard
+/// counts, quote-pool sizes, completion paths and tracing.
+#[test]
+fn elastic_faulted_runs_are_bit_identical_across_shards_pools_and_tracing() {
+    let base = faulted_base(19)
+        .with_faults(
+            FaultPlan::new(HORIZON)
+                .with_crash_recover(0, 12.0, 6.0)
+                .with_cascade(0.5, 0.5, 2.0, 2)
+                .with_evacuation(4.0, false)
+                .with_retry(3, 0.05, 2.0, 0.5)
+                .with_degrade(2, 5.0, 30.0, 8.0)
+                .with_timeout(0.05),
+        )
+        .with_elastic(ElasticConfig {
+            review_interval_secs: 2.0,
+            ewma_alpha: 0.3,
+            scale_up_backlog: 1.0,
+            scale_down_backlog: 0.2,
+            max_response_secs: 0.0,
+            min_nodes: 2,
+            max_nodes: 4,
+            cooldown_reviews: 1,
+            drain_grace_secs: 5.0,
+        });
+    let reference = run_fleet(base.clone());
+    let summary = reference.elastic.as_ref().expect("elastic summary");
+    assert!(
+        summary.spawns > 0,
+        "the fixture must respawn after its crashes"
+    );
+    let reference = elastic_fault_fingerprint(&reference);
+    for (shards, threads, batching) in [(4usize, 1usize, true), (1, 4, true), (2, 2, false)] {
+        let mut config = base.clone();
+        config.shards = shards;
+        config.quote_threads = threads;
+        config.quote_batching = batching;
+        assert_eq!(
+            elastic_fault_fingerprint(&run_fleet(config)),
+            reference,
+            "drift at shards={shards} threads={threads} batching={batching}"
+        );
+    }
+    let (traced, _) = FleetSim::new(base).run_traced();
+    assert_eq!(
+        elastic_fault_fingerprint(&traced),
+        reference,
+        "drift under tracing"
+    );
+}
+
+/// [`fault_fingerprint`] plus the elastic decision ledger.
+fn elastic_fault_fingerprint(r: &FleetResult) -> String {
+    let e = r.elastic.as_ref().expect("elastic summary present");
+    format!(
+        "{} spawns={} retires={} ledger={}",
+        fault_fingerprint(r),
+        e.spawns,
+        e.retires,
+        serde_json::to_string(&e.ledger).expect("ledger serializes"),
+    )
 }

@@ -9,7 +9,9 @@
 //!    config.
 //! 2. **Pure observation** (integration): a traced fleet run is
 //!    bit-identical to the no-op-sink run, and its event stream and
-//!    registry are themselves invariant under the executor shard count.
+//!    registry are themselves invariant under the executor shard count;
+//!    a run with the health plane attached (vitals scraper plus SLO
+//!    specs) is bit-identical to the health-off run.
 //! 3. **Snapshot/merge commutation** (property-based): serializing a
 //!    registry to its JSON snapshot and back is transparent to `merge`
 //!    — scraping shard partials and folding the snapshots equals
@@ -18,7 +20,7 @@
 //!    associative and shard-count invariant, so per-tenant SLO records
 //!    folded from any cell partitioning produce the same ledger.
 
-use cloudcache::fleet::{FleetConfig, FleetSim, RouterKind};
+use cloudcache::fleet::{FleetConfig, FleetResult, FleetSim, RouterKind};
 use cloudcache::pricing::Money;
 use cloudcache::telemetry::{MetricsRegistry, SloLedger, TenantSloRecord, TenantSloSpec};
 use proptest::prelude::*;
@@ -256,5 +258,38 @@ fn trace_is_invariant_under_shard_count() {
         assert_eq!(result, reference_result, "shards = {shards}");
         assert_eq!(trace.registry, reference.registry, "shards = {shards}");
         assert_eq!(trace.events, reference.events, "shards = {shards}");
+    }
+}
+
+/// The health plane observes without perturbing: attaching the vitals
+/// scraper and per-tenant SLO specs leaves every field of the result
+/// bit-identical to the health-off run, apart from the vitals series
+/// itself and the specs the SLO ledger carries, at 1 and 4 shards.
+#[test]
+fn health_plane_run_is_bit_identical_to_health_off() {
+    for shards in [1usize, 4] {
+        let off = FleetSim::new(traced_config(shards)).run();
+        let on = FleetSim::new(
+            traced_config(shards)
+                .with_health(30.0)
+                .with_slo(TenantSloSpec {
+                    p99_target_secs: 10.0,
+                    spend_cap: Some(Money::from_dollars(1.0)),
+                }),
+        )
+        .run();
+        let series = on.health.as_ref().expect("vitals series recorded");
+        assert!(!series.frames.is_empty(), "shards = {shards}");
+        assert_eq!(
+            on.slo.total_admitted(),
+            off.slo.total_admitted(),
+            "shards = {shards}"
+        );
+        let observed = FleetResult {
+            health: None,
+            slo: off.slo.clone(),
+            ..on
+        };
+        assert_eq!(observed, off, "shards = {shards}");
     }
 }
