@@ -1,5 +1,8 @@
 //! Criterion benches for the planner: full plan enumeration against cold
-//! and warm caches at the paper's 2.5 TB scale, and a single economy step.
+//! and warm caches at the paper's 2.5 TB scale, fresh enumeration into
+//! reused rows over the paper template mix at SF 100 (the `paper-single`
+//! regime, where each query's compiled shape is a table hit), and a
+//! single economy step.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -7,7 +10,10 @@ use cache::{CacheState, StructureKey};
 use catalog::tpch::{tpch_schema, ScaleFactor};
 use econ::{EconConfig, EconomyManager};
 use planner::enumerate::EnumerationOptions;
-use planner::{enumerate_plans, generate_candidates, CostParams, Estimator, PlannerContext};
+use planner::{
+    enumerate_plans, enumerate_plans_into, generate_candidates, CostParams, Estimator, PlanRows,
+    PlannerContext,
+};
 use pricing::{Money, PriceCatalog};
 use simcore::{NetworkModel, SimDuration, SimTime};
 use std::sync::Arc;
@@ -22,8 +28,8 @@ struct Fx {
 }
 
 impl Fx {
-    fn new() -> Self {
-        let schema = Arc::new(tpch_schema(ScaleFactor(2500.0)));
+    fn new(sf: f64, queries: usize) -> Self {
+        let schema = Arc::new(tpch_schema(ScaleFactor(sf)));
         let templates = paper_templates(&schema);
         let candidates = generate_candidates(&schema, &templates, 65);
         let estimator = Estimator::new(
@@ -33,7 +39,7 @@ impl Fx {
         );
         let queries: Vec<Query> =
             WorkloadGenerator::new(Arc::clone(&schema), WorkloadConfig::default(), 11)
-                .take(256)
+                .take(queries)
                 .collect();
         let cand_index = planner::CandidateIndex::build(&schema, &candidates);
         Fx {
@@ -76,7 +82,7 @@ impl Fx {
 }
 
 fn bench_enumeration(c: &mut Criterion) {
-    let fx = Fx::new();
+    let fx = Fx::new(2500.0, 256);
     let ctx = fx.ctx();
     let cold = CacheState::new();
     let warm = fx.warm_cache();
@@ -99,8 +105,28 @@ fn bench_enumeration(c: &mut Criterion) {
     });
 }
 
+fn bench_fresh_enumeration(c: &mut Criterion) {
+    let fx = Fx::new(100.0, 4096);
+    let ctx = fx.ctx();
+    let now = SimTime::from_secs(100.0);
+    let opts = EnumerationOptions::default();
+    let mut group = c.benchmark_group("enumerate_plans_fresh_sf100");
+    for (name, cache) in [("cold", CacheState::new()), ("warm", fx.warm_cache())] {
+        let mut rows = PlanRows::new();
+        let mut i = 0;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                i = (i + 1) % fx.queries.len();
+                enumerate_plans_into(&ctx, &fx.queries[i], &cache, now, opts, &mut rows);
+                black_box(rows.len())
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_economy_step(c: &mut Criterion) {
-    let fx = Fx::new();
+    let fx = Fx::new(2500.0, 256);
     let ctx = fx.ctx();
     c.bench_function("economy_process_query_sf2500", |b| {
         let mut manager = EconomyManager::new(EconConfig::default());
@@ -114,5 +140,10 @@ fn bench_economy_step(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_enumeration, bench_economy_step);
+criterion_group!(
+    benches,
+    bench_enumeration,
+    bench_fresh_enumeration,
+    bench_economy_step
+);
 criterion_main!(benches);

@@ -20,7 +20,10 @@
 use cache::{IndexDef, IndexId, ROW_LOCATOR_BYTES};
 use catalog::{ColumnId, Schema, TableId};
 use std::collections::HashSet;
-use workload::ResolvedTemplate;
+use std::sync::Arc;
+use workload::{Query, ResolvedTemplate};
+
+use crate::shapes::{QueryShape, ShapeTable};
 
 /// Maximum key width (bytes per entry) for generated covering candidates.
 const MAX_COVERING_ENTRY_BYTES: u64 = 64;
@@ -187,9 +190,14 @@ pub struct TableCandidate {
 ///
 /// Candidate order *within a table* preserves registry order, so scoring
 /// ties break identically to a full registry scan.
+///
+/// The index also owns the lazily filled table of compiled query shapes
+/// ([`crate::shapes`]), which depend on the schema and the candidates
+/// alone.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateIndex {
     by_table: Vec<Vec<TableCandidate>>,
+    shapes: ShapeTable,
 }
 
 impl CandidateIndex {
@@ -211,7 +219,27 @@ impl CandidateIndex {
                 + ROW_LOCATOR_BYTES;
             by_table[t].push(TableCandidate { pos, entry_bytes });
         }
-        CandidateIndex { by_table }
+        CandidateIndex {
+            by_table,
+            shapes: ShapeTable::default(),
+        }
+    }
+
+    /// The compiled shape of `query` over `schema` and `candidates` (the
+    /// slice the index was built over); see [`crate::PlannerContext::shape`].
+    pub(crate) fn shape(
+        &self,
+        schema: &Schema,
+        candidates: &[IndexDef],
+        query: &Query,
+    ) -> Arc<QueryShape> {
+        self.shapes.get(schema, candidates, self, query)
+    }
+
+    /// Number of query shapes compiled so far.
+    #[must_use]
+    pub fn compiled_shapes(&self) -> usize {
+        self.shapes.len()
     }
 
     /// Candidates on `table`, in registry order.

@@ -21,12 +21,14 @@
 use cache::{CacheState, CachedStructure, IndexDef, StructureKey};
 use catalog::Schema;
 use simcore::{SimDuration, SimTime};
-use workload::{Query, TableAccess};
+use std::sync::Arc;
+use workload::Query;
 
 use crate::candidates::CandidateIndex;
 use crate::estimator::Estimator;
 use crate::plan::QueryPlan;
 use crate::rows::{DataTerms, PlanRows};
+use crate::shapes::QueryShape;
 use crate::skeleton::fill_cells;
 
 /// What the active caching policy lets the enumerator consider.
@@ -64,46 +66,25 @@ pub struct PlannerContext<'a> {
     /// Candidate indexes (the "65 from DB2" set).
     pub candidates: &'a [IndexDef],
     /// Prebuilt per-table view of `candidates` (must be built over the
-    /// same slice — see [`CandidateIndex::build`]).
+    /// same slice — see [`CandidateIndex::build`]), which also holds the
+    /// compiled query shapes.
     pub cand_index: &'a CandidateIndex,
     /// The cost model.
     pub estimator: &'a Estimator,
 }
 
-/// Picks the candidate index (position in `ctx.candidates`) that minimises
-/// the access's read volume, if any candidate serves one of its
-/// predicates. Consults only the access's table via the prebuilt
-/// [`CandidateIndex`]; within a table, candidates are scored in registry
-/// order, so ties resolve exactly as a full registry scan would.
-///
-/// Cache-independent — shared with the skeleton builder
-/// (`crate::skeleton`), which must pick exactly the same variants.
-pub(crate) fn best_index_for(ctx: &PlannerContext<'_>, access: &TableAccess) -> Option<usize> {
-    let rows = ctx.schema.table(access.table).row_count as f64;
-    let mut best: Option<(usize, f64)> = None;
-    for tc in ctx.cand_index.for_table(access.table) {
-        let idx = &ctx.candidates[tc.pos];
-        if !access
-            .predicate_columns
-            .iter()
-            .any(|&p| idx.serves_predicate(p))
-        {
-            continue;
-        }
-        // Score: bytes read through this index (entry + uncovered fetch).
-        let uncovered: u64 = access
-            .columns
-            .iter()
-            .filter(|c| !idx.key_columns.contains(c))
-            .map(|&c| ctx.schema.column(c).byte_width())
-            .sum();
-        let bytes = rows * access.selectivity * (tc.entry_bytes + uncovered) as f64;
-        match best {
-            Some((_, b)) if b <= bytes => {}
-            _ => best = Some((tc.pos, bytes)),
-        }
+impl PlannerContext<'_> {
+    /// The compiled shape of `query` (see [`crate::shapes`]), compiled
+    /// into the candidate index on the first query of its
+    /// `(template, mask)`.
+    ///
+    /// # Panics
+    /// Debug builds panic if `query`'s tables, column lists or predicate
+    /// lists differ from those its key was compiled from.
+    #[must_use]
+    pub fn shape(&self, query: &Query) -> Arc<QueryShape> {
+        self.cand_index.shape(self.schema, self.candidates, query)
     }
-    best.map(|(pos, _)| pos)
 }
 
 /// Enumerates all plans for `query` against the current cache state.
@@ -134,7 +115,10 @@ pub fn enumerate_plans(
 /// its indexes, so each accessed column is probed, quoted and priced
 /// once, and the index variant adds only its indexes' terms. Per variant
 /// the execution volumes are estimated once and scaled per node count;
-/// each extra CPU node's state is probed once for every row.
+/// each extra CPU node's state is probed once for every row. The
+/// query's compiled shape ([`PlannerContext::shape`]) supplies the
+/// deduplicated columns, the index picks and every row width, so only
+/// the selectivity arithmetic and the cache-dependent quotes run here.
 ///
 /// # Panics
 /// Panics if `opts.amortize_n == 0`.
@@ -156,7 +140,8 @@ pub fn enumerate_plans_into(
     };
 
     // --- Backend plan (always P_exist). ---
-    let backend = est.backend_execution(ctx.schema, query);
+    let shape = ctx.shape(query);
+    let backend = est.backend_execution_shaped(&shape, query);
     let (backend_cost, backend_breakdown) = est.price_execution(&backend);
     rows.begin(
         (backend.time, backend_cost, backend_breakdown),
@@ -172,46 +157,44 @@ pub fn enumerate_plans_into(
     }
     let mut sc = std::mem::take(&mut rows.scratch);
 
-    // --- The shared column pass: accessed columns deduplicated in
-    // first-seen order, each partitioned into usable (installment due +
-    // capped maintenance, exactly what `CacheState::settle_usage` will
-    // charge) or missing (one build quote feeding both the build cost and
-    // the first installment). ---
+    // --- The shared column pass over the shape's deduplicated columns:
+    // each is partitioned into usable (installment due + capped
+    // maintenance, exactly what `CacheState::settle_usage` will charge)
+    // or missing (one build quote feeding both the build cost and the
+    // first installment). ---
     let scan = rows.open_variant();
     let mut col_terms = DataTerms::ZERO;
-    sc.columns.clear();
     sc.missing_cols.clear();
     {
         let lists = rows.lists(scan);
         lists.indexes.resize(query.accesses.len(), None);
-        for access in &query.accesses {
-            for &c in &access.columns {
-                if sc.columns.contains(&c) {
-                    continue;
+        for &c in &shape.columns {
+            let key = StructureKey::Column(c);
+            lists.uses.push(key);
+            match cache.get(key).filter(|s| s.is_available(now)) {
+                Some(s) => {
+                    let (due, maint) = exist(s);
+                    col_terms.amortized += due;
+                    col_terms.maintenance += maint;
                 }
-                sc.columns.push(c);
-                let key = StructureKey::Column(c);
-                lists.uses.push(key);
-                match cache.get(key).filter(|s| s.is_available(now)) {
-                    Some(s) => {
-                        let (due, maint) = exist(s);
-                        col_terms.amortized += due;
-                        col_terms.maintenance += maint;
-                    }
-                    None => {
-                        let (cost, time) = est.build_column(ctx.schema, c);
-                        col_terms.add_missing(cost, time, opts.amortize_n);
-                        lists.missing.push(key);
-                        lists.missing_builds.push(cost);
-                        sc.missing_cols.push(c);
-                    }
+                None => {
+                    let (cost, time) = est.build_column(ctx.schema, c);
+                    col_terms.add_missing(cost, time, opts.amortize_n);
+                    lists.missing.push(key);
+                    lists.missing_builds.push(cost);
+                    sc.missing_cols.push(c);
                 }
             }
         }
     }
-    sc.picks.clear();
-    sc.picks.resize(query.accesses.len(), None);
-    fill_cells(ctx, query, &sc.picks, opts.allow_extra_nodes, &mut sc.cells);
+    fill_cells(
+        ctx,
+        query,
+        &shape,
+        false,
+        opts.allow_extra_nodes,
+        &mut sc.cells,
+    );
     for cell in 0..sc.cells.len() {
         rows.push_cache_row(scan, &sc.cells, cell, col_terms);
     }
@@ -219,47 +202,49 @@ pub fn enumerate_plans_into(
     // --- The best-index variant, when the policy allows indexes and any
     // access has a serving candidate: the scan variant's columns, then
     // each assigned index. ---
-    if opts.allow_indexes {
-        sc.picks.clear();
-        sc.picks
-            .extend(query.accesses.iter().map(|a| best_index_for(ctx, a)));
-        if sc.picks.iter().any(Option::is_some) {
-            let indexed = rows.open_variant();
-            let mut terms = col_terms;
-            let (scan_lists, lists) = rows.two_lists(scan, indexed);
-            lists
-                .indexes
-                .extend(sc.picks.iter().map(|p| p.map(|pos| ctx.candidates[pos].id)));
-            lists.uses.extend_from_slice(&scan_lists.uses);
-            lists.missing.extend_from_slice(&scan_lists.missing);
-            lists
-                .missing_builds
-                .extend_from_slice(&scan_lists.missing_builds);
-            for &pos in sc.picks.iter().flatten() {
-                let def = &ctx.candidates[pos];
-                let key = StructureKey::Index(def.id);
-                lists.uses.push(key);
-                match cache.get(key).filter(|s| s.is_available(now)) {
-                    Some(s) => {
-                        let (due, maint) = exist(s);
-                        terms.amortized += due;
-                        terms.maintenance += maint;
-                    }
-                    None => {
-                        let missing_cols = &sc.missing_cols;
-                        let (cost, time) = est.build_index(ctx.schema, def, |c| {
-                            cache.contains(StructureKey::Column(c)) || missing_cols.contains(&c)
-                        });
-                        terms.add_missing(cost, time, opts.amortize_n);
-                        lists.missing.push(key);
-                        lists.missing_builds.push(cost);
-                    }
+    if opts.allow_indexes && shape.indexed {
+        let indexed = rows.open_variant();
+        let mut terms = col_terms;
+        let (scan_lists, lists) = rows.two_lists(scan, indexed);
+        lists
+            .indexes
+            .extend(shape.picks().map(|p| p.map(|pos| ctx.candidates[pos].id)));
+        lists.uses.extend_from_slice(&scan_lists.uses);
+        lists.missing.extend_from_slice(&scan_lists.missing);
+        lists
+            .missing_builds
+            .extend_from_slice(&scan_lists.missing_builds);
+        for pos in shape.picks().flatten() {
+            let def = &ctx.candidates[pos];
+            let key = StructureKey::Index(def.id);
+            lists.uses.push(key);
+            match cache.get(key).filter(|s| s.is_available(now)) {
+                Some(s) => {
+                    let (due, maint) = exist(s);
+                    terms.amortized += due;
+                    terms.maintenance += maint;
+                }
+                None => {
+                    let missing_cols = &sc.missing_cols;
+                    let (cost, time) = est.build_index(ctx.schema, def, |c| {
+                        cache.contains(StructureKey::Column(c)) || missing_cols.contains(&c)
+                    });
+                    terms.add_missing(cost, time, opts.amortize_n);
+                    lists.missing.push(key);
+                    lists.missing_builds.push(cost);
                 }
             }
-            fill_cells(ctx, query, &sc.picks, opts.allow_extra_nodes, &mut sc.cells);
-            for cell in 0..sc.cells.len() {
-                rows.push_cache_row(indexed, &sc.cells, cell, terms);
-            }
+        }
+        fill_cells(
+            ctx,
+            query,
+            &shape,
+            true,
+            opts.allow_extra_nodes,
+            &mut sc.cells,
+        );
+        for cell in 0..sc.cells.len() {
+            rows.push_cache_row(indexed, &sc.cells, cell, terms);
         }
     }
     rows.scratch = sc;

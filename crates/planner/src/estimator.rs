@@ -28,6 +28,7 @@ use simcore::{NetworkModel, SimDuration};
 use workload::{Query, TableAccess};
 
 use crate::scaling::ParallelModel;
+use crate::shapes::QueryShape;
 
 /// Calibration constants of the cost model. Defaults reproduce the
 /// experimental setup of Section VII-A.
@@ -213,34 +214,50 @@ impl Estimator {
             .iter()
             .map(|&c| schema.column(c).byte_width())
             .sum();
-        match index {
-            Some(idx) => {
-                debug_assert_eq!(idx.table, access.table, "index on wrong table");
-                let picked = rows * access.selectivity;
-                let entry = idx
-                    .key_columns
-                    .iter()
-                    .map(|&c| schema.column(c).byte_width())
-                    .sum::<u64>()
-                    + ROW_LOCATOR_BYTES;
-                // Probe reads the matching slice of the index, then fetches
-                // the picked rows from the cached columns (index-covered
-                // columns need no base fetch).
-                let uncovered: u64 = access
-                    .columns
-                    .iter()
-                    .filter(|c| !idx.key_columns.contains(c))
-                    .map(|&c| schema.column(c).byte_width())
-                    .sum();
-                let bytes = picked * (entry as f64 + uncovered as f64);
-                (picked, bytes)
+        let index_width = index.map(|idx| {
+            debug_assert_eq!(idx.table, access.table, "index on wrong table");
+            let entry = idx
+                .key_columns
+                .iter()
+                .map(|&c| schema.column(c).byte_width())
+                .sum::<u64>()
+                + ROW_LOCATOR_BYTES;
+            // Probe reads the matching slice of the index, then fetches
+            // the picked rows from the cached columns (index-covered
+            // columns need no base fetch).
+            let uncovered: u64 = access
+                .columns
+                .iter()
+                .filter(|c| !idx.key_columns.contains(c))
+                .map(|&c| schema.column(c).byte_width())
+                .sum();
+            entry as f64 + uncovered as f64
+        });
+        self.volume(rows, access.selectivity, index_width, width as f64)
+    }
+
+    /// The per-access volume kernel shared by [`Self::access_volume`] and
+    /// the compiled-shape path: `index_width` is the bytes read per
+    /// picked row through the assigned index (entry + uncovered columns),
+    /// `scan_width` the accessed columns' bytes per row.
+    fn volume(
+        &self,
+        rows: f64,
+        selectivity: f64,
+        index_width: Option<f64>,
+        scan_width: f64,
+    ) -> (f64, f64) {
+        match index_width {
+            Some(width) => {
+                let picked = rows * selectivity;
+                (picked, picked * width)
             }
             None => {
-                let fraction = (access.selectivity * self.params.scan_cluster_factor)
+                let fraction = (selectivity * self.params.scan_cluster_factor)
                     .max(self.params.min_scan_fraction)
                     .min(1.0);
                 let scanned = rows * fraction;
-                (scanned, scanned * width as f64)
+                (scanned, scanned * scan_width)
             }
         }
     }
@@ -290,6 +307,33 @@ impl Estimator {
             rows_total += r;
             bytes_total += b;
         }
+        self.cache_base_from_volume(rows_total, bytes_total)
+    }
+
+    /// [`Self::cache_execution_base`] from a compiled shape: the scan
+    /// variant when `indexed` is false, else the shape's best-index
+    /// variant. Same operations in the same order as the oracle.
+    pub(crate) fn cache_execution_base_shaped(
+        &self,
+        shape: &QueryShape,
+        query: &Query,
+        indexed: bool,
+    ) -> CacheExecBase {
+        let mut rows_total = 0.0;
+        let mut bytes_total = 0.0;
+        for (a, access) in shape.accesses.iter().zip(&query.accesses) {
+            let index_width = a.pick.filter(|_| indexed).map(|p| f64::from(p.width));
+            let scan_width = f64::from(a.scan_width);
+            let (r, b) = self.volume(a.rows, access.selectivity, index_width, scan_width);
+            rows_total += r;
+            bytes_total += b;
+        }
+        self.cache_base_from_volume(rows_total, bytes_total)
+    }
+
+    /// Eq. 8's volume → estimate tail, shared by the oracle and the
+    /// compiled path.
+    fn cache_base_from_volume(&self, rows_total: f64, bytes_total: f64) -> CacheExecBase {
         let q_tot = rows_total / self.params.rows_per_unit;
         let cpu_1 = self.params.l_cpu * self.params.f_cpu * q_tot;
         let io_ops = self.params.f_io * bytes_total / self.params.page_bytes as f64;
@@ -345,18 +389,46 @@ impl Estimator {
             rows_total += picked;
             bytes_total += picked * (width as f64 + ROW_LOCATOR_BYTES as f64);
         }
+        self.backend_from_volume(rows_total, bytes_total, query.result_bytes)
+    }
+
+    /// [`Self::backend_execution`] from a compiled shape. Same operations
+    /// in the same order as the oracle.
+    pub(crate) fn backend_execution_shaped(
+        &self,
+        shape: &QueryShape,
+        query: &Query,
+    ) -> ExecEstimate {
+        let mut rows_total = 0.0;
+        let mut bytes_total = 0.0;
+        for (a, access) in shape.accesses.iter().zip(&query.accesses) {
+            let picked = a.rows * access.selectivity;
+            rows_total += picked;
+            bytes_total += picked * f64::from(a.backend_width);
+        }
+        self.backend_from_volume(rows_total, bytes_total, query.result_bytes)
+    }
+
+    /// Eq. 9's volume → estimate tail, shared by the oracle and the
+    /// compiled path.
+    fn backend_from_volume(
+        &self,
+        rows_total: f64,
+        bytes_total: f64,
+        result_bytes: u64,
+    ) -> ExecEstimate {
         let q_tot = rows_total / self.params.rows_per_unit;
         let cpu = self.params.l_cpu * self.params.f_cpu * q_tot * self.params.backend_slowdown;
         let io_ops = self.params.f_io * bytes_total / self.params.page_bytes as f64;
         let disk_secs = bytes_total / self.params.disk_bytes_per_sec * self.params.backend_slowdown;
-        let transfer = self.network.transfer_time(query.result_bytes);
+        let transfer = self.network.transfer_time(result_bytes);
         // f_n of a CPU is busy for the duration of the transfer.
         let transfer_cpu = self.params.f_n * transfer.as_secs();
         ExecEstimate {
             time: SimDuration::from_secs(cpu + disk_secs + transfer.as_secs()),
             cpu_secs: cpu + transfer_cpu,
             io_ops,
-            wan_bytes: query.result_bytes,
+            wan_bytes: result_bytes,
         }
     }
 

@@ -13,6 +13,12 @@
 //!   CPU overhead using 3 CPU nodes in parallel".
 //! * [`candidates`] — the candidate-index generator standing in for DB2's
 //!   "recommend indexes" mode (the paper uses its top 65 candidates).
+//! * [`shapes`] — [`QueryShape`], the schema- and candidate-dependent
+//!   terms of every query of one `(template, optional-column mask)`:
+//!   row counts, access and backend row widths, the best candidate index
+//!   per access and the deduplicated column list. Compiled lazily into
+//!   the [`CandidateIndex`], so enumeration does only the per-query
+//!   selectivity arithmetic.
 //! * [`enumerate`] — produces the plan set `P_Q = P_exist ∪ P_pos` for a
 //!   query against the current cache state, in one column pass shared
 //!   by the scan and index variants (the index variant uses the scan
@@ -51,6 +57,7 @@ pub mod estimator;
 pub mod plan;
 pub mod rows;
 pub mod scaling;
+pub mod shapes;
 pub mod skeleton;
 pub mod skyline;
 pub mod soa;
@@ -62,6 +69,7 @@ pub use estimator::{CacheExecBase, CostParams, Estimator};
 pub use plan::{PlanShape, QueryPlan};
 pub use rows::PlanRows;
 pub use scaling::ParallelModel;
+pub use shapes::QueryShape;
 pub use skeleton::{
     complete_plans_into, planning_fingerprint, ExecRows, LazySkeleton, PlanSkeleton, SkeletonCache,
     SkeletonCacheCounters,

@@ -114,12 +114,8 @@ impl DataTerms {
 /// Scratch the fresh enumerator reuses across queries.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EnumScratch {
-    /// Accessed columns, deduplicated in first-seen order.
-    pub columns: Vec<ColumnId>,
-    /// The subset of `columns` missing from the cache.
+    /// The accessed columns missing from the cache.
     pub missing_cols: Vec<ColumnId>,
-    /// Best candidate index per access (positions into the candidates).
-    pub picks: Vec<Option<usize>>,
     /// Execution cells of the variant being emitted.
     pub cells: ExecCells,
     /// Positions (into a variant's `uses`) of its missing structures.

@@ -32,38 +32,35 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use cache::{CacheState, CachedStructure, IndexDef, IndexId, StructureKey};
+use cache::{CacheState, CachedStructure, IndexId, StructureKey};
 use catalog::ColumnId;
 use metrics::CostBreakdown;
 use pricing::Money;
 use simcore::{SimDuration, SimTime};
 use workload::Query;
 
-use crate::enumerate::{best_index_for, EnumerationOptions, PlannerContext};
+use crate::enumerate::{EnumerationOptions, PlannerContext};
 use crate::rows::{DataTerms, EnumScratch, PlanRows};
+use crate::shapes::QueryShape;
 
 /// Writes the planning fingerprint of `query` into `out` (cleared first).
 ///
-/// The fingerprint covers exactly the query fields plan enumeration reads
-/// — table accesses (table, columns, predicates, selectivity), sort
-/// columns and result shape — and deliberately excludes `budget_scale`
-/// (budget only), `id` and `region` (unread). Two queries with equal
+/// The fingerprint is `[template, mask, accesses, selectivity bits per
+/// access, result_rows, result_bytes]`. Within one template set,
+/// `(template, mask)` fixes every access's table, column list and
+/// predicate list and the sort columns (see [`crate::shapes`]), so the
+/// fingerprint covers exactly the query fields plan enumeration reads
+/// and deliberately excludes `budget_scale` (budget only), `id` and
+/// `region` (unread). Two queries of one template set with equal
 /// fingerprints therefore enumerate identical plan sets, which is the
 /// key invariant behind both the per-manager plan memo
 /// (`econ::plancache`) and the fleet-wide [`SkeletonCache`].
 pub fn planning_fingerprint(query: &Query, out: &mut Vec<u64>) {
     out.clear();
+    out.push(query.template.0 as u64);
+    out.push(u64::from(query.mask));
     out.push(query.accesses.len() as u64);
-    for a in &query.accesses {
-        out.push(u64::from(a.table.0));
-        out.push(a.columns.len() as u64);
-        out.extend(a.columns.iter().map(|c| u64::from(c.0)));
-        out.push(a.predicate_columns.len() as u64);
-        out.extend(a.predicate_columns.iter().map(|c| u64::from(c.0)));
-        out.push(a.selectivity.to_bits());
-    }
-    out.push(query.sort_columns.len() as u64);
-    out.extend(query.sort_columns.iter().map(|c| u64::from(c.0)));
+    out.extend(query.accesses.iter().map(|a| a.selectivity.to_bits()));
     out.push(query.result_rows);
     out.push(query.result_bytes);
 }
@@ -532,21 +529,20 @@ impl ExecRows {
     /// plan family enabled and no cache state consulted.
     #[must_use]
     pub fn build(ctx: &PlannerContext<'_>, query: &Query) -> ExecRows {
-        let backend_est = ctx.estimator.backend_execution(ctx.schema, query);
+        Self::build_shaped(ctx, query, &ctx.shape(query))
+    }
+
+    /// [`Self::build`] over `query`'s already looked-up shape.
+    fn build_shaped(ctx: &PlannerContext<'_>, query: &Query, shape: &QueryShape) -> ExecRows {
+        let backend_est = ctx.estimator.backend_execution_shaped(shape, query);
         let (backend_cost, backend_breakdown) = ctx.estimator.price_execution(&backend_est);
 
         let mut variants = Vec::with_capacity(2);
-        let scan: Vec<Option<usize>> = vec![None; query.accesses.len()];
-        let cells = variant_cells(ctx, query, &scan);
-        variants.push((scan, cells));
-        let picks: Vec<Option<usize>> = query
-            .accesses
-            .iter()
-            .map(|a| best_index_for(ctx, a))
-            .collect();
-        if picks.iter().any(Option::is_some) {
-            let cells = variant_cells(ctx, query, &picks);
-            variants.push((picks, cells));
+        let cells = variant_cells(ctx, query, shape, false);
+        variants.push((vec![None; query.accesses.len()], cells));
+        if shape.indexed {
+            let cells = variant_cells(ctx, query, shape, true);
+            variants.push((shape.picks().collect(), cells));
         }
         ExecRows {
             backend_time: backend_est.time,
@@ -568,31 +564,33 @@ impl ExecRows {
 }
 
 /// One index variant's execution cells at every configured node count.
-fn variant_cells(ctx: &PlannerContext<'_>, query: &Query, indexes: &[Option<usize>]) -> ExecCells {
+fn variant_cells(
+    ctx: &PlannerContext<'_>,
+    query: &Query,
+    shape: &QueryShape,
+    indexed: bool,
+) -> ExecCells {
     let mut cells = ExecCells::default();
-    fill_cells(ctx, query, indexes, true, &mut cells);
+    fill_cells(ctx, query, shape, indexed, true, &mut cells);
     cells
 }
 
 /// Refills `cells` with one index variant's execution cells (eq. 8
 /// under the scaling law): every configured node count when
-/// `extra_nodes`, the single-node cell alone otherwise. `indexes` is the
-/// per-access assignment (positions into the context's candidates).
+/// `extra_nodes`, the single-node cell alone otherwise. The variant is
+/// the shape's scan variant, or its best-index variant when `indexed`.
 pub(crate) fn fill_cells(
     ctx: &PlannerContext<'_>,
     query: &Query,
-    indexes: &[Option<usize>],
+    shape: &QueryShape,
+    indexed: bool,
     extra_nodes: bool,
     cells: &mut ExecCells,
 ) {
-    let idx_refs: Vec<Option<&IndexDef>> = indexes
-        .iter()
-        .map(|o| o.map(|pos| &ctx.candidates[pos]))
-        .collect();
     // Node-count-independent execution volumes (eq. 8's q_tot / io_tot).
     let base = ctx
         .estimator
-        .cache_execution_base(ctx.schema, query, &idx_refs);
+        .cache_execution_base_shaped(shape, query, indexed);
     cells.clear();
     for &k in &ctx.estimator.params().node_options {
         if k > 1 && !extra_nodes {
@@ -619,12 +617,13 @@ impl PlanSkeleton {
     /// context and query are identical.
     #[must_use]
     pub fn build(ctx: &PlannerContext<'_>, query: &Query) -> PlanSkeleton {
-        let rows = ExecRows::build(ctx, query);
+        let shape = ctx.shape(query);
+        let rows = ExecRows::build_shaped(ctx, query, &shape);
         let (node_build_cost, node_build_time) = ctx.estimator.build_node();
         let variants: Vec<VariantSkeleton> = rows
             .variants
             .into_iter()
-            .map(|(indexes, cells)| build_variant(ctx, query, &indexes, cells))
+            .map(|(indexes, cells)| build_variant(ctx, &shape, &indexes, cells))
             .collect();
         let probe = ProbeTable::build(&variants);
         PlanSkeleton {
@@ -643,30 +642,23 @@ impl PlanSkeleton {
 /// (positions into `ctx.candidates`) and its execution cells.
 fn build_variant(
     ctx: &PlannerContext<'_>,
-    query: &Query,
+    shape: &QueryShape,
     indexes: &[Option<usize>],
     cells: ExecCells,
 ) -> VariantSkeleton {
-    let idx_refs: Vec<Option<&IndexDef>> = indexes
-        .iter()
-        .map(|o| o.map(|pos| &ctx.candidates[pos]))
-        .collect();
-
     // Same uses order as the fused enumerator: accessed columns
     // deduplicated in first-seen order, then each assigned index.
-    let mut uses: Vec<StructureKey> = Vec::new();
-    let mut seen: Vec<ColumnId> = Vec::new();
-    for access in &query.accesses {
-        for &c in &access.columns {
-            if !seen.contains(&c) {
-                seen.push(c);
-                uses.push(StructureKey::Column(c));
-            }
-        }
-    }
-    for idx in idx_refs.iter().flatten() {
-        uses.push(StructureKey::Index(idx.id));
-    }
+    let uses: Vec<StructureKey> = shape
+        .columns
+        .iter()
+        .map(|&c| StructureKey::Column(c))
+        .chain(
+            indexes
+                .iter()
+                .flatten()
+                .map(|&pos| StructureKey::Index(ctx.candidates[pos].id)),
+        )
+        .collect();
 
     let builds: Vec<BuildShape> = uses
         .iter()
@@ -703,8 +695,11 @@ fn build_variant(
         .collect();
 
     VariantSkeleton {
-        indexes: idx_refs.iter().map(|o| o.map(|i| i.id)).collect(),
-        uses_indexes: idx_refs.iter().any(Option::is_some),
+        indexes: indexes
+            .iter()
+            .map(|o| o.map(|pos| ctx.candidates[pos].id))
+            .collect(),
+        uses_indexes: indexes.iter().any(Option::is_some),
         uses,
         builds,
         cells,
@@ -842,6 +837,7 @@ mod tests {
     use crate::candidates::{generate_candidates, CandidateIndex};
     use crate::enumerate::enumerate_plans_into;
     use crate::estimator::{CostParams, Estimator};
+    use cache::IndexDef;
     use catalog::tpch::{tpch_schema, ScaleFactor};
     use catalog::Schema;
     use pricing::PriceCatalog;

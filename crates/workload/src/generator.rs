@@ -11,6 +11,10 @@ use crate::locality::RegionSampler;
 use crate::query::{Query, QueryId, TableAccess};
 use crate::templates::{paper_templates, ResolvedTemplate};
 
+/// Most optional columns one template may declare: each drawn optional
+/// column sets one bit of [`Query::mask`].
+pub const MAX_OPTIONAL_COLUMNS: usize = u32::BITS as usize;
+
 /// Tunables of the synthetic workload. Defaults reproduce the regime of
 /// the paper's experiments (Section VII-A).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -105,7 +109,8 @@ impl WorkloadGenerator {
     /// Creates a generator with custom templates (e.g. the SDSS example).
     ///
     /// # Panics
-    /// Panics if `config` is invalid or `templates` is empty.
+    /// Panics if `config` is invalid, `templates` is empty, or a template
+    /// has more than [`MAX_OPTIONAL_COLUMNS`] optional columns.
     #[must_use]
     pub fn with_templates(
         schema: Arc<Schema>,
@@ -117,6 +122,14 @@ impl WorkloadGenerator {
             panic!("invalid workload config `{field}`: {reason}");
         }
         assert!(!templates.is_empty(), "need at least one template");
+        for t in &templates {
+            let optional: usize = t.accesses.iter().map(|a| a.optional.len()).sum();
+            assert!(
+                optional <= MAX_OPTIONAL_COLUMNS,
+                "template `{}` has {optional} optional columns; a query mask holds at most {MAX_OPTIONAL_COLUMNS}",
+                t.name
+            );
+        }
         let mut rng = SimRng::new(seed);
         let drift_rng_stream = rng.fork(1);
         let region_rng_stream = rng.fork(2);
@@ -170,12 +183,16 @@ impl WorkloadGenerator {
         let sel = 10f64.powf(self.rng.gen_range_f64(lo, hi));
 
         let mut accesses = Vec::with_capacity(template.accesses.len());
+        let mut mask = 0u32;
+        let mut bit = 0;
         for a in &template.accesses {
             let mut columns = a.required.clone();
             for &opt in &a.optional {
                 if self.rng.gen_bool(self.config.optional_column_prob) {
                     columns.push(opt);
+                    mask |= 1 << bit;
                 }
+                bit += 1;
             }
             let local_sel = (sel * a.selectivity_factor).min(1.0);
             accesses.push(TableAccess {
@@ -199,6 +216,7 @@ impl WorkloadGenerator {
         Query {
             id,
             template: template.id,
+            mask,
             accesses,
             sort_columns: template.sort_columns.clone(),
             result_rows,
@@ -304,6 +322,62 @@ mod tests {
             }
         }
         assert!(with > 0 && without > 0, "with={with} without={without}");
+    }
+
+    #[test]
+    fn mask_names_exactly_the_drawn_optional_columns() {
+        let schema = Arc::new(tpch_schema(ScaleFactor(1.0)));
+        for prob in [0.0, 0.35, 1.0] {
+            let cfg = WorkloadConfig {
+                optional_column_prob: prob,
+                ..WorkloadConfig::default()
+            };
+            let mut g = WorkloadGenerator::new(Arc::clone(&schema), cfg, 9);
+            let templates = g.templates().to_vec();
+            for q in (&mut g).take(2000) {
+                let t = &templates[q.template.0];
+                let mut bit = 0;
+                for (access, spec) in q.accesses.iter().zip(&t.accesses) {
+                    for opt in &spec.optional {
+                        let drawn = q.mask & (1 << bit) != 0;
+                        assert_eq!(
+                            access.columns.contains(opt),
+                            drawn,
+                            "p={prob} template {} bit {bit}",
+                            t.name
+                        );
+                        bit += 1;
+                    }
+                    let optional_present = access
+                        .columns
+                        .iter()
+                        .filter(|c| spec.optional.contains(c))
+                        .count();
+                    assert_eq!(access.columns.len(), spec.required.len() + optional_present);
+                }
+                assert_eq!(
+                    q.mask >> bit,
+                    0,
+                    "p={prob}: bits beyond the template's optionals"
+                );
+                if prob == 0.0 {
+                    assert_eq!(q.mask, 0);
+                } else if prob == 1.0 {
+                    assert_eq!(u64::from(q.mask), (1u64 << bit) - 1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a query mask holds at most 32")]
+    fn templates_with_too_many_optional_columns_are_rejected() {
+        let schema = Arc::new(tpch_schema(ScaleFactor(1.0)));
+        let mut templates = paper_templates(&schema);
+        let access = &mut templates[0].accesses[0];
+        let extra = access.required[0];
+        access.optional = vec![extra; MAX_OPTIONAL_COLUMNS + 1];
+        let _ = WorkloadGenerator::with_templates(schema, templates, WorkloadConfig::default(), 1);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod templates;
 pub mod trace;
 
 pub use arrivals::{DiurnalSinusoid, MarkovModulated, SurgeOverlay};
-pub use generator::{WorkloadConfig, WorkloadGenerator};
+pub use generator::{WorkloadConfig, WorkloadGenerator, MAX_OPTIONAL_COLUMNS};
 pub use query::{Query, QueryId, TableAccess};
 pub use templates::{paper_templates, ResolvedTemplate, TemplateId};
 pub use trace::{Trace, TracedQuery};

@@ -34,6 +34,12 @@ pub struct Query {
     pub id: QueryId,
     /// Which of the 7 templates produced it.
     pub template: TemplateId,
+    /// Which of the template's optional columns this instance drew: bit
+    /// `i` is set when the `i`-th optional column of the template, in
+    /// access order, was projected. `(template, mask)` fixes every
+    /// access's table, column list and predicate list, and the sort
+    /// columns; only selectivities and result size vary within it.
+    pub mask: u32,
     /// Tables accessed; the first entry is the *driving* table (largest,
     /// cost-dominant — `lineitem` for most TPC-H templates).
     pub accesses: Vec<TableAccess>,
@@ -83,6 +89,7 @@ mod tests {
         Query {
             id: QueryId(7),
             template: TemplateId(0),
+            mask: 0,
             accesses: vec![
                 TableAccess {
                     table: TableId(0),

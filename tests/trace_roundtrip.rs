@@ -4,10 +4,16 @@
 
 use std::sync::Arc;
 
+use cloudcache::cache::CacheState;
 use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
+use cloudcache::planner::{
+    enumerate_plans, generate_candidates, CandidateIndex, CostParams, EnumerationOptions,
+    Estimator, PlannerContext,
+};
+use cloudcache::pricing::PriceCatalog;
 use cloudcache::simcore::arrival::PoissonProcess;
-use cloudcache::simcore::{SimDuration, SimRng};
-use cloudcache::workload::{Trace, WorkloadConfig, WorkloadGenerator};
+use cloudcache::simcore::{NetworkModel, SimDuration, SimRng};
+use cloudcache::workload::{paper_templates, Trace, WorkloadConfig, WorkloadGenerator};
 
 fn capture(n: usize, seed: u64) -> Trace {
     let schema = Arc::new(tpch_schema(ScaleFactor(1.0)));
@@ -62,4 +68,56 @@ fn recording_is_deterministic_per_seed() {
     let c = capture(50, 8).to_jsonl().unwrap();
     assert_eq!(a, b, "same seed, same bytes");
     assert_ne!(a, c, "different seed, different trace");
+}
+
+#[test]
+fn mask_survives_the_jsonl_roundtrip() {
+    let trace = capture(300, 31);
+    let text = trace.to_jsonl().expect("serializable");
+    assert!(
+        text.lines().all(|line| line.contains("\"mask\":")),
+        "every record carries its mask"
+    );
+    let parsed = Trace::from_jsonl(&text).expect("parseable");
+    let masks = |t: &Trace| {
+        t.records()
+            .iter()
+            .map(|r| r.query.mask)
+            .collect::<Vec<u32>>()
+    };
+    assert_eq!(masks(&parsed), masks(&trace));
+    assert!(
+        masks(&trace).iter().any(|&m| m != 0),
+        "some query drew an optional column"
+    );
+}
+
+#[test]
+fn replayed_trace_enumerates_the_live_rows() {
+    let schema = Arc::new(tpch_schema(ScaleFactor(1.0)));
+    let candidates = generate_candidates(&schema, &paper_templates(&schema), 65);
+    let cand_index = CandidateIndex::build(&schema, &candidates);
+    let estimator = Estimator::new(
+        CostParams::default(),
+        PriceCatalog::ec2_2009(),
+        NetworkModel::paper_sdss(),
+    );
+    let ctx = PlannerContext {
+        schema: &schema,
+        candidates: &candidates,
+        cand_index: &cand_index,
+        estimator: &estimator,
+    };
+    let trace = capture(200, 41);
+    let parsed = Trace::from_jsonl(&trace.to_jsonl().expect("serializable")).expect("parseable");
+    let cache = CacheState::new();
+    let opts = EnumerationOptions::default();
+    for ((at, live), (_, replayed)) in trace.replay().zip(parsed.replay()) {
+        assert_eq!(
+            enumerate_plans(&ctx, live, &cache, at, opts),
+            enumerate_plans(&ctx, replayed, &cache, at, opts),
+            "query {:?}",
+            live.id
+        );
+    }
 }
