@@ -2,7 +2,7 @@
 //! and warm caches at the paper's 2.5 TB scale, fresh enumeration into
 //! reused rows over the paper template mix at SF 100 (the `paper-single`
 //! regime, where each query's compiled shape is a table hit), and a
-//! single economy step.
+//! single economy step with the plan memo on and off.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -128,16 +128,27 @@ fn bench_fresh_enumeration(c: &mut Criterion) {
 fn bench_economy_step(c: &mut Criterion) {
     let fx = Fx::new(2500.0, 256);
     let ctx = fx.ctx();
-    c.bench_function("economy_process_query_sf2500", |b| {
-        let mut manager = EconomyManager::new(EconConfig::default());
-        let mut gen = WorkloadGenerator::new(Arc::clone(&fx.schema), WorkloadConfig::default(), 23);
-        let mut t = 0.0;
-        b.iter(|| {
-            t += 1.0;
-            let q = gen.next_query();
-            black_box(manager.process_query(&ctx, &q, SimTime::from_secs(t)))
-        })
-    });
+    // The memo-off twin runs the same stream: a serve never fills the
+    // plan memo, so on fresh generated queries the two should read alike.
+    for (name, plan_cache) in [
+        ("economy_process_query_sf2500", true),
+        ("economy_process_query_sf2500_memo_off", false),
+    ] {
+        c.bench_function(name, |b| {
+            let mut manager = EconomyManager::new(EconConfig {
+                plan_cache,
+                ..EconConfig::default()
+            });
+            let mut gen =
+                WorkloadGenerator::new(Arc::clone(&fx.schema), WorkloadConfig::default(), 23);
+            let mut t = 0.0;
+            b.iter(|| {
+                t += 1.0;
+                let q = gen.next_query();
+                black_box(manager.process_query(&ctx, &q, SimTime::from_secs(t)))
+            })
+        });
+    }
 }
 
 criterion_group!(

@@ -139,13 +139,6 @@ impl EconomyManager {
         self.plancache.borrow().stats()
     }
 
-    /// Plan-cache way-conflict evictions per template (indexed by
-    /// template id) — the adaptive-associativity input signal.
-    #[must_use]
-    pub fn plan_cache_way_conflicts(&self) -> Vec<u64> {
-        self.plancache.borrow().way_conflicts().to_vec()
-    }
-
     /// The cloud account (`CR` lives here).
     #[must_use]
     pub fn account(&self) -> &CloudAccount {
@@ -295,6 +288,15 @@ impl EconomyManager {
 
     /// Processes one query at its arrival instant.
     ///
+    /// Planning reads the plan memo but never writes a new slot: the
+    /// query runs from a slot a preceding quote of it left behind
+    /// ([`Self::quote_query`], or a fleet round's [`Self::commit_quote`]
+    /// / [`QuoteBatch::commit`]), and otherwise from a fresh enumeration
+    /// that is dropped once it has served. A served query is no evidence
+    /// that its fingerprint comes back, and generated queries carry
+    /// continuous selectivities, so a slot a serve installed would
+    /// almost never be read. The outcome is bit-identical either way.
+    ///
     /// # Panics
     /// Panics if `now` precedes a previous arrival (the simulator feeds
     /// queries in time order).
@@ -394,10 +396,10 @@ impl EconomyManager {
     }
 
     /// Steps (2)–(5) of the control loop: obtain the costed plan rows
-    /// (memoized per template when the query fingerprint allows — see
-    /// [`crate::plancache`]), reduce them to the two-tier skyline, form
-    /// the user's budget, run the case analysis and distribute the
-    /// regret of the rejected possible plans.
+    /// (a memoized plan set when a quote left one for this query's
+    /// fingerprint — see [`crate::plancache`]), reduce them to the
+    /// two-tier skyline, form the user's budget, run the case analysis
+    /// and distribute the regret of the rejected possible plans.
     ///
     /// Existing plans are skylined among themselves (they are the
     /// executable menu — a *possible* plan may dominate them on paper but
@@ -406,23 +408,28 @@ impl EconomyManager {
     /// shape at `budget_scale × backend price` with deadline
     /// `patience × backend time`.
     fn plan_query(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Planned {
-        self.plan_query_with(ctx, query, now, |rows, opts| {
+        let (planned, _unmemoized) = self.plan_query_with(ctx, query, now, |rows, opts| {
             self.serve_from(query, rows, opts)
-        })
+        });
+        planned
     }
 
-    /// The memoizing planning engine behind both [`Self::plan_query`] and
-    /// [`Self::quote_query`], with a caller-chosen selection over the
-    /// plan rows: the serving path runs the full case analysis
-    /// ([`Self::serve_from`]), while the quote runs the payment-only
-    /// variant ([`Self::select_payment_from`]). Memo state transitions
-    /// (lookups, refreshes, installs, LRU stamps, counters) are identical
-    /// either way — `select` never touches the memo.
+    /// The planning engine behind both [`Self::plan_query`] and
+    /// [`Self::quote_query`]: the memo lookup, then planning, with a
+    /// caller-chosen selection over the plan rows. The serving path runs
+    /// the full case analysis ([`Self::serve_from`]), while the quote
+    /// runs the payment-only variant ([`Self::select_payment_from`]).
+    /// Lookup transitions (hits, refreshes, re-completions, LRU stamps,
+    /// victim promotions, counters) are identical either way — `select`
+    /// never touches the memo.
     ///
     /// Planning factors into the cache-independent skeleton and the cheap
     /// per-node completion. A memo lookup whose fingerprint matches but
-    /// whose cache epoch moved re-runs only the completion phase; a fresh
-    /// fingerprint enumerates fused and memoizes the result. With
+    /// whose cache epoch moved re-runs only the completion phase into its
+    /// slot. A fresh fingerprint enumerates fused into the manager's
+    /// scratch rows and installs nothing: the second value is then
+    /// `Some`, and the caller decides whether the set is worth keeping
+    /// ([`Self::quote_query`] memoizes it, a serve drops it). With
     /// memoization disabled, planning runs the fused enumerator — the
     /// reference the bit-identity suites compare the split path against.
     fn plan_query_with<R>(
@@ -431,14 +438,14 @@ impl EconomyManager {
         query: &Query,
         now: SimTime,
         select: impl FnOnce(&PlanRows, EnumerationOptions) -> R,
-    ) -> R {
+    ) -> (R, Option<FreshPlanSet>) {
         let opts = self.config.enumeration(self.arrival_rate());
         let estimator = ctx.estimator;
         let mut rows = self.rows.borrow_mut();
 
         if !self.config.plan_cache {
             enumerate_plans_into(ctx, query, &self.cache, now, opts, &mut rows);
-            return select(&rows, opts);
+            return (select(&rows, opts), None);
         }
 
         let epoch = self.cache.epoch(now);
@@ -455,7 +462,7 @@ impl EconomyManager {
                 }
                 let planned = select(&slot.rows, opts);
                 pc.count_hit(refreshed);
-                return planned;
+                return (planned, None);
             }
             // The skeleton is cache-independent and still valid: re-run
             // only the completion phase against the moved cache state.
@@ -476,7 +483,7 @@ impl EconomyManager {
             slot.replace_completion(epoch, self.cache.settle_seq(), opts, now, &mut rows);
             let planned = select(&slot.rows, opts);
             pc.count_completion();
-            return planned;
+            return (planned, None);
         }
         pc.count_miss();
 
@@ -487,17 +494,7 @@ impl EconomyManager {
         // so refreshes re-derive first installments under whatever
         // amortisation horizon the arrival rate implies later.
         enumerate_plans_into(ctx, query, &self.cache, now, opts, &mut rows);
-        let planned = select(&rows, opts);
-        pc.install_slot(
-            query.template.0,
-            None,
-            epoch,
-            self.cache.settle_seq(),
-            opts,
-            now,
-            &mut rows,
-        );
-        planned
+        (select(&rows, opts), Some(FreshPlanSet { opts, epoch }))
     }
 
     /// Skyline partition + budget + case analysis straight over the plan
@@ -650,22 +647,38 @@ impl EconomyManager {
     /// Quotes the price `B_Q(t)` this cloud would charge for `query` at
     /// `now` without serving it — the bid of a cloud quoting on its own.
     ///
-    /// The quote runs the same (memoized) planning → skyline → case
+    /// The quote runs the same memo lookup, planning, skyline and case
     /// analysis as [`process_query`](Self::process_query) but skips its
     /// side effects, so the realized price can differ from the quote in
     /// two ways: serving the query first evicts structures whose
     /// maintenance failed, and it updates the observed arrival statistics
     /// that the enumeration options (amortisation horizon, maintenance
     /// window) derive from. Routers treat quotes as bids, not contracts.
-    /// This standalone quote memoizes its plan set, so a serve that
-    /// follows it reuses the set. Fleet quote rounds, where only the
-    /// cheapest bidder serves, quote through [`Self::quote_with_skeleton`]
-    /// instead and memoize the winner's set alone.
+    /// This standalone quote memoizes its plan set on a miss, so a serve
+    /// that follows it reuses the set; it is the only path besides a
+    /// fleet round's commit that fills a memo slot (a serve only looks
+    /// up). Fleet quote rounds, where only the cheapest bidder serves,
+    /// quote through [`Self::quote_with_skeleton`] instead and memoize
+    /// the winner's set alone.
     #[must_use]
     pub fn quote_query(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Money {
-        self.plan_query_with(ctx, query, now, |rows, _| {
+        let (bid, fresh) = self.plan_query_with(ctx, query, now, |rows, _| {
             self.select_payment_from(query, rows)
-        })
+        });
+        if let Some(FreshPlanSet { opts, epoch }) = fresh {
+            // The lookup prepared this query's fingerprint and left the
+            // enumerated rows in scratch; nothing has moved since.
+            self.plancache.borrow_mut().install_slot(
+                query.template.0,
+                None,
+                epoch,
+                self.cache.settle_seq(),
+                opts,
+                now,
+                &mut self.rows.borrow_mut(),
+            );
+        }
+        bid
     }
 
     /// [`Self::quote_query`]'s bid, drawing the cache-independent
@@ -912,6 +925,15 @@ impl EconomyManager {
             }
         }
     }
+}
+
+/// A plan set a missed lookup enumerated into the manager's scratch rows
+/// and left unmemoized, with the options and cache epoch it was
+/// enumerated under — what an install needs besides the rows.
+#[derive(Debug, Clone, Copy)]
+struct FreshPlanSet {
+    opts: EnumerationOptions,
+    epoch: u64,
 }
 
 /// What a fleet bid still needs after its memo lookup.

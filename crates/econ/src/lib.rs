@@ -29,10 +29,10 @@
 //!   [`economy::QuoteBatch`], the batched structure-major quote round a
 //!   fleet's routers fan out over competing managers.
 //! * [`plancache`] — memoized planning: 2-way-associative per-template
-//!   slots caching the cache-independent plan skeleton plus its latest
-//!   per-node completion, bit-identical to fresh enumeration (the
-//!   hot-path optimisation the `hotpath` bench measures), with
-//!   way-conflict counters feeding the adaptive-associativity roadmap.
+//!   slots, backed by a small victim cache, holding the cache-independent
+//!   plan skeleton plus its latest per-node completion, bit-identical to
+//!   fresh enumeration. Quotes fill the slots and the serve that follows
+//!   reads them; a serve alone never memoizes.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,11 +1,31 @@
 //! Memoized planning — the per-template plan cache.
 //!
-//! The economy's control loop runs full plan enumeration (`P_Q`, skyline,
-//! case analysis) for **every** arriving query, and the fleet layer
-//! multiplies that by the node count because cheapest-quote routing plans
-//! the query once per bidding node. Most of that work is redundant: the
-//! seven paper templates arrive Zipf-skewed, and the enumerated plan set
-//! for a given query instance factors into
+//! The economy's control loop plans (`P_Q`, skyline, case analysis)
+//! **every** arriving query, and a fleet's cheapest-quote routing plans
+//! it once more per bidding node. The memo keeps a plan set only on
+//! evidence that it will be read again, and a quote is that evidence:
+//! the query it prices is about to be served.
+//!
+//! * **Quotes fill slots.** A standalone quote
+//!   ([`EconomyManager::quote_query`]) memoizes its miss, and a fleet
+//!   round memoizes its winner's bid ([`EconomyManager::commit_quote`],
+//!   [`QuoteBatch::commit`]). The serve that follows reads that slot.
+//! * **Serves only look up.** [`EconomyManager::process_query`] serves a
+//!   matching slot (refreshing or re-completing it as below), but a miss
+//!   plans into the manager's scratch rows and installs nothing.
+//!   Generated queries carry continuous selectivities, so a served
+//!   fingerprint practically never returns: the three perfbench workloads
+//!   take 0 hits in 692k serve lookups. Admitting such one-hit wonders
+//!   would only cycle plan rows through the sets and the victim cache
+//!   (the admission argument of TinyLFU, Einziger, Friedman & Manes, ACM
+//!   ToS 2017).
+//!
+//! [`EconomyManager::quote_query`]: crate::EconomyManager::quote_query
+//! [`EconomyManager::commit_quote`]: crate::EconomyManager::commit_quote
+//! [`EconomyManager::process_query`]: crate::EconomyManager::process_query
+//! [`QuoteBatch::commit`]: crate::QuoteBatch::commit
+//!
+//! A memoized plan set factors into
 //!
 //! * a **skeleton** ([`planner::PlanSkeleton`]) — the cache-independent
 //!   half (backend estimate, candidate-index choice, per-variant
@@ -45,7 +65,8 @@
 //! of one template (the prepared-statement regime with two distinct
 //! parameterisations in flight) no longer evict each other — the thrash
 //! case pinned in `tests/memoization.rs`. Replacement within a set is
-//! least-recently-used.
+//! least-recently-used. Only quote installs reach the sets and the victim
+//! cache below.
 //!
 //! Templates that keep *more* than two parameterisations live thrash
 //! even a 2-way set. Rather than widening every set for the worst
@@ -151,8 +172,8 @@ pub struct PlanCacheStats {
     /// room. A workload with persistent conflicts has more live
     /// instances per template than a set has ways (two); once a template's
     /// conflict count exceeds the set's way count, its displaced slots
-    /// are admitted to the victim cache ([`PlanCache::way_conflicts`]
-    /// breaks the signal down per template).
+    /// are admitted to the victim cache (see the [module
+    /// docs](crate::plancache)).
     pub conflicts: u64,
     /// Set-miss lookups rescued by the victim cache: the fingerprint was
     /// displaced from its set but still memoized, and was swapped back
@@ -189,15 +210,6 @@ impl PlanCache {
     #[must_use]
     pub fn stats(&self) -> PlanCacheStats {
         self.stats
-    }
-
-    /// Way-conflict evictions per template (indexed by template id; a
-    /// template beyond the slice's end has seen none). Input signal for
-    /// the seeded adaptive-associativity work: a persistently conflicting
-    /// template has more live instances than its set has ways.
-    #[must_use]
-    pub fn way_conflicts(&self) -> &[u64] {
-        &self.template_conflicts
     }
 
     /// Builds the planning fingerprint of `query` into the internal

@@ -16,13 +16,17 @@ use serde::{Deserialize, Serialize};
 /// completions only ever grow within a query step, so deltas are exact).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlanCacheDelta {
-    /// Memoized skeletons reused as-is.
+    /// Lookups whose plan set was served from a memo slot.
     pub hits: u64,
-    /// Plans built from scratch.
+    /// Lookups that found no slot and planned from scratch.
     pub misses: u64,
-    /// Stale entries re-planned after a cache-content change.
+    /// Hits whose prices (maintenance, amortisation) were re-quoted
+    /// because the clock, the settlements or the arrival rate moved; a
+    /// subset of `hits`. Cache-content changes count as `completions`.
     pub refreshes: u64,
-    /// Shared skeletons completed against per-node cache state.
+    /// Lookups whose slot was stale after a cache-content change (the
+    /// cache epoch moved), so only the completion phase re-ran from the
+    /// memoized skeleton.
     pub completions: u64,
     /// Set-miss lookups rescued by the memo's victim cache. Defaults to
     /// zero so traces recorded before the victim cache existed still

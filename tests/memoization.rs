@@ -4,13 +4,18 @@
 //! manager running with memoization produces exactly the same
 //! `QueryOutcome`s, account balances, quotes and investment decisions as
 //! one planning every query from scratch, over arbitrary interleavings of
-//! arrivals (including simultaneous ones), repeated instances, installs,
-//! failures and evictions. The fleet's cheapest-quote routing must
-//! likewise be unchanged. Alongside, the cache planning epoch must be
-//! monotone — the property the memo's validity check rests on — the
-//! 2-way associative sets must hold two live instances of one template
-//! without thrashing, and templates with *more* live instances than
-//! ways must ride the adaptive victim cache instead of thrashing.
+//! arrivals (including simultaneous ones), quoted and unquoted serves,
+//! repeated instances, installs, failures and evictions. The fleet's
+//! cheapest-quote routing must likewise be unchanged. Alongside, the
+//! cache planning epoch must be monotone — the property the memo's
+//! validity check rests on — the 2-way associative sets must hold two
+//! live instances of one template without thrashing, and templates with
+//! *more* live instances than ways must ride the adaptive victim cache
+//! instead of thrashing.
+//!
+//! Only quotes fill the memo; a serve only looks it up. So every test
+//! that exercises hits drives the quote → serve handoff: each arrival is
+//! quoted (`quote_query`, which memoizes its miss) before it is served.
 
 use std::sync::Arc;
 
@@ -87,13 +92,15 @@ fn query_pool(harness: &Harness, seed: u64, fresh: usize) -> Vec<Query> {
 proptest! {
     /// Two managers — one memoized, one planning fresh — driven through
     /// the same randomized arrival sequence (repeats, bursts, ties and
-    /// long idle gaps included, with interleaved quotes warming the memo)
-    /// must report identical outcomes, balances and regret totals, while
-    /// the cache epoch stays monotone.
+    /// long idle gaps included) must report identical outcomes, balances
+    /// and regret totals, while the cache epoch stays monotone. Most
+    /// arrivals are quoted before they are served, so the serve reads
+    /// the plan set its quote memoized; the rest are served without a
+    /// quote, so un-memoized serves interleave with handoff hits.
     #[test]
     fn memoized_and_fresh_managers_agree(
         seed in 0u64..1_000,
-        picks in prop::collection::vec((0usize..24, 0u8..6), 40..160),
+        picks in prop::collection::vec((0usize..24, 0u8..6, 0u8..4), 40..160),
     ) {
         let harness = Harness::new();
         let ctx = harness.ctx();
@@ -103,7 +110,7 @@ proptest! {
 
         let mut now = SimTime::ZERO;
         let mut last_epoch = 0u64;
-        for &(pick, gap_code) in &picks {
+        for &(pick, gap_code, kind) in &picks {
             // Gap 0 produces simultaneous arrivals; large gaps trigger
             // maintenance backlogs and structure failure.
             let gap = match gap_code {
@@ -117,9 +124,12 @@ proptest! {
             now += SimDuration::from_secs(gap);
             let query = &pool[pick];
 
-            let quote_memo = memo.quote_query(&ctx, query, now);
-            let quote_fresh = fresh.quote_query(&ctx, query, now);
-            prop_assert_eq!(quote_memo, quote_fresh, "quotes diverged at {}", now);
+            // Kind 0 serves without a quote; the others quote first.
+            if kind != 0 {
+                let quote_memo = memo.quote_query(&ctx, query, now);
+                let quote_fresh = fresh.quote_query(&ctx, query, now);
+                prop_assert_eq!(quote_memo, quote_fresh, "quotes diverged at {}", now);
+            }
 
             let out_memo = memo.process_query(&ctx, query, now);
             let out_fresh = fresh.process_query(&ctx, query, now);
@@ -260,10 +270,12 @@ proptest! {
 }
 
 /// Replayed instances under a stable cache must actually hit the memo —
-/// the whole point of the subsystem. One concrete instance per template
-/// (the memo is direct-mapped by template), replayed with the paper-scale
-/// default economics (no investments fire in 700 queries at SF 10), so
-/// the cache epoch stays put and every repeat after the first cycle hits.
+/// the whole point of the subsystem. One concrete instance per template,
+/// replayed with the paper-scale default economics, under which the few
+/// investments that fire in 700 queries at SF 10 rarely move the cache
+/// epoch. Each arrival is quoted, then served: the first quote of each
+/// instance misses and memoizes, and every later lookup (quote or serve)
+/// reuses the slot — a hit, or a re-completion after an epoch move.
 #[test]
 fn replayed_instances_hit_the_plan_cache() {
     let harness = Harness::new();
@@ -278,18 +290,57 @@ fn replayed_instances_hit_the_plan_cache() {
     }
     let pool: Vec<Query> = picked.into_iter().map(Option::unwrap).collect();
     let mut manager = EconomyManager::new(EconConfig::default());
-    for i in 0..700usize {
+    let n = 700usize;
+    for i in 0..n {
         let now = SimTime::from_secs((i + 1) as f64);
-        let _ = manager.process_query(&ctx, &pool[i % pool.len()], now);
+        let query = &pool[i % pool.len()];
+        let _ = manager.quote_query(&ctx, query, now);
+        let _ = manager.process_query(&ctx, query, now);
     }
     let stats = manager.plan_cache_stats();
-    assert!(
-        stats.hits >= 600,
-        "replay workload should mostly hit the memo, saw {stats:?}"
+    let lookups = 2 * n as u64;
+    assert_eq!(
+        stats.misses,
+        pool.len() as u64,
+        "each distinct instance enumerates exactly once, saw {stats:?}"
+    );
+    assert_eq!(
+        stats.hits + stats.completions,
+        lookups - pool.len() as u64,
+        "every later lookup must reuse the memoized plan set, saw {stats:?}"
     );
     assert!(
-        stats.misses >= pool.len() as u64,
-        "each distinct instance enumerates at least once, saw {stats:?}"
+        stats.hits >= 1_200,
+        "replay workload should mostly hit the memo, saw {stats:?}"
+    );
+}
+
+/// A serve looks the memo up but never fills it: repeated serve-only
+/// arrivals of one instance enumerate every time, while one quote of the
+/// instance memoizes the plan set its serve then reads.
+#[test]
+fn serves_never_fill_the_plan_memo() {
+    let harness = Harness::new();
+    let ctx = harness.ctx();
+    let query = query_pool(&harness, 3, 1).remove(0);
+    let mut manager = EconomyManager::new(EconConfig::default());
+    let n = 50u64;
+    for i in 0..n {
+        let now = SimTime::from_secs((i + 1) as f64);
+        let _ = manager.process_query(&ctx, &query, now);
+    }
+    let stats = manager.plan_cache_stats();
+    assert_eq!(stats.hits, 0, "serves memoized a plan set: {stats:?}");
+    assert_eq!(stats.misses, n, "{stats:?}");
+
+    let now = SimTime::from_secs((n + 1) as f64);
+    let _ = manager.quote_query(&ctx, &query, now);
+    let _ = manager.process_query(&ctx, &query, now);
+    let stats = manager.plan_cache_stats();
+    assert_eq!(stats.misses, n + 1, "the quote missed once: {stats:?}");
+    assert_eq!(
+        stats.hits, 1,
+        "the serve reads the quote's plan set: {stats:?}"
     );
 }
 
@@ -321,8 +372,9 @@ fn quote_then_serve_reuses_the_quotes_plan_set() {
 
 /// Two live instances of one template must coexist in the memo — the
 /// direct-mapped thrash case: alternating A, B, A, B… used to evict on
-/// every lookup (zero hits); the 2-way associative sets hold both, so
-/// every lookup after the first cycle hits.
+/// every lookup (zero hits); the 2-way associative sets hold both. Each
+/// arrival is quoted, then served: only the first quote of each instance
+/// misses, and every other lookup — quote or serve — hits.
 #[test]
 fn two_instances_of_one_template_stop_evicting_each_other() {
     let harness = Harness::new();
@@ -346,22 +398,26 @@ fn two_instances_of_one_template_stop_evicting_each_other() {
     for i in 0..n {
         let now = SimTime::from_secs((i + 1) as f64);
         let q = if i % 2 == 0 { &a } else { &b };
+        let _ = manager.quote_query(&ctx, q, now);
         let _ = manager.process_query(&ctx, q, now);
     }
     let stats = manager.plan_cache_stats();
     assert_eq!(stats.misses, 2, "each instance enumerates exactly once");
     assert_eq!(
         stats.hits,
-        n as u64 - 2,
+        2 * n as u64 - 2,
         "every later lookup must hit, saw {stats:?}"
     );
+    assert_eq!(stats.victim_hits, 0, "both ways hold, saw {stats:?}");
 }
 
 /// Three live instances of one template overflow the 2-way set — the
 /// regime that used to thrash no matter the replacement policy. The
 /// victim cache adaptively absorbs the overflow: after its admission
 /// bar clears (more conflicts than ways), the rotation settles into
-/// victim hits and full re-enumerations stop entirely.
+/// victim hits and full re-enumerations stop entirely. Each arrival is
+/// quoted, then served: the quote's lookup is the one that misses or is
+/// rescued, and the serve reads the slot the quote left in its set.
 #[test]
 fn three_instances_of_one_template_ride_the_victim_cache() {
     let harness = Harness::new();
@@ -385,13 +441,15 @@ fn three_instances_of_one_template_ride_the_victim_cache() {
     let n = 300usize;
     for i in 0..n {
         let now = SimTime::from_secs((i + 1) as f64);
-        let _ = manager.process_query(&ctx, rotation[i % 3], now);
+        let query = rotation[i % 3];
+        let _ = manager.quote_query(&ctx, query, now);
+        let _ = manager.process_query(&ctx, query, now);
     }
     let stats = manager.plan_cache_stats();
-    // Warmup: A, B, C, A, B miss (the first two C/A displacements fall
-    // under the admission bar and are dismantled); from the third
-    // conflict on every displaced slot is admitted and every set miss is
-    // rescued by the victim probe.
+    // Warmup: the quotes of A, B, C, A, B miss (the first two C/A
+    // displacements fall under the admission bar and are dismantled);
+    // from the third conflict on every displaced slot is admitted and
+    // every quote's set miss is rescued by the victim probe.
     assert_eq!(
         stats.misses, 5,
         "rotation must stop enumerating once the victim cache engages, saw {stats:?}"
@@ -399,21 +457,22 @@ fn three_instances_of_one_template_ride_the_victim_cache() {
     assert_eq!(
         stats.victim_hits,
         n as u64 - 5,
-        "steady state is one victim rescue per lookup, saw {stats:?}"
+        "steady state is one victim rescue per quote, saw {stats:?}"
     );
-    // Every rescue serves the memoized skeleton: either straight (a hit)
-    // or via the cheap completion phase when the cache epoch moved under
-    // it — never a fresh enumeration.
+    // Every other lookup serves the memoized skeleton: either straight (a
+    // hit) or via the cheap completion phase when the cache epoch moved
+    // under it — never a fresh enumeration.
     assert_eq!(
         stats.hits + stats.completions,
-        n as u64 - 5,
-        "every rescue serves the memoized plan set, saw {stats:?}"
+        2 * n as u64 - 5,
+        "every rescue and every serve reads the memoized plan set, saw {stats:?}"
     );
 }
 
 /// When the cache epoch moves under a memoized template (investments,
 /// evictions), the memo re-runs only the cheap completion phase from the
-/// stored skeleton instead of a full re-enumeration.
+/// stored skeleton instead of a full re-enumeration. Each arrival is
+/// quoted, then served, so the slots come from the quotes.
 #[test]
 fn epoch_changes_recomplete_instead_of_re_enumerating() {
     let harness = Harness::new();
@@ -431,9 +490,12 @@ fn epoch_changes_recomplete_instead_of_re_enumerating() {
     // cache epoch under the memoized templates.
     let mut manager = EconomyManager::new(biting_config(true));
     let mut invested = 0usize;
-    for i in 0..2_500usize {
+    let n = 2_500usize;
+    for i in 0..n {
         let now = SimTime::from_secs((i + 1) as f64);
-        let o = manager.process_query(&ctx, &pool[i % pool.len()], now);
+        let query = &pool[i % pool.len()];
+        let _ = manager.quote_query(&ctx, query, now);
+        let o = manager.process_query(&ctx, query, now);
         invested += o.investments.len();
     }
     assert!(invested > 0, "economics must bite for this test to bite");
@@ -442,6 +504,11 @@ fn epoch_changes_recomplete_instead_of_re_enumerating() {
         stats.misses,
         pool.len() as u64,
         "epoch changes must not cause full re-enumerations, saw {stats:?}"
+    );
+    assert_eq!(
+        stats.hits + stats.completions,
+        2 * n as u64 - pool.len() as u64,
+        "every later lookup reuses the memoized skeleton, saw {stats:?}"
     );
     assert!(
         stats.completions > 0,
