@@ -12,8 +12,14 @@
 //!   optimisations: candidate index, single-pass skyline, buffer reuse,
 //!   gated failure scans);
 //! * **warm-template** — one concrete instance per template, replayed
-//!   round-robin (the prepared-statement regime where the plan cache
-//!   serves repeat hits between cache-state changes).
+//!   round-robin (the prepared-statement regime).
+//!
+//! Both cells serve without quotes, and only a winning bid's commit
+//! fills the plan memo, so every cell reads 0 memo hits. The drift check
+//! therefore pins the memo-on serve path itself — its lookup, and a miss
+//! planning into scratch rows without installing — against memo-off
+//! serves. The memo's hit path (quote, commit, serve) is pinned by
+//! `tests/memoization.rs` and the fleet handoff tests instead.
 //!
 //! The committed `BENCH_hotpath.json` records the pre-optimisation
 //! baseline queries/sec (seed planner, measured with this same harness

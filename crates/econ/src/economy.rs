@@ -22,8 +22,8 @@ use std::sync::Arc;
 use cache::{CacheState, CachedStructure, StructureKey};
 use planner::enumerate::EnumerationOptions;
 use planner::{
-    complete_plans_into, enumerate_plans_into, skyline_partition_hot, BatchCompleter, CacheView,
-    Estimator, ExecRows, LazySkeleton, PlanHot, PlanRows, PlanSkeleton, PlannerContext, QueryPlan,
+    enumerate_plans_into, skyline_partition_hot, BatchCompleter, CacheView, Estimator, ExecRows,
+    LazySkeleton, PlanHot, PlanRows, PlanSkeleton, PlannerContext, QueryPlan,
 };
 use pricing::Money;
 use simcore::{SimDuration, SimTime};
@@ -51,12 +51,12 @@ pub struct EconomyManager {
     queries_seen: u64,
     first_arrival: Option<SimTime>,
     last_arrival: SimTime,
-    /// Memoized plan sets per template (interior mutability: quotes and
-    /// a won bid's commit are `&self` but write the memo for the serving
-    /// call).
+    /// Memoized plan sets per template (interior mutability: a bid's
+    /// lookup stamps and refreshes slots, and a won bid's commit writes
+    /// one for the serving call, all through `&self`).
     plancache: RefCell<PlanCache>,
-    /// Scratch rows that enumeration and completion write into; an
-    /// install swaps them into the memo and takes back the displaced
+    /// Scratch rows fused enumeration and a batched commit write into;
+    /// an install swaps them into the memo and takes back the displaced
     /// slot's rows.
     rows: RefCell<PlanRows>,
     /// Scratch for the skyline index partition.
@@ -289,13 +289,13 @@ impl EconomyManager {
     /// Processes one query at its arrival instant.
     ///
     /// Planning reads the plan memo but never writes a new slot: the
-    /// query runs from a slot a preceding quote of it left behind
-    /// ([`Self::quote_query`], or a fleet round's [`Self::commit_quote`]
-    /// / [`QuoteBatch::commit`]), and otherwise from a fresh enumeration
-    /// that is dropped once it has served. A served query is no evidence
-    /// that its fingerprint comes back, and generated queries carry
-    /// continuous selectivities, so a slot a serve installed would
-    /// almost never be read. The outcome is bit-identical either way.
+    /// query runs from a slot its quote's commit left behind
+    /// ([`Self::commit_quote`] or [`QuoteBatch::commit`]), and otherwise
+    /// from a fresh enumeration that is dropped once it has served. A
+    /// served query is no evidence that its fingerprint comes back, and
+    /// generated queries carry continuous selectivities, so a slot a
+    /// serve installed would almost never be read. The outcome is
+    /// bit-identical either way.
     ///
     /// # Panics
     /// Panics if `now` precedes a previous arrival (the simulator feeds
@@ -396,10 +396,11 @@ impl EconomyManager {
     }
 
     /// Steps (2)–(5) of the control loop: obtain the costed plan rows
-    /// (a memoized plan set when a quote left one for this query's
-    /// fingerprint — see [`crate::plancache`]), reduce them to the
-    /// two-tier skyline, form the user's budget, run the case analysis
-    /// and distribute the regret of the rejected possible plans.
+    /// (a memoized plan set when a won bid's commit left one for this
+    /// query's fingerprint — see [`crate::plancache`]), reduce them to
+    /// the two-tier skyline, form the user's budget, run the case
+    /// analysis and distribute the regret of the rejected possible
+    /// plans.
     ///
     /// Existing plans are skylined among themselves (they are the
     /// executable menu — a *possible* plan may dominate them on paper but
@@ -407,94 +408,27 @@ impl EconomyManager {
     /// the full set to be worth regretting. The budget is the configured
     /// shape at `budget_scale × backend price` with deadline
     /// `patience × backend time`.
-    fn plan_query(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Planned {
-        let (planned, _unmemoized) = self.plan_query_with(ctx, query, now, |rows, opts| {
-            self.serve_from(query, rows, opts)
-        });
-        planned
-    }
-
-    /// The planning engine behind both [`Self::plan_query`] and
-    /// [`Self::quote_query`]: the memo lookup, then planning, with a
-    /// caller-chosen selection over the plan rows. The serving path runs
-    /// the full case analysis ([`Self::serve_from`]), while the quote
-    /// runs the payment-only variant ([`Self::select_payment_from`]).
-    /// Lookup transitions (hits, refreshes, re-completions, LRU stamps,
-    /// victim promotions, counters) are identical either way — `select`
-    /// never touches the memo.
     ///
-    /// Planning factors into the cache-independent skeleton and the cheap
-    /// per-node completion. A memo lookup whose fingerprint matches but
-    /// whose cache epoch moved re-runs only the completion phase into its
-    /// slot. A fresh fingerprint enumerates fused into the manager's
-    /// scratch rows and installs nothing: the second value is then
-    /// `Some`, and the caller decides whether the set is worth keeping
-    /// ([`Self::quote_query`] memoizes it, a serve drops it). With
-    /// memoization disabled, planning runs the fused enumerator — the
-    /// reference the bit-identity suites compare the split path against.
-    fn plan_query_with<R>(
-        &self,
-        ctx: &PlannerContext<'_>,
-        query: &Query,
-        now: SimTime,
-        select: impl FnOnce(&PlanRows, EnumerationOptions) -> R,
-    ) -> (R, Option<FreshPlanSet>) {
-        let opts = self.config.enumeration(self.arrival_rate());
-        let estimator = ctx.estimator;
-        let mut rows = self.rows.borrow_mut();
-
-        if !self.config.plan_cache {
+    /// A current slot serves straight from its rows. Otherwise the query
+    /// is enumerated fused into the manager's scratch rows and served
+    /// from them; a stale slot (the cache epoch moved) then takes the
+    /// rows in place, while a miss installs nothing.
+    fn plan_query(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Planned {
+        let (need, opts, epoch) = match self.lookup(ctx, query, None, now, |rows, opts| {
+            self.serve_from(query, rows, opts)
+        }) {
+            Ok(planned) => return planned,
+            Err(need) => need,
+        };
+        let planned = {
+            let mut rows = self.rows.borrow_mut();
             enumerate_plans_into(ctx, query, &self.cache, now, opts, &mut rows);
-            return (select(&rows, opts), None);
+            self.serve_from(query, &rows, opts)
+        };
+        if matches!(need, QuoteNeed::Stale) {
+            self.memoize(need, opts, epoch, query.template.0, now);
         }
-
-        let epoch = self.cache.epoch(now);
-        let mut pc = self.plancache.borrow_mut();
-        pc.prepare_fingerprint(query);
-
-        if let Some(slot) = pc.matching_slot(query.template.0) {
-            if slot.completion_current(epoch, &opts) {
-                let refreshed = !slot.prices_current(&self.cache, now, &opts);
-                if refreshed {
-                    slot.refresh_prices(&self.cache, now, opts, |s, span| {
-                        estimator.maintenance(s, span)
-                    });
-                }
-                let planned = select(&slot.rows, opts);
-                pc.count_hit(refreshed);
-                return (planned, None);
-            }
-            // The skeleton is cache-independent and still valid: re-run
-            // only the completion phase against the moved cache state.
-            // Built lazily here when the slot holds none (drifting
-            // fingerprints never reach this arm and never pay for one).
-            let skeleton = Arc::clone(
-                slot.skeleton
-                    .get_or_insert_with(|| Arc::new(PlanSkeleton::build(ctx, query))),
-            );
-            complete_plans_into(
-                &skeleton,
-                &self.cache,
-                now,
-                opts,
-                |s, span| estimator.maintenance(s, span),
-                &mut rows,
-            );
-            slot.replace_completion(epoch, self.cache.settle_seq(), opts, now, &mut rows);
-            let planned = select(&slot.rows, opts);
-            pc.count_completion();
-            return (planned, None);
-        }
-        pc.count_miss();
-
-        // Fresh fingerprint: enumerate fused — a drifting workload that
-        // never repeats a fingerprint should not build skeletons it will
-        // never reuse; the first epoch-stale re-completion builds one on
-        // demand. The rows carry their epoch-stable missing-build quotes,
-        // so refreshes re-derive first installments under whatever
-        // amortisation horizon the arrival rate implies later.
-        enumerate_plans_into(ctx, query, &self.cache, now, opts, &mut rows);
-        (select(&rows, opts), Some(FreshPlanSet { opts, epoch }))
+        planned
     }
 
     /// Skyline partition + budget + case analysis straight over the plan
@@ -583,15 +517,15 @@ impl EconomyManager {
     /// * no execution row (backend or cache) past the deadline has a
     ///   non-positive execution cost.
     ///
-    /// Then [`Self::quote_query`] and [`Self::quote_with_skeleton`] bid
-    /// exactly this amount at any cache state, clock and objective. A
-    /// plan's price is its row's execution cost plus installments and
-    /// maintenance, neither negative, so every affordable plan runs
-    /// within the deadline, where the step pays its full amount. The
-    /// existing-tier skyline holds a plan at least as fast and as cheap
-    /// as the backend, hence affordable too, so the case analysis lands
-    /// in case B or C and charges that full amount. The third condition
-    /// is not idle: under zero CPU and I/O rates
+    /// Then [`Self::quote_query`] and a batched round
+    /// ([`QuoteBatch::quote_round`]) bid exactly this amount at any cache
+    /// state, clock and objective. A plan's price is its row's execution
+    /// cost plus installments and maintenance, neither negative, so every
+    /// affordable plan runs within the deadline, where the step pays its
+    /// full amount. The existing-tier skyline holds a plan at least as
+    /// fast and as cheap as the backend, hence affordable too, so the
+    /// case analysis lands in case B or C and charges that full amount.
+    /// The third condition is not idle: under zero CPU and I/O rates
     /// ([`pricing::PriceCatalog::network_only`]) cache rows cost nothing,
     /// and a free cached plan past the deadline would be affordable at a
     /// budget of zero.
@@ -645,7 +579,7 @@ impl EconomyManager {
     }
 
     /// Quotes the price `B_Q(t)` this cloud would charge for `query` at
-    /// `now` without serving it — the bid of a cloud quoting on its own.
+    /// `now` without serving it — the read-only bid of one quote round.
     ///
     /// The quote runs the same memo lookup, planning, skyline and case
     /// analysis as [`process_query`](Self::process_query) but skips its
@@ -654,102 +588,49 @@ impl EconomyManager {
     /// maintenance failed, and it updates the observed arrival statistics
     /// that the enumeration options (amortisation horizon, maintenance
     /// window) derive from. Routers treat quotes as bids, not contracts.
-    /// This standalone quote memoizes its plan set on a miss, so a serve
-    /// that follows it reuses the set; it is the only path besides a
-    /// fleet round's commit that fills a memo slot (a serve only looks
-    /// up). Fleet quote rounds, where only the cheapest bidder serves,
-    /// quote through [`Self::quote_with_skeleton`] instead and memoize
-    /// the winner's set alone.
+    ///
+    /// A current slot serves the bid (price refresh and LRU stamp
+    /// included); a miss or a stale slot enumerates fused into scratch.
+    /// Either way no slot is written: most bidders lose the round and
+    /// would never read one. The winner calls [`Self::commit_quote`],
+    /// which memoizes the plan set its serve then reuses.
     #[must_use]
     pub fn quote_query(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Money {
-        let (bid, fresh) = self.plan_query_with(ctx, query, now, |rows, _| {
+        let opts = match self.lookup(ctx, query, None, now, |rows, _| {
             self.select_payment_from(query, rows)
-        });
-        if let Some(FreshPlanSet { opts, epoch }) = fresh {
-            // The lookup prepared this query's fingerprint and left the
-            // enumerated rows in scratch; nothing has moved since.
-            self.plancache.borrow_mut().install_slot(
-                query.template.0,
-                None,
-                epoch,
-                self.cache.settle_seq(),
-                opts,
-                now,
-                &mut self.rows.borrow_mut(),
-            );
-        }
-        bid
-    }
-
-    /// [`Self::quote_query`]'s bid, drawing the cache-independent
-    /// [`PlanSkeleton`] from the quote round's shared lazy cell instead
-    /// of enumerating from scratch — the fleet builds at most one
-    /// skeleton per query, on first need, and every bidding node binds
-    /// it against its own cache state.
-    ///
-    /// The bid equals [`Self::quote_query`]'s bit for bit, but the plan
-    /// memo is only read. A current slot serves the bid as usual (price
-    /// refresh and LRU stamp included). A miss or a stale completion
-    /// completes into scratch and writes no slot: most bidders lose the
-    /// round and would never read it. The router calls
-    /// [`Self::commit_quote`] on the round's winner alone, which
-    /// memoizes the set its serve then reuses. Lookup counters, LRU
-    /// stamps and victim promotions move exactly as for `quote_query`.
-    #[must_use]
-    pub fn quote_with_skeleton(
-        &self,
-        ctx: &PlannerContext<'_>,
-        query: &Query,
-        skeleton: &LazySkeleton<'_>,
-        now: SimTime,
-    ) -> Money {
-        let opts = match self.classify(ctx, query, None, now) {
+        }) {
             Ok(bid) => return bid,
             Err((_, opts, _)) => opts,
         };
         let mut rows = self.rows.borrow_mut();
-        complete_plans_into(
-            skeleton.get(),
-            &self.cache,
-            now,
-            opts,
-            |s, span| ctx.estimator.maintenance(s, span),
-            &mut rows,
-        );
+        enumerate_plans_into(ctx, query, &self.cache, now, opts, &mut rows);
         self.select_payment_from(query, &rows)
     }
 
     /// Memoizes the plan set behind this manager's last
-    /// [`Self::quote_with_skeleton`] bid for `query` at `now`, exactly as
-    /// a memoizing quote would have: a fresh slot after a miss, a
-    /// replaced completion after a stale one. A no-op when the bid came
-    /// from a current slot or memoization is off. The fleet router calls
-    /// it on each round's winner; it must follow the bid with no state
-    /// change in between.
-    pub fn commit_quote(
-        &self,
-        ctx: &PlannerContext<'_>,
-        query: &Query,
-        skeleton: &LazySkeleton<'_>,
-        now: SimTime,
-    ) {
+    /// [`Self::quote_query`] bid for `query` at `now`: a fresh slot after
+    /// a miss, the slot re-planned in place after a stale one, both by
+    /// fused enumeration. A no-op when the bid came from a current slot
+    /// or memoization is off. The fleet router calls it on each round's
+    /// winner; it must follow the bid with no state change in between.
+    pub fn commit_quote(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) {
         let Some((need, opts, epoch)) = self.uncommitted(query, now) else {
             return;
         };
-        complete_plans_into(
-            skeleton.get(),
+        enumerate_plans_into(
+            ctx,
+            query,
             &self.cache,
             now,
             opts,
-            |s, span| ctx.estimator.maintenance(s, span),
             &mut self.rows.borrow_mut(),
         );
-        self.memoize_completion(need, opts, epoch, skeleton.get(), query.template.0, now);
+        self.memoize(need, opts, epoch, query.template.0, now);
     }
 
     /// What a commit of `query` at `now` still has to write: `None` when
     /// memoization is off or the query's slot already holds a current
-    /// completion. Re-finds the slot without an LRU stamp — the bid's
+    /// plan set. Re-finds the slot without an LRU stamp — the bid's
     /// lookup already took it.
     fn uncommitted(
         &self,
@@ -765,28 +646,29 @@ impl EconomyManager {
         pc.prepare_fingerprint(query);
         match pc.rematch_slot(query.template.0) {
             Some(slot) if slot.completion_current(epoch, &opts) => None,
-            Some(_) => Some((QuoteNeed::Completion, opts, epoch)),
+            Some(_) => Some((QuoteNeed::Stale, opts, epoch)),
             None => Some((QuoteNeed::Miss, opts, epoch)),
         }
     }
 
-    /// The memo lookup of a fleet bid: serves the bid immediately when
-    /// the memoized completion is current (exactly the hit path of
-    /// [`Self::plan_query_with`], including the LRU stamp and the price
-    /// refresh), or counts the miss or stale completion and reports what
-    /// completion the bid needs.
+    /// The memo lookup shared by serves and bids: when the query's slot
+    /// is current, refreshes its prices if they moved, runs `select` on
+    /// its rows and counts the hit. Otherwise counts the miss or the
+    /// stale slot and reports what planning the caller needs, with the
+    /// options and cache epoch to plan under.
     ///
     /// `fingerprint` is a batched round's shared planning fingerprint —
     /// a pure function of the query, derived once per round instead of
     /// once per node and adopted into this manager's memo scratch
     /// verbatim. `None` derives it from the query.
-    fn classify(
+    fn lookup<R>(
         &self,
         ctx: &PlannerContext<'_>,
         query: &Query,
         fingerprint: Option<&[u64]>,
         now: SimTime,
-    ) -> Result<Money, (QuoteNeed, EnumerationOptions, u64)> {
+        select: impl FnOnce(&PlanRows, EnumerationOptions) -> R,
+    ) -> Result<R, (QuoteNeed, EnumerationOptions, u64)> {
         let opts = self.config.enumeration(self.arrival_rate());
         if !self.config.plan_cache {
             return Err((QuoteNeed::Unmemoized, opts, 0));
@@ -805,32 +687,30 @@ impl EconomyManager {
                         ctx.estimator.maintenance(s, span)
                     });
                 }
-                let payment = self.select_payment_from(query, &slot.rows);
+                let selected = select(&slot.rows, opts);
                 pc.count_hit(refreshed);
-                return Ok(payment);
+                return Ok(selected);
             }
             pc.count_completion();
-            return Err((QuoteNeed::Completion, opts, epoch));
+            return Err((QuoteNeed::Stale, opts, epoch));
         }
         pc.count_miss();
         Err((QuoteNeed::Miss, opts, epoch))
     }
 
-    /// Moves the completed plan rows sitting in this manager's scratch
-    /// into the memo under the prepared fingerprint, as the bid's
-    /// lookup classified it: a fresh slot for a miss, a replaced
-    /// completion for a stale slot (adopting `skel` if the slot had
-    /// none).
+    /// Moves the plan rows sitting in this manager's scratch into the
+    /// memo under the prepared fingerprint, as the lookup classified
+    /// them: a fresh slot for a miss, the stale slot's plan set replaced
+    /// in place.
     ///
     /// # Panics
     /// Panics on [`QuoteNeed::Unmemoized`], or if a stale slot vanished
     /// since its lookup.
-    fn memoize_completion(
+    fn memoize(
         &self,
         need: QuoteNeed,
         opts: EnumerationOptions,
         epoch: u64,
-        skel: &Arc<PlanSkeleton>,
         template: usize,
         now: SimTime,
     ) {
@@ -839,22 +719,11 @@ impl EconomyManager {
         let settle_seq = self.cache.settle_seq();
         match need {
             QuoteNeed::Unmemoized => unreachable!("a memo-off bid has nothing to commit"),
-            QuoteNeed::Completion => {
-                let slot = pc
-                    .rematch_slot(template)
-                    .expect("classified slot vanished before its commit");
-                slot.skeleton.get_or_insert_with(|| Arc::clone(skel));
-                slot.replace_completion(epoch, settle_seq, opts, now, &mut rows);
-            }
-            QuoteNeed::Miss => pc.install_slot(
-                template,
-                Some(Arc::clone(skel)),
-                epoch,
-                settle_seq,
-                opts,
-                now,
-                &mut rows,
-            ),
+            QuoteNeed::Stale => pc
+                .rematch_slot(template)
+                .expect("classified slot vanished before its commit")
+                .replace_completion(epoch, settle_seq, opts, now, &mut rows),
+            QuoteNeed::Miss => pc.install_slot(template, epoch, settle_seq, opts, now, &mut rows),
         }
     }
 
@@ -927,24 +796,16 @@ impl EconomyManager {
     }
 }
 
-/// A plan set a missed lookup enumerated into the manager's scratch rows
-/// and left unmemoized, with the options and cache epoch it was
-/// enumerated under — what an install needs besides the rows.
-#[derive(Debug, Clone, Copy)]
-struct FreshPlanSet {
-    opts: EnumerationOptions,
-    epoch: u64,
-}
-
-/// What a fleet bid still needs after its memo lookup.
+/// What a bid or serve still needs after its memo lookup.
 #[derive(Debug, Clone, Copy)]
 enum QuoteNeed {
-    /// Plan memoization disabled: complete and select; nothing to commit.
+    /// Plan memoization disabled: plan and select; nothing to commit.
     Unmemoized,
-    /// Memoized skeleton with a stale completion: re-complete; a commit
-    /// replaces the slot's completion.
-    Completion,
-    /// Fresh fingerprint: complete; a commit installs a new slot.
+    /// The slot matched but its plan set is stale (the cache epoch
+    /// moved): re-plan; a commit, or the serve, replaces the slot's plan
+    /// set in place.
+    Stale,
+    /// Fresh fingerprint: plan; a commit installs a new slot.
     Miss,
 }
 
@@ -970,8 +831,8 @@ struct BatchMember {
 /// only the cheapest bid is served, so the router calls
 /// [`Self::commit`] on the winner alone, which emits and memoizes that
 /// one set from the same lanes. Bids, lookup counters and memo state
-/// match the per-node [`EconomyManager::quote_with_skeleton`] path
-/// followed by [`EconomyManager::commit_quote`] on the same winner, bit
+/// match the per-node path — [`EconomyManager::quote_query`] on every
+/// node, then [`EconomyManager::commit_quote`] on the same winner — bit
 /// for bit; `tests/batch_completion.rs` pins it.
 ///
 /// The bulk scratch (completer lanes, member list, bid vector, hot rows,
@@ -1050,7 +911,9 @@ impl QuoteBatch {
         for i in 0..count {
             match manager_of(i) {
                 None => self.bids[i] = fallback(i),
-                Some(m) => match m.classify(ctx, query, Some(&self.fingerprint), now) {
+                Some(m) => match m.lookup(ctx, query, Some(&self.fingerprint), now, |rows, _| {
+                    m.select_payment_from(query, rows)
+                }) {
                     Ok(bid) => self.bids[i] = bid,
                     Err((need, opts, epoch)) => self.members.push(BatchMember {
                         node: i,
@@ -1123,11 +986,10 @@ impl QuoteBatch {
             .adopt_fingerprint(&self.fingerprint);
         self.completer
             .emit_into(&round.skeleton, j, &mut manager.rows.borrow_mut());
-        manager.memoize_completion(
+        manager.memoize(
             member.need,
             member.opts,
             member.epoch,
-            &round.skeleton,
             round.template,
             round.now,
         );

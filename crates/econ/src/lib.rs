@@ -29,10 +29,10 @@
 //!   [`economy::QuoteBatch`], the batched structure-major quote round a
 //!   fleet's routers fan out over competing managers.
 //! * [`plancache`] — memoized planning: 2-way-associative per-template
-//!   slots, backed by a small victim cache, holding the cache-independent
-//!   plan skeleton plus its latest per-node completion, bit-identical to
-//!   fresh enumeration. Quotes fill the slots and the serve that follows
-//!   reads them; a serve alone never memoizes.
+//!   slots, backed by a small victim cache, each holding one query
+//!   instance's latest plan set, bit-identical to fresh enumeration. A
+//!   winning bid's commit fills a slot and the serve that follows reads
+//!   it; bids and serves alone never memoize.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

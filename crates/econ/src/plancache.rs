@@ -6,12 +6,13 @@
 //! evidence that it will be read again, and a quote is that evidence:
 //! the query it prices is about to be served.
 //!
-//! * **Quotes fill slots.** A standalone quote
-//!   ([`EconomyManager::quote_query`]) memoizes its miss, and a fleet
-//!   round memoizes its winner's bid ([`EconomyManager::commit_quote`],
-//!   [`QuoteBatch::commit`]). The serve that follows reads that slot.
+//! * **Commits fill slots.** A bid only reads the memo
+//!   ([`EconomyManager::quote_query`], or a batched round's
+//!   [`QuoteBatch::quote_round`]); the bidder that wins memoizes its
+//!   plan set ([`EconomyManager::commit_quote`], [`QuoteBatch::commit`]).
+//!   The serve that follows reads that slot.
 //! * **Serves only look up.** [`EconomyManager::process_query`] serves a
-//!   matching slot (refreshing or re-completing it as below), but a miss
+//!   matching slot (refreshing or re-planning it as below), but a miss
 //!   plans into the manager's scratch rows and installs nothing.
 //!   Generated queries carry continuous selectivities, so a served
 //!   fingerprint practically never returns: the three perfbench workloads
@@ -23,30 +24,23 @@
 //! [`EconomyManager::quote_query`]: crate::EconomyManager::quote_query
 //! [`EconomyManager::commit_quote`]: crate::EconomyManager::commit_quote
 //! [`EconomyManager::process_query`]: crate::EconomyManager::process_query
+//! [`QuoteBatch::quote_round`]: crate::QuoteBatch::quote_round
 //! [`QuoteBatch::commit`]: crate::QuoteBatch::commit
 //!
-//! A memoized plan set factors into
-//!
-//! * a **skeleton** ([`planner::PlanSkeleton`]) — the cache-independent
-//!   half (backend estimate, candidate-index choice, per-variant
-//!   execution volumes, build-cost shapes), a pure function of the
-//!   query's planning fingerprint; and
-//! * a **completion** — the cheap per-node phase binding the skeleton to
-//!   the live cache state, valid while the cache planning epoch
-//!   ([`cache::CacheState::epoch`]) stands still.
-//!
-//! A slot memoizes both halves under the fingerprint. The completion is
-//! stored as [`planner::PlanRows`] — the compact row form every planner
-//! emits, with hot `(time, price, existing)` rows, per-row scalars and
-//! per-variant shared lists — exactly as enumeration or completion wrote
-//! it: installing a slot swaps the manager's scratch rows in and hands
-//! the displaced slot's rows back for reuse, so the memo never copies a
-//! plan set and selection runs straight on the stored rows. A lookup whose
-//! fingerprint matches but whose epoch moved no longer re-enumerates: it
-//! re-runs only the completion phase from the memoized skeleton (counted
-//! in [`PlanCacheStats::completions`]). Components that drift with state
-//! the epoch does not cover are *recomputed* on every reuse rather than
-//! trusted:
+//! A slot memoizes one plan set under the query's planning fingerprint,
+//! stored as [`planner::PlanRows`] — the compact row form both planners
+//! emit, with hot `(time, price, existing)` rows, per-row scalars and
+//! per-variant shared lists — exactly as fused enumeration or a batched
+//! commit wrote it: installing a slot swaps the manager's scratch rows
+//! in and hands the displaced slot's rows back for reuse, so the memo
+//! never copies a plan set and selection runs straight on the stored
+//! rows. The set is valid while the cache planning epoch
+//! ([`cache::CacheState::epoch`]) stands still. A lookup whose
+//! fingerprint matches but whose epoch moved re-plans the query by fused
+//! enumeration and replaces the slot's rows in place, without a miss
+//! (counted in [`PlanCacheStats::completions`]). Components that drift
+//! with state the epoch does not cover are *recomputed* on every reuse
+//! rather than trusted:
 //!
 //! * **maintenance** accrues continuously with the clock and is capped
 //!   at the arrival-rate-derived window, so a hit re-quotes maintenance
@@ -65,8 +59,8 @@
 //! of one template (the prepared-statement regime with two distinct
 //! parameterisations in flight) no longer evict each other — the thrash
 //! case pinned in `tests/memoization.rs`. Replacement within a set is
-//! least-recently-used. Only quote installs reach the sets and the victim
-//! cache below.
+//! least-recently-used. Only commits reach the sets and the victim cache
+//! below.
 //!
 //! Templates that keep *more* than two parameterisations live thrash
 //! even a 2-way set. Rather than widening every set for the worst
@@ -83,17 +77,15 @@
 //! templates.
 //!
 //! The contract — enforced by `tests/memoization.rs`,
-//! `tests/skeleton_split.rs` and the fleet routing tests — is that
+//! `tests/batch_completion.rs` and the fleet routing tests — is that
 //! memoized results are **bit-identical** to fresh enumeration: same
 //! plans, same order, same prices, and therefore the same selections,
 //! payments, regrets and investments. Determinism and shard-invariance
 //! of the fleet depend on it.
 
-use std::sync::Arc;
-
 use cache::CacheState;
 use planner::enumerate::EnumerationOptions;
-use planner::{PlanRows, PlanSkeleton};
+use planner::PlanRows;
 use pricing::Money;
 use simcore::SimTime;
 use workload::Query;
@@ -109,13 +101,12 @@ pub(crate) const PLAN_CACHE_WAYS: usize = 2;
 /// stays a short linear scan.
 pub(crate) const VICTIM_CACHE_SLOTS: usize = 8;
 
-/// One memoized template slot: the skeleton plus its latest completion.
+/// One memoized template slot: a query instance's latest plan set.
 ///
-/// The match key is the full query fingerprint alone. The skeleton is a
-/// superset (built with every plan family enabled), so it is valid for
-/// any structural switches; the completion additionally records the
-/// epoch and switches it was produced under, and is re-run from the
-/// skeleton when either moved. The arrival-rate-derived options —
+/// The match key is the full query fingerprint alone. The plan set
+/// records the epoch and structural switches it was planned under, and
+/// is re-planned in place when either moved. The arrival-rate-derived
+/// options —
 /// amortisation horizon and maintenance window — move with the observed
 /// arrival statistics on almost every query under non-uniform arrivals,
 /// so keying on them would make the memo inert exactly where it matters
@@ -127,23 +118,17 @@ pub(crate) struct Slot {
     /// Full planning fingerprint of the query instance (collision-proof:
     /// compared in full, not hashed).
     pub fingerprint: Vec<u64>,
-    /// The cache-independent skeleton: adopted from the quote round's
-    /// shared skeleton when a won bid committed the slot, and otherwise
-    /// built lazily by the first epoch-stale lookup that needs to
-    /// re-complete — a drifting workload whose fingerprints never repeat
-    /// should not pay for skeletons it will never reuse.
-    pub skeleton: Option<Arc<PlanSkeleton>>,
-    /// Cache planning epoch the completion was produced under.
+    /// Cache planning epoch the plan set was produced under.
     pub epoch: u64,
     /// Settlement counter at the last price refresh.
     pub settle_seq: u64,
     /// Enumeration options the plans were last *priced* under (the
-    /// structural switches within gate completion validity; the horizon
+    /// structural switches within gate plan-set validity; the horizon
     /// and window record what the current prices reflect).
     pub opts: EnumerationOptions,
     /// Instant of the last price refresh.
     pub now: SimTime,
-    /// The completed plan set in row form, in enumeration order
+    /// The plan set in row form, in enumeration order
     /// (backend first). Its missing-build quotes are epoch-stable;
     /// refreshes re-derive the first-installment amortisation from them
     /// under the current horizon.
@@ -156,16 +141,17 @@ pub(crate) struct Slot {
 /// `hotpath` bench).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Lookups served from a memoized completed plan set.
+    /// Lookups served from a current memoized plan set.
     pub hits: u64,
     /// Lookups that had to enumerate (fresh fingerprint).
     pub misses: u64,
     /// Hits that needed a maintenance/amortisation price refresh (the
     /// clock or the settlement counter had moved).
     pub refreshes: u64,
-    /// Lookups whose skeleton was memoized but whose completion was stale
-    /// (the cache epoch moved): only the cheap per-node completion phase
-    /// re-ran.
+    /// Lookups that matched a slot whose plan set was stale (the cache
+    /// epoch or a plan-family switch moved): the query was re-planned by
+    /// fused enumeration without a miss, and the serve or the winning
+    /// bid's commit replaced the slot's rows in place.
     pub completions: u64,
     /// Installs that displaced a *live* way — both ways of the template's
     /// set were occupied, so a memoized instance was evicted to make
@@ -177,8 +163,8 @@ pub struct PlanCacheStats {
     pub conflicts: u64,
     /// Set-miss lookups rescued by the victim cache: the fingerprint was
     /// displaced from its set but still memoized, and was swapped back
-    /// in. Each one is a full enumeration (or at least a completion
-    /// re-run) avoided that a plain 2-way cache would have paid.
+    /// in. Each one is a miss avoided that a plain 2-way cache would
+    /// have paid.
     pub victim_hits: u64,
 }
 
@@ -234,8 +220,8 @@ impl PlanCache {
     /// prepared scratch, refreshing its LRU stamp. A set miss probes the
     /// victim cache; a victim hit swaps the slot back into the set (the
     /// displaced live way, if any, takes the victim's place). The caller
-    /// decides whether the slot's *completion* is still valid (epoch +
-    /// structural switches) — the skeleton always is.
+    /// decides whether the slot's plan set is still valid (epoch +
+    /// structural switches).
     pub(crate) fn matching_slot(&mut self, template: usize) -> Option<&mut Slot> {
         let fp = &self.fingerprint_scratch;
         let set = self.sets.get_mut(template)?;
@@ -285,8 +271,8 @@ impl PlanCache {
         set.iter_mut().flatten().find(|s| s.fingerprint == *fp)
     }
 
-    /// Memoizes a fresh skeleton + completion for `template` under the
-    /// prepared fingerprint, evicting the set's LRU way if both ways are
+    /// Memoizes a fresh plan set for `template` under the prepared
+    /// fingerprint, evicting the set's LRU way if both ways are
     /// live. The slot takes `rows` by swap; `rows` receives the displaced
     /// slot's storage for reuse (empty rows if nothing was displaced).
     /// A displaced slot whose template has shown *persistent* thrash —
@@ -294,11 +280,9 @@ impl PlanCache {
     /// whole into the victim cache (evicting the victim LRU if full)
     /// instead of being dismantled; the admission bar keeps one-off
     /// collisions from churning the victims.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn install_slot(
         &mut self,
         template: usize,
-        skeleton: Option<Arc<PlanSkeleton>>,
         epoch: u64,
         settle_seq: u64,
         opts: EnumerationOptions,
@@ -358,7 +342,6 @@ impl PlanCache {
         self.tick += 1;
         set[way] = Some(Slot {
             fingerprint,
-            skeleton,
             epoch,
             settle_seq,
             opts,
@@ -376,19 +359,19 @@ impl PlanCache {
         }
     }
 
-    /// Records a completion re-run (skeleton hit, stale completion).
+    /// Records a stale slot re-planned in place.
     pub(crate) fn count_completion(&mut self) {
         self.stats.completions += 1;
     }
 
-    /// Records a full miss (skeleton built from scratch).
+    /// Records a full miss (no slot matched).
     pub(crate) fn count_miss(&mut self) {
         self.stats.misses += 1;
     }
 }
 
 impl Slot {
-    /// True if the memoized completion is still structurally valid: the
+    /// True if the memoized plan set is still structurally valid: the
     /// cache epoch has not moved and the plan-family switches match. The
     /// horizon/window halves of `opts` are *not* compared — they only
     /// scale prices, which [`Self::refresh_prices`] re-derives.
@@ -414,9 +397,9 @@ impl Slot {
             && self.opts.maint_window == opts.maint_window
     }
 
-    /// Replaces the slot's completion after a re-run from the skeleton:
-    /// the slot takes `rows` by swap, and `rows` receives the displaced
-    /// completion's storage for reuse.
+    /// Replaces the slot's plan set after a re-plan: the slot takes
+    /// `rows` by swap, and `rows` receives the displaced set's storage
+    /// for reuse.
     pub fn replace_completion(
         &mut self,
         epoch: u64,

@@ -52,8 +52,9 @@ pub struct FleetConfig {
     pub quote_threads: usize,
     /// Quote rounds complete the economic nodes' plans in one batched
     /// structure-major sweep instead of once per node (bit-identical
-    /// results either way; `false` selects the per-node reference path
-    /// `tests/fleet_determinism.rs` compares against).
+    /// results either way; `false` selects the per-node reference path,
+    /// one fused enumeration per node, that `tests/fleet_determinism.rs`
+    /// compares against).
     pub quote_batching: bool,
     /// Pin quote-pool workers to cores (`sched_setaffinity`): each
     /// worker is sticky on the same node chunk every round, so pinning

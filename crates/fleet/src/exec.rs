@@ -142,12 +142,6 @@ impl FleetSim {
         }
     }
 
-    /// `(hits, misses)` of the fleet-wide skeleton cache so far.
-    #[must_use]
-    pub fn skeleton_cache_stats(&self) -> (u64, u64) {
-        self.skeletons.stats()
-    }
-
     /// Full counter snapshot of the fleet-wide skeleton cache —
     /// hits, misses and admission-filter stores. The repository
     /// benchmark reports these beside its per-layer timings.

@@ -5,7 +5,7 @@
 //! how much work the node has promised but not yet delivered — the load
 //! signal least-outstanding routing balances on.
 
-use planner::{LazySkeleton, PlannerContext};
+use planner::PlannerContext;
 use policies::{CachePolicy, PolicyOutcome};
 use pricing::{Money, ResourceRates};
 use serde::{Deserialize, Serialize};
@@ -232,20 +232,6 @@ impl CacheNode {
     #[must_use]
     pub fn quote(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Money {
         self.policy.quote(ctx, query, now)
-    }
-
-    /// This node's bid given the quote round's shared lazy plan skeleton
-    /// (see [`CachePolicy::quote_with_skeleton`]) — bit-identical to
-    /// [`Self::quote`], minus the redundant cache-independent planning.
-    #[must_use]
-    pub fn quote_with_skeleton(
-        &self,
-        ctx: &PlannerContext<'_>,
-        query: &Query,
-        skeleton: &LazySkeleton<'_>,
-        now: SimTime,
-    ) -> Money {
-        self.policy.quote_with_skeleton(ctx, query, skeleton, now)
     }
 
     /// The economy manager backing this node's policy, when its quotes

@@ -13,19 +13,21 @@
 //!   the traffic that amortizes their structures — the self-tuning loop
 //!   of Section IV-A, played as a competition between clouds.
 //!
-//! A cheapest-quote round shares one lazily-built, cache-independent
-//! [`LazySkeleton`] across every node: the first node whose plan cache
-//! misses builds it (through the fleet-wide [`SkeletonCache`] when one
-//! is attached), every other node binds it against its own cache state,
-//! and a round where every node hits builds nothing. The binding itself
-//! is **batched**: the economic nodes of a chunk complete in one
-//! structure-major sweep ([`econ::QuoteBatch`]) instead of once per
-//! node, and bid from the `(time, price, existing)` rows of that sweep
-//! without building their plan sets. With `threads > 1` the chunks fan
-//! out over a **persistent** worker pool (spawned once, parked between
+//! A cheapest-quote round bids on one of two paths. The default,
+//! **batched** path shares one lazily-built, cache-independent
+//! [`LazySkeleton`] across every node: the first chunk holding a node
+//! whose plan cache misses builds it (through the fleet-wide
+//! [`SkeletonCache`] when one is attached), and a round where every node
+//! hits builds nothing. The economic nodes of a chunk bind it in one
+//! structure-major sweep ([`econ::QuoteBatch`]) and bid from the
+//! `(time, price, existing)` rows of that sweep without building their
+//! plan sets. The **per-node** path is the reference: every node bids
+//! through [`CacheNode::quote`], which plans by fused enumeration, and
+//! the round builds no skeleton. With `threads > 1` the chunks fan out
+//! over a **persistent** worker pool (spawned once, parked between
 //! rounds — see the private `pool` module); the merge folds per-chunk
 //! minima in ascending node order, so the winner is **bit-identical** to
-//! the sequential scan at any pool size and under either completion path
+//! the sequential scan at any pool size and on either path
 //! (`tests/fleet_determinism.rs` and `tests/batch_completion.rs` pin
 //! this).
 //!
@@ -34,8 +36,8 @@
 //! winner's plan set to its memo after the fold
 //! ([`econ::QuoteBatch::commit`], or
 //! [`econ::EconomyManager::commit_quote`] on the per-node path), and the
-//! serve that follows hits it. Losers write no slot. Both completion
-//! paths and every pool size leave the same memo state.
+//! serve that follows hits it. Losers write no slot. Both paths and
+//! every pool size leave the same memo state.
 //!
 //! **Budget-decided rounds.** Before quoting, the round asks every
 //! routable node whether its budget alone fixes its bid
@@ -209,10 +211,12 @@ pub struct QuoteOptions {
     /// by construction.
     pub threads: usize,
     /// Quote with batched structure-major completion
-    /// ([`econ::QuoteBatch`]) instead of one completion pass per node.
-    /// Bit-identical either way (`tests/batch_completion.rs` and
-    /// `tests/fleet_determinism.rs` enforce it); batching is the fast
-    /// path and the default — the switch exists for that cross-check.
+    /// ([`econ::QuoteBatch`]) instead of one fused enumeration per node
+    /// ([`CacheNode::quote`]). Bit-identical either way
+    /// (`tests/batch_completion.rs` and `tests/fleet_determinism.rs`
+    /// enforce it); batching is the default. The per-node path is the
+    /// reference those tests compare against, and the switch stays
+    /// because the repository benchmark's configuration names it.
     pub batching: bool,
     /// Fleet-wide skeleton cache: rounds that must build the query's
     /// [`planner::PlanSkeleton`] first probe this cache under the
@@ -241,16 +245,16 @@ impl Default for QuoteOptions {
 
 /// Price-based routing: the node quoting the lowest `B_Q(t)` wins the bid.
 ///
-/// The round plans the query at most once (the shared [`LazySkeleton`],
-/// built by the first node that needs it — resolved through the
-/// fleet-wide [`SkeletonCache`] when one is attached) and gathers
-/// per-node completions. With `threads > 1` the nodes split into
-/// contiguous chunks fanned out over a **persistent** worker pool
-/// (`QuotePool`): workers are spawned once and parked between rounds,
-/// so the per-round parallelism cost is a wake/park pair instead of
-/// thread spawns. Within each chunk the economic nodes' bids come from
-/// one batched structure-major completion sweep ([`QuoteBatch`]) unless
-/// per-node completion was requested.
+/// A batched round plans the query's cache-independent half at most
+/// once (the shared [`LazySkeleton`], built by the first chunk that
+/// needs it — resolved through the fleet-wide [`SkeletonCache`] when one
+/// is attached), and within each chunk the economic nodes' bids come
+/// from one structure-major completion sweep ([`QuoteBatch`]). The
+/// per-node path instead quotes each node by fused enumeration. With
+/// `threads > 1` the nodes split into contiguous chunks fanned out over
+/// a **persistent** worker pool (`QuotePool`): workers are spawned once
+/// and parked between rounds, so the per-round parallelism cost is a
+/// wake/park pair instead of thread spawns.
 ///
 /// Either way the chosen node is the lowest-indexed minimum bidder: each
 /// chunk reports its first minimal bid and the merge folds chunks in
@@ -344,15 +348,15 @@ impl CheapestQuote {
     }
 
     /// One chunk's scan: the first routable node with the minimal bid,
-    /// quoting every node individually (the per-node reference path).
-    /// `None` when the chunk holds no routable node (elastic fleets carry
-    /// draining/booting nodes in the slice; they neither bid nor plan).
+    /// quoting every node individually by fused enumeration (the
+    /// per-node reference path). `None` when the chunk holds no routable
+    /// node (elastic fleets carry draining/booting nodes in the slice;
+    /// they neither bid nor plan).
     fn chunk_best_per_node(
         nodes: &[CacheNode],
         base: usize,
         ctx: &PlannerContext<'_>,
         query: &Query,
-        skeleton: &LazySkeleton<'_>,
         now: SimTime,
     ) -> Option<(usize, Money)> {
         let mut best: Option<(usize, Money)> = None;
@@ -360,7 +364,7 @@ impl CheapestQuote {
             if !node.routable(now) {
                 continue;
             }
-            let bid = node.quote_with_skeleton(ctx, query, skeleton, now);
+            let bid = node.quote(ctx, query, now);
             if best.is_none_or(|(_, b)| bid < b) {
                 best = Some((base + j, bid));
             }
@@ -392,7 +396,7 @@ impl CheapestQuote {
             },
             |j| {
                 if nodes[j].routable(now) {
-                    nodes[j].quote_with_skeleton(ctx, query, skeleton, now)
+                    nodes[j].quote(ctx, query, now)
                 } else {
                     Money::ZERO // placeholder; unroutable bids are never read
                 }
@@ -420,20 +424,21 @@ impl CheapestQuote {
         nodes: &mut [CacheNode],
         ctx: &PlannerContext<'_>,
         query: &Query,
-        skeleton: &LazySkeleton<'_>,
+        skeleton: Option<&LazySkeleton<'_>>,
         now: SimTime,
     ) -> usize {
-        let best = if self.batching {
-            self.ensure_chunk_state(1);
-            let batch = self.batches[0].get_mut().expect("batch workspace poisoned");
-            Self::chunk_best_batched(batch, nodes, 0, ctx, query, skeleton, now)
-        } else {
-            Self::chunk_best_per_node(nodes, 0, ctx, query, skeleton, now)
+        let best = match skeleton {
+            Some(skeleton) => {
+                self.ensure_chunk_state(1);
+                let batch = self.batches[0].get_mut().expect("batch workspace poisoned");
+                Self::chunk_best_batched(batch, nodes, 0, ctx, query, skeleton, now)
+            }
+            None => Self::chunk_best_per_node(nodes, 0, ctx, query, now),
         };
         let (winner, bid) =
             best.expect("no routable node (the control plane must keep at least one active)");
         self.last_quote = Some(bid);
-        self.commit_winner(0, winner, &nodes[winner], ctx, query, skeleton, now);
+        self.commit_winner(0, winner, &nodes[winner], ctx, query, now);
         winner
     }
 
@@ -441,9 +446,8 @@ impl CheapestQuote {
     /// read again, by the winner's serve. Losers' sets are never
     /// memoized. The batched path emits the set from the lanes of the
     /// winner's chunk workspace (`chunk`, where the winner sits at
-    /// `offset`); the per-node path re-completes it from the shared
-    /// skeleton. Both leave the same memo state.
-    #[allow(clippy::too_many_arguments)] // one parameter per round input
+    /// `offset`); the per-node path re-plans it by fused enumeration.
+    /// Both leave the same memo state.
     fn commit_winner(
         &mut self,
         chunk: usize,
@@ -451,7 +455,6 @@ impl CheapestQuote {
         node: &CacheNode,
         ctx: &PlannerContext<'_>,
         query: &Query,
-        skeleton: &LazySkeleton<'_>,
         now: SimTime,
     ) {
         let Some(manager) = node.economy() else {
@@ -463,7 +466,7 @@ impl CheapestQuote {
                 .expect("batch workspace poisoned")
                 .commit(offset, manager);
         } else {
-            manager.commit_quote(ctx, query, skeleton, now);
+            manager.commit_quote(ctx, query, now);
         }
     }
 
@@ -478,7 +481,7 @@ impl CheapestQuote {
         nodes: &mut [CacheNode],
         ctx: &PlannerContext<'_>,
         query: &Query,
-        skeleton: &LazySkeleton<'_>,
+        skeleton: Option<&LazySkeleton<'_>>,
         now: SimTime,
     ) -> usize {
         self.ensure_chunk_state(threads);
@@ -503,7 +506,6 @@ impl CheapestQuote {
             *slot.get_mut().expect("result slot poisoned") = ChunkResult::Pending;
         }
 
-        let batching = self.batching;
         let batches = &self.batches;
         let results = &self.results;
         let job = |chunk: usize| {
@@ -511,11 +513,20 @@ impl CheapestQuote {
                 return; // pool larger than this round's chunk count
             };
             let base = chunk * chunk_len;
-            let best = if batching {
-                let mut batch = batches[chunk].lock().expect("batch workspace poisoned");
-                Self::chunk_best_batched(&mut batch, chunk_nodes, base, ctx, query, skeleton, now)
-            } else {
-                Self::chunk_best_per_node(chunk_nodes, base, ctx, query, skeleton, now)
+            let best = match skeleton {
+                Some(skeleton) => {
+                    let mut batch = batches[chunk].lock().expect("batch workspace poisoned");
+                    Self::chunk_best_batched(
+                        &mut batch,
+                        chunk_nodes,
+                        base,
+                        ctx,
+                        query,
+                        skeleton,
+                        now,
+                    )
+                }
+                None => Self::chunk_best_per_node(chunk_nodes, base, ctx, query, now),
             };
             *results[chunk].lock().expect("result slot poisoned") = match best {
                 Some((i, bid)) => ChunkResult::Best(i, bid),
@@ -547,7 +558,6 @@ impl CheapestQuote {
             &nodes[winner],
             ctx,
             query,
-            skeleton,
             now,
         );
         winner
@@ -598,21 +608,23 @@ impl Router for CheapestQuote {
             return winner;
         }
         self.rounds.full += 1;
-        // The cache-independent half of every node's planning: built at
-        // most once per round, by the first node whose memo misses —
-        // resolved through the fleet-wide cache when one is attached.
-        // (The Arc clone keeps the cache borrowable for the round while
-        // `self` is mutably borrowed below.)
+        // A batched round's cache-independent half of every node's
+        // planning: built at most once per round, by the first chunk
+        // with a node whose memo misses — resolved through the
+        // fleet-wide cache when one is attached. The per-node path plans
+        // each node by fused enumeration and takes no skeleton. (The Arc
+        // clone keeps the cache borrowable for the round while `self` is
+        // mutably borrowed below.)
         let shared = self.skeletons.clone();
-        let skeleton = match &shared {
+        let skeleton = self.batching.then(|| match &shared {
             Some(cache) => LazySkeleton::with_cache(ctx, query, cache),
             None => LazySkeleton::new(ctx, query),
-        };
+        });
         let threads = self.threads.min(nodes.len());
         if threads <= 1 {
-            self.route_sequential(nodes, ctx, query, &skeleton, now)
+            self.route_sequential(nodes, ctx, query, skeleton.as_ref(), now)
         } else {
-            self.route_pooled(threads, nodes, ctx, query, &skeleton, now)
+            self.route_pooled(threads, nodes, ctx, query, skeleton.as_ref(), now)
         }
     }
 

@@ -1,9 +1,9 @@
 //! Batched, structure-major plan completion.
 //!
-//! [`crate::skeleton::complete_plans_into`] binds one node's cache state
-//! at a time: a fleet quote round with N bidding nodes walks the
-//! skeleton's structure lists N times, probing one cache per walk. This
-//! module inverts that loop — **structure-major** instead of node-major:
+//! [`crate::enumerate_plans_into`] plans against one node's cache state
+//! at a time: a fleet quote round with N bidding nodes would plan the
+//! query N times, probing one cache per pass. This module inverts that
+//! loop — **structure-major** instead of node-major:
 //! a [`BatchCompleter`] takes one [`PlanSkeleton`] plus a slice of
 //! per-node [`CacheView`]s and, per structure list, probes *every* node's
 //! epoch/presence state in one dense sweep ([`BatchCompleter::gather`]),
@@ -15,8 +15,9 @@
 //!
 //! The contract is exact: for every node `i`, `gather` + `emit_into(i)`
 //! fills the buffer **bit-identically** to
-//! `complete_plans_into(skel, views[i].cache, now, views[i].opts, …)` —
-//! same plans, same order, same prices, same missing-build quotes.
+//! `enumerate_plans_into(ctx, query, views[i].cache, now, views[i].opts, …)`
+//! for the query the skeleton was built from — same plans, same order,
+//! same prices, same missing-build quotes.
 //! `tests/batch_completion.rs` pins the property over random cache
 //! histories × node counts.
 //!
@@ -59,7 +60,7 @@
 //! uses it — the latter is node-independent, because a variant-used
 //! column is either present (covered) or goes missing and is built
 //! alongside the index (covered). `covered = in_variant ∨ present`
-//! replaces the scalar path's per-node missing-column set exactly.
+//! replaces the fused enumerator's missing-column set exactly.
 //!
 //! The gather/emit split (rather than one monolithic call) exists so the
 //! economy can interleave its per-manager `RefCell` borrows: gather needs
@@ -123,7 +124,7 @@ pub struct BatchCompleter {
     maintenance: Vec<Money>,
     /// Per `(variant × n + node)`: the node's missing structures as
     /// `(position into the variant's uses, build quote)` — ascending
-    /// position, exactly the order the per-node completion walks.
+    /// position, exactly the order fused enumeration walks.
     missing: Vec<Vec<(u32, Money)>>,
     /// Per `(probe-table entry × n + node)`: the cache holds the
     /// structure in any state (builds in flight included) — the
@@ -282,7 +283,7 @@ impl BatchCompleter {
             // cost and max build time accumulate, the first installment
             // under the node's horizon accrues, and the `(position,
             // quote)` pair joins the slot's quote table — in ascending
-            // position, the exact order the per-node completion walks.
+            // position, the exact order fused enumeration walks.
             for (pos, &u) in probe.uses_probe(vi).iter().enumerate() {
                 let lane = u as usize * count;
                 if self.lane_usable[lane..lane + count].iter().all(|&ok| ok) {
@@ -348,9 +349,9 @@ impl BatchCompleter {
     }
 
     /// Phase 2 — writes node `node`'s completed plan set into `rows`,
-    /// bit-identical to [`crate::skeleton::complete_plans_into`] run
-    /// against that node's view: same plans, same order, same prices, and
-    /// the same missing-build quotes.
+    /// bit-identical to [`crate::enumerate_plans_into`] run against that
+    /// node's view: same plans, same order, same prices, and the same
+    /// missing-build quotes.
     ///
     /// # Panics
     /// Panics if `node` is outside the gathered round.
@@ -461,7 +462,7 @@ impl BatchCompleter {
 
 /// Completes one skeleton against N nodes' cache views in a single
 /// structure-major pass, leaving node `i`'s plan set in `rows[i]` exactly
-/// as [`crate::skeleton::complete_plans_into`] would.
+/// as [`crate::enumerate_plans_into`] would.
 ///
 /// # Panics
 /// Panics if `views` and `rows` differ in length or any view's
@@ -487,8 +488,8 @@ pub fn complete_plans_batch<P>(
 mod tests {
     use super::*;
     use crate::candidates::{generate_candidates, CandidateIndex};
+    use crate::enumerate::enumerate_plans_into;
     use crate::estimator::{CostParams, Estimator};
-    use crate::skeleton::complete_plans_into;
     use crate::PlannerContext;
     use cache::IndexDef;
     use catalog::tpch::{tpch_schema, ScaleFactor};
@@ -595,7 +596,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_per_node_completion_on_heterogeneous_views() {
+    fn batch_matches_fused_enumeration_on_heterogeneous_views() {
         let f = Fixture::new();
         let ctx = f.ctx();
         let mut completer = BatchCompleter::new();
@@ -627,14 +628,7 @@ mod tests {
             }
             for (i, view) in views.iter().enumerate() {
                 let mut reference = PlanRows::new();
-                complete_plans_into(
-                    &skel,
-                    view.cache,
-                    now,
-                    view.opts,
-                    |s, span| f.estimator.maintenance(s, span),
-                    &mut reference,
-                );
+                enumerate_plans_into(&ctx, &q, view.cache, now, view.opts, &mut reference);
                 assert_eq!(
                     batch_rows[i].to_plans(),
                     reference.to_plans(),
@@ -679,14 +673,7 @@ mod tests {
                 let mut batch_rows = PlanRows::new();
                 completer.emit_into(&skel, i, &mut batch_rows);
                 let mut reference = PlanRows::new();
-                complete_plans_into(
-                    &skel,
-                    view.cache,
-                    now,
-                    view.opts,
-                    |s, span| f.estimator.maintenance(s, span),
-                    &mut reference,
-                );
+                enumerate_plans_into(&ctx, &q, view.cache, now, view.opts, &mut reference);
                 assert_eq!(
                     batch_rows.to_plans(),
                     reference.to_plans(),

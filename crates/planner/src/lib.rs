@@ -24,23 +24,27 @@
 //!   by the scan and index variants (the index variant uses the scan
 //!   variant's columns plus its indexes, so each column is probed,
 //!   quoted and priced once).
-//! * [`rows`] — [`PlanRows`], the one compact form every producer writes
-//!   (fresh enumeration, skeleton completion, batched emission): hot
+//! * [`rows`] — [`PlanRows`], the one compact form both planners write
+//!   (fused enumeration, batched emission): hot
 //!   `(time, price, existing)` rows, per-row scalars and per-variant
 //!   shared lists. Selection runs on the rows, the economy's plan memo
 //!   stores them, and only the plan a query runs is materialized
 //!   ([`PlanRows::plan`]).
 //! * [`skeleton`] — the cache-independent half of enumeration
-//!   ([`PlanSkeleton`]) plus the cheap per-node completion phase, so a
-//!   fleet quote round plans each query once instead of once per node;
-//!   [`SkeletonCache`] shares built skeletons fleet-wide under the
-//!   query's planning fingerprint; [`ExecRows`] is the skeleton's
-//!   execution-row half alone, for callers that only need every plan's
-//!   `(time, cost)`.
+//!   ([`PlanSkeleton`]), so a batched fleet quote round plans each query
+//!   once instead of once per node; [`SkeletonCache`] shares built
+//!   skeletons fleet-wide under the query's planning fingerprint;
+//!   [`ExecRows`] is the skeleton's execution-row half alone, for
+//!   callers that only need every plan's `(time, cost)`.
 //! * [`batch`] — structure-major batched completion: one
 //!   [`BatchCompleter`] pass binds a skeleton against N nodes' cache
 //!   states at once, turning N independent cache probes per structure
-//!   into dense sweeps (bit-identical to N per-node completions).
+//!   into dense sweeps (bit-identical to N fused enumerations).
+//!
+//! There are two planners: [`enumerate_plans_into`] for one cache (every
+//! serve, standalone quote and memo re-plan) and [`BatchCompleter`] for
+//! the nodes of one batched quote round. Fused enumeration is the
+//! reference the batched planner is tested against.
 //! * [`soa`] — the struct-of-arrays selection-hot plan fields (time,
 //!   price, existing flag): the hot half of [`PlanRows`], and a
 //!   projection of any `QueryPlan` slice.
@@ -71,7 +75,7 @@ pub use rows::PlanRows;
 pub use scaling::ParallelModel;
 pub use shapes::QueryShape;
 pub use skeleton::{
-    complete_plans_into, planning_fingerprint, ExecRows, LazySkeleton, PlanSkeleton, SkeletonCache,
+    planning_fingerprint, ExecRows, LazySkeleton, PlanSkeleton, SkeletonCache,
     SkeletonCacheCounters,
 };
 pub use skyline::{skyline_filter, skyline_partition, skyline_partition_hot};

@@ -17,11 +17,10 @@
 //!   (with its amortisation due and maintenance quote) or must be built.
 //!   A row with `k` nodes employs ordinals `0..k-1`.
 //!
-//! Fresh enumeration ([`crate::enumerate_plans_into`]), skeleton
-//! completion ([`crate::complete_plans_into`]) and batched completion
-//! ([`crate::BatchCompleter::emit_into`]) all write this form, so the
-//! economy selects straight on the rows, memoizes them whole, and
-//! materializes only the plan it runs ([`PlanRows::plan`]).
+//! Fused enumeration ([`crate::enumerate_plans_into`]) and batched
+//! completion ([`crate::BatchCompleter::emit_into`]) both write this
+//! form, so the economy selects straight on the rows, memoizes them
+//! whole, and materializes only the plan it runs ([`PlanRows::plan`]).
 //!
 //! Every price is a sum of exact integer [`Money`] terms, so the
 //! aggregates summed per variant and per node ordinal equal the per-plan
@@ -118,8 +117,6 @@ pub(crate) struct EnumScratch {
     pub missing_cols: Vec<ColumnId>,
     /// Execution cells of the variant being emitted.
     pub cells: ExecCells,
-    /// Positions (into a variant's `uses`) of its missing structures.
-    pub missing_pos: Vec<usize>,
 }
 
 /// A query's plan set in row form (see the module docs). Row 0 is the

@@ -1,25 +1,28 @@
-//! The cache-independent half of plan enumeration.
+//! The cache-independent half of plan enumeration, for batched quote
+//! rounds.
 //!
-//! In a fleet quote round every node bidding on the same query enumerates
-//! the same plan set — yet most of that work (backend estimate, candidate
-//! index choice, per-variant execution volumes, build-cost shapes) reads
-//! only the [`PlannerContext`] and the query, never the node's
-//! [`CacheState`]. A [`PlanSkeleton`] captures exactly that half, so a
-//! quote round computes it **once** and each node runs only the cheap
-//! completion phase ([`complete_plans_into`]) that binds the skeleton
-//! against its own cache: which structures exist, which are still
-//! building, and what amortisation/maintenance dues they carry.
+//! In a fleet quote round every node bidding on the same query plans the
+//! same query — yet most of that work (backend estimate, candidate index
+//! choice, per-variant execution volumes, build-cost shapes) reads only
+//! the [`PlannerContext`] and the query, never a node's cache state. A
+//! [`PlanSkeleton`] captures exactly that half, so a batched round
+//! computes it **once** and binds it against every bidding node's cache
+//! in one structure-major sweep ([`crate::batch`]): which structures
+//! exist, which are still building, and what amortisation/maintenance
+//! dues they carry.
 //!
 //! The split is exact: for any cache state, clock and enumeration
-//! options, `PlanSkeleton::build` + `complete_plans_into` emits plans
-//! **bit-identical** to the fused [`crate::enumerate_plans_into`] — same plans,
-//! same order, same prices. `tests/skeleton_split.rs` pins the property
-//! over random cache histories; the economy's memoization and the fleet's
-//! routing determinism both rest on it.
+//! options, a node's batched rows are **bit-identical** to the fused
+//! [`crate::enumerate_plans_into`] against that node's cache — same
+//! plans, same order, same prices. `tests/batch_completion.rs` pins the
+//! property over random cache histories; the fleet's routing determinism
+//! rests on it. Planning for one node (a serve, a standalone quote, a
+//! memo re-plan) always runs the fused enumerator, so a skeleton exists
+//! only inside a batched round.
 //!
 //! The skeleton is a *superset*: it is built with every plan family
-//! enabled (indexes and extra nodes), and the completion phase filters by
-//! the caller's [`EnumerationOptions`]. One skeleton therefore serves
+//! enabled (indexes and extra nodes), and binding filters by each node's
+//! [`crate::EnumerationOptions`]. One skeleton therefore serves
 //! heterogeneous nodes (econ-cheap, econ-fast, econ-col) in the same
 //! quote round. Hot per-(variant, node-count) execution fields are stored
 //! in struct-of-arrays form ([`ExecCells`]), matching the SoA selection
@@ -32,15 +35,14 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use cache::{CacheState, CachedStructure, IndexId, StructureKey};
+use cache::{IndexId, StructureKey};
 use catalog::ColumnId;
 use metrics::CostBreakdown;
 use pricing::Money;
-use simcore::{SimDuration, SimTime};
+use simcore::SimDuration;
 use workload::Query;
 
-use crate::enumerate::{EnumerationOptions, PlannerContext};
-use crate::rows::{DataTerms, EnumScratch, PlanRows};
+use crate::enumerate::PlannerContext;
 use crate::shapes::QueryShape;
 
 /// Writes the planning fingerprint of `query` into `out` (cleared first).
@@ -172,10 +174,10 @@ pub struct VariantSkeleton {
 /// position maps back into it.
 ///
 /// A pure function of the variants, computed once in
-/// [`PlanSkeleton::build`] — skeletons are memoized (the shared
-/// [`SkeletonCache`], the economy's plan memo), so batched completion
-/// rounds ([`planner::batch`](crate::batch)) read the table for free
-/// instead of re-deduplicating every round.
+/// [`PlanSkeleton::build`] — skeletons can be shared fleet-wide (the
+/// [`SkeletonCache`]), so batched completion rounds
+/// ([`planner::batch`](crate::batch)) read the table for free instead of
+/// re-deduplicating every round.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProbeTable {
     /// Distinct structures, first-seen order: each is probed once per
@@ -284,10 +286,10 @@ pub struct PlanSkeleton {
 
 /// A [`PlanSkeleton`] built on first use and shared from then on.
 ///
-/// A quote round hands every bidding node one of these; in the
-/// prepared-statement regime where every node's plan cache fully hits,
-/// nobody calls [`Self::get`] and the round pays nothing for a skeleton
-/// it never reads. The cell is thread-safe, so workers of a parallel
+/// A batched quote round takes one of these; in the prepared-statement
+/// regime where every node's plan cache fully hits, nobody calls
+/// [`Self::get`] and the round pays nothing for a skeleton it never
+/// reads. The cell is thread-safe, so workers of a parallel
 /// fan-out race benignly (the build is a pure function — every winner
 /// produces identical bits).
 pub struct LazySkeleton<'a> {
@@ -333,12 +335,6 @@ impl<'a> LazySkeleton<'a> {
             Some(cache) => cache.get_or_build(&self.ctx, self.query),
             None => Arc::new(PlanSkeleton::build(&self.ctx, self.query)),
         })
-    }
-
-    /// True if some caller has forced the build already.
-    #[must_use]
-    pub fn is_built(&self) -> bool {
-        self.cell.get().is_some()
     }
 }
 
@@ -427,22 +423,13 @@ impl SkeletonCache {
         }
     }
 
-    /// `(hits, misses)` so far — wall-clock diagnostics only.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
     /// Counter snapshot — hits, misses and admissions (misses whose
     /// fingerprint passed the seen-twice filter and were stored). The
-    /// admission rate against the miss count is the tuning signal for
-    /// the filter/shard sizing the ROADMAP's admission-tuning item
-    /// tracks: misses ≫ admissions means the filter is correctly
-    /// rejecting one-shot fingerprints; admissions without subsequent
-    /// hits mean the filter admits too eagerly.
+    /// admission rate against the miss count is the filter's tuning
+    /// signal: misses ≫ admissions means it is correctly rejecting
+    /// one-shot fingerprints; admissions without subsequent hits mean it
+    /// admits too eagerly. The repository benchmark reports these as
+    /// `planner.skeleton_cache.*`.
     #[must_use]
     pub fn counters(&self) -> SkeletonCacheCounters {
         SkeletonCacheCounters {
@@ -502,7 +489,7 @@ impl SkeletonCache {
 /// The cache-independent execution rows of a query's plan set: the
 /// backend estimate (eq. 9) and, per index variant, the execution cells
 /// at every node count (eq. 8 under the scaling law). Every plan any
-/// node's completion emits takes its `(exec_time, exec_cost)` from one of
+/// planner emits takes its `(exec_time, exec_cost)` from one of
 /// these rows — only the installments and maintenance a plan adds to its
 /// price depend on the cache — so a caller can reason about every plan's
 /// timing without binding a cache or building the full [`PlanSkeleton`].
@@ -706,136 +693,10 @@ fn build_variant(
     }
 }
 
-/// The per-node completion phase: binds a shared [`PlanSkeleton`] against
-/// one node's cache state, writing the full costed plan set into
-/// caller-owned rows.
-///
-/// `price` quotes a structure's maintenance over a span (the estimator's
-/// eq. 11/13/15) — the only cost-model access completion needs.
-///
-/// Bit-identical to [`enumerate_plans_into`] with the same cache, clock
-/// and options: same plans, same order, same prices, and the same
-/// per-plan missing-build quotes ([`PlanRows::missing_builds`]).
-///
-/// [`enumerate_plans_into`]: crate::enumerate::enumerate_plans_into
-///
-/// # Panics
-/// Panics if `opts.amortize_n == 0`.
-pub fn complete_plans_into<F>(
-    skel: &PlanSkeleton,
-    cache: &CacheState,
-    now: SimTime,
-    opts: EnumerationOptions,
-    price: F,
-    rows: &mut PlanRows,
-) where
-    F: Fn(&CachedStructure, SimDuration) -> Money,
-{
-    rows.begin(
-        (skel.backend_time, skel.backend_cost, skel.backend_breakdown),
-        (skel.node_build_cost, skel.node_build_time),
-        opts.amortize_n,
-    );
-    if opts.allow_extra_nodes {
-        for ordinal in 0..skel.max_extra_nodes() {
-            rows.probe_node(cache, ordinal, now, opts.maint_window, &price);
-        }
-    }
-    let mut sc = std::mem::take(&mut rows.scratch);
-    for variant in &skel.variants {
-        if variant.uses_indexes && !opts.allow_indexes {
-            continue;
-        }
-        complete_variant(variant, cache, now, opts, &price, &mut sc, rows);
-    }
-    rows.scratch = sc;
-}
-
-/// Writes one variant's cache rows at every allowed node count.
-fn complete_variant<F>(
-    variant: &VariantSkeleton,
-    cache: &CacheState,
-    now: SimTime,
-    opts: EnumerationOptions,
-    price: &F,
-    sc: &mut EnumScratch,
-    rows: &mut PlanRows,
-) where
-    F: Fn(&CachedStructure, SimDuration) -> Money,
-{
-    let vi = rows.open_variant();
-    let lists = rows.lists(vi);
-    lists.indexes.extend_from_slice(&variant.indexes);
-    lists.uses.extend_from_slice(&variant.uses);
-
-    // Partition uses into existing vs missing against *this* cache;
-    // existing data structures quote their pending installments and
-    // capped maintenance backlog — exactly what
-    // `CacheState::settle_usage` will charge.
-    let mut terms = DataTerms::ZERO;
-    sc.missing_pos.clear();
-    sc.missing_cols.clear();
-    for (pos, &key) in variant.uses.iter().enumerate() {
-        match cache.get(key).filter(|s| s.is_available(now)) {
-            Some(s) => {
-                terms.amortized += s.amortization_due();
-                let span = now
-                    .saturating_since(s.maint_paid_until)
-                    .min(opts.maint_window);
-                terms.maintenance += price(s, span);
-            }
-            None => {
-                lists.missing.push(key);
-                sc.missing_pos.push(pos);
-                if let StructureKey::Column(c) = key {
-                    sc.missing_cols.push(c);
-                }
-            }
-        }
-    }
-
-    // Quote each missing structure's build from its skeleton shape —
-    // exactly what the fused enumerator's estimator calls would return.
-    for &pos in &sc.missing_pos {
-        let (cost, time) = match &variant.builds[pos] {
-            BuildShape::Column { cost, time } => (*cost, *time),
-            BuildShape::Index {
-                sort_cost,
-                sort_time,
-                keys,
-            } => {
-                let mut cost = *sort_cost;
-                let mut fetch_time = SimDuration::ZERO;
-                for kf in keys {
-                    let covered = cache.contains(StructureKey::Column(kf.column))
-                        || sc.missing_cols.contains(&kf.column);
-                    if !covered {
-                        cost += kf.cost;
-                        if kf.time > fetch_time {
-                            fetch_time = kf.time;
-                        }
-                    }
-                }
-                (cost, fetch_time + *sort_time)
-            }
-        };
-        terms.add_missing(cost, time, opts.amortize_n);
-        lists.missing_builds.push(cost);
-    }
-
-    for cell in 0..variant.cells.len() {
-        if variant.cells.nodes[cell] > 1 && !opts.allow_extra_nodes {
-            continue;
-        }
-        rows.push_cache_row(vi, &variant.cells, cell, terms);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::candidates::{generate_candidates, CandidateIndex};
-    use crate::enumerate::enumerate_plans_into;
     use crate::estimator::{CostParams, Estimator};
     use cache::IndexDef;
     use catalog::tpch::{tpch_schema, ScaleFactor};
@@ -886,115 +747,11 @@ mod tests {
         }
     }
 
-    fn missing_builds(rows: &PlanRows) -> Vec<Vec<Money>> {
-        (0..rows.len())
-            .map(|i| rows.missing_builds(i).collect())
-            .collect()
-    }
-
-    fn opts_grid() -> [EnumerationOptions; 4] {
-        let base = EnumerationOptions::default();
-        [
-            base,
-            EnumerationOptions {
-                allow_indexes: false,
-                ..base
-            },
-            EnumerationOptions {
-                allow_extra_nodes: false,
-                ..base
-            },
-            EnumerationOptions {
-                allow_indexes: false,
-                allow_extra_nodes: false,
-                ..base
-            },
-        ]
-    }
-
-    #[test]
-    fn split_matches_fused_on_a_cold_cache() {
-        let f = Fixture::new();
-        let ctx = f.ctx();
-        for seed in 0..10 {
-            let q = f.query(seed);
-            let skel = PlanSkeleton::build(&ctx, &q);
-            for opts in opts_grid() {
-                let cache = CacheState::new();
-                let mut fused = PlanRows::new();
-                enumerate_plans_into(&ctx, &q, &cache, SimTime::ZERO, opts, &mut fused);
-                let mut split = PlanRows::new();
-                complete_plans_into(
-                    &skel,
-                    &cache,
-                    SimTime::ZERO,
-                    opts,
-                    |s, span| f.estimator.maintenance(s, span),
-                    &mut split,
-                );
-                assert_eq!(
-                    split.to_plans(),
-                    fused.to_plans(),
-                    "seed {seed}, opts {opts:?}"
-                );
-                assert_eq!(missing_builds(&split), missing_builds(&fused));
-            }
-        }
-    }
-
-    #[test]
-    fn split_matches_fused_on_a_warm_cache() {
-        let f = Fixture::new();
-        let ctx = f.ctx();
-        let q = f.query(3);
-        let mut cache = CacheState::new();
-        // Cache some of the query's columns (one still in flight) plus a
-        // candidate index, leaving others missing.
-        for (i, c) in q.all_columns().enumerate() {
-            if i % 2 == 0 {
-                let build = SimDuration::from_secs(if i == 0 { 500.0 } else { 0.0 });
-                cache.install(
-                    StructureKey::Column(c),
-                    f.schema.column_bytes(c),
-                    SimTime::ZERO,
-                    build,
-                    Money::from_dollars(0.5),
-                    100,
-                );
-            }
-        }
-        cache.install(
-            StructureKey::Index(f.candidates[0].id),
-            1_000,
-            SimTime::ZERO,
-            SimDuration::ZERO,
-            Money::from_dollars(0.2),
-            100,
-        );
-        cache.install(
-            StructureKey::Node(0),
-            0,
-            SimTime::ZERO,
-            SimDuration::ZERO,
-            Money::from_cents(10),
-            100,
-        );
-        let now = SimTime::from_secs(100.0);
-        let skel = PlanSkeleton::build(&ctx, &q);
-        for opts in opts_grid() {
-            let mut fused = PlanRows::new();
-            enumerate_plans_into(&ctx, &q, &cache, now, opts, &mut fused);
-            let mut split = PlanRows::new();
-            complete_plans_into(
-                &skel,
-                &cache,
-                now,
-                opts,
-                |s, span| f.estimator.maintenance(s, span),
-                &mut split,
-            );
-            assert_eq!(split.to_plans(), fused.to_plans(), "opts {opts:?}");
-            assert_eq!(missing_builds(&split), missing_builds(&fused));
+    fn counters(hits: u64, misses: u64, admissions: u64) -> SkeletonCacheCounters {
+        SkeletonCacheCounters {
+            hits,
+            misses,
+            admissions,
         }
     }
 
@@ -1005,21 +762,19 @@ mod tests {
         let q = f.query(9);
         let cache = SkeletonCache::new();
         let first = cache.get_or_build(&ctx, &q);
-        assert_eq!(cache.stats(), (0, 1), "first sighting builds, not stored");
-        assert_eq!(cache.counters().admissions, 0);
-        let second = cache.get_or_build(&ctx, &q);
-        assert_eq!(cache.stats(), (0, 2), "second sighting builds and admits");
-        assert_eq!(cache.counters().admissions, 1);
-        let third = cache.get_or_build(&ctx, &q);
-        assert_eq!(cache.stats(), (1, 2), "third sighting hits");
         assert_eq!(
             cache.counters(),
-            SkeletonCacheCounters {
-                hits: 1,
-                misses: 2,
-                admissions: 1
-            }
+            counters(0, 1, 0),
+            "first sighting builds, not stored"
         );
+        let second = cache.get_or_build(&ctx, &q);
+        assert_eq!(
+            cache.counters(),
+            counters(0, 2, 1),
+            "second sighting builds and admits"
+        );
+        let third = cache.get_or_build(&ctx, &q);
+        assert_eq!(cache.counters(), counters(1, 2, 1), "third sighting hits");
         assert_eq!(*first, *second);
         assert_eq!(*second, *third);
         // A different query resolves independently.
@@ -1037,10 +792,18 @@ mod tests {
         let _ = cache.get_or_build(&ctx, &q);
         let _ = cache.get_or_build(&ctx, &q);
         let lazy = LazySkeleton::with_cache(&ctx, &q, &cache);
-        assert!(!lazy.is_built());
+        assert_eq!(
+            cache.counters(),
+            counters(0, 2, 1),
+            "construction probes nothing"
+        );
         let skel = Arc::clone(lazy.get());
-        assert!(lazy.is_built());
-        assert_eq!(cache.stats().0, 1, "the lazy build hit the shared cache");
+        let _ = lazy.get();
+        assert_eq!(
+            cache.counters(),
+            counters(1, 2, 1),
+            "the lazy build hit the shared cache once"
+        );
         assert_eq!(*skel, PlanSkeleton::build(&ctx, &q));
     }
 

@@ -1,7 +1,7 @@
 //! The three economic schemes, as thin configurations of the economy.
 
 use econ::{EconConfig, EconomyManager, SelectionObjective};
-use planner::{LazySkeleton, PlannerContext};
+use planner::PlannerContext;
 use pricing::Money;
 use simcore::SimTime;
 use workload::Query;
@@ -111,16 +111,6 @@ impl CachePolicy for EconPolicy {
 
     fn quote(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Money {
         self.manager.quote_query(ctx, query, now)
-    }
-
-    fn quote_with_skeleton(
-        &self,
-        ctx: &PlannerContext<'_>,
-        query: &Query,
-        skeleton: &LazySkeleton<'_>,
-        now: SimTime,
-    ) -> Money {
-        self.manager.quote_with_skeleton(ctx, query, skeleton, now)
     }
 
     fn economy(&self) -> Option<&EconomyManager> {

@@ -1,7 +1,7 @@
 //! The policy interface the simulator drives.
 
 use metrics::CostBreakdown;
-use planner::{LazySkeleton, PlannerContext};
+use planner::PlannerContext;
 use pricing::Money;
 use simcore::{SimDuration, SimTime};
 use workload::Query;
@@ -49,7 +49,9 @@ pub trait CachePolicy {
     ) -> PolicyOutcome;
 
     /// Quotes the price this cloud would charge for `query` at `now`,
-    /// without serving it or mutating any state.
+    /// without serving it. A quote writes no cache, ledger or plan-memo
+    /// slot; an economic policy's memo lookup only counts, stamps and
+    /// re-prices an existing slot.
     ///
     /// For the economic schemes this is the paper's `B_Q(t)` settlement of
     /// the case analysis; for bypass it is the cost-recovery charge of the
@@ -59,36 +61,14 @@ pub trait CachePolicy {
     /// first triggers evictions or investments.
     fn quote(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Money;
 
-    /// [`Self::quote`] given the quote round's shared, lazily-built
-    /// plan skeleton for `query` — fleet rounds create one
-    /// [`LazySkeleton`] and pass it to every bidding node, so the
-    /// cache-independent half of planning is computed at most once per
-    /// round (and not at all when every node's plan cache hits).
-    ///
-    /// Must return exactly what [`Self::quote`] would (the skeleton is a
-    /// pure function of `(ctx, query)`); the default implementation
-    /// ignores the skeleton and delegates, which is always correct.
-    /// Policies whose planning factors through the skeleton (the economic
-    /// schemes) override this to skip the redundant enumeration.
-    fn quote_with_skeleton(
-        &self,
-        ctx: &PlannerContext<'_>,
-        query: &Query,
-        skeleton: &LazySkeleton<'_>,
-        now: SimTime,
-    ) -> Money {
-        let _ = skeleton;
-        self.quote(ctx, query, now)
-    }
-
     /// The economy manager backing this policy's quotes, when its
     /// planning factors through batched structure-major completion
-    /// (`econ::QuoteBatch`). A fleet quote round batches the per-node
-    /// completion sweeps of every node that returns `Some`; nodes
-    /// returning `None` (the default) are quoted individually through
-    /// [`Self::quote_with_skeleton`]. Either path must produce identical
-    /// bids. The router also memoizes a winning economic node's plan
-    /// set through this manager, since fleet bids do not write the memo.
+    /// (`econ::QuoteBatch`). A batched fleet quote round plans every
+    /// node that returns `Some` in one sweep; nodes returning `None` (the
+    /// default) are quoted individually through [`Self::quote`], as every
+    /// node is on the per-node path. Either path must produce identical
+    /// bids. The router also commits a winning economic node's plan set
+    /// to this manager's memo, since bids do not write it.
     fn economy(&self) -> Option<&econ::EconomyManager> {
         None
     }

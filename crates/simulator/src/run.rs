@@ -30,7 +30,7 @@ use crate::step::RunAccumulator;
 ///
 /// Shared by [`Simulation`] and the fleet executor, which builds one
 /// policy per cache node. The box is `Send` so fleet quote rounds can
-/// fan per-node completions out over the persistent quote worker pool.
+/// fan per-node bids out over the persistent quote worker pool.
 #[must_use]
 pub fn make_policy(
     scheme: &Scheme,

@@ -25,8 +25,8 @@ pub struct PlanCacheDelta {
     /// subset of `hits`. Cache-content changes count as `completions`.
     pub refreshes: u64,
     /// Lookups whose slot was stale after a cache-content change (the
-    /// cache epoch moved), so only the completion phase re-ran from the
-    /// memoized skeleton.
+    /// cache epoch moved), so the query was re-planned and the slot's
+    /// plan set replaced in place, without a miss.
     pub completions: u64,
     /// Set-miss lookups rescued by the memo's victim cache. Defaults to
     /// zero so traces recorded before the victim cache existed still
@@ -64,8 +64,8 @@ pub struct QuoteRoundEvent {
     pub winning_quote: Option<Money>,
     /// How many nodes were routable (quoted) this round.
     pub routable: usize,
-    /// Plan-cache activity during the round (skeleton reuse across the
-    /// fan-out shows up as completions).
+    /// Plan-cache activity during the round (bidders' stale slots show
+    /// up as completions).
     pub plan_cache: PlanCacheDelta,
 }
 

@@ -3,23 +3,22 @@
 //!
 //! 1. `planner::complete_plans_batch` (one gather pass over N cache
 //!    views) emits, per node, exactly the plan set and missing-build
-//!    quotes of the per-node `planner::complete_plans_into` — over
-//!    random cache histories, node counts and heterogeneous per-node
-//!    options.
+//!    quotes of fused `planner::enumerate_plans_into` against that
+//!    node's cache — over random cache histories, node counts and
+//!    heterogeneous per-node options.
 //! 2. `BatchCompleter::emit_hot` writes, per node, exactly the
 //!    `(time, price, existing)` rows `PlanHot::fill` projects from
 //!    `emit_into`'s plan set — the rows batched bids are computed from.
-//! 4. Every producer's `PlanRows` (fresh enumeration, skeleton
-//!    completion, batched emission) materializes row by row exactly the
-//!    plans of `to_plans`, and selection straight on the rows — the
-//!    economy's serve path — picks, charges and regrets exactly what the
-//!    plan-vector path did.
-//! 3. `econ::QuoteBatch::quote_round` plus `QuoteBatch::commit` on the
+//! 3. Both planners' `PlanRows` (fused enumeration, batched emission)
+//!    materialize row by row exactly the plans of `to_plans`, and
+//!    selection straight on the rows — the economy's serve path —
+//!    picks, charges and regrets exactly what the plan-vector path did.
+//! 4. `econ::QuoteBatch::quote_round` plus `QuoteBatch::commit` on the
 //!    winner (the fleet's batched bid path) quotes, memoizes and counts
-//!    exactly like the sequential `quote_with_skeleton` loop plus
-//!    `commit_quote` on the same winner — over evolving manager state,
-//!    so memo hits, stale completions and misses all cross the batch
-//!    boundary, and losers memoize nothing on either path.
+//!    exactly like the per-node `quote_query` loop plus `commit_quote`
+//!    on the same winner — over evolving manager state, so memo hits,
+//!    stale slots and misses all cross the batch boundary, and losers
+//!    memoize nothing on either path.
 //!
 //! The fleet's routing determinism across {sequential, pooled} ×
 //! {batched, per-node} paths rests on these properties
@@ -36,9 +35,9 @@ use cloudcache::econ::{
 };
 use cloudcache::planner::plan::QueryPlan;
 use cloudcache::planner::{
-    complete_plans_batch, complete_plans_into, enumerate_plans_into, generate_candidates,
-    skyline_partition_hot, BatchCompleter, CacheView, CandidateIndex, CostParams,
-    EnumerationOptions, Estimator, LazySkeleton, PlanHot, PlanRows, PlanSkeleton, PlannerContext,
+    complete_plans_batch, enumerate_plans_into, generate_candidates, skyline_partition_hot,
+    BatchCompleter, CacheView, CandidateIndex, CostParams, EnumerationOptions, Estimator,
+    LazySkeleton, PlanHot, PlanRows, PlanSkeleton, PlannerContext,
 };
 use cloudcache::pricing::{Money, PriceCatalog};
 use cloudcache::simcore::{NetworkModel, SimDuration, SimTime};
@@ -281,10 +280,10 @@ fn check_rows(
 }
 
 proptest! {
-    /// Every producer writes rows that materialize to the plan set and
-    /// select like it: over random per-node cache histories, fresh
-    /// enumeration, skeleton completion and batched emission for every
-    /// node of the round agree plan for plan, each row's materialized
+    /// Both planners write rows that materialize to the plan set and
+    /// select like it: over random per-node cache histories, fused
+    /// enumeration and batched emission for every node of the round
+    /// agree plan for plan, each row's materialized
     /// plan and missing list match `to_plans`, and the serve selection
     /// straight on the rows (case, payment, profit, chosen plan, regret
     /// lists) equals the plan-vector path — under step, convex and
@@ -323,7 +322,7 @@ proptest! {
             .collect();
         let mut now = 0.0f64;
         let mut completer = BatchCompleter::new();
-        let (mut fresh, mut split, mut batched) = (PlanRows::new(), PlanRows::new(), PlanRows::new());
+        let (mut fresh, mut batched) = (PlanRows::new(), PlanRows::new());
         for (step, (&(op, sel, node_pick, gap, build), &(shape, objective, scale, patience))) in
             ops.iter().zip(&budgets).enumerate()
         {
@@ -364,15 +363,6 @@ proptest! {
                 let reference = fresh.to_plans();
                 let what = format!("step {step} node {i}");
                 check_rows(&fresh, &reference, &budget, objective, &format!("fresh, {what}"));
-                complete_plans_into(
-                    &skel,
-                    view.cache,
-                    t,
-                    view.opts,
-                    |s, span| h.estimator.maintenance(s, span),
-                    &mut split,
-                );
-                check_rows(&split, &reference, &budget, objective, &format!("skeleton, {what}"));
                 completer.emit_into(&skel, i, &mut batched);
                 check_rows(&batched, &reference, &budget, objective, &format!("batched, {what}"));
             }
@@ -381,7 +371,7 @@ proptest! {
 
     /// Random per-node cache histories (installs with in-flight builds,
     /// evictions, idle gaps) at random node counts: one batched gather +
-    /// per-node emits equals N independent per-node completions, bit for
+    /// per-node emits equals N independent fused enumerations, bit for
     /// bit — plans and missing-build quote tables alike.
     #[test]
     fn batch_completion_is_bit_identical_to_per_node(
@@ -429,14 +419,7 @@ proptest! {
             }
             for (i, view) in views.iter().enumerate() {
                 let mut reference = PlanRows::new();
-                complete_plans_into(
-                    &skel,
-                    view.cache,
-                    t,
-                    view.opts,
-                    |s, span| h.estimator.maintenance(s, span),
-                    &mut reference,
-                );
+                enumerate_plans_into(&ctx, q, view.cache, t, view.opts, &mut reference);
                 prop_assert_eq!(
                     batch_rows[i].to_plans(),
                     reference.to_plans(),
@@ -537,8 +520,8 @@ proptest! {
     /// The fleet bid path: a group of managers quoted through
     /// `QuoteBatch` must bid, memoize and serve exactly like a twin
     /// group quoted per node — across random arrival interleavings that
-    /// exercise memo hits, price refreshes, stale completions and
-    /// misses, and random nodes sitting rounds out as unroutable. Each
+    /// exercise memo hits, price refreshes, stale slots and misses, and
+    /// random nodes sitting rounds out as unroutable. Each
     /// world commits only its round winner (`QuoteBatch::commit`, and
     /// `commit_quote` for the twin), the winner actually serves, and
     /// every node's memo counters must agree after every round.
@@ -602,11 +585,10 @@ proptest! {
                 .map(|(i, &bid)| routable(i).then_some(bid))
                 .collect();
 
-            let skel_b = LazySkeleton::new(&ctx, query);
             let bids_b: Vec<Option<Money>> = sequential
                 .iter()
                 .enumerate()
-                .map(|(i, m)| routable(i).then(|| m.quote_with_skeleton(&ctx, query, &skel_b, now)))
+                .map(|(i, m)| routable(i).then(|| m.quote_query(&ctx, query, now)))
                 .collect();
             prop_assert_eq!(&bids_a, &bids_b, "bids diverged at {}", now);
 
@@ -619,7 +601,7 @@ proptest! {
                 }
             }
             workspace.commit(winner, &batched[winner]);
-            sequential[winner].commit_quote(&ctx, query, &skel_b, now);
+            sequential[winner].commit_quote(&ctx, query, now);
             for (a, b) in batched.iter().zip(&sequential) {
                 prop_assert_eq!(a.plan_cache_stats(), b.plan_cache_stats(), "memo stats diverged at {}", now);
             }

@@ -8,8 +8,7 @@
 //!
 //! 1. over random cache histories, every budget shape, every selection
 //!    objective, a range of patience values and budget scales on both
-//!    sides of 1, a decided bid equals `quote_with_skeleton` and
-//!    `quote_query` bit for bit;
+//!    sides of 1, a decided bid equals `quote_query` bit for bit;
 //! 2. routers deciding rounds from those bids (sequential, pooled,
 //!    batched and per-node) pick the winner of a full quote round, and
 //!    the winners' serves settle identically;
@@ -25,8 +24,7 @@ use cloudcache::catalog::Schema;
 use cloudcache::econ::{BudgetShape, EconConfig, EconomyManager, InvestmentRule};
 use cloudcache::fleet::{CacheNode, CheapestQuote, NodeSpec, QuoteOptions, Router};
 use cloudcache::planner::{
-    generate_candidates, CandidateIndex, CostParams, Estimator, ExecRows, LazySkeleton,
-    PlannerContext,
+    generate_candidates, CandidateIndex, CostParams, Estimator, ExecRows, PlannerContext,
 };
 use cloudcache::pricing::{Money, PriceCatalog};
 use cloudcache::simcore::{NetworkModel, SimDuration, SimTime};
@@ -181,15 +179,13 @@ proptest! {
             query.budget_scale = SCALES[scale_code as usize];
             let rows = ExecRows::build(&ctx, &query);
 
-            let skeleton = LazySkeleton::new(&ctx, &query);
             let mut winner: Option<(usize, Money)> = None;
             for (i, node) in full.iter_mut().enumerate() {
                 node.accrue(now);
-                let bid = node.quote_with_skeleton(&ctx, &query, &skeleton, now);
+                let bid = node.quote(&ctx, &query, now);
                 if let Some(m) = node.economy() {
                     if let Some(decided) = m.budget_decided_bid(&query, || &rows) {
-                        prop_assert_eq!(decided, bid, "quote_with_skeleton, node {} at {}", i, now);
-                        prop_assert_eq!(decided, m.quote_query(&ctx, &query, now), "quote_query, node {} at {}", i, now);
+                        prop_assert_eq!(decided, bid, "quote_query, node {} at {}", i, now);
                     }
                 }
                 if winner.is_none_or(|(_, b)| bid < b) {

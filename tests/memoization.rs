@@ -13,17 +13,19 @@
 //! *more* live instances than ways must ride the adaptive victim cache
 //! instead of thrashing.
 //!
-//! Only quotes fill the memo; a serve only looks it up. So every test
-//! that exercises hits drives the quote → serve handoff: each arrival is
-//! quoted (`quote_query`, which memoizes its miss) before it is served.
+//! Only a winning bid's commit fills the memo; a bid and a serve only
+//! look it up. So every test that exercises hits drives the quote →
+//! commit → serve handoff: each arrival is quoted (`quote_query`, which
+//! writes no slot), committed (`commit_quote`, which memoizes the bid's
+//! plan set) and then served.
 
 use std::sync::Arc;
 
 use cloudcache::cache::{CacheState, StructureKey};
 use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
 use cloudcache::catalog::ColumnId;
-use cloudcache::econ::{EconConfig, EconomyManager, InvestmentRule};
-use cloudcache::fleet::{run_fleet, FleetConfig, RouterKind};
+use cloudcache::econ::{BudgetShape, EconConfig, EconomyManager, InvestmentRule};
+use cloudcache::fleet::{FleetConfig, FleetSim, RouterKind};
 use cloudcache::planner::{
     generate_candidates, CandidateIndex, CostParams, Estimator, PlannerContext,
 };
@@ -94,9 +96,10 @@ proptest! {
     /// the same randomized arrival sequence (repeats, bursts, ties and
     /// long idle gaps included) must report identical outcomes, balances
     /// and regret totals, while the cache epoch stays monotone. Most
-    /// arrivals are quoted before they are served, so the serve reads
-    /// the plan set its quote memoized; the rest are served without a
-    /// quote, so un-memoized serves interleave with handoff hits.
+    /// arrivals are quoted and committed before they are served, so the
+    /// serve reads the plan set the commit memoized; the rest are served
+    /// without a quote, so un-memoized serves interleave with handoff
+    /// hits.
     #[test]
     fn memoized_and_fresh_managers_agree(
         seed in 0u64..1_000,
@@ -124,11 +127,14 @@ proptest! {
             now += SimDuration::from_secs(gap);
             let query = &pool[pick];
 
-            // Kind 0 serves without a quote; the others quote first.
+            // Kind 0 serves without a quote; the others quote and
+            // commit first.
             if kind != 0 {
                 let quote_memo = memo.quote_query(&ctx, query, now);
                 let quote_fresh = fresh.quote_query(&ctx, query, now);
                 prop_assert_eq!(quote_memo, quote_fresh, "quotes diverged at {}", now);
+                memo.commit_quote(&ctx, query, now);
+                fresh.commit_quote(&ctx, query, now);
             }
 
             let out_memo = memo.process_query(&ctx, query, now);
@@ -214,6 +220,8 @@ proptest! {
             let quote_memo = memo.quote_query(&ctx, query, now);
             let quote_fresh = fresh.quote_query(&ctx, query, now);
             prop_assert_eq!(quote_memo, quote_fresh, "quotes diverged at {}", now);
+            memo.commit_quote(&ctx, query, now);
+            fresh.commit_quote(&ctx, query, now);
             let out_memo = memo.process_query(&ctx, query, now);
             let out_fresh = fresh.process_query(&ctx, query, now);
             prop_assert_eq!(&out_memo, &out_fresh, "outcomes diverged at {}", now);
@@ -273,9 +281,10 @@ proptest! {
 /// the whole point of the subsystem. One concrete instance per template,
 /// replayed with the paper-scale default economics, under which the few
 /// investments that fire in 700 queries at SF 10 rarely move the cache
-/// epoch. Each arrival is quoted, then served: the first quote of each
-/// instance misses and memoizes, and every later lookup (quote or serve)
-/// reuses the slot — a hit, or a re-completion after an epoch move.
+/// epoch. Each arrival is quoted, committed, then served: the first
+/// quote of each instance misses and its commit memoizes, and every
+/// later lookup (quote or serve) reuses the slot — a hit, or an in-place
+/// re-plan after an epoch move.
 #[test]
 fn replayed_instances_hit_the_plan_cache() {
     let harness = Harness::new();
@@ -295,6 +304,7 @@ fn replayed_instances_hit_the_plan_cache() {
         let now = SimTime::from_secs((i + 1) as f64);
         let query = &pool[i % pool.len()];
         let _ = manager.quote_query(&ctx, query, now);
+        manager.commit_quote(&ctx, query, now);
         let _ = manager.process_query(&ctx, query, now);
     }
     let stats = manager.plan_cache_stats();
@@ -316,8 +326,8 @@ fn replayed_instances_hit_the_plan_cache() {
 }
 
 /// A serve looks the memo up but never fills it: repeated serve-only
-/// arrivals of one instance enumerate every time, while one quote of the
-/// instance memoizes the plan set its serve then reads.
+/// arrivals of one instance enumerate every time, while one committed
+/// quote of the instance memoizes the plan set its serve then reads.
 #[test]
 fn serves_never_fill_the_plan_memo() {
     let harness = Harness::new();
@@ -335,12 +345,45 @@ fn serves_never_fill_the_plan_memo() {
 
     let now = SimTime::from_secs((n + 1) as f64);
     let _ = manager.quote_query(&ctx, &query, now);
+    manager.commit_quote(&ctx, &query, now);
     let _ = manager.process_query(&ctx, &query, now);
     let stats = manager.plan_cache_stats();
     assert_eq!(stats.misses, n + 1, "the quote missed once: {stats:?}");
     assert_eq!(
         stats.hits, 1,
         "the serve reads the quote's plan set: {stats:?}"
+    );
+}
+
+/// A bid only reads the memo: a quote with no commit leaves no slot, so
+/// the serve that follows misses; the same quote plus its commit
+/// memoizes the plan set, and the serve hits it.
+#[test]
+fn quote_query_writes_no_slot() {
+    let harness = Harness::new();
+    let ctx = harness.ctx();
+    let query = query_pool(&harness, 13, 1).remove(0);
+    let mut manager = EconomyManager::new(EconConfig::default());
+
+    let now = SimTime::from_secs(1.0);
+    let _ = manager.quote_query(&ctx, &query, now);
+    let _ = manager.process_query(&ctx, &query, now);
+    let stats = manager.plan_cache_stats();
+    assert_eq!(
+        stats.hits, 0,
+        "an uncommitted quote wrote a slot: {stats:?}"
+    );
+    assert_eq!(stats.misses, 2, "{stats:?}");
+
+    let now = SimTime::from_secs(2.0);
+    let _ = manager.quote_query(&ctx, &query, now);
+    manager.commit_quote(&ctx, &query, now);
+    let _ = manager.process_query(&ctx, &query, now);
+    let stats = manager.plan_cache_stats();
+    assert_eq!(stats.misses, 3, "the quote missed once more: {stats:?}");
+    assert_eq!(
+        stats.hits, 1,
+        "the serve reads the committed plan set: {stats:?}"
     );
 }
 
@@ -361,6 +404,7 @@ fn quote_then_serve_reuses_the_quotes_plan_set() {
         now += SimDuration::from_secs(gaps[i % gaps.len()]);
         let query = &pool[i % pool.len()];
         let _ = manager.quote_query(&ctx, query, now);
+        manager.commit_quote(&ctx, query, now);
         let _ = manager.process_query(&ctx, query, now);
     }
     let stats = manager.plan_cache_stats();
@@ -373,8 +417,8 @@ fn quote_then_serve_reuses_the_quotes_plan_set() {
 /// Two live instances of one template must coexist in the memo — the
 /// direct-mapped thrash case: alternating A, B, A, B… used to evict on
 /// every lookup (zero hits); the 2-way associative sets hold both. Each
-/// arrival is quoted, then served: only the first quote of each instance
-/// misses, and every other lookup — quote or serve — hits.
+/// arrival is quoted, committed, then served: only the first quote of
+/// each instance misses, and every other lookup — quote or serve — hits.
 #[test]
 fn two_instances_of_one_template_stop_evicting_each_other() {
     let harness = Harness::new();
@@ -399,6 +443,7 @@ fn two_instances_of_one_template_stop_evicting_each_other() {
         let now = SimTime::from_secs((i + 1) as f64);
         let q = if i % 2 == 0 { &a } else { &b };
         let _ = manager.quote_query(&ctx, q, now);
+        manager.commit_quote(&ctx, q, now);
         let _ = manager.process_query(&ctx, q, now);
     }
     let stats = manager.plan_cache_stats();
@@ -416,8 +461,9 @@ fn two_instances_of_one_template_stop_evicting_each_other() {
 /// victim cache adaptively absorbs the overflow: after its admission
 /// bar clears (more conflicts than ways), the rotation settles into
 /// victim hits and full re-enumerations stop entirely. Each arrival is
-/// quoted, then served: the quote's lookup is the one that misses or is
-/// rescued, and the serve reads the slot the quote left in its set.
+/// quoted, committed, then served: the quote's lookup is the one that
+/// misses or is rescued, and the serve reads the slot the commit left in
+/// its set.
 #[test]
 fn three_instances_of_one_template_ride_the_victim_cache() {
     let harness = Harness::new();
@@ -443,6 +489,7 @@ fn three_instances_of_one_template_ride_the_victim_cache() {
         let now = SimTime::from_secs((i + 1) as f64);
         let query = rotation[i % 3];
         let _ = manager.quote_query(&ctx, query, now);
+        manager.commit_quote(&ctx, query, now);
         let _ = manager.process_query(&ctx, query, now);
     }
     let stats = manager.plan_cache_stats();
@@ -459,9 +506,9 @@ fn three_instances_of_one_template_ride_the_victim_cache() {
         n as u64 - 5,
         "steady state is one victim rescue per quote, saw {stats:?}"
     );
-    // Every other lookup serves the memoized skeleton: either straight (a
-    // hit) or via the cheap completion phase when the cache epoch moved
-    // under it — never a fresh enumeration.
+    // Every other lookup reads the memoized slot: either straight (a hit)
+    // or re-planned in place when the cache epoch moved under it — never
+    // a miss.
     assert_eq!(
         stats.hits + stats.completions,
         2 * n as u64 - 5,
@@ -470,11 +517,11 @@ fn three_instances_of_one_template_ride_the_victim_cache() {
 }
 
 /// When the cache epoch moves under a memoized template (investments,
-/// evictions), the memo re-runs only the cheap completion phase from the
-/// stored skeleton instead of a full re-enumeration. Each arrival is
-/// quoted, then served, so the slots come from the quotes.
+/// evictions), the lookup re-plans the query into its slot in place,
+/// counted as a completion rather than a miss. Each arrival is quoted,
+/// committed, then served, so the slots come from the commits.
 #[test]
-fn epoch_changes_recomplete_instead_of_re_enumerating() {
+fn epoch_changes_replan_the_slot_in_place_without_a_miss() {
     let harness = Harness::new();
     let ctx = harness.ctx();
     let mut gen = WorkloadGenerator::new(Arc::clone(&harness.schema), WorkloadConfig::default(), 9);
@@ -495,6 +542,7 @@ fn epoch_changes_recomplete_instead_of_re_enumerating() {
         let now = SimTime::from_secs((i + 1) as f64);
         let query = &pool[i % pool.len()];
         let _ = manager.quote_query(&ctx, query, now);
+        manager.commit_quote(&ctx, query, now);
         let o = manager.process_query(&ctx, query, now);
         invested += o.investments.len();
     }
@@ -508,54 +556,82 @@ fn epoch_changes_recomplete_instead_of_re_enumerating() {
     assert_eq!(
         stats.hits + stats.completions,
         2 * n as u64 - pool.len() as u64,
-        "every later lookup reuses the memoized skeleton, saw {stats:?}"
+        "every later lookup reuses the memoized slot, saw {stats:?}"
     );
     assert!(
         stats.completions > 0,
-        "epoch changes should re-run completions, saw {stats:?}"
+        "epoch changes should re-plan slots in place, saw {stats:?}"
     );
     assert!(stats.hits > stats.completions, "stable stretches dominate");
 }
 
 /// Cheapest-quote routing decisions must be unchanged by memoization:
 /// identical per-node query counts, payments and responses whether the
-/// fleet's economies memoize or plan fresh.
+/// fleet's economies memoize or plan fresh — under both budget shapes
+/// and on both quote paths (batched rounds, and per-node fused bids with
+/// `commit_quote` on the winner). Under a step budget every round is
+/// decided from the budgets alone; under a convex budget the rounds run
+/// in full, so the winner's committed plan set is what its serve reads
+/// (the handoff), and the traced registry must show those hits.
 #[test]
 fn fleet_routing_is_unchanged_by_memoization() {
-    let run = |plan_cache: bool| {
-        let mut config = FleetConfig::mixed(10, 3, 60);
-        config.scale_factor = 10.0;
-        config.cells = 5;
-        config.shards = 2;
-        config.router = RouterKind::CheapestQuote;
-        config.seed = 17;
-        config.econ.plan_cache = plan_cache;
-        run_fleet(config)
-    };
-    let memo = run(true);
-    let fresh = run(false);
+    for shape in [BudgetShape::Step, BudgetShape::Convex] {
+        for batching in [true, false] {
+            let run = |plan_cache: bool| {
+                let mut config = FleetConfig::mixed(10, 3, 60);
+                config.scale_factor = 10.0;
+                config.cells = 5;
+                config.shards = 2;
+                config.router = RouterKind::CheapestQuote;
+                config.seed = 17;
+                config.quote_batching = batching;
+                config.econ.budget_shape = shape;
+                config.econ.plan_cache = plan_cache;
+                FleetSim::new(config).run_traced()
+            };
+            let (memo, trace) = run(true);
+            let (fresh, _) = run(false);
+            let what = format!("{shape:?} budgets, batching {batching}");
 
-    assert_eq!(memo.queries, fresh.queries);
-    assert_eq!(memo.payments, fresh.payments);
-    assert_eq!(memo.profit, fresh.profit);
-    assert_eq!(memo.cache_hits, fresh.cache_hits);
-    assert_eq!(memo.investments, fresh.investments);
-    assert_eq!(memo.evictions, fresh.evictions);
-    assert_eq!(
-        memo.total_operating_cost(),
-        fresh.total_operating_cost(),
-        "operating cost must not depend on memoization"
-    );
-    assert_eq!(
-        memo.mean_response_secs().to_bits(),
-        fresh.mean_response_secs().to_bits()
-    );
-    for (m, f) in memo.nodes.iter().zip(&fresh.nodes) {
-        assert_eq!(m.queries, f.queries, "node {} routed differently", m.node);
-        assert_eq!(m.payments, f.payments);
-    }
-    for (m, f) in memo.tenants.iter().zip(&fresh.tenants) {
-        assert_eq!(m.queries, f.queries);
-        assert_eq!(m.payments, f.payments);
+            assert_eq!(memo.queries, fresh.queries, "{what}");
+            assert_eq!(memo.payments, fresh.payments, "{what}");
+            assert_eq!(memo.profit, fresh.profit, "{what}");
+            assert_eq!(memo.cache_hits, fresh.cache_hits, "{what}");
+            assert_eq!(memo.investments, fresh.investments, "{what}");
+            assert_eq!(memo.evictions, fresh.evictions, "{what}");
+            assert_eq!(
+                memo.total_operating_cost(),
+                fresh.total_operating_cost(),
+                "{what}: operating cost must not depend on memoization"
+            );
+            assert_eq!(
+                memo.mean_response_secs().to_bits(),
+                fresh.mean_response_secs().to_bits(),
+                "{what}"
+            );
+            for (m, f) in memo.nodes.iter().zip(&fresh.nodes) {
+                assert_eq!(
+                    m.queries, f.queries,
+                    "{what}: node {} routed differently",
+                    m.node
+                );
+                assert_eq!(m.payments, f.payments, "{what}");
+            }
+            for (m, f) in memo.tenants.iter().zip(&fresh.tenants) {
+                assert_eq!(m.queries, f.queries, "{what}");
+                assert_eq!(m.payments, f.payments, "{what}");
+            }
+
+            if shape == BudgetShape::Convex {
+                let registry = &trace.registry;
+                let full = registry.counter("router.full_rounds");
+                let hits = registry.counter("plan_cache.hits");
+                assert!(full > 0, "{what}: the quote rounds must run in full");
+                assert!(
+                    hits > 0,
+                    "{what}: the winners' serves must hit their committed plan sets"
+                );
+            }
+        }
     }
 }
