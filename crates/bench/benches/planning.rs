@@ -128,8 +128,9 @@ fn bench_fresh_enumeration(c: &mut Criterion) {
 fn bench_economy_step(c: &mut Criterion) {
     let fx = Fx::new(2500.0, 256);
     let ctx = fx.ctx();
-    // The memo-off twin runs the same stream: a serve never fills the
-    // plan memo, so on fresh generated queries the two should read alike.
+    // The memo-off twin runs the same stream: without quotes no commit
+    // fills the memo's handoff slot, so every memo-on serve finds it
+    // empty and the two should read alike.
     for (name, plan_cache) in [
         ("economy_process_query_sf2500", true),
         ("economy_process_query_sf2500_memo_off", false),

@@ -7,19 +7,20 @@
 //! the run exits non-zero on any drift), and writes `BENCH_hotpath.json`.
 //!
 //! * **cold** — the standard drifting workload from an empty cache (every
-//!   query is a fresh template instance, so the plan cache never gets an
-//!   exact repeat and the measured gain comes from the structural
-//!   optimisations: candidate index, single-pass skyline, buffer reuse,
-//!   gated failure scans);
+//!   query is a fresh template instance; the measured gain comes from the
+//!   structural optimisations: candidate index, single-pass skyline,
+//!   buffer reuse, gated failure scans);
 //! * **warm-template** — one concrete instance per template, replayed
-//!   round-robin (the prepared-statement regime).
+//!   round-robin. The plan memo is a one-slot quote→serve handoff that
+//!   keeps nothing across arrivals, so replays earn no memo reuse; the
+//!   cell only times a workload of exact repeats.
 //!
 //! Both cells serve without quotes, and only a winning bid's commit
-//! fills the plan memo, so every cell reads 0 memo hits. The drift check
-//! therefore pins the memo-on serve path itself — its lookup, and a miss
-//! planning into scratch rows without installing — against memo-off
-//! serves. The memo's hit path (quote, commit, serve) is pinned by
-//! `tests/memoization.rs` and the fleet handoff tests instead.
+//! fills the memo's handoff slot, so every memo-on serve finds the slot
+//! empty and misses. The drift check therefore pins a serve with an
+//! empty handoff against `plan_cache: false`. The handoff's hit path
+//! (quote, commit, serve) is pinned by `tests/memoization.rs` and the
+//! fleet handoff tests instead.
 //!
 //! The committed `BENCH_hotpath.json` records the pre-optimisation
 //! baseline queries/sec (seed planner, measured with this same harness

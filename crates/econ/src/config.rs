@@ -45,10 +45,10 @@ pub struct EconConfig {
     /// inter-arrival gap (footnote 3 with a write-off: see
     /// `cache::CacheState::settle_maintenance`).
     pub maint_window_gaps: f64,
-    /// Memoize planning per query template: repeat instances under an
-    /// unchanged cache epoch skip enumeration (see `crate::plancache`).
-    /// Results are bit-identical either way — the switch exists so tests
-    /// and benches can compare memoized runs against fresh planning.
+    /// Hand a won bid's plan set to the serve that follows, so the serve
+    /// skips enumeration (see `crate::plancache`). Results are
+    /// bit-identical either way — the switch exists so tests and benches
+    /// can compare memoized runs against fresh planning.
     pub plan_cache: bool,
 }
 

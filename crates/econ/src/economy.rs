@@ -33,7 +33,7 @@ use crate::account::CloudAccount;
 use crate::budget::{BudgetFunction, BudgetShape};
 use crate::config::EconConfig;
 use crate::outcome::{QueryOutcome, SelectionCase};
-use crate::plancache::{PlanCache, PlanCacheStats};
+use crate::plancache::{Handoff, PlanCacheStats};
 use crate::regret::RegretLedger;
 use crate::selection::{select_payment_hot, select_plan_hot};
 
@@ -51,13 +51,10 @@ pub struct EconomyManager {
     queries_seen: u64,
     first_arrival: Option<SimTime>,
     last_arrival: SimTime,
-    /// Memoized plan sets per template (interior mutability: a bid's
-    /// lookup stamps and refreshes slots, and a won bid's commit writes
-    /// one for the serving call, all through `&self`).
-    plancache: RefCell<PlanCache>,
-    /// Scratch rows fused enumeration and a batched commit write into;
-    /// an install swaps them into the memo and takes back the displaced
-    /// slot's rows.
+    /// The quote→serve handoff (interior mutability: a won bid's commit
+    /// writes it through `&self`, see [`crate::plancache`]).
+    handoff: RefCell<Handoff>,
+    /// Scratch rows that bids and unmemoized serves plan into.
     rows: RefCell<PlanRows>,
     /// Scratch for the skyline index partition.
     sky_scratch: RefCell<SkyScratch>,
@@ -110,7 +107,7 @@ impl EconomyManager {
             queries_seen: 0,
             first_arrival: None,
             last_arrival: SimTime::ZERO,
-            plancache: RefCell::new(PlanCache::new()),
+            handoff: RefCell::default(),
             rows: RefCell::new(PlanRows::new()),
             sky_scratch: RefCell::new(SkyScratch::default()),
             next_failure_check: f64::NEG_INFINITY,
@@ -136,7 +133,7 @@ impl EconomyManager {
     /// Plan-cache hit/miss counters.
     #[must_use]
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.plancache.borrow().stats()
+        self.handoff.borrow().stats()
     }
 
     /// The cloud account (`CR` lives here).
@@ -288,14 +285,13 @@ impl EconomyManager {
 
     /// Processes one query at its arrival instant.
     ///
-    /// Planning reads the plan memo but never writes a new slot: the
-    /// query runs from a slot its quote's commit left behind
-    /// ([`Self::commit_quote`] or [`QuoteBatch::commit`]), and otherwise
-    /// from a fresh enumeration that is dropped once it has served. A
-    /// served query is no evidence that its fingerprint comes back, and
-    /// generated queries carry continuous selectivities, so a slot a
-    /// serve installed would almost never be read. The outcome is
-    /// bit-identical either way.
+    /// Planning takes the plan memo's handoff slot: the query runs from
+    /// the plan set its quote's commit left there ([`Self::commit_quote`]
+    /// or [`QuoteBatch::commit`]), re-planned if the serve's own failure
+    /// scan moved the cache epoch, and otherwise from a fresh enumeration
+    /// that is dropped once it has served. The slot is empty afterwards
+    /// (see [`crate::plancache`]). The outcome is bit-identical either
+    /// way.
     ///
     /// # Panics
     /// Panics if `now` precedes a previous arrival (the simulator feeds
@@ -396,8 +392,8 @@ impl EconomyManager {
     }
 
     /// Steps (2)–(5) of the control loop: obtain the costed plan rows
-    /// (a memoized plan set when a won bid's commit left one for this
-    /// query's fingerprint — see [`crate::plancache`]), reduce them to
+    /// (the handoff when a won bid's commit left one for this query's
+    /// fingerprint — see [`crate::plancache`]), reduce them to
     /// the two-tier skyline, form the user's budget, run the case
     /// analysis and distribute the regret of the rejected possible
     /// plans.
@@ -409,26 +405,22 @@ impl EconomyManager {
     /// shape at `budget_scale × backend price` with deadline
     /// `patience × backend time`.
     ///
-    /// A current slot serves straight from its rows. Otherwise the query
-    /// is enumerated fused into the manager's scratch rows and served
-    /// from them; a stale slot (the cache epoch moved) then takes the
-    /// rows in place, while a miss installs nothing.
+    /// A current handoff serves straight from its rows, re-priced first
+    /// if its prices moved. Otherwise the query is enumerated fused into
+    /// the manager's scratch rows and served from them.
     fn plan_query(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Planned {
-        let (need, opts, epoch) = match self.lookup(ctx, query, None, now, |rows, opts| {
-            self.serve_from(query, rows, opts)
-        }) {
-            Ok(planned) => return planned,
-            Err(need) => need,
-        };
-        let planned = {
-            let mut rows = self.rows.borrow_mut();
-            enumerate_plans_into(ctx, query, &self.cache, now, opts, &mut rows);
-            self.serve_from(query, &rows, opts)
-        };
-        if matches!(need, QuoteNeed::Stale) {
-            self.memoize(need, opts, epoch, query.template.0, now);
+        let opts = self.config.enumeration(self.arrival_rate());
+        if self.config.plan_cache {
+            let mut handoff = self.handoff.borrow_mut();
+            if let Some(rows) = handoff.take(query, &self.cache, now, opts, |s, span| {
+                ctx.estimator.maintenance(s, span)
+            }) {
+                return self.serve_from(query, rows, opts);
+            }
         }
-        planned
+        let mut rows = self.rows.borrow_mut();
+        enumerate_plans_into(ctx, query, &self.cache, now, opts, &mut rows);
+        self.serve_from(query, &rows, opts)
     }
 
     /// Skyline partition + budget + case analysis straight over the plan
@@ -581,150 +573,42 @@ impl EconomyManager {
     /// Quotes the price `B_Q(t)` this cloud would charge for `query` at
     /// `now` without serving it — the read-only bid of one quote round.
     ///
-    /// The quote runs the same memo lookup, planning, skyline and case
-    /// analysis as [`process_query`](Self::process_query) but skips its
-    /// side effects, so the realized price can differ from the quote in
-    /// two ways: serving the query first evicts structures whose
-    /// maintenance failed, and it updates the observed arrival statistics
-    /// that the enumeration options (amortisation horizon, maintenance
-    /// window) derive from. Routers treat quotes as bids, not contracts.
+    /// The quote plans the query by fused enumeration into the manager's
+    /// scratch rows and runs the same skyline and case analysis as
+    /// [`process_query`](Self::process_query), but skips its side
+    /// effects, so the realized price can differ from the quote in two
+    /// ways: serving the query first evicts structures whose maintenance
+    /// failed, and it updates the observed arrival statistics that the
+    /// enumeration options (amortisation horizon, maintenance window)
+    /// derive from. Routers treat quotes as bids, not contracts.
     ///
-    /// A current slot serves the bid (price refresh and LRU stamp
-    /// included); a miss or a stale slot enumerates fused into scratch.
-    /// Either way no slot is written: most bidders lose the round and
-    /// would never read one. The winner calls [`Self::commit_quote`],
-    /// which memoizes the plan set its serve then reuses.
+    /// A bid neither reads nor writes the plan memo and moves none of its
+    /// counters: most bidders lose the round. The winner calls
+    /// [`Self::commit_quote`], which hands its plan set to the serve.
     #[must_use]
     pub fn quote_query(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Money {
-        let opts = match self.lookup(ctx, query, None, now, |rows, _| {
-            self.select_payment_from(query, rows)
-        }) {
-            Ok(bid) => return bid,
-            Err((_, opts, _)) => opts,
-        };
+        let opts = self.config.enumeration(self.arrival_rate());
         let mut rows = self.rows.borrow_mut();
         enumerate_plans_into(ctx, query, &self.cache, now, opts, &mut rows);
         self.select_payment_from(query, &rows)
     }
 
-    /// Memoizes the plan set behind this manager's last
-    /// [`Self::quote_query`] bid for `query` at `now`: a fresh slot after
-    /// a miss, the slot re-planned in place after a stale one, both by
-    /// fused enumeration. A no-op when the bid came from a current slot
-    /// or memoization is off. The fleet router calls it on each round's
-    /// winner; it must follow the bid with no state change in between.
+    /// Hands the plan set behind this manager's [`Self::quote_query`] bid
+    /// for `query` at `now` to the serve that follows: plans it by fused
+    /// enumeration into the memo's handoff slot, replacing any earlier
+    /// handoff. A no-op when memoization is off. The fleet router calls
+    /// it on each round's winner; it must follow the bid with no state
+    /// change in between.
     pub fn commit_quote(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) {
-        let Some((need, opts, epoch)) = self.uncommitted(query, now) else {
+        if !self.config.plan_cache {
             return;
-        };
-        enumerate_plans_into(
-            ctx,
-            query,
-            &self.cache,
-            now,
-            opts,
-            &mut self.rows.borrow_mut(),
-        );
-        self.memoize(need, opts, epoch, query.template.0, now);
-    }
-
-    /// What a commit of `query` at `now` still has to write: `None` when
-    /// memoization is off or the query's slot already holds a current
-    /// plan set. Re-finds the slot without an LRU stamp — the bid's
-    /// lookup already took it.
-    fn uncommitted(
-        &self,
-        query: &Query,
-        now: SimTime,
-    ) -> Option<(QuoteNeed, EnumerationOptions, u64)> {
-        if !self.config.plan_cache {
-            return None;
         }
         let opts = self.config.enumeration(self.arrival_rate());
-        let epoch = self.cache.epoch(now);
-        let mut pc = self.plancache.borrow_mut();
-        pc.prepare_fingerprint(query);
-        match pc.rematch_slot(query.template.0) {
-            Some(slot) if slot.completion_current(epoch, &opts) => None,
-            Some(_) => Some((QuoteNeed::Stale, opts, epoch)),
-            None => Some((QuoteNeed::Miss, opts, epoch)),
-        }
-    }
-
-    /// The memo lookup shared by serves and bids: when the query's slot
-    /// is current, refreshes its prices if they moved, runs `select` on
-    /// its rows and counts the hit. Otherwise counts the miss or the
-    /// stale slot and reports what planning the caller needs, with the
-    /// options and cache epoch to plan under.
-    ///
-    /// `fingerprint` is a batched round's shared planning fingerprint —
-    /// a pure function of the query, derived once per round instead of
-    /// once per node and adopted into this manager's memo scratch
-    /// verbatim. `None` derives it from the query.
-    fn lookup<R>(
-        &self,
-        ctx: &PlannerContext<'_>,
-        query: &Query,
-        fingerprint: Option<&[u64]>,
-        now: SimTime,
-        select: impl FnOnce(&PlanRows, EnumerationOptions) -> R,
-    ) -> Result<R, (QuoteNeed, EnumerationOptions, u64)> {
-        let opts = self.config.enumeration(self.arrival_rate());
-        if !self.config.plan_cache {
-            return Err((QuoteNeed::Unmemoized, opts, 0));
-        }
-        let epoch = self.cache.epoch(now);
-        let mut pc = self.plancache.borrow_mut();
-        match fingerprint {
-            Some(fp) => pc.adopt_fingerprint(fp),
-            None => pc.prepare_fingerprint(query),
-        }
-        if let Some(slot) = pc.matching_slot(query.template.0) {
-            if slot.completion_current(epoch, &opts) {
-                let refreshed = !slot.prices_current(&self.cache, now, &opts);
-                if refreshed {
-                    slot.refresh_prices(&self.cache, now, opts, |s, span| {
-                        ctx.estimator.maintenance(s, span)
-                    });
-                }
-                let selected = select(&slot.rows, opts);
-                pc.count_hit(refreshed);
-                return Ok(selected);
-            }
-            pc.count_completion();
-            return Err((QuoteNeed::Stale, opts, epoch));
-        }
-        pc.count_miss();
-        Err((QuoteNeed::Miss, opts, epoch))
-    }
-
-    /// Moves the plan rows sitting in this manager's scratch into the
-    /// memo under the prepared fingerprint, as the lookup classified
-    /// them: a fresh slot for a miss, the stale slot's plan set replaced
-    /// in place.
-    ///
-    /// # Panics
-    /// Panics on [`QuoteNeed::Unmemoized`], or if a stale slot vanished
-    /// since its lookup.
-    fn memoize(
-        &self,
-        need: QuoteNeed,
-        opts: EnumerationOptions,
-        epoch: u64,
-        template: usize,
-        now: SimTime,
-    ) {
-        let mut pc = self.plancache.borrow_mut();
-        let mut rows = self.rows.borrow_mut();
-        let settle_seq = self.cache.settle_seq();
-        match need {
-            QuoteNeed::Unmemoized => unreachable!("a memo-off bid has nothing to commit"),
-            QuoteNeed::Stale => pc
-                .rematch_slot(template)
-                .expect("classified slot vanished before its commit")
-                .replace_completion(epoch, settle_seq, opts, now, &mut rows),
-            QuoteNeed::Miss => pc.install_slot(template, epoch, settle_seq, opts, now, &mut rows),
-        }
+        let mut handoff = self.handoff.borrow_mut();
+        let (fingerprint, rows) =
+            handoff.write(self.cache.epoch(now), self.cache.settle_seq(), opts, now);
+        planner::planning_fingerprint(query, fingerprint);
+        enumerate_plans_into(ctx, query, &self.cache, now, opts, rows);
     }
 
     /// Builds every structure the investment rule triggers, most regretted
@@ -796,72 +680,56 @@ impl EconomyManager {
     }
 }
 
-/// What a bid or serve still needs after its memo lookup.
-#[derive(Debug, Clone, Copy)]
-enum QuoteNeed {
-    /// Plan memoization disabled: plan and select; nothing to commit.
-    Unmemoized,
-    /// The slot matched but its plan set is stale (the cache epoch
-    /// moved): re-plan; a commit, or the serve, replaces the slot's plan
-    /// set in place.
-    Stale,
-    /// Fresh fingerprint: plan; a commit installs a new slot.
-    Miss,
-}
-
-/// One batch member: a node whose bid needs the shared completion pass.
+/// One batch member: a routable economic node, planned in the round's
+/// shared completion pass.
 #[derive(Debug, Clone, Copy)]
 struct BatchMember {
     /// Caller-side node index.
     node: usize,
-    need: QuoteNeed,
+    /// The options its manager plans under.
     opts: EnumerationOptions,
-    epoch: u64,
 }
 
 /// Reusable workspace for **batched quote rounds** — the structure-major
 /// inversion of the fleet's per-node quote fan-out.
 ///
-/// A round classifies every node first (the manager's memo lookup
-/// serves memo hits immediately), then runs *one*
-/// [`BatchCompleter::gather`] pass over the caches of every node that
-/// still needs completion, and bids each of them from the hot rows
-/// [`BatchCompleter::emit_hot`] writes straight from the gathered lanes.
-/// No member's full plan set is built or memoized during the round:
-/// only the cheapest bid is served, so the router calls
-/// [`Self::commit`] on the winner alone, which emits and memoizes that
-/// one set from the same lanes. Bids, lookup counters and memo state
-/// match the per-node path — [`EconomyManager::quote_query`] on every
-/// node, then [`EconomyManager::commit_quote`] on the same winner — bit
-/// for bit; `tests/batch_completion.rs` pins it.
+/// A round makes every routable economic node a member, runs *one*
+/// [`BatchCompleter::gather`] pass over the members' caches, and bids
+/// each of them from the hot rows [`BatchCompleter::emit_hot`] writes
+/// straight from the gathered lanes. No member's full plan set is built
+/// during the round: only the cheapest bid is served, so the router
+/// calls [`Self::commit`] on the winner alone, which emits that one set
+/// from the same lanes into the winner's handoff slot (see
+/// [`crate::plancache`]). Bids and memo state match the per-node path —
+/// [`EconomyManager::quote_query`] on every node, then
+/// [`EconomyManager::commit_quote`] on the same winner — bit for bit;
+/// `tests/batch_completion.rs` pins it.
 ///
 /// The bulk scratch (completer lanes, member list, bid vector, hot rows,
-/// shared fingerprint) is retained across rounds, so quote rounds are
-/// allocation-free after warmup.
+/// the round's planning fingerprint) is retained across rounds, so quote
+/// rounds are allocation-free after warmup.
 #[derive(Debug, Default)]
 pub struct QuoteBatch {
     completer: BatchCompleter,
     members: Vec<BatchMember>,
     bids: Vec<Money>,
-    /// Round-shared planning fingerprint scratch: derived once per round
-    /// from the query and adopted by every classified node, instead of
-    /// each node re-deriving the identical word vector.
+    /// Planning fingerprint of the last round's query, which the
+    /// winner's commit stamps on its handoff.
     fingerprint: Vec<u64>,
     /// Hot rows the members' bids are computed over.
     hot: PlanHot,
     /// Skyline scratch of the members' bids.
     scratch: SkyScratch,
-    /// What the winner's commit needs of the last round; `None` when no
-    /// node needed completion.
+    /// What the winner's commit needs of the last round; `None` when it
+    /// had no member.
     gathered: Option<Gathered>,
 }
 
 /// The part of a batched round the winner's commit reads besides the
-/// completer's lanes.
+/// completer's lanes and the fingerprint.
 #[derive(Debug)]
 struct Gathered {
     skeleton: Arc<PlanSkeleton>,
-    template: usize,
     now: SimTime,
 }
 
@@ -880,14 +748,14 @@ impl QuoteBatch {
     /// Both closures must be stable for the duration of the call, every
     /// returned manager must be distinct, and `skeleton` is the round's
     /// shared lazy skeleton — built at most once, only if some node
-    /// actually needs completion.
+    /// returns a manager.
     ///
-    /// Returns the bids, indexed by node. No member's memo is written;
-    /// see [`Self::commit`].
+    /// Returns the bids, indexed by node. No member's memo is read or
+    /// written; see [`Self::commit`].
     ///
     /// # Panics
-    /// Panics if a classified node's manager disappears between phases
-    /// (the closures were not stable).
+    /// Panics if a member's manager disappears between phases (the
+    /// closures were not stable).
     #[allow(clippy::too_many_arguments)] // one parameter per round input
     pub fn quote_round<'m, M, F>(
         &mut self,
@@ -907,21 +775,13 @@ impl QuoteBatch {
         self.bids.resize(count, Money::ZERO);
         self.members.clear();
         self.gathered = None;
-        planner::planning_fingerprint(query, &mut self.fingerprint);
         for i in 0..count {
             match manager_of(i) {
                 None => self.bids[i] = fallback(i),
-                Some(m) => match m.lookup(ctx, query, Some(&self.fingerprint), now, |rows, _| {
-                    m.select_payment_from(query, rows)
-                }) {
-                    Ok(bid) => self.bids[i] = bid,
-                    Err((need, opts, epoch)) => self.members.push(BatchMember {
-                        node: i,
-                        need,
-                        opts,
-                        epoch,
-                    }),
-                },
+                Some(m) => self.members.push(BatchMember {
+                    node: i,
+                    opts: m.config.enumeration(m.arrival_rate()),
+                }),
             }
         }
 
@@ -951,48 +811,43 @@ impl QuoteBatch {
                 self.bids[member.node] =
                     member_manager(j).payment_from_hot(query, &self.hot, &mut self.scratch);
             }
+            planner::planning_fingerprint(query, &mut self.fingerprint);
             self.gathered = Some(Gathered {
                 skeleton: skel,
-                template: query.template.0,
                 now,
             });
         }
         &self.bids
     }
 
-    /// Memoizes node `node`'s full plan set from the last round's
-    /// gathered lanes — the router calls it for the round's winner, so
-    /// the winner's serve hits its memo. A node whose bid came from a
-    /// current memo slot, a memo-off manager or the fallback has nothing
+    /// Hands node `node`'s full plan set, emitted from the last round's
+    /// gathered lanes, to its serve: writes it into the manager's handoff
+    /// slot, replacing any earlier handoff. The router calls it for the
+    /// round's winner. A fallback node or a memo-off manager has nothing
     /// to commit.
     ///
     /// `manager` must be the manager `manager_of(node)` returned in the
     /// last [`Self::quote_round`], with no state change since.
     pub fn commit(&self, node: usize, manager: &EconomyManager) {
+        if !manager.config.plan_cache {
+            return;
+        }
         let Some(j) = self.members.iter().position(|m| m.node == node) else {
             return;
         };
-        let member = self.members[j];
-        if matches!(member.need, QuoteNeed::Unmemoized) {
-            return;
-        }
         let round = self
             .gathered
             .as_ref()
             .expect("a round with members keeps its gathered state");
-        manager
-            .plancache
-            .borrow_mut()
-            .adopt_fingerprint(&self.fingerprint);
-        self.completer
-            .emit_into(&round.skeleton, j, &mut manager.rows.borrow_mut());
-        manager.memoize(
-            member.need,
-            member.opts,
-            member.epoch,
-            round.template,
+        let mut handoff = manager.handoff.borrow_mut();
+        let (fingerprint, rows) = handoff.write(
+            manager.cache.epoch(round.now),
+            manager.cache.settle_seq(),
+            self.members[j].opts,
             round.now,
         );
+        fingerprint.clone_from(&self.fingerprint);
+        self.completer.emit_into(&round.skeleton, j, rows);
     }
 }
 

@@ -28,11 +28,10 @@
 //!   gluing all of the above to the planner and the cache, plus
 //!   [`economy::QuoteBatch`], the batched structure-major quote round a
 //!   fleet's routers fan out over competing managers.
-//! * [`plancache`] — memoized planning: 2-way-associative per-template
-//!   slots, backed by a small victim cache, each holding one query
-//!   instance's latest plan set, bit-identical to fresh enumeration. A
-//!   winning bid's commit fills a slot and the serve that follows reads
-//!   it; bids and serves alone never memoize.
+//! * [`plancache`] — the plan memo, a one-slot quote→serve handoff per
+//!   manager: a winning bid's commit writes its plan set into the slot
+//!   and the serve that follows takes it, bit-identical to fresh
+//!   enumeration. Bids never touch it, and a serve stores nothing.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -56,6 +55,6 @@ pub use config::EconConfig;
 pub use economy::{EconomyManager, QuoteBatch};
 pub use invest::InvestmentRule;
 pub use outcome::{QueryOutcome, SelectionCase};
-pub use plancache::{PlanCache, PlanCacheStats};
+pub use plancache::PlanCacheStats;
 pub use regret::{RegretAttribution, RegretLedger};
 pub use selection::{select_plan, select_plan_hot, SelectionObjective};

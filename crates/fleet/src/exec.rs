@@ -27,6 +27,7 @@ use std::sync::Arc;
 
 use catalog::tpch::{tpch_schema, ScaleFactor};
 use catalog::Schema;
+use econ::PlanCacheStats;
 use planner::{generate_candidates, Estimator, PlannerContext, SkeletonCache};
 use simcore::{NetworkModel, SimTime};
 use simulator::RunResult;
@@ -515,16 +516,7 @@ impl FleetSim {
                     *next_tick += 1;
                 }
             }
-            // Plan-cache totals only move inside route/serve below (the
-            // population is fixed for the rest of the step), so diffing
-            // them around each phase attributes memoization activity to
-            // this query exactly.
-            let before_route = registry.as_ref().map(|_| {
-                (
-                    plan_cache_totals(population.live()),
-                    population.routable_count(now),
-                )
-            });
+            let routable = registry.as_ref().map(|_| population.routable_count(now));
             let mut chosen = router.route(population.live_mut(), &ctx, &query, now);
             // Per-query timeout fallback: a degraded winner whose backlog
             // already exceeds the timeout is suppressed for one more
@@ -610,9 +602,7 @@ impl FleetSim {
                     }
                 }
             }
-            let after_route = if let Some((before, routable)) = before_route {
-                let totals = plan_cache_totals(population.live());
-                let delta = plan_cache_delta(before, totals);
+            if let Some(routable) = routable {
                 sink.emit(TraceEvent::QuoteRound(QuoteRoundEvent {
                     cell,
                     at_secs: now.as_secs(),
@@ -622,12 +612,14 @@ impl FleetSim {
                     winner: population.live()[chosen].id(),
                     winning_quote: router.last_winning_quote(),
                     routable,
-                    plan_cache: delta,
                 }));
-                Some(totals)
-            } else {
-                None
-            };
+            }
+            // Bids and commits move no plan-cache counter, so the serving
+            // node's own counters around its serve are the whole step's
+            // memoization activity.
+            let before_serve = registry
+                .as_ref()
+                .and_then(|_| population.live()[chosen].plan_cache_stats());
             // Retried queries serve with their decayed budget and fold
             // the accumulated backoff into the delivered latency exactly
             // once — the response histogram records a single end-to-end
@@ -647,12 +639,9 @@ impl FleetSim {
                 inj.note_served(population.live()[chosen].id(), now, eff_query);
             }
             if let Some(registry) = registry.as_mut() {
-                let after_serve = plan_cache_totals(population.live());
                 let serve_delta =
-                    plan_cache_delta(after_route.expect("traced route recorded"), after_serve);
-                let step_delta =
-                    plan_cache_delta(before_route.expect("traced route recorded").0, after_serve);
-                record_settlement(registry, &outcome, step_delta);
+                    plan_cache_delta(before_serve, population.live()[chosen].plan_cache_stats());
+                record_settlement(registry, &outcome, serve_delta);
                 sink.emit(TraceEvent::Settlement(SettlementEvent {
                     cell,
                     at_secs: now.as_secs(),
@@ -767,42 +756,36 @@ fn capture_vitals(
         draining_nodes,
         plan_hits: plan.0,
         plan_misses: plan.1,
-        victim_hits: plan.4,
         spawns: controller.map_or(0, ElasticController::spawns_so_far),
         retires: controller.map_or(0, ElasticController::retires_so_far),
         write_off: injector.map_or(Money::ZERO, FaultInjector::write_off_so_far),
     }
 }
 
-/// Fleet-wide plan-cache counter totals over the live population
-/// (hits, misses, refreshes, completions, victim hits). Monotone within
-/// a query step: nodes only leave the population during control-plane
-/// reviews, which run before the step's sampling starts.
-fn plan_cache_totals(nodes: &[CacheNode]) -> (u64, u64, u64, u64, u64) {
-    let mut totals = (0u64, 0u64, 0u64, 0u64, 0u64);
-    for node in nodes {
-        if let Some(stats) = node.plan_cache_stats() {
-            totals.0 += stats.hits;
-            totals.1 += stats.misses;
-            totals.2 += stats.refreshes;
-            totals.3 += stats.completions;
-            totals.4 += stats.victim_hits;
-        }
+/// Fleet-wide plan-cache (hits, misses) over the live population.
+fn plan_cache_totals(nodes: &[CacheNode]) -> (u64, u64) {
+    let mut totals = (0u64, 0u64);
+    for stats in nodes.iter().filter_map(CacheNode::plan_cache_stats) {
+        totals.0 += stats.hits;
+        totals.1 += stats.misses;
     }
     totals
 }
 
-/// Delta of two [`plan_cache_totals`] samples taken within one step.
+/// A serving node's plan-cache activity: the delta of its counters
+/// around the serve (`None` for a non-economic node).
 fn plan_cache_delta(
-    before: (u64, u64, u64, u64, u64),
-    after: (u64, u64, u64, u64, u64),
+    before: Option<PlanCacheStats>,
+    after: Option<PlanCacheStats>,
 ) -> PlanCacheDelta {
-    PlanCacheDelta {
-        hits: after.0.saturating_sub(before.0),
-        misses: after.1.saturating_sub(before.1),
-        refreshes: after.2.saturating_sub(before.2),
-        completions: after.3.saturating_sub(before.3),
-        victim_hits: after.4.saturating_sub(before.4),
+    match (before, after) {
+        (Some(before), Some(after)) => PlanCacheDelta {
+            hits: after.hits - before.hits,
+            misses: after.misses - before.misses,
+            refreshes: after.refreshes - before.refreshes,
+            completions: after.completions - before.completions,
+        },
+        _ => PlanCacheDelta::default(),
     }
 }
 
@@ -921,14 +904,14 @@ fn emit_fault(sink: &mut dyn TraceSink, registry: &mut MetricsRegistry, record: 
     }
 }
 
-/// Books one settled query into the cell registry. `step_delta` is the
-/// whole step's plan-cache activity (route + serve), so the registry's
-/// `plan_cache.*` counters cover activity on nodes that later retire —
-/// unlike an end-of-run sum over surviving nodes.
+/// Books one settled query into the cell registry. `serve_delta` is the
+/// serving node's plan-cache activity, so the registry's `plan_cache.*`
+/// counters cover activity on nodes that later retire — unlike an
+/// end-of-run sum over surviving nodes.
 fn record_settlement(
     registry: &mut MetricsRegistry,
     outcome: &policies::PolicyOutcome,
-    step_delta: PlanCacheDelta,
+    serve_delta: PlanCacheDelta,
 ) {
     registry.counter_add("fleet.queries", 1);
     registry.counter_add("fleet.cache_hits", u64::from(outcome.ran_in_cache));
@@ -941,11 +924,10 @@ fn record_settlement(
     registry.gauge_add("fleet.exec.disk", outcome.exec_breakdown.disk);
     registry.gauge_add("fleet.exec.network", outcome.exec_breakdown.network);
     registry.gauge_add("fleet.exec.io", outcome.exec_breakdown.io);
-    registry.counter_add("plan_cache.hits", step_delta.hits);
-    registry.counter_add("plan_cache.misses", step_delta.misses);
-    registry.counter_add("plan_cache.refreshes", step_delta.refreshes);
-    registry.counter_add("plan_cache.completions", step_delta.completions);
-    registry.counter_add("plan_cache.victim_hits", step_delta.victim_hits);
+    registry.counter_add("plan_cache.hits", serve_delta.hits);
+    registry.counter_add("plan_cache.misses", serve_delta.misses);
+    registry.counter_add("plan_cache.refreshes", serve_delta.refreshes);
+    registry.counter_add("plan_cache.completions", serve_delta.completions);
     registry.observe("fleet.response_secs", outcome.response_time.as_secs());
 }
 

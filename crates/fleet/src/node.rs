@@ -259,8 +259,9 @@ impl CacheNode {
     }
 
     /// This node's plan-cache counters, when it runs an economic scheme.
-    /// The flight recorder diffs the fleet-wide sum of these around each
-    /// routing/serving step to attribute memoization activity per query.
+    /// Only serves move them, so the flight recorder diffs the serving
+    /// node's counters around each serve to attribute memoization
+    /// activity per query.
     #[must_use]
     pub fn plan_cache_stats(&self) -> Option<econ::PlanCacheStats> {
         self.policy

@@ -15,13 +15,12 @@
 //!
 //! A cheapest-quote round bids on one of two paths. The default,
 //! **batched** path shares one lazily-built, cache-independent
-//! [`LazySkeleton`] across every node: the first chunk holding a node
-//! whose plan cache misses builds it (through the fleet-wide
-//! [`SkeletonCache`] when one is attached), and a round where every node
-//! hits builds nothing. The economic nodes of a chunk bind it in one
-//! structure-major sweep ([`econ::QuoteBatch`]) and bid from the
-//! `(time, price, existing)` rows of that sweep without building their
-//! plan sets. The **per-node** path is the reference: every node bids
+//! [`LazySkeleton`] across every node: the first chunk holding a
+//! routable economic node builds it (through the fleet-wide
+//! [`SkeletonCache`] when one is attached). The economic nodes of a
+//! chunk bind it in one structure-major sweep ([`econ::QuoteBatch`]) and
+//! bid from the `(time, price, existing)` rows of that sweep without
+//! building their plan sets. The **per-node** path is the reference: every node bids
 //! through [`CacheNode::quote`], which plans by fused enumeration, and
 //! the round builds no skeleton. With `threads > 1` the chunks fan out
 //! over a **persistent** worker pool (spawned once, parked between
@@ -31,12 +30,12 @@
 //! (`tests/fleet_determinism.rs` and `tests/batch_completion.rs` pin
 //! this).
 //!
-//! Quoting reads a node's plan memo but does not write it. Only the
-//! winner serves the query, so [`Router::route`] commits the **global**
-//! winner's plan set to its memo after the fold
+//! Quoting neither reads nor writes a node's plan memo. Only the winner
+//! serves the query, so [`Router::route`] commits the **global**
+//! winner's plan set to its memo's handoff slot after the fold
 //! ([`econ::QuoteBatch::commit`], or
 //! [`econ::EconomyManager::commit_quote`] on the per-node path), and the
-//! serve that follows hits it. Losers write no slot. Both paths and
+//! serve that follows takes it. Losers write nothing. Both paths and
 //! every pool size leave the same memo state.
 //!
 //! **Budget-decided rounds.** Before quoting, the round asks every
@@ -48,7 +47,7 @@
 //! plan set. The check reads only the query's cache-independent
 //! [`ExecRows`], built at most once per round. When every routable node
 //! is economic and decided, the round picks the first minimal bid with
-//! no memo lookup, skeleton, completion, commit or pool wake-up, and the
+//! no skeleton, completion, commit or pool wake-up, and the
 //! winner's serve plans its own query. Otherwise the round above runs
 //! unchanged for every node: a fleet's nodes share one `EconConfig`, so
 //! in practice a round is decided for all of its economic nodes or for
@@ -133,8 +132,8 @@ pub trait Router {
 /// Cumulative quote-round counts of a pricing router.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QuoteRounds {
-    /// Rounds every routable node's budget decided: no memo lookup, no
-    /// skeleton, no completion.
+    /// Rounds every routable node's budget decided: no skeleton, no
+    /// completion, no commit.
     pub decided: u64,
     /// Rounds that quoted through planning.
     pub full: u64,
@@ -374,8 +373,8 @@ impl CheapestQuote {
 
     /// One chunk's scan with bids drawn from a batched structure-major
     /// completion round — identical bids, hence identical winner.
-    /// Unroutable nodes are excluded from the batch entirely (no memo
-    /// lookup, no completion), exactly as the per-node path skips them.
+    /// Unroutable nodes are excluded from the batch entirely (no
+    /// completion), exactly as the per-node path skips them.
     fn chunk_best_batched(
         batch: &mut QuoteBatch,
         nodes: &[CacheNode],
@@ -442,8 +441,8 @@ impl CheapestQuote {
         winner
     }
 
-    /// Memoizes the round winner's plan set — the one bid whose set is
-    /// read again, by the winner's serve. Losers' sets are never
+    /// Hands the round winner's plan set to its memo — the one bid whose
+    /// set is read again, by the winner's serve. Losers' sets are never
     /// memoized. The batched path emits the set from the lanes of the
     /// winner's chunk workspace (`chunk`, where the winner sits at
     /// `offset`); the per-node path re-plans it by fused enumeration.
@@ -610,7 +609,7 @@ impl Router for CheapestQuote {
         self.rounds.full += 1;
         // A batched round's cache-independent half of every node's
         // planning: built at most once per round, by the first chunk
-        // with a node whose memo misses — resolved through the
+        // with a routable economic node — resolved through the
         // fleet-wide cache when one is attached. The per-node path plans
         // each node by fused enumeration and takes no skeleton. (The Arc
         // clone keeps the cache borrowable for the round while `self` is

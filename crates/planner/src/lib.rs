@@ -42,9 +42,9 @@
 //!   into dense sweeps (bit-identical to N fused enumerations).
 //!
 //! There are two planners: [`enumerate_plans_into`] for one cache (every
-//! serve, standalone quote and memo re-plan) and [`BatchCompleter`] for
-//! the nodes of one batched quote round. Fused enumeration is the
-//! reference the batched planner is tested against.
+//! serve, standalone quote, commit and stale-handoff re-plan) and
+//! [`BatchCompleter`] for the nodes of one batched quote round. Fused
+//! enumeration is the reference the batched planner is tested against.
 //! * [`soa`] — the struct-of-arrays selection-hot plan fields (time,
 //!   price, existing flag): the hot half of [`PlanRows`], and a
 //!   projection of any `QueryPlan` slice.

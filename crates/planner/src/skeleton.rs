@@ -17,8 +17,8 @@
 //! plans, same order, same prices. `tests/batch_completion.rs` pins the
 //! property over random cache histories; the fleet's routing determinism
 //! rests on it. Planning for one node (a serve, a standalone quote, a
-//! memo re-plan) always runs the fused enumerator, so a skeleton exists
-//! only inside a batched round.
+//! commit, a stale handoff's re-plan) always runs the fused enumerator,
+//! so a skeleton exists only inside a batched round.
 //!
 //! The skeleton is a *superset*: it is built with every plan family
 //! enabled (indexes and extra nodes), and binding filters by each node's
@@ -286,10 +286,10 @@ pub struct PlanSkeleton {
 
 /// A [`PlanSkeleton`] built on first use and shared from then on.
 ///
-/// A batched quote round takes one of these; in the prepared-statement
-/// regime where every node's plan cache fully hits, nobody calls
-/// [`Self::get`] and the round pays nothing for a skeleton it never
-/// reads. The cell is thread-safe, so workers of a parallel
+/// A batched quote round takes one of these; a round with no batch
+/// member (no routable economic node) never calls [`Self::get`] and pays
+/// nothing for a skeleton it never reads. The cell is thread-safe, so
+/// workers of a parallel
 /// fan-out race benignly (the build is a pure function — every winner
 /// produces identical bits).
 pub struct LazySkeleton<'a> {

@@ -49,9 +49,8 @@ pub trait CachePolicy {
     ) -> PolicyOutcome;
 
     /// Quotes the price this cloud would charge for `query` at `now`,
-    /// without serving it. A quote writes no cache, ledger or plan-memo
-    /// slot; an economic policy's memo lookup only counts, stamps and
-    /// re-prices an existing slot.
+    /// without serving it. A quote writes no cache or ledger and neither
+    /// reads nor writes an economic policy's plan memo.
     ///
     /// For the economic schemes this is the paper's `B_Q(t)` settlement of
     /// the case analysis; for bypass it is the cost-recovery charge of the

@@ -11,35 +11,29 @@ use metrics::CostBreakdown;
 use pricing::Money;
 use serde::{Deserialize, Serialize};
 
-/// Plan-cache activity observed across one instrumented step, as a delta
-/// of the per-node `PlanCacheStats` totals (hits/misses/refreshes/
-/// completions only ever grow within a query step, so deltas are exact).
+/// Plan-cache activity of one serve, as the delta of the serving node's
+/// `PlanCacheStats` around it (bids and commits count nothing, so a
+/// query step moves the counters only while it is served).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlanCacheDelta {
-    /// Lookups whose plan set was served from a memo slot.
+    /// Serves that ran from the handoff their quote's commit left.
     pub hits: u64,
-    /// Lookups that found no slot and planned from scratch.
+    /// Serves that found no handoff for their query and planned fresh.
     pub misses: u64,
     /// Hits whose prices (maintenance, amortisation) were re-quoted
     /// because the clock, the settlements or the arrival rate moved; a
     /// subset of `hits`. Cache-content changes count as `completions`.
     pub refreshes: u64,
-    /// Lookups whose slot was stale after a cache-content change (the
-    /// cache epoch moved), so the query was re-planned and the slot's
-    /// plan set replaced in place, without a miss.
+    /// Serves whose handoff was stale after a cache-content change (the
+    /// cache epoch moved), so the query was re-planned, without a miss.
     pub completions: u64,
-    /// Set-miss lookups rescued by the memo's victim cache. Defaults to
-    /// zero so traces recorded before the victim cache existed still
-    /// replay.
-    #[serde(default)]
-    pub victim_hits: u64,
 }
 
 impl PlanCacheDelta {
     /// True when the step touched the plan cache at all.
     #[must_use]
     pub fn any(&self) -> bool {
-        self.hits + self.misses + self.refreshes + self.completions + self.victim_hits > 0
+        self.hits + self.misses + self.refreshes + self.completions > 0
     }
 }
 
@@ -64,9 +58,6 @@ pub struct QuoteRoundEvent {
     pub winning_quote: Option<Money>,
     /// How many nodes were routable (quoted) this round.
     pub routable: usize,
-    /// Plan-cache activity during the round (bidders' stale slots show
-    /// up as completions).
-    pub plan_cache: PlanCacheDelta,
 }
 
 /// One query settlement: the winning node executed the query and the
@@ -107,8 +98,8 @@ pub struct SettlementEvent {
     pub investments: u32,
     /// Structures evicted to make room.
     pub evictions: u32,
-    /// Plan-cache activity while serving (the winner replans against its
-    /// own cache content before executing).
+    /// Plan-cache activity while serving (the winner takes its handoff,
+    /// or plans against its own cache content, before executing).
     pub plan_cache: PlanCacheDelta,
 }
 
@@ -376,7 +367,6 @@ mod tests {
             winner: 0,
             winning_quote: Some(Money::from_dollars(0.25)),
             routable: 4,
-            plan_cache: PlanCacheDelta::default(),
         });
         assert_eq!(q.cell(), 3);
         assert!((q.at_secs() - 1.5).abs() < 1e-12);

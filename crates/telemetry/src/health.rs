@@ -14,7 +14,7 @@
 //! * [`VitalsFrame`] / [`HealthSeries`] — a cadenced snapshot stream
 //!   driven by **simulated** time: every `snapshot_interval_secs` of sim
 //!   time each cell captures backlog, pressure EWMA, node cash,
-//!   plan/victim-cache counters, fault write-offs and population counts.
+//!   plan-cache counters, fault write-offs and population counts.
 //!   Frames at the same tick merge across cells in ascending cell
 //!   order. Wall clock never enters, so snapshot-on runs stay
 //!   bit-identical to snapshot-off runs.
@@ -312,8 +312,6 @@ pub struct VitalsFrame {
     pub plan_hits: u64,
     /// Plan-cache misses so far, summed over live nodes.
     pub plan_misses: u64,
-    /// Plan-cache victim-cache hits so far, summed over live nodes.
-    pub victim_hits: u64,
     /// Elastic spawns so far.
     pub spawns: u64,
     /// Elastic retirements so far.
@@ -346,7 +344,6 @@ impl VitalsFrame {
         self.draining_nodes += other.draining_nodes;
         self.plan_hits += other.plan_hits;
         self.plan_misses += other.plan_misses;
-        self.victim_hits += other.victim_hits;
         self.spawns += other.spawns;
         self.retires += other.retires;
         self.write_off += other.write_off;
@@ -788,7 +785,6 @@ mod tests {
             draining_nodes: 0,
             plan_hits: 10,
             plan_misses: 5,
-            victim_hits: 1,
             spawns: 0,
             retires: 0,
             write_off: Money::ZERO,
@@ -821,7 +817,6 @@ mod tests {
             draining_nodes: 0,
             plan_hits: 0,
             plan_misses: 0,
-            victim_hits: 0,
             spawns: 0,
             retires: 0,
             write_off: Money::ZERO,
@@ -907,7 +902,6 @@ mod tests {
             draining_nodes: 0,
             plan_hits: 0,
             plan_misses: 0,
-            victim_hits: 0,
             spawns: 0,
             retires: 0,
             write_off: Money::ZERO,
@@ -991,7 +985,6 @@ mod tests {
             draining_nodes: 0,
             plan_hits: 0,
             plan_misses: 0,
-            victim_hits: 0,
             spawns: 1,
             retires: 0,
             write_off: Money::ZERO,
@@ -1049,7 +1042,6 @@ mod tests {
             draining_nodes: 0,
             plan_hits: 0,
             plan_misses: 0,
-            victim_hits: 0,
             spawns: 0,
             retires: 0,
             write_off: Money::ZERO,

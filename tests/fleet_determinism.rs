@@ -11,8 +11,9 @@
 //!    `fleet::router::CheapestQuote`), under step budgets, which decide
 //!    rounds from the budget alone, and convex ones, which run them in
 //!    full;
-//! 4. only the global round winner memoizes its plan set, so every pool
-//!    size and both completion paths leave identical plan-cache state.
+//! 4. the global round winner's commit hands its plan set to its serve,
+//!    so every pool size and both completion paths leave identical
+//!    plan-cache state.
 
 use cloudcache::econ::BudgetShape;
 use cloudcache::fleet::{
@@ -282,9 +283,8 @@ fn persistent_pool_winner_matches_sequential_across_rounds() {
 /// the per-node completion path, sequential and pooled) must leave every
 /// node's plan-cache counters equal to the sequential batched round's
 /// after every round. A pooled round that committed a chunk's local
-/// best would leave that node a slot the sequential round never wrote,
-/// and the node's next quote for a repeated query would hit where the
-/// reference misses.
+/// best instead of the global winner would leave the winner without a
+/// handoff, and its serve would miss where the reference hits.
 #[test]
 fn pooled_rounds_commit_only_the_global_winner() {
     use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
@@ -351,8 +351,7 @@ fn pooled_rounds_commit_only_the_global_winner() {
         .collect();
     let mut fleets: Vec<Vec<CacheNode>> = configs.iter().map(|_| build_fleet()).collect();
 
-    // A handful of instances drawn with repeats, so losers re-quote
-    // queries they bid on before and their memo state shows.
+    // A handful of instances drawn with repeats.
     let pool: Vec<Query> =
         WorkloadGenerator::new(Arc::clone(&schema), WorkloadConfig::default(), 31)
             .take(6)
