@@ -77,6 +77,22 @@ fn bench_money(c: &mut Criterion) {
         let amounts: Vec<Money> = (0..1000).map(|i| Money::from_nanos(i * 37)).collect();
         b.iter(|| amounts.iter().copied().sum::<Money>())
     });
+    // Per-resource charges as the planner prices them: sub-dollar amounts
+    // across several binades.
+    let dollars: Vec<f64> = (0..1000).map(|i| f64::from(i) * 1.37e-5).collect();
+    c.bench_function("money_from_dollars_1000", |b| {
+        b.iter(|| {
+            dollars
+                .iter()
+                .map(|&d| Money::from_dollars(d))
+                .sum::<Money>()
+        })
+    });
+    let factors: Vec<f64> = (0..1000).map(|i| 1.05 + f64::from(i) * 4.5e-4).collect();
+    c.bench_function("money_scale_1000", |b| {
+        let price = Money::from_dollars(0.0123);
+        b.iter(|| factors.iter().map(|&f| price.scale(f)).sum::<Money>())
+    });
 }
 
 fn bench_zipf(c: &mut Criterion) {

@@ -661,16 +661,18 @@ impl EconomyManager {
     ) -> (Money, simcore::SimDuration, u64) {
         match key {
             StructureKey::Column(c) => {
-                let (cost, time) = ctx.estimator.build_column(ctx.schema, c);
+                let (cost, time) = ctx.estimator.column_quote(ctx.schema, c);
                 (cost, time, ctx.schema.column_bytes(c))
             }
             StructureKey::Index(id) => {
-                let def = &ctx.candidates[id.index()];
+                let pos = id.index();
                 let cache = &self.cache;
-                let (cost, time) = ctx
-                    .estimator
-                    .build_index(ctx.schema, def, |c| cache.contains(StructureKey::Column(c)));
-                (cost, time, def.size_bytes(ctx.schema))
+                let (cost, time) =
+                    ctx.estimator
+                        .index_quote(ctx.schema, ctx.candidates, pos, |c| {
+                            cache.contains(StructureKey::Column(c))
+                        });
+                (cost, time, ctx.candidates[pos].size_bytes(ctx.schema))
             }
             StructureKey::Node(_) => {
                 let (cost, time) = ctx.estimator.build_node();

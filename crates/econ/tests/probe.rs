@@ -48,10 +48,7 @@ fn probe() {
         );
         println!(
             "--- q{} template {} sel {:.2e} result {} bytes",
-            i,
-            q.template.0,
-            q.driving().selectivity,
-            q.result_bytes
+            i, q.template.0, q.selectivities[0], q.result_bytes
         );
         println!(
             "budget: {} tmax {:.3}s",

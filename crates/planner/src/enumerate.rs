@@ -167,7 +167,7 @@ pub fn enumerate_plans_into(
     sc.missing_cols.clear();
     {
         let lists = rows.lists(scan);
-        lists.indexes.resize(query.accesses.len(), None);
+        lists.indexes.resize(shape.accesses.len(), None);
         for &c in &shape.columns {
             let key = StructureKey::Column(c);
             lists.uses.push(key);
@@ -178,7 +178,7 @@ pub fn enumerate_plans_into(
                     col_terms.maintenance += maint;
                 }
                 None => {
-                    let (cost, time) = est.build_column(ctx.schema, c);
+                    let (cost, time) = est.column_quote(ctx.schema, c);
                     col_terms.add_missing(cost, time, opts.amortize_n);
                     lists.missing.push(key);
                     lists.missing_builds.push(cost);
@@ -226,7 +226,7 @@ pub fn enumerate_plans_into(
                 }
                 None => {
                     let missing_cols = &sc.missing_cols;
-                    let (cost, time) = est.build_index(ctx.schema, def, |c| {
+                    let (cost, time) = est.index_quote(ctx.schema, ctx.candidates, pos, |c| {
                         cache.contains(StructureKey::Column(c)) || missing_cols.contains(&c)
                     });
                     terms.add_missing(cost, time, opts.amortize_n);

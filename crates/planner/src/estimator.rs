@@ -18,9 +18,23 @@
 //!
 //! Wall-clock time is CPU time plus a disk-scan term (`bytes /
 //! disk bandwidth`); multi-node plans scale by [`ParallelModel`].
+//!
+//! **Build quotes are compiled once per estimator.** The eq. 12 column
+//! quote is a pure function of the column's bytes, and eq. 14's sort term
+//! a pure function of the index's row count and bytes. Planning prices
+//! them on every query, so the estimator keeps each in a lazily filled,
+//! lock-free table ([`Estimator::column_quote`],
+//! [`Estimator::index_sort_quote`], [`Estimator::index_quote`]). Every
+//! entry records the inputs it was computed from, and a lookup with other
+//! inputs (a second schema through the same estimator) computes afresh,
+//! so a table read always equals the oracle ([`Estimator::build_column`],
+//! [`Estimator::build_index`]) bit for bit.
+
+use std::fmt;
+use std::sync::OnceLock;
 
 use cache::{CachedStructure, IndexDef, ROW_LOCATOR_BYTES};
-use catalog::Schema;
+use catalog::{ColumnId, Schema};
 use metrics::{CostBreakdown, Resource};
 use pricing::{Money, PriceCatalog};
 use serde::{Deserialize, Serialize};
@@ -155,12 +169,80 @@ pub struct ExecEstimate {
     pub wan_bytes: u64,
 }
 
+/// A build quote: (cost, build time).
+type BuildQuote = (Money, SimDuration);
+
+/// A lazily filled table of pure build quotes, one slot per dense id.
+///
+/// Nothing is allocated until the first lookup, which sizes the table
+/// once: one slot per column of the first schema, or per candidate of the
+/// first registry, it serves. A slot holds the quote and the inputs it is
+/// a pure function of. A lookup with equal inputs reads the slot; a
+/// lookup with other inputs, or an id beyond the table, computes afresh
+/// and leaves the slot to its first writer. Racing first writers of equal
+/// inputs compute equal quotes, so keeping either is correct. Reads take
+/// no lock.
+#[derive(Clone, Default)]
+struct QuoteTable<K> {
+    slots: OnceLock<Box<[QuoteSlot<K>]>>,
+}
+
+/// One slot: the inputs, and the quote computed from them as its cost in
+/// nano-dollars and its time. Holding the cost as `i64` keeps a slot at
+/// 32 or 40 bytes instead of 64; a quote beyond `i64` nano-dollars
+/// (about $9.2 × 10⁹) is never stored, only computed.
+type QuoteSlot<K> = OnceLock<(K, i64, SimDuration)>;
+
+impl<K: Copy + PartialEq> QuoteTable<K> {
+    /// The quote of slot `id` for `inputs`, computed by `quote` on a miss;
+    /// the first lookup sizes the table to `len` slots.
+    #[inline]
+    fn get(
+        &self,
+        len: impl FnOnce() -> usize,
+        id: usize,
+        inputs: K,
+        quote: impl FnOnce() -> BuildQuote,
+    ) -> BuildQuote {
+        let slots = self
+            .slots
+            .get_or_init(|| (0..len()).map(|_| OnceLock::new()).collect());
+        let Some(slot) = slots.get(id) else {
+            return quote();
+        };
+        match slot.get() {
+            Some(&(k, nanos, time)) if k == inputs => (Money::from_nanos(nanos.into()), time),
+            Some(_) => quote(),
+            None => {
+                let q = quote();
+                if let Ok(nanos) = i64::try_from(q.0.as_nanos()) {
+                    let _ = slot.set((inputs, nanos, q.1));
+                }
+                q
+            }
+        }
+    }
+}
+
+impl<K> fmt::Debug for QuoteTable<K> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let slots = self.slots.get().map_or(&[][..], |s| &s[..]);
+        let filled = slots.iter().filter(|s| s.get().is_some()).count();
+        write!(f, "QuoteTable({filled} of {} filled)", slots.len())
+    }
+}
+
 /// The cost model, bound to a schema, price catalog and network.
 #[derive(Debug, Clone)]
 pub struct Estimator {
     params: CostParams,
     prices: PriceCatalog,
     network: NetworkModel,
+    /// Eq. 12 per column id, validated by the column's bytes.
+    columns: QuoteTable<u64>,
+    /// Eq. 14's sort term per candidate position, validated by the
+    /// index's `(rows, bytes)`.
+    sorts: QuoteTable<(u64, u64)>,
 }
 
 impl Estimator {
@@ -177,6 +259,8 @@ impl Estimator {
             params,
             prices,
             network,
+            columns: QuoteTable::default(),
+            sorts: QuoteTable::default(),
         }
     }
 
@@ -206,6 +290,7 @@ impl Estimator {
         &self,
         schema: &Schema,
         access: &TableAccess,
+        selectivity: f64,
         index: Option<&IndexDef>,
     ) -> (f64, f64) {
         let rows = schema.table(access.table).row_count as f64;
@@ -233,7 +318,7 @@ impl Estimator {
                 .sum();
             entry as f64 + uncovered as f64
         });
-        self.volume(rows, access.selectivity, index_width, width as f64)
+        self.volume(rows, selectivity, index_width, width as f64)
     }
 
     /// The per-access volume kernel shared by [`Self::access_volume`] and
@@ -266,7 +351,7 @@ impl Estimator {
     /// `nodes` CPU nodes.
     ///
     /// # Panics
-    /// Panics if `indexes.len() != query.accesses.len()` or `nodes == 0`.
+    /// Panics if `indexes.len() != query.accesses().len()` or `nodes == 0`.
     #[must_use]
     pub fn cache_execution(
         &self,
@@ -287,7 +372,7 @@ impl Estimator {
     /// directly (same operations in the same order).
     ///
     /// # Panics
-    /// Panics if `indexes.len() != query.accesses.len()`.
+    /// Panics if `indexes.len() != query.accesses().len()`.
     #[must_use]
     pub fn cache_execution_base(
         &self,
@@ -297,13 +382,13 @@ impl Estimator {
     ) -> CacheExecBase {
         assert_eq!(
             indexes.len(),
-            query.accesses.len(),
+            query.accesses().len(),
             "one index slot per access"
         );
         let mut rows_total = 0.0;
         let mut bytes_total = 0.0;
-        for (access, idx) in query.accesses.iter().zip(indexes) {
-            let (r, b) = self.access_volume(schema, access, *idx);
+        for ((access, selectivity), idx) in query.accesses().zip(indexes) {
+            let (r, b) = self.access_volume(schema, access, selectivity, *idx);
             rows_total += r;
             bytes_total += b;
         }
@@ -321,10 +406,10 @@ impl Estimator {
     ) -> CacheExecBase {
         let mut rows_total = 0.0;
         let mut bytes_total = 0.0;
-        for (a, access) in shape.accesses.iter().zip(&query.accesses) {
+        for (a, &selectivity) in shape.accesses.iter().zip(query.selectivities.iter()) {
             let index_width = a.pick.filter(|_| indexed).map(|p| f64::from(p.width));
             let scan_width = f64::from(a.scan_width);
-            let (r, b) = self.volume(a.rows, access.selectivity, index_width, scan_width);
+            let (r, b) = self.volume(a.rows, selectivity, index_width, scan_width);
             rows_total += r;
             bytes_total += b;
         }
@@ -376,7 +461,7 @@ impl Estimator {
     pub fn backend_execution(&self, schema: &Schema, query: &Query) -> ExecEstimate {
         let mut rows_total = 0.0;
         let mut bytes_total = 0.0;
-        for access in &query.accesses {
+        for (access, selectivity) in query.accesses() {
             let table = schema.table(access.table);
             let rows = table.row_count as f64;
             // Full row width: the row store reads whole tuples.
@@ -385,7 +470,7 @@ impl Estimator {
                 .iter()
                 .map(|&c| schema.column(c).byte_width())
                 .sum();
-            let picked = rows * access.selectivity;
+            let picked = rows * selectivity;
             rows_total += picked;
             bytes_total += picked * (width as f64 + ROW_LOCATOR_BYTES as f64);
         }
@@ -401,8 +486,8 @@ impl Estimator {
     ) -> ExecEstimate {
         let mut rows_total = 0.0;
         let mut bytes_total = 0.0;
-        for (a, access) in shape.accesses.iter().zip(&query.accesses) {
-            let picked = a.rows * access.selectivity;
+        for (a, &selectivity) in shape.accesses.iter().zip(query.selectivities.iter()) {
+            let picked = a.rows * selectivity;
             rows_total += picked;
             bytes_total += picked * f64::from(a.backend_width);
         }
@@ -455,9 +540,29 @@ impl Estimator {
 
     /// Eq. 12: column build — transfer from the back-end. Returns
     /// (cost, transfer time).
+    ///
+    /// The uncompiled oracle: planning reads the same quote from
+    /// [`Self::column_quote`].
     #[must_use]
-    pub fn build_column(&self, schema: &Schema, column: catalog::ColumnId) -> (Money, SimDuration) {
+    pub fn build_column(&self, schema: &Schema, column: ColumnId) -> (Money, SimDuration) {
+        self.column_build(schema.column_bytes(column))
+    }
+
+    /// Eq. 12 from the estimator's compiled table; equal to
+    /// [`Self::build_column`] bit for bit.
+    #[must_use]
+    pub fn column_quote(&self, schema: &Schema, column: ColumnId) -> (Money, SimDuration) {
         let size = schema.column_bytes(column);
+        self.columns.get(
+            || schema.column_count(),
+            column.index(),
+            size,
+            || self.column_build(size),
+        )
+    }
+
+    /// Eq. 12 for a column of `size` bytes.
+    fn column_build(&self, size: u64) -> BuildQuote {
         let transfer = self.network.transfer_time(size);
         let cpu = self.params.f_n * transfer.as_secs();
         let cost = self.prices.rates.cpu_cost(cpu) + self.prices.rates.transfer_cost(size);
@@ -465,8 +570,11 @@ impl Estimator {
     }
 
     /// Eq. 14: index build — sort of the keyed data plus any key columns
-    /// that must first be fetched. `cached` reports whether each key
-    /// column is already in the cache. Returns (cost, build time).
+    /// that must first be fetched. `column_cached` reports whether each
+    /// key column is already in the cache. Returns (cost, build time).
+    ///
+    /// The uncompiled oracle: planning reads the same quote from
+    /// [`Self::index_quote`].
     #[must_use]
     pub fn build_index<F>(
         &self,
@@ -475,29 +583,75 @@ impl Estimator {
         column_cached: F,
     ) -> (Money, SimDuration)
     where
-        F: Fn(catalog::ColumnId) -> bool,
+        F: Fn(ColumnId) -> bool,
     {
-        let rows = schema.table(index.table).row_count as f64;
-        let entry_bytes = index.size_bytes(schema) as f64;
-        // Sort plan: read the keyed data, sort it (CPU-heavy), write the
-        // index. Modeled as eq. 8 with the sort CPU multiplier.
+        let rows = schema.table(index.table).row_count;
+        let sort = self.sort_plan(rows, index.size_bytes(schema));
+        fold_fetches(sort, index, column_cached, |c| self.build_column(schema, c))
+    }
+
+    /// Eq. 14 for the candidate at `pos` of `candidates`, from the
+    /// estimator's compiled sort and column quotes; equal to
+    /// `build_index(schema, &candidates[pos], column_cached)` bit for bit.
+    ///
+    /// # Panics
+    /// Panics if `pos` is out of bounds.
+    #[must_use]
+    pub fn index_quote<F>(
+        &self,
+        schema: &Schema,
+        candidates: &[IndexDef],
+        pos: usize,
+        column_cached: F,
+    ) -> (Money, SimDuration)
+    where
+        F: Fn(ColumnId) -> bool,
+    {
+        let sort = self.index_sort_quote(schema, candidates, pos);
+        fold_fetches(sort, &candidates[pos], column_cached, |c| {
+            self.column_quote(schema, c)
+        })
+    }
+
+    /// Eq. 14's sort term alone (every key column cached) for the
+    /// candidate at `pos` of `candidates`, from the estimator's compiled
+    /// table; equal to `build_index(schema, &candidates[pos], |_| true)`
+    /// bit for bit.
+    ///
+    /// # Panics
+    /// Panics if `pos` is out of bounds.
+    #[must_use]
+    pub fn index_sort_quote(
+        &self,
+        schema: &Schema,
+        candidates: &[IndexDef],
+        pos: usize,
+    ) -> (Money, SimDuration) {
+        let index = &candidates[pos];
+        let inputs = (
+            schema.table(index.table).row_count,
+            index.size_bytes(schema),
+        );
+        self.sorts.get(
+            || candidates.len(),
+            pos,
+            inputs,
+            || self.sort_plan(inputs.0, inputs.1),
+        )
+    }
+
+    /// Eq. 14's sort plan over `rows` rows of `bytes` index bytes: read
+    /// the keyed data, sort it (CPU-heavy), write the index. Modeled as
+    /// eq. 8 with the sort CPU multiplier.
+    fn sort_plan(&self, rows: u64, bytes: u64) -> BuildQuote {
+        let rows = rows as f64;
+        let entry_bytes = bytes as f64;
         let q_tot = rows / self.params.rows_per_unit * self.params.sort_cpu_factor;
         let cpu = self.params.l_cpu * self.params.f_cpu * q_tot;
         let io_ops = self.params.f_io * 2.0 * entry_bytes / self.params.page_bytes as f64;
         let sort_secs = cpu + 2.0 * entry_bytes / self.params.disk_bytes_per_sec;
-        let mut cost = self.prices.rates.cpu_cost(cpu) + self.prices.rates.io_cost(io_ops);
-        let mut fetch_time = SimDuration::ZERO;
-        for &col in &index.key_columns {
-            if !column_cached(col) {
-                let (c, t) = self.build_column(schema, col);
-                cost += c;
-                // Fetches overlap each other but precede the sort.
-                if t > fetch_time {
-                    fetch_time = t;
-                }
-            }
-        }
-        (cost, fetch_time + SimDuration::from_secs(sort_secs))
+        let cost = self.prices.rates.cpu_cost(cpu) + self.prices.rates.io_cost(io_ops);
+        (cost, SimDuration::from_secs(sort_secs))
     }
 
     /// Eq. 11 / 13 / 15: maintenance accrued by a structure over `span`.
@@ -514,12 +668,33 @@ impl Estimator {
     }
 }
 
+/// Eq. 14's tail: the sort term plus a fetch of every key column not
+/// cached. Fetches overlap each other but precede the sort.
+fn fold_fetches(
+    (mut cost, sort_time): BuildQuote,
+    index: &IndexDef,
+    column_cached: impl Fn(ColumnId) -> bool,
+    fetch: impl Fn(ColumnId) -> BuildQuote,
+) -> BuildQuote {
+    let mut fetch_time = SimDuration::ZERO;
+    for &col in &index.key_columns {
+        if !column_cached(col) {
+            let (c, t) = fetch(col);
+            cost += c;
+            if t > fetch_time {
+                fetch_time = t;
+            }
+        }
+    }
+    (cost, fetch_time + sort_time)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use catalog::tpch::{tpch_schema, ScaleFactor};
     use std::sync::Arc;
-    use workload::{WorkloadConfig, WorkloadGenerator};
+    use workload::{Selectivities, WorkloadConfig, WorkloadGenerator};
 
     fn setup() -> (Arc<Schema>, Estimator, Query) {
         let schema = Arc::new(tpch_schema(ScaleFactor(10.0)));
@@ -533,6 +708,17 @@ mod tests {
         (schema, est, q)
     }
 
+    /// `q` cut down to its driving access, at selectivity `sel`.
+    fn driving_only(q: &Query, sel: f64) -> Query {
+        let mut lists = (*q.lists).clone();
+        lists.accesses.truncate(1);
+        Query {
+            lists: Arc::new(lists),
+            selectivities: Selectivities::from_slice(&[sel]),
+            ..q.clone()
+        }
+    }
+
     fn first_index(_schema: &Schema, q: &Query) -> IndexDef {
         let pred = q.driving().predicate_columns[0];
         IndexDef {
@@ -544,10 +730,9 @@ mod tests {
 
     #[test]
     fn index_plans_beat_scans() {
-        let (schema, est, mut q) = setup();
+        let (schema, est, q) = setup();
         // Force a selective query so the comparison is meaningful.
-        q.accesses.truncate(1);
-        q.accesses[0].selectivity = 1e-4;
+        let q = driving_only(&q, 1e-4);
         let idx = first_index(&schema, &q);
         let scan = est.cache_execution(&schema, &q, &[None], 1);
         let indexed = est.cache_execution(&schema, &q, &[Some(&idx)], 1);
@@ -563,8 +748,8 @@ mod tests {
     #[test]
     fn parallelism_cuts_time_but_raises_cpu() {
         let (schema, est, q) = setup();
-        let one = est.cache_execution(&schema, &q, &vec![None; q.accesses.len()], 1);
-        let three = est.cache_execution(&schema, &q, &vec![None; q.accesses.len()], 3);
+        let one = est.cache_execution(&schema, &q, &vec![None; q.accesses().len()], 1);
+        let three = est.cache_execution(&schema, &q, &vec![None; q.accesses().len()], 3);
         assert!((three.time.as_secs() - one.time.as_secs() * 0.5).abs() < 1e-9);
         assert!((three.cpu_secs - one.cpu_secs * 1.25).abs() < 1e-9);
         assert_eq!(one.io_ops, three.io_ops, "same data is read");
@@ -659,14 +844,14 @@ mod tests {
 
     #[test]
     fn scan_fraction_floor_applies() {
-        let (schema, est, mut q) = setup();
-        q.accesses.truncate(1);
-        q.accesses[0].selectivity = 1e-12; // below the floor
+        let (schema, est, q) = setup();
+        let q = driving_only(&q, 1e-12); // below the floor
         let e = est.cache_execution(&schema, &q, &[None], 1);
-        let rows = schema.table(q.accesses[0].table).row_count as f64;
+        let rows = schema.table(q.driving().table).row_count as f64;
         let min_rows = rows * est.params().min_scan_fraction;
         // io_ops implies bytes >= floor fraction.
-        let width: u64 = q.accesses[0]
+        let width: u64 = q
+            .driving()
             .columns
             .iter()
             .map(|&c| schema.column(c).byte_width())

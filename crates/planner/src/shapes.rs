@@ -3,10 +3,11 @@
 //!
 //! A generated query is fully described by its template, the mask of
 //! optional columns it drew ([`workload::Query::mask`]) and its
-//! per-access selectivities plus result size. The first two fix every
-//! access's table, column list and predicate list, so everything
-//! enumeration derives from those lists alone is the same for every
-//! query of one key: each access's row count, its accessed-column width,
+//! per-access selectivities plus result size. The first two fix the
+//! query's lists ([`workload::QueryLists`]): every access's table, column
+//! list and predicate list. So everything enumeration derives from those
+//! lists alone is the same for every query of one key: each access's row
+//! count, its accessed-column width,
 //! the backend row-store width, the best candidate index and the bytes
 //! read per picked row through it, and the deduplicated column list.
 //! A [`QueryShape`] holds exactly those terms, and fresh enumeration,
@@ -23,11 +24,13 @@
 //! Shapes compile lazily, on the first query of each key, into a table
 //! owned by the [`CandidateIndex`] — the schema- and candidate-derived
 //! view every planning call already shares — so building a planner
-//! context costs nothing extra. Estimator-dependent quotes (column and
-//! index builds, prices) stay per query: the estimator is not part of
-//! the candidate index. Debug builds check on every lookup that the
-//! compiled table ids, column lists and predicate lists equal the
-//! query's own.
+//! context costs nothing extra. The estimator-dependent build quotes
+//! (eq. 12 per column, eq. 14's sort term per candidate) are compiled
+//! too, but into the [`crate::Estimator`], which owns the prices: see
+//! [`crate::Estimator::column_quote`]. Only the selectivity arithmetic
+//! and the cache-dependent terms stay per query. Debug builds check on
+//! every lookup that the query's lists ([`workload::QueryLists`]) are the
+//! ones the shape was compiled from.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
@@ -80,10 +83,10 @@ pub struct QueryShape {
     /// True if some access has a serving candidate, i.e. the best-index
     /// variant exists.
     pub indexed: bool,
-    /// Per access, the column and predicate lists the shape was compiled
-    /// from, for the debug-build lookup check.
+    /// The lists the shape was compiled from, for the debug-build lookup
+    /// check.
     #[cfg(debug_assertions)]
-    lists: Vec<(Vec<ColumnId>, Vec<ColumnId>)>,
+    lists: Arc<workload::QueryLists>,
 }
 
 impl QueryShape {
@@ -99,6 +102,7 @@ impl QueryShape {
         };
         let mut columns = Vec::new();
         let accesses: Box<[AccessShape]> = query
+            .lists
             .accesses
             .iter()
             .map(|access| {
@@ -131,11 +135,7 @@ impl QueryShape {
             accesses,
             columns: columns.into_boxed_slice(),
             #[cfg(debug_assertions)]
-            lists: query
-                .accesses
-                .iter()
-                .map(|a| (a.columns.clone(), a.predicate_columns.clone()))
-                .collect(),
+            lists: Arc::clone(&query.lists),
         }
     }
 
@@ -145,28 +145,23 @@ impl QueryShape {
         self.accesses.iter().map(|a| a.pick.map(|p| p.pos as usize))
     }
 
-    /// Asserts the shape was compiled from lists equal to `query`'s own.
+    /// Asserts the shape was compiled from lists equal to `query`'s own:
+    /// the very same interned lists, or equal ones.
     #[cfg(debug_assertions)]
     fn check(&self, query: &Query) {
         assert_eq!(
             (self.template, self.mask, self.accesses.len()),
-            (query.template, query.mask, query.accesses.len()),
+            (query.template, query.mask, query.selectivities.len()),
             "query {:?} does not match its compiled shape",
             query.id
         );
-        for ((a, (columns, predicates)), access) in
-            self.accesses.iter().zip(&self.lists).zip(&query.accesses)
-        {
-            assert!(
-                a.table == access.table
-                    && *columns == access.columns
-                    && *predicates == access.predicate_columns,
-                "query {:?} (template {}, mask {:#x}) differs from its compiled shape",
-                query.id,
-                query.template.0,
-                query.mask
-            );
-        }
+        assert!(
+            Arc::ptr_eq(&self.lists, &query.lists) || self.lists == query.lists,
+            "query {:?} (template {}, mask {:#x}) differs from its compiled shape",
+            query.id,
+            query.template.0,
+            query.mask
+        );
     }
 }
 

@@ -61,8 +61,8 @@ pub fn planning_fingerprint(query: &Query, out: &mut Vec<u64>) {
     out.clear();
     out.push(query.template.0 as u64);
     out.push(u64::from(query.mask));
-    out.push(query.accesses.len() as u64);
-    out.extend(query.accesses.iter().map(|a| a.selectivity.to_bits()));
+    out.push(query.selectivities.len() as u64);
+    out.extend(query.selectivities.iter().map(|s| s.to_bits()));
     out.push(query.result_rows);
     out.push(query.result_bytes);
 }
@@ -526,7 +526,7 @@ impl ExecRows {
 
         let mut variants = Vec::with_capacity(2);
         let cells = variant_cells(ctx, query, shape, false);
-        variants.push((vec![None; query.accesses.len()], cells));
+        variants.push((vec![None; shape.accesses.len()], cells));
         if shape.indexed {
             let cells = variant_cells(ctx, query, shape, true);
             variants.push((shape.picks().collect(), cells));
@@ -651,19 +651,20 @@ fn build_variant(
         .iter()
         .map(|&key| match key {
             StructureKey::Column(c) => {
-                let (cost, time) = ctx.estimator.build_column(ctx.schema, c);
+                let (cost, time) = ctx.estimator.column_quote(ctx.schema, c);
                 BuildShape::Column { cost, time }
             }
             StructureKey::Index(id) => {
-                let def = &ctx.candidates[id.index()];
-                // With every key column reported cached, `build_index`
-                // quotes the pure sort plan (no fetches).
-                let (sort_cost, sort_time) = ctx.estimator.build_index(ctx.schema, def, |_| true);
+                let pos = id.index();
+                let def = &ctx.candidates[pos];
+                let (sort_cost, sort_time) =
+                    ctx.estimator
+                        .index_sort_quote(ctx.schema, ctx.candidates, pos);
                 let keys = def
                     .key_columns
                     .iter()
                     .map(|&c| {
-                        let (cost, time) = ctx.estimator.build_column(ctx.schema, c);
+                        let (cost, time) = ctx.estimator.column_quote(ctx.schema, c);
                         KeyFetch {
                             column: c,
                             cost,

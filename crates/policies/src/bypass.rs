@@ -164,7 +164,7 @@ impl CachePolicy for BypassYieldPolicy {
             let est = ctx.estimator.cache_execution(
                 ctx.schema,
                 query,
-                &vec![None; query.accesses.len()],
+                &vec![None; query.accesses().len()],
                 1,
             );
             for c in query.all_columns() {
@@ -228,7 +228,7 @@ impl CachePolicy for BypassYieldPolicy {
         // every needed column is resident, the backend run otherwise.
         let est = if self.all_available(query, now) {
             ctx.estimator
-                .cache_execution(ctx.schema, query, &vec![None; query.accesses.len()], 1)
+                .cache_execution(ctx.schema, query, &vec![None; query.accesses().len()], 1)
         } else {
             ctx.estimator.backend_execution(ctx.schema, query)
         };
@@ -257,7 +257,7 @@ impl CachePolicy for BypassYieldPolicy {
 #[must_use]
 pub fn cached_response(ctx: &PlannerContext<'_>, query: &Query) -> SimDuration {
     ctx.estimator
-        .cache_execution(ctx.schema, query, &vec![None; query.accesses.len()], 1)
+        .cache_execution(ctx.schema, query, &vec![None; query.accesses().len()], 1)
         .time
 }
 

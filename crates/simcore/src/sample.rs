@@ -133,16 +133,28 @@ impl Discrete {
     /// or sums to zero.
     #[must_use]
     pub fn new(weights: &[f64]) -> Self {
+        let mut d = Discrete {
+            cumulative: Vec::with_capacity(weights.len()),
+        };
+        d.reweight(weights);
+        d
+    }
+
+    /// Rebuilds the sampler over new weights in place, reusing its
+    /// allocation; the result equals [`Self::new`] of the same weights.
+    ///
+    /// # Panics
+    /// As [`Self::new`].
+    pub fn reweight(&mut self, weights: &[f64]) {
         assert!(!weights.is_empty(), "Discrete needs at least one weight");
-        let mut cumulative = Vec::with_capacity(weights.len());
+        self.cumulative.clear();
         let mut acc = 0.0;
         for &w in weights {
             assert!(w.is_finite() && w >= 0.0, "invalid weight {w}");
             acc += w;
-            cumulative.push(acc);
+            self.cumulative.push(acc);
         }
         assert!(acc > 0.0, "weights sum to zero");
-        Discrete { cumulative }
     }
 
     /// Number of outcomes.
@@ -307,6 +319,19 @@ mod tests {
         }
         assert_eq!(d.len(), 1);
         assert!(!d.is_empty());
+    }
+
+    #[test]
+    fn discrete_reweight_equals_a_fresh_build() {
+        let mut d = Discrete::new(&[0.25, 0.5, 0.25]);
+        let weights = [0.1, 0.0, 0.6, 0.3];
+        d.reweight(&weights);
+        let fresh = Discrete::new(&weights);
+        assert_eq!(d.cumulative, fresh.cumulative);
+        let (mut a, mut b) = (SimRng::new(9), SimRng::new(9));
+        for _ in 0..1_000 {
+            assert_eq!(d.sample(&mut a), fresh.sample(&mut b));
+        }
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl PopularityDrift {
         for w in &mut self.weights {
             *w /= total;
         }
-        self.dist = Discrete::new(&self.weights);
+        self.dist.reweight(&self.weights);
     }
 }
 

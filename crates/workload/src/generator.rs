@@ -1,5 +1,6 @@
 //! The workload generator: a deterministic stream of [`Query`] instances.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use catalog::Schema;
@@ -8,7 +9,7 @@ use simcore::SimRng;
 
 use crate::evolution::PopularityDrift;
 use crate::locality::RegionSampler;
-use crate::query::{Query, QueryId, TableAccess};
+use crate::query::{Query, QueryId, QueryLists, Selectivities, MAX_ACCESSES};
 use crate::templates::{paper_templates, ResolvedTemplate};
 
 /// Most optional columns one template may declare: each drawn optional
@@ -93,6 +94,8 @@ pub struct WorkloadGenerator {
     regions: RegionSampler,
     rng: SimRng,
     next_id: u64,
+    /// Per template, the interned lists of each mask drawn so far.
+    lists: Vec<HashMap<u32, Arc<QueryLists>>>,
 }
 
 impl WorkloadGenerator {
@@ -110,7 +113,8 @@ impl WorkloadGenerator {
     ///
     /// # Panics
     /// Panics if `config` is invalid, `templates` is empty, or a template
-    /// has more than [`MAX_OPTIONAL_COLUMNS`] optional columns.
+    /// has more than [`MAX_OPTIONAL_COLUMNS`] optional columns, no access
+    /// or more than [`MAX_ACCESSES`] accesses.
     #[must_use]
     pub fn with_templates(
         schema: Arc<Schema>,
@@ -128,6 +132,12 @@ impl WorkloadGenerator {
                 optional <= MAX_OPTIONAL_COLUMNS,
                 "template `{}` has {optional} optional columns; a query mask holds at most {MAX_OPTIONAL_COLUMNS}",
                 t.name
+            );
+            assert!(
+                (1..=MAX_ACCESSES).contains(&t.accesses.len()),
+                "template `{}` has {} accesses; a query holds 1 to {MAX_ACCESSES}",
+                t.name,
+                t.accesses.len()
             );
         }
         let mut rng = SimRng::new(seed);
@@ -151,6 +161,7 @@ impl WorkloadGenerator {
         let _ = (drift_rng_stream, region_rng_stream);
         WorkloadGenerator {
             schema,
+            lists: vec![HashMap::new(); templates.len()],
             templates,
             config,
             drift,
@@ -172,7 +183,9 @@ impl WorkloadGenerator {
         &self.schema
     }
 
-    /// Generates the next query.
+    /// Generates the next query. Its lists are interned per
+    /// `(template, mask)`: queries of one key share one [`QueryLists`],
+    /// so once every drawn key has been seen this allocates nothing.
     pub fn next_query(&mut self) -> Query {
         let t_idx = self.drift.next_template(&mut self.rng);
         let template = &self.templates[t_idx];
@@ -182,28 +195,26 @@ impl WorkloadGenerator {
         let (lo, hi) = template.sel_log10_range;
         let sel = 10f64.powf(self.rng.gen_range_f64(lo, hi));
 
-        let mut accesses = Vec::with_capacity(template.accesses.len());
+        let mut selectivities = Selectivities::EMPTY;
         let mut mask = 0u32;
         let mut bit = 0;
         for a in &template.accesses {
-            let mut columns = a.required.clone();
-            for &opt in &a.optional {
+            for _ in &a.optional {
                 if self.rng.gen_bool(self.config.optional_column_prob) {
-                    columns.push(opt);
                     mask |= 1 << bit;
                 }
                 bit += 1;
             }
             let local_sel = (sel * a.selectivity_factor).min(1.0);
-            accesses.push(TableAccess {
-                table: a.table,
-                columns,
-                predicate_columns: a.predicates.clone(),
-                selectivity: local_sel.max(1e-9),
-            });
+            selectivities.push(local_sel.max(1e-9));
         }
+        let lists = Arc::clone(
+            self.lists[t_idx]
+                .entry(mask)
+                .or_insert_with(|| Arc::new(template.lists(mask))),
+        );
 
-        let driving_rows = self.schema.table(accesses[0].table).row_count;
+        let driving_rows = self.schema.table(template.accesses[0].table).row_count;
         let raw_rows = (driving_rows as f64 * sel * template.result_fanout).round() as u64;
         let result_rows = raw_rows.clamp(1, template.result_rows_cap);
         let result_bytes = result_rows.saturating_mul(template.result_row_width);
@@ -217,8 +228,8 @@ impl WorkloadGenerator {
             id,
             template: template.id,
             mask,
-            accesses,
-            sort_columns: template.sort_columns.clone(),
+            lists,
+            selectivities,
             result_rows,
             result_bytes,
             budget_scale,
@@ -237,6 +248,7 @@ impl Iterator for WorkloadGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::templates::paper_templates;
     use catalog::tpch::{tpch_schema, ScaleFactor};
 
     fn generator(seed: u64) -> WorkloadGenerator {
@@ -269,7 +281,7 @@ mod tests {
         for q in (&mut g).take(500) {
             let t = &templates[q.template.0];
             let (lo, hi) = t.sel_log10_range;
-            let sel = q.driving().selectivity;
+            let sel = q.selectivities[0];
             assert!(
                 sel >= 10f64.powf(lo) * 0.999 && sel <= 10f64.powf(hi) * 1.001,
                 "template {} selectivity {sel} outside 10^[{lo},{hi}]",
@@ -337,7 +349,7 @@ mod tests {
             for q in (&mut g).take(2000) {
                 let t = &templates[q.template.0];
                 let mut bit = 0;
-                for (access, spec) in q.accesses.iter().zip(&t.accesses) {
+                for (access, spec) in q.lists.accesses.iter().zip(&t.accesses) {
                     for opt in &spec.optional {
                         let drawn = q.mask & (1 << bit) != 0;
                         assert_eq!(
@@ -378,6 +390,78 @@ mod tests {
         let extra = access.required[0];
         access.optional = vec![extra; MAX_OPTIONAL_COLUMNS + 1];
         let _ = WorkloadGenerator::with_templates(schema, templates, WorkloadConfig::default(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a query holds 1 to 8")]
+    fn templates_with_too_many_accesses_are_rejected() {
+        let schema = Arc::new(tpch_schema(ScaleFactor(1.0)));
+        let mut templates = paper_templates(&schema);
+        let access = templates[0].accesses[0].clone();
+        templates[0].accesses = vec![access; MAX_ACCESSES + 1];
+        let _ = WorkloadGenerator::with_templates(schema, templates, WorkloadConfig::default(), 1);
+    }
+
+    #[test]
+    fn lists_are_interned_per_template_and_mask() {
+        let schema = Arc::new(tpch_schema(ScaleFactor(1.0)));
+        let templates = paper_templates(&schema);
+        let mut first: HashMap<(usize, u32), Query> = HashMap::new();
+        for q in generator(10).take(3_000) {
+            assert_eq!(*q.lists, templates[q.template.0].lists(q.mask));
+            assert_eq!(q.selectivities.len(), q.lists.accesses.len());
+            let seen = first
+                .entry((q.template.0, q.mask))
+                .or_insert_with(|| q.clone());
+            assert!(
+                Arc::ptr_eq(&seen.lists, &q.lists),
+                "template {} mask {:#x} holds a second copy of its lists",
+                q.template.0,
+                q.mask
+            );
+        }
+        let distinct: Vec<_> = first.values().map(|q| Arc::as_ptr(&q.lists)).collect();
+        for (i, a) in distinct.iter().enumerate() {
+            assert!(!distinct[i + 1..].contains(a), "two keys share lists");
+        }
+        assert!(
+            first.len() > templates.len(),
+            "some template drew two masks"
+        );
+    }
+
+    /// FNV-1a over the numbers of the first 10k queries.
+    fn stream_hash(sf: f64, seed: u64) -> u64 {
+        fn fnv(h: &mut u64, x: u64) {
+            for b in x.to_le_bytes() {
+                *h ^= u64::from(b);
+                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        let schema = Arc::new(tpch_schema(ScaleFactor(sf)));
+        let mut g = WorkloadGenerator::new(schema, WorkloadConfig::default(), seed);
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for q in (&mut g).take(10_000) {
+            fnv(&mut h, q.template.0 as u64);
+            fnv(&mut h, u64::from(q.mask));
+            fnv(&mut h, q.selectivities.len() as u64);
+            for s in q.selectivities.iter() {
+                fnv(&mut h, s.to_bits());
+            }
+            fnv(&mut h, q.result_rows);
+            fnv(&mut h, q.result_bytes);
+            fnv(&mut h, q.budget_scale.to_bits());
+            fnv(&mut h, u64::from(q.region));
+        }
+        h
+    }
+
+    /// Pins the generator's draw order: the hashes were computed from the
+    /// generator as it stood before queries shared their lists.
+    #[test]
+    fn first_10k_queries_match_the_golden_hash() {
+        assert_eq!(stream_hash(1.0, 2026), 0x7196_3795_8e4d_0993);
+        assert_eq!(stream_hash(100.0, 3), 0x0d8a_533c_4b4e_1f55);
     }
 
     #[test]

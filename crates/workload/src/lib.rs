@@ -32,6 +32,6 @@ pub mod trace;
 
 pub use arrivals::{DiurnalSinusoid, MarkovModulated, SurgeOverlay};
 pub use generator::{WorkloadConfig, WorkloadGenerator, MAX_OPTIONAL_COLUMNS};
-pub use query::{Query, QueryId, TableAccess};
+pub use query::{Query, QueryId, QueryLists, Selectivities, TableAccess, MAX_ACCESSES};
 pub use templates::{paper_templates, ResolvedTemplate, TemplateId};
 pub use trace::{Trace, TracedQuery};

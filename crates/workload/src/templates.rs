@@ -13,6 +13,8 @@
 //! Section VI calls out for SDSS-like workloads.
 
 use catalog::{ColumnId, Schema};
+
+use crate::query::{QueryLists, TableAccess};
 use serde::{Deserialize, Serialize};
 
 /// Index of a template within the workload's template set.
@@ -75,6 +77,38 @@ pub struct ResolvedTemplate {
     pub result_rows_cap: u64,
     /// Bytes per result row.
     pub result_row_width: u64,
+}
+
+impl ResolvedTemplate {
+    /// The lists of this template's queries that drew the optional columns
+    /// named by `mask` (see [`crate::Query::mask`]): each access reads its
+    /// required columns, then its drawn optional ones in declaration order.
+    #[must_use]
+    pub fn lists(&self, mask: u32) -> QueryLists {
+        let mut bit = 0;
+        let accesses = self
+            .accesses
+            .iter()
+            .map(|a| {
+                let mut columns = a.required.clone();
+                for &opt in &a.optional {
+                    if mask & (1 << bit) != 0 {
+                        columns.push(opt);
+                    }
+                    bit += 1;
+                }
+                TableAccess {
+                    table: a.table,
+                    columns,
+                    predicate_columns: a.predicates.clone(),
+                }
+            })
+            .collect();
+        QueryLists {
+            accesses,
+            sort_columns: self.sort_columns.clone(),
+        }
+    }
 }
 
 /// Resolved per-table access.

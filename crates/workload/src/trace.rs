@@ -8,15 +8,30 @@
 //!
 //! Format: one JSON object per line, each a [`TracedQuery`] — the query
 //! plus its arrival instant. Plain `serde_json` lines keep the files
-//! greppable and diffable.
+//! greppable and diffable. A line spells each query out in full, every
+//! access with its own selectivity beside its column lists:
+//!
+//! ```text
+//! {"at_secs":…,"query":{"id":…,"template":…,"mask":…,
+//!   "accesses":[{"table":…,"columns":[…],"predicate_columns":[…],"selectivity":…}],
+//!   "sort_columns":[…],"result_rows":…,"result_bytes":…,"budget_scale":…,"region":…}}
+//! ```
+//!
+//! In memory a query shares its lists ([`crate::QueryLists`]) with the
+//! other queries of its `(template, mask)`; on the wire it does not, so a
+//! trace line stands alone. A parsed query holds lists of its own.
 
+use std::sync::Arc;
+
+use catalog::{ColumnId, TableId};
 use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 
-use crate::query::Query;
+use crate::query::{Query, QueryId, QueryLists, Selectivities, TableAccess, MAX_ACCESSES};
+use crate::templates::TemplateId;
 
 /// One trace record: a query and when it arrived.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TracedQuery {
     /// Arrival instant in seconds since simulation start.
     pub at_secs: f64,
@@ -86,7 +101,7 @@ impl Trace {
     pub fn to_jsonl(&self) -> Result<String, serde_json::Error> {
         let mut out = String::new();
         for r in &self.records {
-            out.push_str(&serde_json::to_string(r)?);
+            out.push_str(&serde_json::to_string(&RecordLine::from(r))?);
             out.push('\n');
         }
         Ok(out)
@@ -103,8 +118,10 @@ impl Trace {
             if line.trim().is_empty() {
                 continue;
             }
-            let record: TracedQuery =
-                serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+            let record = serde_json::from_str::<RecordLine>(line)
+                .map_err(|e| e.to_string())
+                .and_then(TracedQuery::try_from)
+                .map_err(|e| format!("line {}: {e}", i + 1))?;
             if let Some(last) = trace.records.last() {
                 if record.at_secs < last.at_secs {
                     return Err(format!("line {}: arrival goes backwards", i + 1));
@@ -133,6 +150,109 @@ impl Trace {
             trace.record(at, generator.next_query());
         }
         trace
+    }
+}
+
+/// The wire form of one [`TracedQuery`].
+#[derive(Serialize, Deserialize)]
+struct RecordLine {
+    at_secs: f64,
+    query: QueryLine,
+}
+
+/// The wire form of a [`Query`]: its lists spelled out, selectivities
+/// inline.
+#[derive(Serialize, Deserialize)]
+struct QueryLine {
+    id: QueryId,
+    template: TemplateId,
+    mask: u32,
+    accesses: Vec<AccessLine>,
+    sort_columns: Vec<ColumnId>,
+    result_rows: u64,
+    result_bytes: u64,
+    budget_scale: f64,
+    region: u32,
+}
+
+/// The wire form of one access with its selectivity.
+#[derive(Serialize, Deserialize)]
+struct AccessLine {
+    table: TableId,
+    columns: Vec<ColumnId>,
+    predicate_columns: Vec<ColumnId>,
+    selectivity: f64,
+}
+
+impl From<&TracedQuery> for RecordLine {
+    fn from(r: &TracedQuery) -> Self {
+        let q = &r.query;
+        RecordLine {
+            at_secs: r.at_secs,
+            query: QueryLine {
+                id: q.id,
+                template: q.template,
+                mask: q.mask,
+                accesses: q
+                    .accesses()
+                    .map(|(a, selectivity)| AccessLine {
+                        table: a.table,
+                        columns: a.columns.clone(),
+                        predicate_columns: a.predicate_columns.clone(),
+                        selectivity,
+                    })
+                    .collect(),
+                sort_columns: q.lists.sort_columns.clone(),
+                result_rows: q.result_rows,
+                result_bytes: q.result_bytes,
+                budget_scale: q.budget_scale,
+                region: q.region,
+            },
+        }
+    }
+}
+
+impl TryFrom<RecordLine> for TracedQuery {
+    type Error = String;
+
+    fn try_from(line: RecordLine) -> Result<Self, String> {
+        let q = line.query;
+        if !(1..=MAX_ACCESSES).contains(&q.accesses.len()) {
+            return Err(format!(
+                "query has {} accesses; a query holds 1 to {MAX_ACCESSES}",
+                q.accesses.len()
+            ));
+        }
+        let mut selectivities = Selectivities::EMPTY;
+        let accesses = q
+            .accesses
+            .into_iter()
+            .map(|a| {
+                selectivities.push(a.selectivity);
+                TableAccess {
+                    table: a.table,
+                    columns: a.columns,
+                    predicate_columns: a.predicate_columns,
+                }
+            })
+            .collect();
+        Ok(TracedQuery {
+            at_secs: line.at_secs,
+            query: Query {
+                id: q.id,
+                template: q.template,
+                mask: q.mask,
+                lists: Arc::new(QueryLists {
+                    accesses,
+                    sort_columns: q.sort_columns,
+                }),
+                selectivities,
+                result_rows: q.result_rows,
+                result_bytes: q.result_bytes,
+                budget_scale: q.budget_scale,
+                region: q.region,
+            },
+        })
     }
 }
 
@@ -200,6 +320,19 @@ mod tests {
         let reversed = lines.join("\n");
         let err = Trace::from_jsonl(&reversed).unwrap_err();
         assert!(err.contains("backwards"), "{err}");
+    }
+
+    #[test]
+    fn access_counts_outside_the_inline_capacity_are_rejected() {
+        let t = capture(1);
+        let line = t.to_jsonl().unwrap();
+        let no_access = format!(
+            "{}[]{}",
+            &line[..line.find("\"accesses\":").unwrap() + 11],
+            &line[line.find(",\"sort_columns\"").unwrap()..]
+        );
+        let err = Trace::from_jsonl(&no_access).unwrap_err();
+        assert!(err.starts_with("line 1: query has 0 accesses"), "{err}");
     }
 
     #[test]

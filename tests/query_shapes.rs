@@ -81,7 +81,11 @@ impl Fixture {
 /// shapes were compiled: over the whole registry, the serving candidate
 /// on the access's table reading the fewest bytes at the access's own
 /// selectivity, the earliest among equals.
-fn reference_pick(ctx: &PlannerContext<'_>, access: &TableAccess) -> Option<usize> {
+fn reference_pick(
+    ctx: &PlannerContext<'_>,
+    access: &TableAccess,
+    selectivity: f64,
+) -> Option<usize> {
     let rows = ctx.schema.table(access.table).row_count as f64;
     let width = |c: ColumnId| ctx.schema.column(c).byte_width();
     let mut best: Option<(usize, f64)> = None;
@@ -101,7 +105,7 @@ fn reference_pick(ctx: &PlannerContext<'_>, access: &TableAccess) -> Option<usiz
             .filter(|c| !idx.key_columns.contains(c))
             .map(|&c| width(c))
             .sum();
-        let bytes = rows * access.selectivity * (entry + uncovered) as f64;
+        let bytes = rows * selectivity * (entry + uncovered) as f64;
         match best {
             Some((_, b)) if b <= bytes => {}
             _ => best = Some((pos, bytes)),
@@ -150,11 +154,10 @@ fn oracle_cache_row(
 fn check_query(ctx: &PlannerContext<'_>, query: &Query, rows: &mut PlanRows) {
     let backend = ctx.estimator.backend_execution(ctx.schema, query);
     let (backend_cost, backend_breakdown) = ctx.estimator.price_execution(&backend);
-    let scan: Vec<Option<usize>> = vec![None; query.accesses.len()];
+    let scan: Vec<Option<usize>> = vec![None; query.accesses().len()];
     let picks: Vec<Option<usize>> = query
-        .accesses
-        .iter()
-        .map(|a| reference_pick(ctx, a))
+        .accesses()
+        .map(|(a, selectivity)| reference_pick(ctx, a, selectivity))
         .collect();
     let indexed = picks.iter().any(Option::is_some);
     let node_options = &ctx.estimator.params().node_options;

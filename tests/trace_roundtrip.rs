@@ -46,6 +46,35 @@ fn jsonl_file_roundtrip_is_byte_identical() {
     assert_eq!(reserialized, text, "byte-level equality after roundtrip");
 }
 
+/// The JSONL format did not change when queries began sharing their
+/// lists: the bytes hash as they did when each query owned its lists.
+#[test]
+fn jsonl_format_is_unchanged() {
+    let text = capture(200, 11).to_jsonl().expect("serializable");
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for b in text.bytes() {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    assert_eq!((text.len(), hash), (83_278, 0xc3d8_15b8_0b21_5ba7));
+    assert!(text.starts_with(
+        "{\"at_secs\":1.4574556062374506,\"query\":{\"id\":0,\"template\":1,\"mask\":1,\
+         \"accesses\":[{\"table\":7,\"columns\":[45,50,51,55],\"predicate_columns\":[55],\
+         \"selectivity\":0.000012656172064652777},"
+    ));
+}
+
+#[test]
+fn parsed_queries_hold_equal_lists_of_their_own() {
+    let trace = capture(100, 13);
+    let parsed = Trace::from_jsonl(&trace.to_jsonl().expect("serializable")).expect("parseable");
+    for (live, replayed) in trace.records().iter().zip(parsed.records()) {
+        assert_eq!(live.query.lists, replayed.query.lists);
+        assert_eq!(live.query.selectivities, replayed.query.selectivities);
+        assert!(!Arc::ptr_eq(&live.query.lists, &replayed.query.lists));
+    }
+}
+
 #[test]
 fn replay_preserves_the_exact_query_sequence() {
     let trace = capture(100, 23);
