@@ -1,14 +1,17 @@
 //! Criterion benches for the planner: full plan enumeration against cold
 //! and warm caches at the paper's 2.5 TB scale, fresh enumeration into
 //! reused rows over the paper template mix at SF 100 (the `paper-single`
-//! regime, where each query's compiled shape is a table hit), and a
-//! single economy step with the plan memo on and off.
+//! regime, where each query's compiled shape is a table hit), a single
+//! economy step with the plan memo on and off, and one cheapest-quote
+//! round over 8 Convex-budget nodes on each quote path (the reason
+//! `FleetConfig::quote_batching` defaults on).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use cache::{CacheState, StructureKey};
 use catalog::tpch::{tpch_schema, ScaleFactor};
-use econ::{EconConfig, EconomyManager};
+use econ::{BudgetShape, EconConfig, EconomyManager};
+use fleet::{CacheNode, CheapestQuote, FleetConfig, NodeSpec, QuoteOptions, Router};
 use planner::enumerate::EnumerationOptions;
 use planner::{
     enumerate_plans, enumerate_plans_into, generate_candidates, CostParams, Estimator, PlanRows,
@@ -16,6 +19,7 @@ use planner::{
 };
 use pricing::{Money, PriceCatalog};
 use simcore::{NetworkModel, SimDuration, SimTime};
+use simulator::Scheme;
 use std::sync::Arc;
 use workload::{paper_templates, Query, WorkloadConfig, WorkloadGenerator};
 
@@ -152,10 +156,52 @@ fn bench_economy_step(c: &mut Criterion) {
     }
 }
 
+/// Cheapest-quote rounds in fleet-market's shape with Convex budgets, so
+/// no round is decided from the budgets alone: 8 econ-cheap nodes at
+/// SF 5, warmed by routing and serving the first half of a pre-drawn
+/// stream, then timed routing (quote round and the winner's commit,
+/// no serve) over the second half. Both rows route bit-identically.
+fn bench_quote_round(c: &mut Criterion) {
+    let fx = Fx::new(5.0, 4096);
+    let ctx = fx.ctx();
+    let mut econ = FleetConfig::uniform(1, 8, 1, 1.0).econ;
+    econ.budget_shape = BudgetShape::Convex;
+    let (warm, timed) = fx.queries.split_at(fx.queries.len() / 2);
+    let mut group = c.benchmark_group("quote_round_convex_8_nodes");
+    for (name, batching) in [("batched", true), ("per_node", false)] {
+        let mut nodes: Vec<CacheNode> = (0..8)
+            .map(|i| CacheNode::new(i, &NodeSpec::new(Scheme::EconCheap), &fx.schema, &econ))
+            .collect();
+        let mut router = CheapestQuote::with_options(QuoteOptions {
+            batching,
+            ..QuoteOptions::default()
+        });
+        let mut now = SimTime::ZERO;
+        for q in warm {
+            now += SimDuration::from_secs(1.0);
+            for node in &mut nodes {
+                node.accrue(now);
+            }
+            let winner = router.route(&nodes, &ctx, q, now);
+            let _ = nodes[winner].serve(&ctx, q, now);
+        }
+        now += SimDuration::from_secs(1.0);
+        let mut i = 0;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                i = (i + 1) % timed.len();
+                black_box(router.route(&nodes, &ctx, &timed[i], now))
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_enumeration,
     bench_fresh_enumeration,
-    bench_economy_step
+    bench_economy_step,
+    bench_quote_round
 );
 criterion_main!(benches);

@@ -22,6 +22,8 @@
 //!
 //! Criterion micro-benches live in `benches/`.
 
+#![forbid(unsafe_code)]
+
 use simulator::{run_simulation, RunResult, Scheme, SimConfig};
 use std::io::Write;
 use std::path::Path;

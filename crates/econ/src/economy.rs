@@ -17,13 +17,12 @@
 //!    paying from the account.
 
 use std::cell::RefCell;
-use std::sync::Arc;
 
 use cache::{CacheState, CachedStructure, StructureKey};
 use planner::enumerate::EnumerationOptions;
 use planner::{
     enumerate_plans_into, skyline_partition_hot, BatchCompleter, CacheView, Estimator, ExecRows,
-    LazySkeleton, PlanHot, PlanRows, PlanSkeleton, PlannerContext, QueryPlan,
+    PlanHot, PlanRows, PlanSkeleton, PlannerContext, QueryPlan,
 };
 use pricing::Money;
 use simcore::{SimDuration, SimTime};
@@ -731,7 +730,7 @@ pub struct QuoteBatch {
 /// completer's lanes and the fingerprint.
 #[derive(Debug)]
 struct Gathered {
-    skeleton: Arc<PlanSkeleton>,
+    skeleton: PlanSkeleton,
     now: SimTime,
 }
 
@@ -747,10 +746,10 @@ impl QuoteBatch {
     /// `manager_of(i)` returns node `i`'s economy manager when its quotes
     /// factor through batched completion (`None` falls back to
     /// `fallback(i)`, which must produce the node's bid some other way).
-    /// Both closures must be stable for the duration of the call, every
-    /// returned manager must be distinct, and `skeleton` is the round's
-    /// shared lazy skeleton — built at most once, only if some node
-    /// returns a manager.
+    /// Both closures must be stable for the duration of the call, and
+    /// every returned manager must be distinct. The round builds the
+    /// query's [`PlanSkeleton`] once, and only if some node returns a
+    /// manager.
     ///
     /// Returns the bids, indexed by node. No member's memo is read or
     /// written; see [`Self::commit`].
@@ -758,7 +757,6 @@ impl QuoteBatch {
     /// # Panics
     /// Panics if a member's manager disappears between phases (the
     /// closures were not stable).
-    #[allow(clippy::too_many_arguments)] // one parameter per round input
     pub fn quote_round<'m, M, F>(
         &mut self,
         count: usize,
@@ -766,7 +764,6 @@ impl QuoteBatch {
         fallback: F,
         ctx: &PlannerContext<'_>,
         query: &Query,
-        skeleton: &LazySkeleton<'_>,
         now: SimTime,
     ) -> &[Money]
     where
@@ -788,7 +785,7 @@ impl QuoteBatch {
         }
 
         if !self.members.is_empty() {
-            let skel = Arc::clone(skeleton.get());
+            let skel = PlanSkeleton::build(ctx, query);
             // The node-major probe sweep binds each member's view once
             // per node (not once per probe), so the round resolves
             // managers straight through the caller's lookup instead of

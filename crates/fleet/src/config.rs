@@ -41,29 +41,20 @@ pub struct FleetConfig {
     pub cells: usize,
     /// Worker threads executing cells (affects wall-clock only).
     pub shards: usize,
-    /// Worker threads a cheapest-quote round fans per-node bids out over
-    /// (affects wall-clock only: the deterministic merge makes routing
-    /// bit-identical at any pool size). The workers live in a
-    /// **persistent** per-cell pool, spawned once and parked between
-    /// rounds. The executor additionally clamps the pool so
-    /// `shards × quote_threads` never oversubscribes the machine
-    /// (see [`crate::exec::effective_quote_threads`]) — a pool that
-    /// cannot actually run in parallel only adds wake-up cost per round.
+    /// Kept only because the repository benchmark names it; inert;
+    /// removed by ROADMAP item 4(a). A cheapest-quote round runs on the
+    /// router's thread, so [`Self::validate`] accepts only 1.
     pub quote_threads: usize,
     /// Quote rounds complete the economic nodes' plans in one batched
     /// structure-major sweep instead of once per node (bit-identical
     /// results either way; `false` selects the per-node reference path,
     /// one fused enumeration per node, that `tests/fleet_determinism.rs`
-    /// compares against).
+    /// compares against). The only quote-round setting with an effect;
+    /// batching is the default because it quotes full rounds faster.
     pub quote_batching: bool,
-    /// Pin quote-pool workers to cores (`sched_setaffinity`): each
-    /// worker is sticky on the same node chunk every round, so pinning
-    /// keeps those node states resident in one core's private cache. A
-    /// placement hint only — results are bit-identical with pinning on,
-    /// off, or unavailable (non-Linux, restrictive cpuset);
-    /// `tests/fleet_determinism.rs` holds pinned and unpinned pools to
-    /// the sequential winner. Defaults on (including for older
-    /// serialized configs).
+    /// Kept only because the repository benchmark names it; inert;
+    /// removed by ROADMAP item 4(a). There are no quote workers to pin,
+    /// so any value is accepted; absent, it deserializes to `true`.
     #[serde(default = "default_true")]
     pub pin_quote_workers: bool,
     /// Cost-model calibration.
@@ -243,8 +234,11 @@ impl FleetConfig {
         if self.shards == 0 {
             return Err("shards must be positive".into());
         }
-        if self.quote_threads == 0 {
-            return Err("quote_threads must be positive".into());
+        if self.quote_threads != 1 {
+            return Err(format!(
+                "quote_threads must be 1 (quote rounds run on the router's thread), got {}",
+                self.quote_threads
+            ));
         }
         if self.candidate_indexes == 0 {
             return Err("candidate_indexes must be positive".into());
@@ -343,9 +337,25 @@ mod tests {
     }
 
     #[test]
-    fn pin_flag_defaults_on_for_older_configs() {
+    fn a_quote_pool_is_rejected_by_name() {
+        for threads in [2, 8] {
+            let mut c = FleetConfig::uniform(4, 2, 10, 1.0);
+            c.quote_threads = threads;
+            let err = c.validate().expect_err("only one quote thread is valid");
+            assert!(err.contains("quote_threads"), "{err}");
+        }
+    }
+
+    #[test]
+    fn pin_flag_is_accepted_either_way_and_defaults_on_for_older_configs() {
         use serde::{Deserialize, Serialize, Value};
-        let c = FleetConfig::uniform(2, 2, 5, 1.0);
+        let mut c = FleetConfig::uniform(2, 2, 5, 1.0);
+        c.pin_quote_workers = false;
+        let json = serde_json::to_string(&c).unwrap();
+        let back: FleetConfig = serde_json::from_str(&json).unwrap();
+        assert!(!back.pin_quote_workers);
+        assert!(back.validate().is_ok(), "pinning off still validates");
+
         let mut v = c.serialize();
         match &mut v {
             Value::Map(m) => m.retain(|(k, _)| k != "pin_quote_workers"),
@@ -353,6 +363,10 @@ mod tests {
         }
         let back = FleetConfig::deserialize(&v).unwrap();
         assert!(back.pin_quote_workers, "absent field means pinning on");
+        assert!(
+            back.validate().is_ok(),
+            "an absent pin flag still validates"
+        );
     }
 
     #[test]

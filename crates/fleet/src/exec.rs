@@ -28,7 +28,7 @@ use std::sync::Arc;
 use catalog::tpch::{tpch_schema, ScaleFactor};
 use catalog::Schema;
 use econ::PlanCacheStats;
-use planner::{generate_candidates, Estimator, PlannerContext, SkeletonCache};
+use planner::{generate_candidates, Estimator, PlannerContext};
 use simcore::{NetworkModel, SimTime};
 use simulator::RunResult;
 use workload::paper_templates;
@@ -49,33 +49,26 @@ use crate::result::{FleetResult, NodeStats, TenantStats};
 use crate::router::QuoteOptions;
 use crate::tenant::{MergedStream, TenantStream};
 
-/// The quote-pool size the executor actually uses: the configured
-/// `quote_threads`, clamped so `shards × pool` never oversubscribes the
-/// machine's `parallelism`. A pool that cannot run in parallel adds a
-/// wake/park pair per round for nothing — the PR 3 quote-thread sweep
-/// measured exactly that failure mode (45.5k → 5.9k q/s at 8 spawned
-/// threads on a saturated machine). Results are invariant in the pool
-/// size by construction, so the clamp is wall-clock-only.
+/// Kept only because the repository benchmark names it; inert; removed
+/// by ROADMAP item 4(a). Quote rounds run on the router's thread, so
+/// this is 1 for every valid config (`FleetConfig::validate` rejects
+/// any other `quote_threads`).
 #[must_use]
 pub fn effective_quote_threads(
-    requested: usize,
-    shard_workers: usize,
-    parallelism: usize,
+    _requested: usize,
+    _shard_workers: usize,
+    _parallelism: usize,
 ) -> usize {
-    requested
-        .max(1)
-        .min((parallelism / shard_workers.max(1)).max(1))
+    1
 }
 
 /// A prepared fleet simulation: schema, candidates and estimator built
-/// once and shared (read-only) by every cell on every worker thread,
-/// plus the fleet-wide skeleton cache the cells' quote rounds share.
+/// once and shared (read-only) by every cell on every worker thread.
 pub struct FleetSim {
     schema: Arc<Schema>,
     candidates: Vec<cache::IndexDef>,
     cand_index: planner::CandidateIndex,
     estimator: Estimator,
-    skeletons: Arc<SkeletonCache>,
     config: FleetConfig,
 }
 
@@ -138,30 +131,24 @@ impl FleetSim {
             candidates,
             cand_index,
             estimator,
-            skeletons: Arc::new(SkeletonCache::new()),
             config,
         }
     }
 
-    /// Full counter snapshot of the fleet-wide skeleton cache —
-    /// hits, misses and admission-filter stores. The repository
-    /// benchmark reports these beside its per-layer timings.
+    /// Kept only because the repository benchmark names it; inert;
+    /// removed by ROADMAP item 4(a). All zeros: no fleet-wide skeleton
+    /// cache exists.
     #[must_use]
     pub fn skeleton_cache_counters(&self) -> planner::SkeletonCacheCounters {
-        self.skeletons.counters()
+        planner::SkeletonCacheCounters::default()
     }
 
-    /// The quote-pool size this sim's cells will actually use — the
-    /// configured `quote_threads` after the executor's oversubscription
-    /// clamp ([`effective_quote_threads`]), on the current machine. The
-    /// single source the repository benchmark reports from.
+    /// Kept only because the repository benchmark names it; inert;
+    /// removed by ROADMAP item 4(a). Always 1: quote rounds run on the
+    /// router's thread.
     #[must_use]
     pub fn quote_pool_threads(&self) -> usize {
-        let parallelism = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        let shard_workers = self.config.shards.min(self.config.cells).max(1);
-        effective_quote_threads(self.config.quote_threads, shard_workers, parallelism)
+        1
     }
 
     /// The backend schema.
@@ -379,14 +366,8 @@ impl FleetSim {
             .as_ref()
             .map(|_| ElasticController::new(&self.config, cell, Arc::clone(&self.schema)));
         let mut router = self.config.router.make(QuoteOptions {
-            threads: self.quote_pool_threads(),
             batching: self.config.quote_batching,
-            // A single-cell run has nothing to de-duplicate across cells:
-            // the within-round LazySkeleton sharing already builds each
-            // skeleton once, so the fleet-wide cache would only add a
-            // shard-lock probe per miss. Skip it.
-            skeletons: (self.config.cells > 1).then(|| Arc::clone(&self.skeletons)),
-            pinning: self.config.pin_quote_workers,
+            ..QuoteOptions::default()
         });
         let ctx = PlannerContext {
             schema: &self.schema,
@@ -517,7 +498,7 @@ impl FleetSim {
                 }
             }
             let routable = registry.as_ref().map(|_| population.routable_count(now));
-            let mut chosen = router.route(population.live_mut(), &ctx, &query, now);
+            let mut chosen = router.route(population.live(), &ctx, &query, now);
             // Per-query timeout fallback: a degraded winner whose backlog
             // already exceeds the timeout is suppressed for one more
             // round and the query re-routes to the next-best candidate —
@@ -560,7 +541,7 @@ impl FleetSim {
                             suppressed.push(chosen);
                             let mut decayed = query.clone();
                             decayed.budget_scale = scale;
-                            chosen = router.route(population.live_mut(), &ctx, &decayed, now);
+                            chosen = router.route(population.live(), &ctx, &decayed, now);
                             inj.note_retry();
                             slo_records[slot_of[&tenant]].retries += 1;
                             if let Some(registry) = registry.as_mut() {
@@ -590,7 +571,7 @@ impl FleetSim {
                         if winner.degrade_slowdown(now) > 1.0 && winner.outstanding(now) >= timeout
                         {
                             population.live_mut()[chosen].suppress_route();
-                            let rerouted = router.route(population.live_mut(), &ctx, &query, now);
+                            let rerouted = router.route(population.live(), &ctx, &query, now);
                             population.live_mut()[chosen].unsuppress_route();
                             chosen = rerouted;
                             inj.note_timeout();
@@ -683,13 +664,9 @@ impl FleetSim {
         }
 
         if let Some(registry) = registry.as_mut() {
-            // Placement telemetry, outside the invariance contract (like
-            // the skeleton-cache counters): how many quote workers this
-            // cell's router actually pinned to a core.
-            registry.counter_add("pool.pinned_workers", router.pinned_workers());
             // How this cell's quote rounds were settled: decided from
-            // the budgets alone, or through planning. Unlike the pins,
-            // a pure function of the simulation, hence shard-invariant.
+            // the budgets alone, or through planning. A pure function of
+            // the simulation, hence shard-invariant.
             let rounds = router.quote_rounds();
             registry.counter_add("router.decided_rounds", rounds.decided);
             registry.counter_add("router.full_rounds", rounds.full);

@@ -42,13 +42,7 @@
 //! `fleet_market` example.
 
 #![deny(missing_docs)]
-// `deny` rather than the workspace-wide `forbid`: the persistent quote
-// worker pool (`pool`) is the one place that needs `unsafe` — it shares a
-// round-scoped borrowed closure with long-lived parked threads, the same
-// guarantee `std::thread::scope` provides but paid once instead of per
-// round. Every unsafe block lives in that module, behind a documented
-// safety protocol.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod elastic;
@@ -56,7 +50,6 @@ pub mod evacuate;
 pub mod exec;
 pub mod faults;
 pub mod node;
-mod pool;
 pub mod result;
 pub mod router;
 pub mod slo;

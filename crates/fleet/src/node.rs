@@ -30,8 +30,8 @@ impl NodeSpec {
 
 /// One live cache node: policy + accounting + backlog clock.
 ///
-/// `Send` (the policy box is `Send`-bounded), so a quote round can hand
-/// disjoint `&mut` node chunks to the persistent pool's workers.
+/// `Send` (the policy box is `Send`-bounded), so a cell's nodes can live
+/// on the executor's shard worker threads.
 pub struct CacheNode {
     id: usize,
     policy: Box<dyn CachePolicy + Send>,

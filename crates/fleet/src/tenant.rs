@@ -92,7 +92,7 @@ impl TenantStream {
     /// (`(start, end, boost)`, sorted and disjoint) layered on the
     /// tenant's arrival process. Seeds and the underlying random draws
     /// are untouched — the overlay only time-warps the output instants —
-    /// so surge runs remain shard- and pool-invariant.
+    /// so surge runs remain shard-invariant.
     ///
     /// # Panics
     /// Panics if the workload config or the surge windows are invalid.

@@ -32,10 +32,11 @@
 //!   ([`PlanRows::plan`]).
 //! * [`skeleton`] — the cache-independent half of enumeration
 //!   ([`PlanSkeleton`]), so a batched fleet quote round plans each query
-//!   once instead of once per node; [`SkeletonCache`] shares built
-//!   skeletons fleet-wide under the query's planning fingerprint;
-//!   [`ExecRows`] is the skeleton's execution-row half alone, for
-//!   callers that only need every plan's `(time, cost)`.
+//!   once instead of once per node (the round builds it, and only when
+//!   it has a member); [`ExecRows`] is the skeleton's execution-row half
+//!   alone, for callers that only need every plan's `(time, cost)`.
+//!   [`SkeletonCache`] is an inert name the repository benchmark still
+//!   uses.
 //! * [`batch`] — structure-major batched completion: one
 //!   [`BatchCompleter`] pass binds a skeleton against N nodes' cache
 //!   states at once, turning N independent cache probes per structure
@@ -75,8 +76,7 @@ pub use rows::PlanRows;
 pub use scaling::ParallelModel;
 pub use shapes::QueryShape;
 pub use skeleton::{
-    planning_fingerprint, ExecRows, LazySkeleton, PlanSkeleton, SkeletonCache,
-    SkeletonCacheCounters,
+    planning_fingerprint, ExecRows, PlanSkeleton, SkeletonCache, SkeletonCacheCounters,
 };
 pub use skyline::{skyline_filter, skyline_partition, skyline_partition_hot};
 pub use soa::PlanHot;

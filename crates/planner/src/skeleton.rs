@@ -30,11 +30,6 @@
 //! the skeleton on its own — every row a plan's `(exec_time, exec_cost)`
 //! can come from — for callers that never bind a cache.
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
 use cache::{IndexId, StructureKey};
 use catalog::ColumnId;
 use metrics::CostBreakdown;
@@ -55,8 +50,8 @@ use crate::shapes::QueryShape;
 /// and deliberately excludes `budget_scale` (budget only), `id` and
 /// `region` (unread). Two queries of one template set with equal
 /// fingerprints therefore enumerate identical plan sets, which is the
-/// key invariant behind both the per-manager plan memo
-/// (`econ::plancache`) and the fleet-wide [`SkeletonCache`].
+/// key invariant behind the per-manager plan memo's handoff
+/// (`econ::plancache`).
 pub fn planning_fingerprint(query: &Query, out: &mut Vec<u64>) {
     out.clear();
     out.push(query.template.0 as u64);
@@ -174,10 +169,9 @@ pub struct VariantSkeleton {
 /// position maps back into it.
 ///
 /// A pure function of the variants, computed once in
-/// [`PlanSkeleton::build`] — skeletons can be shared fleet-wide (the
-/// [`SkeletonCache`]), so batched completion rounds
-/// ([`planner::batch`](crate::batch)) read the table for free instead of
-/// re-deduplicating every round.
+/// [`PlanSkeleton::build`], so a batched completion round
+/// ([`planner::batch`](crate::batch)) reads the table instead of
+/// re-deduplicating per gather.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProbeTable {
     /// Distinct structures, first-seen order: each is probed once per
@@ -284,205 +278,35 @@ pub struct PlanSkeleton {
     pub probe: ProbeTable,
 }
 
-/// A [`PlanSkeleton`] built on first use and shared from then on.
-///
-/// A batched quote round takes one of these; a round with no batch
-/// member (no routable economic node) never calls [`Self::get`] and pays
-/// nothing for a skeleton it never reads. The cell is thread-safe, so
-/// workers of a parallel
-/// fan-out race benignly (the build is a pure function — every winner
-/// produces identical bits).
-pub struct LazySkeleton<'a> {
-    ctx: PlannerContext<'a>,
-    query: &'a Query,
-    shared: Option<&'a SkeletonCache>,
-    cell: std::sync::OnceLock<Arc<PlanSkeleton>>,
-}
-
-impl<'a> LazySkeleton<'a> {
-    /// An unbuilt skeleton for `query`.
-    #[must_use]
-    pub fn new(ctx: &PlannerContext<'a>, query: &'a Query) -> Self {
-        LazySkeleton {
-            ctx: *ctx,
-            query,
-            shared: None,
-            cell: std::sync::OnceLock::new(),
-        }
-    }
-
-    /// An unbuilt skeleton that resolves through a fleet-wide
-    /// [`SkeletonCache`]: a build forced here first probes the shared
-    /// cache under the query's planning fingerprint, so concurrently
-    /// running cells stop rebuilding identical skeletons.
-    #[must_use]
-    pub fn with_cache(
-        ctx: &PlannerContext<'a>,
-        query: &'a Query,
-        shared: &'a SkeletonCache,
-    ) -> Self {
-        LazySkeleton {
-            ctx: *ctx,
-            query,
-            shared: Some(shared),
-            cell: std::sync::OnceLock::new(),
-        }
-    }
-
-    /// The skeleton, building it on first call.
-    pub fn get(&self) -> &Arc<PlanSkeleton> {
-        self.cell.get_or_init(|| match self.shared {
-            Some(cache) => cache.get_or_build(&self.ctx, self.query),
-            None => Arc::new(PlanSkeleton::build(&self.ctx, self.query)),
-        })
-    }
-}
-
-/// Number of independently locked shards of a [`SkeletonCache`].
-const SKELETON_CACHE_SHARDS: usize = 16;
-
-/// Entry cap per shard; a full shard is cleared on the next insert, which
-/// bounds the cache at `SKELETON_CACHE_SHARDS × SKELETON_SHARD_CAP`
-/// skeletons without any replacement bookkeeping on the hit path.
-const SKELETON_SHARD_CAP: usize = 256;
-
-/// Admission-filter slots per shard (one-slot hash buckets of recently
-/// seen fingerprint hashes). Power of two so the index is a mask.
-const SKELETON_SEEN_SLOTS: usize = 1024;
-
-/// One shard of a [`SkeletonCache`]: admitted skeletons plus the
-/// admission filter of recently seen fingerprint hashes.
-#[derive(Debug, Default)]
-struct SkeletonShard {
-    map: HashMap<Vec<u64>, Arc<PlanSkeleton>>,
-    /// One-slot buckets of fingerprint hashes seen once: a second
-    /// sighting admits the fingerprint into `map`. Collisions simply
-    /// overwrite (a lost sighting only delays admission by one round).
-    seen: Vec<u64>,
-}
-
-/// Counter snapshot of a [`SkeletonCache`] (see
-/// [`SkeletonCache::counters`]).
+/// Kept only because the repository benchmark names it; inert; removed
+/// by ROADMAP item 4(a). The counters of [`SkeletonCache`]: always zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SkeletonCacheCounters {
-    /// Probes served from the map.
+    /// Always 0.
     pub hits: u64,
-    /// Probes that had to build (filtered or first-sighting).
+    /// Always 0.
     pub misses: u64,
-    /// Misses whose skeleton was stored (second sighting onward).
+    /// Always 0.
     pub admissions: u64,
 }
 
-/// A fleet-wide, fingerprint-keyed cache of built [`PlanSkeleton`]s,
-/// sharded for concurrent access from cell worker threads.
-///
-/// Skeletons are pure functions of `(context, query fingerprint)`, so
-/// whichever racing builder lands in the map, every reader receives
-/// identical bits — sharing the cache across concurrently simulated
-/// cells cannot perturb any cell's results, only its wall-clock. Builds
-/// happen outside the shard lock (two cells may briefly build the same
-/// skeleton; the loser's copy is dropped).
-///
-/// Storage is **admission-filtered**: a fingerprint is only memoized
-/// once it has been seen twice, so workloads whose instances never
-/// repeat (ad-hoc parameterisations drawn from a continuous space) pay
-/// one hash probe per build instead of churning the map with skeletons
-/// nobody will reuse — storing every one-shot skeleton measurably
-/// dragged the quote round. Prepared-statement / trace-replay regimes,
-/// where fingerprints do repeat, hit from the third sighting on.
-#[derive(Debug)]
-pub struct SkeletonCache {
-    shards: Vec<Mutex<SkeletonShard>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    admissions: AtomicU64,
-}
-
-impl Default for SkeletonCache {
-    fn default() -> Self {
-        SkeletonCache::new()
-    }
-}
+/// Kept only because the repository benchmark names it; inert; removed
+/// by ROADMAP item 4(a). It caches nothing: a batched quote round builds
+/// its query's [`PlanSkeleton`] itself.
+#[derive(Debug, Default)]
+pub struct SkeletonCache;
 
 impl SkeletonCache {
-    /// An empty cache.
+    /// The inert cache.
     #[must_use]
     pub fn new() -> Self {
-        SkeletonCache {
-            shards: (0..SKELETON_CACHE_SHARDS)
-                .map(|_| {
-                    Mutex::new(SkeletonShard {
-                        map: HashMap::new(),
-                        seen: vec![0; SKELETON_SEEN_SLOTS],
-                    })
-                })
-                .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            admissions: AtomicU64::new(0),
-        }
+        SkeletonCache
     }
 
-    /// Counter snapshot — hits, misses and admissions (misses whose
-    /// fingerprint passed the seen-twice filter and were stored). The
-    /// admission rate against the miss count is the filter's tuning
-    /// signal: misses ≫ admissions means it is correctly rejecting
-    /// one-shot fingerprints; admissions without subsequent hits mean it
-    /// admits too eagerly. The repository benchmark reports these as
-    /// `planner.skeleton_cache.*`.
+    /// All zeros.
     #[must_use]
     pub fn counters(&self) -> SkeletonCacheCounters {
-        SkeletonCacheCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            admissions: self.admissions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The skeleton for `query`, built on first need and memoized once
-    /// its fingerprint proves to repeat.
-    #[must_use]
-    pub fn get_or_build(&self, ctx: &PlannerContext<'_>, query: &Query) -> Arc<PlanSkeleton> {
-        thread_local! {
-            /// Per-thread fingerprint scratch — probing must not allocate.
-            static FP: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
-        }
-        FP.with(|cell| {
-            let mut fp = cell.borrow_mut();
-            planning_fingerprint(query, &mut fp);
-            let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            fp.hash(&mut hasher);
-            let hash = hasher.finish();
-            let shard = &self.shards[(hash as usize) % self.shards.len()];
-
-            let admitted = {
-                let mut guard = shard.lock().expect("skeleton shard poisoned");
-                if let Some(hit) = guard.map.get(fp.as_slice()) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Arc::clone(hit);
-                }
-                // Branch-free one-slot probe: unconditionally replace the
-                // bucket with this hash and admit iff the old occupant
-                // already was it — same semantics as test-then-store
-                // (re-storing an equal hash is a no-op), one load + one
-                // store, no data-dependent branch on the miss path.
-                let slot = (hash as usize) & (SKELETON_SEEN_SLOTS - 1);
-                std::mem::replace(&mut guard.seen[slot], hash) == hash
-            };
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let built = Arc::new(PlanSkeleton::build(ctx, query));
-            if admitted {
-                self.admissions.fetch_add(1, Ordering::Relaxed);
-                let mut guard = shard.lock().expect("skeleton shard poisoned");
-                if guard.map.len() >= SKELETON_SHARD_CAP {
-                    guard.map.clear();
-                }
-                // A racing builder may have inserted meanwhile; both
-                // values are identical bits, so keeping either is correct.
-                return Arc::clone(guard.map.entry(fp.clone()).or_insert(built));
-            }
-            built
-        })
+        SkeletonCacheCounters::default()
     }
 }
 
@@ -746,66 +570,6 @@ mod tests {
             WorkloadGenerator::new(Arc::clone(&self.schema), WorkloadConfig::default(), seed)
                 .next_query()
         }
-    }
-
-    fn counters(hits: u64, misses: u64, admissions: u64) -> SkeletonCacheCounters {
-        SkeletonCacheCounters {
-            hits,
-            misses,
-            admissions,
-        }
-    }
-
-    #[test]
-    fn skeleton_cache_admits_on_second_sighting_and_hits_from_the_third() {
-        let f = Fixture::new();
-        let ctx = f.ctx();
-        let q = f.query(9);
-        let cache = SkeletonCache::new();
-        let first = cache.get_or_build(&ctx, &q);
-        assert_eq!(
-            cache.counters(),
-            counters(0, 1, 0),
-            "first sighting builds, not stored"
-        );
-        let second = cache.get_or_build(&ctx, &q);
-        assert_eq!(
-            cache.counters(),
-            counters(0, 2, 1),
-            "second sighting builds and admits"
-        );
-        let third = cache.get_or_build(&ctx, &q);
-        assert_eq!(cache.counters(), counters(1, 2, 1), "third sighting hits");
-        assert_eq!(*first, *second);
-        assert_eq!(*second, *third);
-        // A different query resolves independently.
-        let other = cache.get_or_build(&ctx, &f.query(10));
-        assert_ne!(*other, *third);
-    }
-
-    #[test]
-    fn lazy_skeleton_resolves_through_the_shared_cache() {
-        let f = Fixture::new();
-        let ctx = f.ctx();
-        let q = f.query(12);
-        let cache = SkeletonCache::new();
-        // Warm to admission.
-        let _ = cache.get_or_build(&ctx, &q);
-        let _ = cache.get_or_build(&ctx, &q);
-        let lazy = LazySkeleton::with_cache(&ctx, &q, &cache);
-        assert_eq!(
-            cache.counters(),
-            counters(0, 2, 1),
-            "construction probes nothing"
-        );
-        let skel = Arc::clone(lazy.get());
-        let _ = lazy.get();
-        assert_eq!(
-            cache.counters(),
-            counters(1, 2, 1),
-            "the lazy build hit the shared cache once"
-        );
-        assert_eq!(*skel, PlanSkeleton::build(&ctx, &q));
     }
 
     #[test]

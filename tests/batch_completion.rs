@@ -20,8 +20,8 @@
 //!    re-quotes and re-plans all cross the batch boundary, and losers
 //!    memoize nothing on either path.
 //!
-//! The fleet's routing determinism across {sequential, pooled} ×
-//! {batched, per-node} paths rests on these properties
+//! The fleet's routing determinism across the batched and per-node
+//! paths rests on these properties
 //! (`tests/fleet_determinism.rs` pins the router layer).
 
 use std::sync::{Arc, OnceLock};
@@ -36,8 +36,8 @@ use cloudcache::econ::{
 use cloudcache::planner::plan::QueryPlan;
 use cloudcache::planner::{
     complete_plans_batch, enumerate_plans_into, generate_candidates, skyline_partition_hot,
-    BatchCompleter, CacheView, CandidateIndex, CostParams, EnumerationOptions, Estimator,
-    LazySkeleton, PlanHot, PlanRows, PlanSkeleton, PlannerContext,
+    BatchCompleter, CacheView, CandidateIndex, CostParams, EnumerationOptions, Estimator, PlanHot,
+    PlanRows, PlanSkeleton, PlannerContext,
 };
 use cloudcache::pricing::{Money, PriceCatalog};
 use cloudcache::simcore::{NetworkModel, SimDuration, SimTime};
@@ -569,7 +569,6 @@ proptest! {
             // node 0 always bids, so every round has a winner.
             let routable = |i: usize| i == 0 || mask & (1 << i) != 0;
 
-            let skel_a = LazySkeleton::new(&ctx, query);
             let bids_a: Vec<Option<Money>> = workspace
                 .quote_round(
                     n_nodes,
@@ -577,7 +576,6 @@ proptest! {
                     |_| Money::ZERO, // unroutable: never read
                     &ctx,
                     query,
-                    &skel_a,
                     now,
                 )
                 .iter()
@@ -626,7 +624,6 @@ fn quote_round_fallback_covers_non_economic_nodes() {
     let query = &pool[0];
     let manager = EconomyManager::new(EconConfig::default());
     let mut workspace = QuoteBatch::new();
-    let skel = LazySkeleton::new(&ctx, query);
     let now = SimTime::from_secs(1.0);
     let sentinel = Money::from_dollars(123.0);
     let bids = workspace.quote_round(
@@ -635,7 +632,6 @@ fn quote_round_fallback_covers_non_economic_nodes() {
         |i| sentinel.scale(i as f64 + 1.0),
         &ctx,
         query,
-        &skel,
         now,
     );
     assert_eq!(bids[0], sentinel);
@@ -658,14 +654,12 @@ fn batched_quotes_warm_the_plan_memo() {
         .collect();
     let mut workspace = QuoteBatch::new();
     let now = SimTime::from_secs(1.0);
-    let skel = LazySkeleton::new(&ctx, query);
     let _ = workspace.quote_round(
         3,
         |i| Some(&managers[i]),
         |_| unreachable!(),
         &ctx,
         query,
-        &skel,
         now,
     );
     for m in &managers {

@@ -9,8 +9,8 @@
 //! 1. over random cache histories, every budget shape, every selection
 //!    objective, a range of patience values and budget scales on both
 //!    sides of 1, a decided bid equals `quote_query` bit for bit;
-//! 2. routers deciding rounds from those bids (sequential, pooled,
-//!    batched and per-node) pick the winner of a full quote round, and
+//! 2. routers deciding rounds from those bids (batched and per-node)
+//!    pick the winner of a full quote round, and
 //!    the winners' serves settle identically;
 //! 3. under zero CPU and I/O rates, where cache rows cost nothing, a
 //!    cache row past the deadline leaves the bid to the round — a free
@@ -120,8 +120,8 @@ fn shape(code: u8) -> BudgetShape {
 /// unaffordable, so nothing decides the bid.
 const SCALES: [f64; 8] = [0.5, 0.9, 0.999, 1.0, 1.05, 1.3, 1.5, 2.0];
 
-/// Router configurations `(threads, batching)` deciding rounds.
-const ROUTERS: [(usize, bool); 3] = [(1, true), (4, true), (3, false)];
+/// Router configurations (batching) deciding rounds.
+const ROUTERS: [bool; 2] = [true, false];
 
 proptest! {
     /// Decided bids equal both quote paths bit for bit, and routers that
@@ -161,12 +161,10 @@ proptest! {
         let mut full = fleet();
         let mut worlds: Vec<(CheapestQuote, Vec<CacheNode>)> = ROUTERS
             .iter()
-            .map(|&(threads, batching)| {
+            .map(|&batching| {
                 let router = CheapestQuote::with_options(QuoteOptions {
-                    threads,
                     batching,
-                    skeletons: None,
-                    pinning: false,
+                    ..QuoteOptions::default()
                 });
                 (router, fleet())
             })

@@ -5,15 +5,12 @@
 //! 2. fleet aggregates are invariant under the shard (worker-thread)
 //!    count: 1 worker and 4 workers produce bit-identical cost and mean
 //!    response time;
-//! 3. cheapest-quote aggregates are invariant under the quote fan-out
-//!    worker-pool size: gathering per-node bids from 1, 2, 4 or 8
-//!    threads picks bit-identical winners (the deterministic merge of
-//!    `fleet::router::CheapestQuote`), under step budgets, which decide
-//!    rounds from the budget alone, and convex ones, which run them in
-//!    full;
-//! 4. the global round winner's commit hands its plan set to its serve,
-//!    so every pool size and both completion paths leave identical
-//!    plan-cache state.
+//! 3. cheapest-quote aggregates are invariant under the quote path:
+//!    batched structure-major rounds and per-node fused bids pick
+//!    bit-identical winners, under step budgets, which decide rounds
+//!    from the budget alone, and convex ones, which run them in full;
+//! 4. the round winner's commit hands its plan set to its serve, so both
+//!    completion paths leave identical plan-cache state.
 
 use cloudcache::econ::BudgetShape;
 use cloudcache::fleet::{
@@ -131,31 +128,27 @@ fn aggregates_invariant_under_shard_count() {
 }
 
 #[test]
-fn aggregates_invariant_under_quote_thread_count() {
-    // 8 nodes so the pool actually splits work; shards stay at 1 so only
-    // the quote fan-out knob moves. Step budgets decide every round from
-    // the budget alone; convex budgets run every round in full.
+fn aggregates_invariant_under_quote_path() {
+    // 8 nodes and one shard, so only the quote path moves. Step budgets
+    // decide every round from the budget alone; convex budgets run every
+    // round in full.
     for shape in [BudgetShape::Step, BudgetShape::Convex] {
-        let run = |threads: usize| {
+        let run = |batching: bool| {
             let mut c = FleetConfig::mixed(10, 8, 60);
             c.scale_factor = 10.0;
             c.cells = 5;
             c.shards = 1;
             c.router = RouterKind::CheapestQuote;
             c.seed = 23;
-            c.quote_threads = threads;
+            c.quote_batching = batching;
             c.econ.budget_shape = shape;
             run_fleet(c)
         };
-        let sequential = run(1);
-        for threads in [2, 4, 8] {
-            let pooled = run(threads);
-            assert_eq!(
-                fingerprint(&sequential),
-                fingerprint(&pooled),
-                "{shape:?} aggregates varied at quote_threads={threads}"
-            );
-        }
+        assert_eq!(
+            fingerprint(&run(true)),
+            fingerprint(&run(false)),
+            "{shape:?} aggregates varied with the quote path"
+        );
     }
 }
 
@@ -167,20 +160,13 @@ fn oversubscribed_shards_are_harmless() {
     assert_eq!(fingerprint(&few), fingerprint(&many));
 }
 
-/// The persistent quote pool picks the sequential scan's winner on every
-/// round of its lifetime — not just the first — at every pool size and
-/// under both completion paths.
-///
-/// The executor clamps pools to the machine's spare parallelism, so this
-/// test drives [`CheapestQuote`] directly: replica fleets (one per
-/// router configuration) see the same query stream, every router routes
-/// its own replica, the winner serves, and the chosen index must agree
-/// with the sequential batched reference on every one of 60 consecutive
-/// rounds — pool reuse across rounds with genuinely evolving node
-/// state, exactly what the scoped-spawn → persistent-pool change must
-/// not perturb.
+/// Batched rounds pick the per-node reference's winner on every round,
+/// not just the first: replica fleets (one per quote path) see the same
+/// query stream, every router routes its own replica, the winner
+/// serves, and the chosen index must agree on every one of 60
+/// consecutive rounds, with node state evolving between them.
 #[test]
-fn persistent_pool_winner_matches_sequential_across_rounds() {
+fn batched_winner_matches_per_node_across_rounds() {
     use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
     use cloudcache::planner::{
         generate_candidates, CandidateIndex, CostParams, Estimator, PlannerContext,
@@ -207,7 +193,7 @@ fn persistent_pool_winner_matches_sequential_across_rounds() {
         estimator: &estimator,
     };
     // Convex budgets: a step budget would decide every bid before the
-    // round, and no round would reach the pool.
+    // round, and no round would run in full.
     let econ = cloudcache::econ::EconConfig {
         initial_credit: cloudcache::pricing::Money::from_dollars(0.02),
         investment: cloudcache::econ::InvestmentRule {
@@ -223,28 +209,14 @@ fn persistent_pool_winner_matches_sequential_across_rounds() {
             .collect()
     };
 
-    // (threads, batching, pinning): sequential batched is the reference;
-    // pools of 2/4/8 workers, the per-node completion path, and
-    // core-pinned pools must all agree — pinning is a placement hint, so
-    // the winner sequence cannot move with it (or with whether the pins
-    // actually took on this machine).
-    let configs = [
-        (1usize, true, false),
-        (2, true, false),
-        (4, true, true),
-        (8, true, false),
-        (8, true, true),
-        (1, false, false),
-        (8, false, true),
-    ];
+    // Batching: the batched round first, then the per-node reference.
+    let configs = [true, false];
     let mut routers: Vec<CheapestQuote> = configs
         .iter()
-        .map(|&(threads, batching, pinning)| {
+        .map(|&batching| {
             CheapestQuote::with_options(QuoteOptions {
-                threads,
                 batching,
-                skeletons: None,
-                pinning,
+                ..QuoteOptions::default()
             })
         })
         .collect();
@@ -264,8 +236,8 @@ fn persistent_pool_winner_matches_sequential_across_rounds() {
         for (i, &winner) in winners.iter().enumerate() {
             assert_eq!(
                 winner, winners[0],
-                "round {round}: config {:?} disagreed with the sequential reference",
-                configs[i]
+                "round {round}: batching {} disagreed with batching {}",
+                configs[i], configs[0]
             );
         }
         // The winner serves, so later rounds quote against evolved state.
@@ -278,15 +250,14 @@ fn persistent_pool_winner_matches_sequential_across_rounds() {
     }
 }
 
-/// Only the global round winner memoizes its plan set, whatever the
-/// pool size: pooled cheapest-quote rounds at 2, 4 and 8 threads (and
-/// the per-node completion path, sequential and pooled) must leave every
-/// node's plan-cache counters equal to the sequential batched round's
-/// after every round. A pooled round that committed a chunk's local
-/// best instead of the global winner would leave the winner without a
-/// handoff, and its serve would miss where the reference hits.
+/// Only the round winner memoizes its plan set, on either quote path:
+/// per-node rounds (fused bids, then `commit_quote` on the winner) must
+/// leave every node's plan-cache counters equal to the batched round's
+/// (`QuoteBatch::commit` on the winner) after every round. A commit to
+/// any node but the winner would leave the winner without a handoff,
+/// and its serve would miss where the other path hits.
 #[test]
-fn pooled_rounds_commit_only_the_global_winner() {
+fn batched_and_per_node_rounds_commit_only_the_winner() {
     use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
     use cloudcache::planner::{
         generate_candidates, CandidateIndex, CostParams, Estimator, PlannerContext,
@@ -313,7 +284,7 @@ fn pooled_rounds_commit_only_the_global_winner() {
         estimator: &estimator,
     };
     // Convex budgets: a step budget would decide every bid before the
-    // round, and no round would reach the pool.
+    // round, and no round would run in full.
     let econ = cloudcache::econ::EconConfig {
         initial_credit: cloudcache::pricing::Money::from_dollars(0.02),
         investment: cloudcache::econ::InvestmentRule {
@@ -329,23 +300,14 @@ fn pooled_rounds_commit_only_the_global_winner() {
             .collect()
     };
 
-    // (threads, batching): the sequential batched round is the reference.
-    let configs = [
-        (1usize, true),
-        (2, true),
-        (4, true),
-        (8, true),
-        (1, false),
-        (4, false),
-    ];
+    // Batching: the batched round is the reference.
+    let configs = [true, false];
     let mut routers: Vec<CheapestQuote> = configs
         .iter()
-        .map(|&(threads, batching)| {
+        .map(|&batching| {
             CheapestQuote::with_options(QuoteOptions {
-                threads,
                 batching,
-                skeletons: None,
-                pinning: false,
+                ..QuoteOptions::default()
             })
         })
         .collect();
@@ -374,13 +336,13 @@ fn pooled_rounds_commit_only_the_global_winner() {
         for (i, nodes) in fleets.iter().enumerate() {
             assert_eq!(
                 winners[i], winners[0],
-                "round {round}: config {:?} winner",
+                "round {round}: batching {} winner",
                 configs[i]
             );
             assert_eq!(
                 stats(nodes),
                 reference,
-                "round {round}: config {:?} left different memo state",
+                "round {round}: batching {} left different memo state",
                 configs[i]
             );
         }
