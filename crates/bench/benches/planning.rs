@@ -2,9 +2,9 @@
 //! and warm caches at the paper's 2.5 TB scale, fresh enumeration into
 //! reused rows over the paper template mix at SF 100 (the `paper-single`
 //! regime, where each query's compiled shape is a table hit), a single
-//! economy step with the plan memo on and off, and one cheapest-quote
-//! round over 8 Convex-budget nodes on each quote path (the reason
-//! `FleetConfig::quote_batching` defaults on).
+//! economy step, and one cheapest-quote round over 8 Convex-budget nodes
+//! on each quote path (the reason `FleetConfig::quote_batching` defaults
+//! on).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -132,35 +132,24 @@ fn bench_fresh_enumeration(c: &mut Criterion) {
 fn bench_economy_step(c: &mut Criterion) {
     let fx = Fx::new(2500.0, 256);
     let ctx = fx.ctx();
-    // The memo-off twin runs the same stream: without quotes no commit
-    // fills the memo's handoff slot, so every memo-on serve finds it
-    // empty and the two should read alike.
-    for (name, plan_cache) in [
-        ("economy_process_query_sf2500", true),
-        ("economy_process_query_sf2500_memo_off", false),
-    ] {
-        c.bench_function(name, |b| {
-            let mut manager = EconomyManager::new(EconConfig {
-                plan_cache,
-                ..EconConfig::default()
-            });
-            let mut gen =
-                WorkloadGenerator::new(Arc::clone(&fx.schema), WorkloadConfig::default(), 23);
-            let mut t = 0.0;
-            b.iter(|| {
-                t += 1.0;
-                let q = gen.next_query();
-                black_box(manager.process_query(&ctx, &q, SimTime::from_secs(t)))
-            })
-        });
-    }
+    c.bench_function("economy_process_query_sf2500", |b| {
+        let mut manager = EconomyManager::new(EconConfig::default());
+        let mut gen = WorkloadGenerator::new(Arc::clone(&fx.schema), WorkloadConfig::default(), 23);
+        let mut t = 0.0;
+        b.iter(|| {
+            t += 1.0;
+            let q = gen.next_query();
+            black_box(manager.process_query(&ctx, &q, SimTime::from_secs(t)))
+        })
+    });
 }
 
 /// Cheapest-quote rounds in fleet-market's shape with Convex budgets, so
 /// no round is decided from the budgets alone: 8 econ-cheap nodes at
 /// SF 5, warmed by routing and serving the first half of a pre-drawn
-/// stream, then timed routing (quote round and the winner's commit,
-/// no serve) over the second half. Both rows route bit-identically.
+/// stream, then timed routing (the quote round alone, no serve; routing
+/// changes no node's state) over the second half. Both rows route
+/// bit-identically.
 fn bench_quote_round(c: &mut Criterion) {
     let fx = Fx::new(5.0, 4096);
     let ctx = fx.ctx();

@@ -333,7 +333,7 @@ fn top_report(trace: &Trace) {
         std::process::exit(1);
     };
     println!(
-        "{:>9} {:>8} {:>6} {:>10} {:>9} {:>11} {:>5} {:>5} {:>5} {:>8} {:>7} {:>7} {:>11}",
+        "{:>9} {:>8} {:>6} {:>10} {:>9} {:>11} {:>5} {:>5} {:>5} {:>7} {:>7} {:>11}",
         "t(s)",
         "queries",
         "hit%",
@@ -343,20 +343,13 @@ fn top_report(trace: &Trace) {
         "live",
         "rout",
         "drain",
-        "plan-hit%",
         "spawns",
         "retires",
         "writeoff($)"
     );
     for f in &series.frames {
-        let plan_total = f.plan_hits + f.plan_misses;
-        let plan_pct = if plan_total == 0 {
-            0.0
-        } else {
-            100.0 * f.plan_hits as f64 / plan_total as f64
-        };
         println!(
-            "{:>9.1} {:>8} {:>6.1} {:>10.3} {:>9.3} {:>11.4} {:>5} {:>5} {:>5} {:>8.1} {:>7} {:>7} {:>11.6}",
+            "{:>9.1} {:>8} {:>6.1} {:>10.3} {:>9.3} {:>11.4} {:>5} {:>5} {:>5} {:>7} {:>7} {:>11.6}",
             f.at_secs,
             f.queries,
             100.0 * f.hit_rate(),
@@ -366,7 +359,6 @@ fn top_report(trace: &Trace) {
             f.live_nodes,
             f.routable_nodes,
             f.draining_nodes,
-            plan_pct,
             f.spawns,
             f.retires,
             f.write_off.as_dollars()
@@ -386,8 +378,8 @@ fn metrics_report(trace: &Trace) {
     );
 }
 
-/// The health-plane CI gate (the `trend --check` prerequisite): the
-/// vitals scraper and SLO ledger must never perturb the simulation.
+/// The health-plane CI gate: the vitals scraper and SLO ledger must
+/// never perturb the simulation.
 fn health_check() {
     // 1. Snapshot-on vs snapshot-off bit-identity: the fingerprint
     //    excludes the health series itself, so any difference means the

@@ -30,7 +30,6 @@ use std::path::Path;
 
 pub mod cli;
 pub mod row;
-pub mod trend;
 
 pub use cli::{cli_arg, cli_scale, cli_usage_error};
 pub use row::{Row, RowSet};
@@ -167,8 +166,9 @@ pub fn write_figure_bench_json(name: &str, sf: f64, n: u64, config: &str, cells:
 }
 
 /// Writes `BENCH_<name>.json` in the working directory (the repo root
-/// when run via `cargo run`), the machine-readable perf record each PR's
-/// trajectory is tracked through. `config` is a JSON object string
+/// when run via `cargo run`), the machine-readable perf record
+/// (`tests/bench_records.rs` checks the committed ones stay readable).
+/// `config` is a JSON object string
 /// (including the measured wall-clock, so a record is never mistaken for
 /// one at a different scale); `cells` are JSON object strings.
 pub fn write_bench_json(name: &str, config: &str, cells: &[String]) {

@@ -137,19 +137,6 @@ pub struct CacheState {
     indexes: DenseSlots,
     nodes: DenseSlots,
     occupancy: Occupancy,
-    /// Settled portion of the planning epoch: bumped on every install and
-    /// evict, and absorbs [`Self::pending`] entries as time passes them.
-    epoch_base: u64,
-    /// Availability instants of in-flight builds that have not yet been
-    /// folded into `epoch_base`, sorted ascending. A build completing is a
-    /// planning-relevant transition (a plan's `missing` set shrinks) even
-    /// though no install/evict happens at that instant, so each entry
-    /// crossed by the clock contributes +1 to [`Self::epoch`].
-    pending: Vec<SimTime>,
-    /// Bumped whenever a settlement mutates ledger state the planner
-    /// quotes (amortisation dues, maintenance checkpoints) without an
-    /// install/evict. See [`Self::settle_seq`].
-    settle_seq: u64,
 }
 
 impl CacheState {
@@ -207,37 +194,6 @@ impl CacheState {
             .expect("pigeonhole: <= len nodes occupy [0, len]")
     }
 
-    /// The planning epoch at `now`: a monotone counter that changes
-    /// whenever the cache state observable by the planner can have changed
-    /// — on every install, on every evict, and whenever an in-flight build
-    /// crosses its `available_at` instant (a `P_pos` plan's structure
-    /// becoming usable moves plans into `P_exist` without any install).
-    ///
-    /// Two calls with the same epoch (and non-decreasing `now`) are
-    /// guaranteed to see the same structure set, the same availability
-    /// partition, and the same per-structure amortisation state — which is
-    /// what makes "cache unchanged" an O(log n) check for the plan cache.
-    /// Per-structure *maintenance accrual* still grows with `now` between
-    /// epochs; consumers that quote maintenance must recompute it.
-    ///
-    /// Monotone as long as `now` is fed in non-decreasing order (the
-    /// simulator's arrival order).
-    #[must_use]
-    pub fn epoch(&self, now: SimTime) -> u64 {
-        let crossed = self.pending.partition_point(|&t| t <= now);
-        self.epoch_base + crossed as u64
-    }
-
-    /// Bumps the settled epoch and folds every pending availability
-    /// transition at or before `now`, keeping [`Self::epoch`] continuous:
-    /// callers at later instants see `epoch_base` grown by exactly the
-    /// entries they previously counted via `partition_point`.
-    fn bump_epoch(&mut self, now: SimTime) {
-        let crossed = self.pending.partition_point(|&t| t <= now);
-        self.pending.drain(..crossed);
-        self.epoch_base += crossed as u64 + 1;
-    }
-
     /// Current cache disk usage in bytes.
     #[must_use]
     pub fn disk_used(&self) -> u64 {
@@ -259,16 +215,9 @@ impl CacheState {
         self.occupancy.rebase(now);
     }
 
-    /// Accrues the occupancy integral up to `now` and folds pending
-    /// availability transitions into the settled epoch (keeping
-    /// [`Self::epoch`] values continuous while bounding the pending list).
+    /// Accrues the occupancy integral up to `now`.
     pub fn advance(&mut self, now: SimTime) {
         self.occupancy.advance(now);
-        let crossed = self.pending.partition_point(|&t| t <= now);
-        if crossed > 0 {
-            self.pending.drain(..crossed);
-            self.epoch_base += crossed as u64;
-        }
     }
 
     /// Installs a structure at `now` that becomes available after
@@ -304,13 +253,6 @@ impl CacheState {
         } else {
             self.occupancy.advance(now);
         }
-        self.bump_epoch(now);
-        if s.available_at > now {
-            // The build completing later is itself a planning transition;
-            // record it so `epoch` changes when the clock crosses it.
-            let at = self.pending.partition_point(|&t| t <= s.available_at);
-            self.pending.insert(at, s.available_at);
-        }
         match key {
             StructureKey::Column(c) => {
                 self.columns.insert(c.0, s);
@@ -339,26 +281,8 @@ impl CacheState {
             } else {
                 self.occupancy.advance(now);
             }
-            self.bump_epoch(now);
-            if s.available_at > now {
-                // Evicted while still building: drop its (not yet crossed)
-                // pending transition so it cannot fire spuriously later.
-                if let Some(pos) = self.pending.iter().position(|&t| t == s.available_at) {
-                    self.pending.remove(pos);
-                }
-            }
         }
         removed
-    }
-
-    /// Settlement counter: changes whenever amortisation installments are
-    /// collected or maintenance checkpoints move (mutations that shift
-    /// quoted plan prices but bump no [`Self::epoch`]). Plan memoization
-    /// re-quotes those components when this counter (or the clock) moved
-    /// since the memo was priced.
-    #[must_use]
-    pub fn settle_seq(&self) -> u64 {
-        self.settle_seq
     }
 
     /// Marks structures as used at `now` (LRU refresh).
@@ -374,16 +298,13 @@ impl CacheState {
     /// the total charged.
     pub fn charge_amortization(&mut self, keys: &[StructureKey]) -> Money {
         let mut total = Money::ZERO;
-        let mut settled = 0;
         for &key in keys {
             if let Some(s) = self.get_mut(key) {
                 let due = s.amortization_due();
                 s.pay_amortization(due);
                 total += due;
-                settled += u64::from(!due.is_zero());
             }
         }
-        self.settle_seq += settled;
         total
     }
 
@@ -407,7 +328,6 @@ impl CacheState {
         F: Fn(&CachedStructure, SimDuration) -> Money,
     {
         let mut total = Money::ZERO;
-        let mut settled = 0;
         for &key in keys {
             if let Some(s) = self.get_mut(key) {
                 let span = now.saturating_since(s.maint_paid_until);
@@ -420,11 +340,9 @@ impl CacheState {
                         s.maint_forgiven += forgiven;
                     }
                     s.maint_paid_until = now;
-                    settled += 1;
                 }
             }
         }
-        self.settle_seq += settled;
         total
     }
 
@@ -449,14 +367,12 @@ impl CacheState {
     {
         let mut amortization = Money::ZERO;
         let mut maintenance = Money::ZERO;
-        let mut settled = 0;
         for &key in keys {
             if let Some(s) = self.get_mut(key) {
                 s.last_used = s.last_used.max(now);
                 let due = s.amortization_due();
                 s.pay_amortization(due);
                 amortization += due;
-                let mut changed = !due.is_zero();
                 let span = now.saturating_since(s.maint_paid_until);
                 if !span.is_zero() {
                     let charged_span = span.min(window);
@@ -467,12 +383,9 @@ impl CacheState {
                         s.maint_forgiven += forgiven;
                     }
                     s.maint_paid_until = now;
-                    changed = true;
                 }
-                settled += u64::from(changed);
             }
         }
-        self.settle_seq += settled;
         (amortization, maintenance)
     }
 
@@ -690,74 +603,6 @@ mod tests {
         // Forgiven backlog counts toward failure.
         let failed = st.failed_structures(t(100.0), 1.0, price);
         assert_eq!(failed, vec![col(1)], "write-offs exceed build cost");
-    }
-
-    #[test]
-    fn epoch_bumps_on_install_and_evict() {
-        let mut st = CacheState::new();
-        let e0 = st.epoch(t(0.0));
-        st.install(col(1), 10, t(0.0), d(0.0), Money::ZERO, 1);
-        let e1 = st.epoch(t(0.0));
-        assert!(e1 > e0, "install must bump the epoch");
-        st.evict(col(1), t(1.0));
-        assert!(st.epoch(t(1.0)) > e1, "evict must bump the epoch");
-    }
-
-    #[test]
-    fn epoch_bumps_when_inflight_build_becomes_available() {
-        let mut st = CacheState::new();
-        st.install(col(1), 10, t(0.0), d(50.0), Money::ZERO, 1);
-        let during = st.epoch(t(10.0));
-        assert_eq!(
-            st.epoch(t(49.9)),
-            during,
-            "no transition while still building"
-        );
-        assert_eq!(
-            st.epoch(t(50.0)),
-            during + 1,
-            "availability is a planning transition"
-        );
-        // Folding via advance must not change observed values.
-        st.advance(t(60.0));
-        assert_eq!(st.epoch(t(60.0)), during + 1);
-    }
-
-    #[test]
-    fn epoch_ignores_evicted_inflight_builds() {
-        let mut st = CacheState::new();
-        st.install(col(1), 10, t(0.0), d(100.0), Money::ZERO, 1);
-        let e = st.epoch(t(1.0));
-        st.evict(col(1), t(1.0)); // still building
-        let after_evict = st.epoch(t(1.0));
-        assert_eq!(after_evict, e + 1, "evict bumps once");
-        assert_eq!(
-            st.epoch(t(100.0)),
-            after_evict,
-            "the dead build's availability must not fire"
-        );
-    }
-
-    #[test]
-    fn epoch_is_monotone_over_a_mixed_sequence() {
-        let mut st = CacheState::new();
-        let mut last = st.epoch(t(0.0));
-        let mut check = |st: &CacheState, now: SimTime| {
-            let e = st.epoch(now);
-            assert!(e >= last, "epoch regressed: {e} < {last}");
-            last = e;
-        };
-        st.install(col(1), 10, t(0.0), d(5.0), Money::ZERO, 1);
-        check(&st, t(0.0));
-        st.install(col(2), 10, t(1.0), d(0.0), Money::ZERO, 1);
-        check(&st, t(1.0));
-        st.advance(t(3.0));
-        check(&st, t(3.0));
-        check(&st, t(5.0));
-        st.evict(col(2), t(6.0));
-        check(&st, t(6.0));
-        st.advance(t(10.0));
-        check(&st, t(10.0));
     }
 
     #[test]

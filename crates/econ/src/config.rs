@@ -45,11 +45,6 @@ pub struct EconConfig {
     /// inter-arrival gap (footnote 3 with a write-off: see
     /// `cache::CacheState::settle_maintenance`).
     pub maint_window_gaps: f64,
-    /// Hand a won bid's plan set to the serve that follows, so the serve
-    /// skips enumeration (see `crate::plancache`). Results are
-    /// bit-identical either way — the switch exists so tests and benches
-    /// can compare memoized runs against fresh planning.
-    pub plan_cache: bool,
 }
 
 impl Default for EconConfig {
@@ -75,7 +70,6 @@ impl Default for EconConfig {
             regret_pool_capacity: 512,
             regret_attribution: RegretAttribution::FullValue,
             maint_window_gaps: 3.0,
-            plan_cache: true,
         }
     }
 }

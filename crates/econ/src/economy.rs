@@ -32,7 +32,6 @@ use crate::account::CloudAccount;
 use crate::budget::{BudgetFunction, BudgetShape};
 use crate::config::EconConfig;
 use crate::outcome::{QueryOutcome, SelectionCase};
-use crate::plancache::{Handoff, PlanCacheStats};
 use crate::regret::RegretLedger;
 use crate::selection::{select_payment_hot, select_plan_hot};
 
@@ -45,15 +44,12 @@ pub struct EconomyManager {
     cache: CacheState,
     /// The regret ledger (interior mutability: the serving selection
     /// distributes regret straight from the plan rows it reads, while
-    /// the memo holding those rows is borrowed).
+    /// the scratch holding those rows is borrowed).
     regret: RefCell<RegretLedger>,
     queries_seen: u64,
     first_arrival: Option<SimTime>,
     last_arrival: SimTime,
-    /// The quote→serve handoff (interior mutability: a won bid's commit
-    /// writes it through `&self`, see [`crate::plancache`]).
-    handoff: RefCell<Handoff>,
-    /// Scratch rows that bids and unmemoized serves plan into.
+    /// Scratch rows every serve and per-node bid plans into.
     rows: RefCell<PlanRows>,
     /// Scratch for the skyline index partition.
     sky_scratch: RefCell<SkyScratch>,
@@ -74,6 +70,23 @@ pub struct EconomyManager {
 struct SkyScratch {
     order: Vec<usize>,
     sky: Vec<usize>,
+}
+
+/// Kept only because the repository benchmark names it; inert; removed
+/// by ROADMAP item 4(a). [`EconomyManager::plan_cache_stats`] returns it
+/// all zeros: there is no plan memo, and every serve plans fresh.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanCacheStats {
+    /// Always 0.
+    pub hits: u64,
+    /// Always 0.
+    pub misses: u64,
+    /// Always 0.
+    pub refreshes: u64,
+    /// Always 0.
+    pub completions: u64,
+    /// Always 0.
+    pub victim_hits: u64,
 }
 
 /// The outcome of planning one query: the case analysis plus the one
@@ -106,7 +119,6 @@ impl EconomyManager {
             queries_seen: 0,
             first_arrival: None,
             last_arrival: SimTime::ZERO,
-            handoff: RefCell::default(),
             rows: RefCell::new(PlanRows::new()),
             sky_scratch: RefCell::new(SkyScratch::default()),
             next_failure_check: f64::NEG_INFINITY,
@@ -129,10 +141,12 @@ impl EconomyManager {
         self.investment_frozen = false;
     }
 
-    /// Plan-cache hit/miss counters.
+    /// Kept only because the repository benchmark names it; inert;
+    /// removed by ROADMAP item 4(a). Always the default (all zeros):
+    /// every serve plans its query fresh.
     #[must_use]
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.handoff.borrow().stats()
+        PlanCacheStats::default()
     }
 
     /// The cloud account (`CR` lives here).
@@ -284,13 +298,9 @@ impl EconomyManager {
 
     /// Processes one query at its arrival instant.
     ///
-    /// Planning takes the plan memo's handoff slot: the query runs from
-    /// the plan set its quote's commit left there ([`Self::commit_quote`]
-    /// or [`QuoteBatch::commit`]), re-planned if the serve's own failure
-    /// scan moved the cache epoch, and otherwise from a fresh enumeration
-    /// that is dropped once it has served. The slot is empty afterwards
-    /// (see [`crate::plancache`]). The outcome is bit-identical either
-    /// way.
+    /// The query is planned by fused enumeration into the manager's
+    /// scratch rows after the failure scan, whatever bids came before:
+    /// nothing planned for a quote is reused.
     ///
     /// # Panics
     /// Panics if `now` precedes a previous arrival (the simulator feeds
@@ -341,9 +351,9 @@ impl EconomyManager {
             Vec::new()
         };
 
-        // (2)+(3)+(4a)+(5) Enumerate (or reuse the memoized plan set),
-        // skyline, form the user budget, run the case analysis and
-        // distribute the rejected-plan regret (eqs. 1–2).
+        // (2)+(3)+(4a)+(5) Enumerate, skyline, form the user budget, run
+        // the case analysis and distribute the rejected-plan regret
+        // (eqs. 1–2).
         let planned = self.plan_query(ctx, query, now);
         debug_assert!(planned.chosen.is_existing(), "only existing plans execute");
 
@@ -390,12 +400,10 @@ impl EconomyManager {
         }
     }
 
-    /// Steps (2)–(5) of the control loop: obtain the costed plan rows
-    /// (the handoff when a won bid's commit left one for this query's
-    /// fingerprint — see [`crate::plancache`]), reduce them to
-    /// the two-tier skyline, form the user's budget, run the case
-    /// analysis and distribute the regret of the rejected possible
-    /// plans.
+    /// Steps (2)–(5) of the control loop: enumerate the costed plan rows
+    /// fused into the manager's scratch, reduce them to the two-tier
+    /// skyline, form the user's budget, run the case analysis and
+    /// distribute the regret of the rejected possible plans.
     ///
     /// Existing plans are skylined among themselves (they are the
     /// executable menu — a *possible* plan may dominate them on paper but
@@ -403,20 +411,8 @@ impl EconomyManager {
     /// the full set to be worth regretting. The budget is the configured
     /// shape at `budget_scale × backend price` with deadline
     /// `patience × backend time`.
-    ///
-    /// A current handoff serves straight from its rows, re-priced first
-    /// if its prices moved. Otherwise the query is enumerated fused into
-    /// the manager's scratch rows and served from them.
     fn plan_query(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Planned {
         let opts = self.config.enumeration(self.arrival_rate());
-        if self.config.plan_cache {
-            let mut handoff = self.handoff.borrow_mut();
-            if let Some(rows) = handoff.take(query, &self.cache, now, opts, |s, span| {
-                ctx.estimator.maintenance(s, span)
-            }) {
-                return self.serve_from(query, rows, opts);
-            }
-        }
         let mut rows = self.rows.borrow_mut();
         enumerate_plans_into(ctx, query, &self.cache, now, opts, &mut rows);
         self.serve_from(query, &rows, opts)
@@ -579,35 +575,14 @@ impl EconomyManager {
     /// ways: serving the query first evicts structures whose maintenance
     /// failed, and it updates the observed arrival statistics that the
     /// enumeration options (amortisation horizon, maintenance window)
-    /// derive from. Routers treat quotes as bids, not contracts.
-    ///
-    /// A bid neither reads nor writes the plan memo and moves none of its
-    /// counters: most bidders lose the round. The winner calls
-    /// [`Self::commit_quote`], which hands its plan set to the serve.
+    /// derive from. Routers treat quotes as bids, not contracts. The
+    /// winner's serve plans the query afresh.
     #[must_use]
     pub fn quote_query(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Money {
         let opts = self.config.enumeration(self.arrival_rate());
         let mut rows = self.rows.borrow_mut();
         enumerate_plans_into(ctx, query, &self.cache, now, opts, &mut rows);
         self.select_payment_from(query, &rows)
-    }
-
-    /// Hands the plan set behind this manager's [`Self::quote_query`] bid
-    /// for `query` at `now` to the serve that follows: plans it by fused
-    /// enumeration into the memo's handoff slot, replacing any earlier
-    /// handoff. A no-op when memoization is off. The fleet router calls
-    /// it on each round's winner; it must follow the bid with no state
-    /// change in between.
-    pub fn commit_quote(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) {
-        if !self.config.plan_cache {
-            return;
-        }
-        let opts = self.config.enumeration(self.arrival_rate());
-        let mut handoff = self.handoff.borrow_mut();
-        let (fingerprint, rows) =
-            handoff.write(self.cache.epoch(now), self.cache.settle_seq(), opts, now);
-        planner::planning_fingerprint(query, fingerprint);
-        enumerate_plans_into(ctx, query, &self.cache, now, opts, rows);
     }
 
     /// Builds every structure the investment rule triggers, most regretted
@@ -697,41 +672,23 @@ struct BatchMember {
 /// A round makes every routable economic node a member, runs *one*
 /// [`BatchCompleter::gather`] pass over the members' caches, and bids
 /// each of them from the hot rows [`BatchCompleter::emit_hot`] writes
-/// straight from the gathered lanes. No member's full plan set is built
-/// during the round: only the cheapest bid is served, so the router
-/// calls [`Self::commit`] on the winner alone, which emits that one set
-/// from the same lanes into the winner's handoff slot (see
-/// [`crate::plancache`]). Bids and memo state match the per-node path —
-/// [`EconomyManager::quote_query`] on every node, then
-/// [`EconomyManager::commit_quote`] on the same winner — bit for bit;
+/// straight from the gathered lanes. No member's plan set is built: the
+/// winner's serve plans the query itself. Bids match the per-node path
+/// ([`EconomyManager::quote_query`] on every node) bit for bit;
 /// `tests/batch_completion.rs` pins it.
 ///
-/// The bulk scratch (completer lanes, member list, bid vector, hot rows,
-/// the round's planning fingerprint) is retained across rounds, so quote
-/// rounds are allocation-free after warmup.
+/// The bulk scratch (completer lanes, member list, bid vector, hot rows)
+/// is retained across rounds; a round allocates only its query's
+/// skeleton.
 #[derive(Debug, Default)]
 pub struct QuoteBatch {
     completer: BatchCompleter,
     members: Vec<BatchMember>,
     bids: Vec<Money>,
-    /// Planning fingerprint of the last round's query, which the
-    /// winner's commit stamps on its handoff.
-    fingerprint: Vec<u64>,
     /// Hot rows the members' bids are computed over.
     hot: PlanHot,
     /// Skyline scratch of the members' bids.
     scratch: SkyScratch,
-    /// What the winner's commit needs of the last round; `None` when it
-    /// had no member.
-    gathered: Option<Gathered>,
-}
-
-/// The part of a batched round the winner's commit reads besides the
-/// completer's lanes and the fingerprint.
-#[derive(Debug)]
-struct Gathered {
-    skeleton: PlanSkeleton,
-    now: SimTime,
 }
 
 impl QuoteBatch {
@@ -751,8 +708,7 @@ impl QuoteBatch {
     /// query's [`PlanSkeleton`] once, and only if some node returns a
     /// manager.
     ///
-    /// Returns the bids, indexed by node. No member's memo is read or
-    /// written; see [`Self::commit`].
+    /// Returns the bids, indexed by node. No manager's state changes.
     ///
     /// # Panics
     /// Panics if a member's manager disappears between phases (the
@@ -773,7 +729,6 @@ impl QuoteBatch {
         self.bids.clear();
         self.bids.resize(count, Money::ZERO);
         self.members.clear();
-        self.gathered = None;
         for i in 0..count {
             match manager_of(i) {
                 None => self.bids[i] = fallback(i),
@@ -810,43 +765,8 @@ impl QuoteBatch {
                 self.bids[member.node] =
                     member_manager(j).payment_from_hot(query, &self.hot, &mut self.scratch);
             }
-            planner::planning_fingerprint(query, &mut self.fingerprint);
-            self.gathered = Some(Gathered {
-                skeleton: skel,
-                now,
-            });
         }
         &self.bids
-    }
-
-    /// Hands node `node`'s full plan set, emitted from the last round's
-    /// gathered lanes, to its serve: writes it into the manager's handoff
-    /// slot, replacing any earlier handoff. The router calls it for the
-    /// round's winner. A fallback node or a memo-off manager has nothing
-    /// to commit.
-    ///
-    /// `manager` must be the manager `manager_of(node)` returned in the
-    /// last [`Self::quote_round`], with no state change since.
-    pub fn commit(&self, node: usize, manager: &EconomyManager) {
-        if !manager.config.plan_cache {
-            return;
-        }
-        let Some(j) = self.members.iter().position(|m| m.node == node) else {
-            return;
-        };
-        let round = self
-            .gathered
-            .as_ref()
-            .expect("a round with members keeps its gathered state");
-        let mut handoff = manager.handoff.borrow_mut();
-        let (fingerprint, rows) = handoff.write(
-            manager.cache.epoch(round.now),
-            manager.cache.settle_seq(),
-            self.members[j].opts,
-            round.now,
-        );
-        fingerprint.clone_from(&self.fingerprint);
-        self.completer.emit_into(&round.skeleton, j, rows);
     }
 }
 

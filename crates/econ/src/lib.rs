@@ -27,11 +27,8 @@
 //! * [`economy`] — [`economy::EconomyManager`], the per-query control loop
 //!   gluing all of the above to the planner and the cache, plus
 //!   [`economy::QuoteBatch`], the batched structure-major quote round a
-//!   fleet's routers fan out over competing managers.
-//! * [`plancache`] — the plan memo, a one-slot quote→serve handoff per
-//!   manager: a winning bid's commit writes its plan set into the slot
-//!   and the serve that follows takes it, bit-identical to fresh
-//!   enumeration. Bids never touch it, and a serve stores nothing.
+//!   fleet's routers fan out over competing managers. Every serve plans
+//!   its query by fused enumeration; nothing a bid planned is reused.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -44,7 +41,6 @@ pub mod economy;
 pub mod invest;
 pub mod maintenance;
 pub mod outcome;
-pub mod plancache;
 pub mod regret;
 pub mod selection;
 
@@ -52,9 +48,8 @@ pub use account::CloudAccount;
 pub use amortize::AmortizationPolicy;
 pub use budget::{BudgetFunction, BudgetShape};
 pub use config::EconConfig;
-pub use economy::{EconomyManager, QuoteBatch};
+pub use economy::{EconomyManager, PlanCacheStats, QuoteBatch};
 pub use invest::InvestmentRule;
 pub use outcome::{QueryOutcome, SelectionCase};
-pub use plancache::PlanCacheStats;
 pub use regret::{RegretAttribution, RegretLedger};
 pub use selection::{select_plan, select_plan_hot, SelectionObjective};

@@ -27,7 +27,6 @@ use std::sync::Arc;
 
 use catalog::tpch::{tpch_schema, ScaleFactor};
 use catalog::Schema;
-use econ::PlanCacheStats;
 use planner::{generate_candidates, Estimator, PlannerContext};
 use simcore::{NetworkModel, SimTime};
 use simulator::RunResult;
@@ -36,9 +35,8 @@ use workload::paper_templates;
 use pricing::Money;
 use telemetry::{
     HealthSeries, LifecyclePhase, MetricsRegistry, NodeCrashEvent, NodeEvacuateEvent,
-    NodeLifecycleEvent, NodeRecoverEvent, NoopSink, PlanCacheDelta, QueryRetryEvent,
-    QuoteRoundEvent, Recorder, SettlementEvent, SloLedger, TenantSloRecord, TraceEvent, TraceSink,
-    VitalsFrame,
+    NodeLifecycleEvent, NodeRecoverEvent, NoopSink, QueryRetryEvent, QuoteRoundEvent, Recorder,
+    SettlementEvent, SloLedger, TenantSloRecord, TraceEvent, TraceSink, VitalsFrame,
 };
 
 use crate::config::FleetConfig;
@@ -595,12 +593,6 @@ impl FleetSim {
                     routable,
                 }));
             }
-            // Bids and commits move no plan-cache counter, so the serving
-            // node's own counters around its serve are the whole step's
-            // memoization activity.
-            let before_serve = registry
-                .as_ref()
-                .and_then(|_| population.live()[chosen].plan_cache_stats());
             // Retried queries serve with their decayed budget and fold
             // the accumulated backoff into the delivered latency exactly
             // once — the response histogram records a single end-to-end
@@ -620,9 +612,7 @@ impl FleetSim {
                 inj.note_served(population.live()[chosen].id(), now, eff_query);
             }
             if let Some(registry) = registry.as_mut() {
-                let serve_delta =
-                    plan_cache_delta(before_serve, population.live()[chosen].plan_cache_stats());
-                record_settlement(registry, &outcome, serve_delta);
+                record_settlement(registry, &outcome);
                 sink.emit(TraceEvent::Settlement(SettlementEvent {
                     cell,
                     at_secs: now.as_secs(),
@@ -643,7 +633,6 @@ impl FleetSim {
                         .collect(),
                     investments: outcome.investments,
                     evictions: outcome.evictions,
-                    plan_cache: serve_delta,
                 }));
             }
 
@@ -703,7 +692,6 @@ fn capture_vitals(
 ) -> VitalsFrame {
     let t = SimTime::from_secs(at_secs);
     let live = population.live();
-    let plan = plan_cache_totals(live);
     let mut backlog_secs = 0.0;
     let mut node_cash = Money::ZERO;
     let mut routable_nodes = 0u64;
@@ -731,38 +719,9 @@ fn capture_vitals(
         live_nodes: live.len() as u64,
         routable_nodes,
         draining_nodes,
-        plan_hits: plan.0,
-        plan_misses: plan.1,
         spawns: controller.map_or(0, ElasticController::spawns_so_far),
         retires: controller.map_or(0, ElasticController::retires_so_far),
         write_off: injector.map_or(Money::ZERO, FaultInjector::write_off_so_far),
-    }
-}
-
-/// Fleet-wide plan-cache (hits, misses) over the live population.
-fn plan_cache_totals(nodes: &[CacheNode]) -> (u64, u64) {
-    let mut totals = (0u64, 0u64);
-    for stats in nodes.iter().filter_map(CacheNode::plan_cache_stats) {
-        totals.0 += stats.hits;
-        totals.1 += stats.misses;
-    }
-    totals
-}
-
-/// A serving node's plan-cache activity: the delta of its counters
-/// around the serve (`None` for a non-economic node).
-fn plan_cache_delta(
-    before: Option<PlanCacheStats>,
-    after: Option<PlanCacheStats>,
-) -> PlanCacheDelta {
-    match (before, after) {
-        (Some(before), Some(after)) => PlanCacheDelta {
-            hits: after.hits - before.hits,
-            misses: after.misses - before.misses,
-            refreshes: after.refreshes - before.refreshes,
-            completions: after.completions - before.completions,
-        },
-        _ => PlanCacheDelta::default(),
     }
 }
 
@@ -881,15 +840,8 @@ fn emit_fault(sink: &mut dyn TraceSink, registry: &mut MetricsRegistry, record: 
     }
 }
 
-/// Books one settled query into the cell registry. `serve_delta` is the
-/// serving node's plan-cache activity, so the registry's `plan_cache.*`
-/// counters cover activity on nodes that later retire — unlike an
-/// end-of-run sum over surviving nodes.
-fn record_settlement(
-    registry: &mut MetricsRegistry,
-    outcome: &policies::PolicyOutcome,
-    serve_delta: PlanCacheDelta,
-) {
+/// Books one settled query into the cell registry.
+fn record_settlement(registry: &mut MetricsRegistry, outcome: &policies::PolicyOutcome) {
     registry.counter_add("fleet.queries", 1);
     registry.counter_add("fleet.cache_hits", u64::from(outcome.ran_in_cache));
     registry.counter_add("fleet.investments", u64::from(outcome.investments));
@@ -901,10 +853,6 @@ fn record_settlement(
     registry.gauge_add("fleet.exec.disk", outcome.exec_breakdown.disk);
     registry.gauge_add("fleet.exec.network", outcome.exec_breakdown.network);
     registry.gauge_add("fleet.exec.io", outcome.exec_breakdown.io);
-    registry.counter_add("plan_cache.hits", serve_delta.hits);
-    registry.counter_add("plan_cache.misses", serve_delta.misses);
-    registry.counter_add("plan_cache.refreshes", serve_delta.refreshes);
-    registry.counter_add("plan_cache.completions", serve_delta.completions);
     registry.observe("fleet.response_secs", outcome.response_time.as_secs());
 }
 

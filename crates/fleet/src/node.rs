@@ -258,17 +258,6 @@ impl CacheNode {
         self.acc.book_build(cost);
     }
 
-    /// This node's plan-cache counters, when it runs an economic scheme.
-    /// Only serves move them, so the flight recorder diffs the serving
-    /// node's counters around each serve to attribute memoization
-    /// activity per query.
-    #[must_use]
-    pub fn plan_cache_stats(&self) -> Option<econ::PlanCacheStats> {
-        self.policy
-            .economy()
-            .map(econ::EconomyManager::plan_cache_stats)
-    }
-
     /// Cache disk this node currently occupies (bytes).
     #[must_use]
     pub fn disk_used(&self) -> u64 {

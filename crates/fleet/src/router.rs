@@ -29,13 +29,8 @@
 //! than the per-node one (PAPER.md, "Structure-major batching"), which
 //! is why it is the default.
 //!
-//! Quoting neither reads nor writes a node's plan memo. Only the winner
-//! serves the query, so [`Router::route`] commits the winner's plan set
-//! to its memo's handoff slot after the scan
-//! ([`econ::QuoteBatch::commit`], or
-//! [`econ::EconomyManager::commit_quote`] on the per-node path), and the
-//! serve that follows takes it. Losers write nothing. Both paths leave
-//! the same memo state.
+//! Quoting changes no node's state. Only the winner serves the query,
+//! and its serve plans the query afresh; nothing a bid planned is kept.
 //!
 //! **Budget-decided rounds.** Before quoting, the round asks every
 //! routable node whether its budget alone fixes its bid
@@ -46,12 +41,11 @@
 //! plan set. The check reads only the query's cache-independent
 //! [`ExecRows`], built at most once per round. When every routable node
 //! is economic and decided, the round picks the first minimal bid with
-//! no skeleton, completion or commit, and the winner's serve plans its
-//! own query. Otherwise the round above runs unchanged for every node:
-//! a fleet's nodes share one `EconConfig`, so in practice a round is
-//! decided for all of its economic nodes or for none, and only a
-//! non-economic node (or nodes built with differing budgets) makes it
-//! otherwise. One exception keeps the check honest:
+//! no skeleton or completion. Otherwise the round above runs unchanged
+//! for every node: a fleet's nodes share one `EconConfig`, so in
+//! practice a round is decided for all of its economic nodes or for
+//! none, and only a non-economic node (or nodes built with differing
+//! budgets) makes it otherwise. One exception keeps the check honest:
 //! if an execution row past the deadline costs nothing (zero CPU and
 //! I/O rates make every cache row free), a free cached plan there is
 //! affordable at a budget of zero and can undercut `B_Q`, so the round
@@ -120,8 +114,8 @@ pub trait Router {
 /// Cumulative quote-round counts of a pricing router.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QuoteRounds {
-    /// Rounds every routable node's budget decided: no skeleton, no
-    /// completion, no commit.
+    /// Rounds every routable node's budget decided: no skeleton and no
+    /// completion.
     pub decided: u64,
     /// Rounds that quoted through planning.
     pub full: u64,
@@ -231,8 +225,7 @@ impl Default for QuoteOptions {
 /// lowest-indexed minimum bidder. A batched round prices every routable
 /// economic node in one structure-major completion sweep
 /// ([`QuoteBatch`]); the per-node path quotes each node by fused
-/// enumeration. The winner alone then hands its plan set to the serve
-/// that follows. A round whose every bid the budgets decide skips all of
+/// enumeration. A round whose every bid the budgets decide skips all of
 /// this (see the module doc).
 #[derive(Debug)]
 pub struct CheapestQuote {
@@ -283,29 +276,6 @@ impl CheapestQuote {
             }
         }
         best
-    }
-
-    /// Hands the round winner's plan set to its memo — the one bid whose
-    /// set is read again, by the winner's serve. Losers' sets are never
-    /// memoized. The batched path emits the set from the round's
-    /// gathered lanes; the per-node path re-plans it by fused
-    /// enumeration. Both leave the same memo state.
-    fn commit_winner(
-        &self,
-        winner: usize,
-        nodes: &[CacheNode],
-        ctx: &PlannerContext<'_>,
-        query: &Query,
-        now: SimTime,
-    ) {
-        let Some(manager) = nodes[winner].economy() else {
-            return;
-        };
-        if self.batching {
-            self.batch.commit(winner, manager);
-        } else {
-            manager.commit_quote(ctx, query, now);
-        }
     }
 
     /// The round's winner and bid when every routable node's budget
@@ -377,7 +347,6 @@ impl Router for CheapestQuote {
         let (winner, bid) =
             best.expect("no routable node (the control plane must keep at least one active)");
         self.last_quote = Some(bid);
-        self.commit_winner(winner, nodes, ctx, query, now);
         winner
     }
 
@@ -555,10 +524,6 @@ mod tests {
                 full: 0
             }
         );
-        for node in &nodes[2..] {
-            let stats = node.plan_cache_stats().expect("economic node");
-            assert_eq!(stats.hits + stats.misses, 0, "losers looked nothing up");
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Batched, structure-major plan completion.
+//! Batched, structure-major bid rows.
 //!
 //! [`crate::enumerate_plans_into`] plans against one node's cache state
 //! at a time: a fleet quote round with N bidding nodes would plan the
@@ -6,27 +6,22 @@
 //! loop — **structure-major** instead of node-major:
 //! a [`BatchCompleter`] takes one [`PlanSkeleton`] plus a slice of
 //! per-node [`CacheView`]s and, per structure list, probes *every* node's
-//! epoch/presence state in one dense sweep ([`BatchCompleter::gather`]),
-//! accumulating each node's build/amortisation/maintenance aggregates
-//! side by side. Emission ([`BatchCompleter::emit_into`]) then
-//! vector-sweeps the skeleton's SoA execution cells per node, writing the
-//! gathered aggregates into [`PlanRows`] without touching any cache
-//! again.
-//!
-//! The contract is exact: for every node `i`, `gather` + `emit_into(i)`
-//! fills the buffer **bit-identically** to
-//! `enumerate_plans_into(ctx, query, views[i].cache, now, views[i].opts, …)`
-//! for the query the skeleton was built from — same plans, same order,
-//! same prices, same missing-build quotes.
-//! `tests/batch_completion.rs` pins the property over random cache
-//! histories × node counts.
+//! presence state in one dense sweep ([`BatchCompleter::gather`]),
+//! accumulating each node's amortisation/maintenance aggregates side by
+//! side.
 //!
 //! A quote round needs far less than a plan set: its skyline and case
 //! analysis read only each plan's `(time, price, existing)` row.
 //! [`BatchCompleter::emit_hot`] writes exactly those rows from the
-//! gathered lanes, equal to the hot rows of `emit_into`'s plan set.
-//! The fleet's batched quote rounds (`econ::QuoteBatch`) bid from the
-//! rows and call `emit_into` for the round's winner alone.
+//! gathered lanes, without touching any cache again. The contract is
+//! exact: for every node `i`, `gather` + `emit_hot(i)` writes the rows
+//! **bit-identically** to the hot rows of
+//! `enumerate_plans_into(ctx, query, views[i].cache, now, views[i].opts, …)`
+//! for the query the skeleton was built from — same order, same time,
+//! price and existing bits. `tests/batch_completion.rs` pins the
+//! property over random cache histories × node counts. The fleet's
+//! batched quote rounds (`econ::QuoteBatch`) bid from these rows; the
+//! winner's serve plans its query by fused enumeration.
 //!
 //! # Lane layout
 //!
@@ -39,8 +34,8 @@
 //!    each node's cache answers one probe per distinct structure instead
 //!    of one per `(variant, position)`. The table is a pure function of
 //!    the skeleton, precomputed in [`PlanSkeleton::build`]
-//!    ([`crate::skeleton::ProbeTable`]) — skeletons are memoized, so the
-//!    round pays nothing to deduplicate. The sweep runs node-major (one
+//!    ([`crate::skeleton::ProbeTable`]), so the gather itself does not
+//!    deduplicate. The sweep runs node-major (one
 //!    view bind per node, that node's cache stays hot) and each probe
 //!    fills four lanes: `present`, `usable` (present *and* available),
 //!    and zero-masked `amort`/`maint` (the structure's amortisation due
@@ -51,7 +46,7 @@
 //!    hold zeros, `exist_amort += amort_lane` / `maintenance +=
 //!    maint_lane` need no per-node branch, and the fixed-width inner
 //!    loops over the contiguous node stripes autovectorize. Only the
-//!    (rare) missing side — build costs, quote-table pushes — runs
+//!    (rare) missing side — first installments of build quotes — runs
 //!    masked, gated per node on the `usable` lane.
 //!
 //! The dedup is what lets a missing index's key-fetch coverage drop its
@@ -62,17 +57,15 @@
 //! alongside the index (covered). `covered = in_variant ∨ present`
 //! replaces the fused enumerator's missing-column set exactly.
 //!
-//! The gather/emit split (rather than one monolithic call) exists so the
-//! economy can interleave its per-manager `RefCell` borrows: gather needs
-//! only shared cache references, while each emission borrows that one
-//! node's [`PlanRows`].
+//! The gather/emit split (rather than one monolithic call) lets the
+//! economy bid each member as soon as its rows are written, reusing one
+//! row buffer for the whole round.
 
 use cache::{CacheState, CachedStructure, StructureKey};
 use pricing::Money;
 use simcore::{SimDuration, SimTime};
 
 use crate::enumerate::EnumerationOptions;
-use crate::rows::{DataTerms, PlanRows};
 use crate::skeleton::{BuildShape, PlanSkeleton};
 use crate::soa::PlanHot;
 
@@ -107,12 +100,6 @@ pub struct BatchCompleter {
     /// Per `(variant × n + node)`: false when the node's options exclude
     /// the variant (index plans forbidden).
     active: Vec<bool>,
-    /// Per `(variant × n + node)`: summed build cost of missing data
-    /// structures.
-    build_cost: Vec<Money>,
-    /// Per `(variant × n + node)`: max build time of missing data
-    /// structures.
-    build_time: Vec<SimDuration>,
     /// Per `(variant × n + node)`: first installments of missing data
     /// structures under the node's horizon.
     missing_amort: Vec<Money>,
@@ -122,10 +109,9 @@ pub struct BatchCompleter {
     /// Per `(variant × n + node)`: maintenance quotes of existing data
     /// structures.
     maintenance: Vec<Money>,
-    /// Per `(variant × n + node)`: the node's missing structures as
-    /// `(position into the variant's uses, build quote)` — ascending
-    /// position, exactly the order fused enumeration walks.
-    missing: Vec<Vec<(u32, Money)>>,
+    /// Per `(variant × n + node)`: some data structure of the variant
+    /// is missing from the node's cache (its rows are possible plans).
+    data_missing: Vec<bool>,
     /// Per `(probe-table entry × n + node)`: the cache holds the
     /// structure in any state (builds in flight included) — the
     /// `contains` the key-fetch coverage rule reads.
@@ -151,8 +137,8 @@ impl BatchCompleter {
 
     /// Phase 1 — the structure-major sweep. Probes each structure of each
     /// skeleton variant against every node's cache in one pass,
-    /// accumulating the per-node aggregates that
-    /// [`Self::emit_into`] copies into plans.
+    /// accumulating the per-node aggregates that [`Self::emit_hot`]
+    /// prices rows from.
     ///
     /// `view(i)` must return node `i`'s cache view and be stable for the
     /// round; `price` quotes a structure's maintenance over a span (the
@@ -205,19 +191,14 @@ impl BatchCompleter {
         let slots = skel.variants.len() * count;
         self.active.clear();
         self.active.resize(slots, false);
-        self.build_cost.clear();
-        self.build_cost.resize(slots, Money::ZERO);
-        self.build_time.clear();
-        self.build_time.resize(slots, SimDuration::ZERO);
         self.missing_amort.clear();
         self.missing_amort.resize(slots, Money::ZERO);
         self.exist_amort.clear();
         self.exist_amort.resize(slots, Money::ZERO);
         self.maintenance.clear();
         self.maintenance.resize(slots, Money::ZERO);
-        if self.missing.len() < slots {
-            self.missing.resize_with(slots, Vec::new);
-        }
+        self.data_missing.clear();
+        self.data_missing.resize(slots, false);
 
         // Probe sweep: one cache probe per (distinct structure, node)
         // over the skeleton's precomputed probe table, filling the
@@ -258,7 +239,6 @@ impl BatchCompleter {
             let base = vi * count;
             for i in 0..count {
                 self.active[base + i] = !variant.uses_indexes || self.opts[i].allow_indexes;
-                self.missing[base + i].clear();
             }
 
             // Existing-structure accumulation, branch-free: unusable
@@ -279,136 +259,51 @@ impl BatchCompleter {
                 }
             }
 
-            // Missing side, masked per node on the usable lane: build
-            // cost and max build time accumulate, the first installment
-            // under the node's horizon accrues, and the `(position,
-            // quote)` pair joins the slot's quote table — in ascending
-            // position, the exact order fused enumeration walks.
+            // Missing side, masked per node on the usable lane: the
+            // build quote's first installment under the node's horizon
+            // accrues and the slot is marked as missing data.
             for (pos, &u) in probe.uses_probe(vi).iter().enumerate() {
                 let lane = u as usize * count;
                 if self.lane_usable[lane..lane + count].iter().all(|&ok| ok) {
                     continue;
                 }
-                match &variant.builds[pos] {
-                    BuildShape::Column { cost, time } => {
-                        for i in 0..count {
-                            let slot = base + i;
-                            if self.lane_usable[lane + i] || !self.active[slot] {
-                                continue;
-                            }
-                            self.build_cost[slot] += *cost;
-                            if *time > self.build_time[slot] {
-                                self.build_time[slot] = *time;
-                            }
-                            self.missing_amort[slot] += cost.amortize_over(self.opts[i].amortize_n);
-                            self.missing[slot].push((pos as u32, *cost));
-                        }
+                // A key column is covered iff the cache holds it (any
+                // state) or the variant itself uses it: a variant-used
+                // column is either present or goes missing and is built
+                // alongside the index. Both the probe index and the
+                // node-independent `in_variant` half are precomputed in
+                // the skeleton's probe table.
+                let resolved = probe.key_probe(vi, pos);
+                for i in 0..count {
+                    let slot = base + i;
+                    if self.lane_usable[lane + i] || !self.active[slot] {
+                        continue;
                     }
-                    BuildShape::Index {
-                        sort_cost,
-                        sort_time,
-                        keys,
-                    } => {
-                        // A key column is covered iff the cache holds it
-                        // (any state) or the variant itself uses it: a
-                        // variant-used column is either present or goes
-                        // missing and is built alongside the index. Both
-                        // the probe index and the node-independent
-                        // `in_variant` half are precomputed in the
-                        // skeleton's probe table.
-                        let resolved = probe.key_probe(vi, pos);
-                        for i in 0..count {
-                            let slot = base + i;
-                            if self.lane_usable[lane + i] || !self.active[slot] {
-                                continue;
-                            }
+                    let cost = match &variant.builds[pos] {
+                        BuildShape::Column { cost } => *cost,
+                        BuildShape::Index { sort_cost, keys } => {
                             let mut cost = *sort_cost;
-                            let mut fetch_time = SimDuration::ZERO;
                             for (kf, &(in_variant, ku)) in keys.iter().zip(resolved) {
-                                let covered =
-                                    in_variant || self.lane_present[ku as usize * count + i];
-                                if !covered {
+                                if !in_variant && !self.lane_present[ku as usize * count + i] {
                                     cost += kf.cost;
-                                    if kf.time > fetch_time {
-                                        fetch_time = kf.time;
-                                    }
                                 }
                             }
-                            let time = fetch_time + *sort_time;
-                            self.build_cost[slot] += cost;
-                            if time > self.build_time[slot] {
-                                self.build_time[slot] = time;
-                            }
-                            self.missing_amort[slot] += cost.amortize_over(self.opts[i].amortize_n);
-                            self.missing[slot].push((pos as u32, cost));
+                            cost
                         }
-                    }
+                    };
+                    self.missing_amort[slot] += cost.amortize_over(self.opts[i].amortize_n);
+                    self.data_missing[slot] = true;
                 }
             }
         }
     }
 
-    /// Phase 2 — writes node `node`'s completed plan set into `rows`,
-    /// bit-identical to [`crate::enumerate_plans_into`] run against that
-    /// node's view: same plans, same order, same prices, and the same
-    /// missing-build quotes.
-    ///
-    /// # Panics
-    /// Panics if `node` is outside the gathered round.
-    pub fn emit_into(&self, skel: &PlanSkeleton, node: usize, rows: &mut PlanRows) {
-        assert!(
-            node < self.n,
-            "node {node} outside gathered round {}",
-            self.n
-        );
-        let opts = self.opts[node];
-        rows.begin(
-            (skel.backend_time, skel.backend_cost, skel.backend_breakdown),
-            (skel.node_build_cost, skel.node_build_time),
-            opts.amortize_n,
-        );
-        if opts.allow_extra_nodes {
-            for ordinal in 0..skel.max_extra_nodes() as usize {
-                rows.push_node(self.node_ord[ordinal * self.n + node]);
-            }
-        }
-
-        for (vi, variant) in skel.variants.iter().enumerate() {
-            let slot = vi * self.n + node;
-            if !self.active[slot] {
-                continue;
-            }
-            let tag = rows.open_variant();
-            let lists = rows.lists(tag);
-            lists.indexes.extend_from_slice(&variant.indexes);
-            lists.uses.extend_from_slice(&variant.uses);
-            for &(pos, cost) in &self.missing[slot] {
-                lists.missing.push(variant.uses[pos as usize]);
-                lists.missing_builds.push(cost);
-            }
-            let terms = DataTerms {
-                build_cost: self.build_cost[slot],
-                build_time: self.build_time[slot],
-                amortized: self.exist_amort[slot] + self.missing_amort[slot],
-                maintenance: self.maintenance[slot],
-            };
-            for cell in 0..variant.cells.len() {
-                if variant.cells.nodes[cell] > 1 && !opts.allow_extra_nodes {
-                    continue;
-                }
-                rows.push_cache_row(tag, &variant.cells, cell, terms);
-            }
-        }
-    }
-
-    /// Phase 2, bid rows only — writes node `node`'s `(time, price,
-    /// existing)` rows straight into `hot`, bit-identical to the hot rows
-    /// of the plan set [`Self::emit_into`] writes:
-    /// same row order, and each price summed from the same exact-`Money`
-    /// terms in the same order. No plan shell, `uses`/`missing` list,
-    /// shape or quote table is built — a quote round needs only these
-    /// three columns for its skyline and case analysis, and only the
-    /// round's winner ever needs the full set.
+    /// Phase 2 — writes node `node`'s `(time, price, existing)` rows
+    /// straight into `hot`, bit-identical to the hot rows of
+    /// [`crate::enumerate_plans_into`] run against that node's view: same
+    /// row order, and each price the same exact-`Money` sum. No plan
+    /// shell, `uses`/`missing` list or shape is built — a quote round
+    /// needs only these three columns for its skyline and case analysis.
     ///
     /// # Panics
     /// Panics if `node` is outside the gathered round.
@@ -429,7 +324,7 @@ impl BatchCompleter {
             if !self.active[slot] {
                 continue;
             }
-            let data_existing = self.missing[slot].is_empty();
+            let data_existing = !self.data_missing[slot];
             let base_amortized = self.exist_amort[slot] + self.missing_amort[slot];
             for cell in 0..variant.cells.len() {
                 let k = variant.cells.nodes[cell];
@@ -460,36 +355,13 @@ impl BatchCompleter {
     }
 }
 
-/// Completes one skeleton against N nodes' cache views in a single
-/// structure-major pass, leaving node `i`'s plan set in `rows[i]` exactly
-/// as [`crate::enumerate_plans_into`] would.
-///
-/// # Panics
-/// Panics if `views` and `rows` differ in length or any view's
-/// `opts.amortize_n` is zero.
-pub fn complete_plans_batch<P>(
-    completer: &mut BatchCompleter,
-    skel: &PlanSkeleton,
-    views: &[CacheView<'_>],
-    now: SimTime,
-    price: P,
-    rows: &mut [&mut PlanRows],
-) where
-    P: Fn(&CachedStructure, SimDuration) -> Money,
-{
-    assert_eq!(views.len(), rows.len(), "one row set per view");
-    completer.gather(skel, views.len(), |i| views[i], now, &price);
-    for (i, out) in rows.iter_mut().enumerate() {
-        completer.emit_into(skel, i, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::candidates::{generate_candidates, CandidateIndex};
     use crate::enumerate::enumerate_plans_into;
     use crate::estimator::{CostParams, Estimator};
+    use crate::rows::PlanRows;
     use crate::PlannerContext;
     use cache::IndexDef;
     use catalog::tpch::{tpch_schema, ScaleFactor};
@@ -540,10 +412,17 @@ mod tests {
         }
     }
 
-    fn missing_builds(rows: &PlanRows) -> Vec<Vec<Money>> {
-        (0..rows.len())
-            .map(|i| rows.missing_builds(i).collect())
-            .collect()
+    /// The hot rows of fused enumeration against `view`, projected from
+    /// its materialized plans.
+    fn reference_hot(
+        ctx: &PlannerContext<'_>,
+        q: &Query,
+        view: &CacheView<'_>,
+        now: SimTime,
+    ) -> PlanHot {
+        let mut rows = PlanRows::new();
+        enumerate_plans_into(ctx, q, view.cache, now, view.opts, &mut rows);
+        PlanHot::of(&rows.to_plans())
     }
 
     /// Heterogeneous per-node options: every structural combination plus
@@ -614,30 +493,20 @@ mod tests {
                 })
                 .collect();
 
-            let mut batch_rows: Vec<PlanRows> = (0..views.len()).map(|_| PlanRows::new()).collect();
-            {
-                let mut buf_refs: Vec<&mut PlanRows> = batch_rows.iter_mut().collect();
-                complete_plans_batch(
-                    &mut completer,
-                    &skel,
-                    &views,
-                    now,
-                    |s, span| f.estimator.maintenance(s, span),
-                    &mut buf_refs,
-                );
-            }
+            completer.gather(
+                &skel,
+                views.len(),
+                |i| views[i],
+                now,
+                |s, span| f.estimator.maintenance(s, span),
+            );
+            let mut hot = PlanHot::new();
             for (i, view) in views.iter().enumerate() {
-                let mut reference = PlanRows::new();
-                enumerate_plans_into(&ctx, &q, view.cache, now, view.opts, &mut reference);
+                completer.emit_hot(&skel, i, &mut hot);
                 assert_eq!(
-                    batch_rows[i].to_plans(),
-                    reference.to_plans(),
+                    hot,
+                    reference_hot(&ctx, &q, view, now),
                     "seed {seed}, node {i}"
-                );
-                assert_eq!(
-                    missing_builds(&batch_rows[i]),
-                    missing_builds(&reference),
-                    "seed {seed}, node {i} missing-build quotes"
                 );
             }
         }
@@ -669,14 +538,12 @@ mod tests {
                 now,
                 |s, span| f.estimator.maintenance(s, span),
             );
+            let mut hot = PlanHot::new();
             for (i, view) in views.iter().enumerate() {
-                let mut batch_rows = PlanRows::new();
-                completer.emit_into(&skel, i, &mut batch_rows);
-                let mut reference = PlanRows::new();
-                enumerate_plans_into(&ctx, &q, view.cache, now, view.opts, &mut reference);
+                completer.emit_hot(&skel, i, &mut hot);
                 assert_eq!(
-                    batch_rows.to_plans(),
-                    reference.to_plans(),
+                    hot,
+                    reference_hot(&ctx, &q, view, now),
                     "round {round} node {i}"
                 );
             }
@@ -691,7 +558,7 @@ mod tests {
         let q = f.query(1);
         let skel = PlanSkeleton::build(&ctx, &q);
         let completer = BatchCompleter::new();
-        let mut rows = PlanRows::new();
-        completer.emit_into(&skel, 0, &mut rows);
+        let mut hot = PlanHot::new();
+        completer.emit_hot(&skel, 0, &mut hot);
     }
 }

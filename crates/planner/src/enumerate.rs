@@ -181,7 +181,6 @@ pub fn enumerate_plans_into(
                     let (cost, time) = est.column_quote(ctx.schema, c);
                     col_terms.add_missing(cost, time, opts.amortize_n);
                     lists.missing.push(key);
-                    lists.missing_builds.push(cost);
                     sc.missing_cols.push(c);
                 }
             }
@@ -211,9 +210,6 @@ pub fn enumerate_plans_into(
             .extend(shape.picks().map(|p| p.map(|pos| ctx.candidates[pos].id)));
         lists.uses.extend_from_slice(&scan_lists.uses);
         lists.missing.extend_from_slice(&scan_lists.missing);
-        lists
-            .missing_builds
-            .extend_from_slice(&scan_lists.missing_builds);
         for pos in shape.picks().flatten() {
             let def = &ctx.candidates[pos];
             let key = StructureKey::Index(def.id);
@@ -231,7 +227,6 @@ pub fn enumerate_plans_into(
                     });
                     terms.add_missing(cost, time, opts.amortize_n);
                     lists.missing.push(key);
-                    lists.missing_builds.push(cost);
                 }
             }
         }

@@ -24,12 +24,10 @@
 //!   by the scan and index variants (the index variant uses the scan
 //!   variant's columns plus its indexes, so each column is probed,
 //!   quoted and priced once).
-//! * [`rows`] — [`PlanRows`], the one compact form both planners write
-//!   (fused enumeration, batched emission): hot
-//!   `(time, price, existing)` rows, per-row scalars and per-variant
-//!   shared lists. Selection runs on the rows, the economy's plan memo
-//!   stores them, and only the plan a query runs is materialized
-//!   ([`PlanRows::plan`]).
+//! * [`rows`] — [`PlanRows`], the compact form fused enumeration writes:
+//!   hot `(time, price, existing)` rows, per-row scalars and per-variant
+//!   shared lists. Selection runs on the rows, and only the plan a query
+//!   runs is materialized ([`PlanRows::plan`]).
 //! * [`skeleton`] — the cache-independent half of enumeration
 //!   ([`PlanSkeleton`]), so a batched fleet quote round plans each query
 //!   once instead of once per node (the round builds it, and only when
@@ -37,15 +35,16 @@
 //!   alone, for callers that only need every plan's `(time, cost)`.
 //!   [`SkeletonCache`] is an inert name the repository benchmark still
 //!   uses.
-//! * [`batch`] — structure-major batched completion: one
+//! * [`batch`] — structure-major batched bid rows: one
 //!   [`BatchCompleter`] pass binds a skeleton against N nodes' cache
 //!   states at once, turning N independent cache probes per structure
-//!   into dense sweeps (bit-identical to N fused enumerations).
+//!   into dense sweeps, and writes each node's `(time, price, existing)`
+//!   rows (bit-identical to the hot rows of N fused enumerations).
 //!
 //! There are two planners: [`enumerate_plans_into`] for one cache (every
-//! serve, standalone quote, commit and stale-handoff re-plan) and
-//! [`BatchCompleter`] for the nodes of one batched quote round. Fused
-//! enumeration is the reference the batched planner is tested against.
+//! serve and every per-node quote) and [`BatchCompleter`] for the bid
+//! rows of one batched quote round. Fused enumeration is the reference
+//! the batched planner is tested against.
 //! * [`soa`] — the struct-of-arrays selection-hot plan fields (time,
 //!   price, existing flag): the hot half of [`PlanRows`], and a
 //!   projection of any `QueryPlan` slice.
@@ -67,7 +66,7 @@ pub mod skeleton;
 pub mod skyline;
 pub mod soa;
 
-pub use batch::{complete_plans_batch, BatchCompleter, CacheView};
+pub use batch::{BatchCompleter, CacheView};
 pub use candidates::{generate_candidates, CandidateIndex, TableCandidate};
 pub use enumerate::{enumerate_plans, enumerate_plans_into, EnumerationOptions, PlannerContext};
 pub use estimator::{CacheExecBase, CostParams, Estimator};
@@ -75,8 +74,6 @@ pub use plan::{PlanShape, QueryPlan};
 pub use rows::PlanRows;
 pub use scaling::ParallelModel;
 pub use shapes::QueryShape;
-pub use skeleton::{
-    planning_fingerprint, ExecRows, PlanSkeleton, SkeletonCache, SkeletonCacheCounters,
-};
+pub use skeleton::{ExecRows, PlanSkeleton, SkeletonCache, SkeletonCacheCounters};
 pub use skyline::{skyline_filter, skyline_partition, skyline_partition_hot};
 pub use soa::PlanHot;

@@ -12,15 +12,14 @@
 //! * **per-row scalars**: execution cost and breakdown, build cost and
 //!   time, amortisation, maintenance, variant and node count;
 //! * **per-variant shared lists**: the index assignment, the data
-//!   structures used, the missing ones and their build quotes;
+//!   structures used and the missing ones;
 //! * **per-node-ordinal state**: whether each extra CPU node is usable
 //!   (with its amortisation due and maintenance quote) or must be built.
 //!   A row with `k` nodes employs ordinals `0..k-1`.
 //!
-//! Fused enumeration ([`crate::enumerate_plans_into`]) and batched
-//! completion ([`crate::BatchCompleter::emit_into`]) both write this
-//! form, so the economy selects straight on the rows, memoizes them
-//! whole, and materializes only the plan it runs ([`PlanRows::plan`]).
+//! Fused enumeration ([`crate::enumerate_plans_into`]) writes this form,
+//! so the economy selects straight on the rows and materializes only the
+//! plan it runs ([`PlanRows::plan`]).
 //!
 //! Every price is a sum of exact integer [`Money`] terms, so the
 //! aggregates summed per variant and per node ordinal equal the per-plan
@@ -32,7 +31,6 @@ use metrics::CostBreakdown;
 use pricing::Money;
 use simcore::{SimDuration, SimTime};
 
-use crate::enumerate::EnumerationOptions;
 use crate::plan::{PlanShape, QueryPlan};
 use crate::skeleton::ExecCells;
 use crate::soa::PlanHot;
@@ -49,8 +47,6 @@ pub(crate) struct VariantLists {
     pub uses: Vec<StructureKey>,
     /// The entries of `uses` that are not usable now, in `uses` order.
     pub missing: Vec<StructureKey>,
-    /// Build quote per entry of `missing` (parallel).
-    pub missing_builds: Vec<Money>,
 }
 
 impl VariantLists {
@@ -58,7 +54,6 @@ impl VariantLists {
         self.indexes.clear();
         self.uses.clear();
         self.missing.clear();
-        self.missing_builds.clear();
     }
 }
 
@@ -151,8 +146,6 @@ pub struct PlanRows {
     node_build_time: SimDuration,
     /// First installment of an extra node under the current horizon.
     node_installment: Money,
-    /// Per-variant `(amortized, maintenance)` scratch of [`Self::requote`].
-    requote_terms: Vec<(Money, Money)>,
     pub(crate) scratch: EnumScratch,
 }
 
@@ -250,85 +243,6 @@ impl PlanRows {
         &self.missing_nodes[..n]
     }
 
-    /// Build quotes of plan `i`'s missing structures, parallel to its
-    /// `missing` list. Epoch-stable: a price refresh re-derives the first
-    /// installments from them under the current horizon.
-    pub fn missing_builds(&self, i: usize) -> impl Iterator<Item = Money> + '_ {
-        let data: &[Money] = match self.variant[i] {
-            BACKEND => &[],
-            vi => &self.variants[vi as usize].missing_builds,
-        };
-        let nodes = self.missing_nodes(i).len();
-        data.iter()
-            .copied()
-            .chain(std::iter::repeat_n(self.node_build_cost, nodes))
-    }
-
-    /// Re-quotes every plan's amortisation (first installments of missing
-    /// structures under `opts.amortize_n`, live dues of existing ones)
-    /// and maintenance (live checkpoints capped at `opts.maint_window`)
-    /// at `now`: once per variant and once per extra-node ordinal, then
-    /// per row. Valid while the cache planning epoch the rows were
-    /// produced under stands (the existing/missing partition is kept);
-    /// the refreshed rows then equal a fresh enumeration's bit for bit.
-    ///
-    /// `price` quotes a structure's maintenance over a span.
-    pub fn requote<F>(
-        &mut self,
-        cache: &CacheState,
-        now: SimTime,
-        opts: EnumerationOptions,
-        price: F,
-    ) where
-        F: Fn(&CachedStructure, SimDuration) -> Money,
-    {
-        let quote = |s: &CachedStructure| {
-            let span = now
-                .saturating_since(s.maint_paid_until)
-                .min(opts.maint_window);
-            (s.amortization_due(), price(s, span))
-        };
-        self.node_installment = self.node_build_cost.amortize_over(opts.amortize_n);
-        for (o, state) in self.node_state.iter_mut().enumerate() {
-            if state.is_some() {
-                let s = cache
-                    .get(StructureKey::Node(o as u32))
-                    .filter(|s| s.is_available(now));
-                debug_assert!(s.is_some(), "a usable node stays usable within its epoch");
-                *state = s.map(quote);
-            }
-        }
-        self.requote_terms.clear();
-        for v in &self.variants[..self.live_variants] {
-            let mut amortized = Money::ZERO;
-            for &build in &v.missing_builds {
-                amortized += build.amortize_over(opts.amortize_n);
-            }
-            let mut maintenance = Money::ZERO;
-            for &key in &v.uses {
-                if let Some(s) = cache.get(key).filter(|s| s.is_available(now)) {
-                    let (due, maint) = quote(s);
-                    amortized += due;
-                    maintenance += maint;
-                }
-            }
-            self.requote_terms.push((amortized, maintenance));
-        }
-        for i in 0..self.len() {
-            let vi = self.variant[i];
-            if vi == BACKEND {
-                continue;
-            }
-            let (amortized, maintenance) = self.requote_terms[vi as usize];
-            let (nodes, _) = self.node_terms(self.nodes[i]);
-            let amortized = amortized + nodes.amortized;
-            let maintenance = maintenance + nodes.maintenance;
-            self.amortized[i] = amortized;
-            self.maintenance[i] = maintenance;
-            self.hot.price[i] = self.exec_cost[i] + amortized + maintenance;
-        }
-    }
-
     /// Clears the rows and writes the backend row (always existing).
     /// `node_build` is an extra CPU node's build quote (cost, boot time);
     /// `amortize_n` the horizon its first installment divides by.
@@ -358,17 +272,8 @@ impl PlanRows {
         self.push(BACKEND, 0, time, cost, breakdown, DataTerms::ZERO, true);
     }
 
-    /// Records the state of the next extra-CPU-node ordinal (see
-    /// [`Self::node_state`]).
-    pub(crate) fn push_node(&mut self, state: Option<(Money, Money)>) {
-        if state.is_none() {
-            self.missing_nodes
-                .push(StructureKey::Node(self.node_state.len() as u32));
-        }
-        self.node_state.push(state);
-    }
-
-    /// Records the state of extra node `ordinal` in `cache` at `now`.
+    /// Records the state of extra node `ordinal` in `cache` at `now`, the
+    /// next ordinal of [`Self::node_state`].
     pub(crate) fn probe_node<F>(
         &mut self,
         cache: &CacheState,
@@ -386,7 +291,10 @@ impl PlanRows {
                 let span = now.saturating_since(s.maint_paid_until).min(maint_window);
                 (s.amortization_due(), price(s, span))
             });
-        self.push_node(state);
+        if state.is_none() {
+            self.missing_nodes.push(StructureKey::Node(ordinal));
+        }
+        self.node_state.push(state);
     }
 
     /// Opens the next variant with cleared lists, returning its tag.

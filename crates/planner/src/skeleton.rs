@@ -12,13 +12,13 @@
 //! dues they carry.
 //!
 //! The split is exact: for any cache state, clock and enumeration
-//! options, a node's batched rows are **bit-identical** to the fused
-//! [`crate::enumerate_plans_into`] against that node's cache — same
-//! plans, same order, same prices. `tests/batch_completion.rs` pins the
-//! property over random cache histories; the fleet's routing determinism
-//! rests on it. Planning for one node (a serve, a standalone quote, a
-//! commit, a stale handoff's re-plan) always runs the fused enumerator,
-//! so a skeleton exists only inside a batched round.
+//! options, a node's batched bid rows are **bit-identical** to the hot
+//! rows of the fused [`crate::enumerate_plans_into`] against that node's
+//! cache — same order, same times, prices and existing flags.
+//! `tests/batch_completion.rs` pins the property over random cache
+//! histories; the fleet's routing determinism rests on it. Planning for
+//! one node (a serve or a per-node quote) always runs the fused
+//! enumerator, so a skeleton exists only inside a batched round.
 //!
 //! The skeleton is a *superset*: it is built with every plan family
 //! enabled (indexes and extra nodes), and binding filters by each node's
@@ -30,7 +30,7 @@
 //! the skeleton on its own — every row a plan's `(exec_time, exec_cost)`
 //! can come from — for callers that never bind a cache.
 
-use cache::{IndexId, StructureKey};
+use cache::StructureKey;
 use catalog::ColumnId;
 use metrics::CostBreakdown;
 use pricing::Money;
@@ -39,28 +39,6 @@ use workload::Query;
 
 use crate::enumerate::PlannerContext;
 use crate::shapes::QueryShape;
-
-/// Writes the planning fingerprint of `query` into `out` (cleared first).
-///
-/// The fingerprint is `[template, mask, accesses, selectivity bits per
-/// access, result_rows, result_bytes]`. Within one template set,
-/// `(template, mask)` fixes every access's table, column list and
-/// predicate list and the sort columns (see [`crate::shapes`]), so the
-/// fingerprint covers exactly the query fields plan enumeration reads
-/// and deliberately excludes `budget_scale` (budget only), `id` and
-/// `region` (unread). Two queries of one template set with equal
-/// fingerprints therefore enumerate identical plan sets, which is the
-/// key invariant behind the per-manager plan memo's handoff
-/// (`econ::plancache`).
-pub fn planning_fingerprint(query: &Query, out: &mut Vec<u64>) {
-    out.clear();
-    out.push(query.template.0 as u64);
-    out.push(u64::from(query.mask));
-    out.push(query.selectivities.len() as u64);
-    out.extend(query.selectivities.iter().map(|s| s.to_bits()));
-    out.push(query.result_rows);
-    out.push(query.result_bytes);
-}
 
 /// One key column's standalone fetch quote (eq. 12), charged at
 /// completion time only when the column is neither cached nor already
@@ -71,20 +49,17 @@ pub struct KeyFetch {
     pub column: ColumnId,
     /// Transfer cost if the fetch is charged.
     pub cost: Money,
-    /// Transfer time if the fetch is charged.
-    pub time: SimDuration,
 }
 
 /// The cache-independent build-cost shape of one structure in a variant's
-/// `uses` list.
+/// `uses` list. Bids read build costs only (through first installments),
+/// never build times.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BuildShape {
     /// Column transfer from the back-end (eq. 12): the full quote.
     Column {
         /// Build cost.
         cost: Money,
-        /// Transfer time.
-        time: SimDuration,
     },
     /// Index build (eq. 14), decomposed: the sort plan over the keyed
     /// data (always charged) plus per-key-column fetches (conditionally
@@ -93,8 +68,6 @@ pub enum BuildShape {
     Index {
         /// Sort-plan cost (CPU + I/O), fetches excluded.
         sort_cost: Money,
-        /// Sort-plan time, fetches excluded.
-        sort_time: SimDuration,
         /// Conditional fetch quotes, in key-column order.
         keys: Vec<KeyFetch>,
     },
@@ -148,9 +121,6 @@ impl ExecCells {
 /// or the best-index variant when any access has a serving candidate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VariantSkeleton {
-    /// Index assigned per table access (`None` = column scan), for the
-    /// emitted [`crate::PlanShape`].
-    pub indexes: Vec<Option<IndexId>>,
     /// True for the indexed variant — skipped at completion when the
     /// policy forbids index plans.
     pub uses_indexes: bool,
@@ -265,12 +235,8 @@ pub struct PlanSkeleton {
     pub backend_time: SimDuration,
     /// Backend execution cost.
     pub backend_cost: Money,
-    /// Backend per-resource cost split.
-    pub backend_breakdown: CostBreakdown,
-    /// Extra-CPU-node build quote (eq. 10): (cost, boot time).
+    /// Extra-CPU-node build cost (eq. 10).
     pub node_build_cost: Money,
-    /// Node boot time.
-    pub node_build_time: SimDuration,
     /// Index variants: scan-only first, then the best-index variant when
     /// one exists.
     pub variants: Vec<VariantSkeleton>,
@@ -430,7 +396,7 @@ impl PlanSkeleton {
     pub fn build(ctx: &PlannerContext<'_>, query: &Query) -> PlanSkeleton {
         let shape = ctx.shape(query);
         let rows = ExecRows::build_shaped(ctx, query, &shape);
-        let (node_build_cost, node_build_time) = ctx.estimator.build_node();
+        let (node_build_cost, _) = ctx.estimator.build_node();
         let variants: Vec<VariantSkeleton> = rows
             .variants
             .into_iter()
@@ -440,9 +406,7 @@ impl PlanSkeleton {
         PlanSkeleton {
             backend_time: rows.backend_time,
             backend_cost: rows.backend_cost,
-            backend_breakdown: rows.backend_breakdown,
             node_build_cost,
-            node_build_time,
             variants,
             probe,
         }
@@ -474,43 +438,29 @@ fn build_variant(
     let builds: Vec<BuildShape> = uses
         .iter()
         .map(|&key| match key {
-            StructureKey::Column(c) => {
-                let (cost, time) = ctx.estimator.column_quote(ctx.schema, c);
-                BuildShape::Column { cost, time }
-            }
+            StructureKey::Column(c) => BuildShape::Column {
+                cost: ctx.estimator.column_quote(ctx.schema, c).0,
+            },
             StructureKey::Index(id) => {
                 let pos = id.index();
-                let def = &ctx.candidates[pos];
-                let (sort_cost, sort_time) =
+                let (sort_cost, _) =
                     ctx.estimator
                         .index_sort_quote(ctx.schema, ctx.candidates, pos);
-                let keys = def
+                let keys = ctx.candidates[pos]
                     .key_columns
                     .iter()
-                    .map(|&c| {
-                        let (cost, time) = ctx.estimator.column_quote(ctx.schema, c);
-                        KeyFetch {
-                            column: c,
-                            cost,
-                            time,
-                        }
+                    .map(|&c| KeyFetch {
+                        column: c,
+                        cost: ctx.estimator.column_quote(ctx.schema, c).0,
                     })
                     .collect();
-                BuildShape::Index {
-                    sort_cost,
-                    sort_time,
-                    keys,
-                }
+                BuildShape::Index { sort_cost, keys }
             }
             StructureKey::Node(_) => unreachable!("nodes are appended per node count"),
         })
         .collect();
 
     VariantSkeleton {
-        indexes: indexes
-            .iter()
-            .map(|o| o.map(|pos| ctx.candidates[pos].id))
-            .collect(),
         uses_indexes: indexes.iter().any(Option::is_some),
         uses,
         builds,
@@ -612,7 +562,6 @@ mod tests {
                 );
             }
             assert_eq!(rows.rows().collect::<Vec<_>>(), expected, "query {i}");
-            assert_eq!(rows.backend_breakdown, skel.backend_breakdown);
             assert_eq!(rows.variants.len(), skel.variants.len());
         }
     }

@@ -10,9 +10,11 @@
 //!
 //! The view is a *projection*: filling it never clones a plan, and every
 //! value is bit-identical to the source field, so selections computed
-//! over the view equal selections computed over the plans. The planners
-//! write these rows directly as the hot half of [`crate::PlanRows`];
-//! [`PlanHot::fill`] projects them from a materialized plan slice.
+//! over the view equal selections computed over the plans. Fused
+//! enumeration writes these rows directly as the hot half of
+//! [`crate::PlanRows`], and batched bid rounds write them alone
+//! ([`crate::BatchCompleter::emit_hot`]); [`PlanHot::fill`] projects them
+//! from a materialized plan slice.
 
 use pricing::Money;
 use simcore::SimDuration;
@@ -20,7 +22,7 @@ use simcore::SimDuration;
 use crate::plan::QueryPlan;
 
 /// Parallel slices of the selection-hot plan fields.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlanHot {
     /// Execution time per plan (the `t` of `B_PQ(t)`).
     pub time: Vec<SimDuration>,

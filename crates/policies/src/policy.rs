@@ -49,8 +49,8 @@ pub trait CachePolicy {
     ) -> PolicyOutcome;
 
     /// Quotes the price this cloud would charge for `query` at `now`,
-    /// without serving it. A quote writes no cache or ledger and neither
-    /// reads nor writes an economic policy's plan memo.
+    /// without serving it. A quote changes no cache, ledger or other
+    /// policy state.
     ///
     /// For the economic schemes this is the paper's `B_Q(t)` settlement of
     /// the case analysis; for bypass it is the cost-recovery charge of the
@@ -66,8 +66,7 @@ pub trait CachePolicy {
     /// node that returns `Some` in one sweep; nodes returning `None` (the
     /// default) are quoted individually through [`Self::quote`], as every
     /// node is on the per-node path. Either path must produce identical
-    /// bids. The router also commits a winning economic node's plan set
-    /// to this manager's memo, since bids do not write it.
+    /// bids.
     fn economy(&self) -> Option<&econ::EconomyManager> {
         None
     }

@@ -11,32 +11,6 @@ use metrics::CostBreakdown;
 use pricing::Money;
 use serde::{Deserialize, Serialize};
 
-/// Plan-cache activity of one serve, as the delta of the serving node's
-/// `PlanCacheStats` around it (bids and commits count nothing, so a
-/// query step moves the counters only while it is served).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PlanCacheDelta {
-    /// Serves that ran from the handoff their quote's commit left.
-    pub hits: u64,
-    /// Serves that found no handoff for their query and planned fresh.
-    pub misses: u64,
-    /// Hits whose prices (maintenance, amortisation) were re-quoted
-    /// because the clock, the settlements or the arrival rate moved; a
-    /// subset of `hits`. Cache-content changes count as `completions`.
-    pub refreshes: u64,
-    /// Serves whose handoff was stale after a cache-content change (the
-    /// cache epoch moved), so the query was re-planned, without a miss.
-    pub completions: u64,
-}
-
-impl PlanCacheDelta {
-    /// True when the step touched the plan cache at all.
-    #[must_use]
-    pub fn any(&self) -> bool {
-        self.hits + self.misses + self.refreshes + self.completions > 0
-    }
-}
-
 /// One quote round: the fleet router asked every routable node to price a
 /// query (the paper's eq. 3 bid) and picked a winner.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -98,9 +72,6 @@ pub struct SettlementEvent {
     pub investments: u32,
     /// Structures evicted to make room.
     pub evictions: u32,
-    /// Plan-cache activity while serving (the winner takes its handoff,
-    /// or plans against its own cache content, before executing).
-    pub plan_cache: PlanCacheDelta,
 }
 
 /// Node lifecycle transition kinds, mirroring the elastic controller's
@@ -345,16 +316,6 @@ impl TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn plan_cache_delta_any() {
-        assert!(!PlanCacheDelta::default().any());
-        let d = PlanCacheDelta {
-            completions: 1,
-            ..PlanCacheDelta::default()
-        };
-        assert!(d.any());
-    }
 
     #[test]
     fn accessors_cover_all_variants() {

@@ -407,7 +407,7 @@ pub fn explain_crash(events: &[TraceEvent], node: usize) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{PlanCacheDelta, SettlementEvent};
+    use crate::event::SettlementEvent;
 
     fn settlement(tenant: u32, template: usize, node: usize, structures: &[&str]) -> TraceEvent {
         let mut exec = CostBreakdown::ZERO;
@@ -429,7 +429,6 @@ mod tests {
             used_structures: structures.iter().map(|s| (*s).to_string()).collect(),
             investments: 0,
             evictions: 0,
-            plan_cache: PlanCacheDelta::default(),
         })
     }
 

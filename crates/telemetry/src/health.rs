@@ -14,7 +14,7 @@
 //! * [`VitalsFrame`] / [`HealthSeries`] — a cadenced snapshot stream
 //!   driven by **simulated** time: every `snapshot_interval_secs` of sim
 //!   time each cell captures backlog, pressure EWMA, node cash,
-//!   plan-cache counters, fault write-offs and population counts.
+//!   fault write-offs and population counts.
 //!   Frames at the same tick merge across cells in ascending cell
 //!   order. Wall clock never enters, so snapshot-on runs stay
 //!   bit-identical to snapshot-off runs.
@@ -308,10 +308,6 @@ pub struct VitalsFrame {
     pub routable_nodes: u64,
     /// Nodes draining toward retirement.
     pub draining_nodes: u64,
-    /// Plan-cache hits so far, summed over live nodes.
-    pub plan_hits: u64,
-    /// Plan-cache misses so far, summed over live nodes.
-    pub plan_misses: u64,
     /// Elastic spawns so far.
     pub spawns: u64,
     /// Elastic retirements so far.
@@ -342,8 +338,6 @@ impl VitalsFrame {
         self.live_nodes += other.live_nodes;
         self.routable_nodes += other.routable_nodes;
         self.draining_nodes += other.draining_nodes;
-        self.plan_hits += other.plan_hits;
-        self.plan_misses += other.plan_misses;
         self.spawns += other.spawns;
         self.retires += other.retires;
         self.write_off += other.write_off;
@@ -783,8 +777,6 @@ mod tests {
             live_nodes: 4,
             routable_nodes: 4,
             draining_nodes: 0,
-            plan_hits: 10,
-            plan_misses: 5,
             spawns: 0,
             retires: 0,
             write_off: Money::ZERO,
@@ -815,8 +807,6 @@ mod tests {
             live_nodes: 0,
             routable_nodes: 0,
             draining_nodes: 0,
-            plan_hits: 0,
-            plan_misses: 0,
             spawns: 0,
             retires: 0,
             write_off: Money::ZERO,
@@ -900,8 +890,6 @@ mod tests {
             live_nodes: 1,
             routable_nodes: 1,
             draining_nodes: 0,
-            plan_hits: 0,
-            plan_misses: 0,
             spawns: 0,
             retires: 0,
             write_off: Money::ZERO,
@@ -983,8 +971,6 @@ mod tests {
             live_nodes: 3,
             routable_nodes: 3,
             draining_nodes: 0,
-            plan_hits: 0,
-            plan_misses: 0,
             spawns: 1,
             retires: 0,
             write_off: Money::ZERO,
@@ -1040,8 +1026,6 @@ mod tests {
             live_nodes: 1,
             routable_nodes: 1,
             draining_nodes: 0,
-            plan_hits: 0,
-            plan_misses: 0,
             spawns: 0,
             retires: 0,
             write_off: Money::ZERO,

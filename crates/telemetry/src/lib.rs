@@ -39,7 +39,7 @@ pub mod sink;
 
 pub use event::{
     LifecyclePhase, NodeCrashEvent, NodeEvacuateEvent, NodeLifecycleEvent, NodeRecoverEvent,
-    PlanCacheDelta, QueryRetryEvent, QuoteRoundEvent, SettlementEvent, TraceEvent,
+    QueryRetryEvent, QuoteRoundEvent, SettlementEvent, TraceEvent,
 };
 pub use explain::{
     blame, explain_crash, explain_retirement, node_timeline, structure_payers, BlameKey, BlameRow,

@@ -49,7 +49,7 @@ impl MetricValue {
 /// A named metric.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricEntry {
-    /// Dotted metric name (`fleet.queries`, `plan_cache.hits`, …).
+    /// Dotted metric name (`fleet.queries`, `router.full_rounds`, …).
     pub name: String,
     /// Current value.
     pub value: MetricValue,

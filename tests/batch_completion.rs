@@ -1,24 +1,20 @@
-//! Batched structure-major completion — the bit-identity contracts of
-//! the quote-round inversion:
+//! Batched structure-major bid rows — the bit-identity contracts of the
+//! quote-round inversion:
 //!
-//! 1. `planner::complete_plans_batch` (one gather pass over N cache
-//!    views) emits, per node, exactly the plan set and missing-build
-//!    quotes of fused `planner::enumerate_plans_into` against that
-//!    node's cache — over random cache histories, node counts and
-//!    heterogeneous per-node options.
-//! 2. `BatchCompleter::emit_hot` writes, per node, exactly the
-//!    `(time, price, existing)` rows `PlanHot::fill` projects from
-//!    `emit_into`'s plan set — the rows batched bids are computed from.
-//! 3. Both planners' `PlanRows` (fused enumeration, batched emission)
-//!    materialize row by row exactly the plans of `to_plans`, and
-//!    selection straight on the rows — the economy's serve path —
-//!    picks, charges and regrets exactly what the plan-vector path did.
-//! 4. `econ::QuoteBatch::quote_round` plus `QuoteBatch::commit` on the
-//!    winner (the fleet's batched bid path) quotes, hands off and counts
-//!    exactly like the per-node `quote_query` loop plus `commit_quote`
-//!    on the same winner — over evolving manager state, so handoff hits,
-//!    re-quotes and re-plans all cross the batch boundary, and losers
-//!    memoize nothing on either path.
+//! 1. One `BatchCompleter::gather` pass over N cache views, then
+//!    `BatchCompleter::emit_hot` per node, writes exactly the
+//!    `(time, price, existing)` rows `PlanHot::of` projects from the
+//!    plans of fused `planner::enumerate_plans_into` against that node's
+//!    cache — over random cache histories, node counts, heterogeneous
+//!    per-node options and rounds that leave nodes out.
+//! 2. Fused enumeration's `PlanRows` materialize row by row exactly the
+//!    plans of `to_plans`, and selection straight on the rows — the
+//!    economy's serve path — picks, charges and regrets exactly what the
+//!    plan-vector path did.
+//! 3. `econ::QuoteBatch::quote_round` (the fleet's batched bid path)
+//!    bids exactly like the per-node `quote_query` loop, over evolving
+//!    manager state, and the winner's serve settles identically on both
+//!    paths.
 //!
 //! The fleet's routing determinism across the batched and per-node
 //! paths rests on these properties
@@ -35,9 +31,9 @@ use cloudcache::econ::{
 };
 use cloudcache::planner::plan::QueryPlan;
 use cloudcache::planner::{
-    complete_plans_batch, enumerate_plans_into, generate_candidates, skyline_partition_hot,
-    BatchCompleter, CacheView, CandidateIndex, CostParams, EnumerationOptions, Estimator, PlanHot,
-    PlanRows, PlanSkeleton, PlannerContext,
+    enumerate_plans_into, generate_candidates, skyline_partition_hot, BatchCompleter, CacheView,
+    CandidateIndex, CostParams, EnumerationOptions, Estimator, PlanHot, PlanRows, PlanSkeleton,
+    PlannerContext,
 };
 use cloudcache::pricing::{Money, PriceCatalog};
 use cloudcache::simcore::{NetworkModel, SimDuration, SimTime};
@@ -136,13 +132,6 @@ fn apply_op(cache: &mut CacheState, columns: &[ColumnId], op: u8, sel: u8, t: Si
     }
 }
 
-/// Per-plan missing-build quotes of a row set, in row order.
-fn missing_builds(rows: &PlanRows) -> Vec<Vec<Money>> {
-    (0..rows.len())
-        .map(|i| rows.missing_builds(i).collect())
-        .collect()
-}
-
 /// Per-node options: structural switches and rate-derived halves both
 /// vary across the batch.
 fn node_opts(i: usize, salt: u64) -> EnumerationOptions {
@@ -239,19 +228,11 @@ fn serve_plans(
     )
 }
 
-/// One producer's rows against their own materialization and against
-/// `expected` (another producer's plans for the same cache): row by row
-/// plan and missing-list equality, and the same serve selection under
-/// `budget` on the rows as on the plans.
-fn check_rows(
-    rows: &PlanRows,
-    expected: &[QueryPlan],
-    budget: &BudgetFunction,
-    objective: SelectionObjective,
-    what: &str,
-) {
+/// Fused enumeration's rows against their own materialization: row by
+/// row plan and missing-list equality, and the same serve selection
+/// under `budget` on the rows as on the plans.
+fn check_rows(rows: &PlanRows, budget: &BudgetFunction, objective: SelectionObjective, what: &str) {
     let plans = rows.to_plans();
-    assert_eq!(plans, expected, "{what}: plan set");
     assert_eq!(rows.len(), plans.len(), "{what}: row count");
     for (i, plan) in plans.iter().enumerate() {
         assert_eq!(rows.plan(i), *plan, "{what}: row {i}");
@@ -262,16 +243,8 @@ fn check_rows(
             .copied()
             .collect();
         assert_eq!(missing, plan.missing, "{what}: row {i} missing list");
-        assert_eq!(
-            rows.missing_builds(i).count(),
-            plan.missing.len(),
-            "{what}: row {i} missing-build quotes"
-        );
     }
-    let full = PlanHot::of(&plans);
-    assert_eq!(rows.hot().time, full.time, "{what}: hot times");
-    assert_eq!(rows.hot().price, full.price, "{what}: hot prices");
-    assert_eq!(rows.hot().existing, full.existing, "{what}: hot existing");
+    assert_eq!(*rows.hot(), PlanHot::of(&plans), "{what}: hot rows");
     assert_eq!(
         serve_rows(rows, budget, objective),
         serve_plans(&plans, budget, objective),
@@ -279,16 +252,110 @@ fn check_rows(
     );
 }
 
+/// Node caches for a round of `n_nodes`: even nodes start with every
+/// column the pool reads, so cache rows can win the selection, column
+/// plans exist there and extra-CPU-node cells decide whether a row is
+/// existing; odd nodes start cold.
+fn seeded_caches(columns: &[ColumnId], n_nodes: usize) -> Vec<CacheState> {
+    (0..n_nodes)
+        .map(|i| {
+            let mut cache = CacheState::new();
+            if i % 2 == 0 {
+                for &c in columns {
+                    cache.install(
+                        StructureKey::Column(c),
+                        1_000,
+                        SimTime::ZERO,
+                        SimDuration::ZERO,
+                        Money::from_dollars(0.01),
+                        10,
+                    );
+                }
+            }
+            cache
+        })
+        .collect()
+}
+
+/// One cache-history op per step, each followed by a quote round over
+/// `pool`: one `BatchCompleter::gather` across the round's nodes, then
+/// per node `emit_hot` must equal `expected` of fused enumeration's rows
+/// against that node's cache. Each node evolves its own cache from the
+/// shared op stream (a node takes the ops whose `node_pick` lands on it,
+/// so the states genuinely diverge). A node whose bit in the step's mask
+/// is clear sits that round out; with no masks every node is in every
+/// round.
+fn check_batched_rounds(
+    seed: u64,
+    pool: &[Query],
+    mut caches: Vec<CacheState>,
+    ops: &[(u8, u8, u8, f64, f64)],
+    masks: &[u8],
+    expected: impl Fn(&PlanRows) -> PlanHot,
+) {
+    let h = harness();
+    let ctx = h.ctx();
+    let columns = pool_columns(pool);
+    let n_nodes = caches.len();
+    let mut now = 0.0f64;
+    let mut completer = BatchCompleter::new();
+    let (mut hot, mut reference) = (PlanHot::new(), PlanRows::new());
+    for (step, &(op, sel, node_pick, gap, build)) in ops.iter().enumerate() {
+        now += gap;
+        let t = SimTime::from_secs(now);
+        apply_op(
+            &mut caches[node_pick as usize % n_nodes],
+            &columns,
+            op,
+            sel,
+            t,
+            build,
+        );
+
+        let mask = masks.get(step).copied().unwrap_or(u8::MAX);
+        let routable: Vec<usize> = (0..n_nodes).filter(|&i| mask & (1 << i) != 0).collect();
+        if routable.is_empty() {
+            continue;
+        }
+        let q = &pool[sel as usize % pool.len()];
+        let skel = PlanSkeleton::build(&ctx, q);
+        let views: Vec<CacheView<'_>> = routable
+            .iter()
+            .map(|&i| CacheView {
+                cache: &caches[i],
+                opts: node_opts(i, seed + step as u64),
+            })
+            .collect();
+        completer.gather(
+            &skel,
+            views.len(),
+            |j| views[j],
+            t,
+            |s, span| h.estimator.maintenance(s, span),
+        );
+        for (j, view) in views.iter().enumerate() {
+            enumerate_plans_into(&ctx, q, view.cache, t, view.opts, &mut reference);
+            completer.emit_hot(&skel, j, &mut hot);
+            prop_assert_eq!(
+                &hot,
+                &expected(&reference),
+                "rows diverged at step {} node {} (t={})",
+                step,
+                routable[j],
+                now
+            );
+        }
+    }
+}
+
 proptest! {
-    /// Both planners write rows that materialize to the plan set and
-    /// select like it: over random per-node cache histories, fused
-    /// enumeration and batched emission for every node of the round
-    /// agree plan for plan, each row's materialized
-    /// plan and missing list match `to_plans`, and the serve selection
-    /// straight on the rows (case, payment, profit, chosen plan, regret
-    /// lists) equals the plan-vector path — under step, convex and
-    /// concave budgets, every objective, and budgets scaled from half to
-    /// four times the backend price.
+    /// Fused enumeration writes rows that materialize to the plan set
+    /// and select like it: over random per-node cache histories, each
+    /// row's materialized plan and missing list match `to_plans`, and
+    /// the serve selection straight on the rows (case, payment, profit,
+    /// chosen plan, regret lists) equals the plan-vector path — under
+    /// step, convex and concave budgets, every objective, and budgets
+    /// scaled from half to four times the backend price.
     #[test]
     fn rows_materialize_the_plans_and_select_like_them(
         seed in 0u64..1_000,
@@ -300,29 +367,9 @@ proptest! {
         let ctx = h.ctx();
         let pool = query_pool(seed.wrapping_add(23), 4);
         let columns = pool_columns(&pool);
-        // Even nodes start with every column the pool reads, so cache
-        // rows can win the selection and node-only regret lists occur.
-        let mut caches: Vec<CacheState> = (0..n_nodes)
-            .map(|i| {
-                let mut cache = CacheState::new();
-                if i % 2 == 0 {
-                    for &c in &columns {
-                        cache.install(
-                            StructureKey::Column(c),
-                            1_000,
-                            SimTime::ZERO,
-                            SimDuration::ZERO,
-                            Money::from_dollars(0.01),
-                            10,
-                        );
-                    }
-                }
-                cache
-            })
-            .collect();
+        let mut caches = seeded_caches(&columns, n_nodes);
         let mut now = 0.0f64;
-        let mut completer = BatchCompleter::new();
-        let (mut fresh, mut batched) = (PlanRows::new(), PlanRows::new());
+        let mut rows = PlanRows::new();
         for (step, (&(op, sel, node_pick, gap, build), &(shape, objective, scale, patience))) in
             ops.iter().zip(&budgets).enumerate()
         {
@@ -331,117 +378,49 @@ proptest! {
             apply_op(&mut caches[node_pick as usize % n_nodes], &columns, op, sel, t, build);
 
             let q = &pool[sel as usize % pool.len()];
-            let skel = PlanSkeleton::build(&ctx, q);
-            let views: Vec<CacheView<'_>> = caches
-                .iter()
-                .enumerate()
-                .map(|(i, cache)| CacheView {
-                    cache,
-                    opts: node_opts(i, seed + step as u64),
-                })
-                .collect();
-            completer.gather(
-                &skel,
-                views.len(),
-                |i| views[i],
-                t,
-                |s, span| h.estimator.maintenance(s, span),
-            );
             let shape = [BudgetShape::Step, BudgetShape::Convex, BudgetShape::Concave][shape as usize];
             let objective = [
                 SelectionObjective::MinProfit,
                 SelectionObjective::Cheapest,
                 SelectionObjective::Fastest,
             ][objective as usize];
-            for (i, view) in views.iter().enumerate() {
-                enumerate_plans_into(&ctx, q, view.cache, t, view.opts, &mut fresh);
+            for (i, cache) in caches.iter().enumerate() {
+                let opts = node_opts(i, seed + step as u64);
+                enumerate_plans_into(&ctx, q, cache, t, opts, &mut rows);
                 let budget = BudgetFunction::of_shape(
                     shape,
-                    fresh.hot().price[0].scale(scale),
-                    fresh.hot().time[0] * patience,
+                    rows.hot().price[0].scale(scale),
+                    rows.hot().time[0] * patience,
                 );
-                let reference = fresh.to_plans();
-                let what = format!("step {step} node {i}");
-                check_rows(&fresh, &reference, &budget, objective, &format!("fresh, {what}"));
-                completer.emit_into(&skel, i, &mut batched);
-                check_rows(&batched, &reference, &budget, objective, &format!("batched, {what}"));
+                check_rows(&rows, &budget, objective, &format!("step {step} node {i}"));
             }
         }
     }
 
     /// Random per-node cache histories (installs with in-flight builds,
-    /// evictions, idle gaps) at random node counts: one batched gather +
-    /// per-node emits equals N independent fused enumerations, bit for
-    /// bit — plans and missing-build quote tables alike.
+    /// evictions, idle gaps) from cold caches at random node counts, every
+    /// node in every gather: one batched gather plus `emit_hot` per node
+    /// writes exactly the hot rows of N independent fused enumerations,
+    /// bit for bit.
     #[test]
     fn batch_completion_is_bit_identical_to_per_node(
         seed in 0u64..1_000,
         n_nodes in 1usize..9,
         ops in prop::collection::vec((0u8..4, 0u8..32, 0u8..8, 0.0f64..90.0, 0.0f64..40.0), 8..30),
     ) {
-        let h = harness();
-        let ctx = h.ctx();
         let pool = query_pool(seed, 4);
-        let columns = pool_columns(&pool);
-
-        // Each node evolves its own cache from the shared op stream
-        // (every node takes the ops whose `node_pick` lands on it, so
-        // the states genuinely diverge).
-        let mut caches: Vec<CacheState> = (0..n_nodes).map(|_| CacheState::new()).collect();
-        let mut now = 0.0f64;
-        let mut completer = BatchCompleter::new();
-        for (step, &(op, sel, node_pick, gap, build)) in ops.iter().enumerate() {
-            now += gap;
-            let t = SimTime::from_secs(now);
-            apply_op(&mut caches[node_pick as usize % n_nodes], &columns, op, sel, t, build);
-
-            let q = &pool[sel as usize % pool.len()];
-            let skel = PlanSkeleton::build(&ctx, q);
-            let views: Vec<CacheView<'_>> = caches
-                .iter()
-                .enumerate()
-                .map(|(i, cache)| CacheView {
-                    cache,
-                    opts: node_opts(i, seed + step as u64),
-                })
-                .collect();
-            let mut batch_rows: Vec<PlanRows> = (0..n_nodes).map(|_| PlanRows::new()).collect();
-            {
-                let mut refs: Vec<&mut PlanRows> = batch_rows.iter_mut().collect();
-                complete_plans_batch(
-                    &mut completer,
-                    &skel,
-                    &views,
-                    t,
-                    |s, span| h.estimator.maintenance(s, span),
-                    &mut refs,
-                );
-            }
-            for (i, view) in views.iter().enumerate() {
-                let mut reference = PlanRows::new();
-                enumerate_plans_into(&ctx, q, view.cache, t, view.opts, &mut reference);
-                prop_assert_eq!(
-                    batch_rows[i].to_plans(),
-                    reference.to_plans(),
-                    "plans diverged at step {} node {} (t={})", step, i, now
-                );
-                prop_assert_eq!(
-                    missing_builds(&batch_rows[i]),
-                    missing_builds(&reference),
-                    "missing-build quotes diverged at step {} node {}", step, i
-                );
-            }
-        }
+        let caches = (0..n_nodes).map(|_| CacheState::new()).collect();
+        check_batched_rounds(seed, &pool, caches, &ops, &[], |rows| rows.hot().clone());
     }
 
-    /// Bid rows straight from the gathered lanes: for every node of a
-    /// round, `emit_hot` writes exactly the rows `PlanHot::fill`
-    /// projects from `emit_into`'s plan set — same order, same time,
-    /// price and existing bits — over random cache histories,
-    /// heterogeneous per-node options (index plans off, extra nodes off,
-    /// varied horizons and windows) and rounds that leave a random
-    /// subset of nodes out of the gather, as the router leaves out
-    /// unroutable ones.
+    /// Bid rows against the full emission: for every node of a round,
+    /// `emit_hot` writes exactly the rows `PlanHot::of` projects from
+    /// fused enumeration's materialized plans — same order, same time,
+    /// price and existing bits — over random cache histories with even
+    /// nodes starting warm, heterogeneous per-node options (index plans
+    /// off, extra nodes off, varied horizons and windows) and rounds that
+    /// leave a random subset of nodes out of the gather, as the router
+    /// leaves out unroutable ones.
     #[test]
     fn hot_rows_match_full_emission(
         seed in 0u64..1_000,
@@ -449,82 +428,17 @@ proptest! {
         ops in prop::collection::vec((0u8..4, 0u8..32, 0u8..8, 0.0f64..90.0, 0.0f64..40.0), 8..30),
         masks in prop::collection::vec(0u8..255, 30..31),
     ) {
-        let h = harness();
-        let ctx = h.ctx();
         let pool = query_pool(seed.wrapping_add(7), 4);
-        let columns = pool_columns(&pool);
-        // Even nodes start with every column the pool reads, so column
-        // plans exist there and extra-CPU-node cells decide whether a
-        // row is existing; odd nodes start cold.
-        let mut caches: Vec<CacheState> = (0..n_nodes)
-            .map(|i| {
-                let mut cache = CacheState::new();
-                if i % 2 == 0 {
-                    for &c in &columns {
-                        cache.install(
-                            StructureKey::Column(c),
-                            1_000,
-                            SimTime::ZERO,
-                            SimDuration::ZERO,
-                            Money::from_dollars(0.01),
-                            10,
-                        );
-                    }
-                }
-                cache
-            })
-            .collect();
-        let mut now = 0.0f64;
-        let mut completer = BatchCompleter::new();
-        let mut hot = PlanHot::new();
-        for (step, (&(op, sel, node_pick, gap, build), &mask)) in ops.iter().zip(&masks).enumerate() {
-            now += gap;
-            let t = SimTime::from_secs(now);
-            apply_op(&mut caches[node_pick as usize % n_nodes], &columns, op, sel, t, build);
-
-            // Nodes whose mask bit is clear sit this round out.
-            let routable: Vec<usize> = (0..n_nodes).filter(|&i| mask & (1 << i) != 0).collect();
-            if routable.is_empty() {
-                continue;
-            }
-            let q = &pool[sel as usize % pool.len()];
-            let skel = PlanSkeleton::build(&ctx, q);
-            let views: Vec<CacheView<'_>> = routable
-                .iter()
-                .map(|&i| CacheView {
-                    cache: &caches[i],
-                    opts: node_opts(i, seed + step as u64),
-                })
-                .collect();
-            completer.gather(
-                &skel,
-                views.len(),
-                |j| views[j],
-                t,
-                |s, span| h.estimator.maintenance(s, span),
-            );
-            for (j, &node) in routable.iter().enumerate() {
-                let mut rows = PlanRows::new();
-                completer.emit_into(&skel, j, &mut rows);
-                let full = PlanHot::of(&rows.to_plans());
-                completer.emit_hot(&skel, j, &mut hot);
-                prop_assert_eq!(&hot.time, &full.time, "times at step {} node {}", step, node);
-                prop_assert_eq!(&hot.price, &full.price, "prices at step {} node {}", step, node);
-                prop_assert_eq!(
-                    &hot.existing, &full.existing, "existing at step {} node {}", step, node
-                );
-            }
-        }
+        let caches = seeded_caches(&pool_columns(&pool), n_nodes);
+        check_batched_rounds(seed, &pool, caches, &ops, &masks, |rows| PlanHot::of(&rows.to_plans()));
     }
 
     /// The fleet bid path: a group of managers quoted through
-    /// `QuoteBatch` must bid, memoize and serve exactly like a twin
-    /// group quoted per node — across random arrival interleavings that
-    /// exercise handoff hits, price refreshes and re-plans, and
-    /// random nodes sitting rounds out as unroutable. Each
-    /// world commits only its round winner (`QuoteBatch::commit`, and
-    /// `commit_quote` for the twin), the winner actually serves, and
-    /// every node's memo counters must agree after every round.
+    /// `QuoteBatch` must bid and serve exactly like a twin group quoted
+    /// per node — across random arrival interleavings (repeats, ties,
+    /// long idle gaps) and random nodes sitting rounds out as
+    /// unroutable. In both worlds the round winner serves, so later
+    /// rounds bid against evolved state.
     #[test]
     fn batched_quote_rounds_match_sequential_quotes(
         seed in 0u64..1_000,
@@ -534,23 +448,18 @@ proptest! {
         let ctx = h.ctx();
         let pool = query_pool(seed.wrapping_add(41), 10);
         let n_nodes = 5usize;
-        let biting = |plan_cache: bool| EconConfig {
+        let biting = || EconConfig {
             initial_credit: Money::from_dollars(0.02),
             investment: InvestmentRule {
                 min_regret: Money::from_dollars(1e-5),
                 ..InvestmentRule::default()
             },
-            plan_cache,
             ..EconConfig::default()
         };
-        // Node 3 runs with memoization disabled so the unmemoized batch
-        // arm is exercised alongside slots.
-        let mut batched: Vec<EconomyManager> = (0..n_nodes)
-            .map(|i| EconomyManager::new(biting(i != 3)))
-            .collect();
-        let mut sequential: Vec<EconomyManager> = (0..n_nodes)
-            .map(|i| EconomyManager::new(biting(i != 3)))
-            .collect();
+        let mut batched: Vec<EconomyManager> =
+            (0..n_nodes).map(|_| EconomyManager::new(biting())).collect();
+        let mut sequential: Vec<EconomyManager> =
+            (0..n_nodes).map(|_| EconomyManager::new(biting())).collect();
         let mut workspace = QuoteBatch::new();
 
         let mut now = SimTime::ZERO;
@@ -590,25 +499,18 @@ proptest! {
                 .collect();
             prop_assert_eq!(&bids_a, &bids_b, "bids diverged at {}", now);
 
-            // Lowest-indexed minimum bidder commits and serves, in both
-            // worlds.
+            // Lowest-indexed minimum bidder serves, in both worlds.
             let mut winner = 0;
             for (i, bid) in bids_a.iter().enumerate() {
                 if bid.is_some_and(|b| Some(b) < bids_a[winner]) {
                     winner = i;
                 }
             }
-            workspace.commit(winner, &batched[winner]);
-            sequential[winner].commit_quote(&ctx, query, now);
-            for (a, b) in batched.iter().zip(&sequential) {
-                prop_assert_eq!(a.plan_cache_stats(), b.plan_cache_stats(), "memo stats diverged at {}", now);
-            }
             let out_a = batched[winner].process_query(&ctx, query, now);
             let out_b = sequential[winner].process_query(&ctx, query, now);
             prop_assert_eq!(&out_a, &out_b, "outcomes diverged at {}", now);
         }
         for (a, b) in batched.iter().zip(&sequential) {
-            prop_assert_eq!(a.plan_cache_stats(), b.plan_cache_stats(), "memo stats diverged");
             prop_assert_eq!(a.account().balance(), b.account().balance());
             prop_assert!(a.account().balances_exactly());
         }
@@ -637,42 +539,4 @@ fn quote_round_fallback_covers_non_economic_nodes() {
     assert_eq!(bids[0], sentinel);
     assert_eq!(bids[2], sentinel.scale(3.0));
     assert_eq!(bids[1], manager.quote_query(&ctx, query, now));
-}
-
-/// Only the round winner's memo is warmed: the bids count nothing, the
-/// winning node's serve takes the plan set its commit emitted (a hit),
-/// and the losers, which will never serve this query, hold no handoff —
-/// serving the query on one of them misses.
-#[test]
-fn batched_quotes_warm_the_plan_memo() {
-    let h = harness();
-    let ctx = h.ctx();
-    let pool = query_pool(11, 1);
-    let query = &pool[0];
-    let mut managers: Vec<EconomyManager> = (0..3)
-        .map(|_| EconomyManager::new(EconConfig::default()))
-        .collect();
-    let mut workspace = QuoteBatch::new();
-    let now = SimTime::from_secs(1.0);
-    let _ = workspace.quote_round(
-        3,
-        |i| Some(&managers[i]),
-        |_| unreachable!(),
-        &ctx,
-        query,
-        now,
-    );
-    for m in &managers {
-        assert_eq!(m.plan_cache_stats(), Default::default(), "a bid counted");
-    }
-    workspace.commit(0, &managers[0]);
-    let _ = managers[0].process_query(&ctx, query, now);
-    let stats = managers[0].plan_cache_stats();
-    assert_eq!(stats.misses, 0, "the serve took the winner's handoff");
-    assert_eq!(stats.hits, 1);
-
-    let _ = managers[1].process_query(&ctx, query, now);
-    let stats = managers[1].plan_cache_stats();
-    assert_eq!(stats.misses, 1, "losers memoized nothing: {stats:?}");
-    assert_eq!(stats.hits, 0);
 }

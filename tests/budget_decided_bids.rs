@@ -3,8 +3,8 @@
 //! Under a step budget a node's bid is the full amount `B_Q` whenever
 //! the backend is affordable, whatever its cache holds, so the fleet
 //! router settles such bids from the budget alone
-//! (`EconomyManager::budget_decided_bid`) and skips the skeleton,
-//! completion and commit. The properties pinned here:
+//! (`EconomyManager::budget_decided_bid`) and skips the skeleton and
+//! completion. The properties pinned here:
 //!
 //! 1. over random cache histories, every budget shape, every selection
 //!    objective, a range of patience values and budget scales on both

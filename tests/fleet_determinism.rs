@@ -8,9 +8,7 @@
 //! 3. cheapest-quote aggregates are invariant under the quote path:
 //!    batched structure-major rounds and per-node fused bids pick
 //!    bit-identical winners, under step budgets, which decide rounds
-//!    from the budget alone, and convex ones, which run them in full;
-//! 4. the round winner's commit hands its plan set to its serve, so both
-//!    completion paths leave identical plan-cache state.
+//!    from the budget alone, and convex ones, which run them in full.
 
 use cloudcache::econ::BudgetShape;
 use cloudcache::fleet::{
@@ -247,112 +245,5 @@ fn batched_winner_matches_per_node_across_rounds() {
     }
     for router in &routers {
         assert_eq!(router.quote_rounds().full, 60, "every round ran in full");
-    }
-}
-
-/// Only the round winner memoizes its plan set, on either quote path:
-/// per-node rounds (fused bids, then `commit_quote` on the winner) must
-/// leave every node's plan-cache counters equal to the batched round's
-/// (`QuoteBatch::commit` on the winner) after every round. A commit to
-/// any node but the winner would leave the winner without a handoff,
-/// and its serve would miss where the other path hits.
-#[test]
-fn batched_and_per_node_rounds_commit_only_the_winner() {
-    use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
-    use cloudcache::planner::{
-        generate_candidates, CandidateIndex, CostParams, Estimator, PlannerContext,
-    };
-    use cloudcache::pricing::PriceCatalog;
-    use cloudcache::simcore::{NetworkModel, SimRng, SimTime};
-    use cloudcache::simulator::Scheme;
-    use cloudcache::workload::{paper_templates, Query, WorkloadConfig, WorkloadGenerator};
-    use std::sync::Arc;
-
-    let schema = Arc::new(tpch_schema(ScaleFactor(10.0)));
-    let templates = paper_templates(&schema);
-    let candidates = generate_candidates(&schema, &templates, 65);
-    let cand_index = CandidateIndex::build(&schema, &candidates);
-    let estimator = Estimator::new(
-        CostParams::default(),
-        PriceCatalog::ec2_2009(),
-        NetworkModel::paper_sdss(),
-    );
-    let ctx = PlannerContext {
-        schema: &schema,
-        candidates: &candidates,
-        cand_index: &cand_index,
-        estimator: &estimator,
-    };
-    // Convex budgets: a step budget would decide every bid before the
-    // round, and no round would run in full.
-    let econ = cloudcache::econ::EconConfig {
-        initial_credit: cloudcache::pricing::Money::from_dollars(0.02),
-        investment: cloudcache::econ::InvestmentRule {
-            min_regret: cloudcache::pricing::Money::from_dollars(1e-5),
-            ..cloudcache::econ::InvestmentRule::default()
-        },
-        budget_shape: cloudcache::econ::BudgetShape::Convex,
-        ..cloudcache::econ::EconConfig::default()
-    };
-    let build_fleet = || -> Vec<CacheNode> {
-        (0..8)
-            .map(|i| CacheNode::new(i, &NodeSpec::new(Scheme::EconCheap), &schema, &econ))
-            .collect()
-    };
-
-    // Batching: the batched round is the reference.
-    let configs = [true, false];
-    let mut routers: Vec<CheapestQuote> = configs
-        .iter()
-        .map(|&batching| {
-            CheapestQuote::with_options(QuoteOptions {
-                batching,
-                ..QuoteOptions::default()
-            })
-        })
-        .collect();
-    let mut fleets: Vec<Vec<CacheNode>> = configs.iter().map(|_| build_fleet()).collect();
-
-    // A handful of instances drawn with repeats.
-    let pool: Vec<Query> =
-        WorkloadGenerator::new(Arc::clone(&schema), WorkloadConfig::default(), 31)
-            .take(6)
-            .collect();
-    let mut rng = SimRng::new(5);
-    let stats =
-        |nodes: &[CacheNode]| -> Vec<_> { nodes.iter().map(CacheNode::plan_cache_stats).collect() };
-    let mut hits = 0;
-    for round in 0..120 {
-        let query = &pool[rng.gen_range(0, pool.len() as u64) as usize];
-        let now = SimTime::from_secs((round / 2 + 1) as f64);
-        let mut winners = Vec::with_capacity(configs.len());
-        for (router, nodes) in routers.iter_mut().zip(&mut fleets) {
-            for node in nodes.iter_mut() {
-                node.accrue(now);
-            }
-            winners.push(router.route(nodes, &ctx, query, now));
-        }
-        let reference = stats(&fleets[0]);
-        for (i, nodes) in fleets.iter().enumerate() {
-            assert_eq!(
-                winners[i], winners[0],
-                "round {round}: batching {} winner",
-                configs[i]
-            );
-            assert_eq!(
-                stats(nodes),
-                reference,
-                "round {round}: batching {} left different memo state",
-                configs[i]
-            );
-        }
-        for (nodes, &winner) in fleets.iter_mut().zip(&winners) {
-            let _ = nodes[winner].serve(&ctx, query, now);
-        }
-        hits = reference.iter().flatten().map(|s| s.hits).sum::<u64>();
-    }
-    assert!(hits > 0, "the repeated queries must exercise memo hits");
-    for router in &routers {
-        assert_eq!(router.quote_rounds().full, 120, "every round ran in full");
     }
 }

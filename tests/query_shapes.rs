@@ -191,14 +191,14 @@ fn check_query(ctx: &PlannerContext<'_>, query: &Query, rows: &mut PlanRows) {
 
     // Skeleton variants: the deduplicated columns, then the indexes.
     let skeleton = PlanSkeleton::build(ctx, query);
-    for variant in &skeleton.variants {
+    assert_eq!(skeleton.variants.len(), exec.variants.len());
+    for (variant, (variant_picks, _)) in skeleton.variants.iter().zip(&exec.variants) {
         let mut expected = columns.clone();
         expected.extend(
-            variant
-                .indexes
+            variant_picks
                 .iter()
                 .flatten()
-                .map(|&id| StructureKey::Index(id)),
+                .map(|&pos| StructureKey::Index(ctx.candidates[pos].id)),
         );
         assert_eq!(
             variant.uses, expected,

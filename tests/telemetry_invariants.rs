@@ -28,7 +28,7 @@ use proptest::prelude::*;
 /// Fixed name pools, one per metric kind — a name must keep one kind for
 /// life (mixing kinds under one name is a programming error the registry
 /// panics on), so ops address kind-homogeneous pools.
-const COUNTERS: [&str; 3] = ["fleet.queries", "elastic.reviews", "plan_cache.hits"];
+const COUNTERS: [&str; 3] = ["fleet.queries", "elastic.reviews", "router.full_rounds"];
 const GAUGES: [&str; 3] = ["fleet.payments", "fleet.profit", "fleet.exec.cpu"];
 const HISTOGRAMS: [&str; 2] = ["fleet.response_secs", "node.backlog_secs"];
 
