@@ -73,7 +73,7 @@ struct SkyScratch {
 }
 
 /// Kept only because the repository benchmark names it; inert; removed
-/// by ROADMAP item 4(a). [`EconomyManager::plan_cache_stats`] returns it
+/// by ROADMAP item 5. [`EconomyManager::plan_cache_stats`] returns it
 /// all zeros: there is no plan memo, and every serve plans fresh.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
@@ -142,7 +142,7 @@ impl EconomyManager {
     }
 
     /// Kept only because the repository benchmark names it; inert;
-    /// removed by ROADMAP item 4(a). Always the default (all zeros):
+    /// removed by ROADMAP item 5. Always the default (all zeros):
     /// every serve plans its query fresh.
     #[must_use]
     pub fn plan_cache_stats(&self) -> PlanCacheStats {

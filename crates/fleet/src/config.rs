@@ -42,7 +42,7 @@ pub struct FleetConfig {
     /// Worker threads executing cells (affects wall-clock only).
     pub shards: usize,
     /// Kept only because the repository benchmark names it; inert;
-    /// removed by ROADMAP item 4(a). A cheapest-quote round runs on the
+    /// removed by ROADMAP item 5. A cheapest-quote round runs on the
     /// router's thread, so [`Self::validate`] accepts only 1.
     pub quote_threads: usize,
     /// Quote rounds complete the economic nodes' plans in one batched
@@ -53,7 +53,7 @@ pub struct FleetConfig {
     /// batching is the default because it quotes full rounds faster.
     pub quote_batching: bool,
     /// Kept only because the repository benchmark names it; inert;
-    /// removed by ROADMAP item 4(a). There are no quote workers to pin,
+    /// removed by ROADMAP item 5. There are no quote workers to pin,
     /// so any value is accepted; absent, it deserializes to `true`.
     #[serde(default = "default_true")]
     pub pin_quote_workers: bool,

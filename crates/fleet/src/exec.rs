@@ -22,15 +22,16 @@
 //! Worker threads take cells by striding (`worker w` runs cells
 //! `w, w+shards, …`); since workers only *compute* partials and the fold
 //! happens after all joins, scheduling jitter cannot leak into results.
+//! Each cell runs as a [`Cell`], one named phase per step of its loop.
 
 use std::sync::Arc;
 
 use catalog::tpch::{tpch_schema, ScaleFactor};
 use catalog::Schema;
 use planner::{generate_candidates, Estimator, PlannerContext};
+use policies::PolicyOutcome;
 use simcore::{NetworkModel, SimTime};
-use simulator::RunResult;
-use workload::paper_templates;
+use workload::{paper_templates, Query};
 
 use pricing::Money;
 use telemetry::{
@@ -40,15 +41,16 @@ use telemetry::{
 };
 
 use crate::config::FleetConfig;
-use crate::elastic::{ElasticAction, ElasticController, ElasticSummary, NodePopulation};
-use crate::faults::{FaultInjector, FaultOutcome, FaultRecord, FaultSummary};
+use crate::elastic::{ElasticAction, ElasticController, NodePopulation};
+use crate::evacuate::RetryPolicy;
+use crate::faults::{FaultInjector, FaultOutcome, FaultRecord};
 use crate::node::CacheNode;
 use crate::result::{FleetResult, NodeStats, TenantStats};
-use crate::router::QuoteOptions;
+use crate::router::{QuoteOptions, Router};
 use crate::tenant::{MergedStream, TenantStream};
 
 /// Kept only because the repository benchmark names it; inert; removed
-/// by ROADMAP item 4(a). Quote rounds run on the router's thread, so
+/// by ROADMAP item 5. Quote rounds run on the router's thread, so
 /// this is 1 for every valid config (`FleetConfig::validate` rejects
 /// any other `quote_threads`).
 #[must_use]
@@ -70,28 +72,9 @@ pub struct FleetSim {
     config: FleetConfig,
 }
 
-/// One cell's partial measurements, produced on a worker thread.
-struct CellResult {
-    horizon: SimTime,
-    tenants: Vec<TenantStats>,
-    /// Per-node results tagged with fleet-wide node ids — positions are
-    /// not ids once the control plane retires or spawns nodes mid-run.
-    nodes: Vec<(usize, RunResult)>,
-    /// Live node-seconds integrated over the cell (eq. 11's quantity).
-    node_seconds: f64,
-    /// Control-plane activity, when the cell ran elastically.
-    elastic: Option<ElasticSummary>,
-    /// Fault-plane activity, when the cell ran under a fault plan.
-    faults: Option<FaultSummary>,
-    /// The cell's metrics registry — populated only on traced runs
-    /// (`None` under the no-op sink, keeping the hot path allocation-free).
-    registry: Option<MetricsRegistry>,
-    /// Per-tenant SLO ledger — always computed, so traced and untraced
-    /// runs stay bit-identical.
-    slo: SloLedger,
-    /// Cadenced vitals snapshots, when the config asked for them.
-    health: Option<HealthSeries>,
-}
+/// One cell's finished piece of the fleet result, with its metrics
+/// registry on traced runs.
+type CellPiece = (FleetResult, Option<MetricsRegistry>);
 
 /// What a traced run recorded alongside its [`FleetResult`]: the full
 /// event stream (ascending cell, then per-cell arrival order) and the
@@ -134,7 +117,7 @@ impl FleetSim {
     }
 
     /// Kept only because the repository benchmark names it; inert;
-    /// removed by ROADMAP item 4(a). All zeros: no fleet-wide skeleton
+    /// removed by ROADMAP item 5. All zeros: no fleet-wide skeleton
     /// cache exists.
     #[must_use]
     pub fn skeleton_cache_counters(&self) -> planner::SkeletonCacheCounters {
@@ -142,17 +125,11 @@ impl FleetSim {
     }
 
     /// Kept only because the repository benchmark names it; inert;
-    /// removed by ROADMAP item 4(a). Always 1: quote rounds run on the
+    /// removed by ROADMAP item 5. Always 1: quote rounds run on the
     /// router's thread.
     #[must_use]
     pub fn quote_pool_threads(&self) -> usize {
         1
-    }
-
-    /// The backend schema.
-    #[must_use]
-    pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
     }
 
     /// The configuration.
@@ -164,8 +141,7 @@ impl FleetSim {
     /// Executes the fleet run across `config.shards` worker threads.
     #[must_use]
     pub fn run(&self) -> FleetResult {
-        let partials = self.run_cells(|_| NoopSink);
-        self.fold(partials.iter().map(|(partial, _)| partial))
+        self.run_cells(|_| NoopSink).0
     }
 
     /// Executes the fleet run with the flight recorder on: every cell
@@ -178,550 +154,599 @@ impl FleetSim {
     /// `bench --bin explain selfcheck` verify this, and CI gates on it).
     #[must_use]
     pub fn run_traced(&self) -> (FleetResult, FleetTrace) {
-        let partials = self.run_cells(|_| Recorder::new());
-        let result = self.fold(partials.iter().map(|(partial, _)| partial));
+        let (result, cells) = self.run_cells(|_| Recorder::new());
         let mut events = Vec::new();
         let mut registry = MetricsRegistry::new();
-        for (partial, recorder) in partials {
+        for (cell_registry, recorder) in cells {
             events.extend(recorder.into_events());
-            if let Some(cell_registry) = &partial.registry {
+            if let Some(cell_registry) = &cell_registry {
                 registry.merge(cell_registry);
             }
         }
         (result, FleetTrace { events, registry })
     }
 
-    /// Simulates every cell (striding workers when `shards > 1`), giving
-    /// each cell its own sink from `make_sink`. Returns partials in
-    /// ascending cell order regardless of shard scheduling.
-    fn run_cells<S, F>(&self, make_sink: F) -> Vec<(CellResult, S)>
+    /// Prepares cell `index` (tenants `id % cells == index`) on a fresh
+    /// replica of the seed nodes, tracing into `sink`. Degradation
+    /// windows apply to seed nodes only: replacements are fresh machines.
+    #[must_use]
+    pub fn cell<'a>(&'a self, index: usize, sink: &'a mut dyn TraceSink) -> Cell<'a> {
+        let config = &self.config;
+        let surge_windows = config
+            .faults
+            .as_ref()
+            .map(|p| p.surge_windows())
+            .unwrap_or_default();
+        let streams: Vec<TenantStream> = config
+            .tenants
+            .iter()
+            .filter(|t| t.id.0 as usize % config.cells == index)
+            .map(|t| {
+                let schema = Arc::clone(&self.schema);
+                TenantStream::with_surges(t.clone(), schema, config.seed, surge_windows.clone())
+            })
+            .collect();
+        let (tenants, slo) = streams
+            .iter()
+            .map(|s| {
+                let spec = s.spec();
+                (
+                    TenantStats::new(spec.id),
+                    TenantSloRecord::new(spec.id.0, spec.slo),
+                )
+            })
+            .unzip();
+        let nodes = config
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let mut node = CacheNode::new(i, spec, &self.schema, &config.econ);
+                if let Some(plan) = &config.faults {
+                    node.set_degradations(plan.degrade_windows(i));
+                }
+                node
+            })
+            .collect();
+        let injector = config.faults.as_ref().map(|plan| {
+            let schema = Arc::clone(&self.schema);
+            FaultInjector::new(
+                plan,
+                &config.nodes,
+                config.econ.clone(),
+                schema,
+                index,
+                config.seed,
+            )
+        });
+        let controller = config
+            .elastic
+            .as_ref()
+            .map(|_| ElasticController::new(config, index, Arc::clone(&self.schema)));
+        Cell {
+            config,
+            ctx: PlannerContext {
+                schema: &self.schema,
+                candidates: &self.candidates,
+                cand_index: &self.cand_index,
+                estimator: &self.estimator,
+            },
+            index,
+            registry: sink.enabled().then(MetricsRegistry::new),
+            sink,
+            stream: MergedStream::new(streams),
+            tenants,
+            slo,
+            population: NodePopulation::new(nodes),
+            injector,
+            controller,
+            router: config.router.make(QuoteOptions {
+                batching: config.quote_batching,
+                ..QuoteOptions::default()
+            }),
+            ledger_seen: 0,
+            fault_seen: 0,
+            health: config
+                .health
+                .as_ref()
+                .map(|h| HealthSeries::new(h.snapshot_interval_secs)),
+            next_tick: 1,
+            horizon: SimTime::ZERO,
+        }
+    }
+
+    /// Simulates every cell, each with its own sink from `make_sink`, on
+    /// `shards` striding workers, and folds the pieces in ascending cell
+    /// order: the shard-count-invariant merge. Returns the fleet result
+    /// and each cell's registry and sink, in cell order.
+    fn run_cells<S, F>(&self, make_sink: F) -> (FleetResult, Vec<(Option<MetricsRegistry>, S)>)
     where
         S: TraceSink + Send,
         F: Fn(usize) -> S + Sync,
     {
         let cells = self.config.cells;
         let shards = self.config.shards.min(cells).max(1);
-
-        if shards == 1 {
-            (0..cells)
-                .map(|c| {
-                    let mut sink = make_sink(c);
-                    let partial = self.simulate_cell(c, &mut sink);
-                    (partial, sink)
+        let work = |worker: usize| -> Vec<(usize, CellPiece, S)> {
+            (worker..cells)
+                .step_by(shards)
+                .map(|cell| {
+                    let mut sink = make_sink(cell);
+                    (cell, self.simulate_cell(cell, &mut sink), sink)
                 })
                 .collect()
+        };
+        let mut partials = if shards == 1 {
+            work(0)
         } else {
             std::thread::scope(|scope| {
+                let work = &work;
                 let handles: Vec<_> = (0..shards)
-                    .map(|worker| {
-                        let sim = &*self;
-                        let make_sink = &make_sink;
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            let mut cell = worker;
-                            while cell < cells {
-                                let mut sink = make_sink(cell);
-                                let partial = sim.simulate_cell(cell, &mut sink);
-                                out.push((cell, (partial, sink)));
-                                cell += shards;
-                            }
-                            out
-                        })
-                    })
+                    .map(|worker| scope.spawn(move || work(worker)))
                     .collect();
-                let mut slots: Vec<Option<(CellResult, S)>> = (0..cells).map(|_| None).collect();
-                for handle in handles {
-                    for (cell, result) in handle.join().expect("fleet worker panicked") {
-                        slots[cell] = Some(result);
-                    }
-                }
-                slots
+                handles
                     .into_iter()
-                    .map(|s| s.expect("every cell simulated"))
+                    .flat_map(|h| h.join().expect("fleet worker panicked"))
                     .collect()
             })
-        }
-    }
-
-    /// Folds cell partials in ascending cell order — the
-    /// shard-count-invariant merge.
-    fn fold<'a>(&self, partials: impl Iterator<Item = &'a CellResult>) -> FleetResult {
-        let cells = self.config.cells;
+        };
+        partials.sort_unstable_by_key(|&(cell, ..)| cell);
         let mut fleet = FleetResult::empty(self.config.router.name(), cells);
-        for partial in partials {
-            let mut piece = FleetResult::empty(self.config.router.name(), cells);
-            piece.horizon_secs = partial.horizon.as_secs();
-            piece.tenants = partial.tenants.clone();
-            piece.node_seconds = partial.node_seconds;
-            piece.elastic = partial.elastic.clone();
-            piece.faults = partial.faults.clone();
-            piece.slo = partial.slo.clone();
-            piece.health = partial.health.clone();
-            for &(node_idx, ref run) in &partial.nodes {
-                piece.queries += run.queries;
-                piece.response.merge(&run.response);
-                piece.response_hist.merge(&run.response_hist);
-                piece.operating.merge(&run.operating);
-                piece.build_spend += run.build_spend;
-                piece.payments += run.payments;
-                piece.profit += run.profit;
-                piece.cache_hits += run.cache_hits;
-                piece.investments += run.investments;
-                piece.evictions += run.evictions;
-                piece.nodes.push(NodeStats::from_run(node_idx, run));
-            }
-            fleet.merge(&piece);
-        }
-        fleet
+        let traces = partials
+            .into_iter()
+            .map(|(_, (piece, registry), sink)| {
+                fleet.merge(&piece);
+                (registry, sink)
+            })
+            .collect();
+        (fleet, traces)
     }
 
     /// Simulates one cell: its tenants' merged stream over a private
     /// replica of the node fleet. Single-threaded and deterministic.
-    ///
-    /// When `sink` is enabled the cell additionally assembles trace
-    /// events (quote rounds, settlements, node lifecycle) and a metrics
-    /// registry; under the default [`NoopSink`] both gates are a single
-    /// branch and no event is ever built.
-    fn simulate_cell(&self, cell: usize, sink: &mut dyn TraceSink) -> CellResult {
-        let cells = self.config.cells;
-        let rates = &self.config.prices.rates;
-        // Flash-crowd surges time-warp every tenant's arrivals — the
-        // windows come from the config, so surge runs stay pure functions
-        // of it.
-        let surge_windows = self
-            .config
-            .faults
-            .as_ref()
-            .map(|p| p.surge_windows())
-            .unwrap_or_default();
-        let streams: Vec<TenantStream> = self
-            .config
-            .tenants
-            .iter()
-            .filter(|t| t.id.0 as usize % cells == cell)
-            .map(|t| {
-                if surge_windows.is_empty() {
-                    TenantStream::new(t.clone(), Arc::clone(&self.schema), self.config.seed)
-                } else {
-                    TenantStream::with_surges(
-                        t.clone(),
-                        Arc::clone(&self.schema),
-                        self.config.seed,
-                        surge_windows.clone(),
-                    )
-                }
-            })
-            .collect();
-        let mut tenant_stats: Vec<TenantStats> = streams
-            .iter()
-            .map(|s| TenantStats::new(s.spec().id))
-            .collect();
-        // The SLO ledger rides alongside `tenant_stats`, slot for slot.
-        // It is unconditionally maintained — one histogram record plus a
-        // few counter bumps per query — because the telemetry invariant
-        // (`run_traced() == run()`) compares full `FleetResult`s.
-        let mut slo_records: Vec<TenantSloRecord> = streams
-            .iter()
-            .map(|s| TenantSloRecord::new(s.spec().id.0, s.spec().slo))
-            .collect();
-        // O(1) tenant → stats-slot lookup for the hot loop below.
-        let slot_of: std::collections::HashMap<crate::tenant::TenantId, usize> = tenant_stats
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.tenant, i))
-            .collect();
-        let merged = MergedStream::new(streams);
-
-        // Degradation windows apply to seed nodes only — replacements
-        // (elastic spawns, crash recoveries) are fresh machines.
-        let nodes: Vec<CacheNode> = self
-            .config
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                let mut node = CacheNode::new(i, spec, &self.schema, &self.config.econ);
-                if let Some(plan) = &self.config.faults {
-                    node.set_degradations(plan.degrade_windows(i));
-                }
-                node
-            })
-            .collect();
-        let mut population = NodePopulation::new(nodes);
-        let mut injector = self.config.faults.as_ref().map(|plan| {
-            FaultInjector::new(
-                plan,
-                &self.config.nodes,
-                self.config.econ.clone(),
-                Arc::clone(&self.schema),
-                cell,
-                self.config.seed,
-            )
-        });
-        let mut controller = self
-            .config
-            .elastic
-            .as_ref()
-            .map(|_| ElasticController::new(&self.config, cell, Arc::clone(&self.schema)));
-        let mut router = self.config.router.make(QuoteOptions {
-            batching: self.config.quote_batching,
-            ..QuoteOptions::default()
-        });
-        let ctx = PlannerContext {
-            schema: &self.schema,
-            candidates: &self.candidates,
-            cand_index: &self.cand_index,
-            estimator: &self.estimator,
-        };
-
-        // The flight recorder: `registry` doubles as the "tracing on"
-        // gate so the no-op path costs one branch per site.
-        let mut registry = sink.enabled().then(MetricsRegistry::new);
-        let mut ledger_seen = 0usize;
-        let mut fault_seen = 0usize;
-        // Vitals scraper state: the series plus the next tick ordinal.
-        // Tick instants are `k × interval` by multiplication (never by
-        // accumulation), so every cell lands frames on the exact same
-        // grid and the cross-cell merge can align them index-wise.
-        let mut health = self
-            .config
-            .health
-            .as_ref()
-            .map(|h| (HealthSeries::new(h.snapshot_interval_secs), 1u64));
-
-        let mut horizon = SimTime::ZERO;
-        for (now, tenant, query) in merged {
-            horizon = now;
-            // Control-plane reviews and fault events due before this
-            // arrival run first, interleaved at their exact simulated
-            // instants (reviews win exact ties), so routing below sees
-            // the post-review, post-fault population.
-            if let Some(inj) = injector.as_mut() {
-                while let Some(fault_at) = inj.next_due(now) {
-                    if let Some(controller) = &mut controller {
-                        controller.run_due_reviews(&mut population, &ctx, fault_at);
-                    }
-                    inj.process_next(&mut population, &ctx, rates);
-                }
-            }
-            if let Some(controller) = &mut controller {
-                controller.run_due_reviews(&mut population, &ctx, now);
-            }
-            if let Some(inj) = injector.as_mut() {
-                // Capital-preserving evacuation of control-plane drains:
-                // newly draining nodes migrate their profitable
-                // structures before retirement instead of scrapping them.
-                inj.sweep_draining(&mut population, &ctx, now);
-            }
-            // Total-outage wait: a correlated crash can momentarily
-            // leave no routable node (the survivors already retired,
-            // the population-floor respawns still booting). The query
-            // queues until capacity returns — its effective serve
-            // instant advances through the control-plane actions due in
-            // the window (reviews and fault events run at their exact
-            // instants), and the wait folds into its end-to-end latency
-            // sample exactly like retry backoff.
-            let arrived = now;
-            let mut now = now;
-            while population.routable_count(now) == 0 {
-                let mut next: Option<f64> = population
-                    .live()
-                    .iter()
-                    .filter(|n| n.drain_since().is_none() && now.as_secs() < n.ready_at().as_secs())
-                    .map(|n| n.ready_at().as_secs())
-                    .min_by(f64::total_cmp);
-                if let Some(controller) = &controller {
-                    let review = controller.next_review_at().as_secs();
-                    next = Some(next.map_or(review, |t| t.min(review)));
-                }
-                if let Some(at) = injector.as_ref().and_then(|i| i.next_event_at()) {
-                    let at = at.as_secs();
-                    next = Some(next.map_or(at, |t| t.min(at)));
-                }
-                let Some(next) = next.filter(|t| *t > now.as_secs()) else {
-                    panic!("no routable node and no pending control-plane action to restore one");
-                };
-                now = SimTime::from_secs(next);
-                if let Some(inj) = injector.as_mut() {
-                    while let Some(fault_at) = inj.next_due(now) {
-                        if let Some(controller) = &mut controller {
-                            controller.run_due_reviews(&mut population, &ctx, fault_at);
-                        }
-                        inj.process_next(&mut population, &ctx, rates);
-                    }
-                }
-                if let Some(controller) = &mut controller {
-                    controller.run_due_reviews(&mut population, &ctx, now);
-                }
-                if let Some(inj) = injector.as_mut() {
-                    inj.sweep_draining(&mut population, &ctx, now);
-                }
-            }
-            let outage_wait = now.saturating_since(arrived).as_secs();
-            horizon = horizon.max(now);
-            if let Some(registry) = registry.as_mut() {
-                if let Some(controller) = &controller {
-                    let ledger = controller.ledger();
-                    for entry in &ledger[ledger_seen..] {
-                        emit_lifecycle(sink, registry, entry);
-                    }
-                    ledger_seen = ledger.len();
-                }
-                if let Some(inj) = injector.as_ref() {
-                    let records = inj.records();
-                    for record in &records[fault_seen..] {
-                        emit_fault(sink, registry, record);
-                    }
-                    fault_seen = records.len();
-                }
-            }
-            population.accrue(now);
-            // The cadenced scraper: emit every frame whose tick instant
-            // has passed. Ticks sample the *current* (post-accrue) state
-            // — a deterministic function of the arrival sequence, so
-            // frames are bit-identical at any shard count.
-            if let Some((series, next_tick)) = health.as_mut() {
-                #[allow(clippy::cast_precision_loss)]
-                while (*next_tick as f64) * series.interval_secs <= now.as_secs() {
-                    #[allow(clippy::cast_precision_loss)]
-                    let at = (*next_tick as f64) * series.interval_secs;
-                    series.frames.push(capture_vitals(
-                        at,
-                        &population,
-                        controller.as_ref(),
-                        injector.as_ref(),
-                        &slo_records,
-                    ));
-                    *next_tick += 1;
-                }
-            }
-            let routable = registry.as_ref().map(|_| population.routable_count(now));
-            let mut chosen = router.route(population.live(), &ctx, &query, now);
-            // Per-query timeout fallback: a degraded winner whose backlog
-            // already exceeds the timeout is suppressed for one more
-            // round and the query re-routes to the next-best candidate —
-            // once (legacy), or under the plan's deadline-budgeted
-            // [`RetryPolicy`] with deterministic backoff charged against
-            // the query's remaining budget headroom. Pure simulation
-            // state drives every decision, so traced and untraced runs
-            // take the identical path.
-            let mut retry_wait = 0.0_f64;
-            let mut retried_query: Option<workload::Query> = None;
-            if let Some(inj) = injector.as_mut() {
-                let timeout = inj.timeout_secs();
-                if timeout > 0.0 {
-                    if let Some(policy) = inj.retry().copied() {
-                        let mut suppressed: Vec<usize> = Vec::new();
-                        let mut scale = query.budget_scale;
-                        let mut attempt = 1u32;
-                        // Retry while the winner is degraded past the
-                        // timeout, attempts remain, an alternative node
-                        // exists, and the budget still has headroom to
-                        // pay for a retry. When the headroom is gone the
-                        // decayed budget itself downgrades the plan: a
-                        // `B_Q(t)` pinned at the backend price makes the
-                        // economy serve the backend plan organically.
-                        while attempt < policy.max_attempts
-                            && population.routable_count(now) > 1
-                            && scale - 1.0 > 1e-9
-                        {
-                            let winner = &population.live()[chosen];
-                            if !(winner.degrade_slowdown(now) > 1.0
-                                && winner.outstanding(now) >= timeout)
-                            {
-                                break;
-                            }
-                            let backoff = policy.backoff_for(attempt);
-                            retry_wait += backoff;
-                            scale = policy.decayed_budget_scale(scale);
-                            let from_node = winner.id();
-                            population.live_mut()[chosen].suppress_route();
-                            suppressed.push(chosen);
-                            let mut decayed = query.clone();
-                            decayed.budget_scale = scale;
-                            chosen = router.route(population.live(), &ctx, &decayed, now);
-                            inj.note_retry();
-                            slo_records[slot_of[&tenant]].retries += 1;
-                            if let Some(registry) = registry.as_mut() {
-                                registry.counter_add("fault.retries", 1);
-                                registry.observe("fault.retry_backoff", backoff);
-                                sink.emit(TraceEvent::QueryRetry(QueryRetryEvent {
-                                    cell,
-                                    at_secs: now.as_secs(),
-                                    tenant: tenant.0,
-                                    template: query.template.0,
-                                    query: query.id.0,
-                                    from_node,
-                                    to_node: population.live()[chosen].id(),
-                                    attempt,
-                                    backoff_secs: backoff,
-                                    budget_scale: scale,
-                                }));
-                            }
-                            retried_query = Some(decayed);
-                            attempt += 1;
-                        }
-                        for idx in suppressed {
-                            population.live_mut()[idx].unsuppress_route();
-                        }
-                    } else if population.routable_count(now) > 1 {
-                        let winner = &population.live()[chosen];
-                        if winner.degrade_slowdown(now) > 1.0 && winner.outstanding(now) >= timeout
-                        {
-                            population.live_mut()[chosen].suppress_route();
-                            let rerouted = router.route(population.live(), &ctx, &query, now);
-                            population.live_mut()[chosen].unsuppress_route();
-                            chosen = rerouted;
-                            inj.note_timeout();
-                            slo_records[slot_of[&tenant]].timeouts += 1;
-                            if let Some(registry) = registry.as_mut() {
-                                registry.counter_add("fault.timeouts", 1);
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some(routable) = routable {
-                sink.emit(TraceEvent::QuoteRound(QuoteRoundEvent {
-                    cell,
-                    at_secs: now.as_secs(),
-                    tenant: tenant.0,
-                    template: query.template.0,
-                    query: query.id.0,
-                    winner: population.live()[chosen].id(),
-                    winning_quote: router.last_winning_quote(),
-                    routable,
-                }));
-            }
-            // Retried queries serve with their decayed budget and fold
-            // the accumulated backoff into the delivered latency exactly
-            // once — the response histogram records a single end-to-end
-            // sample per query, never one per timed-out attempt.
-            let eff_query = retried_query.as_ref().unwrap_or(&query);
-            let outcome = population.live_mut()[chosen].serve_delayed(
-                &ctx,
-                eff_query,
-                now,
-                outage_wait + retry_wait,
-            );
-            if let Some(inj) = injector.as_mut() {
-                // Journal the serve for nodes awaiting replay-recovery
-                // (one hash probe for everyone else). The *effective*
-                // query is journaled, so recovery replay reproduces the
-                // decayed-budget economics bit for bit.
-                inj.note_served(population.live()[chosen].id(), now, eff_query);
-            }
-            if let Some(registry) = registry.as_mut() {
-                record_settlement(registry, &outcome);
-                sink.emit(TraceEvent::Settlement(SettlementEvent {
-                    cell,
-                    at_secs: now.as_secs(),
-                    tenant: tenant.0,
-                    template: query.template.0,
-                    query: query.id.0,
-                    node: population.live()[chosen].id(),
-                    response_secs: outcome.response_time.as_secs(),
-                    ran_in_cache: outcome.ran_in_cache,
-                    payment: outcome.payment,
-                    profit: outcome.profit,
-                    exec: outcome.exec_breakdown,
-                    build_spend: outcome.build_spend,
-                    used_structures: outcome
-                        .used_structures
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect(),
-                    investments: outcome.investments,
-                    evictions: outcome.evictions,
-                }));
-            }
-
-            let stats = &mut tenant_stats[slot_of[&tenant]];
-            stats.queries += 1;
-            stats.response.record(outcome.response_time.as_secs());
-            stats.payments += outcome.payment;
-            stats.cache_hits += u64::from(outcome.ran_in_cache);
-            let slo = &mut slo_records[slot_of[&tenant]];
-            slo.record_served(
-                outcome.response_time.as_secs(),
-                outcome.payment,
-                outcome.ran_in_cache,
-            );
-            if outage_wait > 0.0 {
-                slo.fault_delays += 1;
-            }
+    fn simulate_cell(&self, index: usize, sink: &mut dyn TraceSink) -> CellPiece {
+        let mut cell = self.cell(index, sink);
+        while let Some((arrived, slot, query)) = cell.next_arrival() {
+            cell.advance_control_plane(arrived);
+            let (now, outage_wait) = cell.await_capacity(arrived);
+            cell.scrape_health(now);
+            let route = cell.route(slot, &query, now, outage_wait);
+            let outcome = cell.serve(&query, &route);
+            cell.record(slot, &query, &route, &outcome);
         }
-
-        if let Some(registry) = registry.as_mut() {
-            // How this cell's quote rounds were settled: decided from
-            // the budgets alone, or through planning. A pure function of
-            // the simulation, hence shard-invariant.
-            let rounds = router.quote_rounds();
-            registry.counter_add("router.decided_rounds", rounds.decided);
-            registry.counter_add("router.full_rounds", rounds.full);
-        }
-
-        let finish = population.finish(rates, horizon);
-        let node_seconds = finish.node_seconds;
-        let elastic = controller.map(|c| c.into_summary(&finish));
-        let faults = injector.map(FaultInjector::into_summary);
-        CellResult {
-            horizon,
-            tenants: tenant_stats,
-            nodes: finish.nodes,
-            node_seconds,
-            elastic,
-            faults,
-            registry,
-            slo: SloLedger::from_records(slo_records),
-            health: health.map(|(series, _)| series),
-        }
+        cell.finish()
     }
 }
 
-/// Samples one [`VitalsFrame`] from the cell's live state. Every field
-/// is a pure function of the simulation state at the sampling call, so
-/// frames are deterministic across shard counts and identical between
-/// traced and untraced runs.
-fn capture_vitals(
-    at_secs: f64,
-    population: &NodePopulation,
-    controller: Option<&ElasticController>,
-    injector: Option<&FaultInjector>,
-    slo_records: &[TenantSloRecord],
-) -> VitalsFrame {
-    let t = SimTime::from_secs(at_secs);
-    let live = population.live();
-    let mut backlog_secs = 0.0;
-    let mut node_cash = Money::ZERO;
-    let mut routable_nodes = 0u64;
-    let mut draining_nodes = 0u64;
-    for node in live {
-        if node.routable(t) {
-            routable_nodes += 1;
-            backlog_secs += node.outstanding(t);
+/// One cell of a fleet run, driven phase by phase. Per arrival from
+/// [`Cell::next_arrival`], a run calls [`Cell::advance_control_plane`],
+/// [`Cell::await_capacity`], [`Cell::scrape_health`], [`Cell::route`],
+/// [`Cell::serve`] and [`Cell::record`] in that order, then
+/// [`Cell::finish`] once the stream is spent. Those calls, with the
+/// pieces merged in ascending cell order into [`FleetResult::empty`],
+/// reproduce [`FleetSim::run`] bit for bit (`tests/fleet_determinism.rs`).
+/// Under [`NoopSink`] every tracing site is one branch.
+pub struct Cell<'a> {
+    config: &'a FleetConfig,
+    ctx: PlannerContext<'a>,
+    sink: &'a mut dyn TraceSink,
+    index: usize,
+    stream: MergedStream,
+    /// Slot for slot with the stream's ordinals. The SLO records are kept
+    /// untraced too: the telemetry invariant compares full results.
+    tenants: Vec<TenantStats>,
+    slo: Vec<TenantSloRecord>,
+    population: NodePopulation,
+    injector: Option<FaultInjector>,
+    controller: Option<ElasticController>,
+    router: Box<dyn Router>,
+    /// Doubles as the "tracing on" gate.
+    registry: Option<MetricsRegistry>,
+    /// Elastic-ledger entries and fault records already traced.
+    ledger_seen: usize,
+    fault_seen: usize,
+    /// Tick `k` lands at `k × interval` by multiplication, never by
+    /// accumulation, so every cell's frames share one grid.
+    health: Option<HealthSeries>,
+    next_tick: u64,
+    horizon: SimTime,
+}
+
+/// Where and when [`Cell::route`] sent one query, and what it waited;
+/// [`Cell::serve`] and [`Cell::record`] take it as it is.
+pub struct Route {
+    /// Index of the serving node in the live population.
+    node: usize,
+    /// The serve instant.
+    at: SimTime,
+    /// Seconds the query waited out a total outage before routing.
+    outage_wait: f64,
+    /// Backoff the query's retries waited, seconds.
+    retry_wait: f64,
+    /// The decayed-budget query of the last retry, which serves in place
+    /// of the arrival.
+    retried: Option<Query>,
+}
+
+impl Cell<'_> {
+    /// The next arrival of the cell's merged stream: its instant, its
+    /// tenant's slot (the stream ordinal) and the query.
+    pub fn next_arrival(&mut self) -> Option<(SimTime, usize, Query)> {
+        let arrival = self.stream.next_slotted()?;
+        self.horizon = arrival.0;
+        Some(arrival)
+    }
+
+    /// Runs the control plane up to `now`: each due fault event after
+    /// the reviews due at its instant (reviews win exact ties), then the
+    /// reviews due at `now`, then the drain sweep, which evacuates newly
+    /// draining nodes' profitable structures before they retire.
+    pub fn advance_control_plane(&mut self, now: SimTime) {
+        let rates = &self.config.prices.rates;
+        loop {
+            let fault_at = self.injector.as_ref().and_then(|inj| inj.next_due(now));
+            if let Some(controller) = &mut self.controller {
+                let until = fault_at.unwrap_or(now);
+                controller.run_due_reviews(&mut self.population, &self.ctx, until);
+            }
+            match (fault_at, &mut self.injector) {
+                (Some(_), Some(inj)) => inj.process_next(&mut self.population, &self.ctx, rates),
+                _ => break,
+            }
         }
-        if node.drain_since().is_some() {
-            draining_nodes += 1;
-        }
-        if let Some(economy) = node.economy() {
-            node_cash += economy.account().balance();
+        if let Some(inj) = &mut self.injector {
+            inj.sweep_draining(&mut self.population, &self.ctx, now);
         }
     }
-    VitalsFrame {
-        at_secs,
-        queries: slo_records.iter().map(|r| r.admitted).sum(),
-        cache_hits: slo_records.iter().map(|r| r.cache_hits).sum(),
-        deadline_misses: slo_records.iter().map(|r| r.deadline_misses).sum(),
-        backlog_secs,
-        pressure_ewma: controller.map_or(0.0, ElasticController::pressure_ewma),
-        node_cash,
-        live_nodes: live.len() as u64,
-        routable_nodes,
-        draining_nodes,
-        spawns: controller.map_or(0, ElasticController::spawns_so_far),
-        retires: controller.map_or(0, ElasticController::retires_so_far),
-        write_off: injector.map_or(Money::ZERO, FaultInjector::write_off_so_far),
+
+    /// The total-outage wait: while no node is routable (say, survivors
+    /// retired and floor respawns still booting), advances the control
+    /// plane to the next instant that could restore one. Then traces the
+    /// control plane's new actions, accrues the population and returns
+    /// the serve instant with the wait, which the query's latency folds in.
+    ///
+    /// # Panics
+    /// Panics if no node is routable and no pending node boot, review or
+    /// fault event could restore one.
+    pub fn await_capacity(&mut self, arrived: SimTime) -> (SimTime, f64) {
+        let mut now = arrived;
+        while self.population.routable_count(now) == 0 {
+            let booting = self
+                .population
+                .live()
+                .iter()
+                .filter(|n| n.drain_since().is_none() && now.as_secs() < n.ready_at().as_secs())
+                .map(|n| n.ready_at().as_secs());
+            let review = self.controller.as_ref().map(|c| c.next_review_at());
+            let fault = self
+                .injector
+                .as_ref()
+                .and_then(FaultInjector::next_event_at);
+            let Some(next) = booting
+                .chain(review.into_iter().chain(fault).map(SimTime::as_secs))
+                .min_by(f64::total_cmp)
+                .filter(|t| *t > now.as_secs())
+            else {
+                panic!("no routable node and no pending control-plane action to restore one");
+            };
+            now = SimTime::from_secs(next);
+            self.advance_control_plane(now);
+        }
+        self.horizon = self.horizon.max(now);
+        self.trace_control_plane();
+        self.population.accrue(now);
+        (now, now.saturating_since(arrived).as_secs())
+    }
+
+    /// Traces the elastic-ledger entries and fault records made since the
+    /// last call.
+    fn trace_control_plane(&mut self) {
+        let Some(registry) = self.registry.as_mut() else {
+            return;
+        };
+        if let Some(controller) = &self.controller {
+            let ledger = controller.ledger();
+            for entry in &ledger[self.ledger_seen..] {
+                emit_lifecycle(self.sink, registry, entry);
+            }
+            self.ledger_seen = ledger.len();
+        }
+        if let Some(inj) = &self.injector {
+            let records = inj.records();
+            for record in &records[self.fault_seen..] {
+                emit_fault(self.sink, registry, record);
+            }
+            self.fault_seen = records.len();
+        }
+    }
+
+    /// The cadenced vitals scraper: one frame of the current state per
+    /// tick instant up to `now`, when the config asked for snapshots.
+    pub fn scrape_health(&mut self, now: SimTime) {
+        let Some(interval) = self.health.as_ref().map(|s| s.interval_secs) else {
+            return;
+        };
+        #[allow(clippy::cast_precision_loss)]
+        while (self.next_tick as f64) * interval <= now.as_secs() {
+            let frame = self.vitals((self.next_tick as f64) * interval);
+            if let Some(series) = &mut self.health {
+                series.frames.push(frame);
+            }
+            self.next_tick += 1;
+        }
+    }
+
+    /// Samples one [`VitalsFrame`] from the cell's live state.
+    fn vitals(&self, at_secs: f64) -> VitalsFrame {
+        let t = SimTime::from_secs(at_secs);
+        let live = self.population.live();
+        let mut backlog_secs = 0.0;
+        let mut node_cash = Money::ZERO;
+        let mut routable_nodes = 0u64;
+        let mut draining_nodes = 0u64;
+        for node in live {
+            if node.routable(t) {
+                routable_nodes += 1;
+                backlog_secs += node.outstanding(t);
+            }
+            if node.drain_since().is_some() {
+                draining_nodes += 1;
+            }
+            if let Some(economy) = node.economy() {
+                node_cash += economy.account().balance();
+            }
+        }
+        let (controller, injector) = (self.controller.as_ref(), self.injector.as_ref());
+        VitalsFrame {
+            at_secs,
+            queries: self.slo.iter().map(|r| r.admitted).sum(),
+            cache_hits: self.slo.iter().map(|r| r.cache_hits).sum(),
+            deadline_misses: self.slo.iter().map(|r| r.deadline_misses).sum(),
+            backlog_secs,
+            pressure_ewma: controller.map_or(0.0, ElasticController::pressure_ewma),
+            node_cash,
+            live_nodes: live.len() as u64,
+            routable_nodes,
+            draining_nodes,
+            spawns: controller.map_or(0, ElasticController::spawns_so_far),
+            retires: controller.map_or(0, ElasticController::retires_so_far),
+            write_off: injector.map_or(Money::ZERO, FaultInjector::write_off_so_far),
+        }
+    }
+
+    /// The quote round, then the per-query timeout. A winner degraded
+    /// past the fault plan's timeout is suppressed and the query
+    /// re-routes: under the plan's [`RetryPolicy`] when it has one,
+    /// otherwise once.
+    ///
+    /// The one-shot re-route is not a `RetryPolicy` preset. It keeps the
+    /// full budget (`RetryPolicy::validate` rejects `budget_decay = 0`),
+    /// runs at any budget scale, and is booked as a timeout
+    /// (`FaultSummary::timeouts`, `TenantSloRecord::timeouts`, the
+    /// `fault.timeouts` counter) with no `QueryRetry` event.
+    pub fn route(&mut self, slot: usize, query: &Query, now: SimTime, outage_wait: f64) -> Route {
+        let routable = self
+            .registry
+            .as_ref()
+            .map(|_| self.population.routable_count(now));
+        let winner = self
+            .router
+            .route(self.population.live(), &self.ctx, query, now);
+        let mut route = Route {
+            node: winner,
+            at: now,
+            outage_wait,
+            retry_wait: 0.0,
+            retried: None,
+        };
+        let (timeout, policy) = self.injector.as_ref().map_or((0.0, None), |inj| {
+            (inj.timeout_secs(), inj.retry().copied())
+        });
+        if let Some(policy) = policy.filter(|_| timeout > 0.0) {
+            self.retry(&policy, timeout, slot, query, &mut route);
+        } else if timeout > 0.0
+            && self.population.routable_count(now) > 1
+            && self.timed_out(winner, now, timeout)
+        {
+            self.population.live_mut()[winner].suppress_route();
+            route.node = self
+                .router
+                .route(self.population.live(), &self.ctx, query, now);
+            self.population.live_mut()[winner].unsuppress_route();
+            if let Some(inj) = &mut self.injector {
+                inj.note_timeout();
+            }
+            self.slo[slot].timeouts += 1;
+            if let Some(registry) = self.registry.as_mut() {
+                registry.counter_add("fault.timeouts", 1);
+            }
+        }
+        if let Some(routable) = routable {
+            self.sink.emit(TraceEvent::QuoteRound(QuoteRoundEvent {
+                cell: self.index,
+                at_secs: now.as_secs(),
+                tenant: self.tenants[slot].tenant.0,
+                template: query.template.0,
+                query: query.id.0,
+                winner: self.population.live()[route.node].id(),
+                winning_quote: self.router.last_winning_quote(),
+                routable,
+            }));
+        }
+        route
+    }
+
+    /// Both timeout paths' test: the node runs slowed, with a backlog that
+    /// has reached the timeout.
+    fn timed_out(&self, node: usize, now: SimTime, timeout: f64) -> bool {
+        let node = &self.population.live()[node];
+        node.degrade_slowdown(now) > 1.0 && node.outstanding(now) >= timeout
+    }
+
+    /// Deadline-budgeted retry: while the winner is timed out, attempts
+    /// remain, an alternative node exists and the budget has headroom
+    /// over the backend price, back off, decay the budget and re-route.
+    /// Once the headroom is gone the decayed `B_Q(t)` itself steers the
+    /// economy to the backend plan.
+    fn retry(
+        &mut self,
+        policy: &RetryPolicy,
+        timeout: f64,
+        slot: usize,
+        query: &Query,
+        route: &mut Route,
+    ) {
+        let now = route.at;
+        let mut suppressed: Vec<usize> = Vec::new();
+        let mut scale = query.budget_scale;
+        let mut attempt = 1u32;
+        while attempt < policy.max_attempts
+            && self.population.routable_count(now) > 1
+            && scale - 1.0 > 1e-9
+            && self.timed_out(route.node, now, timeout)
+        {
+            let from_node = self.population.live()[route.node].id();
+            let backoff = policy.backoff_for(attempt);
+            route.retry_wait += backoff;
+            scale = policy.decayed_budget_scale(scale);
+            self.population.live_mut()[route.node].suppress_route();
+            suppressed.push(route.node);
+            let mut decayed = query.clone();
+            decayed.budget_scale = scale;
+            route.node = self
+                .router
+                .route(self.population.live(), &self.ctx, &decayed, now);
+            if let Some(inj) = &mut self.injector {
+                inj.note_retry();
+            }
+            self.slo[slot].retries += 1;
+            if let Some(registry) = self.registry.as_mut() {
+                registry.counter_add("fault.retries", 1);
+                registry.observe("fault.retry_backoff", backoff);
+                self.sink.emit(TraceEvent::QueryRetry(QueryRetryEvent {
+                    cell: self.index,
+                    at_secs: now.as_secs(),
+                    tenant: self.tenants[slot].tenant.0,
+                    template: query.template.0,
+                    query: query.id.0,
+                    from_node,
+                    to_node: self.population.live()[route.node].id(),
+                    attempt,
+                    backoff_secs: backoff,
+                    budget_scale: scale,
+                }));
+            }
+            route.retried = Some(decayed);
+            attempt += 1;
+        }
+        for idx in suppressed {
+            self.population.live_mut()[idx].unsuppress_route();
+        }
+    }
+
+    /// Serves the query (a retried one with its decayed budget) on the
+    /// routed node, both waits folded into its one latency sample, and
+    /// journals what was served for nodes awaiting replay-recovery.
+    pub fn serve(&mut self, query: &Query, route: &Route) -> PolicyOutcome {
+        let query = route.retried.as_ref().unwrap_or(query);
+        let node = &mut self.population.live_mut()[route.node];
+        let wait = route.outage_wait + route.retry_wait;
+        let outcome = node.serve_delayed(&self.ctx, query, route.at, wait);
+        if let Some(inj) = &mut self.injector {
+            inj.note_served(self.population.live()[route.node].id(), route.at, query);
+        }
+        outcome
+    }
+
+    /// Books a served query: the settlement's registry counters and
+    /// trace event, the tenant's stats and its SLO record.
+    pub fn record(&mut self, slot: usize, query: &Query, route: &Route, outcome: &PolicyOutcome) {
+        if let Some(registry) = self.registry.as_mut() {
+            registry.counter_add("fleet.queries", 1);
+            registry.counter_add("fleet.cache_hits", u64::from(outcome.ran_in_cache));
+            registry.counter_add("fleet.investments", u64::from(outcome.investments));
+            registry.counter_add("fleet.evictions", u64::from(outcome.evictions));
+            registry.gauge_add("fleet.payments", outcome.payment);
+            registry.gauge_add("fleet.profit", outcome.profit);
+            registry.gauge_add("fleet.build_spend", outcome.build_spend);
+            registry.gauge_add("fleet.exec.cpu", outcome.exec_breakdown.cpu);
+            registry.gauge_add("fleet.exec.disk", outcome.exec_breakdown.disk);
+            registry.gauge_add("fleet.exec.network", outcome.exec_breakdown.network);
+            registry.gauge_add("fleet.exec.io", outcome.exec_breakdown.io);
+            registry.observe("fleet.response_secs", outcome.response_time.as_secs());
+            self.sink.emit(TraceEvent::Settlement(SettlementEvent {
+                cell: self.index,
+                at_secs: route.at.as_secs(),
+                tenant: self.tenants[slot].tenant.0,
+                template: query.template.0,
+                query: query.id.0,
+                node: self.population.live()[route.node].id(),
+                response_secs: outcome.response_time.as_secs(),
+                ran_in_cache: outcome.ran_in_cache,
+                payment: outcome.payment,
+                profit: outcome.profit,
+                exec: outcome.exec_breakdown,
+                build_spend: outcome.build_spend,
+                used_structures: outcome
+                    .used_structures
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect(),
+                investments: outcome.investments,
+                evictions: outcome.evictions,
+            }));
+        }
+        let stats = &mut self.tenants[slot];
+        stats.queries += 1;
+        stats.response.record(outcome.response_time.as_secs());
+        stats.payments += outcome.payment;
+        stats.cache_hits += u64::from(outcome.ran_in_cache);
+        let slo = &mut self.slo[slot];
+        slo.record_served(
+            outcome.response_time.as_secs(),
+            outcome.payment,
+            outcome.ran_in_cache,
+        );
+        if route.outage_wait > 0.0 {
+            slo.fault_delays += 1;
+        }
+    }
+
+    /// Settles the population at the horizon and returns the cell's
+    /// piece of the fleet result, with its metrics registry on traced
+    /// runs.
+    pub fn finish(mut self) -> (FleetResult, Option<MetricsRegistry>) {
+        if let Some(registry) = self.registry.as_mut() {
+            // How this cell's quote rounds were settled: decided from
+            // the budgets alone, or through planning.
+            let rounds = self.router.quote_rounds();
+            registry.counter_add("router.decided_rounds", rounds.decided);
+            registry.counter_add("router.full_rounds", rounds.full);
+        }
+        let finish = self
+            .population
+            .finish(&self.config.prices.rates, self.horizon);
+        let mut piece = FleetResult::empty(self.config.router.name(), self.config.cells);
+        piece.horizon_secs = self.horizon.as_secs();
+        piece.tenants = self.tenants;
+        piece.node_seconds = finish.node_seconds;
+        piece.elastic = self.controller.map(|c| c.into_summary(&finish));
+        piece.faults = self.injector.map(FaultInjector::into_summary);
+        piece.slo = SloLedger::from_records(self.slo);
+        piece.health = self.health;
+        for (node_idx, run) in &finish.nodes {
+            piece.queries += run.queries;
+            piece.response.merge(&run.response);
+            piece.response_hist.merge(&run.response_hist);
+            piece.operating.merge(&run.operating);
+            piece.build_spend += run.build_spend;
+            piece.payments += run.payments;
+            piece.profit += run.profit;
+            piece.cache_hits += run.cache_hits;
+            piece.investments += run.investments;
+            piece.evictions += run.evictions;
+            piece.nodes.push(NodeStats::from_run(*node_idx, run));
+        }
+        (piece, self.registry)
     }
 }
 
@@ -732,27 +757,17 @@ fn emit_lifecycle(
     registry: &mut MetricsRegistry,
     entry: &crate::elastic::LedgerEntry,
 ) {
+    use LifecyclePhase::{DrainBegin, Hold, Retire, Spawn};
     registry.counter_add("elastic.reviews", 1);
-    let (phase, node, scheme, counter) = match &entry.action {
-        ElasticAction::Hold => (LifecyclePhase::Hold, None, String::new(), "elastic.holds"),
-        ElasticAction::ScaleUp { node, scheme } => (
-            LifecyclePhase::Spawn,
-            Some(*node),
-            scheme.clone(),
-            "elastic.spawns",
-        ),
-        ElasticAction::DrainBegin { node } => (
-            LifecyclePhase::DrainBegin,
-            Some(*node),
-            String::new(),
-            "elastic.drains",
-        ),
-        ElasticAction::Retire { node } => (
-            LifecyclePhase::Retire,
-            Some(*node),
-            String::new(),
-            "elastic.retires",
-        ),
+    let (phase, node, counter) = match &entry.action {
+        ElasticAction::Hold => (Hold, None, "elastic.holds"),
+        ElasticAction::ScaleUp { node, .. } => (Spawn, Some(*node), "elastic.spawns"),
+        ElasticAction::DrainBegin { node } => (DrainBegin, Some(*node), "elastic.drains"),
+        ElasticAction::Retire { node } => (Retire, Some(*node), "elastic.retires"),
+    };
+    let scheme = match &entry.action {
+        ElasticAction::ScaleUp { scheme, .. } => scheme.clone(),
+        _ => String::new(),
     };
     registry.counter_add(counter, 1);
     sink.emit(TraceEvent::NodeLifecycle(NodeLifecycleEvent {
@@ -838,22 +853,6 @@ fn emit_fault(sink: &mut dyn TraceSink, registry: &mut MetricsRegistry, record: 
             }));
         }
     }
-}
-
-/// Books one settled query into the cell registry.
-fn record_settlement(registry: &mut MetricsRegistry, outcome: &policies::PolicyOutcome) {
-    registry.counter_add("fleet.queries", 1);
-    registry.counter_add("fleet.cache_hits", u64::from(outcome.ran_in_cache));
-    registry.counter_add("fleet.investments", u64::from(outcome.investments));
-    registry.counter_add("fleet.evictions", u64::from(outcome.evictions));
-    registry.gauge_add("fleet.payments", outcome.payment);
-    registry.gauge_add("fleet.profit", outcome.profit);
-    registry.gauge_add("fleet.build_spend", outcome.build_spend);
-    registry.gauge_add("fleet.exec.cpu", outcome.exec_breakdown.cpu);
-    registry.gauge_add("fleet.exec.disk", outcome.exec_breakdown.disk);
-    registry.gauge_add("fleet.exec.network", outcome.exec_breakdown.network);
-    registry.gauge_add("fleet.exec.io", outcome.exec_breakdown.io);
-    registry.observe("fleet.response_secs", outcome.response_time.as_secs());
 }
 
 /// One-shot convenience: prepare and run.

@@ -31,7 +31,9 @@
 //!   clock.
 //! * [`exec`] — the sharded executor: tenants partition into cells, cells
 //!   run on worker threads, and the merge is shard-count invariant (an
-//!   8-core run is bit-identical to a 1-core run).
+//!   8-core run is bit-identical to a 1-core run). Each cell is a
+//!   [`Cell`] driven through named phases: control-plane advance,
+//!   capacity wait, health scrape, route, serve and record.
 //! * [`result`] — mergeable rollups: [`FleetResult`] with per-tenant and
 //!   per-node accounting.
 //! * [`slo`] — reporting glue over the per-tenant SLO ledger the executor
@@ -64,7 +66,7 @@ pub use evacuate::{
     evacuation_candidates, EvacuateRecord, EvacuateSpec, EvacuatedMove, EvacuationCandidate,
     RetryPolicy,
 };
-pub use exec::{effective_quote_threads, run_fleet, FleetSim, FleetTrace};
+pub use exec::{effective_quote_threads, run_fleet, Cell, FleetSim, FleetTrace, Route};
 pub use faults::{
     CascadeSpec, CrashPhase, CrashRecord, CrashSpec, DegradeSpec, FaultGroup, FaultInjector,
     FaultOutcome, FaultPlan, FaultRecord, FaultSummary, ReconcileDrift, RecoverRecord, SurgeSpec,

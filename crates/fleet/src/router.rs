@@ -189,7 +189,7 @@ impl Router for LeastOutstanding {
 #[derive(Debug, Clone)]
 pub struct QuoteOptions {
     /// Kept only because the repository benchmark names it; inert;
-    /// removed by ROADMAP item 4(a). Quote rounds run on the router's
+    /// removed by ROADMAP item 5. Quote rounds run on the router's
     /// thread whatever it holds.
     pub threads: usize,
     /// Quote with batched structure-major completion
@@ -201,10 +201,10 @@ pub struct QuoteOptions {
     /// compare against.
     pub batching: bool,
     /// Kept only because the repository benchmark names it; inert;
-    /// removed by ROADMAP item 4(a). No round reads the cache.
+    /// removed by ROADMAP item 5. No round reads the cache.
     pub skeletons: Option<Arc<SkeletonCache>>,
     /// Kept only because the repository benchmark names it; inert;
-    /// removed by ROADMAP item 4(a). There are no workers to pin.
+    /// removed by ROADMAP item 5. There are no workers to pin.
     pub pinning: bool,
 }
 

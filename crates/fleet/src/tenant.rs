@@ -76,23 +76,15 @@ impl TenantStream {
     /// Panics if the workload config is invalid.
     #[must_use]
     pub fn new(spec: TenantSpec, schema: Arc<Schema>, fleet_seed: u64) -> Self {
-        let (gen_seed, arrival_seed) = spec.seeds(fleet_seed);
-        let generator = WorkloadGenerator::new(schema, spec.workload.clone(), gen_seed);
-        let arrivals = make_arrivals(&spec.arrival);
-        TenantStream {
-            remaining: spec.queries,
-            spec,
-            generator,
-            arrivals,
-            arrival_rng: SimRng::new(arrival_seed),
-        }
+        Self::with_surges(spec, schema, fleet_seed, Vec::new())
     }
 
     /// [`Self::new`], with the fault plan's flash-crowd surge windows
     /// (`(start, end, boost)`, sorted and disjoint) layered on the
-    /// tenant's arrival process. Seeds and the underlying random draws
-    /// are untouched — the overlay only time-warps the output instants —
-    /// so surge runs remain shard-invariant.
+    /// tenant's arrival process; no windows, no overlay. Seeds and the
+    /// underlying random draws are untouched — the overlay only
+    /// time-warps the output instants — so surge runs remain
+    /// shard-invariant.
     ///
     /// # Panics
     /// Panics if the workload config or the surge windows are invalid.
@@ -105,7 +97,10 @@ impl TenantStream {
     ) -> Self {
         let (gen_seed, arrival_seed) = spec.seeds(fleet_seed);
         let generator = WorkloadGenerator::new(schema, spec.workload.clone(), gen_seed);
-        let arrivals = Box::new(SurgeOverlay::new(make_arrivals(&spec.arrival), windows));
+        let mut arrivals = make_arrivals(&spec.arrival);
+        if !windows.is_empty() {
+            arrivals = Box::new(SurgeOverlay::new(arrivals, windows));
+        }
         TenantStream {
             remaining: spec.queries,
             spec,
@@ -165,10 +160,13 @@ impl MergedStream {
         }
     }
 
-    /// Pending tenants (streams not yet exhausted have an entry queued).
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
+    /// Pops the globally earliest arrival across all tenants, tagged
+    /// with its stream's ordinal: its position in the `streams` passed
+    /// to [`Self::new`].
+    pub fn next_slotted(&mut self) -> Option<(SimTime, usize, Query)> {
+        let (at, (ordinal, query)) = self.queue.pop()?;
+        self.refill(ordinal);
+        Some((at, ordinal, query))
     }
 }
 
@@ -177,10 +175,8 @@ impl Iterator for MergedStream {
 
     /// Pops the globally earliest arrival across all tenants.
     fn next(&mut self) -> Option<Self::Item> {
-        let (at, (ordinal, query)) = self.queue.pop()?;
-        let tenant = self.streams[ordinal].spec().id;
-        self.refill(ordinal);
-        Some((at, tenant, query))
+        let (at, ordinal, query) = self.next_slotted()?;
+        Some((at, self.streams[ordinal].spec().id, query))
     }
 }
 
@@ -236,6 +232,27 @@ mod tests {
             per_tenant[tenant.0 as usize] += 1;
         }
         assert_eq!(per_tenant, [3, 5]);
+    }
+
+    #[test]
+    fn slotted_pops_name_their_stream_ordinal() {
+        let schema = schema();
+        let ids = [5u32, 2, 9];
+        let merged = || {
+            MergedStream::new(
+                ids.iter()
+                    .map(|&id| {
+                        TenantStream::new(spec(id, f64::from(id), 3), Arc::clone(&schema), 4)
+                    })
+                    .collect(),
+            )
+        };
+        let (mut slotted, mut plain) = (merged(), merged());
+        while let Some((at, slot, query)) = slotted.next_slotted() {
+            let (at_plain, tenant, query_plain) = plain.next().expect("same length");
+            assert_eq!((at, ids[slot], query), (at_plain, tenant.0, query_plain));
+        }
+        assert!(plain.next().is_none());
     }
 
     #[test]

@@ -245,7 +245,7 @@ pub struct PlanSkeleton {
 }
 
 /// Kept only because the repository benchmark names it; inert; removed
-/// by ROADMAP item 4(a). The counters of [`SkeletonCache`]: always zero.
+/// by ROADMAP item 5. The counters of [`SkeletonCache`]: always zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SkeletonCacheCounters {
     /// Always 0.
@@ -257,7 +257,7 @@ pub struct SkeletonCacheCounters {
 }
 
 /// Kept only because the repository benchmark names it; inert; removed
-/// by ROADMAP item 4(a). It caches nothing: a batched quote round builds
+/// by ROADMAP item 5. It caches nothing: a batched quote round builds
 /// its query's [`PlanSkeleton`] itself.
 #[derive(Debug, Default)]
 pub struct SkeletonCache;

@@ -8,13 +8,16 @@
 //! 3. cheapest-quote aggregates are invariant under the quote path:
 //!    batched structure-major rounds and per-node fused bids pick
 //!    bit-identical winners, under step budgets, which decide rounds
-//!    from the budget alone, and convex ones, which run them in full.
+//!    from the budget alone, and convex ones, which run them in full;
+//! 4. the public `Cell` phases, driven from outside, reproduce
+//!    `FleetSim::run` and `FleetSim::run_traced` exactly.
 
 use cloudcache::econ::BudgetShape;
 use cloudcache::fleet::{
-    run_fleet, CacheNode, CheapestQuote, FleetConfig, FleetResult, NodeSpec, QuoteOptions, Router,
-    RouterKind,
+    run_fleet, CacheNode, CheapestQuote, ElasticConfig, FaultPlan, FleetConfig, FleetResult,
+    FleetSim, NodeSpec, QuoteOptions, Router, RouterKind,
 };
+use cloudcache::telemetry::{MetricsRegistry, Recorder, TraceEvent, TraceSink};
 
 fn config(router: RouterKind, shards: usize, seed: u64) -> FleetConfig {
     let mut config = FleetConfig::mixed(12, 3, 80);
@@ -245,5 +248,123 @@ fn batched_winner_matches_per_node_across_rounds() {
     }
     for router in &routers {
         assert_eq!(router.quote_rounds().full, 60, "every round ran in full");
+    }
+}
+
+/// Drives every cell through the public `Cell` phases, each cell tracing
+/// into its own sink from `make_sink`, and folds the pieces, events and
+/// registries in ascending cell order as `FleetSim` does.
+fn run_by_phases<S: TraceSink>(
+    sim: &FleetSim,
+    make_sink: impl Fn() -> S,
+    into_events: impl Fn(S) -> Vec<TraceEvent>,
+) -> (FleetResult, Vec<TraceEvent>, MetricsRegistry) {
+    let config = sim.config();
+    let mut fleet = FleetResult::empty(config.router.name(), config.cells);
+    let mut events = Vec::new();
+    let mut registry = MetricsRegistry::new();
+    for index in 0..config.cells {
+        let mut sink = make_sink();
+        let mut cell = sim.cell(index, &mut sink);
+        while let Some((arrived, slot, query)) = cell.next_arrival() {
+            cell.advance_control_plane(arrived);
+            let (now, outage_wait) = cell.await_capacity(arrived);
+            cell.scrape_health(now);
+            let route = cell.route(slot, &query, now, outage_wait);
+            let outcome = cell.serve(&query, &route);
+            cell.record(slot, &query, &route, &outcome);
+        }
+        let (piece, cell_registry) = cell.finish();
+        fleet.merge(&piece);
+        if let Some(cell_registry) = &cell_registry {
+            registry.merge(cell_registry);
+        }
+        events.extend(into_events(sink));
+    }
+    (fleet, events, registry)
+}
+
+/// Three faulted fixtures over 8 tenants, 4 cells and 3 seed nodes:
+/// the one-shot timeout re-route with health snapshots on, the
+/// deadline-budgeted retry, and an elastic cascade whose crashes leave
+/// cells with no routable node (the total-outage wait).
+fn phase_fixtures() -> Vec<(&'static str, FleetConfig)> {
+    let base = |seed: u64| {
+        let mut config = FleetConfig::uniform(8, 3, 40, 1.0);
+        config.scale_factor = 10.0;
+        config.cells = 4;
+        config.seed = seed;
+        config
+    };
+    let degraded = || FaultPlan::new(40.0).with_degrade(0, 5.0, 35.0, 20.0);
+    vec![
+        (
+            "legacy-timeout",
+            base(3)
+                .with_faults(degraded().with_timeout(0.05))
+                .with_health(2.0),
+        ),
+        (
+            "retry",
+            base(3).with_faults(degraded().with_timeout(0.05).with_retry(3, 0.02, 2.0, 0.5)),
+        ),
+        (
+            "elastic-outage",
+            base(19)
+                .with_faults(
+                    FaultPlan::new(40.0)
+                        .with_crash_recover(0, 12.0, 6.0)
+                        .with_cascade(0.5, 0.5, 2.0, 2)
+                        .with_evacuation(4.0, false)
+                        .with_retry(3, 0.05, 2.0, 0.5)
+                        .with_degrade(2, 5.0, 30.0, 8.0)
+                        .with_timeout(0.05),
+                )
+                .with_elastic(ElasticConfig {
+                    review_interval_secs: 2.0,
+                    ewma_alpha: 0.3,
+                    scale_up_backlog: 1.0,
+                    scale_down_backlog: 0.2,
+                    max_response_secs: 0.0,
+                    min_nodes: 2,
+                    max_nodes: 4,
+                    cooldown_reviews: 1,
+                    drain_grace_secs: 5.0,
+                }),
+        ),
+    ]
+}
+
+#[test]
+fn public_cell_phases_reproduce_fleet_sim_runs() {
+    for (name, config) in phase_fixtures() {
+        let sim = FleetSim::new(config);
+        let reference = sim.run();
+        let faults = reference.faults.as_ref().expect("fault summary");
+        let delayed: u64 = reference.slo.tenants.iter().map(|t| t.fault_delays).sum();
+        let exercised = match name {
+            "legacy-timeout" => {
+                faults.timeouts > 0
+                    && reference
+                        .health
+                        .as_ref()
+                        .is_some_and(|h| h.frames.len() > 1)
+            }
+            "retry" => faults.retries > 0,
+            _ => delayed > 0,
+        };
+        assert!(exercised, "{name}: the fixture misses the path it covers");
+
+        let (untraced, events, registry) =
+            run_by_phases(&sim, || cloudcache::telemetry::NoopSink, |_| Vec::new());
+        assert_eq!(untraced, reference, "{name}: phases drifted from run()");
+        assert!(events.is_empty() && registry == MetricsRegistry::new());
+
+        let (traced, trace) = sim.run_traced();
+        let (by_phase, events, registry) =
+            run_by_phases(&sim, Recorder::new, Recorder::into_events);
+        assert_eq!(by_phase, traced, "{name}: phases drifted from run_traced()");
+        assert_eq!(events, trace.events, "{name}: trace events drifted");
+        assert_eq!(registry, trace.registry, "{name}: registry drifted");
     }
 }

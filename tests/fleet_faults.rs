@@ -809,6 +809,23 @@ fn elastic_faulted_runs_are_bit_identical_across_shards_pools_and_tracing() {
         summary.spawns > 0,
         "the fixture must respawn after its crashes"
     );
+    // The crashes leave cells with no routable node, so some queries
+    // wait out a total outage; each still settles with one latency
+    // sample, the wait folded in.
+    let delayed: u64 = reference.slo.tenants.iter().map(|t| t.fault_delays).sum();
+    assert!(
+        delayed > 0 && delayed <= reference.queries,
+        "outage-delayed queries {delayed} outside (0, {}]",
+        reference.queries
+    );
+    for tenant in &reference.slo.tenants {
+        assert_eq!(
+            tenant.response.count(),
+            tenant.admitted,
+            "tenant {}: one latency sample per admitted query",
+            tenant.tenant
+        );
+    }
     let reference = elastic_fault_fingerprint(&reference);
     for (shards, batching) in [(4usize, true), (1, false), (2, false)] {
         let mut config = base.clone();
