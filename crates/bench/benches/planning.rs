@@ -1,10 +1,13 @@
 //! Criterion benches for the planner: full plan enumeration against cold
-//! and warm caches at the paper's 2.5 TB scale, fresh enumeration into
-//! reused rows over the paper template mix at SF 100 (the `paper-single`
-//! regime, where each query's compiled shape is a table hit), a single
-//! economy step, and one cheapest-quote round over 8 Convex-budget nodes
-//! on each quote path (the reason `FleetConfig::quote_batching` defaults
-//! on).
+//! and warm caches at the paper's 2.5 TB scale, fresh enumeration over
+//! the paper template mix at SF 100 (the `paper-single` regime, where
+//! each query's compiled shape is a table hit) split into its two
+//! halves — filling a query's execution rows and binding them to a cold
+//! or warm cache — a single economy step, one cheapest-quote round over
+//! 8 Convex-budget nodes on each quote path (the reason
+//! `FleetConfig::quote_batching` defaults on), and one `fleet-market`
+//! arrival: the rows filled once, the decided round over 8 Step-budget
+//! nodes and the winner's serve over the same rows.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -14,8 +17,8 @@ use econ::{BudgetShape, EconConfig, EconomyManager};
 use fleet::{CacheNode, CheapestQuote, FleetConfig, NodeSpec, QuoteOptions, Router};
 use planner::enumerate::EnumerationOptions;
 use planner::{
-    enumerate_plans, enumerate_plans_into, generate_candidates, CostParams, Estimator, PlanRows,
-    PlannerContext,
+    bind_plans_into, enumerate_plans, generate_candidates, CostParams, Estimator, ExecRows,
+    PlanRows, PlannerContext,
 };
 use pricing::{Money, PriceCatalog};
 use simcore::{NetworkModel, SimDuration, SimTime};
@@ -115,13 +118,30 @@ fn bench_fresh_enumeration(c: &mut Criterion) {
     let now = SimTime::from_secs(100.0);
     let opts = EnumerationOptions::default();
     let mut group = c.benchmark_group("enumerate_plans_fresh_sf100");
-    for (name, cache) in [("cold", CacheState::new()), ("warm", fx.warm_cache())] {
+    let mut exec = ExecRows::new();
+    let mut i = 0;
+    group.bench_function("fill", |b| {
+        b.iter(|| {
+            i = (i + 1) % fx.queries.len();
+            exec.fill(&ctx, &fx.queries[i]);
+            black_box(exec.backend_cost)
+        })
+    });
+    let filled: Vec<ExecRows> = fx
+        .queries
+        .iter()
+        .map(|q| ExecRows::build(&ctx, q))
+        .collect();
+    for (name, cache) in [
+        ("bind_cold", CacheState::new()),
+        ("bind_warm", fx.warm_cache()),
+    ] {
         let mut rows = PlanRows::new();
         let mut i = 0;
         group.bench_function(name, |b| {
             b.iter(|| {
-                i = (i + 1) % fx.queries.len();
-                enumerate_plans_into(&ctx, &fx.queries[i], &cache, now, opts, &mut rows);
+                i = (i + 1) % filled.len();
+                bind_plans_into(&ctx, &filled[i], &cache, now, opts, &mut rows);
                 black_box(rows.len())
             })
         });
@@ -186,11 +206,51 @@ fn bench_quote_round(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `fleet-market` arrival after warm-up: 8 econ-cheap nodes under
+/// the default Step budget at SF 5, the arrival's execution rows filled
+/// once, the budget-decided round over them (one distinct budget, so one
+/// check) and the winner's serve binding the same rows. Each iteration
+/// is the next arrival of a pre-drawn stream, one second apart, as the
+/// cell loop runs it.
+fn bench_market_arrival(c: &mut Criterion) {
+    let fx = Fx::new(5.0, 4096);
+    let ctx = fx.ctx();
+    let econ = FleetConfig::uniform(1, 8, 1, 1.0).econ;
+    let mut nodes: Vec<CacheNode> = (0..8)
+        .map(|i| CacheNode::new(i, &NodeSpec::new(Scheme::EconCheap), &fx.schema, &econ))
+        .collect();
+    let mut router = CheapestQuote::default();
+    let mut exec = ExecRows::new();
+    let mut now = SimTime::ZERO;
+    let mut arrive = |i: usize, now: SimTime, nodes: &mut [CacheNode]| {
+        for node in nodes.iter_mut() {
+            node.accrue(now);
+        }
+        let q = &fx.queries[i % fx.queries.len()];
+        exec.fill(&ctx, q);
+        let winner = router.route_with(nodes, &ctx, q, &exec, now);
+        nodes[winner].serve_with(&ctx, q, &exec, now, 0.0)
+    };
+    for i in 0..fx.queries.len() {
+        now += SimDuration::from_secs(1.0);
+        let _ = arrive(i, now, &mut nodes);
+    }
+    let mut i = 0;
+    c.bench_function("fleet_market_arrival_step_8_nodes", |b| {
+        b.iter(|| {
+            i += 1;
+            now += SimDuration::from_secs(1.0);
+            black_box(arrive(i, now, &mut nodes))
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_enumeration,
     bench_fresh_enumeration,
     bench_economy_step,
-    bench_quote_round
+    bench_quote_round,
+    bench_market_arrival
 );
 criterion_main!(benches);

@@ -3,8 +3,8 @@
 //! For each incoming query the manager:
 //!
 //! 1. accrues disk occupancy and evicts *failed* structures (footnote 3);
-//! 2. enumerates `P_Q = P_exist ∪ P_pos` via the planner and reduces it to
-//!    the skyline (footnote 2);
+//! 2. enumerates `P_Q = P_exist ∪ P_pos` by binding the query's execution
+//!    rows to its cache, and reduces it to the skyline (footnote 2);
 //! 3. forms the user's budget function from the backend plan (users
 //!    "accept query execution in the back-end", so their willingness is a
 //!    multiple of the backend price and their deadline a multiple of the
@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use cache::{CacheState, CachedStructure, StructureKey};
 use planner::enumerate::EnumerationOptions;
 use planner::{
-    enumerate_plans_into, skyline_partition_hot, BatchCompleter, CacheView, Estimator, ExecRows,
+    bind_plans_into, skyline_partition_hot, BatchCompleter, CacheView, Estimator, ExecRows,
     PlanHot, PlanRows, PlanSkeleton, PlannerContext, QueryPlan,
 };
 use pricing::Money;
@@ -51,6 +51,9 @@ pub struct EconomyManager {
     last_arrival: SimTime,
     /// Scratch rows every serve and per-node bid plans into.
     rows: RefCell<PlanRows>,
+    /// Execution rows the entry points without caller rows
+    /// ([`Self::process_query`], [`Self::quote_query`]) fill in place.
+    exec: RefCell<ExecRows>,
     /// Scratch for the skyline index partition.
     sky_scratch: RefCell<SkyScratch>,
     /// Lower bound (seconds) on the earliest instant any structure can
@@ -74,7 +77,8 @@ struct SkyScratch {
 
 /// Kept only because the repository benchmark names it; inert; removed
 /// by ROADMAP item 5. [`EconomyManager::plan_cache_stats`] returns it
-/// all zeros: there is no plan memo, and every serve plans fresh.
+/// all zeros: there is no plan memo, and every serve binds its query's
+/// execution rows to the cache afresh.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Always 0.
@@ -87,6 +91,14 @@ pub struct PlanCacheStats {
     pub completions: u64,
     /// Always 0.
     pub victim_hits: u64,
+}
+
+/// What a budget-decided bid depends on besides the query and its rows
+/// ([`EconomyManager::budget_key`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BudgetKey {
+    shape: BudgetShape,
+    patience: f64,
 }
 
 /// The outcome of planning one query: the case analysis plus the one
@@ -120,6 +132,7 @@ impl EconomyManager {
             first_arrival: None,
             last_arrival: SimTime::ZERO,
             rows: RefCell::new(PlanRows::new()),
+            exec: RefCell::new(ExecRows::new()),
             sky_scratch: RefCell::new(SkyScratch::default()),
             next_failure_check: f64::NEG_INFINITY,
             investment_frozen: false,
@@ -296,11 +309,11 @@ impl EconomyManager {
         true
     }
 
-    /// Processes one query at its arrival instant.
+    /// Processes one query at its arrival instant, filling the manager's
+    /// own execution rows for it in place: the entry point of a single
+    /// cache (the paper's simulator), which plans each query once.
     ///
-    /// The query is planned by fused enumeration into the manager's
-    /// scratch rows after the failure scan, whatever bids came before:
-    /// nothing planned for a quote is reused.
+    /// See [`Self::process_query_with`] for the control loop.
     ///
     /// # Panics
     /// Panics if `now` precedes a previous arrival (the simulator feeds
@@ -309,6 +322,43 @@ impl EconomyManager {
         &mut self,
         ctx: &PlannerContext<'_>,
         query: &Query,
+        now: SimTime,
+    ) -> QueryOutcome {
+        self.exec.get_mut().fill(ctx, query);
+        self.process(ctx, query, None, now)
+    }
+
+    /// Processes one query at its arrival instant over `exec`, the
+    /// query's execution rows, filled by the caller. A fleet fills them
+    /// once per arrival and shares them between the quote round and the
+    /// winner's serve; the rows do not read `budget_scale`, so a retry's
+    /// budget-decayed copy of the query serves over them too.
+    ///
+    /// After the failure scan the rows are bound to the cache as it then
+    /// stands ([`planner::bind_plans_into`]): every cache-dependent term
+    /// is planned fresh, whatever bids came before.
+    ///
+    /// # Panics
+    /// Panics if `now` precedes a previous arrival, or if `exec` was
+    /// never filled. `exec` must have been filled from `query` (or a
+    /// copy of it differing only in `budget_scale`) through `ctx`.
+    pub fn process_query_with(
+        &mut self,
+        ctx: &PlannerContext<'_>,
+        query: &Query,
+        exec: &ExecRows,
+        now: SimTime,
+    ) -> QueryOutcome {
+        self.process(ctx, query, Some(exec), now)
+    }
+
+    /// The control loop over the caller's rows, or the manager's own
+    /// (already filled) when `exec` is `None`.
+    fn process(
+        &mut self,
+        ctx: &PlannerContext<'_>,
+        query: &Query,
+        exec: Option<&ExecRows>,
         now: SimTime,
     ) -> QueryOutcome {
         self.queries_seen += 1;
@@ -354,7 +404,10 @@ impl EconomyManager {
         // (2)+(3)+(4a)+(5) Enumerate, skyline, form the user budget, run
         // the case analysis and distribute the rejected-plan regret
         // (eqs. 1–2).
-        let planned = self.plan_query(ctx, query, now);
+        let planned = match exec {
+            Some(exec) => self.plan_query(ctx, query, exec, now),
+            None => self.plan_query(ctx, query, &self.exec.borrow(), now),
+        };
         debug_assert!(planned.chosen.is_existing(), "only existing plans execute");
 
         // (4b) Settlement: LRU refresh, amortisation installment and
@@ -400,8 +453,8 @@ impl EconomyManager {
         }
     }
 
-    /// Steps (2)–(5) of the control loop: enumerate the costed plan rows
-    /// fused into the manager's scratch, reduce them to the two-tier
+    /// Steps (2)–(5) of the control loop: bind the query's execution rows
+    /// to the cache into the manager's scratch, reduce them to the two-tier
     /// skyline, form the user's budget, run the case analysis and
     /// distribute the regret of the rejected possible plans.
     ///
@@ -411,10 +464,16 @@ impl EconomyManager {
     /// the full set to be worth regretting. The budget is the configured
     /// shape at `budget_scale × backend price` with deadline
     /// `patience × backend time`.
-    fn plan_query(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Planned {
+    fn plan_query(
+        &self,
+        ctx: &PlannerContext<'_>,
+        query: &Query,
+        exec: &ExecRows,
+        now: SimTime,
+    ) -> Planned {
         let opts = self.config.enumeration(self.arrival_rate());
         let mut rows = self.rows.borrow_mut();
-        enumerate_plans_into(ctx, query, &self.cache, now, opts, &mut rows);
+        bind_plans_into(ctx, exec, &self.cache, now, opts, &mut rows);
         self.serve_from(query, &rows, opts)
     }
 
@@ -544,6 +603,18 @@ impl EconomyManager {
         Some(budget.value_at(rows.backend_time))
     }
 
+    /// All [`Self::budget_decided_bid`] reads of this manager: its budget
+    /// shape and patience. Managers with equal keys decide equal bids for
+    /// the same query and rows, so a round over many of them evaluates
+    /// each distinct key once.
+    #[must_use]
+    pub fn budget_key(&self) -> BudgetKey {
+        BudgetKey {
+            shape: self.config.budget_shape,
+            patience: self.config.patience,
+        }
+    }
+
     /// Recomputes the lower bound on the earliest instant any cached
     /// structure's unpaid maintenance can cross its failure threshold.
     ///
@@ -566,22 +637,42 @@ impl EconomyManager {
     }
 
     /// Quotes the price `B_Q(t)` this cloud would charge for `query` at
-    /// `now` without serving it — the read-only bid of one quote round.
-    ///
-    /// The quote plans the query by fused enumeration into the manager's
-    /// scratch rows and runs the same skyline and case analysis as
-    /// [`process_query`](Self::process_query), but skips its side
-    /// effects, so the realized price can differ from the quote in two
-    /// ways: serving the query first evicts structures whose maintenance
-    /// failed, and it updates the observed arrival statistics that the
-    /// enumeration options (amortisation horizon, maintenance window)
-    /// derive from. Routers treat quotes as bids, not contracts. The
-    /// winner's serve plans the query afresh.
+    /// `now` without serving it, filling the manager's own execution rows
+    /// for it. See [`Self::quote_query_with`].
     #[must_use]
     pub fn quote_query(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Money {
+        let mut exec = self.exec.borrow_mut();
+        exec.fill(ctx, query);
+        self.quote_query_with(ctx, query, &exec, now)
+    }
+
+    /// Quotes the price `B_Q(t)` this cloud would charge for `query` at
+    /// `now` without serving it — the read-only bid of one quote round,
+    /// over `exec`, the query's execution rows.
+    ///
+    /// The quote binds the rows to the cache into the manager's scratch
+    /// rows and runs the same skyline and case analysis as
+    /// [`process_query_with`](Self::process_query_with), but skips its
+    /// side effects, so the realized price can differ from the quote in
+    /// two ways: serving the query first evicts structures whose
+    /// maintenance failed, and it updates the observed arrival statistics
+    /// that the enumeration options (amortisation horizon, maintenance
+    /// window) derive from. Routers treat quotes as bids, not contracts.
+    /// The winner's serve binds the same rows afresh to its cache.
+    ///
+    /// # Panics
+    /// Panics if `exec` was never filled.
+    #[must_use]
+    pub fn quote_query_with(
+        &self,
+        ctx: &PlannerContext<'_>,
+        query: &Query,
+        exec: &ExecRows,
+        now: SimTime,
+    ) -> Money {
         let opts = self.config.enumeration(self.arrival_rate());
         let mut rows = self.rows.borrow_mut();
-        enumerate_plans_into(ctx, query, &self.cache, now, opts, &mut rows);
+        bind_plans_into(ctx, exec, &self.cache, now, opts, &mut rows);
         self.select_payment_from(query, &rows)
     }
 
@@ -669,13 +760,15 @@ struct BatchMember {
 /// Reusable workspace for **batched quote rounds** — the structure-major
 /// inversion of the fleet's per-node quote fan-out.
 ///
-/// A round makes every routable economic node a member, runs *one*
-/// [`BatchCompleter::gather`] pass over the members' caches, and bids
-/// each of them from the hot rows [`BatchCompleter::emit_hot`] writes
-/// straight from the gathered lanes. No member's plan set is built: the
-/// winner's serve plans the query itself. Bids match the per-node path
-/// ([`EconomyManager::quote_query`] on every node) bit for bit;
-/// `tests/batch_completion.rs` pins it.
+/// A round makes every routable economic node a member, builds the
+/// query's [`PlanSkeleton`] from the arrival's [`ExecRows`]
+/// ([`PlanSkeleton::from_rows`], so no execution cell is recomputed),
+/// runs *one* [`BatchCompleter::gather`] pass over the members' caches,
+/// and bids each of them from the hot rows [`BatchCompleter::emit_hot`]
+/// writes straight from the gathered lanes. No member's plan set is
+/// built: the winner's serve binds the same rows to its own cache. Bids
+/// match the per-node path ([`EconomyManager::quote_query_with`] on
+/// every node) bit for bit; `tests/batch_completion.rs` pins it.
 ///
 /// The bulk scratch (completer lanes, member list, bid vector, hot rows)
 /// is retained across rounds; a round allocates only its query's
@@ -698,21 +791,11 @@ impl QuoteBatch {
         Self::default()
     }
 
-    /// Quotes one round of `count` nodes' bids for `query` at `now`.
-    ///
-    /// `manager_of(i)` returns node `i`'s economy manager when its quotes
-    /// factor through batched completion (`None` falls back to
-    /// `fallback(i)`, which must produce the node's bid some other way).
-    /// Both closures must be stable for the duration of the call, and
-    /// every returned manager must be distinct. The round builds the
-    /// query's [`PlanSkeleton`] once, and only if some node returns a
-    /// manager.
-    ///
-    /// Returns the bids, indexed by node. No manager's state changes.
+    /// [`Self::quote_round_with`] over execution rows built for `query`
+    /// here.
     ///
     /// # Panics
-    /// Panics if a member's manager disappears between phases (the
-    /// closures were not stable).
+    /// Panics as [`Self::quote_round_with`] does.
     pub fn quote_round<'m, M, F>(
         &mut self,
         count: usize,
@@ -720,6 +803,42 @@ impl QuoteBatch {
         fallback: F,
         ctx: &PlannerContext<'_>,
         query: &Query,
+        now: SimTime,
+    ) -> &[Money]
+    where
+        M: Fn(usize) -> Option<&'m EconomyManager>,
+        F: Fn(usize) -> Money,
+    {
+        let exec = ExecRows::build(ctx, query);
+        self.quote_round_with(count, manager_of, fallback, ctx, query, &exec, now)
+    }
+
+    /// Quotes one round of `count` nodes' bids for `query` at `now`, over
+    /// `exec`, the query's execution rows.
+    ///
+    /// `manager_of(i)` returns node `i`'s economy manager when its quotes
+    /// factor through batched completion (`None` falls back to
+    /// `fallback(i)`, which must produce the node's bid some other way).
+    /// Both closures must be stable for the duration of the call, and
+    /// every returned manager must be distinct. The round builds the
+    /// query's [`PlanSkeleton`] from `exec` once, and only if some node
+    /// returns a manager.
+    ///
+    /// Returns the bids, indexed by node. No manager's state changes.
+    ///
+    /// # Panics
+    /// Panics if a member's manager disappears between phases (the
+    /// closures were not stable), or if the round has a member and
+    /// `exec` was never filled.
+    #[allow(clippy::too_many_arguments)] // the round's inputs, one each
+    pub fn quote_round_with<'m, M, F>(
+        &mut self,
+        count: usize,
+        manager_of: M,
+        fallback: F,
+        ctx: &PlannerContext<'_>,
+        query: &Query,
+        exec: &ExecRows,
         now: SimTime,
     ) -> &[Money]
     where
@@ -740,7 +859,7 @@ impl QuoteBatch {
         }
 
         if !self.members.is_empty() {
-            let skel = PlanSkeleton::build(ctx, query);
+            let skel = PlanSkeleton::from_rows(ctx, exec);
             // The node-major probe sweep binds each member's view once
             // per node (not once per probe), so the round resolves
             // managers straight through the caller's lookup instead of

@@ -27,8 +27,10 @@
 //! * [`economy`] — [`economy::EconomyManager`], the per-query control loop
 //!   gluing all of the above to the planner and the cache, plus
 //!   [`economy::QuoteBatch`], the batched structure-major quote round a
-//!   fleet's routers fan out over competing managers. Every serve plans
-//!   its query by fused enumeration; nothing a bid planned is reused.
+//!   fleet's routers fan out over competing managers. A query's
+//!   cache-independent execution rows (`planner::ExecRows`) are filled
+//!   once and shared by its bids and its serve; every cache-dependent
+//!   term is planned fresh by each.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -48,7 +50,7 @@ pub use account::CloudAccount;
 pub use amortize::AmortizationPolicy;
 pub use budget::{BudgetFunction, BudgetShape};
 pub use config::EconConfig;
-pub use economy::{EconomyManager, PlanCacheStats, QuoteBatch};
+pub use economy::{BudgetKey, EconomyManager, PlanCacheStats, QuoteBatch};
 pub use invest::InvestmentRule;
 pub use outcome::{QueryOutcome, SelectionCase};
 pub use regret::{RegretAttribution, RegretLedger};

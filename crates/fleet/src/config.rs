@@ -50,7 +50,8 @@ pub struct FleetConfig {
     /// results either way; `false` selects the per-node reference path,
     /// one fused enumeration per node, that `tests/fleet_determinism.rs`
     /// compares against). The only quote-round setting with an effect;
-    /// batching is the default because it quotes full rounds faster.
+    /// it defaults on, although per-node rounds now measure faster on
+    /// full rounds (ROADMAP item 5).
     pub quote_batching: bool,
     /// Kept only because the repository benchmark names it; inert;
     /// removed by ROADMAP item 5. There are no quote workers to pin,

@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use catalog::tpch::{tpch_schema, ScaleFactor};
 use catalog::Schema;
-use planner::{generate_candidates, Estimator, PlannerContext};
+use planner::{generate_candidates, Estimator, ExecRows, PlannerContext};
 use policies::PolicyOutcome;
 use simcore::{NetworkModel, SimTime};
 use workload::{paper_templates, Query};
@@ -244,6 +244,7 @@ impl FleetSim {
                 batching: config.quote_batching,
                 ..QuoteOptions::default()
             }),
+            exec: ExecRows::new(),
             ledger_seen: 0,
             fault_seen: 0,
             health: config
@@ -339,6 +340,11 @@ pub struct Cell<'a> {
     injector: Option<FaultInjector>,
     controller: Option<ElasticController>,
     router: Box<dyn Router>,
+    /// The current arrival's execution rows, filled by [`Cell::route`]
+    /// when some live node is economic (the only policies that plan)
+    /// and read by its quote round, its re-routes and the winner's
+    /// serve.
+    exec: ExecRows,
     /// Doubles as the "tracing on" gate.
     registry: Option<MetricsRegistry>,
     /// Elastic-ledger entries and fault records already traced.
@@ -518,6 +524,11 @@ impl Cell<'_> {
     /// re-routes: under the plan's [`RetryPolicy`] when it has one,
     /// otherwise once.
     ///
+    /// First fills the arrival's execution rows, once, when some live
+    /// node is economic. The round, every re-route (a retry's budget-decayed
+    /// copy included: the rows do not read `budget_scale`) and
+    /// [`Cell::serve`] read that one fill.
+    ///
     /// The one-shot re-route is not a `RetryPolicy` preset. It keeps the
     /// full budget (`RetryPolicy::validate` rejects `budget_decay = 0`),
     /// runs at any budget scale, and is booked as a timeout
@@ -528,9 +539,10 @@ impl Cell<'_> {
             .registry
             .as_ref()
             .map(|_| self.population.routable_count(now));
-        let winner = self
-            .router
-            .route(self.population.live(), &self.ctx, query, now);
+        if self.population.live().iter().any(|n| n.economy().is_some()) {
+            self.exec.fill(&self.ctx, query);
+        }
+        let winner = self.reroute(query, now);
         let mut route = Route {
             node: winner,
             at: now,
@@ -548,9 +560,7 @@ impl Cell<'_> {
             && self.timed_out(winner, now, timeout)
         {
             self.population.live_mut()[winner].suppress_route();
-            route.node = self
-                .router
-                .route(self.population.live(), &self.ctx, query, now);
+            route.node = self.reroute(query, now);
             self.population.live_mut()[winner].unsuppress_route();
             if let Some(inj) = &mut self.injector {
                 inj.note_timeout();
@@ -573,6 +583,12 @@ impl Cell<'_> {
             }));
         }
         route
+    }
+
+    /// One routing pass over the live population and the arrival's rows.
+    fn reroute(&mut self, query: &Query, now: SimTime) -> usize {
+        self.router
+            .route_with(self.population.live(), &self.ctx, query, &self.exec, now)
     }
 
     /// Both timeout paths' test: the node runs slowed, with a backlog that
@@ -612,9 +628,7 @@ impl Cell<'_> {
             suppressed.push(route.node);
             let mut decayed = query.clone();
             decayed.budget_scale = scale;
-            route.node = self
-                .router
-                .route(self.population.live(), &self.ctx, &decayed, now);
+            route.node = self.reroute(&decayed, now);
             if let Some(inj) = &mut self.injector {
                 inj.note_retry();
             }
@@ -644,13 +658,14 @@ impl Cell<'_> {
     }
 
     /// Serves the query (a retried one with its decayed budget) on the
-    /// routed node, both waits folded into its one latency sample, and
-    /// journals what was served for nodes awaiting replay-recovery.
+    /// routed node over the execution rows [`Cell::route`] filled, both
+    /// waits folded into its one latency sample, and journals what was
+    /// served for nodes awaiting replay-recovery.
     pub fn serve(&mut self, query: &Query, route: &Route) -> PolicyOutcome {
         let query = route.retried.as_ref().unwrap_or(query);
         let node = &mut self.population.live_mut()[route.node];
         let wait = route.outage_wait + route.retry_wait;
-        let outcome = node.serve_delayed(&self.ctx, query, route.at, wait);
+        let outcome = node.serve_with(&self.ctx, query, &self.exec, route.at, wait);
         if let Some(inj) = &mut self.injector {
             inj.note_served(self.population.live()[route.node].id(), route.at, query);
         }

@@ -5,7 +5,7 @@
 //! how much work the node has promised but not yet delivered — the load
 //! signal least-outstanding routing balances on.
 
-use planner::PlannerContext;
+use planner::{ExecRows, PlannerContext};
 use policies::{CachePolicy, PolicyOutcome};
 use pricing::{Money, ResourceRates};
 use serde::{Deserialize, Serialize};
@@ -228,10 +228,23 @@ impl CacheNode {
     }
 
     /// This node's bid for serving `query` at `now` (see
-    /// [`CachePolicy::quote`]).
+    /// [`CachePolicy::quote`]); a planning policy fills its own rows.
     #[must_use]
     pub fn quote(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Money {
         self.policy.quote(ctx, query, now)
+    }
+
+    /// This node's bid for serving `query` at `now` over `exec`, the
+    /// arrival's execution rows (see [`CachePolicy::quote_with`]).
+    #[must_use]
+    pub fn quote_with(
+        &self,
+        ctx: &PlannerContext<'_>,
+        query: &Query,
+        exec: &ExecRows,
+        now: SimTime,
+    ) -> Money {
+        self.policy.quote_with(ctx, query, exec, now)
     }
 
     /// The economy manager backing this node's policy, when its quotes
@@ -297,12 +310,9 @@ impl CacheNode {
         self.serve_delayed(ctx, query, now, 0.0)
     }
 
-    /// Serves one routed query whose routing took `delay_secs` of
-    /// retry/backoff wall-clock before this node won it. The delay is
-    /// folded into the delivered response time *once*, so the response
-    /// histogram records a single end-to-end latency per query — timed-out
-    /// attempts never contribute a separate sample. The books are those
-    /// of the serving node alone; backoff costs time, not money.
+    /// [`Self::serve_with`] with the policy filling its own execution
+    /// rows. Kept for perfbench's traced fleet replay; removed by ROADMAP
+    /// item 5, which moves the replay onto [`crate::Cell`].
     pub fn serve_delayed(
         &mut self,
         ctx: &PlannerContext<'_>,
@@ -314,7 +324,42 @@ impl CacheNode {
             self.routable(now),
             "draining/booting nodes must not serve queries"
         );
-        let mut outcome = self.policy.process_query(ctx, query, now);
+        let outcome = self.policy.process_query(ctx, query, now);
+        self.deliver(outcome, now, delay_secs)
+    }
+
+    /// Serves one routed query over `exec`, the arrival's execution rows
+    /// (see [`CachePolicy::process_query_with`]), when its routing took
+    /// `delay_secs` of retry/backoff wall-clock before this node won it.
+    /// The delay is folded into the delivered response time *once*, so
+    /// the response histogram records a single end-to-end latency per
+    /// query — timed-out attempts never contribute a separate sample.
+    /// The books are those of the serving node alone; backoff costs
+    /// time, not money.
+    pub fn serve_with(
+        &mut self,
+        ctx: &PlannerContext<'_>,
+        query: &Query,
+        exec: &ExecRows,
+        now: SimTime,
+        delay_secs: f64,
+    ) -> PolicyOutcome {
+        debug_assert!(
+            self.routable(now),
+            "draining/booting nodes must not serve queries"
+        );
+        let outcome = self.policy.process_query_with(ctx, query, exec, now);
+        self.deliver(outcome, now, delay_secs)
+    }
+
+    /// Delivers a served outcome: applies the degradation slowdown and
+    /// the routing delay, books it and extends the backlog clock.
+    fn deliver(
+        &mut self,
+        mut outcome: PolicyOutcome,
+        now: SimTime,
+        delay_secs: f64,
+    ) -> PolicyOutcome {
         // A degraded node delivers the same economic outcome, just
         // slower: the slowdown stretches the response (and therefore the
         // backlog clock load-aware routing balances on), never the books

@@ -21,16 +21,24 @@
 //! member), binds it against every member's cache, and bids each member
 //! from the `(time, price, existing)` rows of that sweep without
 //! building its plan set. The **per-node** path is the reference: every
-//! node bids through [`CacheNode::quote`], which plans by fused
-//! enumeration, and the round builds no skeleton. Both pick the
-//! lowest-indexed minimum bidder, bit for bit
+//! node bids through [`CacheNode::quote_with`], which binds the query's
+//! rows to its own cache by fused enumeration, and the round builds no
+//! skeleton. Both pick the lowest-indexed minimum bidder, bit for bit
 //! (`tests/fleet_determinism.rs` and `tests/batch_completion.rs` pin
-//! this). On full Convex-budget rounds the batched path measured faster
-//! than the per-node one (PAPER.md, "Structure-major batching"), which
-//! is why it is the default.
+//! this). The batched path became the default while every per-node bid
+//! recomputed the query's rows; now that per-node bids bind the
+//! arrival's shared rows, per-node rounds measure faster on full
+//! Convex-budget rounds (PAPER.md, "Batched bid rows"), and ROADMAP
+//! item 5 re-decides the default.
 //!
-//! Quoting changes no node's state. Only the winner serves the query,
-//! and its serve plans the query afresh; nothing a bid planned is kept.
+//! Every path reads the arrival's [`ExecRows`]: the query's backend row
+//! and execution cells, which depend on the query alone. The fleet's
+//! cell loop fills them once per arrival and passes them to
+//! [`Router::route_with`] and then to the winner's serve, so neither a
+//! decided check, a skeleton, a per-node bid nor the serve recomputes
+//! them. Quoting changes no node's state. Only the winner serves the
+//! query, and its serve binds the rows to its cache afresh; no
+//! cache-dependent term a bid planned is kept.
 //!
 //! **Budget-decided rounds.** Before quoting, the round asks every
 //! routable node whether its budget alone fixes its bid
@@ -38,21 +46,20 @@
 //! (Fig. 1(a), the paper's experiments and `EconConfig`'s default) the
 //! case analysis charges the full amount `B_Q` whenever the backend plan
 //! is affordable, whatever the node's cache holds, so the bid needs no
-//! plan set. The check reads only the query's cache-independent
-//! [`ExecRows`], built at most once per round. When every routable node
-//! is economic and decided, the round picks the first minimal bid with
-//! no skeleton or completion. Otherwise the round above runs unchanged
-//! for every node: a fleet's nodes share one `EconConfig`, so in
-//! practice a round is decided for all of its economic nodes or for
-//! none, and only a non-economic node (or nodes built with differing
-//! budgets) makes it otherwise. One exception keeps the check honest:
-//! if an execution row past the deadline costs nothing (zero CPU and
-//! I/O rates make every cache row free), a free cached plan there is
-//! affordable at a budget of zero and can undercut `B_Q`, so the round
-//! runs in full. An undecided round that built the rows then builds the
-//! skeleton, which recomputes them; no measured workload has such
-//! rounds under a step budget, so that cost is unmeasured.
-//! `tests/budget_decided_bids.rs` pins the equivalence.
+//! plan set. The check reads only the query's rows and the node's
+//! budget shape and patience ([`econ::EconomyManager::budget_key`]), so
+//! a round evaluates it once per distinct key among the routable nodes:
+//! once, for a fleet whose nodes share one `EconConfig`. When every
+//! routable node is economic and decided, the round picks the first
+//! minimal bid with no skeleton or completion. Otherwise the round above
+//! runs unchanged for every node: in practice a round is decided for all
+//! of its economic nodes or for none, and only a non-economic node (or
+//! nodes built with differing budgets) makes it otherwise. One exception
+//! keeps the check honest: if an execution row past the deadline costs
+//! nothing (zero CPU and I/O rates make every cache row free), a free
+//! cached plan there is affordable at a budget of zero and can undercut
+//! `B_Q`, so the round runs in full. `tests/budget_decided_bids.rs` pins
+//! the equivalence.
 //!
 //! A finding the decided path makes plain: with every economic node
 //! under a step budget, every bid for a query is the same `B_Q`, so
@@ -65,10 +72,9 @@
 //! All strategies break ties toward the lowest node index, so routing is
 //! a deterministic function of the (node states, query, time) tuple.
 
-use std::cell::OnceCell;
 use std::sync::Arc;
 
-use econ::QuoteBatch;
+use econ::{BudgetKey, QuoteBatch};
 use planner::{ExecRows, PlannerContext, SkeletonCache};
 use pricing::Money;
 use serde::{Deserialize, Serialize};
@@ -83,7 +89,10 @@ pub trait Router {
     fn name(&self) -> &'static str;
 
     /// Picks the node (index into `nodes`) that serves `query` at `now`.
-    /// Routing must not serve the query.
+    /// Routing must not serve the query. Pricing strategies fill their
+    /// own execution rows for the query; the fleet's cell loop calls
+    /// [`Self::route_with`] instead. Kept in this form for perfbench's
+    /// traced fleet replay; removed by ROADMAP item 5.
     ///
     /// # Panics
     /// Implementations may panic if `nodes` is empty; fleet configs are
@@ -95,6 +104,26 @@ pub trait Router {
         query: &Query,
         now: SimTime,
     ) -> usize;
+
+    /// [`Self::route`] over `exec`, the arrival's execution rows, which
+    /// the caller then passes to the winner's serve. Must pick what
+    /// [`Self::route`] picks. The default ignores the rows: right for
+    /// strategies that do not price queries.
+    ///
+    /// # Panics
+    /// As [`Self::route`]; pricing strategies also panic if a routable
+    /// node plans and `exec` was never filled.
+    fn route_with(
+        &mut self,
+        nodes: &[CacheNode],
+        ctx: &PlannerContext<'_>,
+        query: &Query,
+        exec: &ExecRows,
+        now: SimTime,
+    ) -> usize {
+        let _ = exec;
+        self.route(nodes, ctx, query, now)
+    }
 
     /// The winning bid of the most recent [`Router::route`] call, for
     /// strategies that price queries — `None` for oblivious strategies
@@ -194,11 +223,11 @@ pub struct QuoteOptions {
     pub threads: usize,
     /// Quote with batched structure-major completion
     /// ([`econ::QuoteBatch`]) instead of one fused enumeration per node
-    /// ([`CacheNode::quote`]). Bit-identical either way
+    /// ([`CacheNode::quote_with`]). Bit-identical either way
     /// (`tests/batch_completion.rs` and `tests/fleet_determinism.rs`
-    /// enforce it); batching is the default because it quotes full
-    /// rounds faster. The per-node path is the reference those tests
-    /// compare against.
+    /// enforce it). The per-node path is the reference those tests
+    /// compare against, and measures faster on full rounds since its
+    /// bids share the arrival's rows (ROADMAP item 5).
     pub batching: bool,
     /// Kept only because the repository benchmark names it; inert;
     /// removed by ROADMAP item 5. No round reads the cache.
@@ -236,6 +265,11 @@ pub struct CheapestQuote {
     /// never consulted by routing itself).
     last_quote: Option<Money>,
     rounds: QuoteRounds,
+    /// The decided check's scratch: each distinct budget key among the
+    /// round's routable nodes, with the bid it decided.
+    decided: Vec<(BudgetKey, Option<Money>)>,
+    /// Execution rows [`Router::route`] fills for its query.
+    exec: ExecRows,
 }
 
 impl Default for CheapestQuote {
@@ -253,6 +287,8 @@ impl CheapestQuote {
             batch: QuoteBatch::new(),
             last_quote: None,
             rounds: QuoteRounds::default(),
+            decided: Vec::new(),
+            exec: ExecRows::new(),
         }
     }
 
@@ -281,22 +317,30 @@ impl CheapestQuote {
     /// The round's winner and bid when every routable node's budget
     /// decides its bid: the first minimal decided bid. `None` when some
     /// routable node is not economic or must quote through planning.
-    /// Builds the query's [`ExecRows`] only if a step budget needs them.
+    /// Evaluates the check once per distinct [`BudgetKey`].
     fn decided_round(
+        &mut self,
         nodes: &[CacheNode],
-        ctx: &PlannerContext<'_>,
         query: &Query,
+        exec: &ExecRows,
         now: SimTime,
     ) -> Option<(usize, Money)> {
-        let rows = OnceCell::new();
+        self.decided.clear();
         let mut best: Option<(usize, Money)> = None;
         for (i, node) in nodes.iter().enumerate() {
             if !node.routable(now) {
                 continue;
             }
-            let bid = node
-                .economy()?
-                .budget_decided_bid(query, || rows.get_or_init(|| ExecRows::build(ctx, query)))?;
+            let economy = node.economy()?;
+            let key = economy.budget_key();
+            let bid = match self.decided.iter().find(|(k, _)| *k == key) {
+                Some(&(_, bid)) => bid,
+                None => {
+                    let bid = economy.budget_decided_bid(query, || exec);
+                    self.decided.push((key, bid));
+                    bid
+                }
+            }?;
             if best.is_none_or(|(_, b)| bid < b) {
                 best = Some((i, bid));
             }
@@ -317,7 +361,22 @@ impl Router for CheapestQuote {
         query: &Query,
         now: SimTime,
     ) -> usize {
-        if let Some((winner, bid)) = Self::decided_round(nodes, ctx, query, now) {
+        let mut exec = std::mem::take(&mut self.exec);
+        exec.fill(ctx, query);
+        let winner = self.route_with(nodes, ctx, query, &exec, now);
+        self.exec = exec;
+        winner
+    }
+
+    fn route_with(
+        &mut self,
+        nodes: &[CacheNode],
+        ctx: &PlannerContext<'_>,
+        query: &Query,
+        exec: &ExecRows,
+        now: SimTime,
+    ) -> usize {
+        if let Some((winner, bid)) = self.decided_round(nodes, query, exec, now) {
             self.rounds.decided += 1;
             self.last_quote = Some(bid);
             return winner;
@@ -326,23 +385,24 @@ impl Router for CheapestQuote {
         let best = if self.batching {
             // Unroutable nodes are excluded from the batch entirely (no
             // completion); their placeholder bids are never read.
-            let bids = self.batch.quote_round(
+            let bids = self.batch.quote_round_with(
                 nodes.len(),
                 |i| nodes[i].routable(now).then(|| nodes[i].economy()).flatten(),
                 |i| {
                     if nodes[i].routable(now) {
-                        nodes[i].quote(ctx, query, now)
+                        nodes[i].quote_with(ctx, query, exec, now)
                     } else {
                         Money::ZERO
                     }
                 },
                 ctx,
                 query,
+                exec,
                 now,
             );
             Self::cheapest(nodes, now, |i| bids[i])
         } else {
-            Self::cheapest(nodes, now, |i| nodes[i].quote(ctx, query, now))
+            Self::cheapest(nodes, now, |i| nodes[i].quote_with(ctx, query, exec, now))
         };
         let (winner, bid) =
             best.expect("no routable node (the control plane must keep at least one active)");

@@ -1,6 +1,6 @@
 //! Batched, structure-major bid rows.
 //!
-//! [`crate::enumerate_plans_into`] plans against one node's cache state
+//! [`crate::bind_plans_into`] plans against one node's cache state
 //! at a time: a fleet quote round with N bidding nodes would plan the
 //! query N times, probing one cache per pass. This module inverts that
 //! loop — **structure-major** instead of node-major:
@@ -16,12 +16,12 @@
 //! gathered lanes, without touching any cache again. The contract is
 //! exact: for every node `i`, `gather` + `emit_hot(i)` writes the rows
 //! **bit-identically** to the hot rows of
-//! `enumerate_plans_into(ctx, query, views[i].cache, now, views[i].opts, …)`
-//! for the query the skeleton was built from — same order, same time,
+//! `bind_plans_into(ctx, rows, views[i].cache, now, views[i].opts, …)`
+//! for the execution rows the skeleton was built from — same order, same time,
 //! price and existing bits. `tests/batch_completion.rs` pins the
 //! property over random cache histories × node counts. The fleet's
 //! batched quote rounds (`econ::QuoteBatch`) bid from these rows; the
-//! winner's serve plans its query by fused enumeration.
+//! winner's serve binds the same execution rows to its own cache.
 //!
 //! # Lane layout
 //!
@@ -300,7 +300,7 @@ impl BatchCompleter {
 
     /// Phase 2 — writes node `node`'s `(time, price, existing)` rows
     /// straight into `hot`, bit-identical to the hot rows of
-    /// [`crate::enumerate_plans_into`] run against that node's view: same
+    /// [`crate::bind_plans_into`] run against that node's view: same
     /// row order, and each price the same exact-`Money` sum. No plan
     /// shell, `uses`/`missing` list or shape is built — a quote round
     /// needs only these three columns for its skyline and case analysis.

@@ -29,7 +29,7 @@ use crate::estimator::Estimator;
 use crate::plan::QueryPlan;
 use crate::rows::{DataTerms, PlanRows};
 use crate::shapes::QueryShape;
-use crate::skeleton::fill_cells;
+use crate::skeleton::{ExecCells, ExecRows};
 
 /// What the active caching policy lets the enumerator consider.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,24 +107,45 @@ pub fn enumerate_plans(
     rows.to_plans()
 }
 
-/// Enumerates all plans for `query` into caller-owned rows.
+/// Enumerates all plans for `query` into caller-owned rows: fills fresh
+/// [`ExecRows`] and binds them ([`bind_plans_into`]).
 ///
-/// The plan set equals [`enumerate_plans`]'s (same plans, same order,
-/// same bits), written in row form. One column pass serves both index
-/// variants: the best-index variant uses the scan variant's columns plus
-/// its indexes, so each accessed column is probed, quoted and priced
-/// once, and the index variant adds only its indexes' terms. Per variant
-/// the execution volumes are estimated once and scaled per node count;
-/// each extra CPU node's state is probed once for every row. The
-/// query's compiled shape ([`PlannerContext::shape`]) supplies the
-/// deduplicated columns, the index picks and every row width, so only
-/// the selectivity arithmetic and the cache-dependent quotes run here.
+/// A convenience for one-off planning; a caller that plans the same
+/// query more than once, or plans many queries, fills one long-lived
+/// [`ExecRows`] per query and binds it instead.
 ///
 /// # Panics
 /// Panics if `opts.amortize_n == 0`.
 pub fn enumerate_plans_into(
     ctx: &PlannerContext<'_>,
     query: &Query,
+    cache: &CacheState,
+    now: SimTime,
+    opts: EnumerationOptions,
+    rows: &mut PlanRows,
+) {
+    bind_plans_into(ctx, &ExecRows::build(ctx, query), cache, now, opts, rows);
+}
+
+/// Binds a query's execution rows to one cache: writes the query's plan
+/// set against `cache` at `now` into caller-owned rows.
+///
+/// The plan set equals [`enumerate_plans`]'s for the query `exec` was
+/// filled from (same plans, same order, same bits), written in row
+/// form. Every plan's execution time and cost is read from `exec`; only
+/// the cache-dependent terms are computed here. One column pass serves
+/// both index variants: the best-index variant uses the scan variant's
+/// columns plus its indexes, so each accessed column is probed, quoted
+/// and priced once, and the index variant adds only its indexes' terms.
+/// Each extra CPU node's state is probed once for every row. Options
+/// that forbid extra nodes skip the multi-node cells; options that
+/// forbid indexes skip the best-index variant.
+///
+/// # Panics
+/// Panics if `opts.amortize_n == 0` or `exec` was never filled.
+pub fn bind_plans_into(
+    ctx: &PlannerContext<'_>,
+    exec: &ExecRows,
     cache: &CacheState,
     now: SimTime,
     opts: EnumerationOptions,
@@ -138,24 +159,29 @@ pub fn enumerate_plans_into(
             .min(opts.maint_window);
         (s.amortization_due(), price(s, span))
     };
+    let push_cells = |rows: &mut PlanRows, vi: u32, cells: &ExecCells, terms: DataTerms| {
+        for cell in 0..cells.len() {
+            if opts.allow_extra_nodes || cells.nodes[cell] <= 1 {
+                rows.push_cache_row(vi, cells, cell, terms);
+            }
+        }
+    };
 
     // --- Backend plan (always P_exist). ---
-    let shape = ctx.shape(query);
-    let backend = est.backend_execution_shaped(&shape, query);
-    let (backend_cost, backend_breakdown) = est.price_execution(&backend);
+    let shape = exec.shape();
     rows.begin(
-        (backend.time, backend_cost, backend_breakdown),
+        (exec.backend_time, exec.backend_cost, exec.backend_breakdown),
         est.build_node(),
         opts.amortize_n,
     );
-    let node_options = &est.params().node_options;
     if opts.allow_extra_nodes {
+        let node_options = &est.params().node_options;
         let extra = node_options.iter().max().map_or(0, |k| k.saturating_sub(1));
         for ordinal in 0..extra {
             rows.probe_node(cache, ordinal, now, opts.maint_window, &price);
         }
     }
-    let mut sc = std::mem::take(&mut rows.scratch);
+    let mut missing_cols = std::mem::take(&mut rows.missing_cols);
 
     // --- The shared column pass over the shape's deduplicated columns:
     // each is partitioned into usable (installment due + capped
@@ -164,7 +190,7 @@ pub fn enumerate_plans_into(
     // first installment). ---
     let scan = rows.open_variant();
     let mut col_terms = DataTerms::ZERO;
-    sc.missing_cols.clear();
+    missing_cols.clear();
     {
         let lists = rows.lists(scan);
         lists.indexes.resize(shape.accesses.len(), None);
@@ -181,22 +207,12 @@ pub fn enumerate_plans_into(
                     let (cost, time) = est.column_quote(ctx.schema, c);
                     col_terms.add_missing(cost, time, opts.amortize_n);
                     lists.missing.push(key);
-                    sc.missing_cols.push(c);
+                    missing_cols.push(c);
                 }
             }
         }
     }
-    fill_cells(
-        ctx,
-        query,
-        &shape,
-        false,
-        opts.allow_extra_nodes,
-        &mut sc.cells,
-    );
-    for cell in 0..sc.cells.len() {
-        rows.push_cache_row(scan, &sc.cells, cell, col_terms);
-    }
+    push_cells(rows, scan, exec.cells(0), col_terms);
 
     // --- The best-index variant, when the policy allows indexes and any
     // access has a serving candidate: the scan variant's columns, then
@@ -221,7 +237,6 @@ pub fn enumerate_plans_into(
                     terms.maintenance += maint;
                 }
                 None => {
-                    let missing_cols = &sc.missing_cols;
                     let (cost, time) = est.index_quote(ctx.schema, ctx.candidates, pos, |c| {
                         cache.contains(StructureKey::Column(c)) || missing_cols.contains(&c)
                     });
@@ -230,19 +245,9 @@ pub fn enumerate_plans_into(
                 }
             }
         }
-        fill_cells(
-            ctx,
-            query,
-            &shape,
-            true,
-            opts.allow_extra_nodes,
-            &mut sc.cells,
-        );
-        for cell in 0..sc.cells.len() {
-            rows.push_cache_row(indexed, &sc.cells, cell, terms);
-        }
+        push_cells(rows, indexed, exec.cells(1), terms);
     }
-    rows.scratch = sc;
+    rows.missing_cols = missing_cols;
 }
 
 #[cfg(test)]

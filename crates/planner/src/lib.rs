@@ -19,32 +19,36 @@
 //!   per access and the deduplicated column list. Compiled lazily into
 //!   the [`CandidateIndex`], so enumeration does only the per-query
 //!   selectivity arithmetic.
-//! * [`enumerate`] — produces the plan set `P_Q = P_exist ∪ P_pos` for a
-//!   query against the current cache state, in one column pass shared
-//!   by the scan and index variants (the index variant uses the scan
-//!   variant's columns plus its indexes, so each column is probed,
+//! * [`enumerate`] — binds a query's execution rows to one cache state,
+//!   producing the plan set `P_Q = P_exist ∪ P_pos`, in one column pass
+//!   shared by the scan and index variants (the index variant uses the
+//!   scan variant's columns plus its indexes, so each column is probed,
 //!   quoted and priced once).
 //! * [`rows`] — [`PlanRows`], the compact form fused enumeration writes:
 //!   hot `(time, price, existing)` rows, per-row scalars and per-variant
 //!   shared lists. Selection runs on the rows, and only the plan a query
 //!   runs is materialized ([`PlanRows::plan`]).
-//! * [`skeleton`] — the cache-independent half of enumeration
-//!   ([`PlanSkeleton`]), so a batched fleet quote round plans each query
-//!   once instead of once per node (the round builds it, and only when
-//!   it has a member); [`ExecRows`] is the skeleton's execution-row half
-//!   alone, for callers that only need every plan's `(time, cost)`.
-//!   [`SkeletonCache`] is an inert name the repository benchmark still
-//!   uses.
+//! * [`skeleton`] — the cache-independent half of planning.
+//!   [`ExecRows`] holds a query's backend row and every variant ×
+//!   node-count execution cell, a pure function of the context and the
+//!   query, filled once per arrival into reused storage; every planner
+//!   binds it. [`PlanSkeleton`] adds the build-cost shapes and probe
+//!   table a batched fleet quote round binds against every node at once
+//!   (the round builds it from the arrival's rows, and only when it has
+//!   a member). [`SkeletonCache`] is an inert name the repository
+//!   benchmark still uses.
 //! * [`batch`] — structure-major batched bid rows: one
 //!   [`BatchCompleter`] pass binds a skeleton against N nodes' cache
 //!   states at once, turning N independent cache probes per structure
 //!   into dense sweeps, and writes each node's `(time, price, existing)`
 //!   rows (bit-identical to the hot rows of N fused enumerations).
 //!
-//! There are two planners: [`enumerate_plans_into`] for one cache (every
-//! serve and every per-node quote) and [`BatchCompleter`] for the bid
-//! rows of one batched quote round. Fused enumeration is the reference
-//! the batched planner is tested against.
+//! There are two planners, and both bind one [`ExecRows`] fill:
+//! [`bind_plans_into`] for one cache (every serve and every per-node
+//! quote) and [`BatchCompleter`] for the bid rows of one batched quote
+//! round. Fused enumeration is the reference the batched planner is
+//! tested against; [`enumerate_plans_into`] fills fresh rows and binds
+//! them in one call.
 //! * [`soa`] — the struct-of-arrays selection-hot plan fields (time,
 //!   price, existing flag): the hot half of [`PlanRows`], and a
 //!   projection of any `QueryPlan` slice.
@@ -68,7 +72,9 @@ pub mod soa;
 
 pub use batch::{BatchCompleter, CacheView};
 pub use candidates::{generate_candidates, CandidateIndex, TableCandidate};
-pub use enumerate::{enumerate_plans, enumerate_plans_into, EnumerationOptions, PlannerContext};
+pub use enumerate::{
+    bind_plans_into, enumerate_plans, enumerate_plans_into, EnumerationOptions, PlannerContext,
+};
 pub use estimator::{CacheExecBase, CostParams, Estimator};
 pub use plan::{PlanShape, QueryPlan};
 pub use rows::PlanRows;

@@ -17,7 +17,7 @@
 //!   (with its amortisation due and maintenance quote) or must be built.
 //!   A row with `k` nodes employs ordinals `0..k-1`.
 //!
-//! Fused enumeration ([`crate::enumerate_plans_into`]) writes this form,
+//! Fused enumeration ([`crate::bind_plans_into`]) writes this form,
 //! so the economy selects straight on the rows and materializes only the
 //! plan it runs ([`PlanRows::plan`]).
 //!
@@ -105,15 +105,6 @@ impl DataTerms {
     }
 }
 
-/// Scratch the fresh enumerator reuses across queries.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct EnumScratch {
-    /// The accessed columns missing from the cache.
-    pub missing_cols: Vec<ColumnId>,
-    /// Execution cells of the variant being emitted.
-    pub cells: ExecCells,
-}
-
 /// A query's plan set in row form (see the module docs). Row 0 is the
 /// backend plan; the cache rows follow variant by variant, node count
 /// by node count — the order [`crate::enumerate_plans`] returns plans in.
@@ -146,7 +137,8 @@ pub struct PlanRows {
     node_build_time: SimDuration,
     /// First installment of an extra node under the current horizon.
     node_installment: Money,
-    pub(crate) scratch: EnumScratch,
+    /// Binding scratch: the accessed columns missing from the cache.
+    pub(crate) missing_cols: Vec<ColumnId>,
 }
 
 impl PlanRows {

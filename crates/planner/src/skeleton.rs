@@ -13,12 +13,12 @@
 //!
 //! The split is exact: for any cache state, clock and enumeration
 //! options, a node's batched bid rows are **bit-identical** to the hot
-//! rows of the fused [`crate::enumerate_plans_into`] against that node's
-//! cache — same order, same times, prices and existing flags.
+//! rows of fused enumeration ([`crate::bind_plans_into`]) against that
+//! node's cache — same order, same times, prices and existing flags.
 //! `tests/batch_completion.rs` pins the property over random cache
 //! histories; the fleet's routing determinism rests on it. Planning for
-//! one node (a serve or a per-node quote) always runs the fused
-//! enumerator, so a skeleton exists only inside a batched round.
+//! one node (a serve or a per-node quote) binds the query's rows to its
+//! cache directly, so a skeleton exists only inside a batched round.
 //!
 //! The skeleton is a *superset*: it is built with every plan family
 //! enabled (indexes and extra nodes), and binding filters by each node's
@@ -26,9 +26,15 @@
 //! heterogeneous nodes (econ-cheap, econ-fast, econ-col) in the same
 //! quote round. Hot per-(variant, node-count) execution fields are stored
 //! in struct-of-arrays form ([`ExecCells`]), matching the SoA selection
-//! scans in [`crate::soa`]. [`ExecRows`] is the execution-row half of
-//! the skeleton on its own — every row a plan's `(exec_time, exec_cost)`
-//! can come from — for callers that never bind a cache.
+//! scans in [`crate::soa`].
+//!
+//! [`ExecRows`] is the execution-row half on its own: the backend row
+//! and every variant's cells, a pure function of the planner context and
+//! the query. A fleet arrival fills them once, and its budget-decided
+//! bids, its skeleton ([`PlanSkeleton::from_rows`]), its per-node bids
+//! and the winner's serve all read that one fill.
+
+use std::sync::Arc;
 
 use cache::StructureKey;
 use catalog::ColumnId;
@@ -279,89 +285,119 @@ impl SkeletonCache {
 /// The cache-independent execution rows of a query's plan set: the
 /// backend estimate (eq. 9) and, per index variant, the execution cells
 /// at every node count (eq. 8 under the scaling law). Every plan any
-/// planner emits takes its `(exec_time, exec_cost)` from one of
-/// these rows — only the installments and maintenance a plan adds to its
-/// price depend on the cache — so a caller can reason about every plan's
-/// timing without binding a cache or building the full [`PlanSkeleton`].
+/// planner emits takes its `(exec_time, exec_cost)` from one of these
+/// rows. Only the installments and maintenance a plan adds to its price
+/// depend on the cache.
 ///
-/// [`PlanSkeleton::build`] computes its backend fields and variant cells
-/// through [`Self::build`], so the two can never disagree.
-#[derive(Debug, Clone, PartialEq)]
+/// The rows are a pure function of `(PlannerContext, query)`, and they
+/// never read the query's `budget_scale`. So one fill serves every
+/// consumer of an arrival: a budget-decided bid, a batched round's
+/// [`PlanSkeleton`] ([`PlanSkeleton::from_rows`]), each per-node bid and
+/// the winner's serve ([`crate::bind_plans_into`]), a budget-decayed
+/// retry included. [`Self::fill`] refills the storage in place, so a
+/// long-lived `ExecRows` performs no steady-state allocation.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecRows {
+    /// The query's compiled shape; `None` until the first fill.
+    shape: Option<Arc<QueryShape>>,
     /// Backend execution time.
     pub backend_time: SimDuration,
     /// Backend execution cost.
     pub backend_cost: Money,
     /// Backend per-resource cost split.
     pub backend_breakdown: CostBreakdown,
-    /// Per index variant, scan-only first, then the best-index variant
-    /// when any access has a serving candidate: the per-access index
-    /// assignment (positions into the context's candidates) and the
-    /// variant's cells.
-    pub variants: Vec<(Vec<Option<usize>>, ExecCells)>,
+    /// The scan variant's cells, then the best-index variant's (empty
+    /// unless the shape is indexed).
+    cells: [ExecCells; 2],
 }
 
 impl ExecRows {
+    /// Empty rows, to be [filled](Self::fill).
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// Estimates and prices every execution row of `query`, with every
     /// plan family enabled and no cache state consulted.
     #[must_use]
     pub fn build(ctx: &PlannerContext<'_>, query: &Query) -> ExecRows {
-        Self::build_shaped(ctx, query, &ctx.shape(query))
+        let mut rows = ExecRows::new();
+        rows.fill(ctx, query);
+        rows
     }
 
-    /// [`Self::build`] over `query`'s already looked-up shape.
-    fn build_shaped(ctx: &PlannerContext<'_>, query: &Query, shape: &QueryShape) -> ExecRows {
-        let backend_est = ctx.estimator.backend_execution_shaped(shape, query);
-        let (backend_cost, backend_breakdown) = ctx.estimator.price_execution(&backend_est);
-
-        let mut variants = Vec::with_capacity(2);
-        let cells = variant_cells(ctx, query, shape, false);
-        variants.push((vec![None; shape.accesses.len()], cells));
+    /// Refills the rows with `query`'s, reusing their storage.
+    pub fn fill(&mut self, ctx: &PlannerContext<'_>, query: &Query) {
+        let shape = ctx.shape(query);
+        let backend = ctx.estimator.backend_execution_shaped(&shape, query);
+        (self.backend_cost, self.backend_breakdown) = ctx.estimator.price_execution(&backend);
+        self.backend_time = backend.time;
+        let [scan, indexed] = &mut self.cells;
+        fill_cells(ctx, query, &shape, false, scan);
         if shape.indexed {
-            let cells = variant_cells(ctx, query, shape, true);
-            variants.push((shape.picks().collect(), cells));
+            fill_cells(ctx, query, &shape, true, indexed);
+        } else {
+            indexed.clear();
         }
-        ExecRows {
-            backend_time: backend_est.time,
-            backend_cost,
-            backend_breakdown,
-            variants,
-        }
+        self.shape = Some(shape);
+    }
+
+    /// The compiled shape of the query the rows were filled from.
+    ///
+    /// # Panics
+    /// Panics if the rows were never filled.
+    #[must_use]
+    pub fn shape(&self) -> &QueryShape {
+        self.shape
+            .as_deref()
+            .expect("execution rows read before a fill")
+    }
+
+    /// Number of index variants: the scan variant, plus the best-index
+    /// variant when any access has a serving candidate.
+    ///
+    /// # Panics
+    /// Panics if the rows were never filled.
+    #[must_use]
+    pub fn variant_count(&self) -> usize {
+        1 + usize::from(self.shape().indexed)
+    }
+
+    /// Variant `vi`'s cells: 0 is the scan variant, 1 the best-index
+    /// variant.
+    ///
+    /// # Panics
+    /// Panics if `vi` is not below [`Self::variant_count`].
+    #[must_use]
+    pub fn cells(&self, vi: usize) -> &ExecCells {
+        assert!(vi < self.variant_count(), "variant {vi} out of range");
+        &self.cells[vi]
     }
 
     /// Every row's `(time, cost)`: the backend first, then each
     /// variant's cells in order.
+    ///
+    /// # Panics
+    /// Panics if the rows were never filled.
     pub fn rows(&self) -> impl Iterator<Item = (SimDuration, Money)> + '_ {
         std::iter::once((self.backend_time, self.backend_cost)).chain(
-            self.variants
+            self.cells[..self.variant_count()]
                 .iter()
-                .flat_map(|(_, cells)| cells.time.iter().copied().zip(cells.cost.iter().copied())),
+                .flat_map(|cells| cells.time.iter().copied().zip(cells.cost.iter().copied())),
         )
     }
 }
 
-/// One index variant's execution cells at every configured node count.
-fn variant_cells(
-    ctx: &PlannerContext<'_>,
-    query: &Query,
-    shape: &QueryShape,
-    indexed: bool,
-) -> ExecCells {
-    let mut cells = ExecCells::default();
-    fill_cells(ctx, query, shape, indexed, true, &mut cells);
-    cells
-}
-
 /// Refills `cells` with one index variant's execution cells (eq. 8
-/// under the scaling law): every configured node count when
-/// `extra_nodes`, the single-node cell alone otherwise. The variant is
-/// the shape's scan variant, or its best-index variant when `indexed`.
-pub(crate) fn fill_cells(
+/// under the scaling law) at every configured node count. The variant
+/// is the shape's scan variant, or its best-index variant when
+/// `indexed`. [`ExecRows::fill`] is the only caller.
+fn fill_cells(
     ctx: &PlannerContext<'_>,
     query: &Query,
     shape: &QueryShape,
     indexed: bool,
-    extra_nodes: bool,
     cells: &mut ExecCells,
 ) {
     // Node-count-independent execution volumes (eq. 8's q_tot / io_tot).
@@ -370,9 +406,6 @@ pub(crate) fn fill_cells(
         .cache_execution_base_shaped(shape, query, indexed);
     cells.clear();
     for &k in &ctx.estimator.params().node_options {
-        if k > 1 && !extra_nodes {
-            continue;
-        }
         let est = ctx.estimator.scale_cache_execution(&base, k);
         let (cost, breakdown) = ctx.estimator.price_execution(&est);
         cells.push(k, est.time, cost, breakdown);
@@ -394,13 +427,20 @@ impl PlanSkeleton {
     /// context and query are identical.
     #[must_use]
     pub fn build(ctx: &PlannerContext<'_>, query: &Query) -> PlanSkeleton {
-        let shape = ctx.shape(query);
-        let rows = ExecRows::build_shaped(ctx, query, &shape);
+        Self::from_rows(ctx, &ExecRows::build(ctx, query))
+    }
+
+    /// Builds the skeleton of the query `rows` were filled from, taking
+    /// its backend row and cells from them instead of recomputing them.
+    ///
+    /// # Panics
+    /// Panics if `rows` were never filled.
+    #[must_use]
+    pub fn from_rows(ctx: &PlannerContext<'_>, rows: &ExecRows) -> PlanSkeleton {
+        let shape = rows.shape();
         let (node_build_cost, _) = ctx.estimator.build_node();
-        let variants: Vec<VariantSkeleton> = rows
-            .variants
-            .into_iter()
-            .map(|(indexes, cells)| build_variant(ctx, &shape, &indexes, cells))
+        let variants: Vec<VariantSkeleton> = (0..rows.variant_count())
+            .map(|vi| build_variant(ctx, shape, vi == 1, rows.cells(vi).clone()))
             .collect();
         let probe = ProbeTable::build(&variants);
         PlanSkeleton {
@@ -413,12 +453,12 @@ impl PlanSkeleton {
     }
 }
 
-/// Builds one variant's skeleton from its per-access index assignment
-/// (positions into `ctx.candidates`) and its execution cells.
+/// Builds one variant's skeleton — the scan variant, or the shape's
+/// best-index variant when `indexed` — from its execution cells.
 fn build_variant(
     ctx: &PlannerContext<'_>,
     shape: &QueryShape,
-    indexes: &[Option<usize>],
+    indexed: bool,
     cells: ExecCells,
 ) -> VariantSkeleton {
     // Same uses order as the fused enumerator: accessed columns
@@ -428,10 +468,11 @@ fn build_variant(
         .iter()
         .map(|&c| StructureKey::Column(c))
         .chain(
-            indexes
-                .iter()
+            shape
+                .picks()
                 .flatten()
-                .map(|&pos| StructureKey::Index(ctx.candidates[pos].id)),
+                .filter(|_| indexed)
+                .map(|pos| StructureKey::Index(ctx.candidates[pos].id)),
         )
         .collect();
 
@@ -461,7 +502,7 @@ fn build_variant(
         .collect();
 
     VariantSkeleton {
-        uses_indexes: indexes.iter().any(Option::is_some),
+        uses_indexes: indexed,
         uses,
         builds,
         cells,
@@ -562,7 +603,7 @@ mod tests {
                 );
             }
             assert_eq!(rows.rows().collect::<Vec<_>>(), expected, "query {i}");
-            assert_eq!(rows.variants.len(), skel.variants.len());
+            assert_eq!(rows.variant_count(), skel.variants.len());
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The three economic schemes, as thin configurations of the economy.
 
-use econ::{EconConfig, EconomyManager, SelectionObjective};
-use planner::PlannerContext;
+use econ::{EconConfig, EconomyManager, QueryOutcome, SelectionObjective};
+use planner::{ExecRows, PlannerContext};
 use pricing::Money;
 use simcore::SimTime;
 use workload::Query;
@@ -94,23 +94,31 @@ impl CachePolicy for EconPolicy {
         query: &Query,
         now: SimTime,
     ) -> PolicyOutcome {
-        let o = self.manager.process_query(ctx, query, now);
-        let build_spend: Money = o.investments.iter().map(|&(_, cost)| cost).sum();
-        PolicyOutcome {
-            response_time: o.response_time,
-            ran_in_cache: o.ran_in_cache,
-            exec_breakdown: o.exec_breakdown,
-            build_spend,
-            payment: o.payment,
-            profit: o.profit,
-            investments: o.investments.len() as u32,
-            evictions: o.evictions.len() as u32,
-            used_structures: o.used_structures,
-        }
+        policy_outcome(self.manager.process_query(ctx, query, now))
+    }
+
+    fn process_query_with(
+        &mut self,
+        ctx: &PlannerContext<'_>,
+        query: &Query,
+        exec: &ExecRows,
+        now: SimTime,
+    ) -> PolicyOutcome {
+        policy_outcome(self.manager.process_query_with(ctx, query, exec, now))
     }
 
     fn quote(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Money {
         self.manager.quote_query(ctx, query, now)
+    }
+
+    fn quote_with(
+        &self,
+        ctx: &PlannerContext<'_>,
+        query: &Query,
+        exec: &ExecRows,
+        now: SimTime,
+    ) -> Money {
+        self.manager.quote_query_with(ctx, query, exec, now)
     }
 
     fn economy(&self) -> Option<&EconomyManager> {
@@ -141,6 +149,22 @@ impl CachePolicy for EconPolicy {
 
     fn rebase_occupancy(&mut self, now: SimTime) {
         self.manager.rebase_occupancy(now);
+    }
+}
+
+/// The simulator's view of an economy's outcome.
+fn policy_outcome(o: QueryOutcome) -> PolicyOutcome {
+    let build_spend: Money = o.investments.iter().map(|&(_, cost)| cost).sum();
+    PolicyOutcome {
+        response_time: o.response_time,
+        ran_in_cache: o.ran_in_cache,
+        exec_breakdown: o.exec_breakdown,
+        build_spend,
+        payment: o.payment,
+        profit: o.profit,
+        investments: o.investments.len() as u32,
+        evictions: o.evictions.len() as u32,
+        used_structures: o.used_structures,
     }
 }
 

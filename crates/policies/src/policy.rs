@@ -1,7 +1,7 @@
 //! The policy interface the simulator drives.
 
 use metrics::CostBreakdown;
-use planner::PlannerContext;
+use planner::{ExecRows, PlannerContext};
 use pricing::Money;
 use simcore::{SimDuration, SimTime};
 use workload::Query;
@@ -40,13 +40,30 @@ pub trait CachePolicy {
     /// Scheme name as it appears in the figures (`bypass`, `econ-col`, …).
     fn name(&self) -> &'static str;
 
-    /// Serves one query arriving at `now`.
+    /// Serves one query arriving at `now`. A policy that plans fills its
+    /// own execution rows for the query.
     fn process_query(
         &mut self,
         ctx: &PlannerContext<'_>,
         query: &Query,
         now: SimTime,
     ) -> PolicyOutcome;
+
+    /// [`Self::process_query`] over `exec`, the query's execution rows,
+    /// filled by the caller (a fleet fills them once per arrival for its
+    /// quote round and the winner's serve). Must equal
+    /// [`Self::process_query`] bit for bit. The default ignores the rows:
+    /// right for policies that do not plan.
+    fn process_query_with(
+        &mut self,
+        ctx: &PlannerContext<'_>,
+        query: &Query,
+        exec: &ExecRows,
+        now: SimTime,
+    ) -> PolicyOutcome {
+        let _ = exec;
+        self.process_query(ctx, query, now)
+    }
 
     /// Quotes the price this cloud would charge for `query` at `now`,
     /// without serving it. A quote changes no cache, ledger or other
@@ -59,6 +76,20 @@ pub trait CachePolicy {
     /// contract — the realized charge can differ if serving the query
     /// first triggers evictions or investments.
     fn quote(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Money;
+
+    /// [`Self::quote`] over `exec`, the query's execution rows, filled by
+    /// the caller. Must equal [`Self::quote`] bit for bit. The default
+    /// ignores the rows: right for policies that do not plan.
+    fn quote_with(
+        &self,
+        ctx: &PlannerContext<'_>,
+        query: &Query,
+        exec: &ExecRows,
+        now: SimTime,
+    ) -> Money {
+        let _ = exec;
+        self.quote(ctx, query, now)
+    }
 
     /// The economy manager backing this policy's quotes, when its
     /// planning factors through batched structure-major completion

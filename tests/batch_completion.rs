@@ -15,6 +15,12 @@
 //!    bids exactly like the per-node `quote_query` loop, over evolving
 //!    manager state, and the winner's serve settles identically on both
 //!    paths.
+//! 4. `ExecRows` refilled in place across a query sequence equal fresh
+//!    builds, and one shared fill bound to random caches under the
+//!    econ-cheap, econ-col and econ-fast options writes exactly the plans
+//!    (and hot rows) of a reference enumerator that computes every plan
+//!    from the estimator's unshaped oracles and its own cache probes, as
+//!    fused enumeration did before arrivals shared their rows.
 //!
 //! The fleet's routing determinism across the batched and per-node
 //! paths rests on these properties
@@ -31,10 +37,11 @@ use cloudcache::econ::{
 };
 use cloudcache::planner::plan::QueryPlan;
 use cloudcache::planner::{
-    enumerate_plans_into, generate_candidates, skyline_partition_hot, BatchCompleter, CacheView,
-    CandidateIndex, CostParams, EnumerationOptions, Estimator, PlanHot, PlanRows, PlanSkeleton,
-    PlannerContext,
+    bind_plans_into, enumerate_plans_into, generate_candidates, skyline_partition_hot,
+    BatchCompleter, CacheView, CandidateIndex, CostParams, EnumerationOptions, Estimator, ExecRows,
+    PlanHot, PlanRows, PlanShape, PlanSkeleton, PlannerContext,
 };
+use cloudcache::policies::EconPolicy;
 use cloudcache::pricing::{Money, PriceCatalog};
 use cloudcache::simcore::{NetworkModel, SimDuration, SimTime};
 use cloudcache::workload::{paper_templates, Query, WorkloadConfig, WorkloadGenerator};
@@ -539,4 +546,237 @@ fn quote_round_fallback_covers_non_economic_nodes() {
     assert_eq!(bids[0], sentinel);
     assert_eq!(bids[2], sentinel.scale(3.0));
     assert_eq!(bids[1], manager.quote_query(&ctx, query, now));
+}
+
+/// A context at SF 30 with only three candidate indexes, so some
+/// template shapes have a serving candidate (an index variant) and
+/// others have none.
+fn sparse_harness() -> &'static Harness {
+    static HARNESS: OnceLock<Harness> = OnceLock::new();
+    HARNESS.get_or_init(|| {
+        let schema = Arc::new(tpch_schema(ScaleFactor(30.0)));
+        let templates = paper_templates(&schema);
+        let candidates = generate_candidates(&schema, &templates, 3);
+        let cand_index = CandidateIndex::build(&schema, &candidates);
+        let estimator = Estimator::new(
+            CostParams::default(),
+            PriceCatalog::ec2_2009(),
+            NetworkModel::paper_sdss(),
+        );
+        Harness {
+            schema,
+            candidates,
+            cand_index,
+            estimator,
+        }
+    })
+}
+
+/// The plan set as fused enumeration planned it before arrivals shared
+/// their execution rows: every plan materialized on its own, its
+/// execution row from the estimator's unshaped oracles
+/// (`backend_execution`, `cache_execution`), its build quotes from
+/// `build_column` / `build_index` / `build_node`, and one cache probe per
+/// structure per plan. The best-index variant's assignment is the
+/// compiled shape's (`tests/query_shapes.rs` checks it against the
+/// registry-order scorer).
+fn reference_plans(
+    ctx: &PlannerContext<'_>,
+    q: &Query,
+    cache: &CacheState,
+    now: SimTime,
+    opts: EnumerationOptions,
+) -> Vec<QueryPlan> {
+    let est = ctx.estimator;
+    let backend = est.backend_execution(ctx.schema, q);
+    let (backend_cost, backend_breakdown) = est.price_execution(&backend);
+    let mut plans = vec![QueryPlan {
+        shape: PlanShape::Backend,
+        exec_time: backend.time,
+        exec_cost: backend_cost,
+        exec_breakdown: backend_breakdown,
+        uses: Vec::new(),
+        missing: Vec::new(),
+        build_cost: Money::ZERO,
+        build_time: SimDuration::ZERO,
+        amortized_cost: Money::ZERO,
+        maintenance_cost: Money::ZERO,
+        price: backend_cost,
+    }];
+    let mut columns: Vec<ColumnId> = Vec::new();
+    for c in q.all_columns() {
+        if !columns.contains(&c) {
+            columns.push(c);
+        }
+    }
+    let picks: Vec<Option<usize>> = ctx.shape(q).picks().collect();
+    let mut variants = vec![vec![None; picks.len()]];
+    if opts.allow_indexes && picks.iter().any(Option::is_some) {
+        variants.push(picks);
+    }
+    for indexes in &variants {
+        let defs: Vec<_> = indexes
+            .iter()
+            .map(|p| p.map(|pos| &ctx.candidates[pos]))
+            .collect();
+        for &k in &est.params().node_options {
+            if k > 1 && !opts.allow_extra_nodes {
+                continue;
+            }
+            let exec = est.cache_execution(ctx.schema, q, &defs, k);
+            let (exec_cost, exec_breakdown) = est.price_execution(&exec);
+            let uses: Vec<StructureKey> = columns
+                .iter()
+                .map(|&c| StructureKey::Column(c))
+                .chain(defs.iter().flatten().map(|d| StructureKey::Index(d.id)))
+                .chain((0..k.saturating_sub(1)).map(StructureKey::Node))
+                .collect();
+            let mut missing = Vec::new();
+            let (mut build_cost, mut build_time) = (Money::ZERO, SimDuration::ZERO);
+            let (mut amortized, mut maintenance) = (Money::ZERO, Money::ZERO);
+            for &key in &uses {
+                if let Some(s) = cache.get(key).filter(|s| s.is_available(now)) {
+                    let span = now
+                        .saturating_since(s.maint_paid_until)
+                        .min(opts.maint_window);
+                    amortized += s.amortization_due();
+                    maintenance += est.maintenance(s, span);
+                    continue;
+                }
+                let (cost, time) = match key {
+                    StructureKey::Column(c) => est.build_column(ctx.schema, c),
+                    StructureKey::Index(id) => {
+                        let def = &ctx.candidates[id.index()];
+                        est.build_index(ctx.schema, def, |c| {
+                            cache.contains(StructureKey::Column(c)) || columns.contains(&c)
+                        })
+                    }
+                    StructureKey::Node(_) => est.build_node(),
+                };
+                missing.push(key);
+                build_cost += cost;
+                if time > build_time {
+                    build_time = time;
+                }
+                amortized += cost.amortize_over(opts.amortize_n);
+            }
+            plans.push(QueryPlan {
+                shape: PlanShape::Cache {
+                    indexes: defs.iter().map(|d| d.map(|d| d.id)).collect(),
+                    nodes: k,
+                },
+                exec_time: exec.time,
+                exec_cost,
+                exec_breakdown,
+                uses,
+                missing,
+                build_cost,
+                build_time,
+                amortized_cost: amortized,
+                maintenance_cost: maintenance,
+                price: exec_cost + amortized + maintenance,
+            });
+        }
+    }
+    plans
+}
+
+/// The enumeration options of the paper's three economic schemes built
+/// on one base config, at a random observed arrival rate.
+fn scheme_options(rate: f64, window_gaps: f64) -> [(&'static str, EnumerationOptions); 3] {
+    let base = EconConfig {
+        maint_window_gaps: window_gaps,
+        ..EconConfig::default()
+    };
+    [
+        EconPolicy::econ_cheap(base.clone()),
+        EconPolicy::econ_col(base.clone()),
+        EconPolicy::econ_fast(base),
+    ]
+    .map(|p| {
+        let name = match (
+            p.manager().config().allow_indexes,
+            p.manager().config().objective,
+        ) {
+            (false, _) => "econ-col",
+            (true, SelectionObjective::Fastest) => "econ-fast",
+            _ => "econ-cheap",
+        };
+        (name, p.manager().config().enumeration(rate))
+    })
+}
+
+proptest! {
+    /// One `ExecRows`, refilled in place over a random query sequence
+    /// that alternates shapes with and without an index variant (SF 30,
+    /// three candidates), equals a fresh `ExecRows::build` after every
+    /// fill, and the fresh build stays equal to the skeleton's rows.
+    #[test]
+    fn refilled_exec_rows_equal_fresh_builds(
+        seed in 0u64..1_000,
+        picks in prop::collection::vec((0usize..64, 0usize..64), 4..16),
+    ) {
+        let h = sparse_harness();
+        let ctx = h.ctx();
+        let pool = WorkloadGenerator::new(Arc::clone(&h.schema), WorkloadConfig::default(), seed)
+            .take(200)
+            .collect::<Vec<_>>();
+        let (indexed, unindexed): (Vec<&Query>, Vec<&Query>) =
+            pool.iter().partition(|q| ctx.shape(q).indexed);
+        prop_assert!(!indexed.is_empty() && !unindexed.is_empty(), "the pool mixes shapes");
+        let mut rows = ExecRows::new();
+        for &(a, b) in &picks {
+            for q in [indexed[a % indexed.len()], unindexed[b % unindexed.len()]] {
+                rows.fill(&ctx, q);
+                let fresh = ExecRows::build(&ctx, q);
+                prop_assert_eq!(&rows, &fresh, "refill of query {:?}", q.id);
+                prop_assert_eq!(rows.variant_count(), 1 + usize::from(ctx.shape(q).indexed));
+                let skel = PlanSkeleton::from_rows(&ctx, &rows);
+                prop_assert_eq!(&skel, &PlanSkeleton::build(&ctx, q));
+            }
+        }
+    }
+
+    /// One fill per arrival, bound to several random caches under the
+    /// econ-cheap, econ-col and econ-fast options, writes exactly the
+    /// plans and hot rows of the reference enumerator for every node and
+    /// every scheme.
+    #[test]
+    fn shared_rows_bind_like_reference_enumeration(
+        seed in 0u64..1_000,
+        n_nodes in 1usize..5,
+        ops in prop::collection::vec((0u8..4, 0u8..32, 0u8..8, 0.0f64..90.0, 0.0f64..40.0), 8..24),
+        rate in 0.0f64..4.0,
+        window_gaps in 0.5f64..20.0,
+    ) {
+        let h = harness();
+        let ctx = h.ctx();
+        let pool = query_pool(seed.wrapping_add(59), 6);
+        let columns = pool_columns(&pool);
+        let mut caches = seeded_caches(&columns, n_nodes);
+        let (mut exec, mut rows) = (ExecRows::new(), PlanRows::new());
+        let mut now = 0.0f64;
+        for (step, &(op, sel, node_pick, gap, build)) in ops.iter().enumerate() {
+            now += gap;
+            let t = SimTime::from_secs(now);
+            apply_op(&mut caches[node_pick as usize % n_nodes], &columns, op, sel, t, build);
+            let q = &pool[(sel as usize + step) % pool.len()];
+            exec.fill(&ctx, q);
+            for (i, cache) in caches.iter().enumerate() {
+                for (scheme, opts) in scheme_options(rate, window_gaps) {
+                    bind_plans_into(&ctx, &exec, cache, t, opts, &mut rows);
+                    let reference = reference_plans(&ctx, q, cache, t, opts);
+                    prop_assert_eq!(
+                        rows.to_plans(),
+                        reference.clone(),
+                        "{} plans at step {} node {}",
+                        scheme,
+                        step,
+                        i
+                    );
+                    prop_assert_eq!(rows.hot(), &PlanHot::of(&reference));
+                }
+            }
+        }
+    }
 }

@@ -14,7 +14,12 @@
 //!    the winners' serves settle identically;
 //! 3. under zero CPU and I/O rates, where cache rows cost nothing, a
 //!    cache row past the deadline leaves the bid to the round — a free
-//!    cached plan there really does bid below the full amount.
+//!    cached plan there really does bid below the full amount;
+//! 4. a round over nodes of differing patience, one of them possibly
+//!    Convex, evaluates each distinct budget once over the arrival's
+//!    shared rows and still picks the winner and bid of quoting every
+//!    node, deciding exactly when every node's own budget decides; and a
+//!    fleet with a bypass node never decides.
 
 use std::sync::{Arc, OnceLock};
 
@@ -22,7 +27,7 @@ use cloudcache::cache::StructureKey;
 use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
 use cloudcache::catalog::Schema;
 use cloudcache::econ::{BudgetShape, EconConfig, EconomyManager, InvestmentRule};
-use cloudcache::fleet::{CacheNode, CheapestQuote, NodeSpec, QuoteOptions, Router};
+use cloudcache::fleet::{CacheNode, CheapestQuote, NodeSpec, QuoteOptions, QuoteRounds, Router};
 use cloudcache::planner::{
     generate_candidates, CandidateIndex, CostParams, Estimator, ExecRows, PlannerContext,
 };
@@ -268,4 +273,161 @@ fn free_cache_rows_past_the_deadline_leave_the_bid_to_the_round() {
         );
     }
     assert!(late > 0, "the pool must hold a query with a late cache row");
+}
+
+/// Patience values a mixed fleet draws from: each is its own budget key.
+const PATIENCES: [f64; 4] = [1.0, 1.2, 1.5, 3.0];
+
+/// The reference round: every node quotes by planning. Returns the
+/// first minimal bidder and its bid, and whether every node's own
+/// budget decided its bid (each decided bid must equal the quote).
+fn quote_every_node(
+    ctx: &PlannerContext<'_>,
+    nodes: &mut [CacheNode],
+    query: &Query,
+    rows: &ExecRows,
+    now: SimTime,
+) -> (usize, Money, bool) {
+    let mut winner: Option<(usize, Money)> = None;
+    let mut all_decided = true;
+    for (i, node) in nodes.iter_mut().enumerate() {
+        node.accrue(now);
+        let bid = node.quote(ctx, query, now);
+        match node
+            .economy()
+            .and_then(|m| m.budget_decided_bid(query, || rows))
+        {
+            Some(decided) => assert_eq!(decided, bid, "decided bid of node {i} at {now}"),
+            None => all_decided = false,
+        }
+        if winner.is_none_or(|(_, b)| bid < b) {
+            winner = Some((i, bid));
+        }
+    }
+    let (winner, bid) = winner.expect("every node is routable");
+    (winner, bid, all_decided)
+}
+
+proptest! {
+    /// Step nodes of differing patience, and in half the fleets one
+    /// Convex node, at EC2 prices and under zero CPU and I/O rates (where
+    /// patience decides whether a free cache row lands past the
+    /// deadline): routing over the arrival's shared rows
+    /// (`Router::route_with`, then `CacheNode::serve_with`) picks the
+    /// winner and bid of quoting every node, serves like it, and decides
+    /// a round exactly when every node's own budget decides its bid.
+    #[test]
+    fn mixed_budget_rounds_match_quoting_every_node(
+        seed in 0u64..1_000,
+        catalog in 0u8..2,
+        patiences in prop::collection::vec(0usize..4, 4..5),
+        convex in prop::bool::ANY,
+        picks in prop::collection::vec((0usize..10, 0u8..6, 0u8..8), 10..30),
+    ) {
+        let h = if catalog == 0 { ec2() } else { network_only() };
+        let ctx = h.ctx();
+        let pool = h.queries(seed, 10);
+        let fleet = || -> Vec<CacheNode> {
+            patiences
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| {
+                    let shape = if convex && i == 2 { BudgetShape::Convex } else { BudgetShape::Step };
+                    let config = biting(shape, PATIENCES[p]);
+                    CacheNode::new(i, &NodeSpec::new(Scheme::EconCheap), &h.schema, &config)
+                })
+                .collect()
+        };
+        let mut full = fleet();
+        let mut worlds: Vec<(CheapestQuote, Vec<CacheNode>)> = ROUTERS
+            .iter()
+            .map(|&batching| {
+                let router = CheapestQuote::with_options(QuoteOptions {
+                    batching,
+                    ..QuoteOptions::default()
+                });
+                (router, fleet())
+            })
+            .collect();
+
+        let mut now = SimTime::ZERO;
+        let mut decided = 0;
+        for &(pick, gap_code, scale_code) in &picks {
+            now += SimDuration::from_secs([0.0, 0.5, 1.0, 5.0, 60.0, 1800.0][gap_code as usize]);
+            let mut query = pool[pick].clone();
+            query.budget_scale = SCALES[scale_code as usize];
+            let rows = ExecRows::build(&ctx, &query);
+            let (winner, bid, all_decided) = quote_every_node(&ctx, &mut full, &query, &rows, now);
+            decided += u64::from(all_decided);
+            let reference = full[winner].serve(&ctx, &query, now);
+
+            for (router, nodes) in &mut worlds {
+                for node in nodes.iter_mut() {
+                    node.accrue(now);
+                }
+                let routed = router.route_with(nodes, &ctx, &query, &rows, now);
+                prop_assert_eq!(routed, winner, "{:?} winner at {}", router, now);
+                prop_assert_eq!(router.last_winning_quote(), Some(bid));
+                let outcome = nodes[routed].serve_with(&ctx, &query, &rows, now, 0.0);
+                prop_assert_eq!(&outcome, &reference, "{:?} serve at {}", router, now);
+            }
+        }
+        for (router, _) in &worlds {
+            prop_assert_eq!(router.quote_rounds().decided, decided);
+        }
+    }
+}
+
+/// A bypass node has no budget, so no round over it is decided, even
+/// though every economic node's step budget decides its own bid; the
+/// full rounds still pick the winner of quoting every node.
+#[test]
+fn a_fleet_with_a_bypass_node_never_decides() {
+    let h = ec2();
+    let ctx = h.ctx();
+    let config = biting(BudgetShape::Step, 1.5);
+    let fleet = || -> Vec<CacheNode> {
+        (0..4)
+            .map(|i| {
+                let scheme = if i == 3 { scheme(4) } else { Scheme::EconCheap };
+                CacheNode::new(i, &NodeSpec::new(scheme), &h.schema, &config)
+            })
+            .collect()
+    };
+    let mut full = fleet();
+    let mut worlds: Vec<(CheapestQuote, Vec<CacheNode>)> = ROUTERS
+        .iter()
+        .map(|&batching| {
+            let router = CheapestQuote::with_options(QuoteOptions {
+                batching,
+                ..QuoteOptions::default()
+            });
+            (router, fleet())
+        })
+        .collect();
+    let queries = h.queries(29, 40);
+    for (i, query) in queries.iter().enumerate() {
+        let now = SimTime::from_secs(1.0 + i as f64);
+        let rows = ExecRows::build(&ctx, query);
+        let (winner, bid, _) = quote_every_node(&ctx, &mut full, query, &rows, now);
+        let reference = full[winner].serve(&ctx, query, now);
+        for (router, nodes) in &mut worlds {
+            for node in nodes.iter_mut() {
+                node.accrue(now);
+            }
+            let routed = router.route_with(nodes, &ctx, query, &rows, now);
+            assert_eq!((routed, router.last_winning_quote()), (winner, Some(bid)));
+            let outcome = nodes[routed].serve_with(&ctx, query, &rows, now, 0.0);
+            assert_eq!(outcome, reference, "serve of query {i}");
+        }
+    }
+    for (router, _) in &worlds {
+        assert_eq!(
+            router.quote_rounds(),
+            QuoteRounds {
+                decided: 0,
+                full: queries.len() as u64
+            }
+        );
+    }
 }

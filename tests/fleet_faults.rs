@@ -789,7 +789,7 @@ fn elastic_faulted_runs_are_bit_identical_across_shards_pools_and_tracing() {
                 .with_cascade(0.5, 0.5, 2.0, 2)
                 .with_evacuation(4.0, false)
                 .with_retry(3, 0.05, 2.0, 0.5)
-                .with_degrade(2, 5.0, 30.0, 8.0)
+                .with_degrade(0, 2.0, 12.0, 8.0)
                 .with_timeout(0.05),
         )
         .with_elastic(ElasticConfig {
@@ -808,6 +808,15 @@ fn elastic_faulted_runs_are_bit_identical_across_shards_pools_and_tracing() {
     assert!(
         summary.spawns > 0,
         "the fixture must respawn after its crashes"
+    );
+    // Node 0 is degraded until its crash and, as the lowest-indexed
+    // routable node, wins every step-budget round meanwhile: its backlog
+    // reaches the timeout and queries retry, each serving its decayed
+    // copy over the arrival's shared execution rows.
+    let faults = reference.faults.as_ref().expect("fault summary");
+    assert!(
+        faults.retries > 0,
+        "the degraded winner's queries must retry"
     );
     // The crashes leave cells with no routable node, so some queries
     // wait out a total outage; each still settles with one latency

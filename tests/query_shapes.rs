@@ -171,9 +171,14 @@ fn check_query(ctx: &PlannerContext<'_>, query: &Query, rows: &mut PlanRows) {
         "ExecRows backend row of query {:?}",
         query.id
     );
-    assert_eq!(exec.variants.len(), 1 + usize::from(indexed));
-    for (variant_picks, cells) in &exec.variants {
-        assert!(*variant_picks == scan || *variant_picks == picks);
+    assert_eq!(exec.variant_count(), 1 + usize::from(indexed));
+    let exec_picks: Vec<Option<usize>> = exec.shape().picks().collect();
+    if indexed {
+        assert_eq!(exec_picks, picks, "picks of query {:?}", query.id);
+    }
+    let variant_picks = [&scan, &exec_picks];
+    for (vi, variant_picks) in variant_picks.iter().take(exec.variant_count()).enumerate() {
+        let cells = exec.cells(vi);
         assert_eq!(cells.nodes, *node_options);
         for (i, &k) in cells.nodes.iter().enumerate() {
             assert_eq!(
@@ -184,15 +189,11 @@ fn check_query(ctx: &PlannerContext<'_>, query: &Query, rows: &mut PlanRows) {
             );
         }
     }
-    assert_eq!(exec.variants[0].0, scan);
-    if indexed {
-        assert_eq!(exec.variants[1].0, picks, "picks of query {:?}", query.id);
-    }
 
     // Skeleton variants: the deduplicated columns, then the indexes.
     let skeleton = PlanSkeleton::build(ctx, query);
-    assert_eq!(skeleton.variants.len(), exec.variants.len());
-    for (variant, (variant_picks, _)) in skeleton.variants.iter().zip(&exec.variants) {
+    assert_eq!(skeleton.variants.len(), exec.variant_count());
+    for (variant, variant_picks) in skeleton.variants.iter().zip(variant_picks) {
         let mut expected = columns.clone();
         expected.extend(
             variant_picks
