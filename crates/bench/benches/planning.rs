@@ -4,17 +4,16 @@
 //! each query's compiled shape is a table hit) split into its two
 //! halves — filling a query's execution rows and binding them to a cold
 //! or warm cache — a single economy step, one cheapest-quote round over
-//! 8 Convex-budget nodes on each quote path (the reason
-//! `FleetConfig::quote_batching` defaults on), and one `fleet-market`
-//! arrival: the rows filled once, the decided round over 8 Step-budget
-//! nodes and the winner's serve over the same rows.
+//! 8 Convex-budget nodes, and one `fleet-market` arrival: the rows
+//! filled once, the decided round over 8 Step-budget nodes and the
+//! winner's serve over the same rows.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use cache::{CacheState, StructureKey};
 use catalog::tpch::{tpch_schema, ScaleFactor};
 use econ::{BudgetShape, EconConfig, EconomyManager};
-use fleet::{CacheNode, CheapestQuote, FleetConfig, NodeSpec, QuoteOptions, Router};
+use fleet::{CacheNode, CheapestQuote, FleetConfig, NodeSpec, Router};
 use planner::enumerate::EnumerationOptions;
 use planner::{
     bind_plans_into, enumerate_plans, generate_candidates, CostParams, Estimator, ExecRows,
@@ -168,42 +167,34 @@ fn bench_economy_step(c: &mut Criterion) {
 /// no round is decided from the budgets alone: 8 econ-cheap nodes at
 /// SF 5, warmed by routing and serving the first half of a pre-drawn
 /// stream, then timed routing (the quote round alone, no serve; routing
-/// changes no node's state) over the second half. Both rows route
-/// bit-identically.
+/// changes no node's state) over the second half.
 fn bench_quote_round(c: &mut Criterion) {
     let fx = Fx::new(5.0, 4096);
     let ctx = fx.ctx();
     let mut econ = FleetConfig::uniform(1, 8, 1, 1.0).econ;
     econ.budget_shape = BudgetShape::Convex;
     let (warm, timed) = fx.queries.split_at(fx.queries.len() / 2);
-    let mut group = c.benchmark_group("quote_round_convex_8_nodes");
-    for (name, batching) in [("batched", true), ("per_node", false)] {
-        let mut nodes: Vec<CacheNode> = (0..8)
-            .map(|i| CacheNode::new(i, &NodeSpec::new(Scheme::EconCheap), &fx.schema, &econ))
-            .collect();
-        let mut router = CheapestQuote::with_options(QuoteOptions {
-            batching,
-            ..QuoteOptions::default()
-        });
-        let mut now = SimTime::ZERO;
-        for q in warm {
-            now += SimDuration::from_secs(1.0);
-            for node in &mut nodes {
-                node.accrue(now);
-            }
-            let winner = router.route(&nodes, &ctx, q, now);
-            let _ = nodes[winner].serve(&ctx, q, now);
-        }
+    let mut nodes: Vec<CacheNode> = (0..8)
+        .map(|i| CacheNode::new(i, &NodeSpec::new(Scheme::EconCheap), &fx.schema, &econ))
+        .collect();
+    let mut router = CheapestQuote::default();
+    let mut now = SimTime::ZERO;
+    for q in warm {
         now += SimDuration::from_secs(1.0);
-        let mut i = 0;
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                i = (i + 1) % timed.len();
-                black_box(router.route(&nodes, &ctx, &timed[i], now))
-            })
-        });
+        for node in &mut nodes {
+            node.accrue(now);
+        }
+        let winner = router.route(&nodes, &ctx, q, now);
+        let _ = nodes[winner].serve(&ctx, q, now);
     }
-    group.finish();
+    now += SimDuration::from_secs(1.0);
+    let mut i = 0;
+    c.bench_function("quote_round_convex_8_nodes", |b| {
+        b.iter(|| {
+            i = (i + 1) % timed.len();
+            black_box(router.route(&nodes, &ctx, &timed[i], now))
+        })
+    });
 }
 
 /// One `fleet-market` arrival after warm-up: 8 econ-cheap nodes under

@@ -21,8 +21,8 @@ use std::cell::RefCell;
 use cache::{CacheState, CachedStructure, StructureKey};
 use planner::enumerate::EnumerationOptions;
 use planner::{
-    bind_plans_into, skyline_partition_hot, BatchCompleter, CacheView, Estimator, ExecRows,
-    PlanHot, PlanRows, PlanSkeleton, PlannerContext, QueryPlan,
+    bind_plans_into, skyline_partition_hot, Estimator, ExecRows, PlanRows, PlannerContext,
+    QueryPlan,
 };
 use pricing::Money;
 use simcore::{SimDuration, SimTime};
@@ -521,20 +521,13 @@ impl EconomyManager {
 
     /// Payment-only [`Self::serve_from`]: the same budget formation,
     /// skyline partition and case analysis, but returning just the bid.
-    /// Quote paths never act on the chosen plan or the regret list, so
+    /// Quotes never act on the chosen plan or the regret list, so
     /// they materialize no plan and touch no ledger.
     fn select_payment_from(&self, query: &Query, rows: &PlanRows) -> Money {
-        self.payment_from_hot(query, rows.hot(), &mut self.sky_scratch.borrow_mut())
-    }
-
-    /// The bid over hot rows (backend row first): the budget from the
-    /// backend row, the two-tier skyline and the payment-only case
-    /// analysis. Shared by every quote path, whether the rows belong to a
-    /// plan set or were emitted straight from a batched gather
-    /// ([`BatchCompleter::emit_hot`]).
-    fn payment_from_hot(&self, query: &Query, hot: &PlanHot, scratch: &mut SkyScratch) -> Money {
-        let SkyScratch { order, sky } = scratch;
+        let hot = rows.hot();
         let budget = self.budget(query, hot.time[0], hot.price[0]);
+        let mut scratch = self.sky_scratch.borrow_mut();
+        let SkyScratch { order, sky } = &mut *scratch;
         let _existing = skyline_partition_hot(hot, order, sky);
         select_payment_hot(hot, sky, &budget, self.config.objective)
     }
@@ -563,15 +556,15 @@ impl EconomyManager {
     /// * no execution row (backend or cache) past the deadline has a
     ///   non-positive execution cost.
     ///
-    /// Then [`Self::quote_query`] and a batched round
-    /// ([`QuoteBatch::quote_round`]) bid exactly this amount at any cache
-    /// state, clock and objective. A plan's price is its row's execution
-    /// cost plus installments and maintenance, neither negative, so every
-    /// affordable plan runs within the deadline, where the step pays its
-    /// full amount. The existing-tier skyline holds a plan at least as
-    /// fast and as cheap as the backend, hence affordable too, so the
-    /// case analysis lands in case B or C and charges that full amount.
-    /// The third condition is not idle: under zero CPU and I/O rates
+    /// Then [`Self::quote_query`] and [`Self::quote_query_with`] bid
+    /// exactly this amount at any cache state, clock and objective. A
+    /// plan's price is its row's execution cost plus installments and
+    /// maintenance, neither negative, so every affordable plan runs
+    /// within the deadline, where the step pays its full amount. The
+    /// existing-tier skyline holds a plan at least as fast and as cheap
+    /// as the backend, hence affordable too, so the case analysis lands
+    /// in case B or C and charges that full amount. The third condition
+    /// is not idle: under zero CPU and I/O rates
     /// ([`pricing::PriceCatalog::network_only`]) cache rows cost nothing,
     /// and a free cached plan past the deadline would be affordable at a
     /// budget of zero.
@@ -744,148 +737,6 @@ impl EconomyManager {
                 (cost, time, 0)
             }
         }
-    }
-}
-
-/// One batch member: a routable economic node, planned in the round's
-/// shared completion pass.
-#[derive(Debug, Clone, Copy)]
-struct BatchMember {
-    /// Caller-side node index.
-    node: usize,
-    /// The options its manager plans under.
-    opts: EnumerationOptions,
-}
-
-/// Reusable workspace for **batched quote rounds** — the structure-major
-/// inversion of the fleet's per-node quote fan-out.
-///
-/// A round makes every routable economic node a member, builds the
-/// query's [`PlanSkeleton`] from the arrival's [`ExecRows`]
-/// ([`PlanSkeleton::from_rows`], so no execution cell is recomputed),
-/// runs *one* [`BatchCompleter::gather`] pass over the members' caches,
-/// and bids each of them from the hot rows [`BatchCompleter::emit_hot`]
-/// writes straight from the gathered lanes. No member's plan set is
-/// built: the winner's serve binds the same rows to its own cache. Bids
-/// match the per-node path ([`EconomyManager::quote_query_with`] on
-/// every node) bit for bit; `tests/batch_completion.rs` pins it.
-///
-/// The bulk scratch (completer lanes, member list, bid vector, hot rows)
-/// is retained across rounds; a round allocates only its query's
-/// skeleton.
-#[derive(Debug, Default)]
-pub struct QuoteBatch {
-    completer: BatchCompleter,
-    members: Vec<BatchMember>,
-    bids: Vec<Money>,
-    /// Hot rows the members' bids are computed over.
-    hot: PlanHot,
-    /// Skyline scratch of the members' bids.
-    scratch: SkyScratch,
-}
-
-impl QuoteBatch {
-    /// An empty workspace.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// [`Self::quote_round_with`] over execution rows built for `query`
-    /// here.
-    ///
-    /// # Panics
-    /// Panics as [`Self::quote_round_with`] does.
-    pub fn quote_round<'m, M, F>(
-        &mut self,
-        count: usize,
-        manager_of: M,
-        fallback: F,
-        ctx: &PlannerContext<'_>,
-        query: &Query,
-        now: SimTime,
-    ) -> &[Money]
-    where
-        M: Fn(usize) -> Option<&'m EconomyManager>,
-        F: Fn(usize) -> Money,
-    {
-        let exec = ExecRows::build(ctx, query);
-        self.quote_round_with(count, manager_of, fallback, ctx, query, &exec, now)
-    }
-
-    /// Quotes one round of `count` nodes' bids for `query` at `now`, over
-    /// `exec`, the query's execution rows.
-    ///
-    /// `manager_of(i)` returns node `i`'s economy manager when its quotes
-    /// factor through batched completion (`None` falls back to
-    /// `fallback(i)`, which must produce the node's bid some other way).
-    /// Both closures must be stable for the duration of the call, and
-    /// every returned manager must be distinct. The round builds the
-    /// query's [`PlanSkeleton`] from `exec` once, and only if some node
-    /// returns a manager.
-    ///
-    /// Returns the bids, indexed by node. No manager's state changes.
-    ///
-    /// # Panics
-    /// Panics if a member's manager disappears between phases (the
-    /// closures were not stable), or if the round has a member and
-    /// `exec` was never filled.
-    #[allow(clippy::too_many_arguments)] // the round's inputs, one each
-    pub fn quote_round_with<'m, M, F>(
-        &mut self,
-        count: usize,
-        manager_of: M,
-        fallback: F,
-        ctx: &PlannerContext<'_>,
-        query: &Query,
-        exec: &ExecRows,
-        now: SimTime,
-    ) -> &[Money]
-    where
-        M: Fn(usize) -> Option<&'m EconomyManager>,
-        F: Fn(usize) -> Money,
-    {
-        self.bids.clear();
-        self.bids.resize(count, Money::ZERO);
-        self.members.clear();
-        for i in 0..count {
-            match manager_of(i) {
-                None => self.bids[i] = fallback(i),
-                Some(m) => self.members.push(BatchMember {
-                    node: i,
-                    opts: m.config.enumeration(m.arrival_rate()),
-                }),
-            }
-        }
-
-        if !self.members.is_empty() {
-            let skel = PlanSkeleton::from_rows(ctx, exec);
-            // The node-major probe sweep binds each member's view once
-            // per node (not once per probe), so the round resolves
-            // managers straight through the caller's lookup instead of
-            // materialising a resolved vector — quote rounds are
-            // allocation-free after warmup.
-            let members = &self.members;
-            let member_manager = |j: usize| {
-                manager_of(members[j].node).expect("batch member manager vanished between phases")
-            };
-            self.completer.gather(
-                &skel,
-                members.len(),
-                |j| CacheView {
-                    cache: member_manager(j).cache(),
-                    opts: members[j].opts,
-                },
-                now,
-                |s, span| ctx.estimator.maintenance(s, span),
-            );
-            for (j, member) in members.iter().enumerate() {
-                self.completer.emit_hot(&skel, j, &mut self.hot);
-                self.bids[member.node] =
-                    member_manager(j).payment_from_hot(query, &self.hot, &mut self.scratch);
-            }
-        }
-        &self.bids
     }
 }
 

@@ -25,9 +25,9 @@
 //!   deposits (query payments) and withdrawals (investments).
 //! * [`maintenance`] — structure-failure policy (footnote 3).
 //! * [`economy`] — [`economy::EconomyManager`], the per-query control loop
-//!   gluing all of the above to the planner and the cache, plus
-//!   [`economy::QuoteBatch`], the batched structure-major quote round a
-//!   fleet's routers fan out over competing managers. A query's
+//!   gluing all of the above to the planner and the cache. A fleet's
+//!   routers ask competing managers for bids
+//!   ([`economy::EconomyManager::quote_query_with`]). A query's
 //!   cache-independent execution rows (`planner::ExecRows`) are filled
 //!   once and shared by its bids and its serve; every cache-dependent
 //!   term is planned fresh by each.
@@ -50,7 +50,7 @@ pub use account::CloudAccount;
 pub use amortize::AmortizationPolicy;
 pub use budget::{BudgetFunction, BudgetShape};
 pub use config::EconConfig;
-pub use economy::{BudgetKey, EconomyManager, PlanCacheStats, QuoteBatch};
+pub use economy::{BudgetKey, EconomyManager, PlanCacheStats};
 pub use invest::InvestmentRule;
 pub use outcome::{QueryOutcome, SelectionCase};
 pub use regret::{RegretAttribution, RegretLedger};

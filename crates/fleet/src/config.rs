@@ -45,13 +45,9 @@ pub struct FleetConfig {
     /// removed by ROADMAP item 5. A cheapest-quote round runs on the
     /// router's thread, so [`Self::validate`] accepts only 1.
     pub quote_threads: usize,
-    /// Quote rounds complete the economic nodes' plans in one batched
-    /// structure-major sweep instead of once per node (bit-identical
-    /// results either way; `false` selects the per-node reference path,
-    /// one fused enumeration per node, that `tests/fleet_determinism.rs`
-    /// compares against). The only quote-round setting with an effect;
-    /// it defaults on, although per-node rounds now measure faster on
-    /// full rounds (ROADMAP item 5).
+    /// Kept only because the repository benchmark names it; inert;
+    /// removed by ROADMAP item 5. Every full quote round quotes node by
+    /// node whatever it holds.
     pub quote_batching: bool,
     /// Kept only because the repository benchmark names it; inert;
     /// removed by ROADMAP item 5. There are no quote workers to pin,

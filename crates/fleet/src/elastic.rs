@@ -30,9 +30,9 @@
 //! review instants derive from the arrival stream alone, and every
 //! decision is recorded in an explainable [`LedgerEntry`] (signal values
 //! → rule fired → action). A run therefore remains a pure function of
-//! its config: replaying the same seed at 1 vs N executor shards, and
-//! on either quote path, must produce bit-identical
-//! decision ledgers and aggregates — `tests/fleet_elastic.rs` pins this.
+//! its config: replaying the same seed at 1 vs N executor shards must
+//! produce bit-identical decision ledgers and aggregates —
+//! `tests/fleet_elastic.rs` pins this.
 
 use std::sync::Arc;
 

@@ -240,10 +240,7 @@ impl FleetSim {
             population: NodePopulation::new(nodes),
             injector,
             controller,
-            router: config.router.make(QuoteOptions {
-                batching: config.quote_batching,
-                ..QuoteOptions::default()
-            }),
+            router: config.router.make(QuoteOptions::default()),
             exec: ExecRows::new(),
             ledger_seen: 0,
             fault_seen: 0,

@@ -46,8 +46,7 @@
 //! injection instants are simulated time, every decision is a pure
 //! function of simulated state, and each cell applies the same plan to
 //! its private fleet replica — so fault-injected runs remain bit-identical
-//! across shard counts and quote paths
-//! (`tests/fleet_faults.rs` pins this).
+//! across shard counts (`tests/fleet_faults.rs` pins this).
 //!
 //! Injection instants are processed when the first arrival at or after
 //! them is served; instants past the run's last arrival never fire.

@@ -247,10 +247,9 @@ impl CacheNode {
         self.policy.quote_with(ctx, query, exec, now)
     }
 
-    /// The economy manager backing this node's policy, when its quotes
-    /// factor through batched completion (see
+    /// The economy manager backing this node's policy (see
     /// [`CachePolicy::economy`]); `None` for non-economic schemes,
-    /// which quote rounds bill individually.
+    /// whose bids no budget decides.
     #[must_use]
     pub fn economy(&self) -> Option<&econ::EconomyManager> {
         self.policy.economy()

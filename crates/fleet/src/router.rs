@@ -14,31 +14,19 @@
 //!   of Section IV-A, played as a competition between clouds.
 //!
 //! A cheapest-quote round is one sequential scan on the router's
-//! thread, bidding on one of two paths. The default, **batched** path
-//! makes every routable economic node a member of one structure-major
-//! sweep ([`econ::QuoteBatch`]): the round builds the query's
-//! cache-independent [`planner::PlanSkeleton`] once (only when it has a
-//! member), binds it against every member's cache, and bids each member
-//! from the `(time, price, existing)` rows of that sweep without
-//! building its plan set. The **per-node** path is the reference: every
-//! node bids through [`CacheNode::quote_with`], which binds the query's
-//! rows to its own cache by fused enumeration, and the round builds no
-//! skeleton. Both pick the lowest-indexed minimum bidder, bit for bit
-//! (`tests/fleet_determinism.rs` and `tests/batch_completion.rs` pin
-//! this). The batched path became the default while every per-node bid
-//! recomputed the query's rows; now that per-node bids bind the
-//! arrival's shared rows, per-node rounds measure faster on full
-//! Convex-budget rounds (PAPER.md, "Batched bid rows"), and ROADMAP
-//! item 5 re-decides the default.
+//! thread: every routable node bids through [`CacheNode::quote_with`]
+//! (an economic node binds the query's rows to its own cache by fused
+//! enumeration, [`planner::bind_plans_into`]), and the lowest-indexed
+//! minimum bidder wins.
 //!
-//! Every path reads the arrival's [`ExecRows`]: the query's backend row
+//! Every bid reads the arrival's [`ExecRows`]: the query's backend row
 //! and execution cells, which depend on the query alone. The fleet's
 //! cell loop fills them once per arrival and passes them to
 //! [`Router::route_with`] and then to the winner's serve, so neither a
-//! decided check, a skeleton, a per-node bid nor the serve recomputes
-//! them. Quoting changes no node's state. Only the winner serves the
-//! query, and its serve binds the rows to its cache afresh; no
-//! cache-dependent term a bid planned is kept.
+//! decided check, a bid nor the serve recomputes them. Quoting changes
+//! no node's state. Only the winner serves the query, and its serve
+//! binds the rows to its cache afresh; no cache-dependent term a bid
+//! planned is kept.
 //!
 //! **Budget-decided rounds.** Before quoting, the round asks every
 //! routable node whether its budget alone fixes its bid
@@ -51,8 +39,8 @@
 //! a round evaluates it once per distinct key among the routable nodes:
 //! once, for a fleet whose nodes share one `EconConfig`. When every
 //! routable node is economic and decided, the round picks the first
-//! minimal bid with no skeleton or completion. Otherwise the round above
-//! runs unchanged for every node: in practice a round is decided for all
+//! minimal bid without planning. Otherwise the round above runs
+//! unchanged for every node: in practice a round is decided for all
 //! of its economic nodes or for none, and only a non-economic node (or
 //! nodes built with differing budgets) makes it otherwise. One exception
 //! keeps the check honest: if an execution row past the deadline costs
@@ -74,7 +62,7 @@
 
 use std::sync::Arc;
 
-use econ::{BudgetKey, QuoteBatch};
+use econ::BudgetKey;
 use planner::{ExecRows, PlannerContext, SkeletonCache};
 use pricing::Money;
 use serde::{Deserialize, Serialize};
@@ -143,8 +131,7 @@ pub trait Router {
 /// Cumulative quote-round counts of a pricing router.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QuoteRounds {
-    /// Rounds every routable node's budget decided: no skeleton and no
-    /// completion.
+    /// Rounds every routable node's budget decided: no node planned.
     pub decided: u64,
     /// Rounds that quoted through planning.
     pub full: u64,
@@ -213,21 +200,17 @@ impl Router for LeastOutstanding {
     }
 }
 
-/// Construction-time options for cheapest-quote routing. Only
-/// [`Self::batching`] has an effect.
+/// Kept only because the repository benchmark names it; inert; removed
+/// by ROADMAP item 5. [`RouterKind::make`] ignores it: cheapest-quote
+/// routing has one quote path.
 #[derive(Debug, Clone)]
 pub struct QuoteOptions {
     /// Kept only because the repository benchmark names it; inert;
     /// removed by ROADMAP item 5. Quote rounds run on the router's
     /// thread whatever it holds.
     pub threads: usize,
-    /// Quote with batched structure-major completion
-    /// ([`econ::QuoteBatch`]) instead of one fused enumeration per node
-    /// ([`CacheNode::quote_with`]). Bit-identical either way
-    /// (`tests/batch_completion.rs` and `tests/fleet_determinism.rs`
-    /// enforce it). The per-node path is the reference those tests
-    /// compare against, and measures faster on full rounds since its
-    /// bids share the arrival's rows (ROADMAP item 5).
+    /// Kept only because the repository benchmark names it; inert;
+    /// removed by ROADMAP item 5. Every full round quotes node by node.
     pub batching: bool,
     /// Kept only because the repository benchmark names it; inert;
     /// removed by ROADMAP item 5. No round reads the cache.
@@ -250,17 +233,12 @@ impl Default for QuoteOptions {
 
 /// Price-based routing: the node quoting the lowest `B_Q(t)` wins the bid.
 ///
-/// A round scans the nodes in order on the caller's thread and picks the
-/// lowest-indexed minimum bidder. A batched round prices every routable
-/// economic node in one structure-major completion sweep
-/// ([`QuoteBatch`]); the per-node path quotes each node by fused
-/// enumeration. A round whose every bid the budgets decide skips all of
-/// this (see the module doc).
-#[derive(Debug)]
+/// A round scans the nodes in order on the caller's thread, quotes each
+/// routable node ([`CacheNode::quote_with`]) and picks the
+/// lowest-indexed minimum bidder. A round whose every bid the budgets
+/// decide quotes no node (see the module doc).
+#[derive(Debug, Default)]
 pub struct CheapestQuote {
-    batching: bool,
-    /// Reusable batching workspace (allocation-free after warm-up).
-    batch: QuoteBatch,
     /// The winning bid of the most recent round (flight-recorder data;
     /// never consulted by routing itself).
     last_quote: Option<Money>,
@@ -272,26 +250,7 @@ pub struct CheapestQuote {
     exec: ExecRows,
 }
 
-impl Default for CheapestQuote {
-    fn default() -> Self {
-        CheapestQuote::with_options(QuoteOptions::default())
-    }
-}
-
 impl CheapestQuote {
-    /// A cheapest-quote router with explicit [`QuoteOptions`].
-    #[must_use]
-    pub fn with_options(options: QuoteOptions) -> Self {
-        CheapestQuote {
-            batching: options.batching,
-            batch: QuoteBatch::new(),
-            last_quote: None,
-            rounds: QuoteRounds::default(),
-            decided: Vec::new(),
-            exec: ExecRows::new(),
-        }
-    }
-
     /// The first routable node with the minimal bid. `bid(i)` is asked
     /// only of routable nodes (elastic fleets carry draining/booting
     /// nodes in the slice; they neither bid nor plan). `None` when no
@@ -382,28 +341,7 @@ impl Router for CheapestQuote {
             return winner;
         }
         self.rounds.full += 1;
-        let best = if self.batching {
-            // Unroutable nodes are excluded from the batch entirely (no
-            // completion); their placeholder bids are never read.
-            let bids = self.batch.quote_round_with(
-                nodes.len(),
-                |i| nodes[i].routable(now).then(|| nodes[i].economy()).flatten(),
-                |i| {
-                    if nodes[i].routable(now) {
-                        nodes[i].quote_with(ctx, query, exec, now)
-                    } else {
-                        Money::ZERO
-                    }
-                },
-                ctx,
-                query,
-                exec,
-                now,
-            );
-            Self::cheapest(nodes, now, |i| bids[i])
-        } else {
-            Self::cheapest(nodes, now, |i| nodes[i].quote_with(ctx, query, exec, now))
-        };
+        let best = Self::cheapest(nodes, now, |i| nodes[i].quote_with(ctx, query, exec, now));
         let (winner, bid) =
             best.expect("no routable node (the control plane must keep at least one active)");
         self.last_quote = Some(bid);
@@ -452,16 +390,16 @@ impl RouterKind {
         }
     }
 
-    /// Instantiates a fresh router of this kind. `quote` configures the
-    /// cheapest-quote strategy (its quote path) and is ignored by the
-    /// other strategies; results are invariant in every quote option by
-    /// construction.
+    /// Instantiates a fresh router of this kind. `quote` is kept only
+    /// because the repository benchmark passes it; inert; removed by
+    /// ROADMAP item 5.
     #[must_use]
     pub fn make(&self, quote: QuoteOptions) -> Box<dyn Router> {
+        let _ = quote;
         match self {
             RouterKind::RoundRobin => Box::<RoundRobin>::default(),
             RouterKind::LeastOutstanding => Box::new(LeastOutstanding),
-            RouterKind::CheapestQuote => Box::new(CheapestQuote::with_options(quote)),
+            RouterKind::CheapestQuote => Box::<CheapestQuote>::default(),
         }
     }
 }
@@ -597,21 +535,14 @@ mod tests {
 
         let mut rr = RoundRobin::default();
         let mut lo = LeastOutstanding;
-        let mut cq_batched = CheapestQuote::default();
-        assert!(cq_batched.batching, "batched completion is the default");
-        let mut cq_per_node = CheapestQuote::with_options(QuoteOptions {
-            batching: false,
-            ..QuoteOptions::default()
-        });
+        let mut cq = CheapestQuote::default();
         for i in 0..12 {
             let now = SimTime::from_secs(1.0 + i as f64);
             let q = gen.next_query();
             assert_ne!(rr.route(&nodes, &ctx, &q, now), 0, "round-robin");
             assert_ne!(lo.route(&nodes, &ctx, &q, now), 0, "least-outstanding");
-            assert_ne!(cq_batched.route(&nodes, &ctx, &q, now), 0, "cq batched");
-            assert_ne!(cq_per_node.route(&nodes, &ctx, &q, now), 0, "cq per-node");
+            assert_ne!(cq.route(&nodes, &ctx, &q, now), 0, "cheapest-quote");
         }
-        assert_eq!(cq_batched.quote_rounds().full, 12);
-        assert_eq!(cq_per_node.quote_rounds().full, 12);
+        assert_eq!(cq.quote_rounds().full, 12);
     }
 }

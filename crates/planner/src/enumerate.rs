@@ -26,10 +26,10 @@ use workload::Query;
 
 use crate::candidates::CandidateIndex;
 use crate::estimator::Estimator;
+use crate::exec_rows::{ExecCells, ExecRows};
 use crate::plan::QueryPlan;
 use crate::rows::{DataTerms, PlanRows};
 use crate::shapes::QueryShape;
-use crate::skeleton::{ExecCells, ExecRows};
 
 /// What the active caching policy lets the enumerator consider.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

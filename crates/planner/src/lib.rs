@@ -28,27 +28,14 @@
 //!   hot `(time, price, existing)` rows, per-row scalars and per-variant
 //!   shared lists. Selection runs on the rows, and only the plan a query
 //!   runs is materialized ([`PlanRows::plan`]).
-//! * [`skeleton`] — the cache-independent half of planning.
-//!   [`ExecRows`] holds a query's backend row and every variant ×
-//!   node-count execution cell, a pure function of the context and the
-//!   query, filled once per arrival into reused storage; every planner
-//!   binds it. [`PlanSkeleton`] adds the build-cost shapes and probe
-//!   table a batched fleet quote round binds against every node at once
-//!   (the round builds it from the arrival's rows, and only when it has
-//!   a member). [`SkeletonCache`] is an inert name the repository
-//!   benchmark still uses.
-//! * [`batch`] — structure-major batched bid rows: one
-//!   [`BatchCompleter`] pass binds a skeleton against N nodes' cache
-//!   states at once, turning N independent cache probes per structure
-//!   into dense sweeps, and writes each node's `(time, price, existing)`
-//!   rows (bit-identical to the hot rows of N fused enumerations).
-//!
-//! There are two planners, and both bind one [`ExecRows`] fill:
-//! [`bind_plans_into`] for one cache (every serve and every per-node
-//! quote) and [`BatchCompleter`] for the bid rows of one batched quote
-//! round. Fused enumeration is the reference the batched planner is
-//! tested against; [`enumerate_plans_into`] fills fresh rows and binds
-//! them in one call.
+//! * [`exec_rows`] — [`ExecRows`], the cache-independent half of
+//!   planning: a query's backend row and every variant × node-count
+//!   execution cell, a pure function of the context and the query,
+//!   filled once per arrival into reused storage. [`bind_plans_into`]
+//!   binds it to one cache, for every serve and every bid;
+//!   [`enumerate_plans_into`] fills fresh rows and binds them in one
+//!   call. [`SkeletonCache`] is an inert name the repository benchmark
+//!   still uses.
 //! * [`soa`] — the struct-of-arrays selection-hot plan fields (time,
 //!   price, existing flag): the hot half of [`PlanRows`], and a
 //!   projection of any `QueryPlan` slice.
@@ -58,28 +45,26 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod candidates;
 pub mod enumerate;
 pub mod estimator;
+pub mod exec_rows;
 pub mod plan;
 pub mod rows;
 pub mod scaling;
 pub mod shapes;
-pub mod skeleton;
 pub mod skyline;
 pub mod soa;
 
-pub use batch::{BatchCompleter, CacheView};
 pub use candidates::{generate_candidates, CandidateIndex, TableCandidate};
 pub use enumerate::{
     bind_plans_into, enumerate_plans, enumerate_plans_into, EnumerationOptions, PlannerContext,
 };
 pub use estimator::{CacheExecBase, CostParams, Estimator};
+pub use exec_rows::{ExecRows, SkeletonCache, SkeletonCacheCounters};
 pub use plan::{PlanShape, QueryPlan};
 pub use rows::PlanRows;
 pub use scaling::ParallelModel;
 pub use shapes::QueryShape;
-pub use skeleton::{ExecRows, PlanSkeleton, SkeletonCache, SkeletonCacheCounters};
 pub use skyline::{skyline_filter, skyline_partition, skyline_partition_hot};
 pub use soa::PlanHot;

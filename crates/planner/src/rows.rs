@@ -31,8 +31,8 @@ use metrics::CostBreakdown;
 use pricing::Money;
 use simcore::{SimDuration, SimTime};
 
+use crate::exec_rows::ExecCells;
 use crate::plan::{PlanShape, QueryPlan};
-use crate::skeleton::ExecCells;
 use crate::soa::PlanHot;
 
 /// Variant tag of the backend row.

@@ -10,9 +10,9 @@
 //! count, its accessed-column width,
 //! the backend row-store width, the best candidate index and the bytes
 //! read per picked row through it, and the deduplicated column list.
-//! A [`QueryShape`] holds exactly those terms, and fresh enumeration,
-//! [`crate::ExecRows::build`] and [`crate::PlanSkeleton::build`] do only
-//! the per-query selectivity arithmetic on top of it.
+//! A [`QueryShape`] holds exactly those terms, and fresh enumeration and
+//! [`crate::ExecRows::fill`] do only the per-query selectivity
+//! arithmetic on top of it.
 //!
 //! **The index pick is selectivity-free.** The registry-order scorer
 //! ranks candidates by `rows · sel · (entry + uncovered)`: every

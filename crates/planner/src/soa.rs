@@ -12,9 +12,8 @@
 //! value is bit-identical to the source field, so selections computed
 //! over the view equal selections computed over the plans. Fused
 //! enumeration writes these rows directly as the hot half of
-//! [`crate::PlanRows`], and batched bid rounds write them alone
-//! ([`crate::BatchCompleter::emit_hot`]); [`PlanHot::fill`] projects them
-//! from a materialized plan slice.
+//! [`crate::PlanRows`]; [`PlanHot::fill`] projects them from a
+//! materialized plan slice.
 
 use pricing::Money;
 use simcore::SimDuration;

@@ -91,13 +91,11 @@ pub trait CachePolicy {
         self.quote(ctx, query, now)
     }
 
-    /// The economy manager backing this policy's quotes, when its
-    /// planning factors through batched structure-major completion
-    /// (`econ::QuoteBatch`). A batched fleet quote round plans every
-    /// node that returns `Some` in one sweep; nodes returning `None` (the
-    /// default) are quoted individually through [`Self::quote`], as every
-    /// node is on the per-node path. Either path must produce identical
-    /// bids.
+    /// The economy manager backing this policy's quotes, when it has
+    /// one. A fleet quote round asks it whether the budget alone decides
+    /// the bid (`econ::EconomyManager::budget_decided_bid`); a round with
+    /// a node returning `None` (the default) quotes every node through
+    /// [`Self::quote_with`].
     fn economy(&self) -> Option<&econ::EconomyManager> {
         None
     }

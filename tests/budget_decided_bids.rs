@@ -3,15 +3,14 @@
 //! Under a step budget a node's bid is the full amount `B_Q` whenever
 //! the backend is affordable, whatever its cache holds, so the fleet
 //! router settles such bids from the budget alone
-//! (`EconomyManager::budget_decided_bid`) and skips the skeleton and
-//! completion. The properties pinned here:
+//! (`EconomyManager::budget_decided_bid`) and plans no node. The
+//! properties pinned here:
 //!
 //! 1. over random cache histories, every budget shape, every selection
 //!    objective, a range of patience values and budget scales on both
 //!    sides of 1, a decided bid equals `quote_query` bit for bit;
-//! 2. routers deciding rounds from those bids (batched and per-node)
-//!    pick the winner of a full quote round, and
-//!    the winners' serves settle identically;
+//! 2. a router deciding rounds from those bids picks the winner of a
+//!    full quote round, and the winners' serves settle identically;
 //! 3. under zero CPU and I/O rates, where cache rows cost nothing, a
 //!    cache row past the deadline leaves the bid to the round — a free
 //!    cached plan there really does bid below the full amount;
@@ -27,7 +26,7 @@ use cloudcache::cache::StructureKey;
 use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
 use cloudcache::catalog::Schema;
 use cloudcache::econ::{BudgetShape, EconConfig, EconomyManager, InvestmentRule};
-use cloudcache::fleet::{CacheNode, CheapestQuote, NodeSpec, QuoteOptions, QuoteRounds, Router};
+use cloudcache::fleet::{CacheNode, CheapestQuote, NodeSpec, QuoteRounds, Router};
 use cloudcache::planner::{
     generate_candidates, CandidateIndex, CostParams, Estimator, ExecRows, PlannerContext,
 };
@@ -125,12 +124,9 @@ fn shape(code: u8) -> BudgetShape {
 /// unaffordable, so nothing decides the bid.
 const SCALES: [f64; 8] = [0.5, 0.9, 0.999, 1.0, 1.05, 1.3, 1.5, 2.0];
 
-/// Router configurations (batching) deciding rounds.
-const ROUTERS: [bool; 2] = [true, false];
-
 proptest! {
-    /// Decided bids equal both quote paths bit for bit, and routers that
-    /// decide rounds from them pick the full round's winner. Half the
+    /// Decided bids equal full quotes bit for bit, and a router that
+    /// decides rounds from them picks the full round's winner. Half the
     /// fleets are all-economic and all-step, so whole rounds are
     /// decided; in the rest node 0 runs a step budget and the others
     /// draw any scheme and shape, so a non-economic or non-step node
@@ -162,18 +158,9 @@ proptest! {
                 .collect()
         };
         // The full-round reference quotes every node through planning;
-        // each router world routes its own replica.
+        // the router routes its own replica.
         let mut full = fleet();
-        let mut worlds: Vec<(CheapestQuote, Vec<CacheNode>)> = ROUTERS
-            .iter()
-            .map(|&batching| {
-                let router = CheapestQuote::with_options(QuoteOptions {
-                    batching,
-                    ..QuoteOptions::default()
-                });
-                (router, fleet())
-            })
-            .collect();
+        let (mut router, mut nodes) = (CheapestQuote::default(), fleet());
 
         let mut now = SimTime::ZERO;
         for &(pick, gap_code, scale_code) in &picks {
@@ -198,16 +185,14 @@ proptest! {
             let (winner, bid) = winner.expect("every node is routable");
             let reference = full[winner].serve(&ctx, &query, now);
 
-            for (router, nodes) in &mut worlds {
-                for node in nodes.iter_mut() {
-                    node.accrue(now);
-                }
-                let routed = router.route(nodes, &ctx, &query, now);
-                prop_assert_eq!(routed, winner, "{:?} winner at {}", router, now);
-                prop_assert_eq!(router.last_winning_quote(), Some(bid));
-                let outcome = nodes[routed].serve(&ctx, &query, now);
-                prop_assert_eq!(&outcome, &reference, "{:?} serve at {}", router, now);
+            for node in &mut nodes {
+                node.accrue(now);
             }
+            let routed = router.route(&nodes, &ctx, &query, now);
+            prop_assert_eq!(routed, winner, "winner at {}", now);
+            prop_assert_eq!(router.last_winning_quote(), Some(bid));
+            let outcome = nodes[routed].serve(&ctx, &query, now);
+            prop_assert_eq!(&outcome, &reference, "serve at {}", now);
         }
     }
 }
@@ -339,16 +324,7 @@ proptest! {
                 .collect()
         };
         let mut full = fleet();
-        let mut worlds: Vec<(CheapestQuote, Vec<CacheNode>)> = ROUTERS
-            .iter()
-            .map(|&batching| {
-                let router = CheapestQuote::with_options(QuoteOptions {
-                    batching,
-                    ..QuoteOptions::default()
-                });
-                (router, fleet())
-            })
-            .collect();
+        let (mut router, mut nodes) = (CheapestQuote::default(), fleet());
 
         let mut now = SimTime::ZERO;
         let mut decided = 0;
@@ -361,20 +337,16 @@ proptest! {
             decided += u64::from(all_decided);
             let reference = full[winner].serve(&ctx, &query, now);
 
-            for (router, nodes) in &mut worlds {
-                for node in nodes.iter_mut() {
-                    node.accrue(now);
-                }
-                let routed = router.route_with(nodes, &ctx, &query, &rows, now);
-                prop_assert_eq!(routed, winner, "{:?} winner at {}", router, now);
-                prop_assert_eq!(router.last_winning_quote(), Some(bid));
-                let outcome = nodes[routed].serve_with(&ctx, &query, &rows, now, 0.0);
-                prop_assert_eq!(&outcome, &reference, "{:?} serve at {}", router, now);
+            for node in &mut nodes {
+                node.accrue(now);
             }
+            let routed = router.route_with(&nodes, &ctx, &query, &rows, now);
+            prop_assert_eq!(routed, winner, "winner at {}", now);
+            prop_assert_eq!(router.last_winning_quote(), Some(bid));
+            let outcome = nodes[routed].serve_with(&ctx, &query, &rows, now, 0.0);
+            prop_assert_eq!(&outcome, &reference, "serve at {}", now);
         }
-        for (router, _) in &worlds {
-            prop_assert_eq!(router.quote_rounds().decided, decided);
-        }
+        prop_assert_eq!(router.quote_rounds().decided, decided);
     }
 }
 
@@ -395,39 +367,26 @@ fn a_fleet_with_a_bypass_node_never_decides() {
             .collect()
     };
     let mut full = fleet();
-    let mut worlds: Vec<(CheapestQuote, Vec<CacheNode>)> = ROUTERS
-        .iter()
-        .map(|&batching| {
-            let router = CheapestQuote::with_options(QuoteOptions {
-                batching,
-                ..QuoteOptions::default()
-            });
-            (router, fleet())
-        })
-        .collect();
+    let (mut router, mut nodes) = (CheapestQuote::default(), fleet());
     let queries = h.queries(29, 40);
     for (i, query) in queries.iter().enumerate() {
         let now = SimTime::from_secs(1.0 + i as f64);
         let rows = ExecRows::build(&ctx, query);
         let (winner, bid, _) = quote_every_node(&ctx, &mut full, query, &rows, now);
         let reference = full[winner].serve(&ctx, query, now);
-        for (router, nodes) in &mut worlds {
-            for node in nodes.iter_mut() {
-                node.accrue(now);
-            }
-            let routed = router.route_with(nodes, &ctx, query, &rows, now);
-            assert_eq!((routed, router.last_winning_quote()), (winner, Some(bid)));
-            let outcome = nodes[routed].serve_with(&ctx, query, &rows, now, 0.0);
-            assert_eq!(outcome, reference, "serve of query {i}");
+        for node in &mut nodes {
+            node.accrue(now);
         }
+        let routed = router.route_with(&nodes, &ctx, query, &rows, now);
+        assert_eq!((routed, router.last_winning_quote()), (winner, Some(bid)));
+        let outcome = nodes[routed].serve_with(&ctx, query, &rows, now, 0.0);
+        assert_eq!(outcome, reference, "serve of query {i}");
     }
-    for (router, _) in &worlds {
-        assert_eq!(
-            router.quote_rounds(),
-            QuoteRounds {
-                decided: 0,
-                full: queries.len() as u64
-            }
-        );
-    }
+    assert_eq!(
+        router.quote_rounds(),
+        QuoteRounds {
+            decided: 0,
+            full: queries.len() as u64
+        }
+    );
 }

@@ -5,17 +5,16 @@
 //! 2. fleet aggregates are invariant under the shard (worker-thread)
 //!    count: 1 worker and 4 workers produce bit-identical cost and mean
 //!    response time;
-//! 3. cheapest-quote aggregates are invariant under the quote path:
-//!    batched structure-major rounds and per-node fused bids pick
-//!    bit-identical winners, under step budgets, which decide rounds
-//!    from the budget alone, and convex ones, which run them in full;
+//! 3. a full cheapest-quote round, bidding over the arrival's shared
+//!    execution rows, picks the first minimum of the nodes' own quotes
+//!    across evolving state;
 //! 4. the public `Cell` phases, driven from outside, reproduce
 //!    `FleetSim::run` and `FleetSim::run_traced` exactly.
 
 use cloudcache::econ::BudgetShape;
 use cloudcache::fleet::{
     run_fleet, CacheNode, CheapestQuote, ElasticConfig, FaultPlan, FleetConfig, FleetResult,
-    FleetSim, NodeSpec, QuoteOptions, Router, RouterKind,
+    FleetSim, NodeSpec, QuoteRounds, Router, RouterKind,
 };
 use cloudcache::telemetry::{MetricsRegistry, Recorder, TraceEvent, TraceSink};
 
@@ -129,31 +128,6 @@ fn aggregates_invariant_under_shard_count() {
 }
 
 #[test]
-fn aggregates_invariant_under_quote_path() {
-    // 8 nodes and one shard, so only the quote path moves. Step budgets
-    // decide every round from the budget alone; convex budgets run every
-    // round in full.
-    for shape in [BudgetShape::Step, BudgetShape::Convex] {
-        let run = |batching: bool| {
-            let mut c = FleetConfig::mixed(10, 8, 60);
-            c.scale_factor = 10.0;
-            c.cells = 5;
-            c.shards = 1;
-            c.router = RouterKind::CheapestQuote;
-            c.seed = 23;
-            c.quote_batching = batching;
-            c.econ.budget_shape = shape;
-            run_fleet(c)
-        };
-        assert_eq!(
-            fingerprint(&run(true)),
-            fingerprint(&run(false)),
-            "{shape:?} aggregates varied with the quote path"
-        );
-    }
-}
-
-#[test]
 fn oversubscribed_shards_are_harmless() {
     // More workers than cells clamps to the cell count.
     let few = run_fleet(config(RouterKind::LeastOutstanding, 2, 9));
@@ -161,21 +135,29 @@ fn oversubscribed_shards_are_harmless() {
     assert_eq!(fingerprint(&few), fingerprint(&many));
 }
 
-/// Batched rounds pick the per-node reference's winner on every round,
-/// not just the first: replica fleets (one per quote path) see the same
-/// query stream, every router routes its own replica, the winner
-/// serves, and the chosen index must agree on every one of 60
-/// consecutive rounds, with node state evolving between them.
+/// A full cheapest-quote round picks the first minimum of the nodes' own
+/// quotes on every round, not just the first: over 60 consecutive
+/// Convex-budget rounds with node state evolving between them, each
+/// routable node quotes through its own manager
+/// (`EconomyManager::quote_query`, which fills that manager's own
+/// execution rows), the router routes over the arrival's shared rows,
+/// and its winner and winning bid must be the first minimal own quote.
+/// Node `i` starts with every column of the stream except those at
+/// positions `j` with `j % 8 == i`, so a query's bids differ between
+/// the nodes that hold all its columns and those that miss one, and tie
+/// within each group. The winner serves over the same rows, and node 0
+/// starts draining halfway, so later rounds skip an unroutable node.
 #[test]
-fn batched_winner_matches_per_node_across_rounds() {
+fn shared_rows_winner_is_the_first_minimum_of_own_quotes() {
+    use cloudcache::cache::StructureKey;
     use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
     use cloudcache::planner::{
-        generate_candidates, CandidateIndex, CostParams, Estimator, PlannerContext,
+        generate_candidates, CandidateIndex, CostParams, Estimator, ExecRows, PlannerContext,
     };
-    use cloudcache::pricing::PriceCatalog;
-    use cloudcache::simcore::{NetworkModel, SimTime};
+    use cloudcache::pricing::{Money, PriceCatalog};
+    use cloudcache::simcore::{NetworkModel, SimDuration, SimTime};
     use cloudcache::simulator::Scheme;
-    use cloudcache::workload::{paper_templates, WorkloadConfig, WorkloadGenerator};
+    use cloudcache::workload::{paper_templates, Query, WorkloadConfig, WorkloadGenerator};
     use std::sync::Arc;
 
     let schema = Arc::new(tpch_schema(ScaleFactor(10.0)));
@@ -196,59 +178,83 @@ fn batched_winner_matches_per_node_across_rounds() {
     // Convex budgets: a step budget would decide every bid before the
     // round, and no round would run in full.
     let econ = cloudcache::econ::EconConfig {
-        initial_credit: cloudcache::pricing::Money::from_dollars(0.02),
+        initial_credit: Money::from_dollars(0.02),
         investment: cloudcache::econ::InvestmentRule {
-            min_regret: cloudcache::pricing::Money::from_dollars(1e-5),
+            min_regret: Money::from_dollars(1e-5),
             ..cloudcache::econ::InvestmentRule::default()
         },
-        budget_shape: cloudcache::econ::BudgetShape::Convex,
+        budget_shape: BudgetShape::Convex,
         ..cloudcache::econ::EconConfig::default()
     };
-    let build_fleet = || -> Vec<CacheNode> {
-        (0..8)
-            .map(|i| CacheNode::new(i, &NodeSpec::new(Scheme::EconCheap), &schema, &econ))
-            .collect()
-    };
-
-    // Batching: the batched round first, then the per-node reference.
-    let configs = [true, false];
-    let mut routers: Vec<CheapestQuote> = configs
-        .iter()
-        .map(|&batching| {
-            CheapestQuote::with_options(QuoteOptions {
-                batching,
-                ..QuoteOptions::default()
-            })
-        })
+    let queries: Vec<Query> =
+        WorkloadGenerator::new(Arc::clone(&schema), WorkloadConfig::default(), 77)
+            .take(60)
+            .collect();
+    let mut columns = Vec::new();
+    for c in queries.iter().flat_map(Query::all_columns) {
+        if !columns.contains(&c) {
+            columns.push(c);
+        }
+    }
+    let mut nodes: Vec<CacheNode> = (0..8)
+        .map(|i| CacheNode::new(i, &NodeSpec::new(Scheme::EconCheap), &schema, &econ))
         .collect();
-    let mut fleets: Vec<Vec<CacheNode>> = configs.iter().map(|_| build_fleet()).collect();
-
-    let mut gen = WorkloadGenerator::new(Arc::clone(&schema), WorkloadConfig::default(), 77);
-    for round in 0..60 {
-        let query = gen.next_query();
-        let now = SimTime::from_secs((round + 1) as f64);
-        let mut winners = Vec::with_capacity(configs.len());
-        for (router, nodes) in routers.iter_mut().zip(&mut fleets) {
-            for node in nodes.iter_mut() {
-                node.accrue(now);
+    for (i, node) in nodes.iter_mut().enumerate() {
+        let manager = node.economy_mut().expect("econ-cheap nodes are economic");
+        for (j, &c) in columns.iter().enumerate() {
+            if j % 8 != i {
+                let key = StructureKey::Column(c);
+                let size = schema.column_bytes(c);
+                let (cost, time) = (Money::ZERO, SimDuration::ZERO);
+                assert!(manager.evacuate_receive(key, size, cost, time, SimTime::ZERO, &estimator));
             }
-            winners.push(router.route(nodes, &ctx, &query, now));
         }
-        for (i, &winner) in winners.iter().enumerate() {
-            assert_eq!(
-                winner, winners[0],
-                "round {round}: batching {} disagreed with batching {}",
-                configs[i], configs[0]
-            );
+    }
+
+    let mut router = CheapestQuote::default();
+    let (mut winners, mut contested) = (Vec::new(), 0);
+    for (round, query) in queries.iter().enumerate() {
+        let now = SimTime::from_secs((round + 1) as f64);
+        if round == 30 {
+            nodes[0].begin_drain(now);
         }
+        for node in &mut nodes {
+            node.accrue(now);
+        }
+        let bids: Vec<(usize, Money)> = nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, node)| node.routable(now))
+            .map(|(i, node)| {
+                let manager = node.economy().expect("econ-cheap nodes are economic");
+                (i, manager.quote_query(&ctx, query, now))
+            })
+            .collect();
+        contested += usize::from(bids.iter().any(|&(_, b)| b != bids[0].1));
+        let (expected, bid) = bids
+            .into_iter()
+            .reduce(|best, next| if next.1 < best.1 { next } else { best })
+            .expect("a routable node");
+        let rows = ExecRows::build(&ctx, query);
+        let winner = router.route_with(&nodes, &ctx, query, &rows, now);
+        assert_eq!(winner, expected, "round {round}: winner");
+        assert_eq!(router.last_winning_quote(), Some(bid), "round {round}: bid");
         // The winner serves, so later rounds quote against evolved state.
-        for (nodes, &winner) in fleets.iter_mut().zip(&winners) {
-            let _ = nodes[winner].serve(&ctx, &query, now);
-        }
+        let _ = nodes[winner].serve_with(&ctx, query, &rows, now, 0.0);
+        winners.push(winner);
     }
-    for router in &routers {
-        assert_eq!(router.quote_rounds().full, 60, "every round ran in full");
-    }
+    assert_eq!(
+        router.quote_rounds(),
+        QuoteRounds {
+            decided: 0,
+            full: 60
+        },
+        "every round ran in full"
+    );
+    assert!(contested > 0, "some round's bids differ");
+    winners.sort_unstable();
+    winners.dedup();
+    assert!(winners.len() > 1, "more than one node wins: {winners:?}");
 }
 
 /// Drives every cell through the public `Cell` phases, each cell tracing

@@ -23,7 +23,7 @@ use cloudcache::catalog::Schema;
 use cloudcache::econ::{EconConfig, InvestmentRule};
 use cloudcache::fleet::{
     run_fleet, CacheNode, CheapestQuote, ElasticConfig, FleetConfig, FleetResult, FleetSim,
-    LeastOutstanding, NodePopulation, NodeSpec, QuoteOptions, RoundRobin, Router, RouterKind,
+    LeastOutstanding, NodePopulation, NodeSpec, RoundRobin, Router, RouterKind,
 };
 use cloudcache::planner::{
     generate_candidates, CandidateIndex, CostParams, Estimator, PlannerContext,
@@ -92,7 +92,6 @@ proptest! {
     #[test]
     fn no_query_is_routed_after_drain_begins(
         seed in 0u64..1_000,
-        batching in prop::bool::ANY,
         drains in prop::collection::vec((0usize..12, 0usize..5), 1..6),
     ) {
         let h = harness();
@@ -101,10 +100,7 @@ proptest! {
         let mut nodes: Vec<CacheNode> = (0..5)
             .map(|i| CacheNode::new(i, &NodeSpec::new(Scheme::EconCheap), &h.schema, &econ))
             .collect();
-        let mut cq = CheapestQuote::with_options(QuoteOptions {
-            batching,
-            ..QuoteOptions::default()
-        });
+        let mut cq = CheapestQuote::default();
         let mut rr = RoundRobin::default();
         let mut lo = LeastOutstanding;
         let mut gen = WorkloadGenerator::new(Arc::clone(&h.schema), WorkloadConfig::default(), seed);
@@ -248,8 +244,8 @@ fn elastic_fingerprint(r: &FleetResult) -> String {
     )
 }
 
-/// Shard counts, both quote paths and tracing leave the ledger and the
-/// aggregates unchanged. (The name predates the removal of the quote
+/// Shard counts and tracing leave the ledger and the aggregates
+/// unchanged. (The name predates the removal of the quote
 /// pool; it is kept so the test's id stays stable.)
 #[test]
 fn elastic_ledger_and_aggregates_invariant_under_shards_and_pools() {
@@ -263,16 +259,14 @@ fn elastic_ledger_and_aggregates_invariant_under_shards_and_pools() {
         assert!(!summary.ledger.is_empty());
         let reference = elastic_fingerprint(&reference);
 
-        for (label, shards, batching) in [
-            ("shards=4", 4usize, true),
-            ("per-node", 1, false),
-            ("shards=2,per-node", 2, false),
-        ] {
+        for shards in [4usize, 2] {
             let mut config = elastic_base(seed);
             config.shards = shards;
-            config.quote_batching = batching;
             let replay = elastic_fingerprint(&run_fleet(config));
-            assert_eq!(replay, reference, "drift under {label} (seed {seed})");
+            assert_eq!(
+                replay, reference,
+                "drift under shards={shards} (seed {seed})"
+            );
         }
         // The flight recorder observes every lifecycle decision without
         // moving one.

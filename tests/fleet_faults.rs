@@ -60,7 +60,7 @@ fn fault_fingerprint(r: &FleetResult) -> String {
 }
 
 proptest! {
-    /// Whatever router and completion path serve the fleet,
+    /// Whatever router serves the fleet,
     /// a crashed node never wins another quote round and never settles
     /// another query after its crash instant.
     #[test]
@@ -68,13 +68,11 @@ proptest! {
         victim in 0usize..3,
         crash_at_halves in 10u32..60, // t in [5, 30)
         router_pick in 0usize..3,
-        batching in prop::bool::ANY,
     ) {
         let crash_at = f64::from(crash_at_halves) * 0.5;
         let mut config = faulted_base(11)
             .with_faults(FaultPlan::new(HORIZON).with_crash(victim, crash_at));
         config.router = [RouterKind::RoundRobin, RouterKind::LeastOutstanding, RouterKind::CheapestQuote][router_pick];
-        config.quote_batching = batching;
         let (result, trace) = FleetSim::new(config).run_traced();
 
         let faults = result.faults.as_ref().expect("fault summary present");
@@ -551,7 +549,7 @@ fn budgeted_retry_reroutes_and_records_one_latency_sample_per_query() {
 
 /// Satellite: the fault plane layers on stochastic arrival processes —
 /// MMPP storm/calm switching and the diurnal sinusoid — and stays
-/// bit-identical across executor shard counts and completion paths.
+/// bit-identical across executor shard counts.
 #[test]
 fn faulted_mmpp_and_diurnal_runs_are_bit_identical_across_shards() {
     let arrivals = [
@@ -579,15 +577,11 @@ fn faulted_mmpp_and_diurnal_runs_are_bit_identical_across_shards() {
                 .with_timeout(0.05),
         );
         let reference = fault_fingerprint(&run_fleet(base.clone()));
-        for (shards, batching) in [(2usize, false), (4, true), (8, false)] {
+        for shards in [2usize, 4, 8] {
             let mut config = base.clone();
             config.shards = shards;
-            config.quote_batching = batching;
             let replay = fault_fingerprint(&run_fleet(config));
-            assert_eq!(
-                replay, reference,
-                "drift at shards={shards} batching={batching} ({arrival:?})"
-            );
+            assert_eq!(replay, reference, "drift at shards={shards} ({arrival:?})");
         }
     }
 }
@@ -778,8 +772,8 @@ fn drift_alarms_are_silent_when_healthy_and_fire_on_a_degraded_node() {
 /// config: a warned crash-and-recover with a cascade roll and retries, ridden
 /// by the drain-and-respawn control plane, reproduces its aggregates,
 /// decision ledger and fault records bit for bit across executor shard
-/// counts, completion paths and tracing. (The name predates the removal
-/// of the quote pool; it is kept so the test's id stays stable.)
+/// counts and tracing. (The name predates the removal of the quote pool;
+/// it is kept so the test's id stays stable.)
 #[test]
 fn elastic_faulted_runs_are_bit_identical_across_shards_pools_and_tracing() {
     let base = faulted_base(19)
@@ -836,14 +830,13 @@ fn elastic_faulted_runs_are_bit_identical_across_shards_pools_and_tracing() {
         );
     }
     let reference = elastic_fault_fingerprint(&reference);
-    for (shards, batching) in [(4usize, true), (1, false), (2, false)] {
+    for shards in [4usize, 2] {
         let mut config = base.clone();
         config.shards = shards;
-        config.quote_batching = batching;
         assert_eq!(
             elastic_fault_fingerprint(&run_fleet(config)),
             reference,
-            "drift at shards={shards} batching={batching}"
+            "drift at shards={shards}"
         );
     }
     let (traced, _) = FleetSim::new(base).run_traced();

@@ -1,29 +1,18 @@
-//! Batched structure-major bid rows — the bit-identity contracts of the
-//! quote-round inversion:
+//! Plan rows — the bit-identity contracts of the planner's row forms:
 //!
-//! 1. One `BatchCompleter::gather` pass over N cache views, then
-//!    `BatchCompleter::emit_hot` per node, writes exactly the
-//!    `(time, price, existing)` rows `PlanHot::of` projects from the
-//!    plans of fused `planner::enumerate_plans_into` against that node's
-//!    cache — over random cache histories, node counts, heterogeneous
-//!    per-node options and rounds that leave nodes out.
-//! 2. Fused enumeration's `PlanRows` materialize row by row exactly the
+//! 1. Fused enumeration's `PlanRows` materialize row by row exactly the
 //!    plans of `to_plans`, and selection straight on the rows — the
-//!    economy's serve path — picks, charges and regrets exactly what the
-//!    plan-vector path did.
-//! 3. `econ::QuoteBatch::quote_round` (the fleet's batched bid path)
-//!    bids exactly like the per-node `quote_query` loop, over evolving
-//!    manager state, and the winner's serve settles identically on both
-//!    paths.
-//! 4. `ExecRows` refilled in place across a query sequence equal fresh
+//!    economy's serve and bid path — picks, charges and regrets exactly
+//!    what the plan-vector path did.
+//! 2. `ExecRows` refilled in place across a query sequence equal fresh
 //!    builds, and one shared fill bound to random caches under the
 //!    econ-cheap, econ-col and econ-fast options writes exactly the plans
 //!    (and hot rows) of a reference enumerator that computes every plan
 //!    from the estimator's unshaped oracles and its own cache probes, as
 //!    fused enumeration did before arrivals shared their rows.
 //!
-//! The fleet's routing determinism across the batched and per-node
-//! paths rests on these properties
+//! The fleet's quote rounds and serves bind one shared `ExecRows` fill
+//! per arrival, so their bids rest on these properties
 //! (`tests/fleet_determinism.rs` pins the router layer).
 
 use std::sync::{Arc, OnceLock};
@@ -32,14 +21,13 @@ use cloudcache::cache::{CacheState, StructureKey};
 use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
 use cloudcache::catalog::{ColumnId, Schema};
 use cloudcache::econ::{
-    select_plan_hot, BudgetFunction, BudgetShape, EconConfig, EconomyManager, InvestmentRule,
-    QuoteBatch, SelectionCase, SelectionObjective,
+    select_plan_hot, BudgetFunction, BudgetShape, EconConfig, SelectionCase, SelectionObjective,
 };
 use cloudcache::planner::plan::QueryPlan;
 use cloudcache::planner::{
     bind_plans_into, enumerate_plans_into, generate_candidates, skyline_partition_hot,
-    BatchCompleter, CacheView, CandidateIndex, CostParams, EnumerationOptions, Estimator, ExecRows,
-    PlanHot, PlanRows, PlanShape, PlanSkeleton, PlannerContext,
+    CandidateIndex, CostParams, EnumerationOptions, Estimator, ExecRows, PlanHot, PlanRows,
+    PlanShape, PlannerContext,
 };
 use cloudcache::policies::EconPolicy;
 use cloudcache::pricing::{Money, PriceCatalog};
@@ -140,7 +128,7 @@ fn apply_op(cache: &mut CacheState, columns: &[ColumnId], op: u8, sel: u8, t: Si
 }
 
 /// Per-node options: structural switches and rate-derived halves both
-/// vary across the batch.
+/// vary across the nodes.
 fn node_opts(i: usize, salt: u64) -> EnumerationOptions {
     EnumerationOptions {
         allow_indexes: !(i as u64 + salt).is_multiple_of(3),
@@ -284,77 +272,6 @@ fn seeded_caches(columns: &[ColumnId], n_nodes: usize) -> Vec<CacheState> {
         .collect()
 }
 
-/// One cache-history op per step, each followed by a quote round over
-/// `pool`: one `BatchCompleter::gather` across the round's nodes, then
-/// per node `emit_hot` must equal `expected` of fused enumeration's rows
-/// against that node's cache. Each node evolves its own cache from the
-/// shared op stream (a node takes the ops whose `node_pick` lands on it,
-/// so the states genuinely diverge). A node whose bit in the step's mask
-/// is clear sits that round out; with no masks every node is in every
-/// round.
-fn check_batched_rounds(
-    seed: u64,
-    pool: &[Query],
-    mut caches: Vec<CacheState>,
-    ops: &[(u8, u8, u8, f64, f64)],
-    masks: &[u8],
-    expected: impl Fn(&PlanRows) -> PlanHot,
-) {
-    let h = harness();
-    let ctx = h.ctx();
-    let columns = pool_columns(pool);
-    let n_nodes = caches.len();
-    let mut now = 0.0f64;
-    let mut completer = BatchCompleter::new();
-    let (mut hot, mut reference) = (PlanHot::new(), PlanRows::new());
-    for (step, &(op, sel, node_pick, gap, build)) in ops.iter().enumerate() {
-        now += gap;
-        let t = SimTime::from_secs(now);
-        apply_op(
-            &mut caches[node_pick as usize % n_nodes],
-            &columns,
-            op,
-            sel,
-            t,
-            build,
-        );
-
-        let mask = masks.get(step).copied().unwrap_or(u8::MAX);
-        let routable: Vec<usize> = (0..n_nodes).filter(|&i| mask & (1 << i) != 0).collect();
-        if routable.is_empty() {
-            continue;
-        }
-        let q = &pool[sel as usize % pool.len()];
-        let skel = PlanSkeleton::build(&ctx, q);
-        let views: Vec<CacheView<'_>> = routable
-            .iter()
-            .map(|&i| CacheView {
-                cache: &caches[i],
-                opts: node_opts(i, seed + step as u64),
-            })
-            .collect();
-        completer.gather(
-            &skel,
-            views.len(),
-            |j| views[j],
-            t,
-            |s, span| h.estimator.maintenance(s, span),
-        );
-        for (j, view) in views.iter().enumerate() {
-            enumerate_plans_into(&ctx, q, view.cache, t, view.opts, &mut reference);
-            completer.emit_hot(&skel, j, &mut hot);
-            prop_assert_eq!(
-                &hot,
-                &expected(&reference),
-                "rows diverged at step {} node {} (t={})",
-                step,
-                routable[j],
-                now
-            );
-        }
-    }
-}
-
 proptest! {
     /// Fused enumeration writes rows that materialize to the plan set
     /// and select like it: over random per-node cache histories, each
@@ -403,149 +320,6 @@ proptest! {
             }
         }
     }
-
-    /// Random per-node cache histories (installs with in-flight builds,
-    /// evictions, idle gaps) from cold caches at random node counts, every
-    /// node in every gather: one batched gather plus `emit_hot` per node
-    /// writes exactly the hot rows of N independent fused enumerations,
-    /// bit for bit.
-    #[test]
-    fn batch_completion_is_bit_identical_to_per_node(
-        seed in 0u64..1_000,
-        n_nodes in 1usize..9,
-        ops in prop::collection::vec((0u8..4, 0u8..32, 0u8..8, 0.0f64..90.0, 0.0f64..40.0), 8..30),
-    ) {
-        let pool = query_pool(seed, 4);
-        let caches = (0..n_nodes).map(|_| CacheState::new()).collect();
-        check_batched_rounds(seed, &pool, caches, &ops, &[], |rows| rows.hot().clone());
-    }
-
-    /// Bid rows against the full emission: for every node of a round,
-    /// `emit_hot` writes exactly the rows `PlanHot::of` projects from
-    /// fused enumeration's materialized plans — same order, same time,
-    /// price and existing bits — over random cache histories with even
-    /// nodes starting warm, heterogeneous per-node options (index plans
-    /// off, extra nodes off, varied horizons and windows) and rounds that
-    /// leave a random subset of nodes out of the gather, as the router
-    /// leaves out unroutable ones.
-    #[test]
-    fn hot_rows_match_full_emission(
-        seed in 0u64..1_000,
-        n_nodes in 1usize..9,
-        ops in prop::collection::vec((0u8..4, 0u8..32, 0u8..8, 0.0f64..90.0, 0.0f64..40.0), 8..30),
-        masks in prop::collection::vec(0u8..255, 30..31),
-    ) {
-        let pool = query_pool(seed.wrapping_add(7), 4);
-        let caches = seeded_caches(&pool_columns(&pool), n_nodes);
-        check_batched_rounds(seed, &pool, caches, &ops, &masks, |rows| PlanHot::of(&rows.to_plans()));
-    }
-
-    /// The fleet bid path: a group of managers quoted through
-    /// `QuoteBatch` must bid and serve exactly like a twin group quoted
-    /// per node — across random arrival interleavings (repeats, ties,
-    /// long idle gaps) and random nodes sitting rounds out as
-    /// unroutable. In both worlds the round winner serves, so later
-    /// rounds bid against evolved state.
-    #[test]
-    fn batched_quote_rounds_match_sequential_quotes(
-        seed in 0u64..1_000,
-        picks in prop::collection::vec((0usize..10, 0u8..6, 0u8..32), 15..50),
-    ) {
-        let h = harness();
-        let ctx = h.ctx();
-        let pool = query_pool(seed.wrapping_add(41), 10);
-        let n_nodes = 5usize;
-        let biting = || EconConfig {
-            initial_credit: Money::from_dollars(0.02),
-            investment: InvestmentRule {
-                min_regret: Money::from_dollars(1e-5),
-                ..InvestmentRule::default()
-            },
-            ..EconConfig::default()
-        };
-        let mut batched: Vec<EconomyManager> =
-            (0..n_nodes).map(|_| EconomyManager::new(biting())).collect();
-        let mut sequential: Vec<EconomyManager> =
-            (0..n_nodes).map(|_| EconomyManager::new(biting())).collect();
-        let mut workspace = QuoteBatch::new();
-
-        let mut now = SimTime::ZERO;
-        for &(pick, gap_code, mask) in &picks {
-            let gap = match gap_code {
-                0 => 0.0,
-                1 => 0.25,
-                2 => 1.0,
-                3 => 5.0,
-                4 => 60.0,
-                _ => 1800.0,
-            };
-            now += SimDuration::from_secs(gap);
-            let query = &pool[pick];
-            // Nodes whose mask bit is clear are unroutable this round;
-            // node 0 always bids, so every round has a winner.
-            let routable = |i: usize| i == 0 || mask & (1 << i) != 0;
-
-            let bids_a: Vec<Option<Money>> = workspace
-                .quote_round(
-                    n_nodes,
-                    |i| routable(i).then_some(&batched[i]),
-                    |_| Money::ZERO, // unroutable: never read
-                    &ctx,
-                    query,
-                    now,
-                )
-                .iter()
-                .enumerate()
-                .map(|(i, &bid)| routable(i).then_some(bid))
-                .collect();
-
-            let bids_b: Vec<Option<Money>> = sequential
-                .iter()
-                .enumerate()
-                .map(|(i, m)| routable(i).then(|| m.quote_query(&ctx, query, now)))
-                .collect();
-            prop_assert_eq!(&bids_a, &bids_b, "bids diverged at {}", now);
-
-            // Lowest-indexed minimum bidder serves, in both worlds.
-            let mut winner = 0;
-            for (i, bid) in bids_a.iter().enumerate() {
-                if bid.is_some_and(|b| Some(b) < bids_a[winner]) {
-                    winner = i;
-                }
-            }
-            let out_a = batched[winner].process_query(&ctx, query, now);
-            let out_b = sequential[winner].process_query(&ctx, query, now);
-            prop_assert_eq!(&out_a, &out_b, "outcomes diverged at {}", now);
-        }
-        for (a, b) in batched.iter().zip(&sequential) {
-            prop_assert_eq!(a.account().balance(), b.account().balance());
-            prop_assert!(a.account().balances_exactly());
-        }
-    }
-}
-
-/// Non-economic nodes fall back to the caller's closure, bit for bit.
-#[test]
-fn quote_round_fallback_covers_non_economic_nodes() {
-    let h = harness();
-    let ctx = h.ctx();
-    let pool = query_pool(7, 1);
-    let query = &pool[0];
-    let manager = EconomyManager::new(EconConfig::default());
-    let mut workspace = QuoteBatch::new();
-    let now = SimTime::from_secs(1.0);
-    let sentinel = Money::from_dollars(123.0);
-    let bids = workspace.quote_round(
-        3,
-        |i| (i == 1).then_some(&manager),
-        |i| sentinel.scale(i as f64 + 1.0),
-        &ctx,
-        query,
-        now,
-    );
-    assert_eq!(bids[0], sentinel);
-    assert_eq!(bids[2], sentinel.scale(3.0));
-    assert_eq!(bids[1], manager.quote_query(&ctx, query, now));
 }
 
 /// A context at SF 30 with only three candidate indexes, so some
@@ -710,7 +484,7 @@ proptest! {
     /// One `ExecRows`, refilled in place over a random query sequence
     /// that alternates shapes with and without an index variant (SF 30,
     /// three candidates), equals a fresh `ExecRows::build` after every
-    /// fill, and the fresh build stays equal to the skeleton's rows.
+    /// fill.
     #[test]
     fn refilled_exec_rows_equal_fresh_builds(
         seed in 0u64..1_000,
@@ -731,8 +505,6 @@ proptest! {
                 let fresh = ExecRows::build(&ctx, q);
                 prop_assert_eq!(&rows, &fresh, "refill of query {:?}", q.id);
                 prop_assert_eq!(rows.variant_count(), 1 + usize::from(ctx.shape(q).indexed));
-                let skel = PlanSkeleton::from_rows(&ctx, &rows);
-                prop_assert_eq!(&skel, &PlanSkeleton::build(&ctx, q));
             }
         }
     }

@@ -1,15 +1,15 @@
 //! Compiled query shapes — the equivalence contract.
 //!
-//! Fresh enumeration, `ExecRows::build` and `PlanSkeleton::build` read a
-//! query's backend row width, access widths and index picks from its
-//! compiled `(template, mask)` shape. The unchanged `Estimator` methods
+//! Fresh enumeration and `ExecRows::build` read a query's backend row
+//! width, access widths and index picks from its compiled
+//! `(template, mask)` shape. The unchanged `Estimator` methods
 //! (`backend_execution`, `cache_execution`) stay the oracle: for every
 //! generated query, under random scale factors, candidate caps,
 //! optional-column probabilities, node-count options and seeds, every
 //! execution row must equal the oracle's bit for bit, every pick must
 //! equal the registry-order scorer's at the query's own selectivity, and
-//! every variant's `uses` list must be the deduplicated query columns
-//! followed by its indexes.
+//! every enumerated plan's `uses` list, extra nodes aside, must be the
+//! deduplicated query columns followed by its indexes.
 
 use std::sync::Arc;
 
@@ -19,7 +19,7 @@ use cloudcache::catalog::{ColumnId, Schema};
 use cloudcache::metrics::CostBreakdown;
 use cloudcache::planner::{
     enumerate_plans_into, generate_candidates, CandidateIndex, CostParams, EnumerationOptions,
-    Estimator, ExecRows, PlanRows, PlanShape, PlanSkeleton, PlannerContext,
+    Estimator, ExecRows, PlanRows, PlanShape, PlannerContext,
 };
 use cloudcache::pricing::{Money, PriceCatalog};
 use cloudcache::simcore::{NetworkModel, SimDuration, SimTime};
@@ -188,24 +188,6 @@ fn check_query(ctx: &PlannerContext<'_>, query: &Query, rows: &mut PlanRows) {
                 query.id
             );
         }
-    }
-
-    // Skeleton variants: the deduplicated columns, then the indexes.
-    let skeleton = PlanSkeleton::build(ctx, query);
-    assert_eq!(skeleton.variants.len(), exec.variant_count());
-    for (variant, variant_picks) in skeleton.variants.iter().zip(variant_picks) {
-        let mut expected = columns.clone();
-        expected.extend(
-            variant_picks
-                .iter()
-                .flatten()
-                .map(|&pos| StructureKey::Index(ctx.candidates[pos].id)),
-        );
-        assert_eq!(
-            variant.uses, expected,
-            "skeleton uses of query {:?}",
-            query.id
-        );
     }
 
     // Fresh enumeration: every row against the oracle.
