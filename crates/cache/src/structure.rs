@@ -11,12 +11,14 @@ pub struct IndexId(pub u32);
 impl IndexId {
     /// The id as a dense vector index.
     #[must_use]
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
 }
 
 impl fmt::Display for IndexId {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "I{}", self.0)
     }
@@ -39,12 +41,14 @@ pub enum StructureKey {
 impl StructureKey {
     /// True for structures that occupy cache disk (columns and indexes).
     #[must_use]
+    #[inline]
     pub fn occupies_disk(self) -> bool {
         !matches!(self, StructureKey::Node(_))
     }
 }
 
 impl fmt::Display for StructureKey {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StructureKey::Node(n) => write!(f, "node#{n}"),
@@ -76,6 +80,7 @@ impl IndexDef {
     /// Index size: one entry per row, each entry holding the key columns
     /// plus a row locator (eq. 15 charges `size(I) · c_d` maintenance).
     #[must_use]
+    #[inline]
     pub fn size_bytes(&self, schema: &Schema) -> u64 {
         let rows = schema.table(self.table).row_count;
         let entry: u64 = self
@@ -90,6 +95,7 @@ impl IndexDef {
     /// True if this index can serve a predicate on `column` (leading-prefix
     /// rule: only the first key column is sargable on its own).
     #[must_use]
+    #[inline]
     pub fn serves_predicate(&self, column: ColumnId) -> bool {
         self.key_columns.first() == Some(&column)
     }
@@ -97,6 +103,7 @@ impl IndexDef {
     /// True if the index key covers all of `columns` (an index-only plan
     /// needs no base column fetch for covered columns).
     #[must_use]
+    #[inline]
     pub fn covers(&self, columns: &[ColumnId]) -> bool {
         columns.iter().all(|c| self.key_columns.contains(c))
     }

@@ -22,7 +22,6 @@ use cache::{CacheState, CachedStructure, StructureKey};
 use planner::enumerate::EnumerationOptions;
 use planner::{
     bind_plans_into, skyline_partition_hot, Estimator, ExecRows, PlanRows, PlannerContext,
-    QueryPlan,
 };
 use pricing::Money;
 use simcore::{SimDuration, SimTime};
@@ -33,7 +32,7 @@ use crate::budget::{BudgetFunction, BudgetShape};
 use crate::config::EconConfig;
 use crate::outcome::{QueryOutcome, SelectionCase};
 use crate::regret::RegretLedger;
-use crate::selection::{select_payment_hot, select_plan_hot};
+use crate::selection::{decide_hot, for_each_regret, select_payment_hot};
 
 /// The paper's self-tuned economy, owning the cloud account, the cache
 /// state and the regret ledger.
@@ -56,6 +55,11 @@ pub struct EconomyManager {
     exec: RefCell<ExecRows>,
     /// Scratch for the skyline index partition.
     sky_scratch: RefCell<SkyScratch>,
+    /// The structures the last served query's plan used (see
+    /// [`Self::used_structures`]).
+    used: Vec<StructureKey>,
+    /// Scratch for the investment scan's over-threshold candidates.
+    candidates: Vec<(StructureKey, Money)>,
     /// Lower bound (seconds) on the earliest instant any structure can
     /// fail; the per-query failure scan is skipped while `now` is below
     /// it. See [`Self::refresh_failure_bound`].
@@ -101,14 +105,14 @@ pub struct BudgetKey {
     patience: f64,
 }
 
-/// The outcome of planning one query: the case analysis plus the one
-/// plan the control loop runs, materialized from the rows alone.
+/// The outcome of planning one query: the case analysis plus the row of
+/// the plan the control loop runs, in the manager's scratch rows.
 struct Planned {
     opts: EnumerationOptions,
     case: SelectionCase,
     payment: Money,
     profit: Money,
-    chosen: QueryPlan,
+    row: usize,
 }
 
 impl EconomyManager {
@@ -134,6 +138,8 @@ impl EconomyManager {
             rows: RefCell::new(PlanRows::new()),
             exec: RefCell::new(ExecRows::new()),
             sky_scratch: RefCell::new(SkyScratch::default()),
+            used: Vec::new(),
+            candidates: Vec::new(),
             next_failure_check: f64::NEG_INFINITY,
             investment_frozen: false,
         }
@@ -177,6 +183,16 @@ impl EconomyManager {
     #[must_use]
     pub fn cache(&self) -> &CacheState {
         &self.cache
+    }
+
+    /// The structures the plan of the last query served used, in
+    /// [`planner::QueryPlan::uses`] order (data structures, then extra
+    /// CPU nodes); empty after a backend run. A fleet's traced
+    /// settlement record reads them here: the attribution trail "which
+    /// tenants paid for structure S" settles through.
+    #[must_use]
+    pub fn used_structures(&self) -> &[StructureKey] {
+        &self.used
     }
 
     /// The regret ledger (diagnostics).
@@ -408,24 +424,33 @@ impl EconomyManager {
             Some(exec) => self.plan_query(ctx, query, exec, now),
             None => self.plan_query(ctx, query, &self.exec.borrow(), now),
         };
-        debug_assert!(planned.chosen.is_existing(), "only existing plans execute");
+        let rows = self.rows.get_mut();
+        debug_assert!(
+            rows.hot().existing[planned.row],
+            "only existing plans execute"
+        );
+        let chosen = rows.row(planned.row);
 
         // (4b) Settlement: LRU refresh, amortisation installment and
         // maintenance checkpoint in one pass per used structure.
-        let (amortization_collected, maintenance_collected) = self.cache.settle_usage(
-            &planned.chosen.uses,
-            now,
-            planned.opts.maint_window,
-            |s, span| estimator.maintenance(s, span),
-        );
+        self.used.clear();
+        self.used.extend(chosen.uses());
+        let (amortization_collected, maintenance_collected) =
+            self.cache
+                .settle_usage(&self.used, now, planned.opts.maint_window, |s, span| {
+                    estimator.maintenance(s, span)
+                });
         debug_assert_eq!(
-            amortization_collected, planned.chosen.amortized_cost,
+            amortization_collected, chosen.amortized_cost,
             "quoted amortisation must match collected"
         );
         debug_assert_eq!(
-            maintenance_collected, planned.chosen.maintenance_cost,
+            maintenance_collected, chosen.maintenance_cost,
             "quoted maintenance must match collected"
         );
+        let (response_time, exec_cost, exec_breakdown) =
+            (chosen.exec_time, chosen.exec_cost, chosen.exec_breakdown);
+        let ran_in_cache = !chosen.backend;
         self.account.deposit_payment(planned.payment);
 
         // (6) Investment (eq. 3 + conservative gate) — skipped entirely
@@ -436,16 +461,14 @@ impl EconomyManager {
             self.consider_investments(ctx, now, planned.opts.amortize_n)
         };
 
-        let ran_in_cache = planned.chosen.shape != planner::plan::PlanShape::Backend;
         QueryOutcome {
             case: planned.case,
-            response_time: planned.chosen.exec_time,
+            response_time,
             payment: planned.payment,
             profit: planned.profit,
-            exec_cost: planned.chosen.exec_cost,
-            exec_breakdown: planned.chosen.exec_breakdown,
+            exec_cost,
+            exec_breakdown,
             ran_in_cache,
-            used_structures: planned.chosen.uses,
             investments,
             evictions: failed,
             maintenance_collected,
@@ -478,9 +501,9 @@ impl EconomyManager {
     }
 
     /// Skyline partition + budget + case analysis straight over the plan
-    /// rows (backend row first), materializing only the chosen plan, and
-    /// distributing each rejected possible plan's regret from its row's
-    /// missing list.
+    /// rows (backend row first), distributing each rejected possible
+    /// plan's regret from its row's missing list as the case analysis
+    /// visits it, and returning the chosen plan's row.
     ///
     /// The paper distributes regret over "every physical structure used
     /// by the plan"; we concentrate the share on the plan's *missing*
@@ -498,10 +521,10 @@ impl EconomyManager {
         let mut scratch = self.sky_scratch.borrow_mut();
         let SkyScratch { order, sky } = &mut *scratch;
         let _existing = skyline_partition_hot(hot, order, sky);
-        let selection = select_plan_hot(hot, sky, &budget, self.config.objective);
+        let decision = decide_hot(hot, sky, &budget, self.config.objective);
         let attribution = self.config.regret_attribution;
         let mut regret = self.regret.borrow_mut();
-        for &(i, amount) in &selection.regrets {
+        for_each_regret(hot, sky, &budget, &decision, |i, amount| {
             let row = sky[i];
             let data = rows.missing_data(row);
             if data.is_empty() {
@@ -509,13 +532,13 @@ impl EconomyManager {
             } else {
                 regret.distribute(data, amount, attribution);
             }
-        }
+        });
         Planned {
             opts,
-            case: selection.case,
-            payment: selection.payment,
-            profit: selection.profit,
-            chosen: rows.plan(sky[selection.selected]),
+            case: decision.case,
+            payment: decision.payment,
+            profit: decision.profit,
+            row: sky[decision.selected],
         }
     }
 
@@ -679,8 +702,11 @@ impl EconomyManager {
     ) -> Vec<(StructureKey, Money)> {
         let mut built = Vec::new();
         let threshold = self.config.investment.threshold(self.account.balance());
-        let candidates = self.regret.get_mut().over_threshold(threshold);
-        for (key, regret_value) in candidates {
+        let mut candidates = std::mem::take(&mut self.candidates);
+        self.regret
+            .get_mut()
+            .over_threshold_into(threshold, &mut candidates);
+        for &(key, regret_value) in &candidates {
             if self.cache.contains(key) {
                 // Already built (regret accrued on an existing structure —
                 // the "commonly used" signal); clear it.
@@ -708,6 +734,7 @@ impl EconomyManager {
             }
             built.push((key, cost));
         }
+        self.candidates = candidates;
         built
     }
 

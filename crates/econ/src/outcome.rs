@@ -35,8 +35,6 @@ pub struct QueryOutcome {
     pub exec_breakdown: CostBreakdown,
     /// True if the plan ran in the cache (vs the back-end).
     pub ran_in_cache: bool,
-    /// Structures the plan used.
-    pub used_structures: Vec<StructureKey>,
     /// Structures the economy decided to build after this query, with the
     /// build cost paid for each.
     pub investments: Vec<(StructureKey, Money)>,
@@ -68,7 +66,6 @@ mod tests {
             exec_cost: Money::from_dollars(0.01),
             exec_breakdown: CostBreakdown::ZERO,
             ran_in_cache: true,
-            used_structures: vec![StructureKey::Node(0)],
             investments: vec![],
             evictions: vec![],
             maintenance_collected: Money::ZERO,

@@ -185,12 +185,20 @@ impl RegretLedger {
     /// (ties by key).
     #[must_use]
     pub fn over_threshold(&self, threshold: Money) -> Vec<(StructureKey, Money)> {
+        let mut hits = Vec::new();
+        self.over_threshold_into(threshold, &mut hits);
+        hits
+    }
+
+    /// [`Self::over_threshold`] into `hits` (cleared first), so a caller
+    /// scanning every query reuses one buffer.
+    pub fn over_threshold_into(&self, threshold: Money, hits: &mut Vec<(StructureKey, Money)>) {
+        hits.clear();
         let bound = self.max_bound.get();
         if bound < threshold || !bound.is_positive() {
-            return Vec::new();
+            return;
         }
         let mut max = Money::ZERO;
-        let mut hits: Vec<(StructureKey, Money)> = Vec::new();
         for (key, e) in self.tracked() {
             max = max.max(e.regret);
             if e.regret >= threshold && e.regret.is_positive() {
@@ -199,7 +207,6 @@ impl RegretLedger {
         }
         self.max_bound.set(max);
         hits.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        hits
     }
 
     /// Clears a structure's regret (after investing in it).

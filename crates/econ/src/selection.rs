@@ -111,6 +111,9 @@ pub fn select_plan<P: std::borrow::Borrow<QueryPlan>>(
 /// [`Selection::selected`] / regret indices address positions of `rows`.
 /// Bit-identical decisions to [`select_plan`] over the equivalent plans.
 ///
+/// This materializes the regret list: the reference form. The
+/// economy's serve runs the same decision and regret visit without it.
+///
 /// # Panics
 /// Panics if no existing plan is present among the rows.
 #[must_use]
@@ -120,26 +123,20 @@ pub fn select_plan_hot(
     budget: &BudgetFunction,
     objective: SelectionObjective,
 ) -> Selection {
-    let v = HotRows { hot, rows };
-    let (case, selected, payment, profit) = decide(v, budget, objective);
-    let regrets = match case {
-        SelectionCase::A => regrets_case_a(v, selected),
-        SelectionCase::B | SelectionCase::C => regrets_case_bc(v, budget, selected),
-    };
+    let decision = decide_hot(hot, rows, budget, objective);
+    let mut regrets = Vec::new();
+    for_each_regret(hot, rows, budget, &decision, |i, r| regrets.push((i, r)));
     Selection {
-        case,
-        selected,
-        payment,
-        profit,
+        case: decision.case,
+        selected: decision.selected,
+        payment: decision.payment,
+        profit: decision.profit,
         regrets,
     }
 }
 
-/// The decision half of [`select_plan_hot`]: same case analysis, same
-/// selected plan, same payment — but no regret list is materialised.
-/// Quote rounds only need the bid (`payment`), so the fleet's hot path
-/// calls this and skips the per-plan regret allocation entirely; the
-/// serving call still runs the full selection.
+/// The payment [`select_plan_hot`] settles on, and nothing else: a quote
+/// is a bid, so it neither materializes a plan nor visits the regrets.
 #[must_use]
 pub fn select_payment_hot(
     hot: &PlanHot,
@@ -147,22 +144,52 @@ pub fn select_payment_hot(
     budget: &BudgetFunction,
     objective: SelectionObjective,
 ) -> Money {
+    decide_hot(hot, rows, budget, objective).payment
+}
+
+/// The decision half of the case analysis (a [`Selection`] without its
+/// regret list).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Decision {
+    pub case: SelectionCase,
+    pub selected: usize,
+    pub payment: Money,
+    pub profit: Money,
+}
+
+/// Calls `f(i, regret)` for each rejected possible plan with positive
+/// regret under `decision` (eqs. 1–2), in ascending position `i` of
+/// `rows`: exactly [`Selection::regrets`], without the list.
+pub(crate) fn for_each_regret(
+    hot: &PlanHot,
+    rows: &[usize],
+    budget: &BudgetFunction,
+    decision: &Decision,
+    mut f: impl FnMut(usize, Money),
+) {
     let v = HotRows { hot, rows };
-    decide(v, budget, objective).2
+    match decision.case {
+        SelectionCase::A => regrets_case_a(v, decision.selected, &mut f),
+        SelectionCase::B | SelectionCase::C => {
+            regrets_case_bc(v, budget, decision.selected, &mut f);
+        }
+    }
 }
 
 /// The case analysis proper: which case applies, which plan is selected,
-/// what the user pays and what the cloud profits. Shared verbatim by the
-/// full selection and the payment-only quote path so the two can never
-/// diverge.
+/// what the user pays and what the cloud profits ([`select_plan_hot`]
+/// without the regrets). Shared verbatim by the serve, the materializing
+/// reference and the payment-only quote path so they can never diverge.
 ///
 /// # Panics
 /// Panics if no existing plan is present among the rows.
-fn decide(
-    v: HotRows<'_>,
+pub(crate) fn decide_hot(
+    hot: &PlanHot,
+    rows: &[usize],
     budget: &BudgetFunction,
     objective: SelectionObjective,
-) -> (SelectionCase, usize, Money, Money) {
+) -> Decision {
+    let v = HotRows { hot, rows };
     assert!(
         (0..v.len()).any(|i| v.existing(i)),
         "P_exist must not be empty (the backend plan always exists)"
@@ -203,27 +230,37 @@ fn decide(
     let payment = budget.value_at(v.time(selected));
     let profit = payment - chosen_price;
     debug_assert!(!profit.is_negative(), "affordable ⇒ non-negative profit");
-    (case, selected, payment, profit)
+    Decision {
+        case,
+        selected,
+        payment,
+        profit,
+    }
 }
 
 /// Case A decision: nothing affordable — the user picks (and pays the
 /// price of) the cheapest existing plan.
-fn decide_case_a(v: HotRows<'_>) -> (SelectionCase, usize, Money, Money) {
+fn decide_case_a(v: HotRows<'_>) -> Decision {
     let selected = (0..v.len())
         .filter(|&i| v.existing(i))
         .min_by(|&a, &b| v.price(a).cmp(&v.price(b)).then(v.time(a).cmp(&v.time(b))))
         .expect("checked: P_exist non-empty");
-    (SelectionCase::A, selected, v.price(selected), Money::ZERO)
+    Decision {
+        case: SelectionCase::A,
+        selected,
+        payment: v.price(selected),
+        profit: Money::ZERO,
+    }
 }
 
 /// Case A regret: eq. 1 for possible plans cheaper than the chosen one.
-fn regrets_case_a(v: HotRows<'_>, selected: usize) -> Vec<(usize, Money)> {
+fn regrets_case_a(v: HotRows<'_>, selected: usize, f: &mut impl FnMut(usize, Money)) {
     let chosen_price = v.price(selected);
     (0..v.len())
         .filter(|&i| i != selected && !v.existing(i) && v.price(i) <= chosen_price)
         .map(|i| (i, chosen_price - v.price(i)))
         .filter(|(_, r)| r.is_positive())
-        .collect()
+        .for_each(|(i, r)| f(i, r));
 }
 
 /// Cases B/C regret, for every rejected possible plan (Section IV-C: "we
@@ -238,7 +275,8 @@ fn regrets_case_bc(
     v: HotRows<'_>,
     budget: &BudgetFunction,
     selected: usize,
-) -> Vec<(usize, Money)> {
+    f: &mut impl FnMut(usize, Money),
+) {
     let affordable = |i: usize| budget.affords(v.time(i), v.price(i));
     let chosen_price = v.price(selected);
     (0..v.len())
@@ -255,7 +293,7 @@ fn regrets_case_bc(
             };
             r.is_positive().then_some((i, r))
         })
-        .collect()
+        .for_each(|(i, r)| f(i, r));
 }
 
 #[cfg(test)]

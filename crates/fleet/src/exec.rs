@@ -28,6 +28,7 @@ use std::sync::Arc;
 
 use catalog::tpch::{tpch_schema, ScaleFactor};
 use catalog::Schema;
+use econ::EconomyManager;
 use planner::{generate_candidates, Estimator, ExecRows, PlannerContext};
 use policies::PolicyOutcome;
 use simcore::{NetworkModel, SimTime};
@@ -670,9 +671,12 @@ impl Cell<'_> {
     }
 
     /// Books a served query: the settlement's registry counters and
-    /// trace event, the tenant's stats and its SLO record.
+    /// trace event, the tenant's stats and its SLO record. Call it right
+    /// after [`Self::serve`]: the trace event lists the structures the
+    /// serving node's last plan used.
     pub fn record(&mut self, slot: usize, query: &Query, route: &Route, outcome: &PolicyOutcome) {
         if let Some(registry) = self.registry.as_mut() {
+            let node = &self.population.live()[route.node];
             registry.counter_add("fleet.queries", 1);
             registry.counter_add("fleet.cache_hits", u64::from(outcome.ran_in_cache));
             registry.counter_add("fleet.investments", u64::from(outcome.investments));
@@ -691,15 +695,16 @@ impl Cell<'_> {
                 tenant: self.tenants[slot].tenant.0,
                 template: query.template.0,
                 query: query.id.0,
-                node: self.population.live()[route.node].id(),
+                node: node.id(),
                 response_secs: outcome.response_time.as_secs(),
                 ran_in_cache: outcome.ran_in_cache,
                 payment: outcome.payment,
                 profit: outcome.profit,
                 exec: outcome.exec_breakdown,
                 build_spend: outcome.build_spend,
-                used_structures: outcome
-                    .used_structures
+                used_structures: node
+                    .economy()
+                    .map_or(&[][..], EconomyManager::used_structures)
                     .iter()
                     .map(ToString::to_string)
                     .collect(),

@@ -5,6 +5,10 @@
 //! scenario", "the overall reduced cost … is directly proportional to the
 //! cost saved by reduced CPU usage"). The simulator therefore books every
 //! dollar against a [`Resource`], and Fig. 4 sums them.
+//!
+//! Every plan row carries a breakdown, so its operations are `#[inline]`.
+
+#![warn(clippy::missing_inline_in_public_items)]
 
 use pricing::Money;
 use serde::{Deserialize, Serialize};
@@ -55,6 +59,7 @@ impl CostBreakdown {
     };
 
     /// Books an amount against one resource.
+    #[inline]
     pub fn add_to(&mut self, resource: Resource, amount: Money) {
         match resource {
             Resource::Cpu => self.cpu += amount,
@@ -66,6 +71,7 @@ impl CostBreakdown {
 
     /// The amount booked against one resource.
     #[must_use]
+    #[inline]
     pub fn get(&self, resource: Resource) -> Money {
         match resource {
             Resource::Cpu => self.cpu,
@@ -77,6 +83,7 @@ impl CostBreakdown {
 
     /// Sum across resources.
     #[must_use]
+    #[inline]
     pub fn total(&self) -> Money {
         self.cpu + self.disk + self.network + self.io
     }
@@ -85,12 +92,14 @@ impl CostBreakdown {
     ///
     /// Money is exact fixed-point, so merging is associative and
     /// commutative — shard aggregation order cannot change the result.
+    #[inline]
     pub fn merge(&mut self, other: &CostBreakdown) {
         *self += *other;
     }
 
     /// Fraction of the total in one resource (0 when total is 0).
     #[must_use]
+    #[inline]
     pub fn fraction(&self, resource: Resource) -> f64 {
         let total = self.total();
         if total.is_zero() {
@@ -103,6 +112,7 @@ impl CostBreakdown {
 
 impl Add for CostBreakdown {
     type Output = CostBreakdown;
+    #[inline]
     fn add(self, rhs: CostBreakdown) -> CostBreakdown {
         CostBreakdown {
             cpu: self.cpu + rhs.cpu,
@@ -114,6 +124,7 @@ impl Add for CostBreakdown {
 }
 
 impl AddAssign for CostBreakdown {
+    #[inline]
     fn add_assign(&mut self, rhs: CostBreakdown) {
         *self = *self + rhs;
     }

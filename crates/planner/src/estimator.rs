@@ -519,6 +519,7 @@ impl Estimator {
 
     /// Prices an execution estimate: money and per-resource breakdown.
     #[must_use]
+    #[inline]
     pub fn price_execution(&self, est: &ExecEstimate) -> (Money, CostBreakdown) {
         let rates = &self.prices.rates;
         let mut breakdown = CostBreakdown::ZERO;
@@ -659,6 +660,7 @@ impl Estimator {
     /// Nodes cost `c` per unit time; columns and indexes cost
     /// `size · c_d` per unit time.
     #[must_use]
+    #[inline]
     pub fn maintenance(&self, s: &CachedStructure, span: SimDuration) -> Money {
         if s.key.occupies_disk() {
             self.prices.rates.disk_cost(s.size_bytes, span.as_secs())

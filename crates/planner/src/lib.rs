@@ -26,8 +26,8 @@
 //!   quoted and priced once).
 //! * [`rows`] — [`PlanRows`], the compact form fused enumeration writes:
 //!   hot `(time, price, existing)` rows, per-row scalars and per-variant
-//!   shared lists. Selection runs on the rows, and only the plan a query
-//!   runs is materialized ([`PlanRows::plan`]).
+//!   shared lists. Selection runs on the rows, and the plan a query
+//!   runs is read from its row in place ([`PlanRows::row`]).
 //! * [`exec_rows`] — [`ExecRows`], the cache-independent half of
 //!   planning: a query's backend row and every variant × node-count
 //!   execution cell, a pure function of the context and the query,
@@ -63,7 +63,7 @@ pub use enumerate::{
 pub use estimator::{CacheExecBase, CostParams, Estimator};
 pub use exec_rows::{ExecRows, SkeletonCache, SkeletonCacheCounters};
 pub use plan::{PlanShape, QueryPlan};
-pub use rows::PlanRows;
+pub use rows::{PlanRow, PlanRows};
 pub use scaling::ParallelModel;
 pub use shapes::QueryShape;
 pub use skyline::{skyline_filter, skyline_partition, skyline_partition_hot};

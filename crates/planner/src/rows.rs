@@ -18,8 +18,9 @@
 //!   A row with `k` nodes employs ordinals `0..k-1`.
 //!
 //! Fused enumeration ([`crate::bind_plans_into`]) writes this form,
-//! so the economy selects straight on the rows and materializes only the
-//! plan it runs ([`PlanRows::plan`]).
+//! so the economy selects straight on the rows and runs the chosen plan
+//! from its row ([`PlanRows::row`]); [`PlanRows::plan`] materializes a
+//! row as a [`QueryPlan`] for reference and tests.
 //!
 //! Every price is a sum of exact integer [`Money`] terms, so the
 //! aggregates summed per variant and per node ordinal equal the per-plan
@@ -105,6 +106,38 @@ impl DataTerms {
     }
 }
 
+/// One plan of a [`PlanRows`], borrowed ([`PlanRows::row`]): the fields
+/// of its [`QueryPlan`] that running and settling it read.
+#[derive(Debug, Clone, Copy)]
+pub struct PlanRow<'a> {
+    /// True for the backend plan.
+    pub backend: bool,
+    /// [`QueryPlan::exec_time`].
+    pub exec_time: SimDuration,
+    /// [`QueryPlan::exec_cost`].
+    pub exec_cost: Money,
+    /// [`QueryPlan::exec_breakdown`].
+    pub exec_breakdown: CostBreakdown,
+    /// [`QueryPlan::amortized_cost`].
+    pub amortized_cost: Money,
+    /// [`QueryPlan::maintenance_cost`].
+    pub maintenance_cost: Money,
+    /// The data structures employed (accessed columns, then indexes);
+    /// empty for the backend plan.
+    pub data: &'a [StructureKey],
+    /// Extra CPU nodes employed: ordinals `0..extra_nodes`.
+    pub extra_nodes: u32,
+}
+
+impl PlanRow<'_> {
+    /// Every structure the plan employs, in [`QueryPlan::uses`] order:
+    /// the data structures, then the extra CPU nodes.
+    pub fn uses(&self) -> impl Iterator<Item = StructureKey> + '_ {
+        let nodes = (0..self.extra_nodes).map(StructureKey::Node);
+        self.data.iter().copied().chain(nodes)
+    }
+}
+
 /// A query's plan set in row form (see the module docs). Row 0 is the
 /// backend plan; the cache rows follow variant by variant, node count
 /// by node count — the order [`crate::enumerate_plans`] returns plans in.
@@ -166,6 +199,29 @@ impl PlanRows {
         &self.hot
     }
 
+    /// Plan `i` as the control loop runs it, borrowed from the rows: the
+    /// fields of [`Self::plan`] a serve reads, without allocating.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range.
+    #[must_use]
+    pub fn row(&self, i: usize) -> PlanRow<'_> {
+        let (backend, data) = match self.variant[i] {
+            BACKEND => (true, &[][..]),
+            vi => (false, &self.variants[vi as usize].uses[..]),
+        };
+        PlanRow {
+            backend,
+            exec_time: self.hot.time[i],
+            exec_cost: self.exec_cost[i],
+            exec_breakdown: self.exec_breakdown[i],
+            amortized_cost: self.amortized[i],
+            maintenance_cost: self.maintenance[i],
+            data,
+            extra_nodes: self.nodes[i].saturating_sub(1),
+        }
+    }
+
     /// Materializes plan `i` — bit-identical to the `i`-th plan of the
     /// equivalent `Vec<QueryPlan>`.
     ///
@@ -173,37 +229,33 @@ impl PlanRows {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn plan(&self, i: usize) -> QueryPlan {
-        let (shape, uses, missing) = match self.variant[i] {
-            BACKEND => (PlanShape::Backend, Vec::new(), Vec::new()),
+        let row = self.row(i);
+        let (shape, missing) = match self.variant[i] {
+            BACKEND => (PlanShape::Backend, Vec::new()),
             vi => {
                 let v = &self.variants[vi as usize];
-                let k = self.nodes[i];
-                let extra = k.saturating_sub(1);
-                let mut uses = Vec::with_capacity(v.uses.len() + extra as usize);
-                uses.extend_from_slice(&v.uses);
-                uses.extend((0..extra).map(StructureKey::Node));
                 let nodes = self.missing_nodes(i);
                 let mut missing = Vec::with_capacity(v.missing.len() + nodes.len());
                 missing.extend_from_slice(&v.missing);
                 missing.extend_from_slice(nodes);
                 let shape = PlanShape::Cache {
                     indexes: v.indexes.clone(),
-                    nodes: k,
+                    nodes: self.nodes[i],
                 };
-                (shape, uses, missing)
+                (shape, missing)
             }
         };
         QueryPlan {
             shape,
-            exec_time: self.hot.time[i],
-            exec_cost: self.exec_cost[i],
-            exec_breakdown: self.exec_breakdown[i],
-            uses,
+            exec_time: row.exec_time,
+            exec_cost: row.exec_cost,
+            exec_breakdown: row.exec_breakdown,
+            uses: row.uses().collect(),
             missing,
             build_cost: self.build_cost[i],
             build_time: self.build_time[i],
-            amortized_cost: self.amortized[i],
-            maintenance_cost: self.maintenance[i],
+            amortized_cost: row.amortized_cost,
+            maintenance_cost: row.maintenance_cost,
             price: self.hot.price[i],
         }
     }

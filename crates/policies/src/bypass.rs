@@ -182,7 +182,6 @@ impl CachePolicy for BypassYieldPolicy {
                 profit: Money::ZERO,
                 investments: 0,
                 evictions,
-                used_structures: Vec::new(),
             };
         }
 
@@ -219,7 +218,6 @@ impl CachePolicy for BypassYieldPolicy {
             profit: Money::ZERO,
             investments,
             evictions: evictions_total,
-            used_structures: Vec::new(),
         }
     }
 

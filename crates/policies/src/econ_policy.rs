@@ -164,7 +164,6 @@ fn policy_outcome(o: QueryOutcome) -> PolicyOutcome {
         profit: o.profit,
         investments: o.investments.len() as u32,
         evictions: o.evictions.len() as u32,
-        used_structures: o.used_structures,
     }
 }
 

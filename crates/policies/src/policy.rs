@@ -28,11 +28,6 @@ pub struct PolicyOutcome {
     pub investments: u32,
     /// Structures evicted before this query.
     pub evictions: u32,
-    /// Cached structures the winning plan actually used (empty for
-    /// backend runs and for bypass, which prices executions rather than
-    /// structures) — the attribution trail "which tenants paid for
-    /// structure S" settles through.
-    pub used_structures: Vec<cache::StructureKey>,
 }
 
 /// A caching scheme the simulator can operate.

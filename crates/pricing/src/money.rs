@@ -22,6 +22,11 @@
 //! reverse directions ([`Money::as_dollars`], [`Money::amortize_over`])
 //! likewise use `i64` arithmetic when the amount fits. An amount that
 //! would not fit in `i128` panics instead of saturating.
+//!
+//! The planner prices every row through these kernels from other crates,
+//! so every one is `#[inline]`, with its panic in a `#[cold]` helper.
+
+#![warn(clippy::missing_inline_in_public_items)]
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -78,6 +83,15 @@ fn wide_nanos_to_f64(nanos: i128) -> f64 {
     nanos as f64
 }
 
+/// Panics with `msg`. Kept out of line like [`wide_nanos_to_f64`], so
+/// each kernel inlines to its fast path and a branch.
+#[cold]
+#[inline(never)]
+#[track_caller]
+fn fail(msg: fmt::Arguments<'_>) -> ! {
+    panic!("{msg}")
+}
+
 /// An exact amount of money in nano-dollars. May be negative (debts,
 /// deltas); the economy layer decides where negativity is legal.
 #[derive(
@@ -91,6 +105,7 @@ impl Money {
 
     /// Constructs from whole nano-dollars.
     #[must_use]
+    #[inline]
     pub const fn from_nanos(nanos: i128) -> Self {
         Money(nanos)
     }
@@ -102,22 +117,29 @@ impl Money {
     /// Panics if `dollars` is NaN or infinite, or if the amount does not
     /// fit in `i128` nano-dollars (about ±1.7 × 10²⁹ dollars).
     #[must_use]
+    #[inline]
     pub fn from_dollars(dollars: f64) -> Self {
-        assert!(dollars.is_finite(), "money must be finite, got {dollars}");
+        if !dollars.is_finite() {
+            fail(format_args!("money must be finite, got {dollars}"));
+        }
         match round_nanos(dollars * NANOS_PER_DOLLAR as f64) {
             Some(nanos) => Money(nanos),
-            None => panic!("money out of range: {dollars} dollars overflows i128 nano-dollars"),
+            None => fail(format_args!(
+                "money out of range: {dollars} dollars overflows i128 nano-dollars"
+            )),
         }
     }
 
     /// Constructs from whole cents.
     #[must_use]
+    #[inline]
     pub const fn from_cents(cents: i128) -> Self {
         Money(cents * (NANOS_PER_DOLLAR / 100))
     }
 
     /// The raw nano-dollar count.
     #[must_use]
+    #[inline]
     pub const fn as_nanos(self) -> i128 {
         self.0
     }
@@ -125,24 +147,28 @@ impl Money {
     /// Approximate dollar value (for display and plotting only — never for
     /// accounting decisions).
     #[must_use]
+    #[inline]
     pub fn as_dollars(self) -> f64 {
         nanos_to_f64(self.0) / NANOS_PER_DOLLAR as f64
     }
 
     /// True if the amount is exactly zero.
     #[must_use]
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// True if strictly positive.
     #[must_use]
+    #[inline]
     pub const fn is_positive(self) -> bool {
         self.0 > 0
     }
 
     /// True if strictly negative.
     #[must_use]
+    #[inline]
     pub const fn is_negative(self) -> bool {
         self.0 < 0
     }
@@ -155,16 +181,18 @@ impl Money {
     /// negative factor is always an accounting bug; use [`Neg`] explicitly),
     /// or if the scaled amount does not fit in `i128` nano-dollars.
     #[must_use]
+    #[inline]
     pub fn scale(self, factor: f64) -> Money {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "scale factor must be finite and non-negative, got {factor}"
-        );
+        if !(factor.is_finite() && factor >= 0.0) {
+            fail(format_args!(
+                "scale factor must be finite and non-negative, got {factor}"
+            ));
+        }
         match round_nanos(nanos_to_f64(self.0) * factor) {
             Some(nanos) => Money(nanos),
-            None => {
-                panic!("scaled money out of range: {self} × {factor} overflows i128 nano-dollars")
-            }
+            None => fail(format_args!(
+                "scaled money out of range: {self} × {factor} overflows i128 nano-dollars"
+            )),
         }
     }
 
@@ -175,8 +203,11 @@ impl Money {
     /// # Panics
     /// Panics if `n == 0`.
     #[must_use]
+    #[inline]
     pub fn amortize_over(self, n: u64) -> Money {
-        assert!(n > 0, "cannot amortize over zero queries");
+        if n == 0 {
+            fail(format_args!("cannot amortize over zero queries"));
+        }
         match (i64::try_from(self.0), i64::try_from(n)) {
             (Ok(amount), Ok(n)) => Money(i128::from(amount / n)),
             _ => Money(self.0 / i128::from(n)),
@@ -185,6 +216,7 @@ impl Money {
 
     /// The larger of two amounts.
     #[must_use]
+    #[inline]
     pub fn max(self, other: Money) -> Money {
         if self >= other {
             self
@@ -195,6 +227,7 @@ impl Money {
 
     /// The smaller of two amounts.
     #[must_use]
+    #[inline]
     pub fn min(self, other: Money) -> Money {
         if self <= other {
             self
@@ -205,12 +238,14 @@ impl Money {
 
     /// Clamps negative amounts to zero.
     #[must_use]
+    #[inline]
     pub fn clamp_non_negative(self) -> Money {
         self.max(Money::ZERO)
     }
 
     /// Saturating subtraction: `max(self - other, 0)`.
     #[must_use]
+    #[inline]
     pub fn saturating_sub(self, other: Money) -> Money {
         (self - other).clamp_non_negative()
     }
@@ -218,12 +253,17 @@ impl Money {
 
 impl Add for Money {
     type Output = Money;
+    #[inline]
     fn add(self, rhs: Money) -> Money {
-        Money(self.0.checked_add(rhs.0).expect("money overflow"))
+        match self.0.checked_add(rhs.0) {
+            Some(nanos) => Money(nanos),
+            None => fail(format_args!("money overflow")),
+        }
     }
 }
 
 impl AddAssign for Money {
+    #[inline]
     fn add_assign(&mut self, rhs: Money) {
         *self = *self + rhs;
     }
@@ -231,12 +271,17 @@ impl AddAssign for Money {
 
 impl Sub for Money {
     type Output = Money;
+    #[inline]
     fn sub(self, rhs: Money) -> Money {
-        Money(self.0.checked_sub(rhs.0).expect("money underflow"))
+        match self.0.checked_sub(rhs.0) {
+            Some(nanos) => Money(nanos),
+            None => fail(format_args!("money underflow")),
+        }
     }
 }
 
 impl SubAssign for Money {
+    #[inline]
     fn sub_assign(&mut self, rhs: Money) {
         *self = *self - rhs;
     }
@@ -244,6 +289,7 @@ impl SubAssign for Money {
 
 impl Neg for Money {
     type Output = Money;
+    #[inline]
     fn neg(self) -> Money {
         Money(-self.0)
     }
@@ -251,18 +297,24 @@ impl Neg for Money {
 
 impl Mul<u64> for Money {
     type Output = Money;
+    #[inline]
     fn mul(self, rhs: u64) -> Money {
-        Money(self.0.checked_mul(rhs as i128).expect("money overflow"))
+        match self.0.checked_mul(rhs as i128) {
+            Some(nanos) => Money(nanos),
+            None => fail(format_args!("money overflow")),
+        }
     }
 }
 
 impl Sum for Money {
+    #[inline]
     fn sum<I: Iterator<Item = Money>>(iter: I) -> Money {
         iter.fold(Money::ZERO, Add::add)
     }
 }
 
 impl fmt::Display for Money {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let sign = if self.0 < 0 { "-" } else { "" };
         let abs = self.0.unsigned_abs();

@@ -8,6 +8,11 @@
 //! | `c_d`  | disk storage cost per byte per unit time | [`ResourceRates::disk_byte_per_sec`] |
 //! | `c_b`  | network transfer cost per byte        | [`ResourceRates::transfer_per_byte`] |
 //! | `io`   | cost per logical I/O operation        | [`ResourceRates::io_per_op`] |
+//!
+//! Eqs. 8–9 price every plan row through these charges, from other
+//! crates, so each is `#[inline]`.
+
+#![warn(clippy::missing_inline_in_public_items)]
 
 use crate::money::Money;
 use serde::{Deserialize, Serialize};
@@ -32,6 +37,7 @@ pub struct ResourceRates {
 impl ResourceRates {
     /// Charge for `secs` of one CPU node.
     #[must_use]
+    #[inline]
     pub fn cpu_cost(&self, secs: f64) -> Money {
         debug_assert!(secs >= 0.0);
         Money::from_dollars(self.cpu_node_per_sec * secs)
@@ -39,6 +45,7 @@ impl ResourceRates {
 
     /// Charge for holding `bytes` on cache disk for `secs`.
     #[must_use]
+    #[inline]
     pub fn disk_cost(&self, bytes: u64, secs: f64) -> Money {
         debug_assert!(secs >= 0.0);
         Money::from_dollars(self.disk_byte_per_sec * bytes as f64 * secs)
@@ -46,12 +53,14 @@ impl ResourceRates {
 
     /// Charge for moving `bytes` over the WAN.
     #[must_use]
+    #[inline]
     pub fn transfer_cost(&self, bytes: u64) -> Money {
         Money::from_dollars(self.transfer_per_byte * bytes as f64)
     }
 
     /// Charge for `ops` logical I/O operations.
     #[must_use]
+    #[inline]
     pub fn io_cost(&self, ops: f64) -> Money {
         debug_assert!(ops >= 0.0);
         Money::from_dollars(self.io_per_op * ops)
@@ -61,6 +70,7 @@ impl ResourceRates {
     ///
     /// # Errors
     /// Returns the offending field name.
+    #[inline]
     pub fn validate(&self) -> Result<(), &'static str> {
         let checks = [
             (self.cpu_node_per_sec, "cpu_node_per_sec"),

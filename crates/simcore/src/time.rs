@@ -4,6 +4,12 @@
 //! NaN, so the types are totally ordered and safe to use as event-queue keys.
 //! Negative *durations* are rejected; negative *times* are allowed only
 //! through subtraction (the queue never schedules before zero).
+//!
+//! Every function here is a one-line kernel the planner calls per plan
+//! row, across crates, so each is `#[inline]` and its panic sits out of
+//! line in a `#[cold]` helper.
+
+#![warn(clippy::missing_inline_in_public_items)]
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -28,13 +34,17 @@ impl SimTime {
     /// Panics if `secs` is NaN or infinite — a corrupted clock must fail
     /// loudly rather than silently reorder the event queue.
     #[must_use]
+    #[inline]
     pub fn from_secs(secs: f64) -> Self {
-        assert!(secs.is_finite(), "SimTime must be finite, got {secs}");
+        if !secs.is_finite() {
+            fail(format_args!("SimTime must be finite, got {secs}"));
+        }
         SimTime(secs)
     }
 
     /// Seconds since simulation start.
     #[must_use]
+    #[inline]
     pub fn as_secs(self) -> f64 {
         self.0
     }
@@ -42,12 +52,14 @@ impl SimTime {
     /// Time elapsed since `earlier`. Saturates to zero if `earlier` is later
     /// (callers comparing accrual checkpoints never want a negative accrual).
     #[must_use]
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration((self.0 - earlier.0).max(0.0))
     }
 
     /// The later of two instants.
     #[must_use]
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         if self >= other {
             self
@@ -66,59 +78,81 @@ impl SimDuration {
     /// # Panics
     /// Panics if `secs` is NaN, infinite or negative.
     #[must_use]
+    #[inline]
     pub fn from_secs(secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "SimDuration must be finite and non-negative, got {secs}"
-        );
+        if !(secs.is_finite() && secs >= 0.0) {
+            fail(format_args!(
+                "SimDuration must be finite and non-negative, got {secs}"
+            ));
+        }
         SimDuration(secs)
     }
 
     /// Creates a duration from minutes.
     #[must_use]
+    #[inline]
     pub fn from_mins(mins: f64) -> Self {
         Self::from_secs(mins * 60.0)
     }
 
     /// Creates a duration from hours.
     #[must_use]
+    #[inline]
     pub fn from_hours(hours: f64) -> Self {
         Self::from_secs(hours * 3600.0)
     }
 
     /// Creates a duration from days.
     #[must_use]
+    #[inline]
     pub fn from_days(days: f64) -> Self {
         Self::from_secs(days * 86_400.0)
     }
 
     /// Duration in seconds.
     #[must_use]
+    #[inline]
     pub fn as_secs(self) -> f64 {
         self.0
     }
 
     /// Duration in hours.
     #[must_use]
+    #[inline]
     pub fn as_hours(self) -> f64 {
         self.0 / 3600.0
     }
 
     /// True if this duration is exactly zero.
     #[must_use]
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0.0
     }
 }
 
+/// Panics with `msg`, out of line so each kernel inlines to its fast
+/// path and a branch.
+#[cold]
+#[inline(never)]
+#[track_caller]
+fn fail(msg: fmt::Arguments<'_>) -> ! {
+    panic!("{msg}")
+}
+
 impl Eq for SimTime {}
 impl Ord for SimTime {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // Construction forbids NaN, so partial_cmp is total here.
-        self.0.partial_cmp(&other.0).expect("SimTime is never NaN")
+        match self.0.partial_cmp(&other.0) {
+            Some(order) => order,
+            None => fail(format_args!("SimTime is never NaN")),
+        }
     }
 }
 impl PartialOrd for SimTime {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -126,13 +160,16 @@ impl PartialOrd for SimTime {
 
 impl Eq for SimDuration {}
 impl Ord for SimDuration {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        self.0
-            .partial_cmp(&other.0)
-            .expect("SimDuration is never NaN")
+        match self.0.partial_cmp(&other.0) {
+            Some(order) => order,
+            None => fail(format_args!("SimDuration is never NaN")),
+        }
     }
 }
 impl PartialOrd for SimDuration {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -140,12 +177,14 @@ impl PartialOrd for SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime::from_secs(self.0 + rhs.0)
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -157,6 +196,7 @@ impl Sub<SimTime> for SimTime {
     ///
     /// # Panics
     /// Panics if `rhs` is later than `self` (duration would be negative).
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration::from_secs(self.0 - rhs.0)
     }
@@ -164,12 +204,14 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration::from_secs(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -177,6 +219,7 @@ impl AddAssign for SimDuration {
 
 impl Mul<f64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, rhs: f64) -> SimDuration {
         SimDuration::from_secs(self.0 * rhs)
     }
@@ -184,18 +227,21 @@ impl Mul<f64> for SimDuration {
 
 impl Div<f64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn div(self, rhs: f64) -> SimDuration {
         SimDuration::from_secs(self.0 / rhs)
     }
 }
 
 impl fmt::Display for SimTime {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "t={:.3}s", self.0)
     }
 }
 
 impl fmt::Display for SimDuration {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.0 >= 3600.0 {
             write!(f, "{:.2}h", self.0 / 3600.0)

@@ -224,13 +224,24 @@ fn serve_plans(
 }
 
 /// Fused enumeration's rows against their own materialization: row by
-/// row plan and missing-list equality, and the same serve selection
-/// under `budget` on the rows as on the plans.
+/// row plan, borrowed-row and missing-list equality, and the same serve
+/// selection under `budget` on the rows as on the plans.
 fn check_rows(rows: &PlanRows, budget: &BudgetFunction, objective: SelectionObjective, what: &str) {
     let plans = rows.to_plans();
     assert_eq!(rows.len(), plans.len(), "{what}: row count");
     for (i, plan) in plans.iter().enumerate() {
         assert_eq!(rows.plan(i), *plan, "{what}: row {i}");
+        let row = rows.row(i);
+        assert_eq!(
+            row.backend,
+            plan.shape == PlanShape::Backend,
+            "{what}: row {i} backend"
+        );
+        assert_eq!(
+            row.uses().collect::<Vec<_>>(),
+            plan.uses,
+            "{what}: row {i} uses"
+        );
         let missing: Vec<StructureKey> = rows
             .missing_data(i)
             .iter()
