@@ -1,10 +1,10 @@
 //! Criterion wrapper for the **Figure 4** experiment: times one reduced
 //! operating-cost cell per scheme (SF 200, 4 000 queries, 1 s
-//! inter-arrival) and reports the measured costs once per run.
+//! inter-arrival). A name filter that selects no row runs no simulation.
 //!
-//! The full-scale figure is regenerated by the
-//! `fig4_operating_cost` binary; this bench keeps the figure's code path
-//! exercised by `cargo bench` and tracks its runtime.
+//! The `fig4_operating_cost` binary regenerates the figure and prints
+//! its rows; this bench keeps the figure's code path exercised by
+//! `cargo bench` and tracks its runtime.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use simulator::{run_simulation, Scheme, SimConfig};
@@ -17,10 +17,6 @@ fn bench_fig4(c: &mut Criterion) {
     group.sample_size(10);
     for scheme in Scheme::paper_schemes() {
         let cfg = SimConfig::paper_cell(scheme.clone(), 1.0, SF, QUERIES);
-        // Report the cell's measurement once so bench logs carry the
-        // figure values alongside the timings.
-        let r = run_simulation(cfg.clone());
-        println!("[fig4 @1s SF{SF} n={QUERIES}] {}", r.table_row());
         group.bench_function(scheme.name(), |b| {
             b.iter_batched(|| cfg.clone(), run_simulation, BatchSize::LargeInput)
         });

@@ -1,9 +1,9 @@
 //! Criterion wrapper for the **Figure 5** experiment: times one reduced
 //! response-time cell per inter-arrival interval (econ-cheap, SF 200,
-//! 4 000 queries) and reports the measured mean responses once per run.
+//! 4 000 queries). A name filter that selects no row runs no simulation.
 //!
-//! The full-scale figure is regenerated by the `fig5_response_time`
-//! binary; this bench keeps the interval sweep's code path exercised by
+//! The `fig5_response_time` binary regenerates the figure and prints its
+//! rows; this bench keeps the interval sweep's code path exercised by
 //! `cargo bench` and tracks its runtime.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -17,12 +17,6 @@ fn bench_fig5(c: &mut Criterion) {
     group.sample_size(10);
     for interval in [1.0_f64, 10.0, 60.0] {
         let cfg = SimConfig::paper_cell(Scheme::EconCheap, interval, SF, QUERIES);
-        let r = run_simulation(cfg.clone());
-        println!(
-            "[fig5 econ-cheap @{interval}s SF{SF} n={QUERIES}] mean resp {:.3}s hits {:.1}%",
-            r.mean_response_secs(),
-            r.hit_rate() * 100.0
-        );
         group.bench_function(format!("interval_{interval}s"), |b| {
             b.iter_batched(|| cfg.clone(), run_simulation, BatchSize::LargeInput)
         });

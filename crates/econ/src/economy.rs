@@ -64,13 +64,6 @@ pub struct EconomyManager {
     /// fail; the per-query failure scan is skipped while `now` is below
     /// it. See [`Self::refresh_failure_bound`].
     next_failure_check: f64,
-    /// Set when the fault plane warns this node of an imminent planned
-    /// crash: existing structures keep serving and settling, but the
-    /// investment scan is skipped — fresh capital could never amortize
-    /// before the machine dies, so building would only inflate the
-    /// write-off (typically rebuilding the very structures evacuation
-    /// just shipped to survivors).
-    investment_frozen: bool,
 }
 
 #[derive(Debug, Default)]
@@ -141,23 +134,7 @@ impl EconomyManager {
             used: Vec::new(),
             candidates: Vec::new(),
             next_failure_check: f64::NEG_INFINITY,
-            investment_frozen: false,
         }
-    }
-
-    /// Stops the investment scan for good: a node warned of a planned
-    /// crash serves from the structures it already holds (or the
-    /// backend) but commits no new capital — a build started now dies
-    /// unamortized at the crash instant.
-    pub fn freeze_investment(&mut self) {
-        self.investment_frozen = true;
-    }
-
-    /// Lifts [`Self::freeze_investment`]. Crash recovery replays the
-    /// doomed node's freeze to reconcile its books, then thaws the
-    /// replacement, which is a healthy machine with no crash ahead.
-    pub fn thaw_investment(&mut self) {
-        self.investment_frozen = false;
     }
 
     /// Kept only because the repository benchmark names it; inert;
@@ -265,64 +242,6 @@ impl EconomyManager {
             let unpaid = s.maint_forgiven + estimator.maintenance(s, span);
             unpaid > threshold
         })
-    }
-
-    /// Releases a structure for evacuation: evicts it from the cache and
-    /// clears its regret, **without touching the account** — the capital
-    /// sunk into the structure stays on this node's books (the fault
-    /// plane nets it out of the crash write-off when the move settles).
-    /// Returns the removed structure, or `None` if absent.
-    ///
-    /// Mirrored exactly by crash-recovery replay (a journaled release is
-    /// replayed through this same method), so evacuation preserves the
-    /// zero-drift reconciliation contract.
-    pub fn evacuate_release(&mut self, key: StructureKey, now: SimTime) -> Option<CachedStructure> {
-        let removed = self.cache.evict(key, now);
-        if removed.is_some() {
-            self.regret.get_mut().reset(key);
-        }
-        removed
-    }
-
-    /// Receives an evacuated structure at eq. 12's column-move price:
-    /// withdraws `transfer_cost` (the wire cost of the bytes — strictly
-    /// below a from-scratch build, which also pays the eq. 9 scan) as
-    /// investment capital, installs the structure available after
-    /// `transfer_time`, and clears any regret accrued while it was
-    /// missing. Amortization restarts over the receiver's own horizon:
-    /// the structure's book value here is what *this* node paid for it.
-    ///
-    /// Returns `false` without mutating when the structure is already
-    /// cached or the account cannot fund the transfer.
-    pub fn evacuate_receive(
-        &mut self,
-        key: StructureKey,
-        size_bytes: u64,
-        transfer_cost: Money,
-        transfer_time: SimDuration,
-        now: SimTime,
-        estimator: &Estimator,
-    ) -> bool {
-        if self.cache.contains(key) || self.account.withdraw_investment(transfer_cost).is_err() {
-            return false;
-        }
-        let amortize_n = self.config.enumeration(self.arrival_rate()).amortize_n;
-        self.cache.install(
-            key,
-            size_bytes,
-            now,
-            transfer_time,
-            transfer_cost,
-            amortize_n,
-        );
-        self.regret.get_mut().reset(key);
-        // The received structure can be the next to fail; fold its
-        // crossing time into the failure bound without a full rescan.
-        if let Some(s) = self.cache.get(key) {
-            let bound = failure_bound_for(s, estimator, self.config.failure.fail_factor);
-            self.next_failure_check = self.next_failure_check.min(bound);
-        }
-        true
     }
 
     /// Processes one query at its arrival instant, filling the manager's
@@ -453,13 +372,8 @@ impl EconomyManager {
         let ran_in_cache = !chosen.backend;
         self.account.deposit_payment(planned.payment);
 
-        // (6) Investment (eq. 3 + conservative gate) — skipped entirely
-        // once the fault plane froze investment (imminent planned crash).
-        let investments = if self.investment_frozen {
-            Vec::new()
-        } else {
-            self.consider_investments(ctx, now, planned.opts.amortize_n)
-        };
+        // (6) Investment (eq. 3 + conservative gate).
+        let investments = self.consider_investments(ctx, now, planned.opts.amortize_n);
 
         QueryOutcome {
             case: planned.case,

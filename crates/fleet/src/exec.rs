@@ -36,17 +36,17 @@ use workload::{paper_templates, Query};
 
 use pricing::Money;
 use telemetry::{
-    HealthSeries, LifecyclePhase, MetricsRegistry, NodeCrashEvent, NodeEvacuateEvent,
-    NodeLifecycleEvent, NodeRecoverEvent, NoopSink, QueryRetryEvent, QuoteRoundEvent, Recorder,
-    SettlementEvent, SloLedger, TenantSloRecord, TraceEvent, TraceSink, VitalsFrame,
+    HealthSeries, LifecyclePhase, MetricsRegistry, NodeCrashEvent, NodeLifecycleEvent,
+    NodeRecoverEvent, NoopSink, QueryRetryEvent, QuoteRoundEvent, Recorder, SettlementEvent,
+    SloLedger, TenantSloRecord, TraceEvent, TraceSink, VitalsFrame,
 };
 
 use crate::config::FleetConfig;
 use crate::elastic::{ElasticAction, ElasticController, NodePopulation};
-use crate::evacuate::RetryPolicy;
 use crate::faults::{FaultInjector, FaultOutcome, FaultRecord};
 use crate::node::CacheNode;
 use crate::result::{FleetResult, NodeStats, TenantStats};
+use crate::retry::RetryPolicy;
 use crate::router::{QuoteOptions, Router};
 use crate::tenant::{MergedStream, TenantStream};
 
@@ -382,8 +382,7 @@ impl Cell<'_> {
 
     /// Runs the control plane up to `now`: each due fault event after
     /// the reviews due at its instant (reviews win exact ties), then the
-    /// reviews due at `now`, then the drain sweep, which evacuates newly
-    /// draining nodes' profitable structures before they retire.
+    /// reviews due at `now`.
     pub fn advance_control_plane(&mut self, now: SimTime) {
         let rates = &self.config.prices.rates;
         loop {
@@ -396,9 +395,6 @@ impl Cell<'_> {
                 (Some(_), Some(inj)) => inj.process_next(&mut self.population, &self.ctx, rates),
                 _ => break,
             }
-        }
-        if let Some(inj) = &mut self.injector {
-            inj.sweep_draining(&mut self.population, &self.ctx, now);
         }
     }
 
@@ -827,32 +823,11 @@ fn emit_fault(sink: &mut dyn TraceSink, registry: &mut MetricsRegistry, record: 
                 profit: c.profit,
                 operating: c.operating,
                 write_off: c.write_off,
-                salvaged: c.salvaged,
-                transfer_spend: c.transfer_spend,
                 cascade_depth: c.cascade_depth,
                 disk_bytes: c.disk_bytes,
                 requeued_secs: c.requeued_secs,
                 requeued_to: c.requeued_to,
                 recover_planned: c.recover_planned,
-            }));
-        }
-        FaultOutcome::Evacuate(e) => {
-            registry.counter_add("fault.evacuations", 1);
-            registry.counter_add("fault.structures_moved", e.structures_moved);
-            registry.gauge_add("fault.salvaged", e.salvaged);
-            registry.gauge_add("fault.transfer_spend", e.transfer_spend);
-            let mut receivers: Vec<usize> = e.moves.iter().map(|m| m.to).collect();
-            receivers.sort_unstable();
-            receivers.dedup();
-            sink.emit(TraceEvent::NodeEvacuate(NodeEvacuateEvent {
-                cell: record.cell,
-                at_secs: record.at_secs,
-                node: e.node,
-                reason: e.reason.clone(),
-                structures_moved: e.structures_moved,
-                salvaged: e.salvaged,
-                transfer_spend: e.transfer_spend,
-                receivers,
             }));
         }
         FaultOutcome::Recover(r) => {

@@ -14,8 +14,8 @@
 //!   invested, never to earn again. In-flight backlog is re-queued onto
 //!   the lowest-id routable survivor, scaled by a penalty.
 //! * **Crash-and-recover** additionally journals every `(instant, query)`
-//!   the doomed node serves and, at the recovery instant, replays that
-//!   journal into a freshly built policy. Because `process_query` is a
+//!   the doomed node serves and, at the recovery instant, replays those
+//!   serves into a freshly built policy. Because `process_query` is a
 //!   deterministic function of policy state and the `(query, time)`
 //!   sequence, the replay must reproduce the crashed node's economics
 //!   *exactly*; the reconciliation check cross-foots replayed payments,
@@ -36,11 +36,10 @@
 //!   instant, rack-failure style; a [`CascadeSpec`] lets every crash
 //!   raise per-survivor follow-on crash probability from the run's
 //!   deterministic RNG, so cascades stay a pure function of config.
-//! * **Evacuation** ([`crate::evacuate::EvacuateSpec`]): inside a
-//!   planned-crash warning window (or on drain), profitable structures
-//!   migrate to survivors at eq. 12's column-move price instead of being
-//!   written off — salvaged capital + transfer spend + residual
-//!   write-off reconcile exactly against the pre-fault invested capital.
+//!
+//! A crash, planned or cascading, writes off the node's whole invested
+//! capital: `CrashRecord::write_off` equals its `build_spend` to the
+//! nanodollar. A drained node retires with its structures.
 //!
 //! **Determinism stays the contract.** Faults are part of the config:
 //! injection instants are simulated time, every decision is a pure
@@ -54,7 +53,6 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use cache::StructureKey;
 use catalog::Schema;
 use planner::PlannerContext;
 use pricing::{Money, ResourceRates};
@@ -64,10 +62,8 @@ use simulator::make_policy;
 use workload::Query;
 
 use crate::elastic::NodePopulation;
-use crate::evacuate::{
-    evacuation_candidates, EvacuateRecord, EvacuateSpec, EvacuatedMove, RetryPolicy,
-};
 use crate::node::{CacheNode, NodeSpec};
+use crate::retry::RetryPolicy;
 
 /// Stream-domain separator folded into the run seed for cascade draws, so
 /// the fault plane's RNG never collides with workload or tenant streams.
@@ -182,10 +178,6 @@ pub struct FaultPlan {
     /// Deterministic follow-on crash propagation layered on every crash.
     #[serde(default)]
     pub cascade: Option<CascadeSpec>,
-    /// Capital-preserving evacuation of dying nodes (warning windows
-    /// before planned crashes, optionally on drain).
-    #[serde(default)]
-    pub evacuation: Option<EvacuateSpec>,
     /// Deadline-budgeted retry for queries routed at degraded winners
     /// (replaces the single timeout re-route when set).
     #[serde(default)]
@@ -216,7 +208,6 @@ impl FaultPlan {
             crashes: Vec::new(),
             groups: Vec::new(),
             cascade: None,
-            evacuation: None,
             retry: None,
             degradations: Vec::new(),
             surges: Vec::new(),
@@ -258,15 +249,11 @@ impl FaultPlan {
         self
     }
 
-    /// Builder style: evacuate profitable structures off dying nodes,
-    /// starting `warning_secs` before each planned crash (and on drain
-    /// when `on_drain`).
+    /// Kept only because the repository benchmark names it; inert;
+    /// removed by ROADMAP item 5. Returns the plan unchanged: crashes and
+    /// drains write off, nothing is evacuated.
     #[must_use]
-    pub fn with_evacuation(mut self, warning_secs: f64, on_drain: bool) -> Self {
-        self.evacuation = Some(EvacuateSpec {
-            warning_secs,
-            on_drain,
-        });
+    pub fn with_evacuation(self, _warning_secs: f64, _on_drain: bool) -> Self {
         self
     }
 
@@ -446,9 +433,6 @@ impl FaultPlan {
         if let Some(c) = &self.cascade {
             c.validate()?;
         }
-        if let Some(e) = &self.evacuation {
-            e.validate()?;
-        }
         if let Some(r) = &self.retry {
             r.validate()?;
         }
@@ -580,18 +564,9 @@ pub struct CrashRecord {
     /// Operating cost settled at the crash instant — eq. 11 uptime and
     /// the eq. 13 disk byte-seconds integral, charged up to the instant.
     pub operating: Money,
-    /// Invested build capital (structures + boot) written off as a loss
-    /// — net of any capital evacuation moved to survivors first.
+    /// Invested build capital (structures + boot) written off as a loss:
+    /// the node's whole `build_spend`, to the nanodollar.
     pub write_off: Money,
-    /// Capital evacuation preserved before this crash: moved invested
-    /// capital minus the transfer spend (zero when nothing moved).
-    #[serde(default)]
-    pub salvaged: Money,
-    /// Eq. 12 wire cost receivers paid for this node's evacuated
-    /// structures. `write_off + salvaged + transfer_spend` equals the
-    /// node's pre-fault invested capital exactly.
-    #[serde(default)]
-    pub transfer_spend: Money,
     /// Cascade generation: 0 for planned crashes, `d + 1` for crashes
     /// triggered by a depth-`d` crash.
     #[serde(default)]
@@ -666,8 +641,6 @@ pub enum FaultOutcome {
     Crash(CrashRecord),
     /// A crashed node was reconstructed by ledger replay.
     Recover(RecoverRecord),
-    /// A dying node's profitable structures migrated to survivors.
-    Evacuate(EvacuateRecord),
 }
 
 /// One ledgered fault event.
@@ -693,22 +666,15 @@ pub struct FaultSummary {
     pub reconciled: u64,
     /// Degraded-winner timeouts that re-routed a query.
     pub timeouts: u64,
-    /// Build capital written off across all crashes (net of salvage).
+    /// Build capital written off across all crashes: the sum of the
+    /// per-crash `CrashRecord::write_off`.
     pub write_off: Money,
     /// Backlog seconds re-queued across all crashes (post-penalty).
     pub requeued_secs: f64,
-    /// Evacuations executed (warning windows + drains with ≥ 1 move).
-    #[serde(default)]
-    pub evacuations: u64,
-    /// Structures migrated to survivors across all evacuations.
-    #[serde(default)]
-    pub structures_moved: u64,
-    /// Capital preserved by evacuation (moved invested − transfer spend).
+    /// Kept only because the repository benchmark names it; inert;
+    /// removed by ROADMAP item 5. Always zero: nothing is evacuated.
     #[serde(default)]
     pub salvaged: Money,
-    /// Eq. 12 wire cost receivers paid across all evacuations.
-    #[serde(default)]
-    pub transfer_spend: Money,
     /// Deadline-budgeted retries the router executed.
     #[serde(default)]
     pub retries: u64,
@@ -733,10 +699,6 @@ impl FaultSummary {
         self.timeouts += other.timeouts;
         self.write_off += other.write_off;
         self.requeued_secs += other.requeued_secs;
-        self.evacuations += other.evacuations;
-        self.structures_moved += other.structures_moved;
-        self.salvaged += other.salvaged;
-        self.transfer_spend += other.transfer_spend;
         self.retries += other.retries;
         self.cascade_crashes += other.cascade_crashes;
         self.max_cascade_depth = self.max_cascade_depth.max(other.max_cascade_depth);
@@ -755,26 +717,11 @@ struct CrashSnapshot {
     disk_bytes: u64,
 }
 
-/// One replayable entry in a doomed node's settlement journal. Serves,
-/// evacuation releases and the warning window's investment freeze
-/// replay through the same deterministic policy methods, so a recovered
-/// node reproduces the crashed node's economics bit for bit even when a
-/// warned evacuation moved structures out and froze its investing first.
-enum JournalEntry {
-    /// The node served `query` at the instant.
-    Serve(SimTime, Query),
-    /// Evacuation released this structure at the instant.
-    Release(SimTime, StructureKey),
-    /// A warning-window evacuation froze the node's investment scan.
-    Freeze,
-}
-
 /// A compiled fault event awaiting its instant.
 struct FaultEvent {
     at: f64,
-    /// Evacuations order before crashes, crashes before recoveries on
-    /// instant ties (rank 0 / 1 / 2), then by node id — a total,
-    /// deterministic order.
+    /// Crashes order before recoveries on instant ties (rank 0 / 1),
+    /// then by node id — a total, deterministic order.
     rank: u8,
     node: usize,
     recover_after: Option<f64>,
@@ -782,9 +729,8 @@ struct FaultEvent {
     depth: u32,
 }
 
-const RANK_EVACUATE: u8 = 0;
-const RANK_CRASH: u8 = 1;
-const RANK_RECOVER: u8 = 2;
+const RANK_CRASH: u8 = 0;
+const RANK_RECOVER: u8 = 1;
 
 /// One cell's fault-injection engine: the compiled event list, the
 /// served-query journals of doomed nodes, and the fault ledger.
@@ -793,7 +739,6 @@ pub struct FaultInjector {
     timeout_secs: f64,
     requeue_penalty: f64,
     cascade: Option<CascadeSpec>,
-    evacuation: Option<EvacuateSpec>,
     retry: Option<RetryPolicy>,
     /// Cascade draws: forked per cell from the run seed, consumed in the
     /// deterministic event order — a pure function of the config.
@@ -801,17 +746,12 @@ pub struct FaultInjector {
     events: Vec<FaultEvent>,
     next: usize,
     /// Nodes with a pending crash event (planned or cascade-scheduled):
-    /// never evacuation receivers, never cascade re-targets.
+    /// never cascade re-targets.
     doomed: BTreeSet<usize>,
-    /// Nodes already evacuated (a node evacuates at most once).
-    evacuated: BTreeSet<usize>,
-    /// Capital moved off each evacuated node pending its crash
-    /// settlement: `(moved invested, transfer spend)`.
-    salvage_pending: HashMap<usize, (Money, Money)>,
-    /// Settlement journals, keyed by seed node id; only nodes with a
-    /// scheduled recovery are journaled (keys are pre-seeded so the hot
-    /// path is one hash probe).
-    journals: HashMap<usize, Vec<JournalEntry>>,
+    /// Serve journals, keyed by seed node id: every `(instant, query)`
+    /// the node served. Only nodes with a scheduled recovery are
+    /// journaled (keys are pre-seeded so the hot path is one hash probe).
+    journals: HashMap<usize, Vec<(SimTime, Query)>>,
     snapshots: HashMap<usize, CrashSnapshot>,
     specs: Vec<NodeSpec>,
     econ: econ::EconConfig,
@@ -822,10 +762,6 @@ pub struct FaultInjector {
     timeouts: u64,
     write_off: Money,
     requeued_secs: f64,
-    evacuations: u64,
-    structures_moved: u64,
-    salvaged: Money,
-    transfer_spend: Money,
     retries: u64,
     cascade_crashes: u64,
     max_cascade_depth: u32,
@@ -878,20 +814,6 @@ impl FaultInjector {
                 });
                 journals.insert(node, Vec::new());
             }
-            if let Some(evac) = &plan.evacuation {
-                if evac.warning_secs > 0.0 {
-                    // Never warn before half the crash instant — a plan
-                    // whose warning window swallows the whole run would
-                    // evacuate a node that has built nothing yet.
-                    events.push(FaultEvent {
-                        at: (at_secs - evac.warning_secs).max(at_secs * 0.5),
-                        rank: RANK_EVACUATE,
-                        node,
-                        recover_after: None,
-                        depth: 0,
-                    });
-                }
-            }
         }
         events.sort_by(|a, b| {
             a.at.total_cmp(&b.at)
@@ -904,14 +826,11 @@ impl FaultInjector {
             timeout_secs: plan.timeout_secs,
             requeue_penalty: plan.requeue_penalty,
             cascade: plan.cascade,
-            evacuation: plan.evacuation,
             retry: plan.retry,
             rng: root.fork(cell as u64),
             events,
             next: 0,
             doomed,
-            evacuated: BTreeSet::new(),
-            salvage_pending: HashMap::new(),
             journals,
             snapshots: HashMap::new(),
             specs: specs.to_vec(),
@@ -923,10 +842,6 @@ impl FaultInjector {
             timeouts: 0,
             write_off: Money::ZERO,
             requeued_secs: 0.0,
-            evacuations: 0,
-            structures_moved: 0,
-            salvaged: Money::ZERO,
-            transfer_spend: Money::ZERO,
             retries: 0,
             cascade_crashes: 0,
             max_cascade_depth: 0,
@@ -968,7 +883,7 @@ impl FaultInjector {
     /// nodes that are not doomed.
     pub fn note_served(&mut self, node: usize, now: SimTime, query: &Query) {
         if let Some(journal) = self.journals.get_mut(&node) {
-            journal.push(JournalEntry::Serve(now, query.clone()));
+            journal.push((now, query.clone()));
         }
     }
 
@@ -999,158 +914,24 @@ impl FaultInjector {
         let recover_after = event.recover_after;
         let depth = event.depth;
         match event.rank {
-            RANK_EVACUATE => self.evacuate(pop, ctx, node, at, "warning"),
             RANK_CRASH => self.crash(pop, rates, node, at, recover_after.is_some(), depth),
             _ => self.recover(pop, ctx, node, at),
         }
     }
 
-    /// Evacuates any nodes the elastic control plane has begun draining
-    /// (voluntary retirement salvages capital the same way a planned
-    /// crash's warning window does). Call after controller reviews; a
-    /// deterministic no-op unless the plan enables drain evacuation.
+    /// Kept only because the repository benchmark names it; inert;
+    /// removed by ROADMAP item 5. Does nothing: a draining node retires
+    /// with its structures.
     pub fn sweep_draining(
         &mut self,
-        pop: &mut NodePopulation,
-        ctx: &PlannerContext<'_>,
-        now: SimTime,
+        _pop: &mut NodePopulation,
+        _ctx: &PlannerContext<'_>,
+        _now: SimTime,
     ) {
-        if !self.evacuation.is_some_and(|e| e.on_drain) {
-            return;
-        }
-        let mut draining: Vec<usize> = pop
-            .live()
-            .iter()
-            .filter(|n| n.drain_since().is_some() && !self.evacuated.contains(&n.id()))
-            .map(CacheNode::id)
-            .collect();
-        draining.sort_unstable();
-        for node in draining {
-            self.evacuate(pop, ctx, node, now, "drain");
-        }
     }
 
-    /// Moves the profitable structures of dying node `node` to survivors
-    /// at eq. 12's column-move price. Ranked best value-per-byte first;
-    /// each structure goes to the lowest-id routable survivor that can
-    /// afford the transfer and does not already hold it. A node
-    /// evacuates at most once; nodes without an economy (or already
-    /// retired) are deterministic no-ops.
-    ///
-    /// The victim deliberately *stays in rotation* after a `"warning"`
-    /// evacuation — draining it would make the elastic control plane
-    /// spawn replacements that become fodder for cascade follow-ons, so
-    /// the evacuated and written-off runs would no longer see the same
-    /// fault energy — but its **investment scan is frozen**: a build
-    /// started inside the warning window dies unamortized at the crash,
-    /// so without the freeze the victim immediately rebuilds the hot
-    /// structures it just shipped out and the rebuilt capital lands in
-    /// the write-off anyway.
-    fn evacuate(
-        &mut self,
-        pop: &mut NodePopulation,
-        ctx: &PlannerContext<'_>,
-        node: usize,
-        at: SimTime,
-        reason: &str,
-    ) {
-        if !self.evacuated.insert(node) {
-            return;
-        }
-        let Some(vidx) = pop.live().iter().position(|n| n.id() == node) else {
-            return;
-        };
-        if reason == "warning" {
-            if let Some(m) = pop.live_mut()[vidx].economy_mut() {
-                m.freeze_investment();
-                if let Some(journal) = self.journals.get_mut(&node) {
-                    journal.push(JournalEntry::Freeze);
-                }
-            }
-        }
-        let candidates = match pop.live()[vidx].economy() {
-            Some(m) => evacuation_candidates(m, ctx.estimator, at),
-            None => return,
-        };
-        let mut moves = Vec::new();
-        let mut moved_invested = Money::ZERO;
-        let mut moved_transfer = Money::ZERO;
-        for cand in candidates {
-            // Lowest-id routable survivor that can take the structure:
-            // not dying itself, economy-backed, absent the key, solvent
-            // enough to withdraw the transfer price as investment.
-            let receiver = pop
-                .live()
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| {
-                    n.id() != node
-                        && n.routable(at)
-                        && !self.doomed.contains(&n.id())
-                        && n.economy().is_some_and(|m| {
-                            !m.cache().contains(cand.key) && m.account().can_afford(cand.transfer)
-                        })
-                })
-                .min_by_key(|(_, n)| n.id());
-            let Some((ridx, _)) = receiver else { continue };
-            let to = pop.live()[ridx].id();
-            let removed = pop.live_mut()[vidx]
-                .economy_mut()
-                .and_then(|m| m.evacuate_release(cand.key, at));
-            if removed.is_none() {
-                continue;
-            }
-            let received = pop.live_mut()[ridx].economy_mut().is_some_and(|m| {
-                m.evacuate_receive(
-                    cand.key,
-                    cand.size_bytes,
-                    cand.transfer,
-                    cand.transfer_time,
-                    at,
-                    ctx.estimator,
-                )
-            });
-            debug_assert!(received, "receiver eligibility was checked before release");
-            pop.live_mut()[ridx].book_transfer(cand.transfer);
-            if let Some(journal) = self.journals.get_mut(&node) {
-                journal.push(JournalEntry::Release(at, cand.key));
-            }
-            moved_invested += cand.invested;
-            moved_transfer += cand.transfer;
-            moves.push(EvacuatedMove {
-                key: cand.key.to_string(),
-                bytes: cand.size_bytes,
-                invested: cand.invested,
-                transfer: cand.transfer,
-                to,
-            });
-        }
-        if moves.is_empty() {
-            return;
-        }
-        let salvaged = moved_invested - moved_transfer;
-        self.evacuations += 1;
-        self.structures_moved += moves.len() as u64;
-        self.salvaged += salvaged;
-        self.transfer_spend += moved_transfer;
-        self.salvage_pending
-            .insert(node, (moved_invested, moved_transfer));
-        self.records.push(FaultRecord {
-            cell: self.cell,
-            at_secs: at.as_secs(),
-            event: FaultOutcome::Evacuate(EvacuateRecord {
-                node,
-                reason: reason.to_string(),
-                structures_moved: moves.len() as u64,
-                salvaged,
-                transfer_spend: moved_transfer,
-                moves,
-            }),
-        });
-    }
-
-    /// Crashes node `node` at `at`: settle, write off (net of salvage),
-    /// re-queue, and schedule cascade follow-ons. A node the control
+    /// Crashes node `node` at `at`: settle, write off, re-queue, and
+    /// schedule cascade follow-ons. A node the control
     /// plane already retired is a deterministic no-op.
     fn crash(
         &mut self,
@@ -1166,7 +947,6 @@ impl FaultInjector {
             // Already drained and retired by the elastic control plane —
             // nothing left to crash (and nothing to recover later).
             self.journals.remove(&node);
-            self.salvage_pending.remove(&node);
             return;
         };
         let live = &pop.live()[idx];
@@ -1185,15 +965,8 @@ impl FaultInjector {
 
         let (id, run) = pop.crash(idx, rates, at);
         debug_assert_eq!(id, node);
-        // Evacuation already moved part of the invested capital to
-        // survivors; only the residual is lost. The identity
-        // `write_off + salvaged + transfer_spend == build_spend` (the
-        // pre-fault invested capital) holds exactly, in nanodollars.
-        let (moved_invested, moved_transfer) = self
-            .salvage_pending
-            .remove(&node)
-            .unwrap_or((Money::ZERO, Money::ZERO));
-        let write_off = run.build_spend - moved_invested;
+        // The whole invested capital is lost: `write_off == build_spend`.
+        let write_off = run.build_spend;
         if recover_planned {
             self.snapshots.insert(
                 node,
@@ -1216,8 +989,6 @@ impl FaultInjector {
             profit: run.profit,
             operating: run.operating.total(),
             write_off,
-            salvaged: moved_invested - moved_transfer,
-            transfer_spend: moved_transfer,
             cascade_depth: depth,
             disk_bytes: run.final_disk_bytes,
             requeued_secs: 0.0,
@@ -1261,7 +1032,7 @@ impl FaultInjector {
     /// RNG is consumed once per eligible survivor, so the cascade is a
     /// pure function of the config; at least one non-doomed node is
     /// always left standing, and cascade crashes get no recovery (nobody
-    /// planned for them) and no warning window (nobody saw them coming).
+    /// planned for them).
     fn schedule_cascade(&mut self, pop: &NodePopulation, at: SimTime, depth: u32) {
         let Some(cascade) = self.cascade else { return };
         if depth >= cascade.max_depth {
@@ -1330,33 +1101,13 @@ impl FaultInjector {
         let mut payments = Money::ZERO;
         let mut profit = Money::ZERO;
         let mut cache_hits = 0u64;
-        let mut replayed = 0u64;
-        for entry in &journal {
-            match entry {
-                JournalEntry::Serve(t, q) => {
-                    let o = policy.process_query(ctx, q, *t);
-                    payments += o.payment;
-                    profit += o.profit;
-                    cache_hits += u64::from(o.ran_in_cache);
-                    replayed += 1;
-                }
-                // Evacuation releases replay through the same method the
-                // live node used, so the replayed cache and regret ledger
-                // land exactly where the snapshot left them.
-                JournalEntry::Release(t, key) => {
-                    if let Some(m) = policy.economy_mut() {
-                        let _ = m.evacuate_release(*key, *t);
-                    }
-                }
-                // The live node stopped investing here; so must the
-                // replay, or it builds what the crashed node never did.
-                JournalEntry::Freeze => {
-                    if let Some(m) = policy.economy_mut() {
-                        m.freeze_investment();
-                    }
-                }
-            }
+        for (t, q) in &journal {
+            let o = policy.process_query(ctx, q, *t);
+            payments += o.payment;
+            profit += o.profit;
+            cache_hits += u64::from(o.ran_in_cache);
         }
+        let replayed = journal.len() as u64;
         let (balance, regret) = policy
             .economy()
             .map(|m| (m.account().balance(), m.regret().total()))
@@ -1373,11 +1124,6 @@ impl FaultInjector {
         // The replayed span's disk rent was settled when the crashed
         // node's books closed; the replacement pays rent from here on.
         policy.rebase_occupancy(at);
-        // The freeze guarded the doomed machine only: with reconciliation
-        // done, the replacement is a healthy node and invests again.
-        if let Some(m) = policy.economy_mut() {
-            m.thaw_investment();
-        }
 
         let (boot_cost, boot_time) = ctx.estimator.build_node();
         let replacement = pop.next_id();
@@ -1410,8 +1156,8 @@ impl FaultInjector {
         &self.records
     }
 
-    /// Capital written off so far, net of salvage (the health plane's
-    /// vitals snapshots sample this mid-run).
+    /// Capital written off so far (the health plane's vitals snapshots
+    /// sample this mid-run).
     #[must_use]
     pub fn write_off_so_far(&self) -> Money {
         self.write_off
@@ -1427,14 +1173,11 @@ impl FaultInjector {
             timeouts: self.timeouts,
             write_off: self.write_off,
             requeued_secs: self.requeued_secs,
-            evacuations: self.evacuations,
-            structures_moved: self.structures_moved,
-            salvaged: self.salvaged,
-            transfer_spend: self.transfer_spend,
             retries: self.retries,
             cascade_crashes: self.cascade_crashes,
             max_cascade_depth: self.max_cascade_depth,
             records: self.records,
+            ..FaultSummary::default()
         }
     }
 }
@@ -1603,8 +1346,6 @@ mod tests {
                 profit: Money::from_dollars(0.1),
                 operating: Money::from_dollars(0.5),
                 write_off: Money::from_dollars(0.2),
-                salvaged: Money::from_dollars(0.05),
-                transfer_spend: Money::from_dollars(0.01),
                 cascade_depth: 1,
                 disk_bytes: 1024,
                 requeued_secs: 0.5,
@@ -1619,14 +1360,11 @@ mod tests {
             timeouts: 2,
             write_off: Money::from_dollars(0.2),
             requeued_secs: 0.5,
-            evacuations: 1,
-            structures_moved: 3,
-            salvaged: Money::from_dollars(0.05),
-            transfer_spend: Money::from_dollars(0.01),
             retries: 4,
             cascade_crashes: 1,
             max_cascade_depth: 1,
             records: vec![record(0)],
+            ..FaultSummary::default()
         };
         let b = FaultSummary {
             crashes: 1,
@@ -1635,14 +1373,11 @@ mod tests {
             timeouts: 0,
             write_off: Money::from_dollars(0.3),
             requeued_secs: 0.25,
-            evacuations: 2,
-            structures_moved: 1,
-            salvaged: Money::from_dollars(0.02),
-            transfer_spend: Money::from_dollars(0.005),
             retries: 1,
             cascade_crashes: 2,
             max_cascade_depth: 2,
             records: vec![record(1)],
+            ..FaultSummary::default()
         };
         a.merge(&b);
         assert_eq!(a.crashes, 2);
@@ -1651,10 +1386,6 @@ mod tests {
         assert_eq!(a.timeouts, 2);
         assert_eq!(a.write_off, Money::from_dollars(0.5));
         assert!((a.requeued_secs - 0.75).abs() < 1e-12);
-        assert_eq!(a.evacuations, 3);
-        assert_eq!(a.structures_moved, 4);
-        assert_eq!(a.salvaged, Money::from_dollars(0.07));
-        assert_eq!(a.transfer_spend, Money::from_dollars(0.015));
         assert_eq!(a.retries, 5);
         assert_eq!(a.cascade_crashes, 3);
         assert_eq!(a.max_cascade_depth, 2, "depth merges via max, not sum");
@@ -1671,10 +1402,6 @@ mod tests {
             timeouts: 3,
             write_off: Money::from_dollars(0.125),
             requeued_secs: 1.5,
-            evacuations: 1,
-            structures_moved: 2,
-            salvaged: Money::from_dollars(0.04),
-            transfer_spend: Money::from_dollars(0.002),
             retries: 6,
             cascade_crashes: 1,
             max_cascade_depth: 1,
@@ -1682,19 +1409,19 @@ mod tests {
                 FaultRecord {
                     cell: 2,
                     at_secs: 28.0,
-                    event: FaultOutcome::Evacuate(EvacuateRecord {
+                    event: FaultOutcome::Crash(CrashRecord {
                         node: 1,
-                        reason: "warning".into(),
-                        structures_moved: 2,
-                        salvaged: Money::from_dollars(0.04),
-                        transfer_spend: Money::from_dollars(0.002),
-                        moves: vec![EvacuatedMove {
-                            key: "column:3".into(),
-                            bytes: 4096,
-                            invested: Money::from_dollars(0.03),
-                            transfer: Money::from_dollars(0.001),
-                            to: 0,
-                        }],
+                        phase: CrashPhase::MidDrain,
+                        queries: 17,
+                        payments: Money::from_dollars(0.5),
+                        profit: Money::from_dollars(0.04),
+                        operating: Money::from_dollars(0.3),
+                        write_off: Money::from_dollars(0.125),
+                        cascade_depth: 1,
+                        disk_bytes: 4096,
+                        requeued_secs: 1.5,
+                        requeued_to: Some(0),
+                        recover_planned: true,
                     }),
                 },
                 FaultRecord {
@@ -1710,6 +1437,7 @@ mod tests {
                     }),
                 },
             ],
+            ..FaultSummary::default()
         };
         let json = serde_json::to_string(&summary).unwrap();
         let back: FaultSummary = serde_json::from_str(&json).unwrap();
@@ -1717,15 +1445,14 @@ mod tests {
     }
 
     #[test]
-    fn old_summaries_without_salvage_fields_still_deserialize() {
-        // A PR-7-era summary predates the evacuation/cascade fields;
-        // serde defaults must fill them so committed benches stay
-        // readable.
+    fn old_summaries_without_retry_or_cascade_fields_still_deserialize() {
+        // A summary written before the retry and cascade fields existed;
+        // serde defaults must fill them so saved summaries stay readable.
         let json = r#"{"crashes":1,"recoveries":0,"reconciled":0,"timeouts":0,
             "write_off":250,"requeued_secs":0.5,"records":[]}"#;
         let back: FaultSummary = serde_json::from_str(json).unwrap();
-        assert_eq!(back.salvaged, Money::ZERO);
         assert_eq!(back.retries, 0);
+        assert_eq!(back.cascade_crashes, 0);
         assert_eq!(back.max_cascade_depth, 0);
     }
 
@@ -1777,43 +1504,15 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("cascade.max_depth"), "{err}");
 
-        let err = plan().with_evacuation(-1.0, true).validate(3).unwrap_err();
-        assert!(err.contains("evacuation.warning_secs"), "{err}");
-
         let err = plan().with_retry(0, 1.0, 2.0, 0.5).validate(3).unwrap_err();
         assert!(err.contains("retry.max_attempts"), "{err}");
 
         assert!(plan()
             .with_group(vec![0, 1], 10.0)
             .with_cascade(0.5, 0.5, 30.0, 2)
-            .with_evacuation(5.0, true)
             .with_retry(3, 1.0, 2.0, 0.5)
             .validate(3)
             .is_ok());
-    }
-
-    #[test]
-    fn warning_events_compile_before_their_crashes() {
-        let p = plan()
-            .with_crash(0, 40.0)
-            .with_group(vec![1], 8.0)
-            .with_evacuation(10.0, false);
-        let schema =
-            std::sync::Arc::new(catalog::tpch::tpch_schema(catalog::tpch::ScaleFactor(1.0)));
-        let specs = vec![
-            NodeSpec::new(simulator::Scheme::EconCheap),
-            NodeSpec::new(simulator::Scheme::EconCheap),
-            NodeSpec::new(simulator::Scheme::EconCheap),
-        ];
-        let inj = FaultInjector::new(&p, &specs, econ::EconConfig::default(), schema, 0, 7);
-        let order: Vec<(f64, u8, usize)> =
-            inj.events.iter().map(|e| (e.at, e.rank, e.node)).collect();
-        // Node 1's warning clamps to half its crash instant (8 − 10 < 4);
-        // node 0 warns the full 10 s ahead.
-        assert_eq!(
-            order,
-            vec![(4.0, 0, 1), (8.0, 1, 1), (30.0, 0, 0), (40.0, 1, 0)]
-        );
     }
 
     #[test]
@@ -1834,7 +1533,7 @@ mod tests {
             inj.events.iter().map(|e| (e.at, e.rank, e.node)).collect();
         assert_eq!(
             order,
-            vec![(10.0, 1, 0), (10.0, 1, 1), (15.0, 1, 2), (15.0, 2, 1)]
+            vec![(10.0, 0, 0), (10.0, 0, 1), (15.0, 0, 2), (15.0, 1, 1)]
         );
         assert_eq!(inj.next_due(SimTime::from_secs(9.0)), None);
         assert_eq!(

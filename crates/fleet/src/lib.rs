@@ -48,11 +48,11 @@
 
 pub mod config;
 pub mod elastic;
-pub mod evacuate;
 pub mod exec;
 pub mod faults;
 pub mod node;
 pub mod result;
+pub mod retry;
 pub mod router;
 pub mod slo;
 pub mod tenant;
@@ -62,10 +62,6 @@ pub use elastic::{
     ElasticAction, ElasticConfig, ElasticController, ElasticSummary, LedgerEntry, NodePopulation,
     PressureSignals,
 };
-pub use evacuate::{
-    evacuation_candidates, EvacuateRecord, EvacuateSpec, EvacuatedMove, EvacuationCandidate,
-    RetryPolicy,
-};
 pub use exec::{effective_quote_threads, run_fleet, Cell, FleetSim, FleetTrace, Route};
 pub use faults::{
     CascadeSpec, CrashPhase, CrashRecord, CrashSpec, DegradeSpec, FaultGroup, FaultInjector,
@@ -73,6 +69,7 @@ pub use faults::{
 };
 pub use node::{CacheNode, NodeSpec};
 pub use result::{FleetResult, NodeStats, TenantStats};
+pub use retry::RetryPolicy;
 pub use router::{
     CheapestQuote, LeastOutstanding, QuoteOptions, QuoteRounds, RoundRobin, Router, RouterKind,
 };

@@ -255,21 +255,6 @@ impl CacheNode {
         self.policy.economy()
     }
 
-    /// Mutable access to the node's economy manager — the evacuation
-    /// path settles structure transfers directly against it. `None` for
-    /// non-economic schemes.
-    pub fn economy_mut(&mut self) -> Option<&mut econ::EconomyManager> {
-        self.policy.economy_mut()
-    }
-
-    /// Books the eq. 12 wire cost of a received evacuated structure as
-    /// this node's build spend — the transfer is investment capital
-    /// exactly like a from-scratch build, so crash write-offs and the
-    /// fleet's build-spend aggregate both see it.
-    pub fn book_transfer(&mut self, cost: Money) {
-        self.acc.book_build(cost);
-    }
-
     /// Cache disk this node currently occupies (bytes).
     #[must_use]
     pub fn disk_used(&self) -> u64 {

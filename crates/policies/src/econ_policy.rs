@@ -125,10 +125,6 @@ impl CachePolicy for EconPolicy {
         Some(&self.manager)
     }
 
-    fn economy_mut(&mut self) -> Option<&mut EconomyManager> {
-        Some(&mut self.manager)
-    }
-
     fn disk_used(&self) -> u64 {
         self.manager.cache().disk_used()
     }

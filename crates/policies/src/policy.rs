@@ -95,15 +95,6 @@ pub trait CachePolicy {
         None
     }
 
-    /// Mutable access to the same economy manager [`Self::economy`]
-    /// exposes — the capital-preserving evacuation path settles structure
-    /// transfers (release on the victim, priced receive on the survivor)
-    /// directly against the manager. `None` exactly when
-    /// [`Self::economy`] is `None`.
-    fn economy_mut(&mut self) -> Option<&mut econ::EconomyManager> {
-        None
-    }
-
     /// Cache disk currently occupied (bytes).
     fn disk_used(&self) -> u64;
 

@@ -161,17 +161,8 @@ pub struct NodeCrashEvent {
     pub profit: Money,
     /// Operating cost settled at the crash instant (eq. 11 + eq. 13).
     pub operating: Money,
-    /// Invested build capital written off (structures + boot), net of
-    /// any capital evacuation moved to survivors first.
+    /// Invested build capital written off (structures + boot).
     pub write_off: Money,
-    /// Capital evacuation preserved before this crash (moved invested
-    /// capital minus transfer spend). Defaults to zero so traces recorded
-    /// before evacuation existed still replay.
-    #[serde(default)]
-    pub salvaged: Money,
-    /// Eq. 12 wire cost receivers paid for the evacuated structures.
-    #[serde(default)]
-    pub transfer_spend: Money,
     /// Cascade generation (0 for planned crashes).
     #[serde(default)]
     pub cascade_depth: u32,
@@ -207,30 +198,6 @@ pub struct NodeRecoverEvent {
     pub replayed_queries: u64,
     /// True when the replayed balances reconciled with zero drift.
     pub reconciled: bool,
-}
-
-/// One capital-preserving evacuation: a dying node's profitable
-/// structures migrated to survivors at eq. 12's column-move price,
-/// settled through the economy (the receivers invested the transfer
-/// cost; the victim's eventual write-off shrinks by the moved capital).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NodeEvacuateEvent {
-    /// Fleet cell the evacuation fired in.
-    pub cell: usize,
-    /// Simulated evacuation instant, seconds.
-    pub at_secs: f64,
-    /// The evacuated node's id.
-    pub node: usize,
-    /// Why it fired: `warning` (planned-crash window) or `drain`.
-    pub reason: String,
-    /// Structures migrated to survivors.
-    pub structures_moved: u64,
-    /// Capital preserved (moved invested capital minus transfer spend).
-    pub salvaged: Money,
-    /// Total eq. 12 wire cost the receivers paid.
-    pub transfer_spend: Money,
-    /// Receiving node ids, ascending, deduplicated.
-    pub receivers: Vec<usize>,
 }
 
 /// One deadline-budgeted retry: a query routed at a degraded winner
@@ -277,8 +244,6 @@ pub enum TraceEvent {
     NodeCrash(NodeCrashEvent),
     /// A crashed node was reconstructed by ledger replay.
     NodeRecover(NodeRecoverEvent),
-    /// A dying node's structures migrated to survivors.
-    NodeEvacuate(NodeEvacuateEvent),
     /// A query retried away from a degraded winner.
     QueryRetry(QueryRetryEvent),
 }
@@ -293,7 +258,6 @@ impl TraceEvent {
             TraceEvent::NodeLifecycle(e) => e.cell,
             TraceEvent::NodeCrash(e) => e.cell,
             TraceEvent::NodeRecover(e) => e.cell,
-            TraceEvent::NodeEvacuate(e) => e.cell,
             TraceEvent::QueryRetry(e) => e.cell,
         }
     }
@@ -307,7 +271,6 @@ impl TraceEvent {
             TraceEvent::NodeLifecycle(e) => e.at_secs,
             TraceEvent::NodeCrash(e) => e.at_secs,
             TraceEvent::NodeRecover(e) => e.at_secs,
-            TraceEvent::NodeEvacuate(e) => e.at_secs,
             TraceEvent::QueryRetry(e) => e.at_secs,
         }
     }
@@ -350,18 +313,6 @@ mod tests {
         });
         assert_eq!(l.cell(), 1);
         assert_eq!(LifecyclePhase::Retire.label(), "retire");
-        let e = TraceEvent::NodeEvacuate(NodeEvacuateEvent {
-            cell: 2,
-            at_secs: 4.5,
-            node: 1,
-            reason: "warning".into(),
-            structures_moved: 2,
-            salvaged: Money::from_dollars(0.04),
-            transfer_spend: Money::from_dollars(0.002),
-            receivers: vec![0, 3],
-        });
-        assert_eq!(e.cell(), 2);
-        assert!((e.at_secs() - 4.5).abs() < 1e-12);
         let r = TraceEvent::QueryRetry(QueryRetryEvent {
             cell: 0,
             at_secs: 7.0,
@@ -379,13 +330,12 @@ mod tests {
     }
 
     #[test]
-    fn crash_events_without_salvage_fields_still_deserialize() {
+    fn crash_events_without_cascade_depth_still_deserialize() {
         let json = r#"{"cell":0,"at_secs":10.0,"node":1,"phase":"active",
             "queries":5,"payments":100,"profit":10,"operating":50,
             "write_off":25,"disk_bytes":1024,"requeued_secs":0.5,
             "requeued_to":2,"recover_planned":false}"#;
         let back: NodeCrashEvent = serde_json::from_str(json).unwrap();
-        assert_eq!(back.salvaged, Money::ZERO);
         assert_eq!(back.cascade_depth, 0);
     }
 }

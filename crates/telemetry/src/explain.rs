@@ -65,19 +65,10 @@ pub struct BlameRow {
     /// Invested capital written off by injected crashes (the fault
     /// plane's ledgered loss; zero in fault-free traces).
     pub write_off: Money,
-    /// Invested capital rescued by evacuation ahead of the crash —
-    /// structures migrated to survivors instead of being abandoned
-    /// (zero in traces without evacuation).
-    #[serde(default)]
-    pub salvaged: Money,
 }
 
 impl BlameRow {
     /// Total cloud-side spend attributed to the group.
-    ///
-    /// Salvaged capital is *not* a cost — it is invested capital that
-    /// kept working on a survivor — so it does not join the sum; it is
-    /// reported alongside the write-off it offsets.
     #[must_use]
     pub fn total_cost(&self) -> Money {
         self.exec.total() + self.build_spend + self.write_off
@@ -118,33 +109,12 @@ pub fn blame(events: &[TraceEvent], key: BlameKey) -> Vec<(String, BlameRow)> {
         if let TraceEvent::NodeCrash(c) = event {
             match key {
                 BlameKey::Node => {
-                    let row = map.entry(format!("node#{}", c.node)).or_default();
-                    row.write_off += c.write_off;
-                    row.salvaged += c.salvaged;
+                    map.entry(format!("node#{}", c.node)).or_default().write_off += c.write_off;
                 }
                 BlameKey::Resource => {
                     map.entry("write-off".to_string()).or_default().write_off += c.write_off;
-                    if !c.salvaged.is_zero() {
-                        map.entry("salvaged".to_string()).or_default().salvaged += c.salvaged;
-                    }
                 }
                 _ => {}
-            }
-            continue;
-        }
-        if let TraceEvent::NodeEvacuate(ev) = event {
-            // Drain-time evacuations never reach a crash event; fold
-            // their salvage here so the rollup covers both paths.
-            if ev.reason != "warning" {
-                match key {
-                    BlameKey::Node => {
-                        map.entry(format!("node#{}", ev.node)).or_default().salvaged += ev.salvaged;
-                    }
-                    BlameKey::Resource if !ev.salvaged.is_zero() => {
-                        map.entry("salvaged".to_string()).or_default().salvaged += ev.salvaged;
-                    }
-                    _ => {}
-                }
             }
             continue;
         }
@@ -336,26 +306,17 @@ pub fn explain_crash(events: &[TraceEvent], node: usize) -> Option<String> {
          (eq. 11 uptime + eq. 13 disk rent, integrated to t={:.1}s)",
         crash.operating, crash.at_secs
     );
-    let invested = crash.write_off + crash.salvaged + crash.transfer_spend;
     let _ = writeln!(
         out,
-        "  capital: {invested} invested (boot + structure builds) vs {} recovered \
+        "  capital: {} invested (boot + structure builds) vs {} recovered \
          in payments over {} queries ({} profit)",
-        crash.payments, crash.queries, crash.profit
+        crash.write_off, crash.payments, crash.queries, crash.profit
     );
     if crash.cascade_depth > 0 {
         let _ = writeln!(
             out,
             "  cascade follow-on crash at depth {}",
             crash.cascade_depth
-        );
-    }
-    if !crash.salvaged.is_zero() || !crash.transfer_spend.is_zero() {
-        let _ = writeln!(
-            out,
-            "  salvaged by evacuation: {} migrated to survivors \
-             ({} spent on eq. 12 transfers)",
-            crash.salvaged, crash.transfer_spend
         );
     }
     let _ = writeln!(
@@ -545,8 +506,6 @@ mod tests {
             requeued_secs: 1.25,
             requeued_to,
             recover_planned: true,
-            salvaged: Money::ZERO,
-            transfer_spend: Money::ZERO,
             cascade_depth: 0,
         })
     }
@@ -606,62 +565,18 @@ mod tests {
     }
 
     #[test]
-    fn blame_reports_salvage_next_to_write_off() {
+    fn crash_narrative_reports_the_write_off_as_invested_capital_and_cascade_depth() {
         let mut c = crash(2, 0.30, None);
         if let TraceEvent::NodeCrash(ev) = &mut c {
-            ev.salvaged = Money::from_dollars(0.45);
-            ev.transfer_spend = Money::from_dollars(0.05);
-        }
-        // A drain-time evacuation on another node, never crashed.
-        let drain = TraceEvent::NodeEvacuate(crate::event::NodeEvacuateEvent {
-            cell: 0,
-            at_secs: 35.0,
-            node: 4,
-            reason: "drain".into(),
-            structures_moved: 2,
-            salvaged: Money::from_dollars(0.20),
-            transfer_spend: Money::from_dollars(0.02),
-            receivers: vec![0],
-        });
-        // A warning-time evacuation: its salvage is already folded into
-        // node 2's crash event, so the rollup must not double-count it.
-        let warning = TraceEvent::NodeEvacuate(crate::event::NodeEvacuateEvent {
-            cell: 0,
-            at_secs: 38.0,
-            node: 2,
-            reason: "warning".into(),
-            structures_moved: 3,
-            salvaged: Money::from_dollars(0.45),
-            transfer_spend: Money::from_dollars(0.05),
-            receivers: vec![0],
-        });
-        let events = vec![warning, c, drain];
-        let node_rows = blame(&events, BlameKey::Node);
-        let n2 = node_rows.iter().find(|(n, _)| n == "node#2").unwrap();
-        assert_eq!(n2.1.salvaged, Money::from_dollars(0.45));
-        assert_eq!(n2.1.write_off, Money::from_dollars(0.30));
-        let n4 = node_rows.iter().find(|(n, _)| n == "node#4").unwrap();
-        assert_eq!(n4.1.salvaged, Money::from_dollars(0.20));
-        let res_rows = blame(&events, BlameKey::Resource);
-        let sv = res_rows.iter().find(|(n, _)| n == "salvaged").unwrap();
-        assert_eq!(sv.1.salvaged, Money::from_dollars(0.65));
-        // Salvage never inflates cost: it offsets write-off, it is not
-        // itself a spend.
-        assert!(sv.1.total_cost().is_zero());
-    }
-
-    #[test]
-    fn crash_narrative_reports_salvage_and_cascade_depth() {
-        let mut c = crash(2, 0.30, None);
-        if let TraceEvent::NodeCrash(ev) = &mut c {
-            ev.salvaged = Money::from_dollars(0.45);
-            ev.transfer_spend = Money::from_dollars(0.05);
             ev.cascade_depth = 2;
         }
         let text = explain_crash(&[c], 2).unwrap();
-        assert!(text.contains("salvaged by evacuation"));
         assert!(text.contains("cascade follow-on crash at depth 2"));
-        // Invested = write_off + salvaged + transfer_spend = $0.80.
-        assert!(text.contains("$0.8000 invested"), "{text}");
+        // A crash writes off the whole invested capital.
+        assert!(text.contains("$0.3000 invested"), "{text}");
+        assert!(
+            text.contains("written off as ledgered loss: $0.3000"),
+            "{text}"
+        );
     }
 }

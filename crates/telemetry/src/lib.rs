@@ -38,8 +38,8 @@ pub mod registry;
 pub mod sink;
 
 pub use event::{
-    LifecyclePhase, NodeCrashEvent, NodeEvacuateEvent, NodeLifecycleEvent, NodeRecoverEvent,
-    QueryRetryEvent, QuoteRoundEvent, SettlementEvent, TraceEvent,
+    LifecyclePhase, NodeCrashEvent, NodeLifecycleEvent, NodeRecoverEvent, QueryRetryEvent,
+    QuoteRoundEvent, SettlementEvent, TraceEvent,
 };
 pub use explain::{
     blame, explain_crash, explain_retirement, node_timeline, structure_payers, BlameKey, BlameRow,

@@ -22,10 +22,11 @@
 
 use std::sync::{Arc, OnceLock};
 
-use cloudcache::cache::StructureKey;
 use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
 use cloudcache::catalog::Schema;
-use cloudcache::econ::{BudgetShape, EconConfig, EconomyManager, InvestmentRule};
+use cloudcache::econ::{
+    AmortizationPolicy, BudgetShape, EconConfig, EconomyManager, InvestmentRule,
+};
 use cloudcache::fleet::{CacheNode, CheapestQuote, NodeSpec, QuoteRounds, Router};
 use cloudcache::planner::{
     generate_candidates, CandidateIndex, CostParams, Estimator, ExecRows, PlannerContext,
@@ -234,21 +235,34 @@ fn free_cache_rows_past_the_deadline_leave_the_bid_to_the_round() {
             "query {i}: a free row runs past the deadline"
         );
 
-        // Cache the query's columns for free: the column-scan plan now
-        // exists, costs nothing and runs past the deadline.
-        let mut warm = EconomyManager::new(config.clone());
-        for column in query.all_columns() {
-            let key = StructureKey::Column(column);
-            let size = h.schema.column_bytes(column);
-            assert!(warm.evacuate_receive(
-                key,
-                size,
-                Money::ZERO,
-                SimDuration::ZERO,
-                SimTime::ZERO,
-                &h.estimator
-            ));
+        // Let a column-only economy buy the query's columns through the
+        // serve path: a copy whose budget cannot afford the backend
+        // regrets every cheaper plan whatever its time (case A), a zero
+        // regret floor invests at once, and an endless amortization
+        // horizon makes each installment round to nothing. An hour
+        // later every transfer has landed: the column-scan plan exists,
+        // costs nothing and runs past the deadline.
+        let mut warm = EconomyManager::new(EconConfig {
+            amortization: AmortizationPolicy::Fixed(1 << 60),
+            allow_indexes: false,
+            allow_extra_nodes: false,
+            initial_credit: Money::from_dollars(1.0),
+            investment: InvestmentRule {
+                regret_fraction: 1e-9,
+                min_regret: Money::ZERO,
+                ..config.investment
+            },
+            ..config.clone()
+        });
+        let poor = Query {
+            budget_scale: 0.5,
+            ..query.clone()
+        };
+        for k in 0..2 {
+            let _ = warm.process_query(&ctx, &poor, SimTime::from_secs(f64::from(k)));
         }
+        assert!(warm.cache().iter().count() > 0, "query {i}: columns bought");
+        let now = SimTime::from_secs(3600.0);
         assert_eq!(warm.budget_decided_bid(query, || &rows), None);
         let quote = warm.quote_query(&ctx, query, now);
         assert_eq!(

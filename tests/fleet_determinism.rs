@@ -142,20 +142,19 @@ fn oversubscribed_shards_are_harmless() {
 /// (`EconomyManager::quote_query`, which fills that manager's own
 /// execution rows), the router routes over the arrival's shared rows,
 /// and its winner and winning bid must be the first minimal own quote.
-/// Node `i` starts with every column of the stream except those at
-/// positions `j` with `j % 8 == i`, so a query's bids differ between
-/// the nodes that hold all its columns and those that miss one, and tie
-/// within each group. The winner serves over the same rows, and node 0
-/// starts draining halfway, so later rounds skip an unroutable node.
+/// Before the rounds, node `i` serves its own disjoint slice of a warm-up
+/// stream through the public serve path, so each node builds its own
+/// cache and a query's bids differ between nodes. The winner serves over
+/// the same rows, and node 0 starts draining halfway, so later rounds
+/// skip an unroutable node.
 #[test]
 fn shared_rows_winner_is_the_first_minimum_of_own_quotes() {
-    use cloudcache::cache::StructureKey;
     use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
     use cloudcache::planner::{
         generate_candidates, CandidateIndex, CostParams, Estimator, ExecRows, PlannerContext,
     };
     use cloudcache::pricing::{Money, PriceCatalog};
-    use cloudcache::simcore::{NetworkModel, SimDuration, SimTime};
+    use cloudcache::simcore::{NetworkModel, SimTime};
     use cloudcache::simulator::Scheme;
     use cloudcache::workload::{paper_templates, Query, WorkloadConfig, WorkloadGenerator};
     use std::sync::Arc;
@@ -176,11 +175,14 @@ fn shared_rows_winner_is_the_first_minimum_of_own_quotes() {
         estimator: &estimator,
     };
     // Convex budgets: a step budget would decide every bid before the
-    // round, and no round would run in full.
+    // round, and no round would run in full. A dollar of credit and a
+    // small regret fraction let each node fund, within its 30 warm-up
+    // queries, the builds they regret.
     let econ = cloudcache::econ::EconConfig {
-        initial_credit: Money::from_dollars(0.02),
+        initial_credit: Money::from_dollars(1.0),
         investment: cloudcache::econ::InvestmentRule {
             min_regret: Money::from_dollars(1e-5),
+            regret_fraction: 1e-4,
             ..cloudcache::econ::InvestmentRule::default()
         },
         budget_shape: BudgetShape::Convex,
@@ -190,31 +192,29 @@ fn shared_rows_winner_is_the_first_minimum_of_own_quotes() {
         WorkloadGenerator::new(Arc::clone(&schema), WorkloadConfig::default(), 77)
             .take(60)
             .collect();
-    let mut columns = Vec::new();
-    for c in queries.iter().flat_map(Query::all_columns) {
-        if !columns.contains(&c) {
-            columns.push(c);
-        }
-    }
     let mut nodes: Vec<CacheNode> = (0..8)
         .map(|i| CacheNode::new(i, &NodeSpec::new(Scheme::EconCheap), &schema, &econ))
         .collect();
-    for (i, node) in nodes.iter_mut().enumerate() {
-        let manager = node.economy_mut().expect("econ-cheap nodes are economic");
-        for (j, &c) in columns.iter().enumerate() {
-            if j % 8 != i {
-                let key = StructureKey::Column(c);
-                let size = schema.column_bytes(c);
-                let (cost, time) = (Money::ZERO, SimDuration::ZERO);
-                assert!(manager.evacuate_receive(key, size, cost, time, SimTime::ZERO, &estimator));
-            }
-        }
+    // Warm-up: arrival `k` of a second stream, at `k` seconds, goes to
+    // node `k % 8` alone, 30 per node. The measured rounds begin ten
+    // minutes after the last, once every build's transfer has landed.
+    const WARM: usize = 30;
+    let warm: Vec<Query> =
+        WorkloadGenerator::new(Arc::clone(&schema), WorkloadConfig::default(), 91)
+            .take(8 * WARM)
+            .collect();
+    for (k, query) in warm.iter().enumerate() {
+        let (node, now) = (&mut nodes[k % 8], SimTime::from_secs(k as f64));
+        node.accrue(now);
+        let rows = ExecRows::build(&ctx, query);
+        let _ = node.serve_with(&ctx, query, &rows, now, 0.0);
     }
+    let start = (8 * WARM) as f64 + 600.0;
 
     let mut router = CheapestQuote::default();
     let (mut winners, mut contested) = (Vec::new(), 0);
     for (round, query) in queries.iter().enumerate() {
-        let now = SimTime::from_secs((round + 1) as f64);
+        let now = SimTime::from_secs(start + (round + 1) as f64);
         if round == 30 {
             nodes[0].begin_drain(now);
         }
@@ -321,7 +321,6 @@ fn phase_fixtures() -> Vec<(&'static str, FleetConfig)> {
                     FaultPlan::new(40.0)
                         .with_crash_recover(0, 12.0, 6.0)
                         .with_cascade(0.5, 0.5, 2.0, 2)
-                        .with_evacuation(4.0, false)
                         .with_retry(3, 0.05, 2.0, 0.5)
                         .with_degrade(2, 5.0, 30.0, 8.0)
                         .with_timeout(0.05),

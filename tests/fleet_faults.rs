@@ -14,8 +14,9 @@
 //!    elastic control plane's population-floor rule respawns at the next
 //!    review, never waiting out a drain grace the dead node can't serve.
 //! 5. **Economy** — through a crash the elastic fleet costs less than
-//!    the static one, and warned evacuation beats the pure write-off on
-//!    ledgered and loss-adjusted cost.
+//!    the static one, and a crash writes off exactly the crashed node's
+//!    invested capital (proptest, to the nanodollar, with and without
+//!    recovery).
 //! 6. **Drift alarms** — the e-process detector stays silent on healthy
 //!    fleets and fires on a degraded node.
 
@@ -162,96 +163,64 @@ proptest! {
         }
     }
 
-    /// Capital conservation under evacuation — for random crash instants,
-    /// warning windows and fault groups, every crashed node's ledger
-    /// reconstructs its invested build capital *exactly* in nanodollars:
-    /// `write_off + salvaged + transfer_spend == build_spend`, summed
-    /// over cells, with zero drift.
+    /// Capital conservation — for random crash instants, victims and
+    /// fault groups, with and without a replay-recovery, every crash
+    /// writes off exactly the crashed node's invested build capital, in
+    /// nanodollars: `write_off == build_spend`, summed over cells. The
+    /// summary's write-off is the sum of the per-crash write-offs.
     #[test]
-    fn evacuation_conserves_invested_capital_exactly(
+    fn crash_writes_off_exactly_the_invested_capital(
         seed in 0u64..1_000,
         victim in 0usize..3,
         crash_at_halves in 30u32..70, // t in [15, 35): cache is warm
-        warn_halves in 2u32..20,      // warning window in [1, 10)
         grouped in prop::bool::ANY,
+        recover in prop::bool::ANY,
     ) {
         let crash_at = f64::from(crash_at_halves) * 0.5;
-        let warning = f64::from(warn_halves) * 0.5;
-        let mut plan = FaultPlan::new(HORIZON).with_evacuation(warning, false);
-        plan = if grouped {
-            plan.with_group(vec![victim, (victim + 1) % 3], crash_at)
+        let recover_after = recover.then_some(2.0); // back by t = 37 < horizon
+        let mut plan = FaultPlan::new(HORIZON);
+        if grouped {
+            plan = plan.with_group(vec![victim, (victim + 1) % 3], crash_at);
+            plan.groups[0].recover_after_secs = recover_after;
+        } else if let Some(after) = recover_after {
+            plan = plan.with_crash_recover(victim, crash_at, after);
         } else {
-            plan.with_crash(victim, crash_at)
-        };
+            plan = plan.with_crash(victim, crash_at);
+        }
         let result = run_fleet(faulted_base(seed).with_faults(plan));
         let faults = result.faults.as_ref().expect("fault summary present");
         prop_assert_eq!(faults.crashes, if grouped { 8 } else { 4 });
+        prop_assert_eq!(faults.reconciled, faults.recoveries);
 
-        // Fold each crashed node's ledger: loss + salvage + wire cost.
-        let mut reconstructed: BTreeMap<usize, Money> = BTreeMap::new();
-        let mut crash_salvaged = Money::ZERO;
-        let mut crash_transfer = Money::ZERO;
+        // Fold each crashed node's write-offs over the cells.
+        let mut written_off: BTreeMap<usize, Money> = BTreeMap::new();
+        let mut crash_total = Money::ZERO;
         for record in &faults.records {
             if let FaultOutcome::Crash(c) = &record.event {
-                *reconstructed.entry(c.node).or_insert(Money::ZERO) +=
-                    c.write_off + c.salvaged + c.transfer_spend;
-                crash_salvaged += c.salvaged;
-                crash_transfer += c.transfer_spend;
+                *written_off.entry(c.node).or_insert(Money::ZERO) += c.write_off;
+                crash_total += c.write_off;
             }
         }
-        // The reconstruction equals the victim's folded build spending —
+        prop_assert_eq!(written_off.len(), if grouped { 2 } else { 1 });
+        // The write-off equals the crashed node's folded build spending —
         // the pre-fault invested capital — to the nanodollar.
-        for (node, invested) in &reconstructed {
+        for (node, write_off) in &written_off {
             let stats = result
                 .nodes
                 .iter()
                 .find(|n| n.node == *node)
                 .expect("crashed node keeps its stats row");
             prop_assert_eq!(
-                *invested,
+                *write_off,
                 stats.build_spend,
-                "capital drift on node {}: reconstructed {} vs invested {}",
+                "capital drift on node {}: written off {} vs invested {}",
                 node,
-                invested,
+                write_off,
                 stats.build_spend
             );
         }
-        // Every evacuated dollar lands on exactly one crash ledger:
-        // summary totals (accumulated at evacuation time) cross-foot
-        // with the per-crash attribution (accumulated at crash time).
-        prop_assert_eq!(faults.salvaged, crash_salvaged);
-        prop_assert_eq!(faults.transfer_spend, crash_transfer);
+        prop_assert_eq!(faults.write_off, crash_total);
         prop_assert_eq!(result.queries, 8 * 40, "survivors absorb the load");
-    }
-}
-
-/// A warned crash-and-recover: the warning window evacuates the victim
-/// and freezes its investment scan, then the crash and the journal
-/// replay follow. The replay must freeze at the same instant the live
-/// node did, or it invests where the crashed node did not and the books
-/// drift; once reconciled, the replacement invests again.
-#[test]
-fn warned_crash_and_recover_reconciles_with_zero_drift() {
-    for (seed, victim) in [(17u64, 0usize), (5, 1), (29, 2)] {
-        let config = faulted_base(seed).with_faults(
-            FaultPlan::new(HORIZON)
-                .with_crash_recover(victim, 25.0, 5.0)
-                .with_evacuation(10.0, false),
-        );
-        let result = run_fleet(config);
-        let faults = result.faults.as_ref().expect("fault summary present");
-        assert_eq!(faults.crashes, 4, "seed {seed}");
-        assert_eq!(faults.recoveries, 4, "seed {seed}");
-        let drifts: Vec<_> = faults
-            .records
-            .iter()
-            .filter_map(|r| match &r.event {
-                FaultOutcome::Recover(rec) if !rec.drift.is_zero() => Some(rec.drift.clone()),
-                _ => None,
-            })
-            .collect();
-        assert!(drifts.is_empty(), "seed {seed}: replay drifted: {drifts:?}");
-        assert_eq!(faults.reconciled, faults.recoveries, "seed {seed}");
     }
 }
 
@@ -471,45 +440,6 @@ fn cascade_draws_derive_only_from_the_config_seed() {
     assert_eq!(nf.crashes, 4, "p = 0 leaves only the seed crash");
 }
 
-/// Satellite: the evacuation economics beat the write-off economics.
-/// With a warning window, the doomed node's profitable structures move
-/// to survivors at eq. 12's wire price; the ledgered loss shrinks by
-/// exactly the capital that kept working.
-#[test]
-fn warning_evacuation_salvages_capital_and_shrinks_the_write_off() {
-    let base = faulted_base(17);
-    // Node 0 is the fleet's structure-heavy economy node under the
-    // uniform scheme mix — the victim with capital worth rescuing.
-    let crash_only = run_fleet(
-        base.clone()
-            .with_faults(FaultPlan::new(HORIZON).with_crash(0, 25.0)),
-    );
-    let evacuated = run_fleet(
-        base.with_faults(
-            FaultPlan::new(HORIZON)
-                .with_crash(0, 25.0)
-                .with_evacuation(10.0, false),
-        ),
-    );
-    let fo = crash_only.faults.as_ref().expect("fault summary");
-    let fe = evacuated.faults.as_ref().expect("fault summary");
-    assert!(
-        fe.salvaged.is_positive(),
-        "a warm node at t=25 holds structures worth moving (salvaged={})",
-        fe.salvaged
-    );
-    assert!(fe.evacuations > 0 && fe.structures_moved > 0);
-    assert!(
-        fe.write_off < fo.write_off,
-        "salvage must shrink the ledgered loss ({} !< {})",
-        fe.write_off,
-        fo.write_off
-    );
-    // Salvage is net of the eq. 12 wire cost the receivers paid — both
-    // sides of the move are ledgered.
-    assert!(fe.transfer_spend.is_positive());
-}
-
 /// Deadline-budgeted retry: a degraded winner past the per-query
 /// timeout triggers bounded, budget-decayed retries instead of a single
 /// blind re-route — and the response histogram records exactly one
@@ -571,7 +501,6 @@ fn faulted_mmpp_and_diurnal_runs_are_bit_identical_across_shards() {
             FaultPlan::new(HORIZON)
                 .with_crash(0, 14.0)
                 .with_cascade(0.6, 0.5, 3.0, 2)
-                .with_evacuation(6.0, true)
                 .with_retry(3, 0.05, 2.0, 0.5)
                 .with_degrade(2, 5.0, 30.0, 10.0)
                 .with_timeout(0.05),
@@ -587,15 +516,14 @@ fn faulted_mmpp_and_diurnal_runs_are_bit_identical_across_shards() {
 }
 
 /// The flight recorder stays an observer under the full graceful-
-/// degradation stack — cascade, evacuation, budgeted retry — and every
-/// new registry metric cross-foots with the merged fault summary.
+/// degradation stack — cascade and budgeted retry — and every fault
+/// registry metric cross-foots with the merged fault summary.
 #[test]
-fn traced_cascade_evacuate_retry_run_matches_untraced_and_crossfoots() {
+fn traced_cascade_retry_run_matches_untraced_and_crossfoots() {
     let config = faulted_base(5).with_faults(
         FaultPlan::new(HORIZON)
             .with_crash(0, 14.0)
             .with_cascade(1.0, 1.0, 3.0, 1)
-            .with_evacuation(6.0, true)
             .with_retry(3, 0.05, 2.0, 0.5)
             .with_degrade(2, 5.0, 30.0, 10.0)
             .with_timeout(0.05),
@@ -605,32 +533,20 @@ fn traced_cascade_evacuate_retry_run_matches_untraced_and_crossfoots() {
     assert_eq!(fault_fingerprint(&traced), fault_fingerprint(&untraced));
 
     let faults = traced.faults.as_ref().expect("fault summary");
-    assert!(faults.evacuations > 0, "warning window must trigger moves");
     assert!(faults.cascade_crashes > 0, "certain cascade must propagate");
-    assert_eq!(
-        trace.registry.counter("fault.evacuations"),
-        faults.evacuations
-    );
-    assert_eq!(
-        trace.registry.counter("fault.structures_moved"),
-        faults.structures_moved
-    );
-    assert_eq!(trace.registry.gauge("fault.salvaged"), faults.salvaged);
-    assert_eq!(
-        trace.registry.gauge("fault.transfer_spend"),
-        faults.transfer_spend
-    );
+    assert_eq!(trace.registry.counter("fault.crashes"), faults.crashes);
+    assert_eq!(trace.registry.gauge("fault.write_off"), faults.write_off);
     assert_eq!(trace.registry.counter("fault.retries"), faults.retries);
     assert_eq!(
         trace.registry.counter("fault.cascade_crashes"),
         faults.cascade_crashes
     );
-    let evacuate_events = trace
+    let crash_events = trace
         .events
         .iter()
-        .filter(|e| matches!(e, TraceEvent::NodeEvacuate(_)))
+        .filter(|e| matches!(e, TraceEvent::NodeCrash(_)))
         .count() as u64;
-    assert_eq!(evacuate_events, faults.evacuations);
+    assert_eq!(crash_events, faults.crashes);
 }
 
 /// The drain-and-respawn control plane the cost-ordering and alarm
@@ -663,19 +579,6 @@ fn steady_grid(sf: f64, tenants: u32, queries: u64) -> (FleetConfig, f64) {
     (config, queries as f64 * INTERVAL_SECS)
 }
 
-/// The correlated-failure plan: a rack-style group fells nodes {0, 3}
-/// just after an arrival batch at 40 % of the horizon, each crash rolls
-/// a decaying follow-on probability over the survivors, and a mid-run
-/// degradation of node 1 trips the deadline-budgeted retry policy.
-fn cascade_plan(horizon: f64) -> FaultPlan {
-    FaultPlan::new(horizon)
-        .with_group(vec![0, 3], 0.4 * horizon + 0.05)
-        .with_cascade(0.35, 0.5, 0.005 * horizon, 2)
-        .with_degrade(1, 0.2 * horizon, 0.6 * horizon, 6.0)
-        .with_timeout(2.0)
-        .with_retry(3, 0.5, 2.0, 0.5)
-}
-
 /// Surviving a crash does not cost extra: node 0 crashes at 40 % of the
 /// horizon with no recovery, and the elastic fleet, which drains idle
 /// capacity and still respawns toward its floor, costs less than the
@@ -692,37 +595,6 @@ fn elastic_respawn_is_cheaper_than_static_through_a_crash() {
         "elastic-with-respawn {} is not cheaper than static-with-crash {}",
         elastic.total_operating_cost(),
         fixed.total_operating_cost()
-    );
-}
-
-/// Capital preservation pays for itself: against the identical cascade,
-/// a short warning window evacuates the doomed nodes' ranked structures,
-/// so the elastic fleet's ledgered loss (write-off plus the full eq. 12
-/// transfer bill) stays below the pure write-off, and so does its
-/// loss-adjusted cost (operating cost plus capital destroyed). SF 10,
-/// 32 tenants × 40 queries, 8 seed nodes.
-#[test]
-fn evacuation_beats_write_off_on_ledgered_and_loss_adjusted_cost() {
-    let (base, horizon) = steady_grid(10.0, 32, 40);
-    let base = base.with_elastic(floor_two_elastic());
-    let written_off = run_fleet(base.clone().with_faults(cascade_plan(horizon)));
-    let evacuated =
-        run_fleet(base.with_faults(cascade_plan(horizon).with_evacuation(0.01 * horizon, false)));
-    let wf = written_off.faults.as_ref().expect("fault summary");
-    let ef = evacuated.faults.as_ref().expect("fault summary");
-    assert!(
-        ef.write_off + ef.transfer_spend < wf.write_off,
-        "evacuation loss {} + {} transfers does not beat the pure write-off {}",
-        ef.write_off,
-        ef.transfer_spend,
-        wf.write_off
-    );
-    let loss_adjusted_evacuated = evacuated.total_operating_cost() + ef.write_off;
-    let loss_adjusted_written_off = written_off.total_operating_cost() + wf.write_off;
-    assert!(
-        loss_adjusted_evacuated < loss_adjusted_written_off,
-        "evacuation loss-adjusted cost {loss_adjusted_evacuated} does not beat the write-off's \
-         {loss_adjusted_written_off}"
     );
 }
 
@@ -769,7 +641,7 @@ fn drift_alarms_are_silent_when_healthy_and_fire_on_a_degraded_node() {
 }
 
 /// Faults under an elastic population stay a pure function of the
-/// config: a warned crash-and-recover with a cascade roll and retries, ridden
+/// config: a crash-and-recover with a cascade roll and retries, ridden
 /// by the drain-and-respawn control plane, reproduces its aggregates,
 /// decision ledger and fault records bit for bit across executor shard
 /// counts and tracing. (The name predates the removal of the quote pool;
@@ -781,7 +653,6 @@ fn elastic_faulted_runs_are_bit_identical_across_shards_pools_and_tracing() {
             FaultPlan::new(HORIZON)
                 .with_crash_recover(0, 12.0, 6.0)
                 .with_cascade(0.5, 0.5, 2.0, 2)
-                .with_evacuation(4.0, false)
                 .with_retry(3, 0.05, 2.0, 0.5)
                 .with_degrade(0, 2.0, 12.0, 8.0)
                 .with_timeout(0.05),
