@@ -197,14 +197,17 @@ pub fn bench_config_json(sf: f64, n: u64, total_queries: u64, wall_secs: f64) ->
 
 /// The aggregate fingerprint the fleet invariance checks compare
 /// bit-for-bit: every economic aggregate plus the serialized elastic
-/// decision ledger (empty for fixed-population fleets) and the
-/// serialized fault record stream (empty for fault-free fleets).
-/// Shared by `explain selfcheck`, `explain health` and the repository
-/// benchmark's run-to-run and traced-replay checks — one definition, so
-/// the gates cannot quietly diverge on what "identical" means.
+/// decision ledger (empty for fixed-population fleets) and the fault
+/// summary (empty for fault-free fleets). The fault summary enters as an
+/// explicit list of its result-bearing fields and its serialized record
+/// stream, so an inert summary field neither moves the fingerprint nor
+/// hides a drift. Shared by `explain selfcheck`, `explain health` and the
+/// repository benchmark's run-to-run and traced-replay checks — one
+/// definition, so the gates cannot quietly diverge on what "identical"
+/// means.
 ///
 /// # Panics
-/// Panics if the elastic ledger or fault summary fails to serialize
+/// Panics if the elastic ledger or fault records fail to serialize
 /// (they always serialize — the types derive `Serialize`
 /// unconditionally).
 #[must_use]
@@ -214,11 +217,23 @@ pub fn fleet_fingerprint(r: &fleet::FleetResult) -> String {
         .as_ref()
         .map(|e| serde_json::to_string(&e.ledger).expect("ledger serializes"))
         .unwrap_or_default();
-    let faults = r
-        .faults
-        .as_ref()
-        .map(|f| serde_json::to_string(f).expect("fault summary serializes"))
-        .unwrap_or_default();
+    let faults = r.faults.as_ref().map_or_else(String::new, |f| {
+        format!(
+            "crashes={} recoveries={} reconciled={} timeouts={} write_off={:?} \
+             requeued_bits={:016x} retries={} cascade_crashes={} max_cascade_depth={} \
+             records={}",
+            f.crashes,
+            f.recoveries,
+            f.reconciled,
+            f.timeouts,
+            f.write_off,
+            f.requeued_secs.to_bits(),
+            f.retries,
+            f.cascade_crashes,
+            f.max_cascade_depth,
+            serde_json::to_string(&f.records).expect("fault records serialize"),
+        )
+    });
     format!(
         "queries={} cost={:?} payments={:?} profit={:?} mean_bits={:016x} hits={} builds={} \
          evictions={} spawns={} retires={} node_seconds_bits={:016x} ledger={ledger} \
@@ -255,4 +270,35 @@ pub fn grid_json_rows<F: Fn(&RunResult) -> String>(
         }
     }
     rows
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fleet::{run_fleet, FaultPlan, FleetConfig};
+    use pricing::Money;
+
+    /// The fault summary enters the fingerprint through its result-bearing
+    /// fields: the inert `salvaged` moves nothing, a nanodollar of
+    /// write-off moves it.
+    #[test]
+    fn fleet_fingerprint_reads_only_result_bearing_fault_fields() {
+        let mut config = FleetConfig::uniform(4, 2, 20, 1.0);
+        config.scale_factor = 1.0;
+        config.cells = 1;
+        let r = run_fleet(config.with_faults(FaultPlan::new(20.0).with_crash(0, 5.0)));
+        assert_eq!(r.faults.as_ref().map(|f| f.crashes), Some(1));
+
+        let mut inert = r.clone();
+        if let Some(f) = inert.faults.as_mut() {
+            f.salvaged = Money::from_nanos(7);
+        }
+        assert_eq!(fleet_fingerprint(&inert), fleet_fingerprint(&r));
+
+        let mut moved = r.clone();
+        if let Some(f) = moved.faults.as_mut() {
+            f.write_off += Money::from_nanos(1);
+        }
+        assert_ne!(fleet_fingerprint(&moved), fleet_fingerprint(&r));
+    }
 }

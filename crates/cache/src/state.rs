@@ -107,6 +107,7 @@ pub struct CachedStructure {
 impl CachedStructure {
     /// True if usable at `now`.
     #[must_use]
+    #[inline]
     pub fn is_available(&self, now: SimTime) -> bool {
         self.available_at <= now
     }
@@ -116,11 +117,13 @@ impl CachedStructure {
     /// fully recouped, usage is free of amortisation (the paper's "total
     /// amortization of investment cost").
     #[must_use]
+    #[inline]
     pub fn amortization_due(&self) -> Money {
         self.per_use_charge.min(self.unamortized)
     }
 
     /// Records an installment payment.
+    #[inline]
     pub fn pay_amortization(&mut self, amount: Money) {
         self.unamortized = self.unamortized.saturating_sub(amount);
     }
@@ -352,7 +355,9 @@ impl CacheState {
     /// `window`, older backlog written off) — exactly equivalent to
     /// [`Self::touch`] + [`Self::charge_amortization`] +
     /// [`Self::settle_maintenance`], but with one `get_mut` per structure
-    /// instead of three.
+    /// instead of three. The economy settles through
+    /// [`Self::settle_quoted`], which collects its plan's quotes instead
+    /// of pricing them again; this closure form is its reference.
     ///
     /// Returns `(amortization collected, maintenance collected)`.
     pub fn settle_usage<F>(
@@ -377,6 +382,51 @@ impl CacheState {
                 if !span.is_zero() {
                     let charged_span = span.min(window);
                     maintenance += price(s, charged_span);
+                    if span > window {
+                        let forgiven =
+                            price(s, SimDuration::from_secs(span.as_secs() - window.as_secs()));
+                        s.maint_forgiven += forgiven;
+                    }
+                    s.maint_paid_until = now;
+                }
+            }
+        }
+        (amortization, maintenance)
+    }
+
+    /// [`Self::settle_usage`] from the plan's own maintenance quotes:
+    /// each used key comes with the capped maintenance its plan quoted at
+    /// `now`, `price(s, min(span, window))` over the span since it was
+    /// last paid, so the settlement collects that quote and calls `price`
+    /// only for the backlog written off beyond `window`.
+    ///
+    /// Equal to `settle_usage(keys, now, window, price)` whenever each
+    /// quote was priced at the state its structure has when settled; a
+    /// repeated key is settled once, as there.
+    ///
+    /// Returns `(amortization collected, maintenance collected)`.
+    pub fn settle_quoted<I, F>(
+        &mut self,
+        usage: I,
+        now: SimTime,
+        window: SimDuration,
+        price: F,
+    ) -> (Money, Money)
+    where
+        I: IntoIterator<Item = (StructureKey, Money)>,
+        F: Fn(&CachedStructure, SimDuration) -> Money,
+    {
+        let mut amortization = Money::ZERO;
+        let mut maintenance = Money::ZERO;
+        for (key, quote) in usage {
+            if let Some(s) = self.get_mut(key) {
+                s.last_used = s.last_used.max(now);
+                let due = s.amortization_due();
+                s.pay_amortization(due);
+                amortization += due;
+                let span = now.saturating_since(s.maint_paid_until);
+                if !span.is_zero() {
+                    maintenance += quote;
                     if span > window {
                         let forgiven =
                             price(s, SimDuration::from_secs(span.as_secs() - window.as_secs()));

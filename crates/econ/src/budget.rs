@@ -96,6 +96,7 @@ impl BudgetFunction {
 
     /// Evaluates `B_Q(t)`. Zero beyond `t_max`; never negative.
     #[must_use]
+    #[inline]
     pub fn value_at(&self, t: SimDuration) -> Money {
         match self {
             BudgetFunction::Step { amount, t_max } => {
@@ -143,6 +144,7 @@ impl BudgetFunction {
 
     /// True if `price` is within budget at time `t`.
     #[must_use]
+    #[inline]
     pub fn affords(&self, t: SimDuration, price: Money) -> bool {
         self.value_at(t) >= price
     }

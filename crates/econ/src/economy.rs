@@ -60,6 +60,9 @@ pub struct EconomyManager {
     used: Vec<StructureKey>,
     /// Scratch for the investment scan's over-threshold candidates.
     candidates: Vec<(StructureKey, Money)>,
+    /// The balance whose threshold the regret ledger's candidate index
+    /// was last asked for; `None` before the first investment scan.
+    candidates_at: Option<Money>,
     /// Lower bound (seconds) on the earliest instant any structure can
     /// fail; the per-query failure scan is skipped while `now` is below
     /// it. See [`Self::refresh_failure_bound`].
@@ -133,6 +136,7 @@ impl EconomyManager {
             sky_scratch: RefCell::new(SkyScratch::default()),
             used: Vec::new(),
             candidates: Vec::new(),
+            candidates_at: None,
             next_failure_check: f64::NEG_INFINITY,
         }
     }
@@ -339,26 +343,27 @@ impl EconomyManager {
         // (2)+(3)+(4a)+(5) Enumerate, skyline, form the user budget, run
         // the case analysis and distribute the rejected-plan regret
         // (eqs. 1–2).
-        let planned = match exec {
-            Some(exec) => self.plan_query(ctx, query, exec, now),
-            None => self.plan_query(ctx, query, &self.exec.borrow(), now),
-        };
+        let own = exec.is_none().then(|| self.exec.borrow());
+        let exec = exec.unwrap_or_else(|| own.as_deref().expect("own rows when none given"));
+        let planned = self.plan_query(ctx, query, exec, now);
         let rows = self.rows.get_mut();
         debug_assert!(
             rows.hot().existing[planned.row],
             "only existing plans execute"
         );
-        let chosen = rows.row(planned.row);
+        let chosen = rows.row(planned.row, exec);
 
         // (4b) Settlement: LRU refresh, amortisation installment and
-        // maintenance checkpoint in one pass per used structure.
+        // maintenance checkpoint in one pass per used structure, each
+        // collecting the maintenance its plan quoted.
         self.used.clear();
         self.used.extend(chosen.uses());
-        let (amortization_collected, maintenance_collected) =
-            self.cache
-                .settle_usage(&self.used, now, planned.opts.maint_window, |s, span| {
-                    estimator.maintenance(s, span)
-                });
+        let (amortization_collected, maintenance_collected) = self.cache.settle_quoted(
+            chosen.quoted_uses(),
+            now,
+            planned.opts.maint_window,
+            |s, span| estimator.maintenance(s, span),
+        );
         debug_assert_eq!(
             amortization_collected, chosen.amortized_cost,
             "quoted amortisation must match collected"
@@ -370,6 +375,8 @@ impl EconomyManager {
         let (response_time, exec_cost, exec_breakdown) =
             (chosen.exec_time, chosen.exec_cost, chosen.exec_breakdown);
         let ran_in_cache = !chosen.backend;
+        // The manager's own rows stay borrowed until the plan is settled.
+        drop(own);
         self.account.deposit_payment(planned.payment);
 
         // (6) Investment (eq. 3 + conservative gate).
@@ -411,7 +418,7 @@ impl EconomyManager {
         let opts = self.config.enumeration(self.arrival_rate());
         let mut rows = self.rows.borrow_mut();
         bind_plans_into(ctx, exec, &self.cache, now, opts, &mut rows);
-        self.serve_from(query, &rows, opts)
+        self.serve_from(query, exec, &rows, opts)
     }
 
     /// Skyline partition + budget + case analysis straight over the plan
@@ -429,7 +436,13 @@ impl EconomyManager {
     /// still lacks its columns, and letting it accumulate regret would
     /// churn capital on idle nodes. Both refinements are recorded in
     /// PAPER.md's "Deviations from the paper".
-    fn serve_from(&self, query: &Query, rows: &PlanRows, opts: EnumerationOptions) -> Planned {
+    fn serve_from(
+        &self,
+        query: &Query,
+        exec: &ExecRows,
+        rows: &PlanRows,
+        opts: EnumerationOptions,
+    ) -> Planned {
         let hot = rows.hot();
         let budget = self.budget(query, hot.time[0], hot.price[0]);
         let mut scratch = self.sky_scratch.borrow_mut();
@@ -442,7 +455,7 @@ impl EconomyManager {
             let row = sky[i];
             let data = rows.missing_data(row);
             if data.is_empty() {
-                regret.distribute(rows.missing_nodes(row), amount, attribution);
+                regret.distribute(rows.missing_nodes(row, exec), amount, attribution);
             } else {
                 regret.distribute(data, amount, attribution);
             }
@@ -615,11 +628,21 @@ impl EconomyManager {
         amortize_n: u64,
     ) -> Vec<(StructureKey, Money)> {
         let mut built = Vec::new();
-        let threshold = self.config.investment.threshold(self.account.balance());
+        // The threshold never falls as the balance grows, so at a balance
+        // no lower than the last scan's, a ledger that listed no
+        // candidate at that scan's threshold has none at this one.
+        let balance = self.account.balance();
+        if self.candidates_at.is_some_and(|at| balance >= at)
+            && self.regret.get_mut().listed_candidates() == 0
+        {
+            return built;
+        }
+        self.candidates_at = Some(balance);
+        let threshold = self.config.investment.threshold(balance);
         let mut candidates = std::mem::take(&mut self.candidates);
         self.regret
             .get_mut()
-            .over_threshold_into(threshold, &mut candidates);
+            .candidates_into(threshold, &mut candidates);
         for &(key, regret_value) in &candidates {
             if self.cache.contains(key) {
                 // Already built (regret accrued on an existing structure —
@@ -627,17 +650,28 @@ impl EconomyManager {
                 self.regret.get_mut().reset(key);
                 continue;
             }
-            let (cost, time, size) = self.quote_build(ctx, key);
-            if !self
-                .config
-                .investment
-                .should_build(regret_value, self.account.balance(), cost)
-            {
+            // The balance only falls in this loop, and the threshold with
+            // it, so every candidate still clears the threshold: of
+            // `should_build`, only the conservative gate can refuse.
+            let (cost, time) = self.quote_build(ctx, key);
+            let rule = &self.config.investment;
+            let funded = rule.funds(self.account.balance(), cost);
+            debug_assert_eq!(
+                funded,
+                rule.should_build(regret_value, self.account.balance(), cost),
+                "a candidate clears the threshold at every balance of the loop"
+            );
+            if !funded {
                 continue;
             }
             if self.account.withdraw_investment(cost).is_err() {
                 continue;
             }
+            let size = match key {
+                StructureKey::Column(c) => ctx.schema.column_bytes(c),
+                StructureKey::Index(id) => ctx.candidates[id.index()].size_bytes(ctx.schema),
+                StructureKey::Node(_) => 0,
+            };
             self.cache.install(key, size, now, time, cost, amortize_n);
             self.regret.get_mut().reset(key);
             // The new structure can be the next to fail; fold its crossing
@@ -652,31 +686,18 @@ impl EconomyManager {
         built
     }
 
-    /// Build quote for a structure: (cost, build time, disk size).
-    fn quote_build(
-        &self,
-        ctx: &PlannerContext<'_>,
-        key: StructureKey,
-    ) -> (Money, simcore::SimDuration, u64) {
+    /// Build quote for a structure: (cost, build time).
+    fn quote_build(&self, ctx: &PlannerContext<'_>, key: StructureKey) -> (Money, SimDuration) {
         match key {
-            StructureKey::Column(c) => {
-                let (cost, time) = ctx.estimator.column_quote(ctx.schema, c);
-                (cost, time, ctx.schema.column_bytes(c))
-            }
+            StructureKey::Column(c) => ctx.estimator.column_quote(ctx.schema, c),
             StructureKey::Index(id) => {
-                let pos = id.index();
                 let cache = &self.cache;
-                let (cost, time) =
-                    ctx.estimator
-                        .index_quote(ctx.schema, ctx.candidates, pos, |c| {
-                            cache.contains(StructureKey::Column(c))
-                        });
-                (cost, time, ctx.candidates[pos].size_bytes(ctx.schema))
+                ctx.estimator
+                    .index_quote(ctx.schema, ctx.candidates, id.index(), |c| {
+                        cache.contains(StructureKey::Column(c))
+                    })
             }
-            StructureKey::Node(_) => {
-                let (cost, time) = ctx.estimator.build_node();
-                (cost, time, 0)
-            }
+            StructureKey::Node(_) => ctx.estimator.build_node(),
         }
     }
 }

@@ -67,13 +67,14 @@ impl InvestmentRule {
     /// Decides whether to build `S` now.
     #[must_use]
     pub fn should_build(&self, regret: Money, credit: Money, build_cost: Money) -> bool {
-        if regret < self.threshold(credit) {
-            return false;
-        }
-        if self.conservative && credit < build_cost {
-            return false;
-        }
-        true
+        regret >= self.threshold(credit) && self.funds(credit, build_cost)
+    }
+
+    /// The conservative gate alone: whether `credit` funds a build of
+    /// `build_cost`.
+    #[must_use]
+    pub fn funds(&self, credit: Money, build_cost: Money) -> bool {
+        !(self.conservative && credit < build_cost)
     }
 }
 

@@ -10,8 +10,6 @@
 //! and Section IV-B: the pool of tracked structures is *"garbage collected
 //! using LRU policy"*.
 
-use std::cell::Cell;
-
 use cache::{IndexId, StructureKey};
 use catalog::ColumnId;
 use pricing::Money;
@@ -42,6 +40,8 @@ struct Entry {
     regret: Money,
     /// Logical touch stamp; 0 = untracked.
     stamp: u64,
+    /// True if the key is in the candidate index.
+    listed: bool,
 }
 
 /// Accumulated regret per candidate structure, LRU-bounded.
@@ -52,11 +52,15 @@ struct Entry {
 /// hashes. When the pool overflows, the entry with the oldest stamp
 /// (stamps are unique) is forgotten along with its regret.
 ///
-/// `max_bound` is an upper bound on every tracked regret: raised on
-/// [`Self::distribute`], recomputed exactly on every full
-/// [`Self::over_threshold`] scan, and left alone by resets and evictions
-/// (which can only lower the true maximum). A threshold above it answers
-/// without a scan.
+/// The investment scan reads the ledger through a *candidate index*
+/// ([`Self::candidates_into`]): the keys whose regret is positive and at
+/// least a floor, the last threshold asked for. [`Self::distribute`]
+/// lists a key as its regret crosses the floor, and a reset unlists it,
+/// so a threshold at or above the floor is answered from the listed keys
+/// alone. Only a threshold below the floor rescans the ledger. The
+/// investment threshold `a · CR` rises with the balance between
+/// investments, so a candidate that stays over it without being built
+/// costs one listed entry per query, not a scan.
 #[derive(Debug, Clone)]
 pub struct RegretLedger {
     /// Per kind (columns, indexes, extra nodes), entries indexed by id.
@@ -64,7 +68,11 @@ pub struct RegretLedger {
     live: usize,
     capacity: usize,
     clock: u64,
-    max_bound: Cell<Money>,
+    /// The candidate index: every tracked key whose regret is positive
+    /// and at least `floor`, in no particular order.
+    listed: Vec<StructureKey>,
+    /// The index's floor; `None` until the first indexed query.
+    floor: Option<Money>,
 }
 
 /// Where `key` lives: its kind's slot vector and its index there.
@@ -98,7 +106,8 @@ impl RegretLedger {
             live: 0,
             capacity: pool_capacity,
             clock: 0,
-            max_bound: Cell::new(Money::ZERO),
+            listed: Vec::new(),
+            floor: None,
         }
     }
 
@@ -147,6 +156,7 @@ impl RegretLedger {
             RegretAttribution::UniformShare => regret.amortize_over(uses.len() as u64),
             RegretAttribution::FullValue => regret,
         };
+        let floor = self.floor;
         for &key in uses {
             self.clock += 1;
             let clock = self.clock;
@@ -154,8 +164,12 @@ impl RegretLedger {
             let fresh = e.stamp == 0;
             e.regret += share;
             e.stamp = clock;
-            let value = e.regret;
-            self.max_bound.set(self.max_bound.get().max(value));
+            // List the key as its regret crosses the candidate floor.
+            let list = !e.listed && e.regret.is_positive() && floor.is_some_and(|f| e.regret >= f);
+            e.listed |= list;
+            if list {
+                self.listed.push(key);
+            }
             if fresh {
                 self.live += 1;
                 if self.live > self.capacity {
@@ -190,29 +204,66 @@ impl RegretLedger {
         hits
     }
 
-    /// [`Self::over_threshold`] into `hits` (cleared first), so a caller
-    /// scanning every query reuses one buffer.
+    /// [`Self::over_threshold`] into `hits` (cleared first), by a scan
+    /// of every tracked entry: the reference for
+    /// [`Self::candidates_into`].
     pub fn over_threshold_into(&self, threshold: Money, hits: &mut Vec<(StructureKey, Money)>) {
         hits.clear();
-        let bound = self.max_bound.get();
-        if bound < threshold || !bound.is_positive() {
-            return;
-        }
-        let mut max = Money::ZERO;
         for (key, e) in self.tracked() {
-            max = max.max(e.regret);
             if e.regret >= threshold && e.regret.is_positive() {
                 hits.push((key, e.regret));
             }
         }
-        self.max_bound.set(max);
         hits.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    }
+
+    /// [`Self::over_threshold_into`] from the candidate index (see the
+    /// type docs): the same hits in the same order. The index's floor
+    /// moves to `threshold`: a threshold at or above the floor prunes the
+    /// listed keys below it, a lower one relists from a full scan.
+    pub fn candidates_into(&mut self, threshold: Money, hits: &mut Vec<(StructureKey, Money)>) {
+        hits.clear();
+        if self.floor.is_some_and(|floor| threshold >= floor) {
+            let slots = &mut self.slots;
+            self.listed.retain(|&key| {
+                let (kind, at) = slot_of(key);
+                let e = &mut slots[kind][at];
+                e.listed = e.regret >= threshold;
+                e.listed
+            });
+        } else {
+            self.listed.clear();
+            for (kind, slots) in self.slots.iter_mut().enumerate() {
+                for (id, e) in slots.iter_mut().enumerate() {
+                    e.listed = e.stamp != 0 && e.regret >= threshold && e.regret.is_positive();
+                    if e.listed {
+                        self.listed.push(key_at(kind, id as u32));
+                    }
+                }
+            }
+        }
+        self.floor = Some(threshold);
+        hits.extend(self.listed.iter().map(|&key| (key, self.regret_of(key))));
+        hits.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    }
+
+    /// Number of keys the candidate index lists: the tracked keys whose
+    /// regret is positive and at least the last threshold
+    /// [`Self::candidates_into`] was asked for (zero before the first).
+    #[must_use]
+    pub fn listed_candidates(&self) -> usize {
+        self.listed.len()
     }
 
     /// Clears a structure's regret (after investing in it).
     pub fn reset(&mut self, key: StructureKey) {
         let (kind, at) = slot_of(key);
         if let Some(e) = self.slots[kind].get_mut(at).filter(|e| e.stamp != 0) {
+            if e.listed {
+                let pos = self.listed.iter().position(|&k| k == key);
+                self.listed
+                    .swap_remove(pos.expect("a listed key is in the index"));
+            }
             *e = Entry::default();
             self.live -= 1;
         }

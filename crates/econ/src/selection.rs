@@ -190,13 +190,37 @@ pub(crate) fn decide_hot(
     objective: SelectionObjective,
 ) -> Decision {
     let v = HotRows { hot, rows };
+    // One pass: whether any plan exists, how many plans are affordable,
+    // and the objective's best affordable existing plan with its budget
+    // value — the first best in row order, as `Iterator::min_by` picks.
+    let precedes = |a: (SimDuration, Money, Money), b: (SimDuration, Money, Money)| {
+        let ((ta, pa, va), (tb, pb, vb)) = (a, b);
+        let order = match objective {
+            SelectionObjective::MinProfit => (va - pa).cmp(&(vb - pb)).then(ta.cmp(&tb)),
+            SelectionObjective::Cheapest => pa.cmp(&pb).then(ta.cmp(&tb)),
+            SelectionObjective::Fastest => ta.cmp(&tb).then(pa.cmp(&pb)),
+        };
+        order.is_lt()
+    };
+    let mut any_existing = false;
+    let mut n_affordable = 0;
+    let mut best: Option<(usize, (SimDuration, Money, Money))> = None;
+    for i in 0..v.len() {
+        let (time, price, existing) = (v.time(i), v.price(i), v.existing(i));
+        any_existing |= existing;
+        let value = budget.value_at(time);
+        if value < price {
+            continue;
+        }
+        n_affordable += 1;
+        if existing && best.is_none_or(|(_, b)| precedes((time, price, value), b)) {
+            best = Some((i, (time, price, value)));
+        }
+    }
     assert!(
-        (0..v.len()).any(|i| v.existing(i)),
+        any_existing,
         "P_exist must not be empty (the backend plan always exists)"
     );
-
-    let affordable = |i: usize| budget.affords(v.time(i), v.price(i));
-    let n_affordable = (0..v.len()).filter(|&i| affordable(i)).count();
 
     if n_affordable == 0 {
         return decide_case_a(v);
@@ -206,28 +230,11 @@ pub(crate) fn decide_hot(
     } else {
         SelectionCase::C
     };
-
-    let candidates = (0..v.len()).filter(|&i| v.existing(i) && affordable(i));
     // If every affordable plan is possible-only (needs builds), the query
     // still has to run now: fall back to Case A semantics on P_exist.
-    let Some(selected) =
-        (match objective {
-            SelectionObjective::MinProfit => candidates.min_by(|&a, &b| {
-                let pa = budget.value_at(v.time(a)) - v.price(a);
-                let pb = budget.value_at(v.time(b)) - v.price(b);
-                pa.cmp(&pb).then(v.time(a).cmp(&v.time(b)))
-            }),
-            SelectionObjective::Cheapest => candidates
-                .min_by(|&a, &b| v.price(a).cmp(&v.price(b)).then(v.time(a).cmp(&v.time(b)))),
-            SelectionObjective::Fastest => candidates
-                .min_by(|&a, &b| v.time(a).cmp(&v.time(b)).then(v.price(a).cmp(&v.price(b)))),
-        })
-    else {
+    let Some((selected, (_, chosen_price, payment))) = best else {
         return decide_case_a(v);
     };
-
-    let chosen_price = v.price(selected);
-    let payment = budget.value_at(v.time(selected));
     let profit = payment - chosen_price;
     debug_assert!(!profit.is_negative(), "affordable ⇒ non-negative profit");
     Decision {

@@ -20,10 +20,9 @@
 use cache::{IndexDef, IndexId, ROW_LOCATOR_BYTES};
 use catalog::{ColumnId, Schema, TableId};
 use std::collections::HashSet;
-use std::sync::Arc;
 use workload::{Query, ResolvedTemplate};
 
-use crate::shapes::{QueryShape, ShapeTable};
+use crate::shapes::{QueryShape, ShapeId, ShapeTable};
 
 /// Maximum key width (bytes per entry) for generated covering candidates.
 const MAX_COVERING_ENTRY_BYTES: u64 = 64;
@@ -226,14 +225,20 @@ impl CandidateIndex {
     }
 
     /// The compiled shape of `query` over `schema` and `candidates` (the
-    /// slice the index was built over); see [`crate::PlannerContext::shape`].
+    /// slice the index was built over) and its slot; see
+    /// [`crate::PlannerContext::shape`].
     pub(crate) fn shape(
         &self,
         schema: &Schema,
         candidates: &[IndexDef],
         query: &Query,
-    ) -> Arc<QueryShape> {
+    ) -> (ShapeId, &QueryShape) {
         self.shapes.get(schema, candidates, self, query)
+    }
+
+    /// The compiled shape in slot `id`.
+    pub(crate) fn shape_at(&self, id: ShapeId) -> &QueryShape {
+        self.shapes.at(id)
     }
 
     /// Number of query shapes compiled so far.

@@ -21,15 +21,14 @@
 use cache::{CacheState, CachedStructure, IndexDef, StructureKey};
 use catalog::Schema;
 use simcore::{SimDuration, SimTime};
-use std::sync::Arc;
 use workload::Query;
 
 use crate::candidates::CandidateIndex;
 use crate::estimator::Estimator;
-use crate::exec_rows::{ExecCells, ExecRows};
+use crate::exec_rows::ExecRows;
 use crate::plan::QueryPlan;
-use crate::rows::{DataTerms, PlanRows};
-use crate::shapes::QueryShape;
+use crate::rows::PlanRows;
+use crate::shapes::{QueryShape, ShapeId};
 
 /// What the active caching policy lets the enumerator consider.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +72,7 @@ pub struct PlannerContext<'a> {
     pub estimator: &'a Estimator,
 }
 
-impl PlannerContext<'_> {
+impl<'a> PlannerContext<'a> {
     /// The compiled shape of `query` (see [`crate::shapes`]), compiled
     /// into the candidate index on the first query of its
     /// `(template, mask)`.
@@ -82,18 +81,29 @@ impl PlannerContext<'_> {
     /// Debug builds panic if `query`'s tables, column lists or predicate
     /// lists differ from those its key was compiled from.
     #[must_use]
-    pub fn shape(&self, query: &Query) -> Arc<QueryShape> {
+    pub fn shape(&self, query: &Query) -> &'a QueryShape {
+        self.shape_slot(query).1
+    }
+
+    /// [`Self::shape`] with the slot the shape lives in.
+    pub(crate) fn shape_slot(&self, query: &Query) -> (ShapeId, &'a QueryShape) {
         self.cand_index.shape(self.schema, self.candidates, query)
     }
 }
 
-/// Enumerates all plans for `query` against the current cache state.
+/// Enumerates all plans for `query` against the current cache state:
+/// fills fresh [`ExecRows`], binds them ([`bind_plans_into`]) and
+/// materializes every plan.
 ///
 /// Returned plans are *not* yet skyline-filtered; the economy applies
 /// [`crate::skyline_filter`] after the policy's own filtering.
 ///
-/// Convenience wrapper over [`enumerate_plans_into`] that materializes
-/// every plan; hot paths should own a [`PlanRows`] instead.
+/// A convenience for one-off planning and tests; hot paths fill one
+/// long-lived [`ExecRows`] per query and bind it into a long-lived
+/// [`PlanRows`] instead.
+///
+/// # Panics
+/// Panics if `opts.amortize_n == 0`.
 #[must_use]
 pub fn enumerate_plans(
     ctx: &PlannerContext<'_>,
@@ -102,47 +112,30 @@ pub fn enumerate_plans(
     now: SimTime,
     opts: EnumerationOptions,
 ) -> Vec<QueryPlan> {
+    let exec = ExecRows::build(ctx, query);
     let mut rows = PlanRows::new();
-    enumerate_plans_into(ctx, query, cache, now, opts, &mut rows);
-    rows.to_plans()
-}
-
-/// Enumerates all plans for `query` into caller-owned rows: fills fresh
-/// [`ExecRows`] and binds them ([`bind_plans_into`]).
-///
-/// A convenience for one-off planning; a caller that plans the same
-/// query more than once, or plans many queries, fills one long-lived
-/// [`ExecRows`] per query and binds it instead.
-///
-/// # Panics
-/// Panics if `opts.amortize_n == 0`.
-pub fn enumerate_plans_into(
-    ctx: &PlannerContext<'_>,
-    query: &Query,
-    cache: &CacheState,
-    now: SimTime,
-    opts: EnumerationOptions,
-    rows: &mut PlanRows,
-) {
-    bind_plans_into(ctx, &ExecRows::build(ctx, query), cache, now, opts, rows);
+    bind_plans_into(ctx, &exec, cache, now, opts, &mut rows);
+    rows.to_plans(&exec)
 }
 
 /// Binds a query's execution rows to one cache: writes the query's plan
-/// set against `cache` at `now` into caller-owned rows.
+/// set against `cache` at `now` into caller-owned rows, as terms over
+/// `exec` ([`PlanRows`]).
 ///
 /// The plan set equals [`enumerate_plans`]'s for the query `exec` was
-/// filled from (same plans, same order, same bits), written in row
-/// form. Every plan's execution time and cost is read from `exec`; only
-/// the cache-dependent terms are computed here. One column pass serves
-/// both index variants: the best-index variant uses the scan variant's
-/// columns plus its indexes, so each accessed column is probed, quoted
-/// and priced once, and the index variant adds only its indexes' terms.
-/// Each extra CPU node's state is probed once for every row. Options
-/// that forbid extra nodes skip the multi-node cells; options that
-/// forbid indexes skip the best-index variant.
+/// filled from (same plans, same order, same bits). Every plan's
+/// execution time and cost is a cell of `exec`; only the
+/// cache-dependent terms are computed here, each once. One column pass
+/// serves both index variants: the best-index variant uses the scan
+/// variant's columns plus its indexes, so each accessed column is
+/// probed, quoted and priced once, and the index variant adds only its
+/// indexes' terms. Each extra CPU node's state is probed once for every
+/// row. Options that forbid extra nodes skip the multi-node cells;
+/// options that forbid indexes skip the best-index variant.
 ///
 /// # Panics
-/// Panics if `opts.amortize_n == 0` or `exec` was never filled.
+/// Panics if `opts.amortize_n == 0` or `exec` was never filled. `exec`
+/// must have been filled through `ctx`.
 pub fn bind_plans_into(
     ctx: &PlannerContext<'_>,
     exec: &ExecRows,
@@ -153,101 +146,65 @@ pub fn bind_plans_into(
 ) {
     let est = ctx.estimator;
     let price = |s: &CachedStructure, span: SimDuration| est.maintenance(s, span);
-    let exist = |s: &CachedStructure| {
-        let span = now
-            .saturating_since(s.maint_paid_until)
-            .min(opts.maint_window);
-        (s.amortization_due(), price(s, span))
-    };
-    let push_cells = |rows: &mut PlanRows, vi: u32, cells: &ExecCells, terms: DataTerms| {
-        for cell in 0..cells.len() {
-            if opts.allow_extra_nodes || cells.nodes[cell] <= 1 {
-                rows.push_cache_row(vi, cells, cell, terms);
-            }
-        }
+    // A usable structure's installment due and capped maintenance:
+    // exactly what `CacheState::settle_quoted` will collect.
+    let usable = |key: StructureKey| {
+        cache.get(key).filter(|s| s.is_available(now)).map(|s| {
+            let span = now
+                .saturating_since(s.maint_paid_until)
+                .min(opts.maint_window);
+            (s.amortization_due(), price(s, span))
+        })
     };
 
-    // --- Backend plan (always P_exist). ---
-    let shape = exec.shape();
+    // --- Backend plan (always P_exist) and the extra CPU nodes. ---
+    let shape = exec.shape(ctx);
     rows.begin(
-        (exec.backend_time, exec.backend_cost, exec.backend_breakdown),
+        exec,
+        shape.accesses.len(),
         est.build_node(),
         opts.amortize_n,
     );
     if opts.allow_extra_nodes {
         let node_options = &est.params().node_options;
         let extra = node_options.iter().max().map_or(0, |k| k.saturating_sub(1));
-        for ordinal in 0..extra {
-            rows.probe_node(cache, ordinal, now, opts.maint_window, &price);
-        }
+        rows.probe_nodes(cache, extra, now, opts.maint_window, &price);
     }
-    let mut missing_cols = std::mem::take(&mut rows.missing_cols);
 
-    // --- The shared column pass over the shape's deduplicated columns:
-    // each is partitioned into usable (installment due + capped
-    // maintenance, exactly what `CacheState::settle_usage` will charge)
-    // or missing (one build quote feeding both the build cost and the
-    // first installment). ---
-    let scan = rows.open_variant();
-    let mut col_terms = DataTerms::ZERO;
-    missing_cols.clear();
-    {
-        let lists = rows.lists(scan);
-        lists.indexes.resize(shape.accesses.len(), None);
-        for &c in &shape.columns {
-            let key = StructureKey::Column(c);
-            lists.uses.push(key);
-            match cache.get(key).filter(|s| s.is_available(now)) {
-                Some(s) => {
-                    let (due, maint) = exist(s);
-                    col_terms.amortized += due;
-                    col_terms.maintenance += maint;
-                }
-                None => {
-                    let (cost, time) = est.column_quote(ctx.schema, c);
-                    col_terms.add_missing(cost, time, opts.amortize_n);
-                    lists.missing.push(key);
-                    missing_cols.push(c);
-                }
-            }
+    // --- The scan variant: the shape's deduplicated columns, each usable
+    // (installment due + capped maintenance) or missing (one build quote
+    // feeding both the build cost and the first installment). ---
+    for &c in &shape.columns {
+        let key = StructureKey::Column(c);
+        match usable(key) {
+            Some(terms) => rows.add_usable(key, terms),
+            None => rows.add_missing(key, est.column_quote(ctx.schema, c), opts.amortize_n),
         }
     }
-    push_cells(rows, scan, exec.cells(0), col_terms);
+    let scan = rows.close_variant();
+    rows.push_cells(scan, exec.cells(0), opts.allow_extra_nodes);
 
     // --- The best-index variant, when the policy allows indexes and any
     // access has a serving candidate: the scan variant's columns, then
     // each assigned index. ---
     if opts.allow_indexes && shape.indexed {
-        let indexed = rows.open_variant();
-        let mut terms = col_terms;
-        let (scan_lists, lists) = rows.two_lists(scan, indexed);
-        lists
-            .indexes
-            .extend(shape.picks().map(|p| p.map(|pos| ctx.candidates[pos].id)));
-        lists.uses.extend_from_slice(&scan_lists.uses);
-        lists.missing.extend_from_slice(&scan_lists.missing);
+        rows.set_picks(shape.picks().map(|p| p.map(|pos| ctx.candidates[pos].id)));
         for pos in shape.picks().flatten() {
-            let def = &ctx.candidates[pos];
-            let key = StructureKey::Index(def.id);
-            lists.uses.push(key);
-            match cache.get(key).filter(|s| s.is_available(now)) {
-                Some(s) => {
-                    let (due, maint) = exist(s);
-                    terms.amortized += due;
-                    terms.maintenance += maint;
-                }
+            let key = StructureKey::Index(ctx.candidates[pos].id);
+            match usable(key) {
+                Some(terms) => rows.add_usable(key, terms),
                 None => {
-                    let (cost, time) = est.index_quote(ctx.schema, ctx.candidates, pos, |c| {
-                        cache.contains(StructureKey::Column(c)) || missing_cols.contains(&c)
+                    let quote = est.index_quote(ctx.schema, ctx.candidates, pos, |c| {
+                        let column = StructureKey::Column(c);
+                        cache.contains(column) || rows.is_missing(column)
                     });
-                    terms.add_missing(cost, time, opts.amortize_n);
-                    lists.missing.push(key);
+                    rows.add_missing(key, quote, opts.amortize_n);
                 }
             }
         }
-        push_cells(rows, indexed, exec.cells(1), terms);
+        let indexed = rows.close_variant();
+        rows.push_cells(indexed, exec.cells(1), opts.allow_extra_nodes);
     }
-    rows.missing_cols = missing_cols;
 }
 
 #[cfg(test)]

@@ -243,6 +243,9 @@ pub struct Estimator {
     /// Eq. 14's sort term per candidate position, validated by the
     /// index's `(rows, bytes)`.
     sorts: QuoteTable<(u64, u64)>,
+    /// Per entry of `params.node_options`: the node count and its
+    /// scaling-law time and work factors.
+    node_scaling: Box<[(u32, f64, f64)]>,
 }
 
 impl Estimator {
@@ -255,12 +258,19 @@ impl Estimator {
         if let Err(field) = params.validate() {
             panic!("invalid cost parameter `{field}`");
         }
+        let parallel = &params.parallel;
+        let node_scaling = params
+            .node_options
+            .iter()
+            .map(|&k| (k, parallel.time_factor(k), parallel.work_factor(k)))
+            .collect();
         Estimator {
             params,
             prices,
             network,
             columns: QuoteTable::default(),
             sorts: QuoteTable::default(),
+            node_scaling,
         }
     }
 
@@ -446,6 +456,26 @@ impl Estimator {
             io_ops: base.io_ops,
             wan_bytes: 0,
         }
+    }
+
+    /// [`Self::scale_cache_execution`] at every configured node count, in
+    /// `node_options` order: `(nodes, time, cpu_secs)` per count, from
+    /// scaling factors computed once per estimator.
+    pub(crate) fn scale_cache_cells(
+        &self,
+        base: &CacheExecBase,
+    ) -> impl Iterator<Item = (u32, SimDuration, f64)> + '_ {
+        let time_1 = base.cpu_1 + base.disk_secs;
+        let cpu_1 = base.cpu_1;
+        self.node_scaling
+            .iter()
+            .map(move |&(k, time_factor, work_factor)| {
+                (
+                    k,
+                    SimDuration::from_secs(time_1 * time_factor),
+                    cpu_1 * work_factor,
+                )
+            })
     }
 
     /// Eq. 9: execution on the back-end plus result transfer.

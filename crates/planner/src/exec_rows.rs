@@ -8,11 +8,17 @@
 //! exactly those rows, so a fleet arrival fills them once: its
 //! budget-decided check reads that one fill, and every node's bid and
 //! the winner's serve bind it to their caches
-//! ([`crate::bind_plans_into`]). Hot per-(variant, node-count) fields
-//! are stored in struct-of-arrays form ([`ExecCells`]), matching the
-//! SoA selection scans in [`crate::soa`].
-
-use std::sync::Arc;
+//! ([`crate::bind_plans_into`]), whose [`crate::PlanRows`] are terms
+//! over these cells rather than copies of them. Hot per-(variant,
+//! node-count) fields are stored in struct-of-arrays form
+//! ([`ExecCells`]), matching the SoA selection scans in [`crate::soa`].
+//!
+//! A fill prices each term once: a variant's I/O term serves all of its
+//! node counts, and the scaling law's per-node-count factors are the
+//! estimator's, computed once. The rows name their compiled shape by its
+//! slot in the candidate index ([`ExecRows::shape`] reads it back
+//! through the context), so a fill hashes no key and clones no shared
+//! pointer.
 
 use metrics::CostBreakdown;
 use pricing::Money;
@@ -20,7 +26,7 @@ use simcore::SimDuration;
 use workload::Query;
 
 use crate::enumerate::PlannerContext;
-use crate::shapes::QueryShape;
+use crate::shapes::{QueryShape, ShapeId};
 
 /// Per-(node-count) execution cells of one index variant, struct-of-arrays:
 /// the skyline/selection hot fields live in parallel slices instead of
@@ -112,8 +118,11 @@ impl SkeletonCache {
 /// long-lived `ExecRows` performs no steady-state allocation.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecRows {
-    /// The query's compiled shape; `None` until the first fill.
-    shape: Option<Arc<QueryShape>>,
+    /// The slot of the query's compiled shape in the planner context's
+    /// candidate index; `None` until the first fill.
+    shape: Option<ShapeId>,
+    /// True if the shape has a best-index variant.
+    indexed: bool,
     /// Backend execution time.
     pub backend_time: SimDuration,
     /// Backend execution cost.
@@ -143,29 +152,30 @@ impl ExecRows {
 
     /// Refills the rows with `query`'s, reusing their storage.
     pub fn fill(&mut self, ctx: &PlannerContext<'_>, query: &Query) {
-        let shape = ctx.shape(query);
-        let backend = ctx.estimator.backend_execution_shaped(&shape, query);
+        let (id, shape) = ctx.shape_slot(query);
+        let backend = ctx.estimator.backend_execution_shaped(shape, query);
         (self.backend_cost, self.backend_breakdown) = ctx.estimator.price_execution(&backend);
         self.backend_time = backend.time;
         let [scan, indexed] = &mut self.cells;
-        fill_cells(ctx, query, &shape, false, scan);
+        fill_cells(ctx, query, shape, false, scan);
         if shape.indexed {
-            fill_cells(ctx, query, &shape, true, indexed);
+            fill_cells(ctx, query, shape, true, indexed);
         } else {
             indexed.clear();
         }
-        self.shape = Some(shape);
+        self.shape = Some(id);
+        self.indexed = shape.indexed;
     }
 
-    /// The compiled shape of the query the rows were filled from.
+    /// The compiled shape of the query the rows were filled from, read
+    /// from `ctx`, the context they were filled through.
     ///
     /// # Panics
     /// Panics if the rows were never filled.
     #[must_use]
-    pub fn shape(&self) -> &QueryShape {
-        self.shape
-            .as_deref()
-            .expect("execution rows read before a fill")
+    pub fn shape<'c>(&self, ctx: &PlannerContext<'c>) -> &'c QueryShape {
+        let id = self.shape.expect("execution rows read before a fill");
+        ctx.cand_index.shape_at(id)
     }
 
     /// Number of index variants: the scan variant, plus the best-index
@@ -175,7 +185,8 @@ impl ExecRows {
     /// Panics if the rows were never filled.
     #[must_use]
     pub fn variant_count(&self) -> usize {
-        1 + usize::from(self.shape().indexed)
+        assert!(self.shape.is_some(), "execution rows read before a fill");
+        1 + usize::from(self.indexed)
     }
 
     /// Variant `vi`'s cells: 0 is the scan variant, 1 the best-index
@@ -207,6 +218,12 @@ impl ExecRows {
 /// under the scaling law) at every configured node count. The variant
 /// is the shape's scan variant, or its best-index variant when
 /// `indexed`. [`ExecRows::fill`] is the only caller.
+///
+/// Each cell is [`crate::Estimator::price_execution`] of its estimate,
+/// but only the CPU term depends on the node count: the I/O volume is
+/// the same at every count, so its term is priced once for all of the
+/// variant's cells, and a cache cell moves no WAN bytes, so its network
+/// term is zero.
 fn fill_cells(
     ctx: &PlannerContext<'_>,
     query: &Query,
@@ -214,15 +231,21 @@ fn fill_cells(
     indexed: bool,
     cells: &mut ExecCells,
 ) {
+    let est = ctx.estimator;
     // Node-count-independent execution volumes (eq. 8's q_tot / io_tot).
-    let base = ctx
-        .estimator
-        .cache_execution_base_shaped(shape, query, indexed);
+    let base = est.cache_execution_base_shaped(shape, query, indexed);
+    let rates = &est.prices().rates;
+    let shared = CostBreakdown {
+        io: rates.io_cost(base.io_ops),
+        ..CostBreakdown::ZERO
+    };
     cells.clear();
-    for &k in &ctx.estimator.params().node_options {
-        let est = ctx.estimator.scale_cache_execution(&base, k);
-        let (cost, breakdown) = ctx.estimator.price_execution(&est);
-        cells.push(k, est.time, cost, breakdown);
+    for (k, time, cpu_secs) in est.scale_cache_cells(&base) {
+        let breakdown = CostBreakdown {
+            cpu: rates.cpu_cost(cpu_secs),
+            ..shared
+        };
+        cells.push(k, time, breakdown.total(), breakdown);
     }
 }
 

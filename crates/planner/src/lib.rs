@@ -25,22 +25,25 @@
 //!   scan variant's columns plus its indexes, so each column is probed,
 //!   quoted and priced once).
 //! * [`rows`] — [`PlanRows`], the compact form fused enumeration writes:
-//!   hot `(time, price, existing)` rows, per-row scalars and per-variant
-//!   shared lists. Selection runs on the rows, and the plan a query
-//!   runs is read from its row in place ([`PlanRows::row`]).
+//!   a plan set as terms over the arrival's [`ExecRows`] — hot
+//!   `(time, price, existing)` rows, each row's variant and cell, and
+//!   per-variant and per-node-count terms, each priced once. Selection
+//!   runs on the hot rows, and the plan a query runs is read from its
+//!   row and the execution rows in place ([`PlanRows::row`]).
 //! * [`exec_rows`] — [`ExecRows`], the cache-independent half of
 //!   planning: a query's backend row and every variant × node-count
 //!   execution cell, a pure function of the context and the query,
 //!   filled once per arrival into reused storage. [`bind_plans_into`]
 //!   binds it to one cache, for every serve and every bid;
-//!   [`enumerate_plans_into`] fills fresh rows and binds them in one
-//!   call. [`SkeletonCache`] is an inert name the repository benchmark
-//!   still uses.
+//!   [`enumerate_plans`] fills fresh rows, binds and materializes them
+//!   in one call. [`SkeletonCache`] is an inert name the repository
+//!   benchmark still uses.
 //! * [`soa`] — the struct-of-arrays selection-hot plan fields (time,
 //!   price, existing flag): the hot half of [`PlanRows`], and a
 //!   projection of any `QueryPlan` slice.
 //! * [`skyline`] — keeps only the (time, price)-Pareto plans, as the
-//!   paper's footnote 2 prescribes.
+//!   paper's footnote 2 prescribes; the serve's two-tier partition sorts
+//!   a plan set's few rows by stable insertion on raw keys.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -57,9 +60,7 @@ pub mod skyline;
 pub mod soa;
 
 pub use candidates::{generate_candidates, CandidateIndex, TableCandidate};
-pub use enumerate::{
-    bind_plans_into, enumerate_plans, enumerate_plans_into, EnumerationOptions, PlannerContext,
-};
+pub use enumerate::{bind_plans_into, enumerate_plans, EnumerationOptions, PlannerContext};
 pub use estimator::{CacheExecBase, CostParams, Estimator};
 pub use exec_rows::{ExecRows, SkeletonCache, SkeletonCacheCounters};
 pub use plan::{PlanShape, QueryPlan};

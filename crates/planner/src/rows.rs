@@ -1,80 +1,79 @@
-//! Plan sets as rows — the one compact form every planner emits.
+//! Plan sets as terms over the arrival's execution rows — the one
+//! compact form every planner emits.
 //!
 //! A plan set `P_Q` for one query holds a backend plan plus, per index
-//! variant (scan-only, best-index), one cache plan per node count. The
-//! variant's plans share everything but their execution cell and their
-//! extra CPU nodes: the same index assignment, the same data structures,
-//! the same missing data structures and build quotes. [`PlanRows`]
-//! stores the set that way:
+//! variant (scan-only, best-index), one cache plan per node count. A
+//! plan's execution time and cost are a cell of the query's
+//! [`ExecRows`], which the arrival fills once and every bind shares.
+//! What the cache adds to a plan's price splits into two sums: its
+//! variant's data structures (the same index assignment, structures used,
+//! missing structures and build quotes for every node count) and its
+//! extra CPU nodes (ordinals `0..k-1` of a `k`-node plan). [`PlanRows`]
+//! stores the set as exactly those terms:
 //!
 //! * **hot rows** ([`PlanHot`]): time, price and the existing flag, the
 //!   only fields the skyline and the case analysis read;
-//! * **per-row scalars**: execution cost and breakdown, build cost and
-//!   time, amortisation, maintenance, variant and node count;
-//! * **per-variant shared lists**: the index assignment, the data
-//!   structures used and the missing ones;
-//! * **per-node-ordinal state**: whether each extra CPU node is usable
-//!   (with its amortisation due and maintenance quote) or must be built.
-//!   A row with `k` nodes employs ordinals `0..k-1`.
+//! * **per row**: its variant and its cell in that variant's
+//!   [`ExecCells`] — nothing else;
+//! * **per variant**: its summed terms and its lengths in three shared
+//!   lists — the data structures used (each with the maintenance quote
+//!   its settlement collects) and the missing ones. The best-index
+//!   variant uses the scan variant's columns plus its indexes, so each
+//!   list holds the columns first and every variant is a prefix of it;
+//! * **per extra-node count**: the summed terms of ordinals `0..e`, so a
+//!   row's node terms are one lookup.
 //!
-//! Fused enumeration ([`crate::bind_plans_into`]) writes this form,
-//! so the economy selects straight on the rows and runs the chosen plan
-//! from its row ([`PlanRows::row`]); [`PlanRows::plan`] materializes a
-//! row as a [`QueryPlan`] for reference and tests.
+//! Each term is priced once per bind, however many rows share it, and a
+//! row's price is its cell's cost plus its variant's and its node count's
+//! terms. The economy selects straight on the hot rows and reads the
+//! chosen plan from its row ([`PlanRows::row`]) against the
+//! [`ExecRows`] the rows were bound from; [`PlanRows::plan`]
+//! materializes a row as a [`QueryPlan`] for reference and tests.
 //!
 //! Every price is a sum of exact integer [`Money`] terms, so the
-//! aggregates summed per variant and per node ordinal equal the per-plan
+//! aggregates summed per variant and per node count equal the per-plan
 //! sums of the plan structs bit for bit, whatever the summation order.
 
 use cache::{CacheState, CachedStructure, IndexId, StructureKey};
-use catalog::ColumnId;
 use metrics::CostBreakdown;
 use pricing::Money;
 use simcore::{SimDuration, SimTime};
 
-use crate::exec_rows::ExecCells;
+use crate::exec_rows::{ExecCells, ExecRows};
 use crate::plan::{PlanShape, QueryPlan};
 use crate::soa::PlanHot;
 
 /// Variant tag of the backend row.
 const BACKEND: u32 = u32::MAX;
 
-/// The lists every plan of one index variant shares.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct VariantLists {
-    /// Index assigned per table access (`None` = column scan).
-    pub indexes: Vec<Option<IndexId>>,
-    /// Data structures employed: accessed columns, then indexes.
-    pub uses: Vec<StructureKey>,
-    /// The entries of `uses` that are not usable now, in `uses` order.
-    pub missing: Vec<StructureKey>,
-}
-
-impl VariantLists {
-    fn clear(&mut self) {
-        self.indexes.clear();
-        self.uses.clear();
-        self.missing.clear();
-    }
-}
-
-/// One variant's cache-dependent aggregates over its data structures
-/// (extra CPU nodes excluded).
+/// One index variant's share of a plan set: its lengths in the shared
+/// lists of a [`PlanRows`] and the summed terms of its data structures.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct DataTerms {
-    /// Summed build cost of the missing data structures.
-    pub build_cost: Money,
-    /// Max build time of the missing data structures.
-    pub build_time: SimDuration,
+struct Variant {
+    /// Entries of the `uses` and `quotes` lists the variant employs.
+    uses: usize,
+    /// Entries of the `missing` list the variant must build.
+    missing: usize,
+    /// The summed terms of its data structures.
+    terms: DataTerms,
+}
+
+/// Cache-dependent aggregates over a set of structures.
+#[derive(Debug, Clone, Copy, Default)]
+struct DataTerms {
+    /// Summed build cost of the missing structures.
+    build_cost: Money,
+    /// Max build time of the missing structures.
+    build_time: SimDuration,
     /// First installments of the missing structures plus the dues of
     /// the existing ones.
-    pub amortized: Money,
+    amortized: Money,
     /// Maintenance quotes of the existing structures.
-    pub maintenance: Money,
+    maintenance: Money,
 }
 
 impl DataTerms {
-    pub(crate) const ZERO: DataTerms = DataTerms {
+    const ZERO: DataTerms = DataTerms {
         build_cost: Money::ZERO,
         build_time: SimDuration::ZERO,
         amortized: Money::ZERO,
@@ -83,7 +82,7 @@ impl DataTerms {
 
     /// Both sets of terms together: costs add, build times take the max
     /// (builds proceed in parallel).
-    pub(crate) fn plus(self, other: DataTerms) -> DataTerms {
+    fn plus(self, other: DataTerms) -> DataTerms {
         DataTerms {
             build_cost: self.build_cost + other.build_cost,
             build_time: if other.build_time > self.build_time {
@@ -97,13 +96,34 @@ impl DataTerms {
     }
 
     /// Folds in one missing structure's build quote.
-    pub(crate) fn add_missing(&mut self, cost: Money, time: SimDuration, amortize_n: u64) {
+    fn add_missing(&mut self, cost: Money, time: SimDuration, amortize_n: u64) {
         self.build_cost += cost;
         if time > self.build_time {
             self.build_time = time;
         }
         self.amortized += cost.amortize_over(amortize_n);
     }
+
+    /// What the terms add to a plan's price.
+    fn price(&self) -> Money {
+        self.amortized + self.maintenance
+    }
+}
+
+/// The terms extra-node ordinals `0..e` add to a row employing `e` extra
+/// nodes.
+#[derive(Debug, Clone, Copy)]
+struct NodePrefix {
+    terms: DataTerms,
+    /// How many of the `e` nodes must be built.
+    to_build: u32,
+}
+
+impl NodePrefix {
+    const ZERO: NodePrefix = NodePrefix {
+        terms: DataTerms::ZERO,
+        to_build: 0,
+    };
 }
 
 /// One plan of a [`PlanRows`], borrowed ([`PlanRows::row`]): the fields
@@ -125,8 +145,14 @@ pub struct PlanRow<'a> {
     /// The data structures employed (accessed columns, then indexes);
     /// empty for the backend plan.
     pub data: &'a [StructureKey],
+    /// Per entry of `data`: the maintenance quote its settlement
+    /// collects (zero where the structure is missing).
+    pub data_quotes: &'a [Money],
     /// Extra CPU nodes employed: ordinals `0..extra_nodes`.
     pub extra_nodes: u32,
+    /// Per extra node employed: its maintenance quote (zero where the
+    /// node is missing).
+    pub node_quotes: &'a [Money],
 }
 
 impl PlanRow<'_> {
@@ -135,6 +161,20 @@ impl PlanRow<'_> {
     pub fn uses(&self) -> impl Iterator<Item = StructureKey> + '_ {
         let nodes = (0..self.extra_nodes).map(StructureKey::Node);
         self.data.iter().copied().chain(nodes)
+    }
+
+    /// Each entry of [`Self::uses`] with its maintenance quote, the
+    /// capped maintenance its settlement collects; the quotes sum to
+    /// [`Self::maintenance_cost`]. `cache::CacheState::settle_quoted`
+    /// settles a plan from them.
+    pub fn quoted_uses(&self) -> impl Iterator<Item = (StructureKey, Money)> + '_ {
+        let data = self
+            .data
+            .iter()
+            .copied()
+            .zip(self.data_quotes.iter().copied());
+        let nodes = (0..self.extra_nodes).map(StructureKey::Node);
+        data.chain(nodes.zip(self.node_quotes.iter().copied()))
     }
 }
 
@@ -147,31 +187,38 @@ impl PlanRow<'_> {
 #[derive(Debug, Clone, Default)]
 pub struct PlanRows {
     hot: PlanHot,
-    exec_cost: Vec<Money>,
-    exec_breakdown: Vec<CostBreakdown>,
-    build_cost: Vec<Money>,
-    build_time: Vec<SimDuration>,
-    amortized: Vec<Money>,
-    maintenance: Vec<Money>,
     /// Variant of each row ([`BACKEND`] for row 0).
     variant: Vec<u32>,
-    /// Total CPU nodes of each row (0 for the backend row).
-    nodes: Vec<u32>,
-    /// Per-variant lists; the first `live_variants` are current.
-    variants: Vec<VariantLists>,
-    live_variants: usize,
-    /// Per extra-CPU-node ordinal: `Some((amortisation due, maintenance
-    /// quote))` when usable, `None` when a plan employing it must build
-    /// it. Covers every ordinal some row employs.
-    node_state: Vec<Option<(Money, Money)>>,
-    /// The `None` ordinals of `node_state` as keys, ascending.
+    /// Each row's cell in its variant's [`ExecCells`] (0 for row 0).
+    cell: Vec<u32>,
+    /// The scan variant, then the best-index variant if planned.
+    variants: Vec<Variant>,
+    /// Data structures employed: the accessed columns, then the
+    /// best-index variant's indexes.
+    uses: Vec<StructureKey>,
+    /// Per entry of `uses`: the capped maintenance a settlement of it
+    /// collects now if it is usable, zero if it is missing.
+    quotes: Vec<Money>,
+    /// The entries of `uses` that are not usable now, in `uses` order.
+    missing: Vec<StructureKey>,
+    /// The best-index variant's index per table access.
+    picks: Vec<Option<IndexId>>,
+    /// The query's table accesses.
+    accesses: usize,
+    /// The terms of the structures added since [`Self::begin`].
+    open: DataTerms,
+    /// Per extra-node count `e`: the terms ordinals `0..e` add. Entry 0
+    /// is zero; the table covers every count some row employs.
+    node_prefix: Vec<NodePrefix>,
+    /// Per extra-node ordinal: its maintenance quote when usable, zero
+    /// when a plan employing it must build it.
+    node_quotes: Vec<Money>,
+    /// The ordinals that must be built, as keys, ascending.
     missing_nodes: Vec<StructureKey>,
     node_build_cost: Money,
     node_build_time: SimDuration,
     /// First installment of an extra node under the current horizon.
     node_installment: Money,
-    /// Binding scratch: the accessed columns missing from the cache.
-    pub(crate) missing_cols: Vec<ColumnId>,
 }
 
 impl PlanRows {
@@ -199,50 +246,81 @@ impl PlanRows {
         &self.hot
     }
 
-    /// Plan `i` as the control loop runs it, borrowed from the rows: the
-    /// fields of [`Self::plan`] a serve reads, without allocating.
+    /// Plan `i` as the control loop runs it, borrowed from the rows and
+    /// `exec`, the execution rows they were bound from: the fields of
+    /// [`Self::plan`] a serve reads, without allocating.
     ///
     /// # Panics
     /// Panics if `i` is out of range.
     #[must_use]
-    pub fn row(&self, i: usize) -> PlanRow<'_> {
-        let (backend, data) = match self.variant[i] {
-            BACKEND => (true, &[][..]),
-            vi => (false, &self.variants[vi as usize].uses[..]),
-        };
+    pub fn row<'a>(&'a self, i: usize, exec: &'a ExecRows) -> PlanRow<'a> {
+        let vi = self.variant[i];
+        if vi == BACKEND {
+            return PlanRow {
+                backend: true,
+                exec_time: exec.backend_time,
+                exec_cost: exec.backend_cost,
+                exec_breakdown: exec.backend_breakdown,
+                amortized_cost: Money::ZERO,
+                maintenance_cost: Money::ZERO,
+                data: &[],
+                data_quotes: &[],
+                extra_nodes: 0,
+                node_quotes: &[],
+            };
+        }
+        let v = self.variants[vi as usize];
+        let cells = exec.cells(vi as usize);
+        let cell = self.cell[i] as usize;
+        debug_assert_eq!(
+            cells.time[cell], self.hot.time[i],
+            "rows read against execution rows they were not bound from"
+        );
+        let extra = cells.nodes[cell].saturating_sub(1);
+        let nodes = &self.node_prefix[extra as usize].terms;
         PlanRow {
-            backend,
-            exec_time: self.hot.time[i],
-            exec_cost: self.exec_cost[i],
-            exec_breakdown: self.exec_breakdown[i],
-            amortized_cost: self.amortized[i],
-            maintenance_cost: self.maintenance[i],
-            data,
-            extra_nodes: self.nodes[i].saturating_sub(1),
+            backend: false,
+            exec_time: cells.time[cell],
+            exec_cost: cells.cost[cell],
+            exec_breakdown: cells.breakdown[cell],
+            amortized_cost: v.terms.amortized + nodes.amortized,
+            maintenance_cost: v.terms.maintenance + nodes.maintenance,
+            data: &self.uses[..v.uses],
+            data_quotes: &self.quotes[..v.uses],
+            extra_nodes: extra,
+            node_quotes: &self.node_quotes[..extra as usize],
         }
     }
 
-    /// Materializes plan `i` — bit-identical to the `i`-th plan of the
+    /// Materializes plan `i` against `exec`, the execution rows the rows
+    /// were bound from — bit-identical to the `i`-th plan of the
     /// equivalent `Vec<QueryPlan>`.
     ///
     /// # Panics
     /// Panics if `i` is out of range.
     #[must_use]
-    pub fn plan(&self, i: usize) -> QueryPlan {
-        let row = self.row(i);
-        let (shape, missing) = match self.variant[i] {
-            BACKEND => (PlanShape::Backend, Vec::new()),
+    pub fn plan(&self, i: usize, exec: &ExecRows) -> QueryPlan {
+        let row = self.row(i, exec);
+        let (shape, missing, build) = match self.variant[i] {
+            BACKEND => (PlanShape::Backend, Vec::new(), DataTerms::ZERO),
             vi => {
-                let v = &self.variants[vi as usize];
-                let nodes = self.missing_nodes(i);
-                let mut missing = Vec::with_capacity(v.missing.len() + nodes.len());
-                missing.extend_from_slice(&v.missing);
+                let v = self.variants[vi as usize];
+                let (data, nodes) = (self.missing_data(i), self.missing_nodes(i, exec));
+                let mut missing = Vec::with_capacity(data.len() + nodes.len());
+                missing.extend_from_slice(data);
                 missing.extend_from_slice(nodes);
-                let shape = PlanShape::Cache {
-                    indexes: v.indexes.clone(),
-                    nodes: self.nodes[i],
+                let indexes = match vi {
+                    0 => vec![None; self.accesses],
+                    _ => self.picks.clone(),
                 };
-                (shape, missing)
+                let shape = PlanShape::Cache {
+                    indexes,
+                    nodes: exec.cells(vi as usize).nodes[self.cell[i] as usize],
+                };
+                let build = v
+                    .terms
+                    .plus(self.node_prefix[row.extra_nodes as usize].terms);
+                (shape, missing, build)
             }
         };
         QueryPlan {
@@ -252,185 +330,185 @@ impl PlanRows {
             exec_breakdown: row.exec_breakdown,
             uses: row.uses().collect(),
             missing,
-            build_cost: self.build_cost[i],
-            build_time: self.build_time[i],
+            build_cost: build.build_cost,
+            build_time: build.build_time,
             amortized_cost: row.amortized_cost,
             maintenance_cost: row.maintenance_cost,
             price: self.hot.price[i],
         }
     }
 
-    /// Materializes every plan, in row order.
+    /// Materializes every plan against `exec`, the execution rows the
+    /// rows were bound from, in row order.
     #[must_use]
-    pub fn to_plans(&self) -> Vec<QueryPlan> {
-        (0..self.len()).map(|i| self.plan(i)).collect()
+    pub fn to_plans(&self, exec: &ExecRows) -> Vec<QueryPlan> {
+        (0..self.len()).map(|i| self.plan(i, exec)).collect()
     }
 
     /// Plan `i`'s missing data structures (columns and indexes) — the
     /// head of its `missing` list.
     #[must_use]
+    #[inline]
     pub fn missing_data(&self, i: usize) -> &[StructureKey] {
         match self.variant[i] {
             BACKEND => &[],
-            vi => &self.variants[vi as usize].missing,
+            vi => &self.missing[..self.variants[vi as usize].missing],
         }
     }
 
     /// Plan `i`'s extra CPU nodes that must be built, ascending — the
-    /// tail of its `missing` list.
+    /// tail of its `missing` list. `exec` is the execution rows the rows
+    /// were bound from.
     #[must_use]
-    pub fn missing_nodes(&self, i: usize) -> &[StructureKey] {
-        let extra = self.nodes[i].saturating_sub(1);
+    #[inline]
+    pub fn missing_nodes(&self, i: usize, exec: &ExecRows) -> &[StructureKey] {
+        let extra = match self.variant[i] {
+            BACKEND => 0,
+            vi => exec.cells(vi as usize).nodes[self.cell[i] as usize].saturating_sub(1),
+        };
         let n = self
             .missing_nodes
             .partition_point(|k| matches!(k, StructureKey::Node(o) if *o < extra));
         &self.missing_nodes[..n]
     }
 
-    /// Clears the rows and writes the backend row (always existing).
-    /// `node_build` is an extra CPU node's build quote (cost, boot time);
+    /// Clears the rows and writes the backend row of `exec` (always
+    /// existing) for a query of `accesses` table accesses. `node_build`
+    /// is an extra CPU node's build quote (cost, boot time);
     /// `amortize_n` the horizon its first installment divides by.
     pub(crate) fn begin(
         &mut self,
-        backend: (SimDuration, Money, CostBreakdown),
+        exec: &ExecRows,
+        accesses: usize,
         node_build: (Money, SimDuration),
         amortize_n: u64,
     ) {
         assert!(amortize_n > 0, "amortization horizon must be positive");
         self.hot.clear();
-        self.exec_cost.clear();
-        self.exec_breakdown.clear();
-        self.build_cost.clear();
-        self.build_time.clear();
-        self.amortized.clear();
-        self.maintenance.clear();
         self.variant.clear();
-        self.nodes.clear();
-        self.live_variants = 0;
-        self.node_state.clear();
+        self.cell.clear();
+        self.variants.clear();
+        self.uses.clear();
+        self.quotes.clear();
+        self.missing.clear();
+        self.picks.clear();
+        self.accesses = accesses;
+        self.open = DataTerms::ZERO;
+        self.node_prefix.clear();
+        self.node_prefix.push(NodePrefix::ZERO);
+        self.node_quotes.clear();
         self.missing_nodes.clear();
         (self.node_build_cost, self.node_build_time) = node_build;
         self.node_installment = self.node_build_cost.amortize_over(amortize_n);
 
-        let (time, cost, breakdown) = backend;
-        self.push(BACKEND, 0, time, cost, breakdown, DataTerms::ZERO, true);
+        self.hot.time.push(exec.backend_time);
+        self.hot.price.push(exec.backend_cost);
+        self.hot.existing.push(true);
+        self.variant.push(BACKEND);
+        self.cell.push(0);
     }
 
-    /// Records the state of extra node `ordinal` in `cache` at `now`, the
-    /// next ordinal of [`Self::node_state`].
-    pub(crate) fn probe_node<F>(
+    /// Records the state of extra nodes `0..extra` in `cache` at `now`,
+    /// writing the node-prefix table: each usable node adds its due and
+    /// capped maintenance quote, each other its build quote.
+    pub(crate) fn probe_nodes<F>(
         &mut self,
         cache: &CacheState,
-        ordinal: u32,
+        extra: u32,
         now: SimTime,
         maint_window: SimDuration,
         price: &F,
     ) where
         F: Fn(&CachedStructure, SimDuration) -> Money,
     {
-        let state = cache
-            .get(StructureKey::Node(ordinal))
-            .filter(|s| s.is_available(now))
-            .map(|s| {
-                let span = now.saturating_since(s.maint_paid_until).min(maint_window);
-                (s.amortization_due(), price(s, span))
-            });
-        if state.is_none() {
-            self.missing_nodes.push(StructureKey::Node(ordinal));
-        }
-        self.node_state.push(state);
-    }
-
-    /// Opens the next variant with cleared lists, returning its tag.
-    pub(crate) fn open_variant(&mut self) -> u32 {
-        if self.live_variants == self.variants.len() {
-            self.variants.push(VariantLists::default());
-        }
-        self.variants[self.live_variants].clear();
-        self.live_variants += 1;
-        (self.live_variants - 1) as u32
-    }
-
-    /// Variant `vi`'s lists, for the producer to fill.
-    pub(crate) fn lists(&mut self, vi: u32) -> &mut VariantLists {
-        &mut self.variants[vi as usize]
-    }
-
-    /// Variant `a`'s lists (read) beside variant `b`'s (to fill), `a < b`.
-    pub(crate) fn two_lists(&mut self, a: u32, b: u32) -> (&VariantLists, &mut VariantLists) {
-        let (head, tail) = self.variants.split_at_mut(b as usize);
-        (&head[a as usize], &mut tail[0])
-    }
-
-    /// Writes variant `vi`'s cache row for execution cell `cell` (`k`
-    /// nodes): the variant's data terms plus node ordinals `0..k-1`.
-    pub(crate) fn push_cache_row(
-        &mut self,
-        vi: u32,
-        cells: &ExecCells,
-        cell: usize,
-        data: DataTerms,
-    ) {
-        let k = cells.nodes[cell];
-        let (nodes, to_build) = self.node_terms(k);
-        let existing = to_build == 0 && self.variants[vi as usize].missing.is_empty();
-        self.push(
-            vi,
-            k,
-            cells.time[cell],
-            cells.cost[cell],
-            cells.breakdown[cell],
-            data.plus(nodes),
-            existing,
-        );
-    }
-
-    /// The terms extra-node ordinals `0..k-1` add to a `k`-node row —
-    /// dues and maintenance of the usable nodes, build quote and first
-    /// installment of the others — and the count of nodes to build.
-    fn node_terms(&self, k: u32) -> (DataTerms, usize) {
-        let mut terms = DataTerms::ZERO;
-        let mut to_build = 0;
-        for state in &self.node_state[..k.saturating_sub(1) as usize] {
-            match state {
-                Some((due, maint)) => {
-                    terms.amortized += *due;
-                    terms.maintenance += *maint;
+        let mut prefix = NodePrefix::ZERO;
+        for ordinal in 0..extra {
+            let key = StructureKey::Node(ordinal);
+            match cache.get(key).filter(|s| s.is_available(now)) {
+                Some(s) => {
+                    let span = now.saturating_since(s.maint_paid_until).min(maint_window);
+                    let maint = price(s, span);
+                    prefix.terms.amortized += s.amortization_due();
+                    prefix.terms.maintenance += maint;
+                    self.node_quotes.push(maint);
                 }
                 None => {
-                    to_build += 1;
-                    terms.build_cost += self.node_build_cost;
-                    terms.build_time = self.node_build_time;
-                    terms.amortized += self.node_installment;
+                    prefix.to_build += 1;
+                    prefix.terms.build_cost += self.node_build_cost;
+                    prefix.terms.build_time = self.node_build_time;
+                    prefix.terms.amortized += self.node_installment;
+                    self.node_quotes.push(Money::ZERO);
+                    self.missing_nodes.push(key);
                 }
             }
+            self.node_prefix.push(prefix);
         }
-        (terms, to_build)
     }
 
-    #[allow(clippy::too_many_arguments)] // one parameter per row column
-    fn push(
+    /// Adds a usable structure with its installment due and capped
+    /// maintenance quote.
+    pub(crate) fn add_usable(&mut self, key: StructureKey, (due, maint): (Money, Money)) {
+        self.uses.push(key);
+        self.quotes.push(maint);
+        self.open.amortized += due;
+        self.open.maintenance += maint;
+    }
+
+    /// Adds a missing structure with its build quote.
+    pub(crate) fn add_missing(
         &mut self,
-        vi: u32,
-        k: u32,
-        time: SimDuration,
-        cost: Money,
-        breakdown: CostBreakdown,
-        terms: DataTerms,
-        existing: bool,
+        key: StructureKey,
+        (cost, time): (Money, SimDuration),
+        amortize_n: u64,
     ) {
-        self.hot.time.push(time);
-        self.hot
-            .price
-            .push(cost + terms.amortized + terms.maintenance);
-        self.hot.existing.push(existing);
-        self.exec_cost.push(cost);
-        self.exec_breakdown.push(breakdown);
-        self.build_cost.push(terms.build_cost);
-        self.build_time.push(terms.build_time);
-        self.amortized.push(terms.amortized);
-        self.maintenance.push(terms.maintenance);
-        self.variant.push(vi);
-        self.nodes.push(k);
+        self.uses.push(key);
+        self.quotes.push(Money::ZERO);
+        self.missing.push(key);
+        self.open.add_missing(cost, time, amortize_n);
+    }
+
+    /// True if `key` was added as missing.
+    pub(crate) fn is_missing(&self, key: StructureKey) -> bool {
+        self.missing.contains(&key)
+    }
+
+    /// Records the best-index variant's index per table access.
+    pub(crate) fn set_picks(&mut self, picks: impl IntoIterator<Item = Option<IndexId>>) {
+        self.picks.extend(picks);
+    }
+
+    /// Closes the next variant over every structure added so far,
+    /// returning its tag: 0 for the scan variant, 1 for the best-index
+    /// variant, matching [`ExecRows::cells`].
+    pub(crate) fn close_variant(&mut self) -> u32 {
+        self.variants.push(Variant {
+            uses: self.uses.len(),
+            missing: self.missing.len(),
+            terms: self.open,
+        });
+        (self.variants.len() - 1) as u32
+    }
+
+    /// Writes variant `vi`'s cache rows, one per cell of `cells` (the
+    /// variant's execution cells), skipping multi-node cells unless
+    /// `extra_nodes` allows them: each row's price is its cell's cost
+    /// plus the variant's terms and the terms of its extra nodes.
+    pub(crate) fn push_cells(&mut self, vi: u32, cells: &ExecCells, extra_nodes: bool) {
+        let v = self.variants[vi as usize];
+        let (data_price, data_complete) = (v.terms.price(), v.missing == 0);
+        for cell in 0..cells.len() {
+            let k = cells.nodes[cell];
+            if k > 1 && !extra_nodes {
+                continue;
+            }
+            let nodes = &self.node_prefix[k.saturating_sub(1) as usize];
+            self.hot.time.push(cells.time[cell]);
+            self.hot
+                .price
+                .push(cells.cost[cell] + data_price + nodes.terms.price());
+            self.hot.existing.push(data_complete && nodes.to_build == 0);
+            self.variant.push(vi);
+            self.cell.push(cell as u32);
+        }
     }
 }

@@ -32,8 +32,9 @@
 //! every lookup that the query's lists ([`workload::QueryLists`]) are the
 //! ones the shape was compiled from.
 
-use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+#[cfg(debug_assertions)]
+use std::sync::Arc;
+use std::sync::OnceLock;
 
 use cache::{IndexDef, ROW_LOCATOR_BYTES};
 use catalog::{ColumnId, Schema, TableId};
@@ -209,51 +210,127 @@ fn row_bytes(width: u64) -> u32 {
     u32::try_from(width).expect("row width fits u32")
 }
 
+/// Slots per block of a [`ShapeTable`].
+const BLOCK: usize = 32;
+
+/// Where a compiled shape lives in its [`ShapeTable`]: a stable slot,
+/// so an [`crate::ExecRows`] can name its shape without owning it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ShapeId(u32);
+
 /// The lazily filled `(template, mask)` → [`QueryShape`] table of a
-/// [`CandidateIndex`]. Shared read-only by every planning call; a miss
-/// compiles outside the lock, and racing compilers produce equal shapes,
-/// so keeping either is correct.
-#[derive(Debug, Default)]
+/// [`CandidateIndex`]: an open-addressed hash table of write-once slots,
+/// chained into a further block when a block's probe sequence is full.
+/// A lookup is a multiplicative hash and a few atomic loads — no lock,
+/// no SipHash and no reference count — and a shape never moves once
+/// written, so [`Self::at`] hands out plain references.
+///
+/// A miss compiles the shape inside its slot's initializer; a racing
+/// lookup of another key that lands on the same slot waits for it and
+/// probes on. Slots are never emptied, so a key is always found before
+/// the first empty slot of its probe sequence.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ShapeTable {
-    map: RwLock<HashMap<(TemplateId, u32), Arc<QueryShape>>>,
+    slots: [OnceLock<Box<QueryShape>>; BLOCK],
+    next: OnceLock<Box<ShapeTable>>,
 }
 
 impl ShapeTable {
-    /// The shape of `query`, compiled on its key's first sighting.
+    /// The shape of `query` and its slot, compiled on its key's first
+    /// sighting.
     pub(crate) fn get(
         &self,
         schema: &Schema,
         candidates: &[IndexDef],
         index: &CandidateIndex,
         query: &Query,
-    ) -> Arc<QueryShape> {
+    ) -> (ShapeId, &QueryShape) {
         let key = (query.template, query.mask);
-        let hit = self
-            .map
-            .read()
-            .expect("shape table poisoned")
-            .get(&key)
-            .map(Arc::clone);
-        let shape = hit.unwrap_or_else(|| {
-            let compiled = Arc::new(QueryShape::compile(schema, candidates, index, query));
-            let mut map = self.map.write().expect("shape table poisoned");
-            Arc::clone(map.entry(key).or_insert(compiled))
-        });
-        #[cfg(debug_assertions)]
-        shape.check(query);
-        shape
+        let mixed = ((query.template.0 as u64) << 32 | u64::from(query.mask))
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let start = (mixed >> (64 - BLOCK.trailing_zeros())) as usize;
+        let mut block = self;
+        let mut base = 0;
+        loop {
+            for probe in 0..BLOCK {
+                let at = (start + probe) % BLOCK;
+                let shape = block.slots[at].get_or_init(|| {
+                    Box::new(QueryShape::compile(schema, candidates, index, query))
+                });
+                if (shape.template, shape.mask) == key {
+                    #[cfg(debug_assertions)]
+                    shape.check(query);
+                    let id = u32::try_from(base + at).expect("shape slot fits u32");
+                    return (ShapeId(id), shape);
+                }
+            }
+            block = block.next.get_or_init(Box::default);
+            base += BLOCK;
+        }
+    }
+
+    /// The shape in slot `id`.
+    ///
+    /// # Panics
+    /// Panics if slot `id` holds no shape.
+    pub(crate) fn at(&self, id: ShapeId) -> &QueryShape {
+        let mut block = self;
+        let mut at = id.0 as usize;
+        while at >= BLOCK {
+            block = block.next.get().expect("shape slot out of range");
+            at -= BLOCK;
+        }
+        block.slots[at].get().expect("shape slot is empty")
     }
 
     /// Number of compiled shapes.
     pub(crate) fn len(&self) -> usize {
-        self.map.read().expect("shape table poisoned").len()
+        let here = self.slots.iter().filter(|s| s.get().is_some()).count();
+        here + self.next.get().map_or(0, |next| next.len())
     }
 }
 
-impl Clone for ShapeTable {
-    fn clone(&self) -> Self {
-        ShapeTable {
-            map: RwLock::new(self.map.read().expect("shape table poisoned").clone()),
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::candidates::generate_candidates;
+    use catalog::tpch::{tpch_schema, ScaleFactor};
+    use std::sync::Arc;
+    use workload::{paper_templates, TemplateId, WorkloadConfig, WorkloadGenerator};
+
+    /// More keys than one block holds chain into further blocks: every
+    /// key compiles once, keeps its slot, and reads back through it.
+    #[test]
+    fn keys_beyond_one_block_chain_into_further_blocks() {
+        let schema = Arc::new(tpch_schema(ScaleFactor(1.0)));
+        let candidates = generate_candidates(&schema, &paper_templates(&schema), 65);
+        let index = CandidateIndex::build(&schema, &candidates);
+        let query =
+            WorkloadGenerator::new(Arc::clone(&schema), WorkloadConfig::default(), 1).next_query();
+        // One list set under many keys: shapes compile from the query's
+        // own lists, so each key's debug check holds.
+        let keyed = |t: usize, mask: u32| Query {
+            template: TemplateId(t),
+            mask,
+            ..query.clone()
+        };
+        let keys: Vec<(usize, u32)> = (0..5).flat_map(|t| (0..30).map(move |m| (t, m))).collect();
+        let mut slots = Vec::new();
+        for &(t, m) in &keys {
+            let (id, shape) = index.shape(&schema, &candidates, &keyed(t, m));
+            assert_eq!((shape.template, shape.mask), (TemplateId(t), m));
+            slots.push(id);
         }
+        assert_eq!(index.compiled_shapes(), keys.len());
+        for (&(t, m), &id) in keys.iter().zip(&slots) {
+            let (again, shape) = index.shape(&schema, &candidates, &keyed(t, m));
+            assert_eq!(again, id, "key ({t}, {m}) moved");
+            assert!(std::ptr::eq(shape, index.shape_at(id)));
+        }
+        assert_eq!(
+            index.compiled_shapes(),
+            keys.len(),
+            "a hit compiles nothing"
+        );
     }
 }

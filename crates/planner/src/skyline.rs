@@ -5,6 +5,14 @@
 //! two plans with the same execution time, only the cheapest one is
 //! encompassed."* A plan is kept iff no other plan is at least as fast
 //! *and* at least as cheap (with one strict).
+//!
+//! [`skyline_filter`] is the reference over plan structs. The economy's
+//! serve and bid partition a plan set's hot rows into its two tiers with
+//! [`skyline_partition_hot`]: a stable insertion sort of the row indices
+//! on raw integer keys (a plan set holds a handful of rows) and one scan
+//! of the order for both tiers.
+
+use pricing::Money;
 
 use crate::plan::QueryPlan;
 use crate::soa::PlanHot;
@@ -48,8 +56,9 @@ pub fn skyline_filter(mut plans: Vec<QueryPlan>) -> Vec<QueryPlan> {
 /// strictly below the running minimum over the plans sorted before it
 /// (rejected plans can never lower that minimum).
 ///
-/// `order` is caller scratch (cleared and refilled); `out` receives the
-/// surviving indices with the count of existing-tier entries returned.
+/// `order` is caller scratch (its contents on return are unspecified);
+/// `out` receives the surviving indices with the count of existing-tier
+/// entries returned.
 pub fn skyline_partition(
     plans: &[QueryPlan],
     order: &mut Vec<usize>,
@@ -58,40 +67,67 @@ pub fn skyline_partition(
     skyline_partition_hot(&PlanHot::of(plans), order, out)
 }
 
-/// [`skyline_partition`] over a struct-of-arrays plan view: the sort key
-/// comparisons and the two min-scans read dense parallel slices
-/// ([`PlanHot`]) instead of strided plan structs. Identical output for
-/// identical (time, price, existing) rows.
+/// [`skyline_partition`] over a struct-of-arrays plan view: the sort and
+/// the two min-scans read dense parallel slices ([`PlanHot`]) instead of
+/// strided plan structs. Identical output for identical (time, price,
+/// existing) rows.
+///
+/// The order is a stable insertion sort on raw keys: a plan set holds a
+/// handful of rows, so each row shifts past the few rows it follows in
+/// place, and it compares integer keys — a time's bits (times are
+/// finite and non-negative, so their bits order like their values once
+/// `-0.0` reads as `0.0`) and a price's nanodollars — with no closure
+/// or float comparison. A row moves left only past strictly greater
+/// keys, so equal keys keep enumeration order, and ties break exactly
+/// as in [`skyline_filter`].
 pub fn skyline_partition_hot(hot: &PlanHot, order: &mut Vec<usize>, out: &mut Vec<usize>) -> usize {
+    let n = hot.len();
+    let (time, price, existing) = (&hot.time[..n], &hot.price[..n], &hot.existing[..n]);
+    let bits = |i: usize| (time[i].as_secs() + 0.0).to_bits();
     order.clear();
-    order.extend(0..hot.len());
-    // Stable sort by (time, price): equal keys keep enumeration order, so
-    // ties break exactly as in `skyline_filter`.
-    order.sort_by(|&a, &b| {
-        hot.time[a]
-            .cmp(&hot.time[b])
-            .then(hot.price[a].cmp(&hot.price[b]))
-    });
-
-    out.clear();
-    let mut min_exist: Option<pricing::Money> = None;
-    for &i in order.iter() {
-        if hot.existing[i] && min_exist.is_none_or(|m| hot.price[i] < m) {
-            out.push(i);
-            min_exist = Some(hot.price[i]);
-        }
-    }
-    let existing = out.len();
-    let mut min_all: Option<pricing::Money> = None;
-    for &i in order.iter() {
-        if min_all.is_none_or(|m| hot.price[i] < m) {
-            if !hot.existing[i] {
-                out.push(i);
+    for i in 0..n {
+        let (t, p) = (bits(i), price[i]);
+        order.push(i);
+        let mut at = i;
+        while at > 0 {
+            let prev = order[at - 1];
+            let prev_t = bits(prev);
+            if prev_t < t || (prev_t == t && price[prev] <= p) {
+                break;
             }
-            min_all = Some(hot.price[i]);
+            order[at] = prev;
+            at -= 1;
+        }
+        order[at] = i;
+    }
+
+    // One scan of the order for both tiers: existing-tier survivors go
+    // to `out` as they are found; possible-tier survivors are compacted
+    // into the head of `order`, behind the scan, and appended after.
+    out.clear();
+    let mut min_exist: Option<Money> = None;
+    let mut min_all: Option<Money> = None;
+    let mut possible = 0;
+    for at in 0..n {
+        let i = order[at];
+        let p = price[i];
+        if existing[i] && min_exist.is_none_or(|m| p < m) {
+            out.push(i);
+            min_exist = Some(p);
+        }
+        if min_all.is_none_or(|m| p < m) {
+            if !existing[i] {
+                order[possible] = i;
+                possible += 1;
+            }
+            min_all = Some(p);
         }
     }
-    existing
+    let existing_count = out.len();
+    for &i in &order[..possible] {
+        out.push(i);
+    }
+    existing_count
 }
 
 #[cfg(test)]
@@ -99,7 +135,6 @@ mod tests {
     use super::*;
     use crate::plan::PlanShape;
     use metrics::CostBreakdown;
-    use pricing::Money;
     use simcore::SimDuration;
 
     fn plan(time: f64, price: f64) -> QueryPlan {

@@ -14,11 +14,10 @@
 //! soft-float library calls (`round` and the `f64` → `i128` conversion),
 //! and the planner prices every plan of every query through it. So the
 //! conversion goes through the 64-bit hardware instructions whenever the
-//! value fits in `i64`, and rounds in the integer domain: with
-//! `t = x as i64` (truncation) and `frac = x − t` (exact, since `t` is
-//! `x`'s integer part), the result is `t + (frac ≥ ½) − (frac ≤ −½)`.
-//! This equals `x.round()` for every `|x| < 2⁶³`. Beyond that range `x`
-//! is already an integer and only the `i128` conversion remains. The
+//! value fits in `i64`: it adds `h = ½ − 2⁻⁵⁴`, the largest `f64` below
+//! ½, with `x`'s sign, and truncates. This equals `x.round()` for every
+//! `|x| < 2⁶³` (see `round_nanos`). Beyond that range `x` is already an
+//! integer and only the `i128` conversion remains. The
 //! reverse directions ([`Money::as_dollars`], [`Money::amortize_over`])
 //! likewise use `i64` arithmetic when the amount fits. An amount that
 //! would not fit in `i128` panics instead of saturating.
@@ -43,20 +42,27 @@ const I64_LIMIT: f64 = -(i64::MIN as f64);
 /// 2¹²⁷: the magnitude bound of `i128` (`i128::MIN == -2¹²⁷`).
 const I128_LIMIT: f64 = -(i128::MIN as f64);
 
+/// ½ − 2⁻⁵⁴, the largest `f64` below ½.
+const JUST_BELOW_HALF: f64 = 0.5 - f64::EPSILON / 4.0;
+
 /// Rounds `x` half away from zero to whole nano-dollars: `x.round() as
 /// i128` for every finite `x` in `i128` range, `None` outside it (NaN
 /// included).
+///
+/// Below 2⁶³ the sum `s = x + h·sign(x)`, `h` = [`JUST_BELOW_HALF`],
+/// truncates to `x.round()`; by symmetry take `x ≥ 0`, `n = ⌊x⌋`:
+/// * `x ≥ 2⁵²` is an integer whose spacing is at least 1 > 2h, so `s`
+///   rounds back to `x`.
+/// * `x − n < ½`: `x ≤ n + ½ − u` for `x`'s spacing `u`, so the exact sum
+///   is at most `n + 1 − u − 2⁻⁵⁴`, which rounds to at most `n + 1 − u`,
+///   the representable value below `n + 1`; `s` truncates to `n`.
+/// * `x − n ≥ ½`: the exact sum is at least `n + 1 − 2⁻⁵⁴`, which rounds
+///   up to `n + 1` (for `x = ½` it is the tie `1 − 2⁻⁵⁴`, which rounds to
+///   the even `1`); `s` truncates to `n + 1`.
 #[inline]
 fn round_nanos(x: f64) -> Option<i128> {
     if x.abs() < I64_LIMIT {
-        // Truncation is exact here, and so is `x - t`: `t` is `x`'s
-        // integer part. Adding one cannot overflow: a fractional `x` has
-        // magnitude below 2⁵².
-        let t = x as i64;
-        let frac = x - t as f64;
-        Some(i128::from(
-            t + i64::from(frac >= 0.5) - i64::from(frac <= -0.5),
-        ))
+        Some(i128::from((x + JUST_BELOW_HALF.copysign(x)) as i64))
     } else if (-I128_LIMIT..I128_LIMIT).contains(&x) {
         // |x| ≥ 2⁶³ is already an integer.
         Some(x as i128)
@@ -316,12 +322,12 @@ impl Sum for Money {
 impl fmt::Display for Money {
     #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let sign = if self.0 < 0 { "-" } else { "" };
-        let abs = self.0.unsigned_abs();
-        let dollars = abs / NANOS_PER_DOLLAR as u128;
-        let frac = abs % NANOS_PER_DOLLAR as u128;
-        // Show 4 decimal places: enough to see per-query charges.
-        write!(f, "{sign}${dollars}.{:04}", frac / 100_000)
+        // Show 4 decimal places, enough to see per-query charges, rounded
+        // half away from zero; an amount that rounds to zero is unsigned.
+        const NANOS_PER_UNIT: u128 = NANOS_PER_DOLLAR as u128 / 10_000;
+        let units = (self.0.unsigned_abs() + NANOS_PER_UNIT / 2) / NANOS_PER_UNIT;
+        let sign = if self.0 < 0 && units > 0 { "-" } else { "" };
+        write!(f, "{sign}${}.{:04}", units / 10_000, units % 10_000)
     }
 }
 
@@ -409,6 +415,15 @@ mod tests {
         assert_eq!((-Money::from_dollars(0.5)).to_string(), "-$0.5000");
         assert_eq!(Money::ZERO.to_string(), "$0.0000");
         assert_eq!(Money::from_dollars(1234.5678).to_string(), "$1234.5678");
+        // Rounded half away from zero at the fourth decimal, never "-$0".
+        assert_eq!(Money::from_nanos(18_330_269_980).to_string(), "$18.3303");
+        assert_eq!(Money::from_nanos(-18_330_269_980).to_string(), "-$18.3303");
+        assert_eq!(Money::from_nanos(18_330_249_999).to_string(), "$18.3302");
+        assert_eq!(Money::from_nanos(50_000).to_string(), "$0.0001");
+        assert_eq!(Money::from_nanos(49_999).to_string(), "$0.0000");
+        assert_eq!(Money::from_nanos(-49_999).to_string(), "$0.0000");
+        assert_eq!(Money::from_nanos(-50_000).to_string(), "-$0.0001");
+        assert_eq!(Money::from_nanos(9_999_950_000).to_string(), "$10.0000");
     }
 
     #[test]

@@ -46,6 +46,7 @@ impl NetworkModel {
 
     /// Time to move `bytes` across the link: `l + bytes / t`.
     #[must_use]
+    #[inline]
     pub fn transfer_time(&self, bytes: u64) -> SimDuration {
         self.latency + SimDuration::from_secs(bytes as f64 / self.throughput_bytes_per_sec)
     }

@@ -87,6 +87,7 @@ impl Selectivities {
 
 impl Deref for Selectivities {
     type Target = [f64];
+    #[inline]
     fn deref(&self) -> &[f64] {
         &self.values[..self.len]
     }

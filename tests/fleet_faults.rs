@@ -213,7 +213,7 @@ proptest! {
             prop_assert_eq!(
                 *write_off,
                 stats.build_spend,
-                "capital drift on node {}: written off {} vs invested {}",
+                "capital drift on node {}: written off {:?} vs invested {:?}",
                 node,
                 write_off,
                 stats.build_spend

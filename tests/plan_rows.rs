@@ -25,9 +25,8 @@ use cloudcache::econ::{
 };
 use cloudcache::planner::plan::QueryPlan;
 use cloudcache::planner::{
-    bind_plans_into, enumerate_plans_into, generate_candidates, skyline_partition_hot,
-    CandidateIndex, CostParams, EnumerationOptions, Estimator, ExecRows, PlanHot, PlanRows,
-    PlanShape, PlannerContext,
+    bind_plans_into, generate_candidates, skyline_partition_hot, CandidateIndex, CostParams,
+    EnumerationOptions, Estimator, ExecRows, PlanHot, PlanRows, PlanShape, PlannerContext,
 };
 use cloudcache::policies::EconPolicy;
 use cloudcache::pricing::{Money, PriceCatalog};
@@ -153,7 +152,12 @@ type Served = (
 /// skyline and the case analysis, the chosen row materialized alone, and
 /// each regret list read from its row — the missing data structures, or
 /// the missing extra nodes when no data structure is missing.
-fn serve_rows(rows: &PlanRows, budget: &BudgetFunction, objective: SelectionObjective) -> Served {
+fn serve_rows(
+    exec: &ExecRows,
+    rows: &PlanRows,
+    budget: &BudgetFunction,
+    objective: SelectionObjective,
+) -> Served {
     let (mut order, mut sky) = (Vec::new(), Vec::new());
     skyline_partition_hot(rows.hot(), &mut order, &mut sky);
     let sel = select_plan_hot(rows.hot(), &sky, budget, objective);
@@ -164,7 +168,7 @@ fn serve_rows(rows: &PlanRows, budget: &BudgetFunction, objective: SelectionObje
             let row = sky[i];
             let data = rows.missing_data(row);
             let keys = if data.is_empty() {
-                rows.missing_nodes(row)
+                rows.missing_nodes(row, exec)
             } else {
                 data
             };
@@ -175,7 +179,7 @@ fn serve_rows(rows: &PlanRows, budget: &BudgetFunction, objective: SelectionObje
         sel.case,
         sel.payment,
         sel.profit,
-        rows.plan(sky[sel.selected]),
+        rows.plan(sky[sel.selected], exec),
         regrets,
     )
 }
@@ -226,12 +230,18 @@ fn serve_plans(
 /// Fused enumeration's rows against their own materialization: row by
 /// row plan, borrowed-row and missing-list equality, and the same serve
 /// selection under `budget` on the rows as on the plans.
-fn check_rows(rows: &PlanRows, budget: &BudgetFunction, objective: SelectionObjective, what: &str) {
-    let plans = rows.to_plans();
+fn check_rows(
+    exec: &ExecRows,
+    rows: &PlanRows,
+    budget: &BudgetFunction,
+    objective: SelectionObjective,
+    what: &str,
+) {
+    let plans = rows.to_plans(exec);
     assert_eq!(rows.len(), plans.len(), "{what}: row count");
     for (i, plan) in plans.iter().enumerate() {
-        assert_eq!(rows.plan(i), *plan, "{what}: row {i}");
-        let row = rows.row(i);
+        assert_eq!(rows.plan(i, exec), *plan, "{what}: row {i}");
+        let row = rows.row(i, exec);
         assert_eq!(
             row.backend,
             plan.shape == PlanShape::Backend,
@@ -242,17 +252,24 @@ fn check_rows(rows: &PlanRows, budget: &BudgetFunction, objective: SelectionObje
             plan.uses,
             "{what}: row {i} uses"
         );
+        let (quoted, quotes): (Vec<StructureKey>, Vec<Money>) = row.quoted_uses().unzip();
+        assert_eq!(quoted, plan.uses, "{what}: row {i} quoted uses");
+        assert_eq!(
+            quotes.into_iter().sum::<Money>(),
+            plan.maintenance_cost,
+            "{what}: row {i} maintenance quotes"
+        );
         let missing: Vec<StructureKey> = rows
             .missing_data(i)
             .iter()
-            .chain(rows.missing_nodes(i))
+            .chain(rows.missing_nodes(i, exec))
             .copied()
             .collect();
         assert_eq!(missing, plan.missing, "{what}: row {i} missing list");
     }
     assert_eq!(*rows.hot(), PlanHot::of(&plans), "{what}: hot rows");
     assert_eq!(
-        serve_rows(rows, budget, objective),
+        serve_rows(exec, rows, budget, objective),
         serve_plans(&plans, budget, objective),
         "{what}: serve selection"
     );
@@ -304,7 +321,7 @@ proptest! {
         let columns = pool_columns(&pool);
         let mut caches = seeded_caches(&columns, n_nodes);
         let mut now = 0.0f64;
-        let mut rows = PlanRows::new();
+        let (mut exec, mut rows) = (ExecRows::new(), PlanRows::new());
         for (step, (&(op, sel, node_pick, gap, build), &(shape, objective, scale, patience))) in
             ops.iter().zip(&budgets).enumerate()
         {
@@ -321,13 +338,14 @@ proptest! {
             ][objective as usize];
             for (i, cache) in caches.iter().enumerate() {
                 let opts = node_opts(i, seed + step as u64);
-                enumerate_plans_into(&ctx, q, cache, t, opts, &mut rows);
+                exec.fill(&ctx, q);
+                bind_plans_into(&ctx, &exec, cache, t, opts, &mut rows);
                 let budget = BudgetFunction::of_shape(
                     shape,
                     rows.hot().price[0].scale(scale),
                     rows.hot().time[0] * patience,
                 );
-                check_rows(&rows, &budget, objective, &format!("step {step} node {i}"));
+                check_rows(&exec, &rows, &budget, objective, &format!("step {step} node {i}"));
             }
         }
     }
@@ -550,7 +568,7 @@ proptest! {
                     bind_plans_into(&ctx, &exec, cache, t, opts, &mut rows);
                     let reference = reference_plans(&ctx, q, cache, t, opts);
                     prop_assert_eq!(
-                        rows.to_plans(),
+                        rows.to_plans(&exec),
                         reference.clone(),
                         "{} plans at step {} node {}",
                         scheme,

@@ -3,14 +3,14 @@
 
 use std::collections::HashMap;
 
-use cloudcache::cache::{CacheState, IndexId, Occupancy, StructureKey};
+use cloudcache::cache::{CacheState, CachedStructure, IndexId, Occupancy, StructureKey};
 use cloudcache::catalog::ColumnId;
 use cloudcache::econ::{
     select_plan, BudgetFunction, BudgetShape, RegretAttribution, RegretLedger, SelectionObjective,
 };
 use cloudcache::metrics::{CostBreakdown, StreamingStats};
 use cloudcache::planner::plan::{PlanShape, QueryPlan};
-use cloudcache::planner::skyline_filter;
+use cloudcache::planner::{skyline_filter, skyline_partition_hot, PlanHot};
 use cloudcache::pricing::Money;
 use cloudcache::simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -380,6 +380,144 @@ proptest! {
             let expected: u64 = resident.values().sum();
             prop_assert_eq!(cache.disk_used(), expected);
             prop_assert_eq!(cache.len(), resident.len());
+        }
+    }
+}
+
+/// The two-tier skyline the economy's serve used before the row-index
+/// partition: `skyline_filter` of the existing plans, then the possible
+/// plans of `skyline_filter` over all of them.
+fn reference_two_tier(plans: &[QueryPlan]) -> Vec<QueryPlan> {
+    let exist: Vec<QueryPlan> = plans.iter().filter(|p| p.is_existing()).cloned().collect();
+    let mut tiers = skyline_filter(exist);
+    tiers.extend(
+        skyline_filter(plans.to_vec())
+            .into_iter()
+            .filter(|p| !p.is_existing()),
+    );
+    tiers
+}
+
+/// Every structure's state, in key order.
+fn structures(cache: &CacheState) -> Vec<CachedStructure> {
+    let mut all: Vec<CachedStructure> = cache.iter().cloned().collect();
+    all.sort_by_key(|s| s.key);
+    all
+}
+
+/// Disk rent and node uptime at round rates: one nanodollar per byte per
+/// 1,000 s, one per node-millisecond.
+fn maintenance(s: &CachedStructure, span: SimDuration) -> Money {
+    if s.key.occupies_disk() {
+        Money::from_dollars(s.size_bytes as f64 * span.as_secs() * 1e-12)
+    } else {
+        Money::from_dollars(span.as_secs() * 1e-6)
+    }
+}
+
+// The fast paths of the per-query control loop against the code each
+// one replaced, kept as the reference.
+proptest! {
+    /// The insertion-sort skyline partition equals the two-filter
+    /// composition on plans drawn from few times (`-0.0` among them) and
+    /// few prices, so tied times, tied prices and full ties are common:
+    /// the same plans, in the same order, with the existing tier first.
+    #[test]
+    fn insertion_sort_skyline_matches_skyline_filter(
+        rows in prop::collection::vec((0usize..6, 0u8..5, prop::bool::ANY), 1..16),
+    ) {
+        let times = [0.0, -0.0, 0.5, 1.0, 1.5, 4.0];
+        let plans: Vec<QueryPlan> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &(t, price, existing))| QueryPlan {
+                // The execution cost tags each plan with its row.
+                exec_cost: Money::from_nanos(i as i128),
+                price: Money::from_nanos(i128::from(price) * 1_000),
+                ..plan(times[t], 0.0, existing)
+            })
+            .collect();
+        let (mut order, mut out) = (Vec::new(), Vec::new());
+        let exist_count = skyline_partition_hot(&PlanHot::of(&plans), &mut order, &mut out);
+        let got: Vec<QueryPlan> = out.iter().map(|&i| plans[i].clone()).collect();
+        let reference = reference_two_tier(&plans);
+        prop_assert_eq!(&got, &reference);
+        prop_assert_eq!(exist_count, reference.iter().filter(|p| p.is_existing()).count());
+    }
+
+    /// Settling a plan's usage from its quotes equals the closure form:
+    /// over random caches (structures still building, paid at random
+    /// instants, with installments left or not) and random usage lists
+    /// (duplicates included), each key quoted at the pre-settlement state
+    /// as a bind quotes it, both forms collect the same amounts and leave
+    /// every structure in the same state.
+    #[test]
+    fn quoted_settlement_matches_the_closure_form(
+        installs in prop::collection::vec((0u32..24, 1u64..5_000_000, 0.0f64..10.0, 0.0f64..20.0, 1u64..40), 1..16),
+        used in prop::collection::vec(0u32..24, 0..12),
+        later in 0.0f64..120.0,
+        window in 0.5f64..80.0,
+    ) {
+        let mut cache = CacheState::new();
+        let mut at = 0.0;
+        for &(k, size, gap, build, n) in &installs {
+            let key = structure(k);
+            at += gap;
+            if !cache.contains(key) {
+                let cost = Money::from_nanos(i128::from(size) * 3);
+                cache.install(key, size, SimTime::from_secs(at), SimDuration::from_secs(build), cost, n);
+            }
+        }
+        let (now, window) = (SimTime::from_secs(at + later), SimDuration::from_secs(window));
+        let keys: Vec<StructureKey> = used.iter().map(|&k| structure(k)).collect();
+        let quotes: Vec<Money> = keys
+            .iter()
+            .map(|&key| {
+                cache.get(key).map_or(Money::ZERO, |s| {
+                    maintenance(s, now.saturating_since(s.maint_paid_until).min(window))
+                })
+            })
+            .collect();
+        let mut reference = cache.clone();
+        let collected = reference.settle_usage(&keys, now, window, maintenance);
+        let quoted = cache.settle_quoted(keys.iter().copied().zip(quotes), now, window, maintenance);
+        prop_assert_eq!(quoted, collected);
+        prop_assert_eq!(structures(&cache), structures(&reference));
+    }
+
+    /// The regret ledger's candidate index answers every threshold
+    /// exactly as the full scan does, hits and order alike, over random
+    /// distributions, resets and LRU evictions (pools of 1–10 over 24
+    /// keys), with thresholds that rise, fall and repeat.
+    #[test]
+    fn candidate_index_matches_the_threshold_scan(
+        cap in 1usize..11,
+        uniform in prop::bool::ANY,
+        ops in prop::collection::vec((0u8..5, 0u32..24, 1usize..5, 0i64..5_000, 0i64..8_000), 1..120),
+    ) {
+        let attribution = if uniform {
+            RegretAttribution::UniformShare
+        } else {
+            RegretAttribution::FullValue
+        };
+        let mut ledger = RegretLedger::new(cap);
+        let (mut indexed, mut scanned) = (Vec::new(), Vec::new());
+        for (step, &(op, sel, width, amount, threshold)) in ops.iter().enumerate() {
+            match op {
+                0 => ledger.reset(structure(sel)),
+                1 | 2 => {
+                    let uses: Vec<StructureKey> =
+                        (0..width as u32).map(|j| structure((sel + 5 * j) % 24)).collect();
+                    ledger.distribute(&uses, Money::from_nanos(i128::from(amount)), attribution);
+                }
+                _ => {
+                    let threshold = Money::from_nanos(i128::from(threshold) - 500);
+                    ledger.candidates_into(threshold, &mut indexed);
+                    ledger.over_threshold_into(threshold, &mut scanned);
+                    prop_assert_eq!(&indexed, &scanned, "threshold {:?} at step {}", threshold, step);
+                    prop_assert_eq!(ledger.listed_candidates(), scanned.len());
+                }
+            }
         }
     }
 }

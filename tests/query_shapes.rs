@@ -18,7 +18,7 @@ use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
 use cloudcache::catalog::{ColumnId, Schema};
 use cloudcache::metrics::CostBreakdown;
 use cloudcache::planner::{
-    enumerate_plans_into, generate_candidates, CandidateIndex, CostParams, EnumerationOptions,
+    bind_plans_into, generate_candidates, CandidateIndex, CostParams, EnumerationOptions,
     Estimator, ExecRows, PlanRows, PlanShape, PlannerContext,
 };
 use cloudcache::pricing::{Money, PriceCatalog};
@@ -172,7 +172,7 @@ fn check_query(ctx: &PlannerContext<'_>, query: &Query, rows: &mut PlanRows) {
         query.id
     );
     assert_eq!(exec.variant_count(), 1 + usize::from(indexed));
-    let exec_picks: Vec<Option<usize>> = exec.shape().picks().collect();
+    let exec_picks: Vec<Option<usize>> = exec.shape(ctx).picks().collect();
     if indexed {
         assert_eq!(exec_picks, picks, "picks of query {:?}", query.id);
     }
@@ -192,15 +192,15 @@ fn check_query(ctx: &PlannerContext<'_>, query: &Query, rows: &mut PlanRows) {
 
     // Fresh enumeration: every row against the oracle.
     let now = SimTime::from_secs(10.0);
-    enumerate_plans_into(
+    bind_plans_into(
         ctx,
-        query,
+        &exec,
         &CacheState::new(),
         now,
         EnumerationOptions::default(),
         rows,
     );
-    let plans = rows.to_plans();
+    let plans = rows.to_plans(&exec);
     let mut seen_indexed = false;
     for plan in &plans {
         let row = (plan.exec_time, plan.exec_cost, plan.exec_breakdown);

@@ -1,20 +1,23 @@
-//! The economy's serve allocates nothing in steady state.
+//! The economy's serve and bid allocate nothing in steady state.
 //!
 //! A warmed econ-cheap cache serves every query whose outcome builds and
 //! evicts nothing from reused scratch: the plan rows, the skyline
 //! partition, the regret visit, the used-structure keys and the
-//! investment scan's candidates. A counting global allocator (counting
-//! per thread, so the test harness's other threads do not interfere)
-//! holds the serve to zero heap allocations on each such query.
+//! investment scan's candidates. Its bid over an arrival's shared
+//! execution rows reuses the same plan rows and skyline scratch. A
+//! counting global allocator (counting per thread, so the test
+//! harness's other threads do not interfere) holds the serve and the bid
+//! to zero heap allocations on each such query.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
 use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
-use cloudcache::econ::{EconConfig, InvestmentRule};
+use cloudcache::catalog::Schema;
+use cloudcache::econ::{BudgetShape, EconConfig, InvestmentRule};
 use cloudcache::planner::{
-    generate_candidates, CandidateIndex, CostParams, Estimator, PlannerContext,
+    generate_candidates, CandidateIndex, CostParams, Estimator, ExecRows, PlannerContext,
 };
 use cloudcache::policies::{CachePolicy, EconPolicy};
 use cloudcache::pricing::{Money, PriceCatalog};
@@ -66,37 +69,69 @@ const WARM: usize = 2_000;
 /// Queries checked after the warm-up.
 const CHECKED: usize = 3_000;
 
-#[test]
-fn warmed_serves_that_build_and_evict_nothing_allocate_nothing() {
-    let schema = Arc::new(tpch_schema(ScaleFactor(10.0)));
-    let templates = paper_templates(&schema);
-    let candidates = generate_candidates(&schema, &templates, 65);
-    let cand_index = CandidateIndex::build(&schema, &candidates);
-    let estimator = Estimator::new(
-        CostParams::default(),
-        PriceCatalog::ec2_2009(),
-        NetworkModel::paper_sdss(),
-    );
-    let ctx = PlannerContext {
-        schema: &schema,
-        candidates: &candidates,
-        cand_index: &cand_index,
-        estimator: &estimator,
-    };
-    // paper-single's economics: a small initial credit and a low regret
-    // floor, so the cache invests within the warm-up.
-    let mut policy = EconPolicy::econ_cheap(EconConfig {
+/// The planning context of the fixtures: TPC-H at SF 10 with the 65
+/// paper candidates.
+struct Planning {
+    schema: Arc<Schema>,
+    candidates: Vec<cloudcache::cache::IndexDef>,
+    cand_index: CandidateIndex,
+    estimator: Estimator,
+}
+
+impl Planning {
+    fn new() -> Self {
+        let schema = Arc::new(tpch_schema(ScaleFactor(10.0)));
+        let templates = paper_templates(&schema);
+        let candidates = generate_candidates(&schema, &templates, 65);
+        let cand_index = CandidateIndex::build(&schema, &candidates);
+        let estimator = Estimator::new(
+            CostParams::default(),
+            PriceCatalog::ec2_2009(),
+            NetworkModel::paper_sdss(),
+        );
+        Planning {
+            schema,
+            candidates,
+            cand_index,
+            estimator,
+        }
+    }
+
+    fn ctx(&self) -> PlannerContext<'_> {
+        PlannerContext {
+            schema: &self.schema,
+            candidates: &self.candidates,
+            cand_index: &self.cand_index,
+            estimator: &self.estimator,
+        }
+    }
+
+    fn queries(&self) -> Vec<Query> {
+        WorkloadGenerator::new(Arc::clone(&self.schema), WorkloadConfig::default(), 17)
+            .take(WARM + CHECKED)
+            .collect()
+    }
+}
+
+/// paper-single's economics: a small initial credit and a low regret
+/// floor, so the cache invests within the warm-up.
+fn paper_single_econ() -> EconConfig {
+    EconConfig {
         initial_credit: Money::from_dollars(0.02),
         investment: InvestmentRule {
             min_regret: Money::from_dollars(1e-5),
             ..InvestmentRule::default()
         },
         ..EconConfig::default()
-    });
-    let queries: Vec<Query> =
-        WorkloadGenerator::new(Arc::clone(&schema), WorkloadConfig::default(), 17)
-            .take(WARM + CHECKED)
-            .collect();
+    }
+}
+
+#[test]
+fn warmed_serves_that_build_and_evict_nothing_allocate_nothing() {
+    let planning = Planning::new();
+    let ctx = planning.ctx();
+    let mut policy = EconPolicy::econ_cheap(paper_single_econ());
+    let queries = planning.queries();
     let at = |i: usize| SimTime::from_secs((i + 1) as f64);
     for (i, q) in queries[..WARM].iter().enumerate() {
         let _ = policy.process_query(&ctx, q, at(i));
@@ -124,5 +159,44 @@ fn warmed_serves_that_build_and_evict_nothing_allocate_nothing() {
     assert!(
         offenders.is_empty(),
         "(query, allocations) of quiet serves that allocated: {offenders:?}"
+    );
+}
+
+/// A warmed cache's bid over an arrival's filled execution rows, under a
+/// Convex budget so the bid plans in full, allocates nothing. Every
+/// query is bid on and then served, so the cache keeps investing and
+/// hitting while the bids are counted.
+#[test]
+fn warmed_bids_under_a_convex_budget_allocate_nothing() {
+    let planning = Planning::new();
+    let ctx = planning.ctx();
+    let mut policy = EconPolicy::econ_cheap(EconConfig {
+        budget_shape: BudgetShape::Convex,
+        ..paper_single_econ()
+    });
+    let queries = planning.queries();
+    let at = |i: usize| SimTime::from_secs((i + 1) as f64);
+    let mut exec = ExecRows::new();
+    let mut offenders = Vec::new();
+    let mut hits = 0;
+    for (i, q) in queries.iter().enumerate() {
+        exec.fill(&ctx, q);
+        let before = allocations();
+        let bid = policy.quote_with(&ctx, q, &exec, at(i));
+        let allocated = allocations() - before;
+        if i >= WARM && allocated > 0 {
+            offenders.push((i, allocated));
+        }
+        assert!(!bid.is_negative(), "query {i} bid {bid:?}");
+        let outcome = policy.process_query_with(&ctx, q, &exec, at(i));
+        hits += usize::from(i >= WARM && outcome.ran_in_cache);
+    }
+    assert!(
+        hits > CHECKED / 10,
+        "only {hits} checked queries ran in the cache"
+    );
+    assert!(
+        offenders.is_empty(),
+        "(query, allocations) of warmed bids that allocated: {offenders:?}"
     );
 }
