@@ -183,11 +183,13 @@ fn bench_economy_step(c: &mut Criterion) {
         let ctx = fx.ctx();
         let mut manager = EconomyManager::new(EconConfig::default());
         let mut gen = WorkloadGenerator::new(Arc::clone(&fx.schema), WorkloadConfig::default(), 23);
+        let mut exec = ExecRows::new();
         let mut t = 0.0;
         b.iter(|| {
             t += 1.0;
             let q = gen.next_query();
-            black_box(manager.process_query(&ctx, &q, SimTime::from_secs(t)))
+            exec.fill(&ctx, &q);
+            black_box(manager.process_query(&ctx, &q, &exec, SimTime::from_secs(t)))
         })
     });
 }
@@ -196,11 +198,12 @@ fn bench_economy_step(c: &mut Criterion) {
 /// paper-single's economics (initial credit $0.02, regret floor $1e-5),
 /// warmed over the first half of a pre-drawn stream at 1 s arrivals,
 /// then serving the stream on, one second apart — the per-query
-/// planning path (`process_query`) without the simulator's booking.
+/// planning path (the rows' fill, then `process_query` over them)
+/// without the simulator's booking.
 fn bench_paper_single_step(c: &mut Criterion) {
     let mut state = None;
     c.bench_function("economy_process_query_sf100", |b| {
-        let (fx, policy, now) = state.get_or_insert_with(|| {
+        let (fx, policy, exec, now) = state.get_or_insert_with(|| {
             let fx = Fx::new(100.0, 4096);
             let mut policy = EconPolicy::econ_cheap(EconConfig {
                 initial_credit: Money::from_dollars(0.02),
@@ -210,19 +213,22 @@ fn bench_paper_single_step(c: &mut Criterion) {
                 },
                 ..EconConfig::default()
             });
+            let mut exec = ExecRows::new();
             let mut now = SimTime::ZERO;
             for q in &fx.queries[..fx.queries.len() / 2] {
                 now += SimDuration::from_secs(1.0);
-                let _ = policy.process_query(&fx.ctx(), q, now);
+                exec.fill(&fx.ctx(), q);
+                let _ = policy.process_query(&fx.ctx(), q, &exec, now);
             }
-            (fx, policy, now)
+            (fx, policy, exec, now)
         });
         let ctx = fx.ctx();
         let mut i = fx.queries.len() / 2;
         b.iter(|| {
             i = (i + 1) % fx.queries.len();
             *now += SimDuration::from_secs(1.0);
-            black_box(policy.process_query(&ctx, &fx.queries[i], *now))
+            exec.fill(&ctx, &fx.queries[i]);
+            black_box(policy.process_query(&ctx, &fx.queries[i], exec, *now))
         })
     });
 }
@@ -251,8 +257,9 @@ fn bench_quote_round(c: &mut Criterion) {
                 for node in &mut nodes {
                     node.accrue(now);
                 }
-                let winner = router.route(&nodes, &ctx, q, now);
-                let _ = nodes[winner].serve(&ctx, q, now);
+                let exec = ExecRows::build(&ctx, q);
+                let winner = router.route_with(&nodes, &ctx, q, &exec, now);
+                let _ = nodes[winner].serve(&ctx, q, &exec, now, 0.0);
             }
             now += SimDuration::from_secs(1.0);
             (fx, nodes, router, now)
@@ -325,7 +332,7 @@ impl Market {
         let winner = self
             .router
             .route_with(&self.nodes, &ctx, q, &self.exec, now);
-        self.nodes[winner].serve_with(&ctx, q, &self.exec, now, 0.0)
+        self.nodes[winner].serve(&ctx, q, &self.exec, now, 0.0)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Calibration probe at paper scale (not a shipped figure).
 
 use econ::{EconConfig, EconomyManager};
-use planner::{generate_candidates, CostParams, Estimator, PlannerContext};
+use planner::{generate_candidates, CostParams, Estimator, ExecRows, PlannerContext};
 use pricing::PriceCatalog;
 use simcore::{NetworkModel, SimTime};
 use std::sync::Arc;
@@ -63,11 +63,13 @@ fn main() {
         },
     };
     let mut m = EconomyManager::new(cfg);
+    let mut exec = ExecRows::new();
     let mut hits = 0u64;
     let mut builds = 0u64;
     for i in 0..n {
         let q = gen.next_query();
-        let o = m.process_query(&ctx, &q, SimTime::from_secs((i + 1) as f64 * gap));
+        exec.fill(&ctx, &q);
+        let o = m.process_query(&ctx, &q, &exec, SimTime::from_secs((i + 1) as f64 * gap));
         if o.ran_in_cache {
             hits += 1;
         }

@@ -50,9 +50,6 @@ pub struct EconomyManager {
     last_arrival: SimTime,
     /// Scratch rows every serve and per-node bid plans into.
     rows: RefCell<PlanRows>,
-    /// Execution rows the entry points without caller rows
-    /// ([`Self::process_query`], [`Self::quote_query`]) fill in place.
-    exec: RefCell<ExecRows>,
     /// Scratch for the skyline index partition.
     sky_scratch: RefCell<SkyScratch>,
     /// The structures the last served query's plan used (see
@@ -132,7 +129,6 @@ impl EconomyManager {
             first_arrival: None,
             last_arrival: SimTime::ZERO,
             rows: RefCell::new(PlanRows::new()),
-            exec: RefCell::new(ExecRows::new()),
             sky_scratch: RefCell::new(SkyScratch::default()),
             used: Vec::new(),
             candidates: Vec::new(),
@@ -248,29 +244,11 @@ impl EconomyManager {
         })
     }
 
-    /// Processes one query at its arrival instant, filling the manager's
-    /// own execution rows for it in place: the entry point of a single
-    /// cache (the paper's simulator), which plans each query once.
-    ///
-    /// See [`Self::process_query_with`] for the control loop.
-    ///
-    /// # Panics
-    /// Panics if `now` precedes a previous arrival (the simulator feeds
-    /// queries in time order).
-    pub fn process_query(
-        &mut self,
-        ctx: &PlannerContext<'_>,
-        query: &Query,
-        now: SimTime,
-    ) -> QueryOutcome {
-        self.exec.get_mut().fill(ctx, query);
-        self.process(ctx, query, None, now)
-    }
-
     /// Processes one query at its arrival instant over `exec`, the
-    /// query's execution rows, filled by the caller. A fleet fills them
-    /// once per arrival and shares them between the quote round and the
-    /// winner's serve; the rows do not read `budget_scale`, so a retry's
+    /// query's execution rows, filled by the caller. The single-cache
+    /// simulator fills them per query; a fleet fills them once per
+    /// arrival and shares them between the quote round and the winner's
+    /// serve. The rows do not read `budget_scale`, so a retry's
     /// budget-decayed copy of the query serves over them too.
     ///
     /// After the failure scan the rows are bound to the cache as it then
@@ -281,23 +259,11 @@ impl EconomyManager {
     /// Panics if `now` precedes a previous arrival, or if `exec` was
     /// never filled. `exec` must have been filled from `query` (or a
     /// copy of it differing only in `budget_scale`) through `ctx`.
-    pub fn process_query_with(
+    pub fn process_query(
         &mut self,
         ctx: &PlannerContext<'_>,
         query: &Query,
         exec: &ExecRows,
-        now: SimTime,
-    ) -> QueryOutcome {
-        self.process(ctx, query, Some(exec), now)
-    }
-
-    /// The control loop over the caller's rows, or the manager's own
-    /// (already filled) when `exec` is `None`.
-    fn process(
-        &mut self,
-        ctx: &PlannerContext<'_>,
-        query: &Query,
-        exec: Option<&ExecRows>,
         now: SimTime,
     ) -> QueryOutcome {
         self.queries_seen += 1;
@@ -343,8 +309,6 @@ impl EconomyManager {
         // (2)+(3)+(4a)+(5) Enumerate, skyline, form the user budget, run
         // the case analysis and distribute the rejected-plan regret
         // (eqs. 1–2).
-        let own = exec.is_none().then(|| self.exec.borrow());
-        let exec = exec.unwrap_or_else(|| own.as_deref().expect("own rows when none given"));
         let planned = self.plan_query(ctx, query, exec, now);
         let rows = self.rows.get_mut();
         debug_assert!(
@@ -375,8 +339,6 @@ impl EconomyManager {
         let (response_time, exec_cost, exec_breakdown) =
             (chosen.exec_time, chosen.exec_cost, chosen.exec_breakdown);
         let ran_in_cache = !chosen.backend;
-        // The manager's own rows stay borrowed until the plan is settled.
-        drop(own);
         self.account.deposit_payment(planned.payment);
 
         // (6) Investment (eq. 3 + conservative gate).
@@ -506,32 +468,27 @@ impl EconomyManager {
     /// * no execution row (backend or cache) past the deadline has a
     ///   non-positive execution cost.
     ///
-    /// Then [`Self::quote_query`] and [`Self::quote_query_with`] bid
-    /// exactly this amount at any cache state, clock and objective. A
-    /// plan's price is its row's execution cost plus installments and
-    /// maintenance, neither negative, so every affordable plan runs
-    /// within the deadline, where the step pays its full amount. The
-    /// existing-tier skyline holds a plan at least as fast and as cheap
-    /// as the backend, hence affordable too, so the case analysis lands
-    /// in case B or C and charges that full amount. The third condition
+    /// Then [`Self::quote_query`] bids exactly this amount at any cache
+    /// state, clock and objective. A plan's price is its row's execution
+    /// cost plus installments and maintenance, neither negative, so
+    /// every affordable plan runs within the deadline, where the step
+    /// pays its full amount. The existing-tier skyline holds a plan at
+    /// least as fast and as cheap as the backend, hence affordable too,
+    /// so the case analysis lands in case B or C and charges that full
+    /// amount. The third condition
     /// is not idle: under zero CPU and I/O rates
     /// ([`pricing::PriceCatalog::network_only`]) cache rows cost nothing,
     /// and a free cached plan past the deadline would be affordable at a
     /// budget of zero.
     ///
-    /// `rows` supplies the query's [`ExecRows`] and is only called once
-    /// the shape check passes, so callers can build them lazily. `None`
-    /// says nothing about the bid: the quote must run.
+    /// `rows` are the query's filled [`ExecRows`], read only once the
+    /// shape check passes. `None` says nothing about the bid: the quote
+    /// must run.
     #[must_use]
-    pub fn budget_decided_bid<'r>(
-        &self,
-        query: &Query,
-        rows: impl FnOnce() -> &'r ExecRows,
-    ) -> Option<Money> {
+    pub fn budget_decided_bid(&self, query: &Query, rows: &ExecRows) -> Option<Money> {
         if self.config.budget_shape != BudgetShape::Step {
             return None;
         }
-        let rows = rows();
         let budget = self.budget(query, rows.backend_time, rows.backend_cost);
         if !budget.affords(rows.backend_time, rows.backend_cost) {
             return None;
@@ -580,22 +537,12 @@ impl EconomyManager {
     }
 
     /// Quotes the price `B_Q(t)` this cloud would charge for `query` at
-    /// `now` without serving it, filling the manager's own execution rows
-    /// for it. See [`Self::quote_query_with`].
-    #[must_use]
-    pub fn quote_query(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Money {
-        let mut exec = self.exec.borrow_mut();
-        exec.fill(ctx, query);
-        self.quote_query_with(ctx, query, &exec, now)
-    }
-
-    /// Quotes the price `B_Q(t)` this cloud would charge for `query` at
     /// `now` without serving it — the read-only bid of one quote round,
     /// over `exec`, the query's execution rows.
     ///
     /// The quote binds the rows to the cache into the manager's scratch
     /// rows and runs the same skyline and case analysis as
-    /// [`process_query_with`](Self::process_query_with), but skips its
+    /// [`process_query`](Self::process_query), but skips its
     /// side effects, so the realized price can differ from the quote in
     /// two ways: serving the query first evicts structures whose
     /// maintenance failed, and it updates the observed arrival statistics
@@ -606,7 +553,7 @@ impl EconomyManager {
     /// # Panics
     /// Panics if `exec` was never filled.
     #[must_use]
-    pub fn quote_query_with(
+    pub fn quote_query(
         &self,
         ctx: &PlannerContext<'_>,
         query: &Query,
@@ -815,7 +762,7 @@ mod tests {
             .map(|i| {
                 let q = gen.next_query();
                 let now = SimTime::from_secs((i + 1) as f64 * gap_secs);
-                manager.process_query(&ctx, &q, now)
+                manager.process_query(&ctx, &q, &ExecRows::build(&ctx, &q), now)
             })
             .collect()
     }
@@ -832,20 +779,24 @@ mod tests {
             let q = gen.next_query();
             let rows = ExecRows::build(&ctx, &q);
             let now = SimTime::from_secs(400.0 + f64::from(i));
-            let decided = m.budget_decided_bid(&q, || &rows);
-            assert_eq!(decided, Some(m.quote_query(&ctx, &q, now)), "query {i}");
+            let decided = m.budget_decided_bid(&q, &rows);
+            assert_eq!(
+                decided,
+                Some(m.quote_query(&ctx, &q, &rows, now)),
+                "query {i}"
+            );
             // Below the backend price nothing fixes the bid.
             let mut poor = q.clone();
             poor.budget_scale = 0.5;
-            assert_eq!(m.budget_decided_bid(&poor, || &rows), None);
+            assert_eq!(m.budget_decided_bid(&poor, &rows), None);
         }
         let convex = EconomyManager::new(EconConfig {
             budget_shape: BudgetShape::Convex,
             ..fast_config()
         });
         let q = gen.next_query();
-        let unread = || -> &ExecRows { unreachable!("only step budgets read the rows") };
-        assert_eq!(convex.budget_decided_bid(&q, unread), None);
+        // Unfilled: only step budgets read the rows.
+        assert_eq!(convex.budget_decided_bid(&q, &ExecRows::new()), None);
     }
 
     #[test]
@@ -1039,8 +990,18 @@ mod tests {
         let ctx = f.ctx();
         let q1 = gen.next_query();
         let q2 = gen.next_query();
-        m.process_query(&ctx, &q1, SimTime::from_secs(10.0));
-        m.process_query(&ctx, &q2, SimTime::from_secs(5.0));
+        m.process_query(
+            &ctx,
+            &q1,
+            &ExecRows::build(&ctx, &q1),
+            SimTime::from_secs(10.0),
+        );
+        m.process_query(
+            &ctx,
+            &q2,
+            &ExecRows::build(&ctx, &q2),
+            SimTime::from_secs(5.0),
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! * [`economy`] — [`economy::EconomyManager`], the per-query control loop
 //!   gluing all of the above to the planner and the cache. A fleet's
 //!   routers ask competing managers for bids
-//!   ([`economy::EconomyManager::quote_query_with`]). A query's
+//!   ([`economy::EconomyManager::quote_query`]). A query's
 //!   cache-independent execution rows (`planner::ExecRows`) are filled
 //!   once and shared by its bids and its serve; every cache-dependent
 //!   term is planned fresh by each.

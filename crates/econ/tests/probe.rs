@@ -2,7 +2,9 @@
 use catalog::tpch::{tpch_schema, ScaleFactor};
 use econ::budget::{BudgetFunction, BudgetShape};
 use planner::enumerate::EnumerationOptions;
-use planner::{enumerate_plans, generate_candidates, CostParams, Estimator, PlannerContext};
+use planner::{
+    enumerate_plans, generate_candidates, CostParams, Estimator, ExecRows, PlannerContext,
+};
 use pricing::PriceCatalog;
 use simcore::{NetworkModel, SimTime};
 use std::sync::Arc;
@@ -101,7 +103,12 @@ fn probe_manager() {
     let mut builds = 0usize;
     for i in 0..2500 {
         let q = gen.next_query();
-        let o = m.process_query(&ctx, &q, SimTime::from_secs((i + 1) as f64));
+        let o = m.process_query(
+            &ctx,
+            &q,
+            &ExecRows::build(&ctx, &q),
+            SimTime::from_secs((i + 1) as f64),
+        );
         builds += o.investments.len();
         if i % 250 == 0 {
             let bal = m.account().balance();
@@ -143,7 +150,12 @@ fn probe_top_regrets() {
     let mut m = econ::EconomyManager::new(cfg);
     for i in 0..400 {
         let q = gen.next_query();
-        let _ = m.process_query(&ctx, &q, SimTime::from_secs((i + 1) as f64));
+        let _ = m.process_query(
+            &ctx,
+            &q,
+            &ExecRows::build(&ctx, &q),
+            SimTime::from_secs((i + 1) as f64),
+        );
     }
     let bal = m.account().balance();
     println!(
@@ -220,7 +232,7 @@ fn probe_late_plans() {
                 plans.iter().find(|p| matches!(&p.shape, planner::plan::PlanShape::Cache{indexes, nodes:1} if indexes.iter().all(Option::is_none))).map(|p| p.missing.len()));
             }
         }
-        let o = m.process_query(&ctx, &q, now);
+        let o = m.process_query(&ctx, &q, &ExecRows::build(&ctx, &q), now);
         if o.ran_in_cache {
             cache_hits += 1;
         }

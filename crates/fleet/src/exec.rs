@@ -659,7 +659,7 @@ impl Cell<'_> {
         let query = route.retried.as_ref().unwrap_or(query);
         let node = &mut self.population.live_mut()[route.node];
         let wait = route.outage_wait + route.retry_wait;
-        let outcome = node.serve_with(&self.ctx, query, &self.exec, route.at, wait);
+        let outcome = node.serve(&self.ctx, query, &self.exec, route.at, wait);
         if let Some(inj) = &mut self.injector {
             inj.note_served(self.population.live()[route.node].id(), route.at, query);
         }

@@ -32,10 +32,11 @@
 //!   against the query's remaining budget headroom.
 //! * **Surges** (flash crowds) compress the arrival processes inside
 //!   windows via `workload::SurgeOverlay`.
-//! * **Fault groups** ([`FaultGroup`]) crash several nodes at one
-//!   instant, rack-failure style; a [`CascadeSpec`] lets every crash
-//!   raise per-survivor follow-on crash probability from the run's
-//!   deterministic RNG, so cascades stay a pure function of config.
+//! * **Fault groups** ([`FaultPlan::with_group`]: one [`CrashSpec`]
+//!   naming several nodes) crash them at one instant, rack-failure
+//!   style; a [`CascadeSpec`] lets every crash raise per-survivor
+//!   follow-on crash probability from the run's deterministic RNG, so
+//!   cascades stay a pure function of config.
 //!
 //! A crash, planned or cascading, writes off the node's whole invested
 //! capital: `CrashRecord::write_off` equals its `build_spend` to the
@@ -54,7 +55,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use catalog::Schema;
-use planner::PlannerContext;
+use planner::{ExecRows, PlannerContext};
 use pricing::{Money, ResourceRates};
 use serde::{Deserialize, Serialize};
 use simcore::{SimRng, SimTime};
@@ -69,28 +70,17 @@ use crate::retry::RetryPolicy;
 /// the fault plane's RNG never collides with workload or tenant streams.
 const CASCADE_STREAM_SALT: u64 = 0xFA17_CA5C_ADE0_0001;
 
-/// One scheduled node crash.
+/// One scheduled crash: one seed node, or several lost at one instant
+/// rack-style (compiled to per-node crash events sharing it).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CrashSpec {
-    /// Seed node id (index into `FleetConfig::nodes`) to crash.
-    pub node: usize,
+    /// Seed node ids (indices into `FleetConfig::nodes`) to crash
+    /// together (non-empty, unique).
+    pub nodes: Vec<usize>,
     /// Simulated instant of the crash, seconds.
     pub at_secs: f64,
-    /// When set, a replacement node is reconstructed by ledger replay
+    /// When set, every crashed node is reconstructed by ledger replay
     /// this many seconds after the crash.
-    pub recover_after_secs: Option<f64>,
-}
-
-/// One rack-style correlated crash: several seed nodes lost at one
-/// instant (compiled to per-node crash events sharing it).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultGroup {
-    /// Seed node ids lost together (non-empty, unique within the group).
-    pub nodes: Vec<usize>,
-    /// Simulated instant of the group crash, seconds.
-    pub at_secs: f64,
-    /// When set, every member is reconstructed by ledger replay this
-    /// many seconds after the crash.
     pub recover_after_secs: Option<f64>,
 }
 
@@ -169,12 +159,8 @@ pub struct SurgeSpec {
 /// faulted run stays a pure function of its config.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
-    /// Scheduled crashes (at most one per seed node, counting groups).
+    /// Scheduled crashes (at most one per seed node).
     pub crashes: Vec<CrashSpec>,
-    /// Rack-style correlated crashes (share the one-crash-per-node rule
-    /// with `crashes`).
-    #[serde(default)]
-    pub groups: Vec<FaultGroup>,
     /// Deterministic follow-on crash propagation layered on every crash.
     #[serde(default)]
     pub cascade: Option<CascadeSpec>,
@@ -206,7 +192,6 @@ impl FaultPlan {
     pub fn new(horizon_secs: f64) -> Self {
         FaultPlan {
             crashes: Vec::new(),
-            groups: Vec::new(),
             cascade: None,
             retry: None,
             degradations: Vec::new(),
@@ -221,7 +206,7 @@ impl FaultPlan {
     /// (rack failure), no recovery.
     #[must_use]
     pub fn with_group(mut self, nodes: Vec<usize>, at_secs: f64) -> Self {
-        self.groups.push(FaultGroup {
+        self.crashes.push(CrashSpec {
             nodes,
             at_secs,
             recover_after_secs: None,
@@ -277,13 +262,8 @@ impl FaultPlan {
 
     /// Builder style: crash `node` at `at_secs`, no recovery.
     #[must_use]
-    pub fn with_crash(mut self, node: usize, at_secs: f64) -> Self {
-        self.crashes.push(CrashSpec {
-            node,
-            at_secs,
-            recover_after_secs: None,
-        });
-        self
+    pub fn with_crash(self, node: usize, at_secs: f64) -> Self {
+        self.with_group(vec![node], at_secs)
     }
 
     /// Builder style: crash `node` at `at_secs` and replay-recover it
@@ -296,7 +276,7 @@ impl FaultPlan {
         recover_after_secs: f64,
     ) -> Self {
         self.crashes.push(CrashSpec {
-            node,
+            nodes: vec![node],
             at_secs,
             recover_after_secs: Some(recover_after_secs),
         });
@@ -359,11 +339,8 @@ impl FaultPlan {
         }
         let mut crashed = std::collections::HashSet::new();
         for (i, c) in self.crashes.iter().enumerate() {
-            if c.node >= n_seed_nodes {
-                return Err(format!(
-                    "crashes[{i}].node {} is not a seed node (fleet has {n_seed_nodes})",
-                    c.node
-                ));
+            if c.nodes.is_empty() {
+                return Err(format!("crashes[{i}].nodes must not be empty"));
             }
             if !c.at_secs.is_finite() || c.at_secs <= 0.0 || c.at_secs >= self.horizon_secs {
                 return Err(format!(
@@ -384,45 +361,16 @@ impl FaultPlan {
                     ));
                 }
             }
-            if !crashed.insert(c.node) {
-                return Err(format!(
-                    "crashes[{i}].node {}: crash/recover windows overlap (one crash per node)",
-                    c.node
-                ));
-            }
-        }
-        for (i, g) in self.groups.iter().enumerate() {
-            if g.nodes.is_empty() {
-                return Err(format!("groups[{i}].nodes must not be empty"));
-            }
-            if !g.at_secs.is_finite() || g.at_secs <= 0.0 || g.at_secs >= self.horizon_secs {
-                return Err(format!(
-                    "groups[{i}].at_secs {} must be within (0, horizon_secs)",
-                    g.at_secs
-                ));
-            }
-            if let Some(after) = g.recover_after_secs {
-                if !after.is_finite() || after <= 0.0 {
-                    return Err(format!(
-                        "groups[{i}].recover_after_secs {after} must be positive"
-                    ));
-                }
-                if g.at_secs + after >= self.horizon_secs {
-                    return Err(format!(
-                        "groups[{i}]: recovery at {} falls outside horizon_secs",
-                        g.at_secs + after
-                    ));
-                }
-            }
-            for &node in &g.nodes {
+            for &node in &c.nodes {
                 if node >= n_seed_nodes {
                     return Err(format!(
-                        "groups[{i}].nodes: {node} is not a seed node (fleet has {n_seed_nodes})"
+                        "crashes[{i}].nodes: {node} is not a seed node (fleet has {n_seed_nodes})"
                     ));
                 }
                 if !crashed.insert(node) {
                     return Err(format!(
-                        "groups[{i}].nodes: node {node} already crashes (one crash per node)"
+                        "crashes[{i}].nodes: node {node} already crashes \
+                         (crash/recover windows overlap; one crash per node)"
                     ));
                 }
             }
@@ -785,16 +733,11 @@ impl FaultInjector {
         let mut events = Vec::new();
         let mut journals = HashMap::new();
         let mut doomed = BTreeSet::new();
-        let planned: Vec<(usize, f64, Option<f64>)> = plan
-            .crashes
-            .iter()
-            .map(|c| (c.node, c.at_secs, c.recover_after_secs))
-            .chain(plan.groups.iter().flat_map(|g| {
-                g.nodes
-                    .iter()
-                    .map(move |&n| (n, g.at_secs, g.recover_after_secs))
-            }))
-            .collect();
+        let planned = plan.crashes.iter().flat_map(|c| {
+            c.nodes
+                .iter()
+                .map(move |&n| (n, c.at_secs, c.recover_after_secs))
+        });
         for (node, at_secs, recover_after_secs) in planned {
             events.push(FaultEvent {
                 at: at_secs,
@@ -1101,8 +1044,12 @@ impl FaultInjector {
         let mut payments = Money::ZERO;
         let mut profit = Money::ZERO;
         let mut cache_hits = 0u64;
+        let mut exec = ExecRows::new();
         for (t, q) in &journal {
-            let o = policy.process_query(ctx, q, *t);
+            if policy.economy().is_some() {
+                exec.fill(ctx, q);
+            }
+            let o = policy.process_query(ctx, q, &exec, *t);
             payments += o.payment;
             profit += o.profit;
             cache_hits += u64::from(o.ran_in_cache);
@@ -1226,7 +1173,7 @@ mod tests {
             .with_crash(1, 40.0)
             .validate(3)
             .unwrap_err();
-        assert!(err.contains("crashes[1].node 1"), "{err}");
+        assert!(err.contains("crashes[1].nodes: node 1"), "{err}");
         assert!(err.contains("overlap"), "{err}");
     }
 
@@ -1459,10 +1406,10 @@ mod tests {
     #[test]
     fn group_and_cascade_fields_are_validated_by_name() {
         let err = plan().with_group(vec![], 10.0).validate(3).unwrap_err();
-        assert!(err.contains("groups[0].nodes"), "{err}");
+        assert!(err.contains("crashes[0].nodes"), "{err}");
 
         let err = plan().with_group(vec![0, 5], 10.0).validate(3).unwrap_err();
-        assert!(err.contains("groups[0].nodes: 5"), "{err}");
+        assert!(err.contains("crashes[0].nodes: 5"), "{err}");
 
         let err = plan().with_group(vec![0, 0], 10.0).validate(3).unwrap_err();
         assert!(err.contains("already crashes"), "{err}");

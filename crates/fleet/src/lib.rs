@@ -64,8 +64,8 @@ pub use elastic::{
 };
 pub use exec::{effective_quote_threads, run_fleet, Cell, FleetSim, FleetTrace, Route};
 pub use faults::{
-    CascadeSpec, CrashPhase, CrashRecord, CrashSpec, DegradeSpec, FaultGroup, FaultInjector,
-    FaultOutcome, FaultPlan, FaultRecord, FaultSummary, ReconcileDrift, RecoverRecord, SurgeSpec,
+    CascadeSpec, CrashPhase, CrashRecord, CrashSpec, DegradeSpec, FaultInjector, FaultOutcome,
+    FaultPlan, FaultRecord, FaultSummary, ReconcileDrift, RecoverRecord, SurgeSpec,
 };
 pub use node::{CacheNode, NodeSpec};
 pub use result::{FleetResult, NodeStats, TenantStats};

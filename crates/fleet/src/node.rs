@@ -227,24 +227,17 @@ impl CacheNode {
         self.acc.queries()
     }
 
-    /// This node's bid for serving `query` at `now` (see
-    /// [`CachePolicy::quote`]); a planning policy fills its own rows.
-    #[must_use]
-    pub fn quote(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Money {
-        self.policy.quote(ctx, query, now)
-    }
-
     /// This node's bid for serving `query` at `now` over `exec`, the
-    /// arrival's execution rows (see [`CachePolicy::quote_with`]).
+    /// arrival's execution rows (see [`CachePolicy::quote`]).
     #[must_use]
-    pub fn quote_with(
+    pub fn quote(
         &self,
         ctx: &PlannerContext<'_>,
         query: &Query,
         exec: &ExecRows,
         now: SimTime,
     ) -> Money {
-        self.policy.quote_with(ctx, query, exec, now)
+        self.policy.quote(ctx, query, exec, now)
     }
 
     /// The economy manager backing this node's policy (see
@@ -283,44 +276,16 @@ impl CacheNode {
         self.acc.accrue_uptime(self.policy.as_ref(), now);
     }
 
-    /// Serves one routed query: runs the policy, books the outcome, and
-    /// extends the backlog clock by the delivered response time.
-    pub fn serve(
-        &mut self,
-        ctx: &PlannerContext<'_>,
-        query: &Query,
-        now: SimTime,
-    ) -> PolicyOutcome {
-        self.serve_delayed(ctx, query, now, 0.0)
-    }
-
-    /// [`Self::serve_with`] with the policy filling its own execution
-    /// rows. Kept for perfbench's traced fleet replay; removed by ROADMAP
-    /// item 5, which moves the replay onto [`crate::Cell`].
-    pub fn serve_delayed(
-        &mut self,
-        ctx: &PlannerContext<'_>,
-        query: &Query,
-        now: SimTime,
-        delay_secs: f64,
-    ) -> PolicyOutcome {
-        debug_assert!(
-            self.routable(now),
-            "draining/booting nodes must not serve queries"
-        );
-        let outcome = self.policy.process_query(ctx, query, now);
-        self.deliver(outcome, now, delay_secs)
-    }
-
     /// Serves one routed query over `exec`, the arrival's execution rows
-    /// (see [`CachePolicy::process_query_with`]), when its routing took
-    /// `delay_secs` of retry/backoff wall-clock before this node won it.
-    /// The delay is folded into the delivered response time *once*, so
-    /// the response histogram records a single end-to-end latency per
-    /// query — timed-out attempts never contribute a separate sample.
-    /// The books are those of the serving node alone; backoff costs
-    /// time, not money.
-    pub fn serve_with(
+    /// (see [`CachePolicy::process_query`]), when its routing took
+    /// `delay_secs` of retry/backoff wall-clock before this node won it:
+    /// runs the policy, books the outcome, and extends the backlog clock
+    /// by the delivered response time. The delay is folded into the
+    /// delivered response time *once*, so the response histogram records
+    /// a single end-to-end latency per query — timed-out attempts never
+    /// contribute a separate sample. The books are those of the serving
+    /// node alone; backoff costs time, not money.
+    pub fn serve(
         &mut self,
         ctx: &PlannerContext<'_>,
         query: &Query,
@@ -328,11 +293,23 @@ impl CacheNode {
         now: SimTime,
         delay_secs: f64,
     ) -> PolicyOutcome {
-        debug_assert!(
-            self.routable(now),
-            "draining/booting nodes must not serve queries"
-        );
-        let outcome = self.policy.process_query_with(ctx, query, exec, now);
+        let outcome = self.policy.process_query(ctx, query, exec, now);
+        self.deliver(outcome, now, delay_secs)
+    }
+
+    /// [`Self::serve`] over the node's own reused execution rows, filled
+    /// here ([`RunAccumulator::exec_rows`]). Kept for perfbench's traced
+    /// fleet replay; removed by ROADMAP item 5, which moves the replay
+    /// onto [`crate::Cell`].
+    pub fn serve_delayed(
+        &mut self,
+        ctx: &PlannerContext<'_>,
+        query: &Query,
+        now: SimTime,
+        delay_secs: f64,
+    ) -> PolicyOutcome {
+        let exec = self.acc.exec_rows(self.policy.as_ref(), ctx, query);
+        let outcome = self.policy.process_query(ctx, query, exec, now);
         self.deliver(outcome, now, delay_secs)
     }
 
@@ -344,6 +321,10 @@ impl CacheNode {
         now: SimTime,
         delay_secs: f64,
     ) -> PolicyOutcome {
+        debug_assert!(
+            self.routable(now),
+            "draining/booting nodes must not serve queries"
+        );
         // A degraded node delivers the same economic outcome, just
         // slower: the slowdown stretches the response (and therefore the
         // backlog clock load-aware routing balances on), never the books
@@ -355,7 +336,7 @@ impl CacheNode {
         if delay_secs > 0.0 {
             outcome.response_time += SimDuration::from_secs(delay_secs);
         }
-        self.acc.record(&outcome, now);
+        self.acc.record(&outcome);
         self.backlog_until = self.backlog_until.max(now) + outcome.response_time;
         outcome
     }
@@ -405,9 +386,10 @@ mod tests {
         assert_eq!(node.outstanding(now), 0.0);
         node.accrue(now);
         let q = gen.next_query();
-        let quote = node.quote(&ctx, &q, now);
+        let exec = ExecRows::build(&ctx, &q);
+        let quote = node.quote(&ctx, &q, &exec, now);
         assert!(quote.is_positive(), "backend bid must be positive");
-        let o = node.serve(&ctx, &q, now);
+        let o = node.serve(&ctx, &q, &exec, now, 0.0);
         assert!(node.outstanding(now) >= o.response_time.as_secs() - 1e-9);
         let later = now + o.response_time + simcore::SimDuration::from_secs(1.0);
         assert_eq!(node.outstanding(later), 0.0, "backlog drains");

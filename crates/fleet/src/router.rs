@@ -14,7 +14,7 @@
 //!   of Section IV-A, played as a competition between clouds.
 //!
 //! A cheapest-quote round is one sequential scan on the router's
-//! thread: every routable node bids through [`CacheNode::quote_with`]
+//! thread: every routable node bids through [`CacheNode::quote`]
 //! (an economic node binds the query's rows to its own cache by fused
 //! enumeration, [`planner::bind_plans_into`]), and the lowest-indexed
 //! minimum bidder wins.
@@ -76,31 +76,15 @@ pub trait Router {
     /// Strategy name as it appears in reports.
     fn name(&self) -> &'static str;
 
-    /// Picks the node (index into `nodes`) that serves `query` at `now`.
-    /// Routing must not serve the query. Pricing strategies fill their
-    /// own execution rows for the query; the fleet's cell loop calls
-    /// [`Self::route_with`] instead. Kept in this form for perfbench's
-    /// traced fleet replay; removed by ROADMAP item 5.
+    /// Picks the node (index into `nodes`) that serves `query` at `now`,
+    /// over `exec`, the arrival's execution rows, which the caller then
+    /// passes to the winner's serve. Routing must not serve the query.
+    /// Strategies that do not price queries ignore the rows.
     ///
     /// # Panics
     /// Implementations may panic if `nodes` is empty; fleet configs are
-    /// validated to have at least one node.
-    fn route(
-        &mut self,
-        nodes: &[CacheNode],
-        ctx: &PlannerContext<'_>,
-        query: &Query,
-        now: SimTime,
-    ) -> usize;
-
-    /// [`Self::route`] over `exec`, the arrival's execution rows, which
-    /// the caller then passes to the winner's serve. Must pick what
-    /// [`Self::route`] picks. The default ignores the rows: right for
-    /// strategies that do not price queries.
-    ///
-    /// # Panics
-    /// As [`Self::route`]; pricing strategies also panic if a routable
-    /// node plans and `exec` was never filled.
+    /// validated to have at least one node. Pricing strategies also
+    /// panic if a routable node plans and `exec` was never filled.
     fn route_with(
         &mut self,
         nodes: &[CacheNode],
@@ -108,12 +92,23 @@ pub trait Router {
         query: &Query,
         exec: &ExecRows,
         now: SimTime,
+    ) -> usize;
+
+    /// [`Self::route_with`] over rows the router fills itself: unfilled
+    /// rows by default, right for strategies that do not price queries.
+    /// Kept for perfbench's traced fleet replay; removed by ROADMAP
+    /// item 5.
+    fn route(
+        &mut self,
+        nodes: &[CacheNode],
+        ctx: &PlannerContext<'_>,
+        query: &Query,
+        now: SimTime,
     ) -> usize {
-        let _ = exec;
-        self.route(nodes, ctx, query, now)
+        self.route_with(nodes, ctx, query, &ExecRows::new(), now)
     }
 
-    /// The winning bid of the most recent [`Router::route`] call, for
+    /// The winning bid of the most recent routing call, for
     /// strategies that price queries — `None` for oblivious strategies
     /// (round-robin, least-outstanding) and before the first round. The
     /// flight recorder stamps this into its quote-round events.
@@ -148,11 +143,12 @@ impl Router for RoundRobin {
         "round-robin"
     }
 
-    fn route(
+    fn route_with(
         &mut self,
         nodes: &[CacheNode],
         _ctx: &PlannerContext<'_>,
         _query: &Query,
+        _exec: &ExecRows,
         now: SimTime,
     ) -> usize {
         // Rotate from the cursor to the next routable node (elastic
@@ -177,11 +173,12 @@ impl Router for LeastOutstanding {
         "least-outstanding"
     }
 
-    fn route(
+    fn route_with(
         &mut self,
         nodes: &[CacheNode],
         _ctx: &PlannerContext<'_>,
         _query: &Query,
+        _exec: &ExecRows,
         now: SimTime,
     ) -> usize {
         let mut best = None;
@@ -234,7 +231,7 @@ impl Default for QuoteOptions {
 /// Price-based routing: the node quoting the lowest `B_Q(t)` wins the bid.
 ///
 /// A round scans the nodes in order on the caller's thread, quotes each
-/// routable node ([`CacheNode::quote_with`]) and picks the
+/// routable node ([`CacheNode::quote`]) and picks the
 /// lowest-indexed minimum bidder. A round whose every bid the budgets
 /// decide quotes no node (see the module doc).
 #[derive(Debug, Default)]
@@ -295,7 +292,7 @@ impl CheapestQuote {
             let bid = match self.decided.iter().find(|(k, _)| *k == key) {
                 Some(&(_, bid)) => bid,
                 None => {
-                    let bid = economy.budget_decided_bid(query, || exec);
+                    let bid = economy.budget_decided_bid(query, exec);
                     self.decided.push((key, bid));
                     bid
                 }
@@ -341,7 +338,7 @@ impl Router for CheapestQuote {
             return winner;
         }
         self.rounds.full += 1;
-        let best = Self::cheapest(nodes, now, |i| nodes[i].quote_with(ctx, query, exec, now));
+        let best = Self::cheapest(nodes, now, |i| nodes[i].quote(ctx, query, exec, now));
         let (winner, bid) =
             best.expect("no routable node (the control plane must keep at least one active)");
         self.last_quote = Some(bid);
@@ -506,14 +503,15 @@ mod tests {
         for i in 0..6 {
             let q = gen.next_query();
             let now = SimTime::from_secs(1.0 + f64::from(i));
-            let winner = r.route(&nodes, &ctx, &q, now);
+            let exec = ExecRows::build(&ctx, &q);
+            let winner = r.route_with(&nodes, &ctx, &q, &exec, now);
             assert_eq!(winner, 1, "the lowest-indexed routable node wins the tie");
             let amount = nodes[winner]
                 .economy()
                 .expect("economic node")
-                .quote_query(&ctx, &q, now);
+                .quote_query(&ctx, &q, &exec, now);
             assert_eq!(r.last_winning_quote(), Some(amount));
-            let _ = nodes[winner].serve(&ctx, &q, now);
+            let _ = nodes[winner].serve(&ctx, &q, &exec, now, 0.0);
         }
         assert_eq!(
             r.quote_rounds(),

@@ -13,17 +13,14 @@
 //!   (CPU / disk / network / I/O), the decomposition Section VII-B reasons
 //!   with ("the disc space cost … is very small and significant for the 1
 //!   second and 60 seconds measurements, respectively").
-//! * [`series::TimeSeries`] — bounded-memory time series for plots.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod breakdown;
 pub mod histogram;
-pub mod series;
 pub mod stream;
 
 pub use breakdown::{CostBreakdown, Resource};
 pub use histogram::LogHistogram;
-pub use series::TimeSeries;
 pub use stream::StreamingStats;

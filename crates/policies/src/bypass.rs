@@ -24,7 +24,7 @@ use std::collections::HashMap;
 
 use cache::Occupancy;
 use catalog::ColumnId;
-use planner::PlannerContext;
+use planner::{ExecRows, PlannerContext};
 use pricing::Money;
 use simcore::{SimDuration, SimTime};
 use workload::Query;
@@ -154,6 +154,7 @@ impl CachePolicy for BypassYieldPolicy {
         &mut self,
         ctx: &PlannerContext<'_>,
         query: &Query,
+        _exec: &ExecRows,
         now: SimTime,
     ) -> PolicyOutcome {
         self.occupancy.advance(now);
@@ -221,7 +222,13 @@ impl CachePolicy for BypassYieldPolicy {
         }
     }
 
-    fn quote(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Money {
+    fn quote(
+        &self,
+        ctx: &PlannerContext<'_>,
+        query: &Query,
+        _exec: &ExecRows,
+        now: SimTime,
+    ) -> Money {
         // Bypass recovers exactly the execution cost: the cache run if
         // every needed column is resident, the backend run otherwise.
         let est = if self.all_available(query, now) {
@@ -318,7 +325,7 @@ mod tests {
         let mut p = BypassYieldPolicy::paper(&fx.schema);
         let mut gen = WorkloadGenerator::new(Arc::clone(&fx.schema), WorkloadConfig::default(), 1);
         let q = gen.next_query();
-        let o = p.process_query(&fx.ctx(), &q, SimTime::from_secs(1.0));
+        let o = p.process_query(&fx.ctx(), &q, &ExecRows::new(), SimTime::from_secs(1.0));
         assert!(!o.ran_in_cache);
         assert!(o.exec_breakdown.network.is_positive(), "result shipped");
     }
@@ -332,7 +339,12 @@ mod tests {
         let mut loaded = 0u32;
         for i in 0..5000 {
             let q = gen.next_query();
-            let o = p.process_query(&ctx, &q, SimTime::from_secs((i + 1) as f64));
+            let o = p.process_query(
+                &ctx,
+                &q,
+                &ExecRows::new(),
+                SimTime::from_secs((i + 1) as f64),
+            );
             loaded += o.investments;
         }
         assert!(loaded > 0, "yield credits must eventually load columns");
@@ -349,7 +361,12 @@ mod tests {
         let mut hits_late = 0;
         for i in 0..8000 {
             let q = gen.next_query();
-            let o = p.process_query(&ctx, &q, SimTime::from_secs((i + 1) as f64));
+            let o = p.process_query(
+                &ctx,
+                &q,
+                &ExecRows::new(),
+                SimTime::from_secs((i + 1) as f64),
+            );
             if i >= 6000 && o.ran_in_cache {
                 hits_late += 1;
             }
@@ -369,13 +386,13 @@ mod tests {
         for c in q.all_columns() {
             p.credit.insert(c, f64::MAX / 4.0);
         }
-        let o = p.process_query(&ctx, &q, SimTime::from_secs(1.0));
+        let o = p.process_query(&ctx, &q, &ExecRows::new(), SimTime::from_secs(1.0));
         assert!(!o.ran_in_cache);
         assert!(o.investments > 0, "loads kicked off");
-        let o2 = p.process_query(&ctx, &q, SimTime::from_secs(1.0));
+        let o2 = p.process_query(&ctx, &q, &ExecRows::new(), SimTime::from_secs(1.0));
         assert!(!o2.ran_in_cache, "transfer still in flight");
         // After the transfer window the cache serves it.
-        let o3 = p.process_query(&ctx, &q, SimTime::from_secs(1e7));
+        let o3 = p.process_query(&ctx, &q, &ExecRows::new(), SimTime::from_secs(1e7));
         assert!(o3.ran_in_cache);
     }
 
@@ -391,7 +408,12 @@ mod tests {
         let mut gen = WorkloadGenerator::new(Arc::clone(&fx.schema), WorkloadConfig::default(), 5);
         for i in 0..3000 {
             let q = gen.next_query();
-            let _ = p.process_query(&ctx, &q, SimTime::from_secs((i + 1) as f64));
+            let _ = p.process_query(
+                &ctx,
+                &q,
+                &ExecRows::new(),
+                SimTime::from_secs((i + 1) as f64),
+            );
             assert!(p.disk_used() <= p.capacity());
         }
     }

@@ -92,33 +92,20 @@ impl CachePolicy for EconPolicy {
         &mut self,
         ctx: &PlannerContext<'_>,
         query: &Query,
-        now: SimTime,
-    ) -> PolicyOutcome {
-        policy_outcome(self.manager.process_query(ctx, query, now))
-    }
-
-    fn process_query_with(
-        &mut self,
-        ctx: &PlannerContext<'_>,
-        query: &Query,
         exec: &ExecRows,
         now: SimTime,
     ) -> PolicyOutcome {
-        policy_outcome(self.manager.process_query_with(ctx, query, exec, now))
+        policy_outcome(self.manager.process_query(ctx, query, exec, now))
     }
 
-    fn quote(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Money {
-        self.manager.quote_query(ctx, query, now)
-    }
-
-    fn quote_with(
+    fn quote(
         &self,
         ctx: &PlannerContext<'_>,
         query: &Query,
         exec: &ExecRows,
         now: SimTime,
     ) -> Money {
-        self.manager.quote_query_with(ctx, query, exec, now)
+        self.manager.quote_query(ctx, query, exec, now)
     }
 
     fn economy(&self) -> Option<&EconomyManager> {
@@ -220,7 +207,12 @@ mod tests {
         let mut p = EconPolicy::econ_cheap(EconConfig::default());
         for i in 0..50 {
             let q = gen.next_query();
-            let o = p.process_query(&ctx, &q, SimTime::from_secs((i + 1) as f64));
+            let o = p.process_query(
+                &ctx,
+                &q,
+                &ExecRows::build(&ctx, &q),
+                SimTime::from_secs((i + 1) as f64),
+            );
             assert!(!o.payment.is_negative());
             assert!(!o.profit.is_negative());
             assert!(o.payment >= o.profit);
@@ -241,7 +233,12 @@ mod tests {
         let mut p = EconPolicy::econ_cheap(EconConfig::default());
         for i in 0..10 {
             let q = gen.next_query();
-            let _ = p.process_query(&ctx, &q, SimTime::from_secs((i + 1) as f64));
+            let _ = p.process_query(
+                &ctx,
+                &q,
+                &ExecRows::build(&ctx, &q),
+                SimTime::from_secs((i + 1) as f64),
+            );
         }
         p.advance(SimTime::from_secs(1000.0));
         // Whether or not anything was built, the integral must be

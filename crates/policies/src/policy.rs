@@ -35,34 +35,23 @@ pub trait CachePolicy {
     /// Scheme name as it appears in the figures (`bypass`, `econ-col`, …).
     fn name(&self) -> &'static str;
 
-    /// Serves one query arriving at `now`. A policy that plans fills its
-    /// own execution rows for the query.
+    /// Serves one query arriving at `now` over `exec`, the query's
+    /// execution rows. A policy that plans (one with an
+    /// [`Self::economy`]) reads them and panics if they were never
+    /// filled; the caller fills them from `query` through `ctx` (a fleet
+    /// once per arrival, for its quote round and the winner's serve).
+    /// Policies that do not plan ignore them.
     fn process_query(
-        &mut self,
-        ctx: &PlannerContext<'_>,
-        query: &Query,
-        now: SimTime,
-    ) -> PolicyOutcome;
-
-    /// [`Self::process_query`] over `exec`, the query's execution rows,
-    /// filled by the caller (a fleet fills them once per arrival for its
-    /// quote round and the winner's serve). Must equal
-    /// [`Self::process_query`] bit for bit. The default ignores the rows:
-    /// right for policies that do not plan.
-    fn process_query_with(
         &mut self,
         ctx: &PlannerContext<'_>,
         query: &Query,
         exec: &ExecRows,
         now: SimTime,
-    ) -> PolicyOutcome {
-        let _ = exec;
-        self.process_query(ctx, query, now)
-    }
+    ) -> PolicyOutcome;
 
     /// Quotes the price this cloud would charge for `query` at `now`,
-    /// without serving it. A quote changes no cache, ledger or other
-    /// policy state.
+    /// without serving it, over `exec` as in [`Self::process_query`]. A
+    /// quote changes no cache, ledger or other policy state.
     ///
     /// For the economic schemes this is the paper's `B_Q(t)` settlement of
     /// the case analysis; for bypass it is the cost-recovery charge of the
@@ -70,27 +59,20 @@ pub trait CachePolicy {
     /// competing clouds (cheapest-bid routing); a quote is a bid, not a
     /// contract — the realized charge can differ if serving the query
     /// first triggers evictions or investments.
-    fn quote(&self, ctx: &PlannerContext<'_>, query: &Query, now: SimTime) -> Money;
-
-    /// [`Self::quote`] over `exec`, the query's execution rows, filled by
-    /// the caller. Must equal [`Self::quote`] bit for bit. The default
-    /// ignores the rows: right for policies that do not plan.
-    fn quote_with(
+    fn quote(
         &self,
         ctx: &PlannerContext<'_>,
         query: &Query,
         exec: &ExecRows,
         now: SimTime,
-    ) -> Money {
-        let _ = exec;
-        self.quote(ctx, query, now)
-    }
+    ) -> Money;
 
     /// The economy manager backing this policy's quotes, when it has
     /// one. A fleet quote round asks it whether the budget alone decides
     /// the bid (`econ::EconomyManager::budget_decided_bid`); a round with
     /// a node returning `None` (the default) quotes every node through
-    /// [`Self::quote_with`].
+    /// [`Self::quote`]. A policy with an economy plans, so its callers
+    /// fill the execution rows they pass it.
     fn economy(&self) -> Option<&econ::EconomyManager> {
         None
     }

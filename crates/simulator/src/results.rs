@@ -1,6 +1,6 @@
 //! Run results — the measurements Figures 4 and 5 plot.
 
-use metrics::{CostBreakdown, LogHistogram, StreamingStats, TimeSeries};
+use metrics::{CostBreakdown, LogHistogram, StreamingStats};
 use pricing::Money;
 use serde::{Deserialize, Serialize};
 
@@ -33,8 +33,6 @@ pub struct RunResult {
     pub investments: u64,
     /// Structures evicted / failed.
     pub evictions: u64,
-    /// Mean response time over the run, sampled as a series for plots.
-    pub response_series: TimeSeries,
     /// Cache disk occupied at the end of the run (bytes).
     pub final_disk_bytes: u64,
 }
@@ -107,7 +105,6 @@ mod tests {
             cache_hits: 1,
             investments: 3,
             evictions: 0,
-            response_series: TimeSeries::new(16),
             final_disk_bytes: 42,
         }
     }

@@ -29,8 +29,8 @@ use crate::step::RunAccumulator;
 /// economy configuration (ignored by the bypass scheme).
 ///
 /// Shared by [`Simulation`] and the fleet executor, which builds one
-/// policy per cache node. The box is `Send` so fleet quote rounds can
-/// fan per-node bids out over the persistent quote worker pool.
+/// policy per cache node. The box is `Send` so a fleet cell's nodes can
+/// live on its executor's shard worker threads.
 #[must_use]
 pub fn make_policy(
     scheme: &Scheme,

@@ -14,8 +14,8 @@
 //!   at [`RunAccumulator::finish`];
 //! * structure builds are charged when the investment happens.
 
-use metrics::{CostBreakdown, LogHistogram, Resource, StreamingStats, TimeSeries};
-use planner::PlannerContext;
+use metrics::{CostBreakdown, LogHistogram, Resource, StreamingStats};
+use planner::{ExecRows, PlannerContext};
 use policies::{CachePolicy, PolicyOutcome};
 use pricing::{Money, ResourceRates};
 use simcore::SimTime;
@@ -34,7 +34,6 @@ use crate::results::RunResult;
 pub struct RunAccumulator {
     response: StreamingStats,
     response_hist: LogHistogram,
-    response_series: TimeSeries,
     operating: CostBreakdown,
     build_spend: Money,
     payments: Money,
@@ -46,6 +45,9 @@ pub struct RunAccumulator {
     started_at: SimTime,
     prev_time: SimTime,
     node_seconds: f64,
+    /// The execution rows [`Self::step`] fills for each query a planning
+    /// policy serves, reused across queries.
+    exec: ExecRows,
 }
 
 impl Default for RunAccumulator {
@@ -70,7 +72,6 @@ impl RunAccumulator {
         RunAccumulator {
             response: StreamingStats::new(),
             response_hist: LogHistogram::latency(),
-            response_series: TimeSeries::new(512),
             operating: CostBreakdown::ZERO,
             build_spend: Money::ZERO,
             payments: Money::ZERO,
@@ -82,6 +83,7 @@ impl RunAccumulator {
             started_at: start,
             prev_time: start,
             node_seconds: 0.0,
+            exec: ExecRows::new(),
         }
     }
 
@@ -132,12 +134,11 @@ impl RunAccumulator {
     }
 
     /// Books one served query's outcome.
-    pub fn record(&mut self, outcome: &PolicyOutcome, now: SimTime) {
+    pub fn record(&mut self, outcome: &PolicyOutcome) {
         self.queries += 1;
         let secs = outcome.response_time.as_secs();
         self.response.record(secs);
         self.response_hist.record(secs);
-        self.response_series.record(now.as_secs(), secs);
 
         if outcome.ran_in_cache {
             // Cache CPU is covered by node uptime; book I/O per use.
@@ -156,8 +157,24 @@ impl RunAccumulator {
         self.evictions += u64::from(outcome.evictions);
     }
 
-    /// Serves one query end to end: accrues uptime, runs the policy,
-    /// books the outcome.
+    /// The accumulator's reused execution rows, filled for `query` when
+    /// `policy` plans (has an economy) and left as they are otherwise,
+    /// for a policy that ignores them.
+    pub fn exec_rows(
+        &mut self,
+        policy: &dyn CachePolicy,
+        ctx: &PlannerContext<'_>,
+        query: &Query,
+    ) -> &ExecRows {
+        if policy.economy().is_some() {
+            self.exec.fill(ctx, query);
+        }
+        &self.exec
+    }
+
+    /// Serves one query end to end: accrues uptime, fills the query's
+    /// execution rows ([`Self::exec_rows`]), runs the policy over them
+    /// and books the outcome.
     pub fn step(
         &mut self,
         policy: &mut dyn CachePolicy,
@@ -166,8 +183,9 @@ impl RunAccumulator {
         now: SimTime,
     ) -> PolicyOutcome {
         self.accrue_uptime(policy, now);
-        let outcome = policy.process_query(ctx, query, now);
-        self.record(&outcome, now);
+        let exec = self.exec_rows(policy, ctx, query);
+        let outcome = policy.process_query(ctx, query, exec, now);
+        self.record(&outcome);
         outcome
     }
 
@@ -207,7 +225,6 @@ impl RunAccumulator {
             cache_hits: self.cache_hits,
             investments: self.investments,
             evictions: self.evictions,
-            response_series: self.response_series,
             final_disk_bytes: policy.disk_used(),
         }
     }

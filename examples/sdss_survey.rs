@@ -14,7 +14,7 @@ use std::sync::Arc;
 use cloudcache::catalog::sdss::sdss_schema;
 use cloudcache::catalog::Schema;
 use cloudcache::econ::{EconConfig, EconomyManager};
-use cloudcache::planner::{generate_candidates, CostParams, Estimator, PlannerContext};
+use cloudcache::planner::{generate_candidates, CostParams, Estimator, ExecRows, PlannerContext};
 use cloudcache::pricing::{Money, PriceCatalog};
 use cloudcache::simcore::{NetworkModel, SimTime};
 use cloudcache::workload::templates::{ResolvedAccess, ResolvedTemplate, TemplateId};
@@ -151,6 +151,8 @@ fn main() {
         2026,
     );
     let mut economy = EconomyManager::new(EconConfig::default());
+    // The query's execution rows, filled once per arrival and reused.
+    let mut exec = ExecRows::new();
 
     let n = 120_000u64;
     let mut hits = 0u64;
@@ -158,7 +160,9 @@ fn main() {
     let mut response_sum = 0.0;
     for i in 0..n {
         let query = generator.next_query();
-        let outcome = economy.process_query(&ctx, &query, SimTime::from_secs(i as f64 + 1.0));
+        exec.fill(&ctx, &query);
+        let outcome =
+            economy.process_query(&ctx, &query, &exec, SimTime::from_secs(i as f64 + 1.0));
         hits += u64::from(outcome.ran_in_cache);
         builds += outcome.investments.len() as u64;
         response_sum += outcome.response_time.as_secs();

@@ -7,8 +7,9 @@
 //! a positive whole-run `config.queries_per_sec`, and hold at least one
 //! cell.
 //!
-//! One fig4 cell and one fig5 cell are also re-run at the record's own
-//! config (`SimConfig::paper_cell` at its `scale_factor` and
+//! Two fig4 cells (econ-cheap and bypass, both at 1 s) and one fig5
+//! cell are also re-run at the record's own config
+//! (`SimConfig::paper_cell` at its `scale_factor` and
 //! `queries_per_cell`, default seed) and compared field by field at the
 //! record's printed precision, four decimals. A change that moves a
 //! committed number (a build profile included) fails here until the
@@ -66,15 +67,15 @@ fn fig4_cell_reproduces_its_committed_record() {
         "BENCH_fig4_operating_cost.json",
         1.0,
         "econ-cheap",
-        &[
-            ("total_cost_usd", |r| r.total_operating_cost().as_dollars()),
-            ("cpu_usd", |r| r.operating.cpu.as_dollars()),
-            ("disk_usd", |r| r.operating.disk.as_dollars()),
-            ("network_usd", |r| r.operating.network.as_dollars()),
-            ("io_usd", |r| r.operating.io.as_dollars()),
-            ("builds_usd", |r| r.build_spend.as_dollars()),
-        ],
+        FIG4_FIELDS,
     );
+}
+
+#[test]
+fn fig4_bypass_cell_reproduces_its_committed_record() {
+    // The baseline at the same cell: bypass plans nothing, so it serves
+    // over execution rows its caller leaves unfilled.
+    check_cell("BENCH_fig4_operating_cost.json", 1.0, "bypass", FIG4_FIELDS);
 }
 
 #[test]
@@ -95,6 +96,16 @@ fn fig5_cell_reproduces_its_committed_record() {
 }
 
 type Field = (&'static str, fn(&RunResult) -> f64);
+
+/// Every cost column of a fig4 cell.
+const FIG4_FIELDS: &[Field] = &[
+    ("total_cost_usd", |r| r.total_operating_cost().as_dollars()),
+    ("cpu_usd", |r| r.operating.cpu.as_dollars()),
+    ("disk_usd", |r| r.operating.disk.as_dollars()),
+    ("network_usd", |r| r.operating.network.as_dollars()),
+    ("io_usd", |r| r.operating.io.as_dollars()),
+    ("builds_usd", |r| r.build_spend.as_dollars()),
+];
 
 fn record(name: &str) -> Value {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(name);

@@ -169,13 +169,15 @@ proptest! {
             let mut query = pool[pick].clone();
             query.budget_scale = SCALES[scale_code as usize];
             let rows = ExecRows::build(&ctx, &query);
+            // The reference plans over a fill of its own.
+            let own = ExecRows::build(&ctx, &query);
 
             let mut winner: Option<(usize, Money)> = None;
             for (i, node) in full.iter_mut().enumerate() {
                 node.accrue(now);
-                let bid = node.quote(&ctx, &query, now);
+                let bid = node.quote(&ctx, &query, &own, now);
                 if let Some(m) = node.economy() {
-                    if let Some(decided) = m.budget_decided_bid(&query, || &rows) {
+                    if let Some(decided) = m.budget_decided_bid(&query, &rows) {
                         prop_assert_eq!(decided, bid, "quote_query, node {} at {}", i, now);
                     }
                 }
@@ -184,7 +186,7 @@ proptest! {
                 }
             }
             let (winner, bid) = winner.expect("every node is routable");
-            let reference = full[winner].serve(&ctx, &query, now);
+            let reference = full[winner].serve(&ctx, &query, &own, now, 0.0);
 
             for node in &mut nodes {
                 node.accrue(now);
@@ -192,7 +194,7 @@ proptest! {
             let routed = router.route(&nodes, &ctx, &query, now);
             prop_assert_eq!(routed, winner, "winner at {}", now);
             prop_assert_eq!(router.last_winning_quote(), Some(bid));
-            let outcome = nodes[routed].serve(&ctx, &query, now);
+            let outcome = nodes[routed].serve(&ctx, &query, &rows, now, 0.0);
             prop_assert_eq!(&outcome, &reference, "serve at {}", now);
         }
     }
@@ -220,11 +222,11 @@ fn free_cache_rows_past_the_deadline_leave_the_bid_to_the_round() {
         );
         let fresh = EconomyManager::new(config.clone());
         let now = SimTime::from_secs(1.0);
-        let decided = fresh.budget_decided_bid(query, || &rows);
+        let decided = fresh.budget_decided_bid(query, &rows);
         if rows.rows().all(|(time, _)| time <= rows.backend_time) {
             assert_eq!(
                 decided,
-                Some(fresh.quote_query(&ctx, query, now)),
+                Some(fresh.quote_query(&ctx, query, &rows, now)),
                 "query {i}"
             );
             continue;
@@ -259,12 +261,12 @@ fn free_cache_rows_past_the_deadline_leave_the_bid_to_the_round() {
             ..query.clone()
         };
         for k in 0..2 {
-            let _ = warm.process_query(&ctx, &poor, SimTime::from_secs(f64::from(k)));
+            let _ = warm.process_query(&ctx, &poor, &rows, SimTime::from_secs(f64::from(k)));
         }
         assert!(warm.cache().iter().count() > 0, "query {i}: columns bought");
         let now = SimTime::from_secs(3600.0);
-        assert_eq!(warm.budget_decided_bid(query, || &rows), None);
-        let quote = warm.quote_query(&ctx, query, now);
+        assert_eq!(warm.budget_decided_bid(query, &rows), None);
+        let quote = warm.quote_query(&ctx, query, &rows, now);
         assert_eq!(
             quote,
             Money::ZERO,
@@ -277,9 +279,10 @@ fn free_cache_rows_past_the_deadline_leave_the_bid_to_the_round() {
 /// Patience values a mixed fleet draws from: each is its own budget key.
 const PATIENCES: [f64; 4] = [1.0, 1.2, 1.5, 3.0];
 
-/// The reference round: every node quotes by planning. Returns the
-/// first minimal bidder and its bid, and whether every node's own
-/// budget decided its bid (each decided bid must equal the quote).
+/// The reference round: every node quotes by planning over `rows`.
+/// Returns the first minimal bidder and its bid, and whether every
+/// node's own budget decided its bid (each decided bid must equal the
+/// quote).
 fn quote_every_node(
     ctx: &PlannerContext<'_>,
     nodes: &mut [CacheNode],
@@ -291,10 +294,10 @@ fn quote_every_node(
     let mut all_decided = true;
     for (i, node) in nodes.iter_mut().enumerate() {
         node.accrue(now);
-        let bid = node.quote(ctx, query, now);
+        let bid = node.quote(ctx, query, rows, now);
         match node
             .economy()
-            .and_then(|m| m.budget_decided_bid(query, || rows))
+            .and_then(|m| m.budget_decided_bid(query, rows))
         {
             Some(decided) => assert_eq!(decided, bid, "decided bid of node {i} at {now}"),
             None => all_decided = false,
@@ -312,7 +315,7 @@ proptest! {
     /// Convex node, at EC2 prices and under zero CPU and I/O rates (where
     /// patience decides whether a free cache row lands past the
     /// deadline): routing over the arrival's shared rows
-    /// (`Router::route_with`, then `CacheNode::serve_with`) picks the
+    /// (`Router::route_with`, then `CacheNode::serve`) picks the
     /// winner and bid of quoting every node, serves like it, and decides
     /// a round exactly when every node's own budget decides its bid.
     #[test]
@@ -347,9 +350,11 @@ proptest! {
             let mut query = pool[pick].clone();
             query.budget_scale = SCALES[scale_code as usize];
             let rows = ExecRows::build(&ctx, &query);
-            let (winner, bid, all_decided) = quote_every_node(&ctx, &mut full, &query, &rows, now);
+            // The reference plans over a fill of its own.
+            let own = ExecRows::build(&ctx, &query);
+            let (winner, bid, all_decided) = quote_every_node(&ctx, &mut full, &query, &own, now);
             decided += u64::from(all_decided);
-            let reference = full[winner].serve(&ctx, &query, now);
+            let reference = full[winner].serve(&ctx, &query, &own, now, 0.0);
 
             for node in &mut nodes {
                 node.accrue(now);
@@ -357,7 +362,7 @@ proptest! {
             let routed = router.route_with(&nodes, &ctx, &query, &rows, now);
             prop_assert_eq!(routed, winner, "winner at {}", now);
             prop_assert_eq!(router.last_winning_quote(), Some(bid));
-            let outcome = nodes[routed].serve_with(&ctx, &query, &rows, now, 0.0);
+            let outcome = nodes[routed].serve(&ctx, &query, &rows, now, 0.0);
             prop_assert_eq!(&outcome, &reference, "serve at {}", now);
         }
         prop_assert_eq!(router.quote_rounds().decided, decided);
@@ -386,14 +391,16 @@ fn a_fleet_with_a_bypass_node_never_decides() {
     for (i, query) in queries.iter().enumerate() {
         let now = SimTime::from_secs(1.0 + i as f64);
         let rows = ExecRows::build(&ctx, query);
-        let (winner, bid, _) = quote_every_node(&ctx, &mut full, query, &rows, now);
-        let reference = full[winner].serve(&ctx, query, now);
+        // The reference plans over a fill of its own.
+        let own = ExecRows::build(&ctx, query);
+        let (winner, bid, _) = quote_every_node(&ctx, &mut full, query, &own, now);
+        let reference = full[winner].serve(&ctx, query, &own, now, 0.0);
         for node in &mut nodes {
             node.accrue(now);
         }
         let routed = router.route_with(&nodes, &ctx, query, &rows, now);
         assert_eq!((routed, router.last_winning_quote()), (winner, Some(bid)));
-        let outcome = nodes[routed].serve_with(&ctx, query, &rows, now, 0.0);
+        let outcome = nodes[routed].serve(&ctx, query, &rows, now, 0.0);
         assert_eq!(outcome, reference, "serve of query {i}");
     }
     assert_eq!(

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
 use cloudcache::econ::{EconConfig, EconomyManager, InvestmentRule, SelectionCase};
-use cloudcache::planner::{generate_candidates, CostParams, Estimator, PlannerContext};
+use cloudcache::planner::{generate_candidates, CostParams, Estimator, ExecRows, PlannerContext};
 use cloudcache::pricing::{Money, PriceCatalog};
 use cloudcache::simcore::{NetworkModel, SimTime};
 use cloudcache::workload::{paper_templates, WorkloadConfig, WorkloadGenerator};
@@ -68,7 +68,12 @@ fn every_outcome_keeps_the_ledger_conserved() {
     let mut invested = Money::ZERO;
     for i in 0..3000u64 {
         let q = gen.next_query();
-        let o = m.process_query(&ctx, &q, SimTime::from_secs(i as f64 + 1.0));
+        let o = m.process_query(
+            &ctx,
+            &q,
+            &ExecRows::build(&ctx, &q),
+            SimTime::from_secs(i as f64 + 1.0),
+        );
         paid += o.payment;
         invested += o.investments.iter().map(|&(_, c)| c).sum::<Money>();
         assert!(!o.profit.is_negative());
@@ -95,7 +100,12 @@ fn the_self_tuning_loop_closes() {
     let mut profit = Money::ZERO;
     for i in 0..3000u64 {
         let q = gen.next_query();
-        let o = m.process_query(&ctx, &q, SimTime::from_secs(i as f64 + 1.0));
+        let o = m.process_query(
+            &ctx,
+            &q,
+            &ExecRows::build(&ctx, &q),
+            SimTime::from_secs(i as f64 + 1.0),
+        );
         invested += o.investments.len();
         cache_runs += usize::from(o.ran_in_cache);
         profit += o.profit;
@@ -119,7 +129,12 @@ fn amortization_collected_never_exceeds_build_spending() {
     let mut built = Money::ZERO;
     for i in 0..4000u64 {
         let q = gen.next_query();
-        let o = m.process_query(&ctx, &q, SimTime::from_secs(i as f64 + 1.0));
+        let o = m.process_query(
+            &ctx,
+            &q,
+            &ExecRows::build(&ctx, &q),
+            SimTime::from_secs(i as f64 + 1.0),
+        );
         collected += o.amortization_collected;
         built += o.investments.iter().map(|&(_, c)| c).sum::<Money>();
     }
@@ -141,7 +156,12 @@ fn cases_b_and_c_both_occur_under_step_budgets() {
     let mut seen_c = false;
     for i in 0..2000u64 {
         let q = gen.next_query();
-        let o = m.process_query(&ctx, &q, SimTime::from_secs(i as f64 + 1.0));
+        let o = m.process_query(
+            &ctx,
+            &q,
+            &ExecRows::build(&ctx, &q),
+            SimTime::from_secs(i as f64 + 1.0),
+        );
         match o.case {
             SelectionCase::B => seen_b = true,
             SelectionCase::C => seen_c = true,
@@ -177,7 +197,12 @@ fn network_only_prices_reproduce_the_bypass_blindspot() {
     let mut evictions = 0usize;
     for i in 0..3000u64 {
         let q = gen.next_query();
-        let o = m.process_query(&ctx, &q, SimTime::from_secs((i as f64 + 1.0) * 30.0));
+        let o = m.process_query(
+            &ctx,
+            &q,
+            &ExecRows::build(&ctx, &q),
+            SimTime::from_secs((i as f64 + 1.0) * 30.0),
+        );
         evictions += o.evictions.len();
     }
     assert_eq!(

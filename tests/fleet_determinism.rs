@@ -139,7 +139,7 @@ fn oversubscribed_shards_are_harmless() {
 /// quotes on every round, not just the first: over 60 consecutive
 /// Convex-budget rounds with node state evolving between them, each
 /// routable node quotes through its own manager
-/// (`EconomyManager::quote_query`, which fills that manager's own
+/// (`EconomyManager::quote_query` over a fresh fill of the query's
 /// execution rows), the router routes over the arrival's shared rows,
 /// and its winner and winning bid must be the first minimal own quote.
 /// Before the rounds, node `i` serves its own disjoint slice of a warm-up
@@ -207,7 +207,7 @@ fn shared_rows_winner_is_the_first_minimum_of_own_quotes() {
         let (node, now) = (&mut nodes[k % 8], SimTime::from_secs(k as f64));
         node.accrue(now);
         let rows = ExecRows::build(&ctx, query);
-        let _ = node.serve_with(&ctx, query, &rows, now, 0.0);
+        let _ = node.serve(&ctx, query, &rows, now, 0.0);
     }
     let start = (8 * WARM) as f64 + 600.0;
 
@@ -227,7 +227,10 @@ fn shared_rows_winner_is_the_first_minimum_of_own_quotes() {
             .filter(|(_, node)| node.routable(now))
             .map(|(i, node)| {
                 let manager = node.economy().expect("econ-cheap nodes are economic");
-                (i, manager.quote_query(&ctx, query, now))
+                (
+                    i,
+                    manager.quote_query(&ctx, query, &ExecRows::build(&ctx, query), now),
+                )
             })
             .collect();
         contested += usize::from(bids.iter().any(|&(_, b)| b != bids[0].1));
@@ -240,7 +243,7 @@ fn shared_rows_winner_is_the_first_minimum_of_own_quotes() {
         assert_eq!(winner, expected, "round {round}: winner");
         assert_eq!(router.last_winning_quote(), Some(bid), "round {round}: bid");
         // The winner serves, so later rounds quote against evolved state.
-        let _ = nodes[winner].serve_with(&ctx, query, &rows, now, 0.0);
+        let _ = nodes[winner].serve(&ctx, query, &rows, now, 0.0);
         winners.push(winner);
     }
     assert_eq!(

@@ -26,7 +26,7 @@ use cloudcache::fleet::{
     LeastOutstanding, NodePopulation, NodeSpec, RoundRobin, Router, RouterKind,
 };
 use cloudcache::planner::{
-    generate_candidates, CandidateIndex, CostParams, Estimator, PlannerContext,
+    generate_candidates, CandidateIndex, CostParams, Estimator, ExecRows, PlannerContext,
 };
 use cloudcache::pricing::{Money, PriceCatalog};
 use cloudcache::simcore::{NetworkModel, SimTime};
@@ -121,7 +121,8 @@ proptest! {
                 node.accrue(now);
             }
             let query = gen.next_query();
-            let winner = cq.route(&nodes, &ctx, &query, now);
+            let exec = ExecRows::build(&ctx, &query);
+            let winner = cq.route_with(&nodes, &ctx, &query, &exec, now);
             prop_assert!(!drained[winner], "cheapest-quote routed to draining node {winner}");
             prop_assert!(nodes[winner].routable(now));
             for (name, choice) in [
@@ -130,7 +131,7 @@ proptest! {
             ] {
                 prop_assert!(!drained[choice], "{name} routed to draining node {choice}");
             }
-            let _ = nodes[winner].serve(&ctx, &query, now);
+            let _ = nodes[winner].serve(&ctx, &query, &exec, now, 0.0);
         }
     }
 }
@@ -145,7 +146,7 @@ fn warmed_node(label: usize) -> CacheNode {
         let now = SimTime::from_secs((i + 1) as f64);
         node.accrue(now);
         let q = gen.next_query();
-        let _ = node.serve(&ctx, &q, now);
+        let _ = node.serve(&ctx, &q, &ExecRows::build(&ctx, &q), now, 0.0);
     }
     node
 }

@@ -181,7 +181,7 @@ proptest! {
         let mut plan = FaultPlan::new(HORIZON);
         if grouped {
             plan = plan.with_group(vec![victim, (victim + 1) % 3], crash_at);
-            plan.groups[0].recover_after_secs = recover_after;
+            plan.crashes[0].recover_after_secs = recover_after;
         } else if let Some(after) = recover_after {
             plan = plan.with_crash_recover(victim, crash_at, after);
         } else {

@@ -1,9 +1,11 @@
 //! The economy's serve and bid allocate nothing in steady state.
 //!
-//! A warmed econ-cheap cache serves every query whose outcome builds and
-//! evicts nothing from reused scratch: the plan rows, the skyline
-//! partition, the regret visit, the used-structure keys and the
-//! investment scan's candidates. Its bid over an arrival's shared
+//! A warmed econ-cheap cache, stepped by the single-cache simulator's
+//! `RunAccumulator`, serves every query whose outcome builds and evicts
+//! nothing from reused scratch: the accumulator's execution rows, the
+//! plan rows, the skyline partition, the regret visit, the
+//! used-structure keys and the investment scan's candidates. Its bid
+//! over an arrival's shared
 //! execution rows reuses the same plan rows and skyline scratch. A
 //! counting global allocator (counting per thread, so the test
 //! harness's other threads do not interfere) holds the serve and the bid
@@ -22,6 +24,7 @@ use cloudcache::planner::{
 use cloudcache::policies::{CachePolicy, EconPolicy};
 use cloudcache::pricing::{Money, PriceCatalog};
 use cloudcache::simcore::{NetworkModel, SimTime};
+use cloudcache::simulator::RunAccumulator;
 use cloudcache::workload::{paper_templates, Query, WorkloadConfig, WorkloadGenerator};
 
 struct Counting;
@@ -131,17 +134,18 @@ fn warmed_serves_that_build_and_evict_nothing_allocate_nothing() {
     let planning = Planning::new();
     let ctx = planning.ctx();
     let mut policy = EconPolicy::econ_cheap(paper_single_econ());
+    let mut acc = RunAccumulator::new();
     let queries = planning.queries();
     let at = |i: usize| SimTime::from_secs((i + 1) as f64);
     for (i, q) in queries[..WARM].iter().enumerate() {
-        let _ = policy.process_query(&ctx, q, at(i));
+        let _ = acc.step(&mut policy, &ctx, q, at(i));
     }
 
     let (mut quiet, mut quiet_hits) = (0, 0);
     let mut offenders = Vec::new();
     for (i, q) in queries.iter().enumerate().skip(WARM) {
         let before = allocations();
-        let outcome = policy.process_query(&ctx, q, at(i));
+        let outcome = acc.step(&mut policy, &ctx, q, at(i));
         let allocated = allocations() - before;
         if outcome.investments == 0 && outcome.evictions == 0 {
             quiet += 1;
@@ -182,13 +186,13 @@ fn warmed_bids_under_a_convex_budget_allocate_nothing() {
     for (i, q) in queries.iter().enumerate() {
         exec.fill(&ctx, q);
         let before = allocations();
-        let bid = policy.quote_with(&ctx, q, &exec, at(i));
+        let bid = policy.quote(&ctx, q, &exec, at(i));
         let allocated = allocations() - before;
         if i >= WARM && allocated > 0 {
             offenders.push((i, allocated));
         }
         assert!(!bid.is_negative(), "query {i} bid {bid:?}");
-        let outcome = policy.process_query_with(&ctx, q, &exec, at(i));
+        let outcome = policy.process_query(&ctx, q, &exec, at(i));
         hits += usize::from(i >= WARM && outcome.ran_in_cache);
     }
     assert!(
