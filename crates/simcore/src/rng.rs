@@ -1,7 +1,7 @@
 //! Deterministic pseudo-random numbers.
 //!
 //! Every simulation run must be a pure function of `(config, seed)` so that
-//! the paper-claim tests and the figure harnesses are reproducible. We use
+//! the paper-claim tests and the figure records are reproducible. We use
 //! xoshiro256** seeded through SplitMix64 — the standard pairing recommended
 //! by the xoshiro authors — implemented here directly (≈40 lines) rather
 //! than pulling in another dependency.

@@ -62,7 +62,8 @@ impl RunResult {
         }
     }
 
-    /// One-line table row used by the figure harnesses.
+    /// One-line human-readable summary of the run, printed by the
+    /// examples.
     #[must_use]
     pub fn table_row(&self) -> String {
         format!(

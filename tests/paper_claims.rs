@@ -3,12 +3,14 @@
 //! "reproduced" means — absolute dollars and seconds depend on the
 //! authors' unpublished trace).
 //!
-//! All assertions run against one shared grid (SF 2500 ≈ the paper's
-//! 2.5 TB backend, 400 k queries per cell) computed once.
+//! All assertions run against one shared grid computed once: the 1 s and
+//! 60 s cells of the figure table's paper grid (`bench::figures::paper_grid`)
+//! at SF 2500 ≈ the paper's 2.5 TB backend, 400 k queries per cell.
 
 use std::sync::OnceLock;
 
-use cloudcache::simulator::{run_simulation, RunResult, Scheme, SimConfig};
+use bench::figures::{paper_grid, run_cells, Cell, Label};
+use cloudcache::simulator::RunResult;
 
 const SF: f64 = 2500.0;
 const QUERIES: u64 = 400_000;
@@ -23,21 +25,23 @@ struct Grid {
 fn grid() -> &'static Grid {
     static GRID: OnceLock<Grid> = OnceLock::new();
     GRID.get_or_init(|| {
-        let run_interval = |interval: f64| -> Vec<RunResult> {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = Scheme::paper_schemes()
-                    .into_iter()
-                    .map(|scheme| {
-                        let cfg = SimConfig::paper_cell(scheme, interval, SF, QUERIES);
-                        scope.spawn(move || run_simulation(cfg))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            })
+        let cells: Vec<Cell> = paper_grid(SF, QUERIES)
+            .into_iter()
+            .filter(|cell| [Label::Num(1.0), Label::Num(60.0)].contains(&cell.labels[0]))
+            .collect();
+        let configs: Vec<_> = cells.iter().map(|cell| cell.config.clone()).collect();
+        let results = run_cells(&configs);
+        let select = |interval: f64| -> Vec<RunResult> {
+            cells
+                .iter()
+                .zip(&results)
+                .filter(|(cell, _)| cell.labels[0] == Label::Num(interval))
+                .map(|(_, result)| result.clone())
+                .collect()
         };
         Grid {
-            at_1s: run_interval(1.0),
-            at_60s: run_interval(60.0),
+            at_1s: select(1.0),
+            at_60s: select(60.0),
         }
     })
 }
