@@ -13,8 +13,7 @@ use metrics::CostBreakdown;
 use planner::plan::{PlanShape, QueryPlan};
 use planner::skyline_filter;
 use pricing::Money;
-use simcore::sample::Zipf;
-use simcore::{SimDuration, SimRng};
+use simcore::SimDuration;
 use std::sync::Arc;
 use workload::{WorkloadConfig, WorkloadGenerator};
 
@@ -95,14 +94,6 @@ fn bench_money(c: &mut Criterion) {
     });
 }
 
-fn bench_zipf(c: &mut Criterion) {
-    let zipf = Zipf::new(10_000, 1.1);
-    let mut rng = SimRng::new(42);
-    c.bench_function("zipf_sample_10k_ranks", |b| {
-        b.iter(|| zipf.sample(&mut rng))
-    });
-}
-
 fn bench_workload(c: &mut Criterion) {
     let schema = Arc::new(tpch_schema(ScaleFactor(1.0)));
     c.bench_function("workload_next_query", |b| {
@@ -117,7 +108,6 @@ criterion_group!(
     bench_skyline,
     bench_regret,
     bench_money,
-    bench_zipf,
     bench_workload
 );
 criterion_main!(benches);

@@ -5,7 +5,6 @@ use crate::ids::{ColumnId, TableId};
 use crate::stats::ColumnStats;
 use crate::types::DataType;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A back-end table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -23,14 +22,13 @@ pub struct Table {
 /// The full relational catalog the cloud serves.
 ///
 /// Construction goes through [`SchemaBuilder`], which assigns dense ids,
-/// so lookups by id are `Vec` indexing and lookups by name are one hash
-/// probe.
+/// so lookups by id are `Vec` indexing. Lookups by name scan: a table
+/// name over the tables, a column name over its table's columns (TPC-H
+/// has 8 tables of at most 16 columns).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Schema {
     tables: Vec<Table>,
     columns: Vec<Column>,
-    table_by_name: HashMap<String, TableId>,
-    column_by_name: HashMap<String, ColumnId>,
 }
 
 impl Schema {
@@ -73,15 +71,18 @@ impl Schema {
     /// Looks up a table by name.
     #[must_use]
     pub fn table_by_name(&self, name: &str) -> Option<&Table> {
-        self.table_by_name.get(name).map(|&id| self.table(id))
+        self.tables.iter().find(|t| t.name == name)
     }
 
     /// Looks up a column by its qualified `"table.column"` name.
     #[must_use]
     pub fn column_by_name(&self, qualified: &str) -> Option<&Column> {
-        self.column_by_name
-            .get(qualified)
+        let (table, column) = qualified.split_once('.')?;
+        self.table_by_name(table)?
+            .columns
+            .iter()
             .map(|&id| self.column(id))
+            .find(|c| c.name == column)
     }
 
     /// Total bytes of one column across all rows — the `size(T)` of
@@ -121,15 +122,15 @@ impl Schema {
 pub struct SchemaBuilder {
     tables: Vec<Table>,
     columns: Vec<Column>,
-    table_by_name: HashMap<String, TableId>,
-    column_by_name: HashMap<String, ColumnId>,
 }
 
 impl SchemaBuilder {
     /// Declares a table and its columns; returns the new table's id.
     ///
     /// # Panics
-    /// Panics on duplicate table or column names.
+    /// Panics on duplicate table or column names, and on a name holding
+    /// a `.`, which would make a qualified `"table.column"` name
+    /// ambiguous.
     pub fn table(
         &mut self,
         name: &str,
@@ -137,18 +138,20 @@ impl SchemaBuilder {
         columns: &[(&str, DataType, ColumnStats)],
     ) -> TableId {
         let table_id = TableId(self.tables.len() as u32);
+        assert!(!name.contains('.'), "table name `{name}` contains a `.`");
         assert!(
-            self.table_by_name
-                .insert(name.to_owned(), table_id)
-                .is_none(),
+            self.tables.iter().all(|t| t.name != name),
             "duplicate table `{name}`"
         );
         let mut ids = Vec::with_capacity(columns.len());
-        for (col_name, ty, stats) in columns {
+        for (i, (col_name, ty, stats)) in columns.iter().enumerate() {
             let col_id = ColumnId(self.columns.len() as u32);
-            let qualified = format!("{name}.{col_name}");
             assert!(
-                self.column_by_name.insert(qualified, col_id).is_none(),
+                !col_name.contains('.'),
+                "column name `{name}.{col_name}` contains a `.`"
+            );
+            assert!(
+                columns[..i].iter().all(|(prior, _, _)| prior != col_name),
                 "duplicate column `{name}.{col_name}`"
             );
             self.columns.push(Column {
@@ -175,8 +178,6 @@ impl SchemaBuilder {
         Schema {
             tables: self.tables,
             columns: self.columns,
-            table_by_name: self.table_by_name,
-            column_by_name: self.column_by_name,
         }
     }
 }
@@ -240,6 +241,13 @@ mod tests {
         let mut b = Schema::builder();
         b.table("t", 1, &[]);
         b.table("t", 1, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "column name `t.a.b` contains a `.`")]
+    fn dotted_name_rejected() {
+        let mut b = Schema::builder();
+        b.table("t", 1, &[("a.b", DataType::Int32, ColumnStats::uniform(1))]);
     }
 
     #[test]

@@ -33,7 +33,8 @@ pub struct TenantId(pub u32);
 pub struct TenantSpec {
     /// Tenant identity (unique within a fleet).
     pub id: TenantId,
-    /// The tenant's workload mix (templates, locality, budget scales).
+    /// The tenant's workload mix (template drift, optional columns,
+    /// budget scales).
     pub workload: WorkloadConfig,
     /// The tenant's arrival process.
     pub arrival: ArrivalKind,
@@ -130,14 +131,18 @@ impl TenantStream {
 
 /// The superposed fleet stream: a binary-heap merge of tenant streams.
 ///
-/// Pulls one pending arrival per tenant into a min-first event queue and
-/// refills from the popped tenant, so memory is `O(tenants)` and each pop
-/// is `O(log tenants)`. Ties on the arrival instant break FIFO (stable in
-/// tenant order for the initial fill), keeping the merged order a pure
+/// Pulls one pending arrival per tenant and refills from the popped
+/// tenant, so memory is `O(tenants)` and each pop is `O(log tenants)`.
+/// The min-first event queue holds only each pending arrival's stream
+/// ordinal; its query waits in that tenant's slot, so a heap sift moves a
+/// few words, not a query. Ties on the arrival instant break FIFO (stable
+/// in tenant order for the initial fill), keeping the merged order a pure
 /// function of the tenant population.
 pub struct MergedStream {
     streams: Vec<TenantStream>,
-    queue: EventQueue<(usize, Query)>,
+    /// Per stream ordinal, the query of its arrival in the queue.
+    pending: Vec<Option<Query>>,
+    queue: EventQueue<usize>,
 }
 
 impl MergedStream {
@@ -145,6 +150,7 @@ impl MergedStream {
     #[must_use]
     pub fn new(streams: Vec<TenantStream>) -> Self {
         let mut merged = MergedStream {
+            pending: vec![None; streams.len()],
             streams,
             queue: EventQueue::new(),
         };
@@ -156,7 +162,8 @@ impl MergedStream {
 
     fn refill(&mut self, ordinal: usize) {
         if let Some((at, query)) = self.streams[ordinal].next_arrival() {
-            self.queue.schedule(at, (ordinal, query));
+            self.pending[ordinal] = Some(query);
+            self.queue.schedule(at, ordinal);
         }
     }
 
@@ -164,7 +171,10 @@ impl MergedStream {
     /// with its stream's ordinal: its position in the `streams` passed
     /// to [`Self::new`].
     pub fn next_slotted(&mut self) -> Option<(SimTime, usize, Query)> {
-        let (at, (ordinal, query)) = self.queue.pop()?;
+        let (at, ordinal) = self.queue.pop()?;
+        let query = self.pending[ordinal]
+            .take()
+            .expect("a queued ordinal holds its pending query");
         self.refill(ordinal);
         Some((at, ordinal, query))
     }
@@ -285,16 +295,29 @@ mod tests {
     }
 
     #[test]
-    fn fixed_interval_ties_break_in_tenant_order() {
+    fn fixed_interval_ties_break_in_schedule_order() {
         let schema = schema();
-        let streams = vec![
-            TenantStream::new(spec(0, 4.0, 2), Arc::clone(&schema), 9),
-            TenantStream::new(spec(1, 4.0, 2), Arc::clone(&schema), 9),
-        ];
-        let mut merged = MergedStream::new(streams);
-        let order: Vec<u32> = std::iter::from_fn(|| merged.next())
-            .map(|(_, t, _)| t.0)
-            .collect();
-        assert_eq!(order, vec![0, 1, 0, 1]);
+        let order = |specs: Vec<TenantSpec>| -> Vec<(f64, u32)> {
+            let streams = specs
+                .into_iter()
+                .map(|s| TenantStream::new(s, Arc::clone(&schema), 9))
+                .collect();
+            MergedStream::new(streams)
+                .map(|(at, t, _)| (at.as_secs(), t.0))
+                .collect()
+        };
+        // Ties on the initial fill and on every refill.
+        assert_eq!(
+            order(vec![spec(0, 4.0, 2), spec(1, 4.0, 2)]),
+            vec![(4.0, 0), (4.0, 1), (8.0, 0), (8.0, 1)]
+        );
+        // Ties after a refill (intervals 1 s and 2 s) break by schedule
+        // order, not tenant order: tenant 1's arrivals at 2 s and 4 s were
+        // scheduled (on the initial fill, then on its pop at 2 s) before
+        // tenant 0's (on its pops at 1 s and 3 s), so tenant 1 leads both.
+        assert_eq!(
+            order(vec![spec(0, 1.0, 4), spec(1, 2.0, 2)]),
+            vec![(1.0, 0), (2.0, 1), (2.0, 0), (3.0, 0), (4.0, 1), (4.0, 0)]
+        );
     }
 }

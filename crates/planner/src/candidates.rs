@@ -19,7 +19,6 @@
 
 use cache::{IndexDef, IndexId, ROW_LOCATOR_BYTES};
 use catalog::{ColumnId, Schema, TableId};
-use std::collections::HashSet;
 use workload::{Query, ResolvedTemplate};
 
 use crate::shapes::{QueryShape, ShapeId, ShapeTable};
@@ -39,27 +38,24 @@ pub fn generate_candidates(
     templates: &[ResolvedTemplate],
     cap: usize,
 ) -> Vec<IndexDef> {
-    let mut seen: HashSet<Vec<ColumnId>> = HashSet::new();
     let mut out: Vec<IndexDef> = Vec::new();
-    let push =
-        |out: &mut Vec<IndexDef>, seen: &mut HashSet<Vec<ColumnId>>, table, keys: Vec<ColumnId>| {
-            if keys.is_empty() || out.len() >= cap {
-                return;
-            }
-            if seen.insert(keys.clone()) {
-                out.push(IndexDef {
-                    id: IndexId(out.len() as u32),
-                    table,
-                    key_columns: keys,
-                });
-            }
-        };
+    // Deduplicates against the output itself: at most `cap` entries.
+    let push = |out: &mut Vec<IndexDef>, table, keys: &[ColumnId]| {
+        if keys.is_empty() || out.len() >= cap || out.iter().any(|d| d.key_columns == keys) {
+            return;
+        }
+        out.push(IndexDef {
+            id: IndexId(out.len() as u32),
+            table,
+            key_columns: keys.to_vec(),
+        });
+    };
 
     // Pass 1: single-column predicate indexes (most reusable).
     for t in templates {
         for a in &t.accesses {
             for &p in &a.predicates {
-                push(&mut out, &mut seen, a.table, vec![p]);
+                push(&mut out, a.table, &[p]);
             }
         }
     }
@@ -69,7 +65,7 @@ pub fn generate_candidates(
             for &p1 in &a.predicates {
                 for &p2 in &a.predicates {
                     if p1 != p2 {
-                        push(&mut out, &mut seen, a.table, vec![p1, p2]);
+                        push(&mut out, a.table, &[p1, p2]);
                     }
                 }
             }
@@ -87,13 +83,13 @@ pub fn generate_candidates(
             for &p in &a.predicates {
                 for &s in &table_sorts {
                     if s != p {
-                        push(&mut out, &mut seen, a.table, vec![p, s]);
+                        push(&mut out, a.table, &[p, s]);
                     }
                 }
                 if table_sorts.len() > 1 {
                     let mut keys = vec![p];
                     keys.extend(table_sorts.iter().copied().filter(|&s| s != p));
-                    push(&mut out, &mut seen, a.table, keys);
+                    push(&mut out, a.table, &keys);
                 }
             }
         }
@@ -111,7 +107,7 @@ pub fn generate_candidates(
                 }
                 let entry: u64 = keys.iter().map(|&c| schema.column(c).byte_width()).sum();
                 if entry <= MAX_COVERING_ENTRY_BYTES {
-                    push(&mut out, &mut seen, a.table, keys);
+                    push(&mut out, a.table, &keys);
                 }
             }
         }
@@ -122,7 +118,7 @@ pub fn generate_candidates(
             for &p in &a.predicates {
                 for &c in a.required.iter().chain(a.optional.iter()) {
                     if c != p {
-                        push(&mut out, &mut seen, a.table, vec![p, c]);
+                        push(&mut out, a.table, &[p, c]);
                     }
                 }
             }
@@ -132,7 +128,7 @@ pub fn generate_candidates(
     // without a predicate — DB2 recommends these for sort elimination).
     for t in templates {
         for &s in &t.sort_columns {
-            push(&mut out, &mut seen, schema.column(s).table, vec![s]);
+            push(&mut out, schema.column(s).table, &[s]);
         }
     }
     // Pass 7: single-column indexes on every projected column (join keys
@@ -140,7 +136,7 @@ pub fn generate_candidates(
     for t in templates {
         for a in &t.accesses {
             for &c in a.required.iter().chain(a.optional.iter()) {
-                push(&mut out, &mut seen, a.table, vec![c]);
+                push(&mut out, a.table, &[c]);
             }
         }
     }
@@ -158,7 +154,7 @@ pub fn generate_candidates(
                 for (i, &c1) in proj.iter().enumerate() {
                     for &c2 in proj.iter().skip(i + 1) {
                         if c1 != p && c2 != p {
-                            push(&mut out, &mut seen, a.table, vec![p, c1, c2]);
+                            push(&mut out, a.table, &[p, c1, c2]);
                         }
                     }
                 }

@@ -39,7 +39,8 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// A min-first, FIFO-on-ties event queue keyed by [`SimTime`].
+/// A min-first, FIFO-on-ties event queue keyed by [`SimTime`]. Its clock
+/// is the timestamp of the last popped event (zero before the first pop).
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
@@ -64,25 +65,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Current simulation clock: the timestamp of the last popped event
-    /// (zero before the first pop).
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics
@@ -99,27 +81,12 @@ impl<E> EventQueue<E> {
         self.heap.push(Entry { at, seq, event });
     }
 
-    /// Timestamp of the next event without popping it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = self.heap.pop()?;
         debug_assert!(entry.at >= self.now, "heap produced a past event");
         self.now = entry.at;
         Some((entry.at, entry.event))
-    }
-
-    /// Drains every remaining event in time order.
-    pub fn drain_ordered(&mut self) -> Vec<(SimTime, E)> {
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some(x) = self.pop() {
-            out.push(x);
-        }
-        out
     }
 }
 
@@ -132,14 +99,22 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    /// Pops every remaining event, in the queue's order.
+    fn pop_all<E>(q: &mut EventQueue<E>) -> Vec<(SimTime, E)> {
+        std::iter::from_fn(|| q.pop()).collect()
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.schedule(t(3.0), "c");
         q.schedule(t(1.0), "a");
         q.schedule(t(2.0), "b");
-        let order: Vec<&str> = q.drain_ordered().into_iter().map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
+        assert_eq!(
+            pop_all(&mut q),
+            vec![(t(1.0), "a"), (t(2.0), "b"), (t(3.0), "c")]
+        );
+        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -148,22 +123,21 @@ mod tests {
         for i in 0..10 {
             q.schedule(t(5.0), i);
         }
-        let order: Vec<i32> = q.drain_ordered().into_iter().map(|(_, e)| e).collect();
+        let order: Vec<i32> = pop_all(&mut q).into_iter().map(|(_, e)| e).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
-    fn clock_advances_with_pops() {
+    fn clock_holds_at_the_last_pop() {
         let mut q = EventQueue::new();
-        q.schedule(t(1.5), ());
-        q.schedule(t(4.0), ());
-        assert_eq!(q.now(), SimTime::ZERO);
-        q.pop();
-        assert_eq!(q.now(), t(1.5));
-        q.pop();
-        assert_eq!(q.now(), t(4.0));
+        q.schedule(t(1.5), 1);
+        q.schedule(t(4.0), 2);
+        assert_eq!(q.pop(), Some((t(1.5), 1)));
+        assert_eq!(q.pop(), Some((t(4.0), 2)));
         assert!(q.pop().is_none());
-        assert_eq!(q.now(), t(4.0), "clock holds after drain");
+        // After the drain the clock still reads 4 s: 4 s is schedulable.
+        q.schedule(t(4.0), 3);
+        assert_eq!(q.pop(), Some((t(4.0), 3)));
     }
 
     #[test]
@@ -179,21 +153,9 @@ mod tests {
     fn schedule_at_now_is_allowed() {
         let mut q = EventQueue::new();
         q.schedule(t(2.0), 1);
-        q.pop();
-        q.schedule(q.now(), 2); // zero-delay follow-up event
-        let (at, e) = q.pop().unwrap();
-        assert_eq!(at, t(2.0));
-        assert_eq!(e, 2);
-    }
-
-    #[test]
-    fn peek_does_not_advance() {
-        let mut q = EventQueue::new();
-        q.schedule(t(7.0), ());
-        assert_eq!(q.peek_time(), Some(t(7.0)));
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
+        let (now, _) = q.pop().unwrap();
+        q.schedule(now, 2); // zero-delay follow-up event
+        assert_eq!(q.pop(), Some((t(2.0), 2)));
     }
 
     #[test]
@@ -204,7 +166,7 @@ mod tests {
         // Completion scheduled relative to the arrival.
         q.schedule(at + SimDuration::from_secs(0.5), "complete");
         q.schedule(t(2.0), "arrive2");
-        let order: Vec<&str> = q.drain_ordered().into_iter().map(|(_, e)| e).collect();
+        let order: Vec<&str> = pop_all(&mut q).into_iter().map(|(_, e)| e).collect();
         assert_eq!(order, vec!["complete", "arrive2"]);
     }
 }

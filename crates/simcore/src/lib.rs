@@ -10,8 +10,8 @@
 //! * [`rng`] — a deterministic, seedable [`SimRng`] (SplitMix64 +
 //!   xoshiro256**): every simulation run is a pure function of its seed.
 //! * [`sample`] — distribution samplers built from first principles
-//!   (exponential, Zipf, discrete weighted, bounded Pareto) so the workspace
-//!   does not need `rand_distr`.
+//!   (exponential, discrete weighted) so the workspace does not need
+//!   `rand_distr`.
 //! * [`events`] — a stable (FIFO-on-ties) priority event queue.
 //! * [`arrival`] — query arrival processes: fixed-interval (the paper's
 //!   1/10/30/60 s grid), Poisson, on/off bursty, and trace replay.

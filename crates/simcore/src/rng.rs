@@ -38,7 +38,7 @@ impl SimRng {
     }
 
     /// Derives an independent child stream; used to give each simulator
-    /// component (arrivals, templates, locality, …) its own stream so adding
+    /// component (arrivals, templates, …) its own stream so adding
     /// draws in one component never perturbs another.
     #[must_use]
     pub fn fork(&mut self, stream: u64) -> SimRng {

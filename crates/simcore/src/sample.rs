@@ -1,16 +1,13 @@
-//! Distribution samplers used by the workload generator.
+//! Distribution samplers used by the arrival processes and the workload
+//! generator.
 //!
 //! The paper's workload (Section VII-A) simulates "the query evolution of a
-//! million SDSS-like queries": skewed data-access locality and temporal
-//! locality. We implement the needed distributions directly on top of
-//! [`crate::rng::SimRng`]:
+//! million SDSS-like queries". We implement the needed distributions
+//! directly on top of [`crate::rng::SimRng`]:
 //!
 //! * [`Exponential`] — Poisson inter-arrival gaps.
-//! * [`Zipf`] — skewed popularity of data regions / templates (exact
-//!   cumulative-table sampler, O(log n) per draw).
 //! * [`Discrete`] — weighted template choice (alias-free cumulative search;
 //!   the distributions have ≤ a few dozen outcomes).
-//! * [`BoundedPareto`] — heavy-tailed result sizes.
 
 use crate::rng::SimRng;
 
@@ -43,79 +40,6 @@ impl Exponential {
     /// Draws a sample (inverse-CDF method).
     pub fn sample(&self, rng: &mut SimRng) -> f64 {
         -rng.next_f64_open().ln() / self.lambda
-    }
-}
-
-/// Zipf distribution over ranks `1..=n` with exponent `s > 0`:
-/// `P(k) ∝ k^{-s}`.
-///
-/// Construction precomputes the cumulative mass table (O(n) memory,
-/// O(log n) per draw). The workload generator uses at most a few tens of
-/// thousands of ranks (data regions / templates), so the exact table is both
-/// fast enough and trivially correct — preferable to a rejection scheme for
-/// a simulator whose results must be auditable.
-#[derive(Debug, Clone)]
-pub struct Zipf {
-    s: f64,
-    cumulative: Vec<f64>,
-}
-
-impl Zipf {
-    /// Creates a Zipf sampler over `1..=n` with exponent `s`.
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or `s` is not positive/finite.
-    #[must_use]
-    pub fn new(n: u64, s: f64) -> Self {
-        assert!(n > 0, "Zipf needs at least one rank");
-        assert!(
-            s.is_finite() && s > 0.0,
-            "Zipf exponent must be > 0, got {s}"
-        );
-        let mut cumulative = Vec::with_capacity(n as usize);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += (k as f64).powf(-s);
-            cumulative.push(acc);
-        }
-        Zipf { s, cumulative }
-    }
-
-    /// Number of ranks.
-    #[must_use]
-    pub fn n(&self) -> u64 {
-        self.cumulative.len() as u64
-    }
-
-    /// Exponent `s`.
-    #[must_use]
-    pub fn exponent(&self) -> f64 {
-        self.s
-    }
-
-    /// Probability mass of rank `k` (1-based).
-    ///
-    /// # Panics
-    /// Panics if `k` is out of `1..=n`.
-    #[must_use]
-    pub fn pmf(&self, k: u64) -> f64 {
-        assert!(k >= 1 && k <= self.n(), "rank {k} out of range");
-        let total = *self.cumulative.last().expect("non-empty");
-        (k as f64).powf(-self.s) / total
-    }
-
-    /// Draws a rank in `1..=n` (rank 1 is the most popular).
-    pub fn sample(&self, rng: &mut SimRng) -> u64 {
-        let total = *self.cumulative.last().expect("non-empty");
-        let x = rng.next_f64() * total;
-        let idx = match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&x).expect("finite"))
-        {
-            Ok(i) => i + 1,
-            Err(i) => i,
-        };
-        (idx.min(self.cumulative.len() - 1) + 1) as u64
     }
 }
 
@@ -183,39 +107,6 @@ impl Discrete {
     }
 }
 
-/// Bounded Pareto distribution on `[lo, hi]` with shape `alpha`.
-///
-/// Used for heavy-tailed synthetic result sizes ("result heavy" queries,
-/// Section VI of the paper).
-#[derive(Debug, Clone, Copy)]
-pub struct BoundedPareto {
-    lo: f64,
-    hi: f64,
-    alpha: f64,
-}
-
-impl BoundedPareto {
-    /// Creates a bounded Pareto sampler.
-    ///
-    /// # Panics
-    /// Panics unless `0 < lo < hi` and `alpha > 0`.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, alpha: f64) -> Self {
-        assert!(lo > 0.0 && hi > lo, "need 0 < lo < hi, got [{lo}, {hi}]");
-        assert!(alpha.is_finite() && alpha > 0.0, "alpha must be > 0");
-        BoundedPareto { lo, hi, alpha }
-    }
-
-    /// Draws a sample via inverse CDF.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
-        let u = rng.next_f64();
-        let la = self.lo.powf(self.alpha);
-        let ha = self.hi.powf(self.alpha);
-        let x = -(u * ha - u * la - ha) / (ha * la);
-        x.powf(-1.0 / self.alpha)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,57 +135,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn exponential_rejects_zero_rate() {
         let _ = Exponential::new(0.0);
-    }
-
-    #[test]
-    fn zipf_ranks_in_range() {
-        let z = Zipf::new(100, 1.1);
-        let mut rng = SimRng::new(2);
-        for _ in 0..10_000 {
-            let k = z.sample(&mut rng);
-            assert!((1..=100).contains(&k));
-        }
-    }
-
-    #[test]
-    fn zipf_is_skewed_toward_low_ranks() {
-        let z = Zipf::new(1000, 1.0);
-        let mut rng = SimRng::new(3);
-        let n = 50_000;
-        let top10 = (0..n).filter(|_| z.sample(&mut rng) <= 10).count();
-        // For s=1, n=1000 the top-10 mass is ~ H(10)/H(1000) ≈ 0.39.
-        let frac = top10 as f64 / n as f64;
-        assert!(frac > 0.3 && frac < 0.5, "top-10 fraction {frac}");
-    }
-
-    #[test]
-    fn zipf_handles_s_not_one() {
-        for s in [0.5, 0.8, 1.5, 2.0] {
-            let z = Zipf::new(50, s);
-            let mut rng = SimRng::new(4);
-            let mut counts = vec![0u32; 51];
-            for _ in 0..20_000 {
-                counts[z.sample(&mut rng) as usize] += 1;
-            }
-            // Rank 1 must be the strict mode.
-            let max_rank = counts
-                .iter()
-                .enumerate()
-                .skip(1)
-                .max_by_key(|(_, &c)| c)
-                .map(|(i, _)| i)
-                .unwrap();
-            assert_eq!(max_rank, 1, "s={s}: mode at rank {max_rank}");
-        }
-    }
-
-    #[test]
-    fn zipf_single_rank_degenerates() {
-        let z = Zipf::new(1, 1.0);
-        let mut rng = SimRng::new(5);
-        for _ in 0..100 {
-            assert_eq!(z.sample(&mut rng), 1);
-        }
     }
 
     #[test]
@@ -338,28 +178,5 @@ mod tests {
     #[should_panic(expected = "sum to zero")]
     fn discrete_rejects_all_zero() {
         let _ = Discrete::new(&[0.0, 0.0]);
-    }
-
-    #[test]
-    fn bounded_pareto_stays_in_bounds() {
-        let p = BoundedPareto::new(1.0, 1000.0, 1.2);
-        let mut rng = SimRng::new(8);
-        for _ in 0..10_000 {
-            let x = p.sample(&mut rng);
-            assert!((1.0..=1000.0 + 1e-9).contains(&x), "sample {x}");
-        }
-    }
-
-    #[test]
-    fn bounded_pareto_is_heavy_tailed() {
-        let p = BoundedPareto::new(1.0, 10_000.0, 1.1);
-        let mut rng = SimRng::new(9);
-        let n = 50_000;
-        let samples: Vec<f64> = (0..n).map(|_| p.sample(&mut rng)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let mut sorted = samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = sorted[n / 2];
-        assert!(mean > 2.0 * median, "mean {mean} vs median {median}");
     }
 }

@@ -1,6 +1,5 @@
 //! The workload generator: a deterministic stream of [`Query`] instances.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use catalog::Schema;
@@ -8,7 +7,6 @@ use serde::{Deserialize, Serialize};
 use simcore::SimRng;
 
 use crate::evolution::PopularityDrift;
-use crate::locality::RegionSampler;
 use crate::query::{Query, QueryId, QueryLists, Selectivities, MAX_ACCESSES};
 use crate::templates::{paper_templates, ResolvedTemplate};
 
@@ -24,12 +22,6 @@ pub struct WorkloadConfig {
     pub evolution_epoch: u64,
     /// Shock magnitude in `[0, 1)`.
     pub evolution_drift: f64,
-    /// Number of data regions for locality tagging.
-    pub regions: u32,
-    /// Zipf exponent of region popularity.
-    pub region_zipf_s: f64,
-    /// Draws between hot-region rotations (0 = static hot set).
-    pub region_rotate_every: u64,
     /// Probability an optional column is projected by an instance.
     pub optional_column_prob: f64,
     /// User budget multiplier range over backend price, drawn uniformly.
@@ -43,9 +35,6 @@ impl Default for WorkloadConfig {
         WorkloadConfig {
             evolution_epoch: 2_000,
             evolution_drift: 0.25,
-            regions: 64,
-            region_zipf_s: 1.1,
-            region_rotate_every: 10_000,
             optional_column_prob: 0.35,
             budget_scale_range: (1.05, 1.5),
         }
@@ -63,12 +52,6 @@ impl WorkloadConfig {
                 "evolution_drift",
                 format!("{} not in [0,1)", self.evolution_drift),
             ));
-        }
-        if self.regions == 0 {
-            return Err(("regions", "must be positive".into()));
-        }
-        if self.region_zipf_s <= 0.0 {
-            return Err(("region_zipf_s", "must be positive".into()));
         }
         if !(0.0..=1.0).contains(&self.optional_column_prob) {
             return Err(("optional_column_prob", "must be in [0,1]".into()));
@@ -91,11 +74,11 @@ pub struct WorkloadGenerator {
     templates: Vec<ResolvedTemplate>,
     config: WorkloadConfig,
     drift: PopularityDrift,
-    regions: RegionSampler,
     rng: SimRng,
     next_id: u64,
-    /// Per template, the interned lists of each mask drawn so far.
-    lists: Vec<HashMap<u32, Arc<QueryLists>>>,
+    /// Per template, the interned lists of each mask drawn so far: a
+    /// handful of masks each (17 over the paper templates), so a scan.
+    lists: Vec<Vec<(u32, Arc<QueryLists>)>>,
 }
 
 impl WorkloadGenerator {
@@ -141,31 +124,21 @@ impl WorkloadGenerator {
             );
         }
         let mut rng = SimRng::new(seed);
-        let drift_rng_stream = rng.fork(1);
-        let region_rng_stream = rng.fork(2);
-        // Dedicated streams keep components independent; we interleave by
-        // storing the forks inside the stateful samplers' owner (self.rng
-        // drives instance-level draws).
+        // Two discarded draws (once unused forks, one `next_u64` each)
+        // keep every query stream identical; the regeneration of every
+        // committed record (ROADMAP item 2) drops them.
+        let _ = (rng.next_u64(), rng.next_u64());
         let drift = PopularityDrift::new(
             templates.len(),
             config.evolution_epoch,
             config.evolution_drift,
         );
-        let regions = RegionSampler::new(
-            config.regions,
-            config.region_zipf_s,
-            config.region_rotate_every,
-        );
-        // Streams for drift/regions are folded into one rng: the samplers
-        // take &mut SimRng at call time; give them forks via struct fields.
-        let _ = (drift_rng_stream, region_rng_stream);
         WorkloadGenerator {
             schema,
-            lists: vec![HashMap::new(); templates.len()],
+            lists: vec![Vec::new(); templates.len()],
             templates,
             config,
             drift,
-            regions,
             rng,
             next_id: 0,
         }
@@ -189,7 +162,10 @@ impl WorkloadGenerator {
     pub fn next_query(&mut self) -> Query {
         let t_idx = self.drift.next_template(&mut self.rng);
         let template = &self.templates[t_idx];
-        let region = self.regions.next_region(&mut self.rng);
+        // One discarded draw (once a region tag) keeps every query stream
+        // identical; the regeneration of every record (ROADMAP item 2)
+        // drops it.
+        let _ = self.rng.next_f64();
 
         // Driving selectivity: log-uniform within the template's range.
         let (lo, hi) = template.sel_log10_range;
@@ -208,11 +184,15 @@ impl WorkloadGenerator {
             let local_sel = (sel * a.selectivity_factor).min(1.0);
             selectivities.push(local_sel.max(1e-9));
         }
-        let lists = Arc::clone(
-            self.lists[t_idx]
-                .entry(mask)
-                .or_insert_with(|| Arc::new(template.lists(mask))),
-        );
+        let interned = &mut self.lists[t_idx];
+        let lists = match interned.iter().find(|(m, _)| *m == mask) {
+            Some((_, lists)) => Arc::clone(lists),
+            None => {
+                let lists = Arc::new(template.lists(mask));
+                interned.push((mask, Arc::clone(&lists)));
+                lists
+            }
+        };
 
         let driving_rows = self.schema.table(template.accesses[0].table).row_count;
         let raw_rows = (driving_rows as f64 * sel * template.result_fanout).round() as u64;
@@ -233,7 +213,6 @@ impl WorkloadGenerator {
             result_rows,
             result_bytes,
             budget_scale,
-            region,
         }
     }
 }
@@ -250,6 +229,7 @@ mod tests {
     use super::*;
     use crate::templates::paper_templates;
     use catalog::tpch::{tpch_schema, ScaleFactor};
+    use std::collections::HashMap;
 
     fn generator(seed: u64) -> WorkloadGenerator {
         let schema = Arc::new(tpch_schema(ScaleFactor(1.0)));
@@ -451,24 +431,18 @@ mod tests {
             fnv(&mut h, q.result_rows);
             fnv(&mut h, q.result_bytes);
             fnv(&mut h, q.budget_scale.to_bits());
-            fnv(&mut h, u64::from(q.region));
         }
         h
     }
 
-    /// Pins the generator's draw order: the hashes were computed from the
-    /// generator as it stood before queries shared their lists.
+    /// Pins the generator's draw order. The hashes were computed from the
+    /// generator as it stood while queries still carried a region tag,
+    /// with the same fields hashed as here (the tag left out), so every
+    /// remaining field's stream is unchanged by the tag's removal.
     #[test]
     fn first_10k_queries_match_the_golden_hash() {
-        assert_eq!(stream_hash(1.0, 2026), 0x7196_3795_8e4d_0993);
-        assert_eq!(stream_hash(100.0, 3), 0x0d8a_533c_4b4e_1f55);
-    }
-
-    #[test]
-    fn regions_within_bounds() {
-        for q in generator(8).take(500) {
-            assert!(q.region < WorkloadConfig::default().regions);
-        }
+        assert_eq!(stream_hash(1.0, 2026), 0x6eed_cb74_dcbb_c065);
+        assert_eq!(stream_hash(100.0, 3), 0x3a62_5aa8_4ba4_6a17);
     }
 
     #[test]
@@ -486,12 +460,6 @@ mod tests {
     fn config_validation_covers_fields() {
         let mut c = WorkloadConfig::default();
         assert!(c.validate().is_ok());
-        c.regions = 0;
-        assert_eq!(c.validate().unwrap_err().0, "regions");
-        c = WorkloadConfig::default();
-        c.region_zipf_s = 0.0;
-        assert_eq!(c.validate().unwrap_err().0, "region_zipf_s");
-        c = WorkloadConfig::default();
         c.optional_column_prob = 1.5;
         assert_eq!(c.validate().unwrap_err().0, "optional_column_prob");
         c = WorkloadConfig::default();

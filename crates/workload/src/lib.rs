@@ -7,9 +7,8 @@
 //! synthetic equivalent with the same knobs Section VI says the economy is
 //! sensitive to:
 //!
-//! * **data-access locality** — queries concentrate on a Zipf-hot subset of
-//!   data regions and on the small set of columns the 7 templates touch
-//!   ([`locality`]);
+//! * **data-access locality** — queries concentrate on the small set of
+//!   columns the 7 templates touch ([`templates`]);
 //! * **temporal locality / query evolution** — template popularity drifts
 //!   over time as a random walk, which is what forces econ-cheap to evict
 //!   and rebuild indexes at long inter-arrival times ([`evolution`]);
@@ -25,13 +24,10 @@
 pub mod arrivals;
 pub mod evolution;
 pub mod generator;
-pub mod locality;
 pub mod query;
 pub mod templates;
-pub mod trace;
 
 pub use arrivals::{DiurnalSinusoid, MarkovModulated, SurgeOverlay};
 pub use generator::{WorkloadConfig, WorkloadGenerator, MAX_OPTIONAL_COLUMNS};
 pub use query::{Query, QueryId, QueryLists, Selectivities, TableAccess, MAX_ACCESSES};
 pub use templates::{paper_templates, ResolvedTemplate, TemplateId};
-pub use trace::{Trace, TracedQuery};

@@ -112,7 +112,7 @@ impl fmt::Debug for Selectivities {
 /// how big its result is (`S(Q)` in eq. 9 of the paper). It is a shape
 /// plus numbers: `(template, mask)` fixes the [`QueryLists`], which the
 /// query holds by a shared [`Arc`], and only the selectivities, the result
-/// size, the budget and the region vary per instance. Cloning a query
+/// size and the budget vary per instance. Cloning a query
 /// copies the numbers and bumps the lists' reference count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
@@ -138,10 +138,6 @@ pub struct Query {
     /// backend execution (the paper's users "accept query execution in the
     /// back-end", so their budget always covers at least that).
     pub budget_scale: f64,
-    /// Data-region tag (locality bookkeeping; regions share cache content
-    /// because caching is column-granular, but the tag drives future
-    /// partial-column extensions and diagnostics).
-    pub region: u32,
 }
 
 impl Query {
@@ -216,7 +212,6 @@ mod tests {
             result_rows: 1000,
             result_bytes: 50_000,
             budget_scale: 1.2,
-            region: 3,
         }
     }
 
