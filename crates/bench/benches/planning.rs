@@ -1,9 +1,8 @@
-//! Criterion benches for the planner: full plan enumeration against cold
-//! and warm caches at the paper's 2.5 TB scale, fresh enumeration over
-//! the paper template mix at SF 100 (the `paper-single` regime, where
-//! each query's compiled shape is a table hit) split into its two
-//! halves — filling a query's execution rows and binding them to a cold
-//! or warm cache — a single economy step at SF 2500 and one warmed
+//! Criterion benches for the planner: fresh enumeration over the paper
+//! template mix at SF 100 (the `paper-single` regime, where each query's
+//! compiled shape is a table hit) split into its two halves — filling a
+//! query's execution rows and binding them to a cold or warm cache — a
+//! single economy step at SF 2500 and one warmed
 //! `paper-single` step at SF 100, one cheapest-quote round over 8
 //! Convex-budget nodes, and one `fleet-market` arrival: the rows filled
 //! once, the decided round over 8 Step-budget nodes and the winner's
@@ -21,8 +20,7 @@ use econ::{BudgetShape, EconConfig, EconomyManager, InvestmentRule};
 use fleet::{CacheNode, CheapestQuote, FleetConfig, NodeSpec, Router};
 use planner::enumerate::EnumerationOptions;
 use planner::{
-    bind_plans_into, enumerate_plans, generate_candidates, CostParams, Estimator, ExecRows,
-    PlanRows, PlannerContext,
+    bind_plans_into, generate_candidates, CostParams, Estimator, ExecRows, PlanRows, PlannerContext,
 };
 use policies::{CachePolicy, EconPolicy, PolicyOutcome};
 use pricing::{Money, PriceCatalog};
@@ -92,39 +90,6 @@ impl Fx {
         }
         cache
     }
-}
-
-fn bench_enumeration(c: &mut Criterion) {
-    let fixture = OnceCell::new();
-    let fixture = || {
-        fixture.get_or_init(|| {
-            let fx = Fx::new(2500.0, 256);
-            let warm = fx.warm_cache();
-            (fx, warm)
-        })
-    };
-    let cold = CacheState::new();
-    let now = SimTime::from_secs(100.0);
-    let opts = EnumerationOptions::default();
-
-    let mut i = 0;
-    c.bench_function("enumerate_plans_cold_cache_sf2500", |b| {
-        let (fx, _) = fixture();
-        let ctx = fx.ctx();
-        b.iter(|| {
-            i = (i + 1) % fx.queries.len();
-            black_box(enumerate_plans(&ctx, &fx.queries[i], &cold, now, opts))
-        })
-    });
-    let mut j = 0;
-    c.bench_function("enumerate_plans_warm_cache_sf2500", |b| {
-        let (fx, warm) = fixture();
-        let ctx = fx.ctx();
-        b.iter(|| {
-            j = (j + 1) % fx.queries.len();
-            black_box(enumerate_plans(&ctx, &fx.queries[j], warm, now, opts))
-        })
-    });
 }
 
 fn bench_fresh_enumeration(c: &mut Criterion) {
@@ -338,7 +303,6 @@ impl Market {
 
 criterion_group!(
     benches,
-    bench_enumeration,
     bench_fresh_enumeration,
     bench_economy_step,
     bench_paper_single_step,

@@ -23,8 +23,13 @@ pub const PAPER_INTERVALS: [f64; 4] = [1.0, 10.0, 30.0, 60.0];
 /// Default scale factor for shipped figures: the paper's 2.5 TB backend.
 pub const DEFAULT_SF: f64 = 2500.0;
 
-/// Default query count per cell. The paper simulates 10⁶ queries;
-/// 5 × 10⁵ reproduces the same post-warm-up regime in half the time.
+/// Default query count per cell. The paper simulates about 10⁶ queries
+/// per cell, and 5 × 10⁵ does not reach the same regime: run length
+/// moves the results. At SF 2500 and the default seed, bypass's 1 s hit
+/// rate is 3.3% / 13.9% / 24.9% at 4 × 10⁵ / 5 × 10⁵ / 10⁶ queries, and
+/// at 60 s bypass undercuts econ-cheap at 5 × 10⁵ queries while
+/// econ-cheap undercuts bypass at 10⁶. The count stays until records and
+/// claims share one scale (ROADMAP item 16).
 pub const DEFAULT_QUERIES: u64 = 500_000;
 
 /// True if `(sf, n)` is the paper-scale default cell — the only scale

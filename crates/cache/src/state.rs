@@ -1,7 +1,7 @@
 //! The materialised cache state.
 
 use pricing::Money;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simcore::{SimDuration, SimTime};
 
 use crate::occupancy::Occupancy;
@@ -73,7 +73,7 @@ impl DenseSlots {
 }
 
 /// A structure currently built in the cache, with its economic bookkeeping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CachedStructure {
     /// Identity.
     pub key: StructureKey,

@@ -1,11 +1,11 @@
 //! Cache structure identities and index definitions.
 
 use catalog::{ColumnId, Schema, TableId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Identifier of a candidate index in the candidate registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct IndexId(pub u32);
 
 impl IndexId {
@@ -28,7 +28,7 @@ impl fmt::Display for IndexId {
 ///
 /// The regret array (`regretS`), the investment rule (eq. 3), amortisation
 /// and maintenance accounting all key by this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum StructureKey {
     /// The `ordinal`-th *extra* CPU node (beyond the always-on base node).
     Node(u32),
@@ -63,7 +63,7 @@ impl fmt::Display for StructureKey {
 /// Indexes are B-tree-like structures over `key_columns` of one table;
 /// building one costs a sort of the keyed data plus fetching any key
 /// column absent from the cache (eq. 14 of the paper).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct IndexDef {
     /// Registry id.
     pub id: IndexId,

@@ -3,7 +3,7 @@
 use crate::ids::{ColumnId, TableId};
 use crate::stats::ColumnStats;
 use crate::types::DataType;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A column of a back-end table.
 ///
@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// cached, in order to facilitate a comparison with [bypass-yield]",
 /// Section V-C), so each column carries everything the cost model needs:
 /// its byte width, its row count (via the owning table) and statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Column {
     /// Schema-wide unique id.
     pub id: ColumnId,

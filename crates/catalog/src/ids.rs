@@ -6,15 +6,15 @@
 //! indices — the regret array of the paper (`regretS`) indexes by
 //! structure, which indexes by column id.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Identifier of a table within a [`Schema`](crate::Schema).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct TableId(pub u32);
 
 /// Identifier of a column, unique across the whole schema (not per-table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct ColumnId(pub u32);
 
 impl TableId {

@@ -4,10 +4,10 @@ use crate::column::Column;
 use crate::ids::{ColumnId, TableId};
 use crate::stats::ColumnStats;
 use crate::types::DataType;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A back-end table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Table {
     /// Schema-wide id.
     pub id: TableId,
@@ -25,7 +25,7 @@ pub struct Table {
 /// so lookups by id are `Vec` indexing. Lookups by name scan: a table
 /// name over the tables, a column name over its table's columns (TPC-H
 /// has 8 tables of at most 16 columns).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Schema {
     tables: Vec<Table>,
     columns: Vec<Column>,

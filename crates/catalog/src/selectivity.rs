@@ -7,10 +7,10 @@
 //! eq. 9.
 
 use crate::column::Column;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A predicate's shape, as far as cardinality estimation cares.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum PredicateKind {
     /// `col = const`.
     Equality,
@@ -54,12 +54,6 @@ pub fn estimate(column: &Column, kind: PredicateKind) -> f64 {
         PredicateKind::PrefixMatch => PREFIX_MATCH_SELECTIVITY,
     };
     sel.clamp(1e-9, 1.0)
-}
-
-/// Combines per-predicate selectivities under the independence assumption.
-#[must_use]
-pub fn conjunction(selectivities: &[f64]) -> f64 {
-    selectivities.iter().product::<f64>().clamp(1e-12, 1.0)
 }
 
 #[cfg(test)]
@@ -115,13 +109,6 @@ mod tests {
         let c = col(u64::MAX);
         assert!(estimate(&c, PredicateKind::Equality) > 0.0);
         assert!(estimate(&c, PredicateKind::Range { fraction: 0.0 }) > 0.0);
-    }
-
-    #[test]
-    fn conjunction_multiplies() {
-        let s = conjunction(&[0.5, 0.1]);
-        assert!((s - 0.05).abs() < 1e-12);
-        assert_eq!(conjunction(&[]), 1.0);
     }
 
     #[test]

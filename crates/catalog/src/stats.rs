@@ -5,10 +5,10 @@
 //! (logical I/Os). Both need cardinality estimates, which come from these
 //! statistics.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Statistics the selectivity model keeps per column.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ColumnStats {
     /// Number of distinct values.
     pub distinct: u64,

@@ -4,10 +4,10 @@
 //! type: how many bytes a value occupies, because column transfer cost,
 //! storage cost and index size are all linear in bytes.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A column's storage type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DataType {
     /// 32-bit integer (4 bytes).
     Int32,
@@ -35,13 +35,6 @@ impl DataType {
             DataType::Char(n) | DataType::Varchar(n) => u64::from(n),
         }
     }
-
-    /// True if values of this type are naturally ordered (indexable with a
-    /// range-scan-friendly B-tree).
-    #[must_use]
-    pub fn is_orderable(self) -> bool {
-        true // all our types order; kept for future blob/json types
-    }
 }
 
 #[cfg(test)]
@@ -57,10 +50,5 @@ mod tests {
         assert_eq!(DataType::Date.byte_width(), 4);
         assert_eq!(DataType::Char(25).byte_width(), 25);
         assert_eq!(DataType::Varchar(117).byte_width(), 117);
-    }
-
-    #[test]
-    fn all_types_orderable() {
-        assert!(DataType::Varchar(10).is_orderable());
     }
 }

@@ -7,32 +7,17 @@
 //! rule (eq. 3).
 
 use pricing::Money;
-use serde::{Deserialize, Serialize};
-
-/// Categories of ledger movements, for reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum LedgerEntry {
-    /// User payment for a query service.
-    QueryPayment,
-    /// Initial working capital.
-    InitialCredit,
-    /// Spending on building a new structure (investment).
-    Investment,
-    /// Ongoing infrastructure expenditure (CPU uptime, disk rent,
-    /// transfers) drawn from the account.
-    Operating,
-}
+use serde::Serialize;
 
 /// The cloud's money account. Balance (`CR`) = Σ deposits − Σ withdrawals,
 /// exactly, in nano-dollars.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CloudAccount {
     balance: Money,
     deposited: Money,
     withdrawn: Money,
     payments: Money,
     investments: Money,
-    operating: Money,
     payment_count: u64,
     investment_count: u64,
 }
@@ -54,7 +39,6 @@ impl CloudAccount {
             withdrawn: Money::ZERO,
             payments: Money::ZERO,
             investments: Money::ZERO,
-            operating: Money::ZERO,
             payment_count: 0,
             investment_count: 0,
         }
@@ -76,12 +60,6 @@ impl CloudAccount {
     #[must_use]
     pub fn total_investments(&self) -> Money {
         self.investments
-    }
-
-    /// Total operating expenditure drawn.
-    #[must_use]
-    pub fn total_operating(&self) -> Money {
-        self.operating
     }
 
     /// Number of query payments recorded.
@@ -108,12 +86,6 @@ impl CloudAccount {
         self.payment_count += 1;
     }
 
-    /// True if the account can fund `amount` right now.
-    #[must_use]
-    pub fn can_afford(&self, amount: Money) -> bool {
-        self.balance >= amount
-    }
-
     /// Withdraws an investment.
     ///
     /// # Errors
@@ -129,20 +101,6 @@ impl CloudAccount {
         self.investments += amount;
         self.investment_count += 1;
         Ok(())
-    }
-
-    /// Draws operating expenditure. Unlike investments, operating costs
-    /// are incurred whether or not the account covers them (the balance
-    /// may go negative — that is exactly the "unprofitable cloud" signal
-    /// the experiments look for).
-    ///
-    /// # Panics
-    /// Panics on negative amounts.
-    pub fn draw_operating(&mut self, amount: Money) {
-        assert!(!amount.is_negative(), "operating draw cannot be negative");
-        self.balance -= amount;
-        self.withdrawn += amount;
-        self.operating += amount;
     }
 
     /// Ledger invariant: balance equals deposits minus withdrawals.
@@ -173,12 +131,10 @@ mod tests {
         a.deposit_payment(m(5.0));
         a.deposit_payment(m(2.5));
         a.withdraw_investment(m(7.0)).unwrap();
-        a.draw_operating(m(3.0));
-        assert_eq!(a.balance(), m(7.5));
+        assert_eq!(a.balance(), m(10.5));
         assert!(a.balances_exactly());
         assert_eq!(a.total_payments(), m(7.5));
         assert_eq!(a.total_investments(), m(7.0));
-        assert_eq!(a.total_operating(), m(3.0));
         assert_eq!(a.payment_count(), 2);
         assert_eq!(a.investment_count(), 1);
     }
@@ -190,15 +146,6 @@ mod tests {
         assert_eq!(err, m(1.0));
         assert_eq!(a.balance(), m(1.0), "refusal must not mutate");
         assert_eq!(a.investment_count(), 0);
-    }
-
-    #[test]
-    fn operating_can_push_balance_negative() {
-        let mut a = CloudAccount::new(m(1.0));
-        a.draw_operating(m(5.0));
-        assert_eq!(a.balance(), m(-4.0));
-        assert!(a.balances_exactly());
-        assert!(!a.can_afford(Money::ZERO.max(m(0.01))));
     }
 
     #[test]

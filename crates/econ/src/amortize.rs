@@ -13,10 +13,10 @@
 //! fast workloads repay quickly with many small installments, slow ones
 //! keep installments meaningful.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How the amortisation horizon `n` of eq. 7 is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum AmortizationPolicy {
     /// The paper's policy: a fixed `n` for every structure.
     Fixed(u64),

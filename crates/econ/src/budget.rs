@@ -7,11 +7,11 @@
 //! the step shape ("The user defines a step preference function B_Q").
 
 use pricing::Money;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simcore::SimDuration;
 
 /// Which of the canonical shapes to generate for users (Fig. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum BudgetShape {
     /// Fig. 1(a): flat `|a|` until `t_max`, then zero.
     Step,
@@ -23,7 +23,7 @@ pub enum BudgetShape {
 }
 
 /// A concrete budget function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum BudgetFunction {
     /// Flat amount until the deadline.
     Step {

@@ -2,7 +2,7 @@
 
 use planner::enumerate::EnumerationOptions;
 use pricing::Money;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::amortize::AmortizationPolicy;
 use crate::budget::BudgetShape;
@@ -12,7 +12,7 @@ use crate::regret::RegretAttribution;
 use crate::selection::SelectionObjective;
 
 /// Full configuration of an [`crate::EconomyManager`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct EconConfig {
     /// Tie-break objective among affordable existing plans (cases B/C).
     pub objective: SelectionObjective,

@@ -151,11 +151,6 @@ impl EconomyManager {
         &self.account
     }
 
-    /// Mutable account access for the simulator's operating-cost draws.
-    pub fn account_mut(&mut self) -> &mut CloudAccount {
-        &mut self.account
-    }
-
     /// The cache state.
     #[must_use]
     pub fn cache(&self) -> &CacheState {

@@ -9,10 +9,10 @@
 //! the account must actually cover the build before money leaves it.
 
 use pricing::Money;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Investment decision parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct InvestmentRule {
     /// The `a` of eq. 3, in `(0, 1)`.
     pub regret_fraction: f64,

@@ -10,10 +10,10 @@
 //! rebuild it — the economy evicts ("fails") it. This single rule is what
 //! drives the 10 s / 60 s eviction behaviour of Section VII-B.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Failure thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FailurePolicy {
     /// A structure fails when its unpaid maintenance exceeds
     /// `fail_factor × build_cost`.

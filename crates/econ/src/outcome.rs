@@ -3,11 +3,11 @@
 use cache::StructureKey;
 use metrics::CostBreakdown;
 use pricing::Money;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simcore::SimDuration;
 
 /// Which branch of the Section IV-C case analysis applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SelectionCase {
     /// Budget below every plan.
     A,
@@ -18,7 +18,7 @@ pub enum SelectionCase {
 }
 
 /// Everything the simulator needs to know about one processed query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QueryOutcome {
     /// Case that applied.
     pub case: SelectionCase,
@@ -54,25 +54,5 @@ mod tests {
     fn cases_are_distinct() {
         assert_ne!(SelectionCase::A, SelectionCase::B);
         assert_ne!(SelectionCase::B, SelectionCase::C);
-    }
-
-    #[test]
-    fn outcome_roundtrips_serde() {
-        let o = QueryOutcome {
-            case: SelectionCase::B,
-            response_time: SimDuration::from_secs(1.5),
-            payment: Money::from_dollars(0.02),
-            profit: Money::from_dollars(0.005),
-            exec_cost: Money::from_dollars(0.01),
-            exec_breakdown: CostBreakdown::ZERO,
-            ran_in_cache: true,
-            investments: vec![],
-            evictions: vec![],
-            maintenance_collected: Money::ZERO,
-            amortization_collected: Money::ZERO,
-        };
-        let json = serde_json::to_string(&o).unwrap();
-        let back: QueryOutcome = serde_json::from_str(&json).unwrap();
-        assert_eq!(o, back);
     }
 }

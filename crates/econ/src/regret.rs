@@ -13,7 +13,7 @@
 use cache::{IndexId, StructureKey};
 use catalog::ColumnId;
 use pricing::Money;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How a rejected plan's regret is attributed to its structures.
 ///
@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// `a · CR` threshold of eq. 3, can freeze investment entirely at the
 /// paper's 2.5 TB scale; [`RegretAttribution::FullValue`] is therefore the
 /// default, and the ablation harness measures both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RegretAttribution {
     /// Equal split: each structure receives `regret / |uses|`.
     UniformShare,

@@ -20,14 +20,14 @@
 
 use planner::{PlanHot, QueryPlan};
 use pricing::Money;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simcore::SimDuration;
 
 use crate::budget::BudgetFunction;
 use crate::outcome::SelectionCase;
 
 /// How to choose among affordable existing plans (cases B/C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum SelectionObjective {
     /// The altruistic default of Section IV-C: minimise
     /// `B_Q(t) − B_PQ(t)` (take as little profit as possible).

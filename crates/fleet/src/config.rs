@@ -3,7 +3,7 @@
 use econ::EconConfig;
 use planner::CostParams;
 use pricing::{Money, PriceCatalog};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simulator::{ArrivalKind, Scheme};
 use telemetry::{HealthConfig, TenantSloSpec};
 use workload::WorkloadConfig;
@@ -14,11 +14,6 @@ use crate::node::NodeSpec;
 use crate::router::RouterKind;
 use crate::tenant::{TenantId, TenantSpec};
 
-/// Serde default for switches that ship enabled.
-fn default_true() -> bool {
-    true
-}
-
 /// Full description of one fleet simulation.
 ///
 /// Tenants are partitioned into `cells` (tenant `id % cells`); each cell
@@ -27,7 +22,7 @@ fn default_true() -> bool {
 /// because cell membership and all seeds depend only on tenant ids, the
 /// result is a pure function of everything *except* `shards` — see
 /// [`crate::exec`] for the invariance argument.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FleetConfig {
     /// TPC-H scale factor of the shared backend database.
     pub scale_factor: f64,
@@ -51,8 +46,7 @@ pub struct FleetConfig {
     pub quote_batching: bool,
     /// Kept only because the repository benchmark names it; inert;
     /// removed by ROADMAP item 5. There are no quote workers to pin,
-    /// so any value is accepted; absent, it deserializes to `true`.
-    #[serde(default = "default_true")]
+    /// so any value is accepted.
     pub pin_quote_workers: bool,
     /// Cost-model calibration.
     pub cost_params: CostParams,
@@ -73,12 +67,11 @@ pub struct FleetConfig {
     /// tenant's arrivals (see [`crate::faults`]). Faults are config, so
     /// faulted runs stay bit-replayable and shard-invariant.
     pub faults: Option<FaultPlan>,
-    /// Health-plane snapshot cadence; `None` (the default, including
-    /// for older serialized configs) takes no vitals snapshots. Purely
+    /// Health-plane snapshot cadence; `None` (the default) takes no
+    /// vitals snapshots. Purely
     /// observational: a snapshot-on run is bit-identical to the same
     /// run with snapshots off (see `crate::exec` — the scraper only
     /// reads state, on a simulated-time cadence).
-    #[serde(default)]
     pub health: Option<HealthConfig>,
     /// Master seed; per-tenant seeds derive from `(seed, tenant id)`.
     pub seed: u64,
@@ -250,6 +243,9 @@ impl FleetConfig {
             if t.queries == 0 {
                 return Err(format!("tenant {} submits zero queries", t.id.0));
             }
+            t.arrival
+                .validate()
+                .map_err(|m| format!("tenant {} arrival: {m}", t.id.0))?;
             t.workload
                 .validate()
                 .map_err(|(f, r)| format!("tenant {} workload.{f}: {r}", t.id.0))?;
@@ -258,9 +254,15 @@ impl FleetConfig {
                     .map_err(|m| format!("tenant {} slo: {m}", t.id.0))?;
             }
         }
+        for (i, node) in self.nodes.iter().enumerate() {
+            node.scheme
+                .validate()
+                .map_err(|m| format!("nodes[{i}] scheme: {m}"))?;
+        }
         self.cost_params
             .validate()
             .map_err(|f| format!("cost_params.{f} invalid"))?;
+        self.prices.validate().map_err(|m| format!("prices: {m}"))?;
         self.econ.validate().map_err(|m| format!("econ: {m}"))?;
         if let Some(elastic) = &self.elastic {
             elastic.validate().map_err(|m| format!("elastic: {m}"))?;
@@ -331,6 +333,29 @@ mod tests {
         let mut c = FleetConfig::uniform(4, 2, 10, 1.0);
         c.quote_threads = 0;
         assert!(c.validate().is_err());
+
+        let mut c = FleetConfig::uniform(4, 2, 10, 1.0);
+        c.tenants[1].arrival = ArrivalKind::Fixed { interval_secs: 0.0 };
+        let err = c.validate().unwrap_err();
+        assert!(
+            err.contains("tenant 1 arrival: fixed interval_secs"),
+            "{err}"
+        );
+
+        let mut c = FleetConfig::uniform(4, 2, 10, 1.0);
+        c.nodes[1].scheme = Scheme::Bypass {
+            cache_fraction: 1.5,
+        };
+        let err = c.validate().unwrap_err();
+        assert!(
+            err.contains("nodes[1] scheme: bypass cache_fraction"),
+            "{err}"
+        );
+
+        let mut c = FleetConfig::uniform(4, 2, 10, 1.0);
+        c.prices.rates.io_per_op = f64::NAN;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("prices: rates.io_per_op"), "{err}");
     }
 
     #[test]
@@ -344,56 +369,10 @@ mod tests {
     }
 
     #[test]
-    fn pin_flag_is_accepted_either_way_and_defaults_on_for_older_configs() {
-        use serde::{Deserialize, Serialize, Value};
+    fn pin_flag_is_accepted_either_way() {
         let mut c = FleetConfig::uniform(2, 2, 5, 1.0);
         c.pin_quote_workers = false;
-        let json = serde_json::to_string(&c).unwrap();
-        let back: FleetConfig = serde_json::from_str(&json).unwrap();
-        assert!(!back.pin_quote_workers);
-        assert!(back.validate().is_ok(), "pinning off still validates");
-
-        let mut v = c.serialize();
-        match &mut v {
-            Value::Map(m) => m.retain(|(k, _)| k != "pin_quote_workers"),
-            other => panic!("config serializes as a map, got {other:?}"),
-        }
-        let back = FleetConfig::deserialize(&v).unwrap();
-        assert!(back.pin_quote_workers, "absent field means pinning on");
-        assert!(
-            back.validate().is_ok(),
-            "an absent pin flag still validates"
-        );
-    }
-
-    #[test]
-    fn health_and_slo_default_absent_for_older_configs() {
-        use serde::{Deserialize, Serialize, Value};
-        let c = FleetConfig::uniform(2, 2, 5, 1.0);
-        let mut v = c.serialize();
-        match &mut v {
-            Value::Map(m) => {
-                m.retain(|(k, _)| k != "health");
-                for (k, tenants) in m.iter_mut() {
-                    if k != "tenants" {
-                        continue;
-                    }
-                    let Value::Seq(seq) = tenants else {
-                        panic!("tenants serialize as a sequence")
-                    };
-                    for t in seq {
-                        match t {
-                            Value::Map(tm) => tm.retain(|(k, _)| k != "slo"),
-                            other => panic!("tenant serializes as a map, got {other:?}"),
-                        }
-                    }
-                }
-            }
-            other => panic!("config serializes as a map, got {other:?}"),
-        }
-        let back = FleetConfig::deserialize(&v).unwrap();
-        assert!(back.health.is_none(), "absent health means no snapshots");
-        assert!(back.tenants.iter().all(|t| t.slo.is_none()));
+        assert!(c.validate().is_ok(), "pinning off still validates");
     }
 
     #[test]
@@ -420,16 +399,5 @@ mod tests {
             spend_cap: None,
         });
         assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn config_roundtrips_serde() {
-        let c = FleetConfig::mixed(5, 3, 20);
-        let json = serde_json::to_string(&c).unwrap();
-        let back: FleetConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.tenants.len(), 5);
-        assert_eq!(back.nodes.len(), 3);
-        assert_eq!(back.router, RouterKind::CheapestQuote);
-        assert_eq!(back.total_queries(), 100);
     }
 }

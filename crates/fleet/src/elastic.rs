@@ -39,7 +39,7 @@ use std::sync::Arc;
 use catalog::Schema;
 use planner::PlannerContext;
 use pricing::{Money, ResourceRates};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simcore::SimTime;
 use simulator::RunResult;
 
@@ -47,7 +47,7 @@ use crate::config::FleetConfig;
 use crate::node::{CacheNode, NodeSpec};
 
 /// Configuration of the elastic control plane (one controller per cell).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ElasticConfig {
     /// Seconds of simulated time between controller reviews.
     pub review_interval_secs: f64,
@@ -132,7 +132,7 @@ impl ElasticConfig {
 
 /// The pressure signals one review evaluated — recorded verbatim in the
 /// ledger so every decision is explainable after the fact.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PressureSignals {
     /// Mean outstanding backlog per routable node (seconds), raw.
     pub backlog: f64,
@@ -149,7 +149,7 @@ pub struct PressureSignals {
 }
 
 /// What a ledgered review decided.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum ElasticAction {
     /// No population change.
     Hold,
@@ -174,7 +174,7 @@ pub enum ElasticAction {
 
 /// One explainable control-plane decision: the signal values the review
 /// saw, the rule that fired, and the action taken.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LedgerEntry {
     /// Cell whose controller made the decision.
     pub cell: usize,
@@ -198,7 +198,7 @@ pub struct LedgerEntry {
 }
 
 /// Mergeable rollup of one run's control-plane activity.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ElasticSummary {
     /// Nodes spawned across cells.
     pub spawns: u64,
@@ -838,39 +838,5 @@ mod tests {
         assert!((a.node_seconds - 17.5).abs() < 1e-12);
         let cells: Vec<usize> = a.ledger.iter().map(|e| e.cell).collect();
         assert_eq!(cells, vec![0, 1]);
-    }
-
-    #[test]
-    fn summary_roundtrips_serde() {
-        let summary = ElasticSummary {
-            spawns: 1,
-            retires: 1,
-            peak_nodes: 4,
-            final_nodes: 3,
-            node_seconds: 123.5,
-            ledger: vec![LedgerEntry {
-                cell: 2,
-                at_secs: 15.0,
-                live: 4,
-                routable: 3,
-                booting: 1,
-                draining: 0,
-                rule: "backlog-pressure".into(),
-                action: ElasticAction::ScaleUp {
-                    node: 4,
-                    scheme: "econ-cheap".into(),
-                },
-                signals: PressureSignals {
-                    backlog: 1.25,
-                    backlog_ewma: 1.1,
-                    window_response_secs: 0.4,
-                    profit_rate: 0.01,
-                    regret_rate: -0.002,
-                },
-            }],
-        };
-        let json = serde_json::to_string(&summary).unwrap();
-        let back: ElasticSummary = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, summary);
     }
 }

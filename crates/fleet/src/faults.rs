@@ -57,7 +57,7 @@ use std::sync::Arc;
 use catalog::Schema;
 use planner::{ExecRows, PlannerContext};
 use pricing::{Money, ResourceRates};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simcore::{SimRng, SimTime};
 use simulator::make_policy;
 use workload::Query;
@@ -72,7 +72,7 @@ const CASCADE_STREAM_SALT: u64 = 0xFA17_CA5C_ADE0_0001;
 
 /// One scheduled crash: one seed node, or several lost at one instant
 /// rack-style (compiled to per-node crash events sharing it).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CrashSpec {
     /// Seed node ids (indices into `FleetConfig::nodes`) to crash
     /// together (non-empty, unique).
@@ -87,7 +87,7 @@ pub struct CrashSpec {
 /// Correlated follow-on crashes: every crash raises each survivor's
 /// probability of crashing `delay_secs` later, drawn from the run's
 /// deterministic RNG — a cascade is a pure function of the config.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CascadeSpec {
     /// Per-survivor follow-on crash probability after a depth-0 crash,
     /// in `[0, 1]`.
@@ -132,7 +132,7 @@ impl CascadeSpec {
 }
 
 /// One scheduled degradation window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DegradeSpec {
     /// Seed node id to degrade.
     pub node: usize,
@@ -145,7 +145,7 @@ pub struct DegradeSpec {
 }
 
 /// One flash-crowd surge window layered on every tenant's arrivals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SurgeSpec {
     /// Surge start, seconds.
     pub at_secs: f64,
@@ -157,16 +157,14 @@ pub struct SurgeSpec {
 
 /// A declarative, validated fault plan — part of the fleet config, so a
 /// faulted run stays a pure function of its config.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultPlan {
     /// Scheduled crashes (at most one per seed node).
     pub crashes: Vec<CrashSpec>,
     /// Deterministic follow-on crash propagation layered on every crash.
-    #[serde(default)]
     pub cascade: Option<CascadeSpec>,
     /// Deadline-budgeted retry for queries routed at degraded winners
     /// (replaces the single timeout re-route when set).
-    #[serde(default)]
     pub retry: Option<RetryPolicy>,
     /// Scheduled degradation windows.
     pub degradations: Vec<DegradeSpec>,
@@ -473,7 +471,7 @@ impl FaultPlan {
 }
 
 /// The lifecycle phase a node was in when it crashed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum CrashPhase {
     /// Booted, routable, serving traffic.
     Active,
@@ -497,7 +495,7 @@ impl CrashPhase {
 
 /// The settlement of one crash: what the node had earned, what it was
 /// charged at the crash instant, and what capital was written off.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CrashRecord {
     /// The crashed node's id.
     pub node: usize,
@@ -517,7 +515,6 @@ pub struct CrashRecord {
     pub write_off: Money,
     /// Cascade generation: 0 for planned crashes, `d + 1` for crashes
     /// triggered by a depth-`d` crash.
-    #[serde(default)]
     pub cascade_depth: u32,
     /// Cache disk occupied when the node died (bytes).
     pub disk_bytes: u64,
@@ -532,7 +529,7 @@ pub struct CrashRecord {
 
 /// Exact differences between a replayed ledger and the pre-crash
 /// snapshot; all-zero when the recovery reconciled.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ReconcileDrift {
     /// Replayed − snapshot query count.
     pub queries: i64,
@@ -566,7 +563,7 @@ impl ReconcileDrift {
 }
 
 /// One completed replay-recovery.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RecoverRecord {
     /// The node whose ledger was replayed.
     pub crashed: usize,
@@ -583,7 +580,7 @@ pub struct RecoverRecord {
 }
 
 /// What one fault event did.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum FaultOutcome {
     /// A node crashed and was settled.
     Crash(CrashRecord),
@@ -592,7 +589,7 @@ pub enum FaultOutcome {
 }
 
 /// One ledgered fault event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultRecord {
     /// Cell the event fired in (each cell applies the plan to its own
     /// fleet replica).
@@ -604,7 +601,7 @@ pub struct FaultRecord {
 }
 
 /// Mergeable rollup of one run's fault activity.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FaultSummary {
     /// Crashes injected across cells.
     pub crashes: u64,
@@ -621,16 +618,12 @@ pub struct FaultSummary {
     pub requeued_secs: f64,
     /// Kept only because the repository benchmark names it; inert;
     /// removed by ROADMAP item 5. Always zero: nothing is evacuated.
-    #[serde(default)]
     pub salvaged: Money,
     /// Deadline-budgeted retries the router executed.
-    #[serde(default)]
     pub retries: u64,
     /// Crashes triggered by cascade propagation (depth ≥ 1).
-    #[serde(default)]
     pub cascade_crashes: u64,
     /// Deepest cascade generation reached (0 when no cascade fired).
-    #[serde(default)]
     pub max_cascade_depth: u32,
     /// Every fault event, ascending `(cell, at_secs)` (cells fold in
     /// ascending order).
@@ -1338,69 +1331,6 @@ mod tests {
         assert_eq!(a.max_cascade_depth, 2, "depth merges via max, not sum");
         let cells: Vec<usize> = a.records.iter().map(|r| r.cell).collect();
         assert_eq!(cells, vec![0, 1]);
-    }
-
-    #[test]
-    fn summary_roundtrips_serde() {
-        let summary = FaultSummary {
-            crashes: 1,
-            recoveries: 1,
-            reconciled: 1,
-            timeouts: 3,
-            write_off: Money::from_dollars(0.125),
-            requeued_secs: 1.5,
-            retries: 6,
-            cascade_crashes: 1,
-            max_cascade_depth: 1,
-            records: vec![
-                FaultRecord {
-                    cell: 2,
-                    at_secs: 28.0,
-                    event: FaultOutcome::Crash(CrashRecord {
-                        node: 1,
-                        phase: CrashPhase::MidDrain,
-                        queries: 17,
-                        payments: Money::from_dollars(0.5),
-                        profit: Money::from_dollars(0.04),
-                        operating: Money::from_dollars(0.3),
-                        write_off: Money::from_dollars(0.125),
-                        cascade_depth: 1,
-                        disk_bytes: 4096,
-                        requeued_secs: 1.5,
-                        requeued_to: Some(0),
-                        recover_planned: true,
-                    }),
-                },
-                FaultRecord {
-                    cell: 2,
-                    at_secs: 30.0,
-                    event: FaultOutcome::Recover(RecoverRecord {
-                        crashed: 1,
-                        replacement: 4,
-                        boot_cost: Money::from_dollars(0.01),
-                        ready_at_secs: 32.5,
-                        replayed_queries: 17,
-                        drift: ReconcileDrift::default(),
-                    }),
-                },
-            ],
-            ..FaultSummary::default()
-        };
-        let json = serde_json::to_string(&summary).unwrap();
-        let back: FaultSummary = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, summary);
-    }
-
-    #[test]
-    fn old_summaries_without_retry_or_cascade_fields_still_deserialize() {
-        // A summary written before the retry and cascade fields existed;
-        // serde defaults must fill them so saved summaries stay readable.
-        let json = r#"{"crashes":1,"recoveries":0,"reconciled":0,"timeouts":0,
-            "write_off":250,"requeued_secs":0.5,"records":[]}"#;
-        let back: FaultSummary = serde_json::from_str(json).unwrap();
-        assert_eq!(back.retries, 0);
-        assert_eq!(back.cascade_crashes, 0);
-        assert_eq!(back.max_cascade_depth, 0);
     }
 
     #[test]

@@ -8,13 +8,13 @@
 use planner::{ExecRows, PlannerContext};
 use policies::{CachePolicy, PolicyOutcome};
 use pricing::{Money, ResourceRates};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simcore::{SimDuration, SimTime};
 use simulator::{make_policy, RunAccumulator, RunResult, Scheme};
 use workload::Query;
 
 /// Description of one cache node in the fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct NodeSpec {
     /// The caching scheme this node operates.
     pub scheme: Scheme,
@@ -213,12 +213,6 @@ impl CacheNode {
     #[must_use]
     pub fn response_secs_total(&self) -> f64 {
         self.acc.response_secs_total()
-    }
-
-    /// The scheme name this node runs.
-    #[must_use]
-    pub fn scheme_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Queries this node has served.

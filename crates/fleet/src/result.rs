@@ -9,7 +9,7 @@
 
 use metrics::{CostBreakdown, LogHistogram, StreamingStats};
 use pricing::Money;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simulator::RunResult;
 use telemetry::{HealthSeries, SloLedger};
 
@@ -18,7 +18,7 @@ use crate::faults::FaultSummary;
 use crate::tenant::TenantId;
 
 /// What one tenant experienced over the run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TenantStats {
     /// Tenant identity.
     pub tenant: TenantId,
@@ -59,7 +59,7 @@ impl TenantStats {
 }
 
 /// One cache node's accounting, rolled up across cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct NodeStats {
     /// Node index within the fleet.
     pub node: usize,
@@ -138,7 +138,7 @@ impl NodeStats {
 }
 
 /// Everything measured over one fleet run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FleetResult {
     /// Routing strategy name.
     pub router: String,
@@ -183,13 +183,11 @@ pub struct FleetResult {
     pub faults: Option<FaultSummary>,
     /// Per-tenant SLO ledger (always computed — one histogram record
     /// plus counter bumps per query — so traced and untraced runs stay
-    /// bit-identical). Defaults empty for older serialized results.
-    #[serde(default)]
+    /// bit-identical).
     pub slo: SloLedger,
     /// Cadenced vitals snapshots; `None` when the run had no health
     /// config. Excluded from `bench::fleet_fingerprint`, which is what
     /// lets snapshot-on and snapshot-off runs compare bit-identical.
-    #[serde(default)]
     pub health: Option<HealthSeries>,
 }
 

@@ -4,7 +4,7 @@
 //! downgrade to the backend plan when the budget can no longer cover a
 //! retry.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Deadline-budgeted retry for queries routed at degraded nodes.
 ///
@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// stops selecting cache plans the budget can no longer cover — the
 /// graceful downgrade to the backend plan falls out of `B_Q(t)` rather
 /// than a special code path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RetryPolicy {
     /// Total routing attempts allowed per query (≥ 1; 1 means no retry).
     pub max_attempts: u32,

@@ -65,7 +65,7 @@ use std::sync::Arc;
 use econ::BudgetKey;
 use planner::{ExecRows, PlannerContext, SkeletonCache};
 use pricing::Money;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simcore::SimTime;
 use workload::Query;
 
@@ -355,7 +355,7 @@ impl Router for CheapestQuote {
 }
 
 /// Serializable selector for the shipped routing strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RouterKind {
     /// [`RoundRobin`].
     RoundRobin,

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use catalog::Schema;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simcore::arrival::ArrivalProcess;
 use simcore::{EventQueue, SimRng, SimTime};
 use simulator::{make_arrivals, ArrivalKind};
@@ -24,12 +24,12 @@ use telemetry::TenantSloSpec;
 use workload::{Query, SurgeOverlay, WorkloadConfig, WorkloadGenerator};
 
 /// Identity of one tenant in the fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct TenantId(pub u32);
 
 /// One tenant's contract with the fleet: who they are, what they ask, and
 /// how their queries arrive.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TenantSpec {
     /// Tenant identity (unique within a fleet).
     pub id: TenantId,
@@ -43,8 +43,6 @@ pub struct TenantSpec {
     /// The tenant's service-level objective (p99 response target, spend
     /// cap); `None` for tenants without a contract. Purely
     /// observational: the SLO ledger tracks it, nothing routes on it.
-    /// Defaults absent so older serialized configs still load.
-    #[serde(default)]
     pub slo: Option<TenantSloSpec>,
 }
 

@@ -16,7 +16,7 @@ use std::ops::{Add, AddAssign};
 
 /// The four priced resources of the paper's cost model (Section V), plus
 /// structure-build spending tracked separately for the investment analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Resource {
     /// CPU node time (the paper's `c`/`u`).
     Cpu,
@@ -27,14 +27,6 @@ pub enum Resource {
     /// Logical I/O operations.
     Io,
 }
-
-/// All resources, for iteration.
-pub const ALL_RESOURCES: [Resource; 4] = [
-    Resource::Cpu,
-    Resource::Disk,
-    Resource::Network,
-    Resource::Io,
-];
 
 /// Exact per-resource cost totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -175,10 +167,16 @@ mod tests {
     #[test]
     fn fractions_sum_to_one() {
         let mut b = CostBreakdown::ZERO;
-        for (i, r) in ALL_RESOURCES.iter().enumerate() {
+        let all = [
+            Resource::Cpu,
+            Resource::Disk,
+            Resource::Network,
+            Resource::Io,
+        ];
+        for (i, r) in all.iter().enumerate() {
             b.add_to(*r, Money::from_dollars((i + 1) as f64));
         }
-        let total: f64 = ALL_RESOURCES.iter().map(|&r| b.fraction(r)).sum();
+        let total: f64 = all.iter().map(|&r| b.fraction(r)).sum();
         assert!((total - 1.0).abs() < 1e-12);
     }
 

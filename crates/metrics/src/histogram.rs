@@ -138,13 +138,6 @@ impl LogHistogram {
         self.quantile(0.99)
     }
 
-    /// Count-weighted p99.9 — [`Self::quantile`] at 0.999. Same edge
-    /// behavior as [`Self::p50`].
-    #[must_use]
-    pub fn p999(&self) -> Option<f64> {
-        self.quantile(0.999)
-    }
-
     /// How many observations fell in buckets whose entire range lies at
     /// or above `threshold` (underflow never counts). Bucket-granular by
     /// construction: observations in the bucket *containing* the
@@ -271,24 +264,19 @@ mod tests {
             h.p99().unwrap().to_bits(),
             h.quantile(0.99).unwrap().to_bits()
         );
-        assert_eq!(
-            h.p999().unwrap().to_bits(),
-            h.quantile(0.999).unwrap().to_bits()
-        );
-        assert!(h.p50() < h.p99() && h.p99() <= h.p999());
+        assert!(h.p50() < h.p99());
     }
 
     #[test]
     fn named_percentiles_share_quantile_edge_behavior() {
         let empty = LogHistogram::latency();
-        assert!(empty.p50().is_none() && empty.p99().is_none() && empty.p999().is_none());
+        assert!(empty.p50().is_none() && empty.p99().is_none());
         let mut one = LogHistogram::latency();
         one.record(2.0);
         // A single sample pins every named percentile to the same bucket
         // midpoint.
         let p50 = one.p50().unwrap();
         assert_eq!(p50.to_bits(), one.p99().unwrap().to_bits());
-        assert_eq!(p50.to_bits(), one.p999().unwrap().to_bits());
     }
 
     #[test]

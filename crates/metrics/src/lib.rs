@@ -4,8 +4,8 @@
 //! response time* per scheme and inter-arrival interval. This crate
 //! collects those measurements while a simulation runs:
 //!
-//! * [`stream::StreamingStats`] — single-pass mean/variance/min/max
-//!   (Welford's algorithm), used for response times over up to a million
+//! * [`stream::StreamingStats`] — single-pass count and mean (Welford's
+//!   running mean), used for response times over up to a million
 //!   queries without storing them.
 //! * [`histogram::LogHistogram`] — log-bucketed latency histogram with
 //!   percentile queries.

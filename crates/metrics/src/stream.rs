@@ -1,20 +1,16 @@
-//! Single-pass mean/variance statistics (Welford's algorithm).
+//! Single-pass mean statistics (Welford's running mean).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
-/// Streaming count/mean/variance/min/max over `f64` observations.
+/// Streaming count and mean over `f64` observations.
 ///
-/// Welford's update is numerically stable over millions of samples —
-/// the naive sum-of-squares form loses precision exactly in the regime the
-/// Fig. 5 harness runs in.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Welford's running-mean update is numerically stable over millions of
+/// samples — a naive running sum loses precision exactly in the regime
+/// the Fig. 5 harness runs in.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StreamingStats {
     count: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-    sum: f64,
 }
 
 impl Default for StreamingStats {
@@ -30,10 +26,6 @@ impl StreamingStats {
         StreamingStats {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
         }
     }
 
@@ -44,12 +36,7 @@ impl StreamingStats {
     pub fn record(&mut self, x: f64) {
         assert!(!x.is_nan(), "NaN observation");
         self.count += 1;
-        self.sum += x;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
+        self.mean += (x - self.mean) / self.count as f64;
     }
 
     /// Number of observations.
@@ -68,40 +55,6 @@ impl StreamingStats {
         }
     }
 
-    /// Sum of observations.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Population variance (0 if fewer than 2 observations).
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observation (`None` if empty).
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum observation (`None` if empty).
-    #[must_use]
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
     /// Merges another accumulator into this one (parallel sweeps).
     pub fn merge(&mut self, other: &StreamingStats) {
         if other.count == 0 {
@@ -111,16 +64,11 @@ impl StreamingStats {
             *self = other.clone();
             return;
         }
-        let n1 = self.count as f64;
         let n2 = other.count as f64;
         let delta = other.mean - self.mean;
-        let total = n1 + n2;
+        let total = self.count as f64 + n2;
         self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
         self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -133,24 +81,16 @@ mod tests {
         let s = StreamingStats::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert!(s.min().is_none());
-        assert!(s.max().is_none());
     }
 
     #[test]
-    fn mean_and_variance_match_closed_form() {
+    fn mean_matches_closed_form() {
         let mut s = StreamingStats::new();
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             s.record(x);
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-        assert!((s.sum() - 40.0).abs() < 1e-12);
     }
 
     #[test]
@@ -171,9 +111,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), whole.count());
         assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
     }
 
     #[test]
@@ -204,6 +141,5 @@ mod tests {
             s.record(1e9 + 1.0);
         }
         assert!((s.mean() - (1e9 + 1.0)).abs() < 1e-3);
-        assert!(s.variance() < 1e-3, "variance {}", s.variance());
     }
 }

@@ -37,7 +37,7 @@ use cache::{CachedStructure, IndexDef, ROW_LOCATOR_BYTES};
 use catalog::{ColumnId, Schema};
 use metrics::{CostBreakdown, Resource};
 use pricing::{Money, PriceCatalog};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simcore::{NetworkModel, SimDuration};
 use workload::{Query, TableAccess};
 
@@ -46,7 +46,7 @@ use crate::shapes::QueryShape;
 
 /// Calibration constants of the cost model. Defaults reproduce the
 /// experimental setup of Section VII-A.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CostParams {
     /// CPU-node overload factor (`l_cpu`); the paper assumes nodes are
     /// never overloaded, i.e. 1.0.

@@ -3,11 +3,11 @@
 use cache::{IndexId, StructureKey};
 use metrics::CostBreakdown;
 use pricing::Money;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simcore::SimDuration;
 
 /// Where and how a plan executes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum PlanShape {
     /// Run entirely on the back-end database, ship the result to the cloud
     /// (eq. 9 of the paper). Always available.
@@ -44,7 +44,7 @@ impl PlanShape {
 }
 
 /// A fully costed query plan — one point of the paper's `B_PQ` function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QueryPlan {
     /// Execution shape.
     pub shape: PlanShape,
@@ -79,12 +79,6 @@ impl QueryPlan {
     #[must_use]
     pub fn is_existing(&self) -> bool {
         self.missing.is_empty()
-    }
-
-    /// Execution time in seconds (plot/report helper).
-    #[must_use]
-    pub fn time_secs(&self) -> f64 {
-        self.exec_time.as_secs()
     }
 }
 

@@ -14,10 +14,10 @@
 //!   `work(k) = w₁ · (1 + α(k−1))`; `work(3) = 1.25 · w₁` gives the
 //!   coordination overhead `α = 0.125`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Calibrated parallel-execution model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ParallelModel {
     /// Amdahl parallel fraction `p ∈ [0, 1]`.
     pub parallel_fraction: f64,
@@ -81,12 +81,6 @@ impl ParallelModel {
         assert!(k >= 1, "need at least one node");
         1.0 + self.overhead_per_node * f64::from(k - 1)
     }
-
-    /// Speed-up at `k` nodes (`1 / time_factor`).
-    #[must_use]
-    pub fn speedup(&self, k: u32) -> f64 {
-        1.0 / self.time_factor(k)
-    }
 }
 
 #[cfg(test)]
@@ -96,7 +90,7 @@ mod tests {
     #[test]
     fn paper_point_is_reproduced_exactly() {
         let m = ParallelModel::paper_sdss();
-        assert!((m.speedup(3) - 2.0).abs() < 1e-12, "2x at 3 nodes");
+        assert!((m.time_factor(3) - 0.5).abs() < 1e-12, "2x at 3 nodes");
         assert!((m.work_factor(3) - 1.25).abs() < 1e-12, "25% overhead");
     }
 
@@ -105,7 +99,6 @@ mod tests {
         let m = ParallelModel::paper_sdss();
         assert_eq!(m.time_factor(1), 1.0);
         assert_eq!(m.work_factor(1), 1.0);
-        assert_eq!(m.speedup(1), 1.0);
     }
 
     #[test]
@@ -121,8 +114,8 @@ mod tests {
     fn amdahl_asymptote() {
         let m = ParallelModel::paper_sdss();
         // With p = 0.75 the best possible speedup is 4x.
-        assert!(m.speedup(10_000) < 4.0);
-        assert!(m.speedup(10_000) > 3.9);
+        assert!(m.time_factor(10_000) > 0.25);
+        assert!(m.time_factor(10_000) < 1.0 / 3.9);
     }
 
     #[test]

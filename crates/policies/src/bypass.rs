@@ -26,7 +26,7 @@ use cache::Occupancy;
 use catalog::ColumnId;
 use planner::{ExecRows, PlannerContext};
 use pricing::Money;
-use simcore::{SimDuration, SimTime};
+use simcore::SimTime;
 use workload::Query;
 
 use crate::policy::{CachePolicy, PolicyOutcome};
@@ -81,12 +81,6 @@ impl BypassYieldPolicy {
     #[must_use]
     pub fn capacity(&self) -> u64 {
         self.capacity
-    }
-
-    /// Number of columns currently cached (including in-flight loads).
-    #[must_use]
-    pub fn cached_columns(&self) -> usize {
-        self.cached.len()
     }
 
     fn all_available(&self, query: &Query, now: SimTime) -> bool {
@@ -257,15 +251,6 @@ impl CachePolicy for BypassYieldPolicy {
     }
 }
 
-/// Convenience: response time the bypass cache would deliver for a fully
-/// cached query (used by tests).
-#[must_use]
-pub fn cached_response(ctx: &PlannerContext<'_>, query: &Query) -> SimDuration {
-    ctx.estimator
-        .cache_execution(ctx.schema, query, &vec![None; query.accesses().len()], 1)
-        .time
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,7 +386,6 @@ mod tests {
         let fx = Fx::new();
         // Tiny cache: only one small column fits at a time.
         let mut p = BypassYieldPolicy::new(&fx.schema, 0.001);
-        assert_eq!(p.cached_columns(), 0);
         assert!(p.capacity() > 0);
         // The policy must never exceed its cap no matter the workload.
         let ctx = fx.ctx();

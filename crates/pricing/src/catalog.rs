@@ -8,21 +8,19 @@
 //! * transfer in: $0.10 per GB,
 //! * I/O: $0.10 per million requests (EBS pricing).
 //!
-//! The introduction also cites GoGrid's "network bandwidth for free" as
-//! evidence that real clouds prorate different resource mixes; the
-//! [`PriceCatalog::gogrid_2009`] catalog captures that regime and the
-//! bypass-yield baseline is emulated with [`PriceCatalog::network_only`]
-//! (every price except bandwidth is zero — Section VII-A).
+//! The bypass-yield baseline is emulated with
+//! [`PriceCatalog::network_only`] (every price except bandwidth is zero —
+//! Section VII-A).
 
 use crate::rates::ResourceRates;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 const SECS_PER_HOUR: f64 = 3600.0;
 const SECS_PER_MONTH: f64 = 30.0 * 86_400.0;
 const BYTES_PER_GB: f64 = 1e9;
 
 /// A named, self-describing set of resource prices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PriceCatalog {
     /// Human-readable catalog name (appears in experiment reports).
     pub name: String,
@@ -53,22 +51,6 @@ impl PriceCatalog {
         }
     }
 
-    /// GoGrid-like 2009 pricing: bandwidth free, compute/storage priced.
-    #[must_use]
-    pub fn gogrid_2009() -> Self {
-        PriceCatalog {
-            name: "gogrid-2009".to_owned(),
-            rates: ResourceRates {
-                // $0.19 per GB-RAM-hour ≈ small node hour.
-                cpu_node_per_sec: 0.19 / SECS_PER_HOUR,
-                disk_byte_per_sec: 0.15 / BYTES_PER_GB / SECS_PER_MONTH,
-                transfer_per_byte: 0.0, // inbound bandwidth free
-                io_per_op: 0.10 / 1e6,
-            },
-            node_boot_secs: 60.0,
-        }
-    }
-
     /// The bypass-yield emulation of Section VII-A: "associating cost only
     /// with network bandwidth, therefore setting costs for CPU, disk and
     /// I/O to zero".
@@ -87,21 +69,39 @@ impl PriceCatalog {
     }
 
     /// Builder for ablation catalogs.
+    ///
+    /// # Panics
+    /// Panics if the catalog fails [`Self::validate`].
     #[must_use]
     pub fn custom(name: &str, rates: ResourceRates, node_boot_secs: f64) -> Self {
-        assert!(
-            node_boot_secs.is_finite() && node_boot_secs >= 0.0,
-            "boot time must be finite and non-negative"
-        );
-        rates
-            .validate()
-            .map_err(|f| format!("bad rate {f}"))
-            .unwrap();
-        PriceCatalog {
+        let catalog = PriceCatalog {
             name: name.to_owned(),
             rates,
             node_boot_secs,
+        };
+        if let Err(m) = catalog.validate() {
+            panic!("{m}");
         }
+        catalog
+    }
+
+    /// Validates the catalog: every rate finite and non-negative (a NaN
+    /// rate would panic in [`crate::Money::from_dollars`], a negative one
+    /// would run at negative cost) and a finite, non-negative boot time.
+    ///
+    /// # Errors
+    /// Returns a message naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        self.rates
+            .validate()
+            .map_err(|f| format!("rates.{f} must be finite and non-negative"))?;
+        if !(self.node_boot_secs.is_finite() && self.node_boot_secs >= 0.0) {
+            return Err(format!(
+                "node_boot_secs must be finite and non-negative, got {}",
+                self.node_boot_secs
+            ));
+        }
+        Ok(())
     }
 
     /// Returns a copy with every price scaled by `factor` (price-level
@@ -154,13 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn gogrid_has_free_bandwidth() {
-        let c = PriceCatalog::gogrid_2009();
-        assert_eq!(c.rates.transfer_cost(u64::MAX), Money::ZERO);
-        assert!(c.rates.cpu_cost(3600.0).is_positive());
-    }
-
-    #[test]
     fn scaled_catalog_scales_all_rates() {
         let c = PriceCatalog::ec2_2009().scaled(2.0);
         assert_eq!(c.rates.cpu_cost(3600.0), Money::from_dollars(0.20));
@@ -180,10 +173,15 @@ mod tests {
             5.0,
         );
         assert_eq!(c.node_boot_secs, 5.0);
+
+        let mut bad = c;
+        bad.node_boot_secs = f64::NAN;
+        let err = bad.validate().unwrap_err();
+        assert!(err.contains("node_boot_secs"), "{err}");
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "rates.cpu_node_per_sec")]
     fn custom_rejects_nan_rate() {
         let _ = PriceCatalog::custom(
             "bad",

@@ -15,14 +15,14 @@
 #![warn(clippy::missing_inline_in_public_items)]
 
 use crate::money::Money;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Unit prices for the four resources the cost model charges.
 ///
 /// All rates are [`f64`] dollars per base unit; the cost model multiplies a
 /// rate by a usage quantity and rounds into [`Money`] exactly once per
 /// charge, so no drift compounds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ResourceRates {
     /// Dollars per CPU-node-second (the paper's `u` and `c`).
     pub cpu_node_per_sec: f64,

@@ -7,10 +7,10 @@
 //! Wang et al., ICDE 2008).
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Deterministic latency + throughput network model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct NetworkModel {
     /// One-way latency added to every transfer.
     pub latency: SimDuration,

@@ -91,15 +91,6 @@ impl SimRng {
         }
     }
 
-    /// Uniform integer in `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `lo >= hi`.
-    pub fn gen_range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range [{lo}, {hi})");
-        lo + self.next_below(hi - lo)
-    }
-
     /// Uniform `f64` in `[lo, hi)`.
     pub fn gen_range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(lo <= hi, "inverted range [{lo}, {hi})");
@@ -109,23 +100,6 @@ impl SimRng {
     /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.next_f64() < p.clamp(0.0, 1.0)
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
-
-    /// Picks a uniformly random element, or `None` if empty.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(&xs[self.next_below(xs.len() as u64) as usize])
-        }
     }
 }
 
@@ -175,25 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn gen_range_endpoints() {
-        let mut rng = SimRng::new(3);
-        for _ in 0..1000 {
-            let v = rng.gen_range(5, 8);
-            assert!((5..8).contains(&v));
-        }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::new(99);
-        let mut xs: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn forked_streams_are_independent_and_deterministic() {
         let mut parent1 = SimRng::new(5);
         let mut parent2 = SimRng::new(5);
@@ -204,14 +159,6 @@ mod tests {
         }
         let mut other = SimRng::new(5).fork(2);
         assert_ne!(c1.next_u64(), other.next_u64());
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut rng = SimRng::new(1);
-        let empty: [u8; 0] = [];
-        assert!(rng.choose(&empty).is_none());
-        assert_eq!(rng.choose(&[42]), Some(&42));
     }
 
     #[test]

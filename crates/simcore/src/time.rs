@@ -11,17 +11,17 @@
 
 #![warn(clippy::missing_inline_in_public_items)]
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// An instant on the simulation clock, in seconds since simulation start.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SimTime(f64);
 
 /// A span of simulated time, in seconds. Always finite and non-negative.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct SimDuration(f64);
 
 impl SimTime {
@@ -86,13 +86,6 @@ impl SimDuration {
             ));
         }
         SimDuration(secs)
-    }
-
-    /// Creates a duration from minutes.
-    #[must_use]
-    #[inline]
-    pub fn from_mins(mins: f64) -> Self {
-        Self::from_secs(mins * 60.0)
     }
 
     /// Creates a duration from hours.
@@ -300,7 +293,6 @@ mod tests {
 
     #[test]
     fn unit_constructors() {
-        assert_eq!(SimDuration::from_mins(2.0).as_secs(), 120.0);
         assert_eq!(SimDuration::from_hours(1.0).as_secs(), 3600.0);
         assert_eq!(SimDuration::from_days(1.0).as_secs(), 86_400.0);
         assert_eq!(SimDuration::from_hours(2.0).as_hours(), 2.0);

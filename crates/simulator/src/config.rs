@@ -3,11 +3,11 @@
 use econ::EconConfig;
 use planner::CostParams;
 use pricing::PriceCatalog;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use workload::WorkloadConfig;
 
 /// Which caching scheme operates the cache.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Scheme {
     /// The net-only bypass-yield baseline, with its cache-size fraction
     /// (the paper's ideal is 0.30).
@@ -38,6 +38,24 @@ impl Scheme {
         }
     }
 
+    /// Validates the scheme's parameters: a bypass cache fraction lies
+    /// in `(0, 1]`.
+    ///
+    /// # Errors
+    /// Returns a message naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            Scheme::Bypass { cache_fraction }
+                if !(cache_fraction > 0.0 && cache_fraction <= 1.0) =>
+            {
+                Err(format!(
+                    "bypass cache_fraction must be in (0, 1], got {cache_fraction}"
+                ))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// The paper's four measured schemes.
     #[must_use]
     pub fn paper_schemes() -> Vec<Scheme> {
@@ -53,7 +71,7 @@ impl Scheme {
 }
 
 /// Query arrival process selection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum ArrivalKind {
     /// Deterministic gaps — the paper's inter-arrival grid.
     Fixed {
@@ -101,8 +119,76 @@ pub enum ArrivalKind {
     },
 }
 
+impl ArrivalKind {
+    /// Validates the process's parameters: every gap, sojourn and period
+    /// finite and positive, a burst length in `[1, u64::MAX / 2]`, and a
+    /// diurnal amplitude in `[0, 1)` with a finite phase.
+    ///
+    /// # Errors
+    /// Returns a message naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        let positive = |field: &str, v: f64| {
+            if v.is_finite() && v > 0.0 {
+                Ok(())
+            } else {
+                Err(format!("{field} must be finite and positive, got {v}"))
+            }
+        };
+        match *self {
+            ArrivalKind::Fixed { interval_secs } => positive("fixed interval_secs", interval_secs),
+            ArrivalKind::Poisson { mean_gap_secs } => {
+                positive("poisson mean_gap_secs", mean_gap_secs)
+            }
+            ArrivalKind::Bursty {
+                on_gap_secs,
+                burst_len,
+                off_gap_secs,
+            } => {
+                positive("bursty on_gap_secs", on_gap_secs)?;
+                positive("bursty off_gap_secs", off_gap_secs)?;
+                // The sampler draws a burst length below `2 * burst_len`.
+                if burst_len == 0 || burst_len > u64::MAX / 2 {
+                    return Err(format!(
+                        "bursty burst_len must be in [1, u64::MAX / 2], got {burst_len}"
+                    ));
+                }
+                Ok(())
+            }
+            ArrivalKind::Mmpp {
+                calm_gap_secs,
+                storm_gap_secs,
+                calm_sojourn_secs,
+                storm_sojourn_secs,
+            } => {
+                positive("mmpp calm_gap_secs", calm_gap_secs)?;
+                positive("mmpp storm_gap_secs", storm_gap_secs)?;
+                positive("mmpp calm_sojourn_secs", calm_sojourn_secs)?;
+                positive("mmpp storm_sojourn_secs", storm_sojourn_secs)
+            }
+            ArrivalKind::Diurnal {
+                mean_gap_secs,
+                amplitude,
+                period_secs,
+                phase,
+            } => {
+                positive("diurnal mean_gap_secs", mean_gap_secs)?;
+                positive("diurnal period_secs", period_secs)?;
+                if !(0.0..1.0).contains(&amplitude) {
+                    return Err(format!(
+                        "diurnal amplitude must be in [0, 1), got {amplitude}"
+                    ));
+                }
+                if !phase.is_finite() {
+                    return Err(format!("diurnal phase must be finite, got {phase}"));
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
 /// Full description of one simulation cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SimConfig {
     /// TPC-H scale factor (the paper's backend is SF ≈ 2500 = 2.5 TB).
     pub scale_factor: f64,
@@ -158,51 +244,11 @@ impl SimConfig {
         if self.num_queries == 0 {
             return Err("num_queries must be positive".into());
         }
-        match self.arrival {
-            ArrivalKind::Fixed { interval_secs } if interval_secs <= 0.0 => {
-                return Err("fixed interval must be positive".into());
-            }
-            ArrivalKind::Poisson { mean_gap_secs } if mean_gap_secs <= 0.0 => {
-                return Err("poisson mean gap must be positive".into());
-            }
-            ArrivalKind::Bursty {
-                on_gap_secs,
-                burst_len,
-                off_gap_secs,
-            } if on_gap_secs <= 0.0 || off_gap_secs <= 0.0 || burst_len == 0 => {
-                return Err("bursty parameters must be positive".into());
-            }
-            ArrivalKind::Mmpp {
-                calm_gap_secs,
-                storm_gap_secs,
-                calm_sojourn_secs,
-                storm_sojourn_secs,
-            } if calm_gap_secs <= 0.0
-                || storm_gap_secs <= 0.0
-                || calm_sojourn_secs <= 0.0
-                || storm_sojourn_secs <= 0.0 =>
-            {
-                return Err("mmpp parameters must be positive".into());
-            }
-            ArrivalKind::Diurnal {
-                mean_gap_secs,
-                amplitude,
-                period_secs,
-                phase,
-            } if mean_gap_secs <= 0.0
-                || period_secs <= 0.0
-                || !(0.0..1.0).contains(&amplitude)
-                || !phase.is_finite() =>
-            {
-                return Err("diurnal needs positive gaps/period and amplitude in [0, 1)".into());
-            }
-            _ => {}
-        }
-        if let Scheme::Bypass { cache_fraction } = self.scheme {
-            if !(cache_fraction > 0.0 && cache_fraction <= 1.0) {
-                return Err("bypass cache_fraction must be in (0, 1]".into());
-            }
-        }
+        self.arrival
+            .validate()
+            .map_err(|m| format!("arrival: {m}"))?;
+        self.scheme.validate().map_err(|m| format!("scheme: {m}"))?;
+        self.prices.validate().map_err(|m| format!("prices: {m}"))?;
         self.workload
             .validate()
             .map_err(|(f, r)| format!("workload.{f}: {r}"))?;
@@ -263,14 +309,22 @@ mod tests {
         let mut cfg = SimConfig::paper_cell(Scheme::EconCheap, 10.0, 10.0, 1000);
         cfg.scale_factor = -1.0;
         assert!(cfg.validate().is_err());
-    }
 
-    #[test]
-    fn config_roundtrips_serde() {
-        let cfg = SimConfig::paper_cell(Scheme::EconFast, 30.0, 100.0, 5000);
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: SimConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.num_queries, 5000);
-        assert_eq!(back.scheme.name(), "econ-fast");
+        let mut cfg = SimConfig::paper_cell(Scheme::EconCheap, 10.0, 10.0, 1000);
+        cfg.arrival = ArrivalKind::Fixed {
+            interval_secs: f64::NAN,
+        };
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("arrival: fixed interval_secs"), "{err}");
+
+        let mut cfg = SimConfig::paper_cell(Scheme::EconCheap, 10.0, 10.0, 1000);
+        cfg.prices.rates.cpu_node_per_sec = f64::NAN;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("prices: rates.cpu_node_per_sec"), "{err}");
+
+        let mut cfg = SimConfig::paper_cell(Scheme::EconCheap, 10.0, 10.0, 1000);
+        cfg.prices.rates.transfer_per_byte = -1e-10;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("prices: rates.transfer_per_byte"), "{err}");
     }
 }

@@ -2,10 +2,10 @@
 
 use metrics::{CostBreakdown, LogHistogram, StreamingStats};
 use pricing::Money;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Everything measured over one simulation cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RunResult {
     /// Scheme name (`bypass`, `econ-col`, …).
     pub scheme: String,
@@ -123,14 +123,5 @@ mod tests {
         let row = result().table_row();
         assert!(row.contains("econ-cheap"));
         assert!(row.contains("3.0000"));
-    }
-
-    #[test]
-    fn result_roundtrips_serde() {
-        let r = result();
-        let json = serde_json::to_string(&r).unwrap();
-        let back: RunResult = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.queries, 2);
-        assert_eq!(back.total_operating_cost(), r.total_operating_cost());
     }
 }

@@ -13,14 +13,14 @@ use std::fmt::Write as _;
 
 use metrics::CostBreakdown;
 use pricing::Money;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::event::{
     LifecyclePhase, NodeCrashEvent, NodeLifecycleEvent, NodeRecoverEvent, TraceEvent,
 };
 
 /// Grouping key for a blame rollup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum BlameKey {
     /// Group settlements by paying tenant.
     Tenant,
@@ -50,7 +50,7 @@ impl BlameKey {
 }
 
 /// One row of a blame rollup: the money that flowed through a group.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct BlameRow {
     /// Settlements attributed to the group.
     pub queries: u64,

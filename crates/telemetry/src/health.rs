@@ -43,7 +43,7 @@ use crate::registry::{MetricValue, MetricsRegistry};
 /// cell snapshots a [`VitalsFrame`]. Attached to a fleet config as
 /// `Option<HealthConfig>`; `None` keeps the scraper entirely off the
 /// hot path (one branch per arrival).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct HealthConfig {
     /// Simulated seconds between vitals snapshots. Must be positive and
     /// finite; the cadence is sim-time, never wall clock, so snapshots
@@ -401,7 +401,7 @@ impl HealthSeries {
 /// Static baselines the drift detector tests the run against, plus the
 /// e-process error budget `alpha` (alarm when an e-value reaches
 /// `1/alpha`; anytime-valid at level `alpha` per signal).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Baselines {
     /// Per-signal false-alarm budget; alarms fire at e-value
     /// `1/alpha`.
@@ -439,7 +439,7 @@ impl Default for Baselines {
 }
 
 /// What drifted.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum AlarmKind {
     /// A tenant is burning its p99 error budget faster than the null
     /// miss rate allows.
@@ -455,7 +455,7 @@ pub enum AlarmKind {
 
 /// A typed drift alarm: which signal fired, when (simulated seconds),
 /// and the e-value evidence at the crossing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Alarm {
     /// The drifting signal.
     pub kind: AlarmKind,
@@ -1033,15 +1033,5 @@ mod tests {
         let json = serde_json::to_string(&series).unwrap();
         let back: HealthSeries = serde_json::from_str(&json).unwrap();
         assert_eq!(series, back);
-
-        let alarm = Alarm {
-            kind: AlarmKind::SloBurnRate { tenant: 4 },
-            at_secs: 10.0,
-            log_e_value: 5.0,
-            message: "m".into(),
-        };
-        let json = serde_json::to_string(&alarm).unwrap();
-        let back: Alarm = serde_json::from_str(&json).unwrap();
-        assert_eq!(alarm, back);
     }
 }

@@ -129,30 +129,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Folds an existing histogram into the named entry (any geometry;
-    /// later merges must match it).
-    ///
-    /// # Panics
-    /// Panics if `name` exists with a non-histogram kind or a different
-    /// geometry.
-    pub fn merge_histogram(&mut self, name: &str, other: &LogHistogram) {
-        match self.entries.binary_search_by(|e| e.name.as_str().cmp(name)) {
-            Ok(i) => match &mut self.entries[i].value {
-                MetricValue::Histogram { hist } => hist.merge(other),
-                v => panic!("metric {name} is a {}, not a histogram", v.kind()),
-            },
-            Err(i) => self.entries.insert(
-                i,
-                MetricEntry {
-                    name: name.to_string(),
-                    value: MetricValue::Histogram {
-                        hist: other.clone(),
-                    },
-                },
-            ),
-        }
-    }
-
     /// The value of a metric, if present.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&MetricValue> {

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use catalog::Schema;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simcore::SimRng;
 
 use crate::evolution::PopularityDrift;
@@ -16,7 +16,7 @@ pub const MAX_OPTIONAL_COLUMNS: usize = u32::BITS as usize;
 
 /// Tunables of the synthetic workload. Defaults reproduce the regime of
 /// the paper's experiments (Section VII-A).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct WorkloadConfig {
     /// Queries between template-popularity shocks (query evolution).
     pub evolution_epoch: u64,

@@ -5,12 +5,12 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 use catalog::{ColumnId, TableId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::templates::TemplateId;
 
 /// Workload-wide query sequence number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct QueryId(pub u64);
 
 /// Most table accesses one template may declare: a query carries its

