@@ -52,7 +52,7 @@ use pricing::Money;
 use simulator::ArrivalKind;
 use telemetry::{
     blame, detect_alarms, explain_crash, explain_retirement, node_timeline, render_openmetrics,
-    Baselines, BlameKey, BlameRow, LifecyclePhase, Trace, TraceEvent,
+    Baselines, BlameKey, BlameRow, ElasticAction, FaultOutcome, FaultRecord, Trace, TraceEvent,
 };
 
 const USAGE: &str = "usage: explain <subcommand>\n\
@@ -78,10 +78,11 @@ const DEFAULT_TRACE: &str = "results/fleet_trace.json";
 /// for the structure/blame queries), while the elastic controller still
 /// drains and retires idle capacity through the calms (so `retire` has
 /// something to explain). A crash-and-recover fault on node 3 rides
-/// along so crash questions are answerable from the same trace: the
-/// node dies at t=30 s — early enough to still be alive in every cell —
-/// and a replacement replays its journal 60 s later. Runs in well under
-/// a second — cheap enough for the CI selfcheck.
+/// along so crash questions are answerable from the same trace: in
+/// cell 0 the node dies at t=30 s and a replacement replays its journal
+/// 60 s later; cell 1's controller has already drained and retired its
+/// node 3 by t=10 s, so that cell's crash is a no-op. Runs in well
+/// under a second — cheap enough for the CI selfcheck.
 fn recording_config() -> FleetConfig {
     let mut config = FleetConfig::uniform(16, 4, 500, 1.0).with_arrivals(ArrivalKind::Mmpp {
         calm_gap_secs: 25.0,
@@ -181,19 +182,34 @@ fn print_rows(rows: &[(String, BlameRow)]) {
     }
 }
 
+/// The node a crash record names.
+fn crashed_node(event: &TraceEvent) -> Option<usize> {
+    match event {
+        TraceEvent::Fault(FaultRecord {
+            event: FaultOutcome::Crash(c),
+            ..
+        }) => Some(c.node),
+        _ => None,
+    }
+}
+
+/// The node a retirement names.
+fn retired_node(event: &TraceEvent) -> Option<usize> {
+    match event {
+        TraceEvent::NodeLifecycle(l) => match l.action {
+            ElasticAction::Retire { node } => Some(node),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 fn crash(node: usize, trace: &Trace) {
     match explain_crash(&trace.events, node) {
         Some(text) => print!("{text}"),
         None => {
             eprintln!("error: trace records no crash for node {node}");
-            let crashed: Vec<usize> = trace
-                .events
-                .iter()
-                .filter_map(|e| match e {
-                    TraceEvent::NodeCrash(c) => Some(c.node),
-                    _ => None,
-                })
-                .collect();
+            let crashed: Vec<usize> = trace.events.iter().filter_map(crashed_node).collect();
             eprintln!("(crashed nodes in this trace: {crashed:?})");
             std::process::exit(1);
         }
@@ -205,14 +221,7 @@ fn retire(node: usize, trace: &Trace) {
         Some(text) => print!("{text}"),
         None => {
             eprintln!("error: trace records no retirement for node {node}");
-            let retired: Vec<usize> = trace
-                .events
-                .iter()
-                .filter_map(|e| match e {
-                    TraceEvent::NodeLifecycle(l) if l.phase == LifecyclePhase::Retire => l.node,
-                    _ => None,
-                })
-                .collect();
+            let retired: Vec<usize> = trace.events.iter().filter_map(retired_node).collect();
             eprintln!("(retired nodes in this trace: {retired:?})");
             std::process::exit(1);
         }
@@ -531,10 +540,7 @@ fn selfcheck() {
 
     // 3. A retirement question must be answerable: the recording config
     //    is sized so the controller retires at least one node.
-    let retired = trace.events.iter().find_map(|e| match e {
-        TraceEvent::NodeLifecycle(l) if l.phase == LifecyclePhase::Retire => l.node,
-        _ => None,
-    });
+    let retired = trace.events.iter().find_map(retired_node);
     let Some(node) = retired else {
         eprintln!("error: recording config produced no retirement to explain");
         std::process::exit(1);
@@ -608,13 +614,10 @@ fn selfcheck() {
     );
 
     // 6. Crash questions must be answerable: the recording config
-    //    injects a crash-and-recover, so the trace carries a NodeCrash
-    //    event and `explain crash` must narrate it — write-off, re-queue
+    //    injects a crash-and-recover, so the trace carries a crash
+    //    record and `explain crash` must narrate it — write-off, re-queue
     //    and reconciliation included.
-    let Some(crashed) = trace.events.iter().find_map(|e| match e {
-        TraceEvent::NodeCrash(c) => Some(c.node),
-        _ => None,
-    }) else {
+    let Some(crashed) = trace.events.iter().find_map(crashed_node) else {
         eprintln!("error: recording config produced no crash to explain");
         std::process::exit(1);
     };
@@ -693,13 +696,13 @@ fn main() {
                         "t={:>8.1}s cell {} {:<12} rule `{}` live={} routable={} booting={} draining={} backlog_ewma={:.3}",
                         l.at_secs,
                         l.cell,
-                        l.phase.label(),
+                        l.action.label(),
                         l.rule,
                         l.live,
                         l.routable,
                         l.booting,
                         l.draining,
-                        l.backlog_ewma
+                        l.signals.backlog_ewma
                     );
                 }
             }

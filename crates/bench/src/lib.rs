@@ -29,13 +29,14 @@
 pub mod figures;
 
 /// The aggregate fingerprint the fleet invariance checks compare
-/// bit-for-bit: every economic aggregate plus the serialized elastic
-/// decision ledger (empty for fixed-population fleets) and the fault
-/// summary (empty for fault-free fleets). The fault summary enters as an
-/// explicit list of its result-bearing fields and its serialized record
-/// stream, so an inert summary field neither moves the fingerprint nor
-/// hides a drift. Shared by `explain selfcheck`, `explain health` and the
-/// repository benchmark's run-to-run and traced-replay checks — one
+/// bit-for-bit: every economic aggregate, the fleet's live node-seconds,
+/// the serialized elastic decision ledger (empty for fixed-population
+/// fleets) and the fault summary (empty for fault-free fleets). The
+/// fault summary enters as an explicit list of its result-bearing fields
+/// and its serialized record stream, so an inert summary field neither
+/// moves the fingerprint nor hides a drift. Shared by `explain
+/// selfcheck`, `explain health`, the fleet's elastic and fault tests and
+/// the repository benchmark's run-to-run and traced-replay checks — one
 /// definition, so the gates cannot quietly diverge on what "identical"
 /// means.
 ///
@@ -69,8 +70,8 @@ pub fn fleet_fingerprint(r: &fleet::FleetResult) -> String {
     });
     format!(
         "queries={} cost={:?} payments={:?} profit={:?} mean_bits={:016x} hits={} builds={} \
-         evictions={} spawns={} retires={} node_seconds_bits={:016x} ledger={ledger} \
-         faults={faults}",
+         evictions={} fleet_node_seconds_bits={:016x} spawns={} retires={} \
+         node_seconds_bits={:016x} ledger={ledger} faults={faults}",
         r.queries,
         r.total_operating_cost(),
         r.payments,
@@ -79,6 +80,7 @@ pub fn fleet_fingerprint(r: &fleet::FleetResult) -> String {
         r.cache_hits,
         r.investments,
         r.evictions,
+        r.node_seconds.to_bits(),
         r.elastic.as_ref().map_or(0, |e| e.spawns),
         r.elastic.as_ref().map_or(0, |e| e.retires),
         r.elastic.as_ref().map_or(0.0, |e| e.node_seconds).to_bits(),

@@ -46,6 +46,10 @@ use simulator::RunResult;
 use crate::config::FleetConfig;
 use crate::node::{CacheNode, NodeSpec};
 
+/// The ledger's records are the flight recorder's lifecycle events,
+/// defined once in `telemetry`.
+pub use telemetry::event::{ElasticAction, LedgerEntry, PressureSignals};
+
 /// Configuration of the elastic control plane (one controller per cell).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ElasticConfig {
@@ -128,73 +132,6 @@ impl ElasticConfig {
         }
         Ok(())
     }
-}
-
-/// The pressure signals one review evaluated — recorded verbatim in the
-/// ledger so every decision is explainable after the fact.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct PressureSignals {
-    /// Mean outstanding backlog per routable node (seconds), raw.
-    pub backlog: f64,
-    /// EWMA-smoothed backlog — the value the thresholds compare against.
-    pub backlog_ewma: f64,
-    /// Mean delivered response time over the window since the previous
-    /// review (seconds) — the simulated stand-in for quote-round latency.
-    pub window_response_secs: f64,
-    /// Fleet-cell profit accrual rate over the window ($/s).
-    pub profit_rate: f64,
-    /// Fleet-cell regret accrual rate over the window ($/s); negative
-    /// when investment or retirement cleared more regret than accrued.
-    pub regret_rate: f64,
-}
-
-/// What a ledgered review decided.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub enum ElasticAction {
-    /// No population change.
-    Hold,
-    /// A node was spawned (booting; routable once the boot completes).
-    ScaleUp {
-        /// The new node's fleet-wide id.
-        node: usize,
-        /// Scheme of the cloned template.
-        scheme: String,
-    },
-    /// A node stopped receiving traffic and began draining.
-    DrainBegin {
-        /// The draining node's id.
-        node: usize,
-    },
-    /// A drained node was settled and removed from the population.
-    Retire {
-        /// The retired node's id.
-        node: usize,
-    },
-}
-
-/// One explainable control-plane decision: the signal values the review
-/// saw, the rule that fired, and the action taken.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct LedgerEntry {
-    /// Cell whose controller made the decision.
-    pub cell: usize,
-    /// Simulated instant of the review.
-    pub at_secs: f64,
-    /// Nodes alive (routable + booting + draining) at the review.
-    pub live: usize,
-    /// Of those, routable.
-    pub routable: usize,
-    /// Of those, booting (spawned, boot not yet complete).
-    pub booting: usize,
-    /// Of those, draining.
-    pub draining: usize,
-    /// Name of the rule that fired (`backlog-pressure`, `idle-capacity`,
-    /// `cooldown`, `within-band`, `drain-insolvent`, …).
-    pub rule: String,
-    /// The action taken.
-    pub action: ElasticAction,
-    /// The signals the rule evaluated.
-    pub signals: PressureSignals,
 }
 
 /// Mergeable rollup of one run's control-plane activity.
@@ -401,7 +338,6 @@ pub struct ElasticController {
     prev_response_sum: f64,
     prev_profit: Money,
     prev_regret: Money,
-    spawn_count: usize,
     spawns: u64,
     retires: u64,
     ledger: Vec<LedgerEntry>,
@@ -435,7 +371,6 @@ impl ElasticController {
             prev_response_sum: 0.0,
             prev_profit: Money::ZERO,
             prev_regret: Money::ZERO,
-            spawn_count: 0,
             spawns: 0,
             retires: 0,
             ledger: Vec::new(),
@@ -652,8 +587,7 @@ impl ElasticController {
         ctx: &PlannerContext<'_>,
         at: SimTime,
     ) -> ElasticAction {
-        let spec = self.templates[self.spawn_count % self.templates.len()].clone();
-        self.spawn_count += 1;
+        let spec = self.templates[self.spawns as usize % self.templates.len()].clone();
         let (boot_cost, boot_time) = ctx.estimator.build_node();
         let id = pop.next_id();
         let node = CacheNode::new_booting(
@@ -702,8 +636,8 @@ impl ElasticController {
     }
 
     /// The decision ledger so far, ascending `at_secs`. The executor's
-    /// flight recorder diffs this around [`Self::run_due_reviews`] to
-    /// fold new entries into the unified trace-event stream.
+    /// flight recorder emits the entries made since its last look as
+    /// trace events.
     #[must_use]
     pub fn ledger(&self) -> &[LedgerEntry] {
         &self.ledger

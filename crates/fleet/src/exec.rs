@@ -36,13 +36,12 @@ use workload::{paper_templates, Query};
 
 use pricing::Money;
 use telemetry::{
-    HealthSeries, LifecyclePhase, MetricsRegistry, NodeCrashEvent, NodeLifecycleEvent,
-    NodeRecoverEvent, NoopSink, QueryRetryEvent, QuoteRoundEvent, Recorder, SettlementEvent,
-    SloLedger, TenantSloRecord, TraceEvent, TraceSink, VitalsFrame,
+    HealthSeries, MetricsRegistry, NoopSink, QueryRetryEvent, QuoteRoundEvent, Recorder,
+    SettlementEvent, SloLedger, TenantSloRecord, TraceEvent, TraceSink, VitalsFrame,
 };
 
 use crate::config::FleetConfig;
-use crate::elastic::{ElasticAction, ElasticController, NodePopulation};
+use crate::elastic::{ElasticAction, ElasticController, LedgerEntry, NodePopulation};
 use crate::faults::{FaultInjector, FaultOutcome, FaultRecord};
 use crate::node::CacheNode;
 use crate::result::{FleetResult, NodeStats, TenantStats};
@@ -556,9 +555,6 @@ impl Cell<'_> {
             self.population.live_mut()[winner].suppress_route();
             route.node = self.reroute(query, now);
             self.population.live_mut()[winner].unsuppress_route();
-            if let Some(inj) = &mut self.injector {
-                inj.note_timeout();
-            }
             self.slo[slot].timeouts += 1;
             if let Some(registry) = self.registry.as_mut() {
                 registry.counter_add("fault.timeouts", 1);
@@ -623,9 +619,6 @@ impl Cell<'_> {
             let mut decayed = query.clone();
             decayed.budget_scale = scale;
             route.node = self.reroute(&decayed, now);
-            if let Some(inj) = &mut self.injector {
-                inj.note_retry();
-            }
             self.slo[slot].retries += 1;
             if let Some(registry) = self.registry.as_mut() {
                 registry.counter_add("fault.retries", 1);
@@ -743,7 +736,12 @@ impl Cell<'_> {
         piece.tenants = self.tenants;
         piece.node_seconds = finish.node_seconds;
         piece.elastic = self.controller.map(|c| c.into_summary(&finish));
-        piece.faults = self.injector.map(FaultInjector::into_summary);
+        piece.faults = self.injector.map(|injector| {
+            let mut summary = injector.into_summary();
+            summary.timeouts = self.slo.iter().map(|r| r.timeouts).sum();
+            summary.retries = self.slo.iter().map(|r| r.retries).sum();
+            summary
+        });
         piece.slo = SloLedger::from_records(self.slo);
         piece.health = self.health;
         for (node_idx, run) in &finish.nodes {
@@ -763,47 +761,22 @@ impl Cell<'_> {
     }
 }
 
-/// Folds one new elastic-ledger entry into the trace stream and the
-/// cell registry.
-fn emit_lifecycle(
-    sink: &mut dyn TraceSink,
-    registry: &mut MetricsRegistry,
-    entry: &crate::elastic::LedgerEntry,
-) {
-    use LifecyclePhase::{DrainBegin, Hold, Retire, Spawn};
+/// Counts one new elastic-ledger entry in the cell registry and emits it
+/// as a trace event.
+fn emit_lifecycle(sink: &mut dyn TraceSink, registry: &mut MetricsRegistry, entry: &LedgerEntry) {
     registry.counter_add("elastic.reviews", 1);
-    let (phase, node, counter) = match &entry.action {
-        ElasticAction::Hold => (Hold, None, "elastic.holds"),
-        ElasticAction::ScaleUp { node, .. } => (Spawn, Some(*node), "elastic.spawns"),
-        ElasticAction::DrainBegin { node } => (DrainBegin, Some(*node), "elastic.drains"),
-        ElasticAction::Retire { node } => (Retire, Some(*node), "elastic.retires"),
-    };
-    let scheme = match &entry.action {
-        ElasticAction::ScaleUp { scheme, .. } => scheme.clone(),
-        _ => String::new(),
+    let counter = match entry.action {
+        ElasticAction::Hold => "elastic.holds",
+        ElasticAction::ScaleUp { .. } => "elastic.spawns",
+        ElasticAction::DrainBegin { .. } => "elastic.drains",
+        ElasticAction::Retire { .. } => "elastic.retires",
     };
     registry.counter_add(counter, 1);
-    sink.emit(TraceEvent::NodeLifecycle(NodeLifecycleEvent {
-        cell: entry.cell,
-        at_secs: entry.at_secs,
-        phase,
-        node,
-        rule: entry.rule.clone(),
-        scheme,
-        live: entry.live,
-        routable: entry.routable,
-        booting: entry.booting,
-        draining: entry.draining,
-        backlog: entry.signals.backlog,
-        backlog_ewma: entry.signals.backlog_ewma,
-        window_response_secs: entry.signals.window_response_secs,
-        profit_rate: entry.signals.profit_rate,
-        regret_rate: entry.signals.regret_rate,
-    }));
+    sink.emit(TraceEvent::NodeLifecycle(entry.clone()));
 }
 
-/// Folds one new fault-ledger record into the trace stream and the cell
-/// registry.
+/// Counts one new fault-ledger record in the cell registry and emits it
+/// as a trace event.
 fn emit_fault(sink: &mut dyn TraceSink, registry: &mut MetricsRegistry, record: &FaultRecord) {
     match &record.event {
         FaultOutcome::Crash(c) => {
@@ -813,38 +786,13 @@ fn emit_fault(sink: &mut dyn TraceSink, registry: &mut MetricsRegistry, record: 
             if c.requeued_secs > 0.0 {
                 registry.observe("fault.requeue_secs", c.requeued_secs);
             }
-            sink.emit(TraceEvent::NodeCrash(NodeCrashEvent {
-                cell: record.cell,
-                at_secs: record.at_secs,
-                node: c.node,
-                phase: c.phase.label().to_string(),
-                queries: c.queries,
-                payments: c.payments,
-                profit: c.profit,
-                operating: c.operating,
-                write_off: c.write_off,
-                cascade_depth: c.cascade_depth,
-                disk_bytes: c.disk_bytes,
-                requeued_secs: c.requeued_secs,
-                requeued_to: c.requeued_to,
-                recover_planned: c.recover_planned,
-            }));
         }
         FaultOutcome::Recover(r) => {
             registry.counter_add("fault.recoveries", 1);
             registry.counter_add("fault.reconciled", u64::from(r.drift.is_zero()));
-            sink.emit(TraceEvent::NodeRecover(NodeRecoverEvent {
-                cell: record.cell,
-                at_secs: record.at_secs,
-                crashed: r.crashed,
-                replacement: r.replacement,
-                boot_cost: r.boot_cost,
-                ready_at_secs: r.ready_at_secs,
-                replayed_queries: r.replayed_queries,
-                reconciled: r.drift.is_zero(),
-            }));
         }
     }
+    sink.emit(TraceEvent::Fault(record.clone()));
 }
 
 /// One-shot convenience: prepare and run.

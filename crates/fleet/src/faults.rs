@@ -66,6 +66,12 @@ use crate::elastic::NodePopulation;
 use crate::node::{CacheNode, NodeSpec};
 use crate::retry::RetryPolicy;
 
+/// The ledger's records are the flight recorder's fault events, defined
+/// once in `telemetry`.
+pub use telemetry::event::{
+    CrashPhase, CrashRecord, FaultOutcome, FaultRecord, ReconcileDrift, RecoverRecord,
+};
+
 /// Stream-domain separator folded into the run seed for cascade draws, so
 /// the fault plane's RNG never collides with workload or tenant streams.
 const CASCADE_STREAM_SALT: u64 = 0xFA17_CA5C_ADE0_0001;
@@ -470,136 +476,6 @@ impl FaultPlan {
     }
 }
 
-/// The lifecycle phase a node was in when it crashed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum CrashPhase {
-    /// Booted, routable, serving traffic.
-    Active,
-    /// Spawned but the eq. 10 boot had not completed.
-    MidBoot,
-    /// Draining toward voluntary retirement when the crash pre-empted it.
-    MidDrain,
-}
-
-impl CrashPhase {
-    /// Stable lower-case label (explain output).
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            CrashPhase::Active => "active",
-            CrashPhase::MidBoot => "mid-boot",
-            CrashPhase::MidDrain => "mid-drain",
-        }
-    }
-}
-
-/// The settlement of one crash: what the node had earned, what it was
-/// charged at the crash instant, and what capital was written off.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct CrashRecord {
-    /// The crashed node's id.
-    pub node: usize,
-    /// Lifecycle phase at the crash instant.
-    pub phase: CrashPhase,
-    /// Queries the node had served.
-    pub queries: u64,
-    /// Payments it had collected.
-    pub payments: Money,
-    /// Profit it had accumulated.
-    pub profit: Money,
-    /// Operating cost settled at the crash instant — eq. 11 uptime and
-    /// the eq. 13 disk byte-seconds integral, charged up to the instant.
-    pub operating: Money,
-    /// Invested build capital (structures + boot) written off as a loss:
-    /// the node's whole `build_spend`, to the nanodollar.
-    pub write_off: Money,
-    /// Cascade generation: 0 for planned crashes, `d + 1` for crashes
-    /// triggered by a depth-`d` crash.
-    pub cascade_depth: u32,
-    /// Cache disk occupied when the node died (bytes).
-    pub disk_bytes: u64,
-    /// Seconds of in-flight backlog re-queued (post-penalty).
-    pub requeued_secs: f64,
-    /// Survivor the backlog was re-queued onto (`None` if no routable
-    /// node remained at the instant).
-    pub requeued_to: Option<usize>,
-    /// True when a replay-recovery is scheduled for this crash.
-    pub recover_planned: bool,
-}
-
-/// Exact differences between a replayed ledger and the pre-crash
-/// snapshot; all-zero when the recovery reconciled.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
-pub struct ReconcileDrift {
-    /// Replayed − snapshot query count.
-    pub queries: i64,
-    /// Replayed − snapshot payments.
-    pub payments: Money,
-    /// Replayed − snapshot profit.
-    pub profit: Money,
-    /// Replayed − snapshot cache hits.
-    pub cache_hits: i64,
-    /// Replayed − snapshot account balance.
-    pub balance: Money,
-    /// Replayed − snapshot accrued regret.
-    pub regret: Money,
-    /// Replayed − snapshot disk occupancy (bytes).
-    pub disk_bytes: i64,
-}
-
-impl ReconcileDrift {
-    /// True when every component is exactly zero — the ledger replay
-    /// reproduced the crashed node's economics bit for bit.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        self.queries == 0
-            && self.payments == Money::ZERO
-            && self.profit == Money::ZERO
-            && self.cache_hits == 0
-            && self.balance == Money::ZERO
-            && self.regret == Money::ZERO
-            && self.disk_bytes == 0
-    }
-}
-
-/// One completed replay-recovery.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct RecoverRecord {
-    /// The node whose ledger was replayed.
-    pub crashed: usize,
-    /// The replacement node's fresh id.
-    pub replacement: usize,
-    /// Eq. 10 boot capital charged to the replacement.
-    pub boot_cost: Money,
-    /// When the replacement becomes routable, seconds.
-    pub ready_at_secs: f64,
-    /// Journal length replayed.
-    pub replayed_queries: u64,
-    /// Replay-vs-snapshot reconciliation result.
-    pub drift: ReconcileDrift,
-}
-
-/// What one fault event did.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub enum FaultOutcome {
-    /// A node crashed and was settled.
-    Crash(CrashRecord),
-    /// A crashed node was reconstructed by ledger replay.
-    Recover(RecoverRecord),
-}
-
-/// One ledgered fault event.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct FaultRecord {
-    /// Cell the event fired in (each cell applies the plan to its own
-    /// fleet replica).
-    pub cell: usize,
-    /// Simulated instant, seconds.
-    pub at_secs: f64,
-    /// What happened.
-    pub event: FaultOutcome,
-}
-
 /// Mergeable rollup of one run's fault activity.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FaultSummary {
@@ -609,7 +485,8 @@ pub struct FaultSummary {
     pub recoveries: u64,
     /// Of those, recoveries whose reconciliation drift was exactly zero.
     pub reconciled: u64,
-    /// Degraded-winner timeouts that re-routed a query.
+    /// Degraded-winner timeouts that re-routed a query (the executor sums
+    /// them from the tenants' SLO records).
     pub timeouts: u64,
     /// Build capital written off across all crashes: the sum of the
     /// per-crash `CrashRecord::write_off`.
@@ -619,7 +496,8 @@ pub struct FaultSummary {
     /// Kept only because the repository benchmark names it; inert;
     /// removed by ROADMAP item 5. Always zero: nothing is evacuated.
     pub salvaged: Money,
-    /// Deadline-budgeted retries the router executed.
+    /// Deadline-budgeted retries the router executed (the executor sums
+    /// them from the tenants' SLO records).
     pub retries: u64,
     /// Crashes triggered by cascade propagation (depth ≥ 1).
     pub cascade_crashes: u64,
@@ -697,15 +575,6 @@ pub struct FaultInjector {
     specs: Vec<NodeSpec>,
     econ: econ::EconConfig,
     schema: Arc<Schema>,
-    crashes: u64,
-    recoveries: u64,
-    reconciled: u64,
-    timeouts: u64,
-    write_off: Money,
-    requeued_secs: f64,
-    retries: u64,
-    cascade_crashes: u64,
-    max_cascade_depth: u32,
     records: Vec<FaultRecord>,
 }
 
@@ -772,15 +641,6 @@ impl FaultInjector {
             specs: specs.to_vec(),
             econ,
             schema,
-            crashes: 0,
-            recoveries: 0,
-            reconciled: 0,
-            timeouts: 0,
-            write_off: Money::ZERO,
-            requeued_secs: 0.0,
-            retries: 0,
-            cascade_crashes: 0,
-            max_cascade_depth: 0,
             records: Vec::new(),
         }
     }
@@ -821,16 +681,6 @@ impl FaultInjector {
         if let Some(journal) = self.journals.get_mut(&node) {
             journal.push((now, query.clone()));
         }
-    }
-
-    /// Counts one degraded-winner timeout re-route.
-    pub fn note_timeout(&mut self) {
-        self.timeouts += 1;
-    }
-
-    /// Counts one deadline-budgeted retry.
-    pub fn note_retry(&mut self) {
-        self.retries += 1;
     }
 
     /// Processes the next due event (callers loop on [`Self::next_due`]).
@@ -901,8 +751,6 @@ impl FaultInjector {
 
         let (id, run) = pop.crash(idx, rates, at);
         debug_assert_eq!(id, node);
-        // The whole invested capital is lost: `write_off == build_spend`.
-        let write_off = run.build_spend;
         if recover_planned {
             self.snapshots.insert(
                 node,
@@ -917,14 +765,15 @@ impl FaultInjector {
                 },
             );
         }
-        let record = CrashRecord {
+        let mut record = CrashRecord {
             node,
             phase,
             queries: run.queries,
             payments: run.payments,
             profit: run.profit,
             operating: run.operating.total(),
-            write_off,
+            // The whole invested capital is lost: `write_off == build_spend`.
+            write_off: run.build_spend,
             cascade_depth: depth,
             disk_bytes: run.final_disk_bytes,
             requeued_secs: 0.0,
@@ -935,7 +784,6 @@ impl FaultInjector {
         // Deterministic re-queue: the lowest-id routable survivor absorbs
         // the dead node's in-flight work, scaled by the penalty.
         let requeue = outstanding * self.requeue_penalty;
-        let mut record = record;
         if requeue > 0.0 {
             let survivor = pop
                 .live_mut()
@@ -946,14 +794,7 @@ impl FaultInjector {
                 survivor.add_backlog(at, requeue);
                 record.requeued_secs = requeue;
                 record.requeued_to = Some(survivor.id());
-                self.requeued_secs += requeue;
             }
-        }
-        self.crashes += 1;
-        self.write_off += write_off;
-        if depth > 0 {
-            self.cascade_crashes += 1;
-            self.max_cascade_depth = self.max_cascade_depth.max(depth);
         }
         self.records.push(FaultRecord {
             cell: self.cell,
@@ -1071,10 +912,6 @@ impl FaultInjector {
         let fresh = CacheNode::from_policy(replacement, policy, at, ready_at, boot_cost);
         pop.admit(fresh, at);
 
-        self.recoveries += 1;
-        if drift.is_zero() {
-            self.reconciled += 1;
-        }
         self.records.push(FaultRecord {
             cell: self.cell,
             at_secs: at.as_secs(),
@@ -1089,8 +926,8 @@ impl FaultInjector {
         });
     }
 
-    /// The fault ledger so far (the executor's flight recorder diffs this
-    /// to fold new records into the trace stream).
+    /// The fault ledger so far (the executor's flight recorder emits the
+    /// records made since its last look as trace events).
     #[must_use]
     pub fn records(&self) -> &[FaultRecord] {
         &self.records
@@ -1100,25 +937,40 @@ impl FaultInjector {
     /// sample this mid-run).
     #[must_use]
     pub fn write_off_so_far(&self) -> Money {
-        self.write_off
+        self.records
+            .iter()
+            .filter_map(|r| match &r.event {
+                FaultOutcome::Crash(c) => Some(c.write_off),
+                FaultOutcome::Recover(_) => None,
+            })
+            .sum()
     }
 
-    /// Consumes the injector into the cell's summary.
+    /// Consumes the injector into the cell's summary, its counts folded
+    /// from the ledger in record order; `timeouts` and `retries` are left
+    /// at zero.
     #[must_use]
     pub fn into_summary(self) -> FaultSummary {
-        FaultSummary {
-            crashes: self.crashes,
-            recoveries: self.recoveries,
-            reconciled: self.reconciled,
-            timeouts: self.timeouts,
-            write_off: self.write_off,
-            requeued_secs: self.requeued_secs,
-            retries: self.retries,
-            cascade_crashes: self.cascade_crashes,
-            max_cascade_depth: self.max_cascade_depth,
-            records: self.records,
-            ..FaultSummary::default()
+        let mut summary = FaultSummary::default();
+        for record in &self.records {
+            match &record.event {
+                FaultOutcome::Crash(c) => {
+                    summary.crashes += 1;
+                    summary.write_off += c.write_off;
+                    summary.requeued_secs += c.requeued_secs;
+                    if c.cascade_depth > 0 {
+                        summary.cascade_crashes += 1;
+                        summary.max_cascade_depth = summary.max_cascade_depth.max(c.cascade_depth);
+                    }
+                }
+                FaultOutcome::Recover(r) => {
+                    summary.recoveries += 1;
+                    summary.reconciled += u64::from(r.drift.is_zero());
+                }
+            }
         }
+        summary.records = self.records;
+        summary
     }
 }
 

@@ -1,11 +1,17 @@
 //! Typed trace events.
 //!
-//! Each event is a flat, owned record — no references into simulator
-//! state — so a recorded stream serializes losslessly and replays
-//! without the simulator. Events carry cell and arrival-time keys; the
-//! executor emits them in deterministic order (ascending cell, then
-//! per-cell arrival order), so two runs of the same config produce
-//! byte-identical streams.
+//! Each event is an owned record — no references into simulator state —
+//! so a recorded stream serializes losslessly and replays without the
+//! simulator. Events carry cell and arrival-time keys; the executor
+//! emits them in deterministic order (ascending cell, then per-cell
+//! arrival order), so two runs of the same config produce byte-identical
+//! streams.
+//!
+//! The control plane's records are defined here and nowhere else: the
+//! elastic controller's [`LedgerEntry`] and the fault injector's
+//! [`FaultRecord`] are both the fleet's own ledgers (the `fleet` crate
+//! re-exports them) and the payloads of [`TraceEvent::NodeLifecycle`]
+//! and [`TraceEvent::Fault`].
 
 use metrics::CostBreakdown;
 use pricing::Money;
@@ -74,118 +80,198 @@ pub struct SettlementEvent {
     pub evictions: u32,
 }
 
-/// Node lifecycle transition kinds, mirroring the elastic controller's
-/// `ElasticAction` (plus `Hold` for explainable no-ops).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LifecyclePhase {
-    /// A new node was spawned (begins booting).
-    Spawn,
-    /// A node stopped accepting queries and began draining.
-    DrainBegin,
-    /// A drained node was removed and its books settled.
-    Retire,
-    /// A review ran and decided to do nothing.
-    Hold,
+/// The pressure signals one elastic review evaluated — recorded verbatim
+/// in the ledger so every decision is explainable after the fact.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct PressureSignals {
+    /// Mean outstanding backlog per routable node (seconds), raw.
+    pub backlog: f64,
+    /// EWMA-smoothed backlog — the value the thresholds compare against.
+    pub backlog_ewma: f64,
+    /// Mean delivered response time over the window since the previous
+    /// review (seconds) — the simulated stand-in for quote-round latency.
+    pub window_response_secs: f64,
+    /// Fleet-cell profit accrual rate over the window ($/s).
+    pub profit_rate: f64,
+    /// Fleet-cell regret accrual rate over the window ($/s); negative
+    /// when investment or retirement cleared more regret than accrued.
+    pub regret_rate: f64,
 }
 
-impl LifecyclePhase {
-    /// Stable lower-case label (used in explain output).
+/// What a ledgered elastic review decided.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum ElasticAction {
+    /// No population change.
+    Hold,
+    /// A node was spawned (booting; routable once the boot completes).
+    ScaleUp {
+        /// The new node's id (unique within its cell).
+        node: usize,
+        /// Scheme of the cloned template.
+        scheme: String,
+    },
+    /// A node stopped receiving traffic and began draining.
+    DrainBegin {
+        /// The draining node's id.
+        node: usize,
+    },
+    /// A drained node was settled and removed from the population.
+    Retire {
+        /// The retired node's id.
+        node: usize,
+    },
+}
+
+impl ElasticAction {
+    /// Stable lower-case label (explain output).
     #[must_use]
     pub fn label(&self) -> &'static str {
         match self {
-            LifecyclePhase::Spawn => "spawn",
-            LifecyclePhase::DrainBegin => "drain-begin",
-            LifecyclePhase::Retire => "retire",
-            LifecyclePhase::Hold => "hold",
+            ElasticAction::Hold => "hold",
+            ElasticAction::ScaleUp { .. } => "spawn",
+            ElasticAction::DrainBegin { .. } => "drain-begin",
+            ElasticAction::Retire { .. } => "retire",
+        }
+    }
+
+    /// The node acted on (`None` for holds).
+    #[must_use]
+    pub fn node(&self) -> Option<usize> {
+        match self {
+            ElasticAction::Hold => None,
+            ElasticAction::ScaleUp { node, .. }
+            | ElasticAction::DrainBegin { node }
+            | ElasticAction::Retire { node } => Some(*node),
         }
     }
 }
 
-/// One node lifecycle transition, folding the elastic controller's
-/// `LedgerEntry` (rule + population counts + pressure signals) into the
-/// unified event stream.
+/// One explainable control-plane decision: the signal values the review
+/// saw, the rule that fired, and the action taken. The elastic
+/// controller's ledger holds these, and the flight recorder emits each
+/// one as it is as a [`TraceEvent::NodeLifecycle`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NodeLifecycleEvent {
-    /// Fleet cell the review ran in.
+pub struct LedgerEntry {
+    /// Cell whose controller made the decision.
     pub cell: usize,
-    /// Simulated review time, seconds.
+    /// Simulated instant of the review.
     pub at_secs: f64,
-    /// Transition kind.
-    pub phase: LifecyclePhase,
-    /// The node acted on (`None` for holds).
-    pub node: Option<usize>,
-    /// The controller rule that fired (e.g. `backlog-pressure`,
-    /// `drain-insolvent`, `cooldown`).
-    pub rule: String,
-    /// Caching scheme a spawned node runs (empty otherwise).
-    pub scheme: String,
-    /// Live nodes at review time.
+    /// Nodes alive (routable + booting + draining) at the review.
     pub live: usize,
-    /// Routable (booted, non-draining) nodes at review time.
+    /// Of those, routable.
     pub routable: usize,
-    /// Nodes still booting.
+    /// Of those, booting (spawned, boot not yet complete).
     pub booting: usize,
-    /// Nodes draining toward retirement.
+    /// Of those, draining.
     pub draining: usize,
-    /// Instantaneous backlog (queries queued across live nodes).
-    pub backlog: f64,
-    /// Smoothed backlog pressure (EWMA).
-    pub backlog_ewma: f64,
-    /// Mean response time over the review window, seconds.
-    pub window_response_secs: f64,
-    /// Fleet profit rate over the window, dollars/second.
-    pub profit_rate: f64,
-    /// Fleet regret rate over the window, dollars/second.
-    pub regret_rate: f64,
+    /// Name of the rule that fired (`backlog-pressure`, `idle-capacity`,
+    /// `cooldown`, `within-band`, `drain-insolvent`, …).
+    pub rule: String,
+    /// The action taken.
+    pub action: ElasticAction,
+    /// The signals the rule evaluated.
+    pub signals: PressureSignals,
 }
 
-/// One injected node crash, settled: the fault plane removed the node at
-/// a configured instant, charged its eq. 11 uptime and eq. 13 disk-rent
-/// integrals up to that instant, and wrote its invested build capital
-/// off as a ledgered loss.
+/// The lifecycle phase a node was in when it crashed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum CrashPhase {
+    /// Booted, routable, serving traffic.
+    Active,
+    /// Spawned but the eq. 10 boot had not completed.
+    MidBoot,
+    /// Draining toward voluntary retirement when the crash pre-empted it.
+    MidDrain,
+}
+
+impl CrashPhase {
+    /// Stable lower-case label (explain output).
+    #[must_use]
+    pub fn label(&self) -> &'static str {
+        match self {
+            CrashPhase::Active => "active",
+            CrashPhase::MidBoot => "mid-boot",
+            CrashPhase::MidDrain => "mid-drain",
+        }
+    }
+}
+
+/// The settlement of one injected crash: the fault plane removed the node
+/// at a configured instant, charged its eq. 11 uptime and eq. 13
+/// disk-rent integrals up to that instant, and wrote its invested build
+/// capital off as a ledgered loss.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NodeCrashEvent {
-    /// Fleet cell the crash fired in.
-    pub cell: usize,
-    /// Simulated crash instant, seconds.
-    pub at_secs: f64,
+pub struct CrashRecord {
     /// The crashed node's id.
     pub node: usize,
-    /// Lifecycle phase at the instant (`active`, `mid-boot`, `mid-drain`).
-    pub phase: String,
+    /// Lifecycle phase at the crash instant.
+    pub phase: CrashPhase,
     /// Queries the node had served.
     pub queries: u64,
     /// Payments it had collected.
     pub payments: Money,
     /// Profit it had accumulated.
     pub profit: Money,
-    /// Operating cost settled at the crash instant (eq. 11 + eq. 13).
+    /// Operating cost settled at the crash instant — eq. 11 uptime and
+    /// the eq. 13 disk byte-seconds integral, charged up to the instant.
     pub operating: Money,
-    /// Invested build capital written off (structures + boot).
+    /// Invested build capital (structures + boot) written off as a loss:
+    /// the node's whole `build_spend`, to the nanodollar.
     pub write_off: Money,
-    /// Cascade generation (0 for planned crashes).
-    #[serde(default)]
+    /// Cascade generation: 0 for planned crashes, `d + 1` for crashes
+    /// triggered by a depth-`d` crash.
     pub cascade_depth: u32,
     /// Cache disk occupied when the node died (bytes).
     pub disk_bytes: u64,
-    /// In-flight backlog re-queued onto a survivor, seconds
-    /// (post-penalty).
+    /// Seconds of in-flight backlog re-queued (post-penalty).
     pub requeued_secs: f64,
-    /// The survivor that absorbed the backlog, if any was routable.
+    /// Survivor the backlog was re-queued onto (`None` if no routable
+    /// node remained at the instant).
     pub requeued_to: Option<usize>,
     /// True when a replay-recovery is scheduled for this crash.
     pub recover_planned: bool,
+}
+
+/// Exact differences between a replayed ledger and the pre-crash
+/// snapshot; all-zero when the recovery reconciled.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct ReconcileDrift {
+    /// Replayed − snapshot query count.
+    pub queries: i64,
+    /// Replayed − snapshot payments.
+    pub payments: Money,
+    /// Replayed − snapshot profit.
+    pub profit: Money,
+    /// Replayed − snapshot cache hits.
+    pub cache_hits: i64,
+    /// Replayed − snapshot account balance.
+    pub balance: Money,
+    /// Replayed − snapshot accrued regret.
+    pub regret: Money,
+    /// Replayed − snapshot disk occupancy (bytes).
+    pub disk_bytes: i64,
+}
+
+impl ReconcileDrift {
+    /// True when every component is exactly zero — the ledger replay
+    /// reproduced the crashed node's economics bit for bit.
+    #[must_use]
+    pub fn is_zero(&self) -> bool {
+        self.queries == 0
+            && self.payments == Money::ZERO
+            && self.profit == Money::ZERO
+            && self.cache_hits == 0
+            && self.balance == Money::ZERO
+            && self.regret == Money::ZERO
+            && self.disk_bytes == 0
+    }
 }
 
 /// One completed crash-recovery: a replacement node was reconstructed by
 /// replaying the crashed node's settlement journal into a fresh economy,
 /// cross-footed exactly against the pre-crash books.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NodeRecoverEvent {
-    /// Fleet cell the recovery fired in.
-    pub cell: usize,
-    /// Simulated recovery instant, seconds.
-    pub at_secs: f64,
+pub struct RecoverRecord {
     /// The node whose ledger was replayed.
     pub crashed: usize,
     /// The replacement node's fresh id.
@@ -196,8 +282,31 @@ pub struct NodeRecoverEvent {
     pub ready_at_secs: f64,
     /// Journal length replayed.
     pub replayed_queries: u64,
-    /// True when the replayed balances reconciled with zero drift.
-    pub reconciled: bool,
+    /// Replay-vs-snapshot reconciliation result.
+    pub drift: ReconcileDrift,
+}
+
+/// What one fault event did.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum FaultOutcome {
+    /// A node crashed and was settled.
+    Crash(CrashRecord),
+    /// A crashed node was reconstructed by ledger replay.
+    Recover(RecoverRecord),
+}
+
+/// One ledgered fault event. The fault injector's ledger holds these,
+/// and the flight recorder emits each one as it is as a
+/// [`TraceEvent::Fault`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FaultRecord {
+    /// Cell the event fired in (each cell applies the plan to its own
+    /// fleet replica).
+    pub cell: usize,
+    /// Simulated instant, seconds.
+    pub at_secs: f64,
+    /// What happened.
+    pub event: FaultOutcome,
 }
 
 /// One deadline-budgeted retry: a query routed at a degraded winner
@@ -238,12 +347,11 @@ pub enum TraceEvent {
     QuoteRound(QuoteRoundEvent),
     /// A query settled.
     Settlement(SettlementEvent),
-    /// A node changed lifecycle state.
-    NodeLifecycle(NodeLifecycleEvent),
-    /// An injected crash settled a node's books.
-    NodeCrash(NodeCrashEvent),
-    /// A crashed node was reconstructed by ledger replay.
-    NodeRecover(NodeRecoverEvent),
+    /// An elastic review decided (a spawn, drain, retirement or hold).
+    NodeLifecycle(LedgerEntry),
+    /// An injected crash settled a node's books, or a crashed node was
+    /// reconstructed by ledger replay.
+    Fault(FaultRecord),
     /// A query retried away from a degraded winner.
     QueryRetry(QueryRetryEvent),
 }
@@ -256,8 +364,7 @@ impl TraceEvent {
             TraceEvent::QuoteRound(e) => e.cell,
             TraceEvent::Settlement(e) => e.cell,
             TraceEvent::NodeLifecycle(e) => e.cell,
-            TraceEvent::NodeCrash(e) => e.cell,
-            TraceEvent::NodeRecover(e) => e.cell,
+            TraceEvent::Fault(e) => e.cell,
             TraceEvent::QueryRetry(e) => e.cell,
         }
     }
@@ -269,8 +376,7 @@ impl TraceEvent {
             TraceEvent::QuoteRound(e) => e.at_secs,
             TraceEvent::Settlement(e) => e.at_secs,
             TraceEvent::NodeLifecycle(e) => e.at_secs,
-            TraceEvent::NodeCrash(e) => e.at_secs,
-            TraceEvent::NodeRecover(e) => e.at_secs,
+            TraceEvent::Fault(e) => e.at_secs,
             TraceEvent::QueryRetry(e) => e.at_secs,
         }
     }
@@ -294,25 +400,16 @@ mod tests {
         });
         assert_eq!(q.cell(), 3);
         assert!((q.at_secs() - 1.5).abs() < 1e-12);
-        let l = TraceEvent::NodeLifecycle(NodeLifecycleEvent {
-            cell: 1,
-            at_secs: 9.0,
-            phase: LifecyclePhase::Retire,
-            node: Some(5),
-            rule: "drain-grace".into(),
-            scheme: String::new(),
-            live: 2,
-            routable: 2,
-            booting: 0,
-            draining: 0,
-            backlog: 0.0,
-            backlog_ewma: 0.0,
-            window_response_secs: 0.0,
-            profit_rate: 0.0,
-            regret_rate: 0.0,
-        });
+        let l = TraceEvent::NodeLifecycle(entry(1, ElasticAction::Retire { node: 5 }));
         assert_eq!(l.cell(), 1);
-        assert_eq!(LifecyclePhase::Retire.label(), "retire");
+        assert!((l.at_secs() - 9.0).abs() < 1e-12);
+        let f = TraceEvent::Fault(FaultRecord {
+            cell: 2,
+            at_secs: 40.0,
+            event: FaultOutcome::Recover(recover()),
+        });
+        assert_eq!(f.cell(), 2);
+        assert!((f.at_secs() - 40.0).abs() < 1e-12);
         let r = TraceEvent::QueryRetry(QueryRetryEvent {
             cell: 0,
             at_secs: 7.0,
@@ -329,13 +426,94 @@ mod tests {
         assert!((r.at_secs() - 7.0).abs() < 1e-12);
     }
 
+    fn entry(cell: usize, action: ElasticAction) -> LedgerEntry {
+        LedgerEntry {
+            cell,
+            at_secs: 9.0,
+            live: 2,
+            routable: 2,
+            booting: 0,
+            draining: 0,
+            rule: "drain-grace".into(),
+            action,
+            signals: PressureSignals {
+                backlog: 0.5,
+                backlog_ewma: 0.25,
+                window_response_secs: 1.5,
+                profit_rate: -0.001,
+                regret_rate: 0.0,
+            },
+        }
+    }
+
+    fn recover() -> RecoverRecord {
+        RecoverRecord {
+            crashed: 1,
+            replacement: 4,
+            boot_cost: Money::from_dollars(0.2),
+            ready_at_secs: 60.0,
+            replayed_queries: 12,
+            drift: ReconcileDrift::default(),
+        }
+    }
+
     #[test]
-    fn crash_events_without_cascade_depth_still_deserialize() {
-        let json = r#"{"cell":0,"at_secs":10.0,"node":1,"phase":"active",
-            "queries":5,"payments":100,"profit":10,"operating":50,
-            "write_off":25,"disk_bytes":1024,"requeued_secs":0.5,
-            "requeued_to":2,"recover_planned":false}"#;
-        let back: NodeCrashEvent = serde_json::from_str(json).unwrap();
-        assert_eq!(back.cascade_depth, 0);
+    fn action_labels_and_nodes() {
+        let spawn = ElasticAction::ScaleUp {
+            node: 3,
+            scheme: "econ-cheap".into(),
+        };
+        assert_eq!((spawn.label(), spawn.node()), ("spawn", Some(3)));
+        let drain = ElasticAction::DrainBegin { node: 4 };
+        assert_eq!((drain.label(), drain.node()), ("drain-begin", Some(4)));
+        let retire = ElasticAction::Retire { node: 5 };
+        assert_eq!((retire.label(), retire.node()), ("retire", Some(5)));
+        assert_eq!(
+            (ElasticAction::Hold.label(), ElasticAction::Hold.node()),
+            ("hold", None)
+        );
+        assert_eq!(CrashPhase::MidDrain.label(), "mid-drain");
+    }
+
+    /// Every control-plane event shape survives JSON: unit, struct and
+    /// newtype variants alike.
+    #[test]
+    fn control_plane_events_round_trip_through_json() {
+        let events = vec![
+            TraceEvent::NodeLifecycle(entry(0, ElasticAction::Hold)),
+            TraceEvent::NodeLifecycle(entry(
+                1,
+                ElasticAction::ScaleUp {
+                    node: 3,
+                    scheme: "econ-cheap".into(),
+                },
+            )),
+            TraceEvent::Fault(FaultRecord {
+                cell: 1,
+                at_secs: 30.0,
+                event: FaultOutcome::Crash(CrashRecord {
+                    node: 1,
+                    phase: CrashPhase::MidBoot,
+                    queries: 5,
+                    payments: Money::from_dollars(1.0),
+                    profit: Money::from_dollars(0.1),
+                    operating: Money::from_dollars(0.5),
+                    write_off: Money::from_dollars(0.25),
+                    cascade_depth: 1,
+                    disk_bytes: 1024,
+                    requeued_secs: 0.5,
+                    requeued_to: None,
+                    recover_planned: true,
+                }),
+            }),
+            TraceEvent::Fault(FaultRecord {
+                cell: 1,
+                at_secs: 40.0,
+                event: FaultOutcome::Recover(recover()),
+            }),
+        ];
+        let json = serde_json::to_string(&events).unwrap();
+        let back: Vec<TraceEvent> = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, events);
     }
 }

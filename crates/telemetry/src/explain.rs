@@ -16,7 +16,7 @@ use pricing::Money;
 use serde::Serialize;
 
 use crate::event::{
-    LifecyclePhase, NodeCrashEvent, NodeLifecycleEvent, NodeRecoverEvent, TraceEvent,
+    CrashRecord, ElasticAction, FaultOutcome, FaultRecord, LedgerEntry, RecoverRecord, TraceEvent,
 };
 
 /// Grouping key for a blame rollup.
@@ -106,7 +106,11 @@ fn sorted_rows(map: BTreeMap<String, BlameRow>) -> Vec<(String, BlameRow)> {
 pub fn blame(events: &[TraceEvent], key: BlameKey) -> Vec<(String, BlameRow)> {
     let mut map: BTreeMap<String, BlameRow> = BTreeMap::new();
     for event in events {
-        if let TraceEvent::NodeCrash(c) = event {
+        if let TraceEvent::Fault(FaultRecord {
+            event: FaultOutcome::Crash(c),
+            ..
+        }) = event
+        {
             match key {
                 BlameKey::Node => {
                     map.entry(format!("node#{}", c.node)).or_default().write_off += c.write_off;
@@ -196,12 +200,14 @@ pub fn structure_payers(events: &[TraceEvent], s: &str) -> Vec<(String, BlameRow
 }
 
 /// Every lifecycle transition recorded for node `node`, in stream order.
+/// Node ids are per cell, so the transitions of every cell's node `node`
+/// interleave here; each entry names its cell.
 #[must_use]
-pub fn node_timeline(events: &[TraceEvent], node: usize) -> Vec<&NodeLifecycleEvent> {
+pub fn node_timeline(events: &[TraceEvent], node: usize) -> Vec<&LedgerEntry> {
     events
         .iter()
         .filter_map(|e| match e {
-            TraceEvent::NodeLifecycle(l) if l.node == Some(node) => Some(l),
+            TraceEvent::NodeLifecycle(l) if l.action.node() == Some(node) => Some(l),
             _ => None,
         })
         .collect()
@@ -211,42 +217,46 @@ pub fn node_timeline(events: &[TraceEvent], node: usize) -> Vec<&NodeLifecycleEv
 /// retirement for it (the `explain` tool treats that as an unanswerable
 /// query and exits non-zero).
 ///
-/// The answer narrates the node's lifecycle — spawn, drain decision
-/// (rule + the pressure signals that fired it), retirement — plus the
-/// queries it served and the profit it booked while alive.
+/// The answer narrates the first retirement of a node `node` in the
+/// stream and that node's lifecycle in its own cell — spawn, drain
+/// decision (rule + the pressure signals that fired it), retirement —
+/// plus the queries it served and the profit it booked while alive.
 #[must_use]
 pub fn explain_retirement(events: &[TraceEvent], node: usize) -> Option<String> {
     let timeline = node_timeline(events, node);
     let retire = timeline
         .iter()
-        .find(|l| l.phase == LifecyclePhase::Retire)?;
+        .find(|l| matches!(l.action, ElasticAction::Retire { .. }))?;
+    let cell = retire.cell;
+    let in_cell = || timeline.iter().filter(|l| l.cell == cell);
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "node {node} retired at t={:.1}s (cell {}, rule `{}`)",
-        retire.at_secs, retire.cell, retire.rule
+        "node {node} retired at t={:.1}s (cell {cell}, rule `{}`)",
+        retire.at_secs, retire.rule
     );
-    if let Some(spawn) = timeline.iter().find(|l| l.phase == LifecyclePhase::Spawn) {
+    if let Some((spawn, scheme)) = in_cell().find_map(|l| match &l.action {
+        ElasticAction::ScaleUp { scheme, .. } => Some((l, scheme)),
+        _ => None,
+    }) {
         let _ = writeln!(
             out,
-            "  spawned at t={:.1}s by rule `{}` (scheme {})",
-            spawn.at_secs, spawn.rule, spawn.scheme
+            "  spawned at t={:.1}s by rule `{}` (scheme {scheme})",
+            spawn.at_secs, spawn.rule
         );
     }
-    if let Some(drain) = timeline
-        .iter()
-        .find(|l| l.phase == LifecyclePhase::DrainBegin)
-    {
+    if let Some(drain) = in_cell().find(|l| matches!(l.action, ElasticAction::DrainBegin { .. })) {
+        let signals = &drain.signals;
         let _ = writeln!(
             out,
             "  drain began at t={:.1}s by rule `{}`: backlog_ewma={:.3}, \
              window_response={:.3}s, profit_rate={:+.6}$/s, regret_rate={:.6}$/s",
             drain.at_secs,
             drain.rule,
-            drain.backlog_ewma,
-            drain.window_response_secs,
-            drain.profit_rate,
-            drain.regret_rate
+            signals.backlog_ewma,
+            signals.window_response_secs,
+            signals.profit_rate,
+            signals.regret_rate
         );
     }
     let mut served = 0u64;
@@ -254,7 +264,7 @@ pub fn explain_retirement(events: &[TraceEvent], node: usize) -> Option<String> 
     let mut profit = Money::ZERO;
     for e in events {
         if let TraceEvent::Settlement(s) = e {
-            if s.node == node {
+            if s.node == node && s.cell == cell {
                 served += 1;
                 payments += s.payment;
                 profit += s.profit;
@@ -283,28 +293,38 @@ pub fn explain_retirement(events: &[TraceEvent], node: usize) -> Option<String> 
 /// boot versus the payments recovered from tenants before the crash, the
 /// invested balance written off as a ledgered loss, the re-queued
 /// backlog, and — when a recovery replayed the ledger — whether the
-/// replayed balances cross-footed exactly.
+/// replayed balances cross-footed exactly. It narrates the first crash of
+/// a node `node` in the stream, and only a recovery in that crash's cell.
 #[must_use]
 pub fn explain_crash(events: &[TraceEvent], node: usize) -> Option<String> {
-    let crash: &NodeCrashEvent = events.iter().find_map(|e| match e {
-        TraceEvent::NodeCrash(c) if c.node == node => Some(c),
-        _ => None,
-    })?;
-    let recover: Option<&NodeRecoverEvent> = events.iter().find_map(|e| match e {
-        TraceEvent::NodeRecover(r) if r.crashed == node => Some(r),
+    let fault_records = || {
+        events.iter().filter_map(|e| match e {
+            TraceEvent::Fault(r) => Some(r),
+            _ => None,
+        })
+    };
+    let (at_secs, cell, crash): (f64, usize, &CrashRecord) =
+        fault_records().find_map(|r| match &r.event {
+            FaultOutcome::Crash(c) if c.node == node => Some((r.at_secs, r.cell, c)),
+            _ => None,
+        })?;
+    let recover: Option<(f64, &RecoverRecord)> = fault_records().find_map(|r| match &r.event {
+        FaultOutcome::Recover(rec) if rec.crashed == node && r.cell == cell => {
+            Some((r.at_secs, rec))
+        }
         _ => None,
     });
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "node {node} crashed at t={:.1}s (cell {}, phase `{}`)",
-        crash.at_secs, crash.cell, crash.phase
+        "node {node} crashed at t={at_secs:.1}s (cell {cell}, phase `{}`)",
+        crash.phase.label()
     );
     let _ = writeln!(
         out,
         "  books settled at the crash instant: {} operating charged \
-         (eq. 11 uptime + eq. 13 disk rent, integrated to t={:.1}s)",
-        crash.operating, crash.at_secs
+         (eq. 11 uptime + eq. 13 disk rent, integrated to t={at_secs:.1}s)",
+        crash.operating
     );
     let _ = writeln!(
         out,
@@ -337,18 +357,18 @@ pub fn explain_crash(events: &[TraceEvent], node: usize) -> Option<String> {
         }
     }
     match recover {
-        Some(r) => {
+        Some((recovered_at, r)) => {
             let _ = writeln!(
                 out,
                 "  recovered at t={:.1}s as node {}: replayed {} journal entries \
                  into a fresh economy ({} boot capital, routable at t={:.1}s) — \
                  reconciliation {}",
-                r.at_secs,
+                recovered_at,
                 r.replacement,
                 r.replayed_queries,
                 r.boot_cost,
                 r.ready_at_secs,
-                if r.reconciled {
+                if r.drift.is_zero() {
                     "exact (zero drift)"
                 } else {
                     "DRIFTED"
@@ -393,24 +413,41 @@ mod tests {
         })
     }
 
-    fn lifecycle(node: usize, phase: LifecyclePhase, at: f64, rule: &str) -> TraceEvent {
-        TraceEvent::NodeLifecycle(NodeLifecycleEvent {
+    fn in_cell(cell: usize, mut event: TraceEvent) -> TraceEvent {
+        match &mut event {
+            TraceEvent::Settlement(e) => e.cell = cell,
+            TraceEvent::NodeLifecycle(e) => e.cell = cell,
+            TraceEvent::Fault(e) => e.cell = cell,
+            _ => unreachable!("fixtures build settlements and control-plane records"),
+        }
+        event
+    }
+
+    fn lifecycle(action: ElasticAction, at: f64, rule: &str) -> TraceEvent {
+        TraceEvent::NodeLifecycle(LedgerEntry {
             cell: 0,
             at_secs: at,
-            phase,
-            node: Some(node),
-            rule: rule.into(),
-            scheme: "econ-cheap".into(),
             live: 2,
             routable: 2,
             booting: 0,
             draining: 1,
-            backlog: 1.0,
-            backlog_ewma: 0.5,
-            window_response_secs: 0.2,
-            profit_rate: -0.001,
-            regret_rate: 0.0,
+            rule: rule.into(),
+            action,
+            signals: crate::event::PressureSignals {
+                backlog: 1.0,
+                backlog_ewma: 0.5,
+                window_response_secs: 0.2,
+                profit_rate: -0.001,
+                regret_rate: 0.0,
+            },
         })
+    }
+
+    fn spawn(node: usize) -> ElasticAction {
+        ElasticAction::ScaleUp {
+            node,
+            scheme: "econ-cheap".into(),
+        }
     }
 
     #[test]
@@ -477,10 +514,14 @@ mod tests {
     #[test]
     fn retirement_narrative_includes_rule_and_signals() {
         let events = vec![
-            lifecycle(3, LifecyclePhase::Spawn, 10.0, "backlog-pressure"),
+            lifecycle(spawn(3), 10.0, "backlog-pressure"),
             settlement(1, 0, 3, &[]),
-            lifecycle(3, LifecyclePhase::DrainBegin, 50.0, "drain-insolvent"),
-            lifecycle(3, LifecyclePhase::Retire, 110.0, "drain-grace"),
+            lifecycle(
+                ElasticAction::DrainBegin { node: 3 },
+                50.0,
+                "drain-insolvent",
+            ),
+            lifecycle(ElasticAction::Retire { node: 3 }, 110.0, "drain-grace"),
         ];
         let text = explain_retirement(&events, 3).unwrap();
         assert!(text.contains("retired at t=110.0s"));
@@ -492,22 +533,49 @@ mod tests {
     }
 
     fn crash(node: usize, write_off: f64, requeued_to: Option<usize>) -> TraceEvent {
-        TraceEvent::NodeCrash(NodeCrashEvent {
+        TraceEvent::Fault(FaultRecord {
             cell: 0,
             at_secs: 40.0,
-            node,
-            phase: "active".into(),
-            queries: 12,
-            payments: Money::from_dollars(0.9),
-            profit: Money::from_dollars(0.1),
-            operating: Money::from_dollars(0.4),
-            write_off: Money::from_dollars(write_off),
-            disk_bytes: 4096,
-            requeued_secs: 1.25,
-            requeued_to,
-            recover_planned: true,
-            cascade_depth: 0,
+            event: FaultOutcome::Crash(CrashRecord {
+                node,
+                phase: crate::event::CrashPhase::Active,
+                queries: 12,
+                payments: Money::from_dollars(0.9),
+                profit: Money::from_dollars(0.1),
+                operating: Money::from_dollars(0.4),
+                write_off: Money::from_dollars(write_off),
+                cascade_depth: 0,
+                disk_bytes: 4096,
+                requeued_secs: 1.25,
+                requeued_to,
+                recover_planned: true,
+            }),
         })
+    }
+
+    fn recover(crashed: usize, replacement: usize) -> TraceEvent {
+        TraceEvent::Fault(FaultRecord {
+            cell: 0,
+            at_secs: 55.0,
+            event: FaultOutcome::Recover(RecoverRecord {
+                crashed,
+                replacement,
+                boot_cost: Money::from_dollars(0.2),
+                ready_at_secs: 75.0,
+                replayed_queries: 12,
+                drift: crate::event::ReconcileDrift::default(),
+            }),
+        })
+    }
+
+    fn crash_record(event: &mut TraceEvent) -> &mut CrashRecord {
+        match event {
+            TraceEvent::Fault(FaultRecord {
+                event: FaultOutcome::Crash(c),
+                ..
+            }) => c,
+            _ => unreachable!("a crash fixture"),
+        }
     }
 
     #[test]
@@ -515,16 +583,7 @@ mod tests {
         let events = vec![
             settlement(1, 0, 2, &[]),
             crash(2, 0.75, Some(0)),
-            TraceEvent::NodeRecover(NodeRecoverEvent {
-                cell: 0,
-                at_secs: 55.0,
-                crashed: 2,
-                replacement: 7,
-                boot_cost: Money::from_dollars(0.2),
-                ready_at_secs: 75.0,
-                replayed_queries: 12,
-                reconciled: true,
-            }),
+            recover(2, 7),
         ];
         let text = explain_crash(&events, 2).unwrap();
         assert!(text.contains("crashed at t=40.0s"));
@@ -539,9 +598,7 @@ mod tests {
     #[test]
     fn crash_narrative_without_recovery_says_so() {
         let mut c = crash(4, 0.5, None);
-        if let TraceEvent::NodeCrash(ev) = &mut c {
-            ev.recover_planned = false;
-        }
+        crash_record(&mut c).recover_planned = false;
         let text = explain_crash(&[c], 4).unwrap();
         assert!(text.contains("no in-flight backlog re-queued"));
         assert!(text.contains("no recovery planned"));
@@ -567,9 +624,7 @@ mod tests {
     #[test]
     fn crash_narrative_reports_the_write_off_as_invested_capital_and_cascade_depth() {
         let mut c = crash(2, 0.30, None);
-        if let TraceEvent::NodeCrash(ev) = &mut c {
-            ev.cascade_depth = 2;
-        }
+        crash_record(&mut c).cascade_depth = 2;
         let text = explain_crash(&[c], 2).unwrap();
         assert!(text.contains("cascade follow-on crash at depth 2"));
         // A crash writes off the whole invested capital.
@@ -578,5 +633,52 @@ mod tests {
             text.contains("written off as ledgered loss: $0.3000"),
             "{text}"
         );
+    }
+
+    /// Node ids are per cell: every cell replicates the seed ids and
+    /// numbers its spawns from the same next id. A narration reads only
+    /// the narrated event's cell.
+    #[test]
+    fn narrations_read_only_the_narrated_events_cell() {
+        let events = vec![
+            in_cell(0, settlement(1, 0, 2, &[])),
+            in_cell(0, settlement(1, 0, 2, &[])),
+            in_cell(0, lifecycle(spawn(2), 5.0, "population-floor")),
+            in_cell(
+                0,
+                lifecycle(ElasticAction::DrainBegin { node: 2 }, 20.0, "idle-capacity"),
+            ),
+            in_cell(1, lifecycle(spawn(2), 10.0, "backlog-pressure")),
+            in_cell(1, settlement(1, 0, 2, &[])),
+            in_cell(
+                1,
+                lifecycle(ElasticAction::DrainBegin { node: 2 }, 50.0, "idle-capacity"),
+            ),
+            in_cell(
+                1,
+                lifecycle(ElasticAction::Retire { node: 2 }, 110.0, "drain-grace"),
+            ),
+            in_cell(0, recover(4, 7)),
+            in_cell(1, crash(4, 0.5, None)),
+        ];
+        let text = explain_retirement(&events, 2).unwrap();
+        assert!(text.contains("(cell 1, rule `drain-grace`)"), "{text}");
+        assert!(
+            text.contains("spawned at t=10.0s by rule `backlog-pressure`"),
+            "{text}"
+        );
+        assert!(text.contains("drain began at t=50.0s"), "{text}");
+        assert!(
+            text.contains("served 1 queries, collected $0.1000, booked $0.0300 profit"),
+            "{text}"
+        );
+
+        let mut unrecovered = crash(4, 0.5, None);
+        crash_record(&mut unrecovered).recover_planned = false;
+        let events = [in_cell(0, recover(4, 7)), in_cell(1, unrecovered)];
+        let text = explain_crash(&events, 4).unwrap();
+        assert!(text.contains("(cell 1, phase `active`)"), "{text}");
+        assert!(text.contains("no recovery planned"), "{text}");
+        assert!(!text.contains("recovered at"), "{text}");
     }
 }

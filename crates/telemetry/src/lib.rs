@@ -8,9 +8,10 @@
 //! decisions:
 //!
 //! * [`event::TraceEvent`] — a typed event stream: quote-round outcomes,
-//!   query settlements with per-resource cost deltas, and node lifecycle
-//!   transitions (folding the elastic controller's `LedgerEntry` into the
-//!   same stream).
+//!   query settlements with per-resource cost deltas, retries, and the
+//!   control plane's own records — the elastic controller's
+//!   [`LedgerEntry`] and the fault injector's [`FaultRecord`], defined
+//!   here once and carried as they are.
 //! * [`sink::TraceSink`] — where events go. The default [`sink::NoopSink`]
 //!   reports itself disabled so instrumented code skips event assembly
 //!   entirely; [`sink::RingSink`] keeps the last *N* events;
@@ -38,8 +39,9 @@ pub mod registry;
 pub mod sink;
 
 pub use event::{
-    LifecyclePhase, NodeCrashEvent, NodeLifecycleEvent, NodeRecoverEvent, QueryRetryEvent,
-    QuoteRoundEvent, SettlementEvent, TraceEvent,
+    CrashPhase, CrashRecord, ElasticAction, FaultOutcome, FaultRecord, LedgerEntry,
+    PressureSignals, QueryRetryEvent, QuoteRoundEvent, ReconcileDrift, RecoverRecord,
+    SettlementEvent, TraceEvent,
 };
 pub use explain::{
     blame, explain_crash, explain_retirement, node_timeline, structure_payers, BlameKey, BlameRow,

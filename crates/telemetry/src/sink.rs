@@ -125,25 +125,25 @@ impl TraceSink for RingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{LifecyclePhase, NodeLifecycleEvent};
+    use crate::event::{ElasticAction, LedgerEntry, PressureSignals};
 
     fn ev(cell: usize) -> TraceEvent {
-        TraceEvent::NodeLifecycle(NodeLifecycleEvent {
+        TraceEvent::NodeLifecycle(LedgerEntry {
             cell,
             at_secs: cell as f64,
-            phase: LifecyclePhase::Hold,
-            node: None,
-            rule: "within-band".into(),
-            scheme: String::new(),
             live: 1,
             routable: 1,
             booting: 0,
             draining: 0,
-            backlog: 0.0,
-            backlog_ewma: 0.0,
-            window_response_secs: 0.0,
-            profit_rate: 0.0,
-            regret_rate: 0.0,
+            rule: "within-band".into(),
+            action: ElasticAction::Hold,
+            signals: PressureSignals {
+                backlog: 0.0,
+                backlog_ewma: 0.0,
+                window_response_secs: 0.0,
+                profit_rate: 0.0,
+                regret_rate: 0.0,
+            },
         })
     }
 

@@ -18,12 +18,13 @@
 
 use std::sync::{Arc, OnceLock};
 
+use bench::fleet_fingerprint;
 use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
 use cloudcache::catalog::Schema;
 use cloudcache::econ::{EconConfig, InvestmentRule};
 use cloudcache::fleet::{
-    run_fleet, CacheNode, CheapestQuote, ElasticConfig, FleetConfig, FleetResult, FleetSim,
-    LeastOutstanding, NodePopulation, NodeSpec, RoundRobin, Router, RouterKind,
+    run_fleet, CacheNode, CheapestQuote, ElasticConfig, FleetConfig, FleetSim, LeastOutstanding,
+    NodePopulation, NodeSpec, RoundRobin, Router, RouterKind,
 };
 use cloudcache::planner::{
     generate_candidates, CandidateIndex, CostParams, Estimator, ExecRows, PlannerContext,
@@ -227,24 +228,6 @@ fn elastic_base(seed: u64) -> FleetConfig {
     config
 }
 
-/// Everything an elastic run must reproduce exactly, ledger included.
-fn elastic_fingerprint(r: &FleetResult) -> String {
-    let e = r.elastic.as_ref().expect("elastic summary present");
-    format!(
-        "queries={} cost={} payments={} mean={:016x} builds={} spawns={} retires={} \
-         node_seconds={:016x} ledger={}",
-        r.queries,
-        r.total_operating_cost().as_nanos(),
-        r.payments.as_nanos(),
-        r.mean_response_secs().to_bits(),
-        r.investments,
-        e.spawns,
-        e.retires,
-        e.node_seconds.to_bits(),
-        serde_json::to_string(&e.ledger).expect("ledger serializes"),
-    )
-}
-
 /// Shard counts and tracing leave the ledger and the aggregates
 /// unchanged. (The name predates the removal of the quote
 /// pool; it is kept so the test's id stays stable.)
@@ -258,12 +241,12 @@ fn elastic_ledger_and_aggregates_invariant_under_shards_and_pools() {
             "fixture must exercise the control plane (seed {seed})"
         );
         assert!(!summary.ledger.is_empty());
-        let reference = elastic_fingerprint(&reference);
+        let reference = fleet_fingerprint(&reference);
 
         for shards in [4usize, 2] {
             let mut config = elastic_base(seed);
             config.shards = shards;
-            let replay = elastic_fingerprint(&run_fleet(config));
+            let replay = fleet_fingerprint(&run_fleet(config));
             assert_eq!(
                 replay, reference,
                 "drift under shards={shards} (seed {seed})"
@@ -273,7 +256,7 @@ fn elastic_ledger_and_aggregates_invariant_under_shards_and_pools() {
         // moving one.
         let (traced, _) = FleetSim::new(elastic_base(seed)).run_traced();
         assert_eq!(
-            elastic_fingerprint(&traced),
+            fleet_fingerprint(&traced),
             reference,
             "drift under tracing (seed {seed})"
         );

@@ -20,9 +20,10 @@
 //! 6. **Drift alarms** — the e-process detector stays silent on healthy
 //!    fleets and fires on a degraded node.
 
+use bench::fleet_fingerprint;
 use cloudcache::fleet::{
-    run_fleet, CacheNode, ElasticAction, ElasticConfig, FaultOutcome, FaultPlan, FleetConfig,
-    FleetResult, FleetSim, NodePopulation, NodeSpec, RouterKind,
+    run_fleet, CacheNode, ElasticAction, ElasticConfig, FaultOutcome, FaultPlan, FaultRecord,
+    FleetConfig, FleetSim, NodePopulation, NodeSpec, RouterKind,
 };
 use cloudcache::pricing::{Money, PriceCatalog};
 use cloudcache::simcore::SimTime;
@@ -44,21 +45,6 @@ fn faulted_base(seed: u64) -> FleetConfig {
 }
 
 const HORIZON: f64 = 40.0;
-
-/// Everything a faulted run must reproduce exactly, fault ledger
-/// included.
-fn fault_fingerprint(r: &FleetResult) -> String {
-    format!(
-        "queries={} cost={} payments={} mean={:016x} builds={} node_seconds={:016x} faults={}",
-        r.queries,
-        r.total_operating_cost().as_nanos(),
-        r.payments.as_nanos(),
-        r.mean_response_secs().to_bits(),
-        r.investments,
-        r.node_seconds.to_bits(),
-        serde_json::to_string(&r.faults).expect("fault summary serializes"),
-    )
-}
 
 proptest! {
     /// Whatever router serves the fleet,
@@ -119,11 +105,11 @@ proptest! {
             plan = plan.with_surge(8.0, 10.0, 4.0);
         }
         let base = faulted_base(seed).with_faults(plan);
-        let reference = fault_fingerprint(&run_fleet(base.clone()));
+        let reference = fleet_fingerprint(&run_fleet(base.clone()));
         for shards in [2usize, 4, 8] {
             let mut config = base.clone();
             config.shards = shards;
-            let replay = fault_fingerprint(&run_fleet(config));
+            let replay = fleet_fingerprint(&run_fleet(config));
             prop_assert_eq!(&replay, &reference, "drift at shards={}", shards);
         }
     }
@@ -349,7 +335,7 @@ fn traced_faulted_run_matches_untraced_and_registry_crossfoots() {
     );
     let untraced = run_fleet(config.clone());
     let (traced, trace) = FleetSim::new(config).run_traced();
-    assert_eq!(fault_fingerprint(&traced), fault_fingerprint(&untraced));
+    assert_eq!(fleet_fingerprint(&traced), fleet_fingerprint(&untraced));
 
     let faults = traced.faults.as_ref().expect("fault summary");
     assert_eq!(trace.registry.counter("fault.crashes"), faults.crashes);
@@ -363,18 +349,22 @@ fn traced_faulted_run_matches_untraced_and_registry_crossfoots() {
     );
     assert_eq!(trace.registry.counter("fault.timeouts"), faults.timeouts);
     assert_eq!(trace.registry.gauge("fault.write_off"), faults.write_off);
-    let crash_events = trace
-        .events
+    assert_eq!(
+        fault_events(&trace.events),
+        faults.records.iter().collect::<Vec<_>>()
+    );
+    assert!(faults.crashes > 0 && faults.recoveries > 0);
+}
+
+/// The fault records the trace carries, in stream order.
+fn fault_events(events: &[TraceEvent]) -> Vec<&FaultRecord> {
+    events
         .iter()
-        .filter(|e| matches!(e, TraceEvent::NodeCrash(_)))
-        .count() as u64;
-    let recover_events = trace
-        .events
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::NodeRecover(_)))
-        .count() as u64;
-    assert_eq!(crash_events, faults.crashes);
-    assert_eq!(recover_events, faults.recoveries);
+        .filter_map(|e| match e {
+            TraceEvent::Fault(r) => Some(r),
+            _ => None,
+        })
+        .collect()
 }
 
 /// A certain cascade (p = 1, no decay) after a seed crash fells exactly
@@ -433,7 +423,7 @@ fn cascade_draws_derive_only_from_the_config_seed() {
     };
     let a = run_fleet(plan(0.7));
     let b = run_fleet(plan(0.7));
-    assert_eq!(fault_fingerprint(&a), fault_fingerprint(&b));
+    assert_eq!(fleet_fingerprint(&a), fleet_fingerprint(&b));
     let never = run_fleet(plan(0.0));
     let nf = never.faults.as_ref().expect("fault summary");
     assert_eq!(nf.cascade_crashes, 0);
@@ -505,11 +495,11 @@ fn faulted_mmpp_and_diurnal_runs_are_bit_identical_across_shards() {
                 .with_degrade(2, 5.0, 30.0, 10.0)
                 .with_timeout(0.05),
         );
-        let reference = fault_fingerprint(&run_fleet(base.clone()));
+        let reference = fleet_fingerprint(&run_fleet(base.clone()));
         for shards in [2usize, 4, 8] {
             let mut config = base.clone();
             config.shards = shards;
-            let replay = fault_fingerprint(&run_fleet(config));
+            let replay = fleet_fingerprint(&run_fleet(config));
             assert_eq!(replay, reference, "drift at shards={shards} ({arrival:?})");
         }
     }
@@ -530,7 +520,7 @@ fn traced_cascade_retry_run_matches_untraced_and_crossfoots() {
     );
     let untraced = run_fleet(config.clone());
     let (traced, trace) = FleetSim::new(config).run_traced();
-    assert_eq!(fault_fingerprint(&traced), fault_fingerprint(&untraced));
+    assert_eq!(fleet_fingerprint(&traced), fleet_fingerprint(&untraced));
 
     let faults = traced.faults.as_ref().expect("fault summary");
     assert!(faults.cascade_crashes > 0, "certain cascade must propagate");
@@ -541,12 +531,10 @@ fn traced_cascade_retry_run_matches_untraced_and_crossfoots() {
         trace.registry.counter("fault.cascade_crashes"),
         faults.cascade_crashes
     );
-    let crash_events = trace
-        .events
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::NodeCrash(_)))
-        .count() as u64;
-    assert_eq!(crash_events, faults.crashes);
+    assert_eq!(
+        fault_events(&trace.events),
+        faults.records.iter().collect::<Vec<_>>()
+    );
 }
 
 /// The drain-and-respawn control plane the cost-ordering and alarm
@@ -700,32 +688,16 @@ fn elastic_faulted_runs_are_bit_identical_across_shards_pools_and_tracing() {
             tenant.tenant
         );
     }
-    let reference = elastic_fault_fingerprint(&reference);
+    let reference = fleet_fingerprint(&reference);
     for shards in [4usize, 2] {
         let mut config = base.clone();
         config.shards = shards;
         assert_eq!(
-            elastic_fault_fingerprint(&run_fleet(config)),
+            fleet_fingerprint(&run_fleet(config)),
             reference,
             "drift at shards={shards}"
         );
     }
     let (traced, _) = FleetSim::new(base).run_traced();
-    assert_eq!(
-        elastic_fault_fingerprint(&traced),
-        reference,
-        "drift under tracing"
-    );
-}
-
-/// [`fault_fingerprint`] plus the elastic decision ledger.
-fn elastic_fault_fingerprint(r: &FleetResult) -> String {
-    let e = r.elastic.as_ref().expect("elastic summary present");
-    format!(
-        "{} spawns={} retires={} ledger={}",
-        fault_fingerprint(r),
-        e.spawns,
-        e.retires,
-        serde_json::to_string(&e.ledger).expect("ledger serializes"),
-    )
+    assert_eq!(fleet_fingerprint(&traced), reference, "drift under tracing");
 }

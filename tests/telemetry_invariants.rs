@@ -27,7 +27,8 @@
 use cloudcache::fleet::{FaultPlan, FleetConfig, FleetResult, FleetSim, RouterKind};
 use cloudcache::pricing::Money;
 use cloudcache::telemetry::{
-    blame, BlameKey, MetricsRegistry, SloLedger, TenantSloRecord, TenantSloSpec, Trace, TraceEvent,
+    blame, BlameKey, FaultOutcome, FaultRecord, MetricsRegistry, SloLedger, TenantSloRecord,
+    TenantSloSpec, Trace, TraceEvent,
 };
 use proptest::prelude::*;
 
@@ -325,8 +326,19 @@ fn trace_round_trips_through_json() {
     assert!(live.health.is_some(), "vitals series recorded");
     let has = |pick: fn(&TraceEvent) -> bool| live.events.iter().any(pick);
     assert!(
-        has(|e| matches!(e, TraceEvent::NodeCrash(_)))
-            && has(|e| matches!(e, TraceEvent::NodeRecover(_))),
+        has(|e| matches!(
+            e,
+            TraceEvent::Fault(FaultRecord {
+                event: FaultOutcome::Crash(_),
+                ..
+            })
+        )) && has(|e| matches!(
+            e,
+            TraceEvent::Fault(FaultRecord {
+                event: FaultOutcome::Recover(_),
+                ..
+            })
+        )),
         "the fixture crashes and recovers a node"
     );
 
